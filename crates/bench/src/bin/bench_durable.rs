@@ -28,6 +28,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use bench_harness::gate::BenchCase;
 use bench_harness::incoming_spec;
 use sim_core::{ByteSize, SimDuration, SimTime};
 use tempimp_durable::{DurableConfig, DurableUnit};
@@ -75,7 +76,8 @@ fn main() {
     out.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
-        out.push_str(&format!("    {case}{comma}\n"));
+        let line = case.render("in_memory", None);
+        out.push_str(&format!("    {line}{comma}\n"));
     }
     out.push_str("  ]\n}\n");
     std::fs::write(&output, out).expect("write bench report");
@@ -113,31 +115,33 @@ fn resident_spec(id: u64) -> ObjectSpec {
     )
 }
 
-fn case_line(
+fn report_case(
     name: &str,
     durable_ns: f64,
     memory_ns: f64,
     bytes_per_resident: f64,
     write_amplification: f64,
-) -> String {
+) -> BenchCase {
     let overhead = durable_ns / memory_ns;
     println!(
         "{name:<15} {RESIDENTS:>6} residents: durable {durable_ns:>8.1} ns/op, \
          in-memory {memory_ns:>8.1} ns/op ({overhead:>5.1}x), \
          {bytes_per_resident:>7.1} disk B/resident, WA {write_amplification:.3}"
     );
-    format!(
-        "{{ \"case\": \"{name}\", \"residents\": {RESIDENTS}, \
-         \"indexed_ns_per_op\": {durable_ns:.1}, \"reference_ns_per_op\": {memory_ns:.1}, \
-         \"reference\": \"in_memory\", \"bytes_per_resident\": {bytes_per_resident:.1}, \
-         \"write_amplification\": {write_amplification:.3} }}"
-    )
+    BenchCase {
+        case: name.to_string(),
+        residents: RESIDENTS,
+        indexed_ns_per_op: durable_ns,
+        reference_ns_per_op: memory_ns,
+        bytes_per_resident: Some(bytes_per_resident),
+        write_amplification: Some(write_amplification),
+    }
 }
 
 /// Appending `RESIDENTS` fresh stores into an empty journaled unit — the
 /// pure journal write path: serialize, frame, buffered write, flush.
 /// Nothing dies, so write amplification is exactly 1.
-fn append_case() -> String {
+fn append_case() -> BenchCase {
     let capacity = ByteSize::from_mib(RESIDENTS * 10);
     let mut durable_ns = f64::INFINITY;
     let mut bytes_per_resident = 0.0;
@@ -166,7 +170,7 @@ fn append_case() -> String {
         }
         memory_ns = memory_ns.min(start.elapsed().as_nanos() as f64 / RESIDENTS as f64);
     }
-    case_line(
+    report_case(
         "durable_append",
         durable_ns,
         memory_ns,
@@ -179,7 +183,7 @@ fn append_case() -> String {
 /// preempts one resident, each preemption leaves dead records behind,
 /// and automatic compaction rewrites the emptiest sealed segments while
 /// the measurement runs — reclamation as compaction, measured end to end.
-fn churn_case() -> String {
+fn churn_case() -> BenchCase {
     let capacity = ByteSize::from_mib(RESIDENTS * 10);
     let mut durable_ns = f64::INFINITY;
     let mut bytes_per_resident = 0.0;
@@ -234,7 +238,7 @@ fn churn_case() -> String {
         }
         memory_ns = memory_ns.min(start.elapsed().as_nanos() as f64 / CHURN_OPS as f64);
     }
-    case_line(
+    report_case(
         "durable_churn",
         durable_ns,
         memory_ns,

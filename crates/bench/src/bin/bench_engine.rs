@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bench_harness::gate::BenchCase;
 use bench_harness::{incoming_spec, mixed_unit, mixed_unit_naive};
 use obs::{Obs, ObsStack};
 use sim_core::{ByteSize, SimDuration, SimTime};
@@ -107,14 +108,15 @@ fn main() {
     out.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
-        out.push_str(&format!("    {case}{comma}\n"));
+        let line = case.render("naive_scan", Some("speedup"));
+        out.push_str(&format!("    {line}{comma}\n"));
     }
     out.push_str("  ]\n}\n");
     std::fs::write(&output, out).expect("write bench report");
     println!("wrote {output}");
 }
 
-fn run_case(name: &str, residents: u64, measure: fn(StorageUnit, u64) -> f64) -> String {
+fn run_case(name: &str, residents: u64, measure: fn(StorageUnit, u64) -> f64) -> BenchCase {
     let capacity = ByteSize::from_mib(residents * 10);
     // The indexed number is what `bench_gate` gates on, and at 10k
     // residents a single measurement window is only a few milliseconds —
@@ -136,7 +138,7 @@ fn run_case(name: &str, residents: u64, measure: fn(StorageUnit, u64) -> f64) ->
         indexed_ns = indexed_ns.min(measure(unit, residents));
     }
     let naive_ns = measure(mixed_unit_naive(capacity, residents, 10), residents);
-    case_line(name, residents, indexed_ns, naive_ns, bytes_per_resident)
+    report_case(name, residents, indexed_ns, naive_ns, bytes_per_resident)
 }
 
 /// Measures plain and instrumented churn as one interleaved pair: every
@@ -144,7 +146,7 @@ fn run_case(name: &str, residents: u64, measure: fn(StorageUnit, u64) -> f64) ->
 /// so both minima come from the same load regime and the overhead ratio
 /// the obs gate checks is not skewed by a background burst that happened
 /// to land on only one of two far-apart measurement phases.
-fn run_churn_pair(residents: u64) -> (String, String) {
+fn run_churn_pair(residents: u64) -> (BenchCase, BenchCase) {
     let capacity = ByteSize::from_mib(residents * 10);
     let mut plain_ns = f64::INFINITY;
     let mut observed_ns = f64::INFINITY;
@@ -164,14 +166,14 @@ fn run_churn_pair(residents: u64) -> (String, String) {
     let naive_observed_ns =
         store_churn_observed_ns(mixed_unit_naive(capacity, residents, 10), residents);
     (
-        case_line(
+        report_case(
             "store_churn",
             residents,
             plain_ns,
             naive_ns,
             bytes_per_resident,
         ),
-        case_line(
+        report_case(
             "store_churn_observed",
             residents,
             observed_ns,
@@ -181,24 +183,27 @@ fn run_churn_pair(residents: u64) -> (String, String) {
     )
 }
 
-fn case_line(
+fn report_case(
     name: &str,
     residents: u64,
     indexed_ns: f64,
     naive_ns: f64,
     bytes_per_resident: f64,
-) -> String {
+) -> BenchCase {
     let speedup = naive_ns / indexed_ns;
     println!(
         "{name:<18} {residents:>7} residents: indexed {indexed_ns:>12.1} ns/op, \
          naive {naive_ns:>14.1} ns/op, speedup {speedup:>8.1}x, \
          {bytes_per_resident:>7.1} bytes/resident"
     );
-    format!(
-        "{{ \"case\": \"{name}\", \"residents\": {residents}, \
-         \"indexed_ns_per_op\": {indexed_ns:.1}, \"naive_ns_per_op\": {naive_ns:.1}, \
-         \"speedup\": {speedup:.1}, \"bytes_per_resident\": {bytes_per_resident:.1} }}"
-    )
+    BenchCase {
+        case: name.to_string(),
+        residents,
+        indexed_ns_per_op: indexed_ns,
+        reference_ns_per_op: naive_ns,
+        bytes_per_resident: Some(bytes_per_resident),
+        write_amplification: None,
+    }
 }
 
 /// Picks an iteration count that keeps the slow (naive, 100k) variants

@@ -1,4 +1,5 @@
-//! `bench_gate` — fails CI when the indexed engine regresses.
+//! `bench_gate` — fails CI when a `bench_engine` / `bench_serve` /
+//! `bench_durable` report regresses against its committed baseline.
 //!
 //! Usage:
 //!
@@ -11,7 +12,8 @@
 //!
 //! Exits 0 when every case of the fresh report is within `tolerance`
 //! (default 25%) of the baseline's `indexed_ns_per_op` and
-//! `bytes_per_resident`, 1 when any case regressed (or disappeared), and
+//! `bytes_per_resident` and within a fixed 5% of its
+//! `write_amplification`, 1 when any case regressed (or disappeared), and
 //! 2 on usage or parse errors. Slowdowns whose absolute delta is below
 //! `--min-delta-ns` (default 100) are treated as shared-runner noise.
 //!
@@ -139,8 +141,12 @@ fn main() -> ExitCode {
             .bytes_per_resident
             .map(|b| format!(", {b:.1} B/resident"))
             .unwrap_or_default();
+        let amplification = case
+            .write_amplification
+            .map(|wa| format!(", WA {wa:.3}"))
+            .unwrap_or_default();
         println!(
-            "{:<20} {:>7} residents: {:>10.1} ns/op (baseline {versus}){memory}",
+            "{:<20} {:>7} residents: {:>10.1} ns/op (baseline {versus}){memory}{amplification}",
             case.case, case.residents, case.indexed_ns_per_op
         );
     }
@@ -156,7 +162,7 @@ fn main() -> ExitCode {
     } else {
         failed = true;
         eprintln!(
-            "bench gate: {} regression(s) beyond {:.0}% tolerance:",
+            "bench gate: {} regression(s) (time and memory tolerance {:.0}%):",
             regressions.len(),
             options.tolerance * 100.0
         );

@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench_harness::gate::BenchCase;
 use bench_harness::servetop::{render_frame, FRAME_SEPARATOR};
 use obs::MetricsRegistry;
 use rand::Rng;
@@ -229,7 +230,7 @@ fn main() {
         single.ns_per_op / sharded.ns_per_op
     );
 
-    let case = case_line(
+    let case = report_case(
         "serve_mixed",
         u64::from(shards),
         sharded.ns_per_op,
@@ -243,7 +244,8 @@ fn main() {
     out.push_str("  \"command\": \"cargo run --release -p bench-harness --bin bench_serve\",\n");
     out.push_str("  \"unit\": \"ns per operation (aggregate wall time / total ops)\",\n");
     out.push_str("  \"cases\": [\n");
-    out.push_str(&format!("    {case}\n"));
+    let line = case.render("single_shard", Some("scaling"));
+    out.push_str(&format!("    {line}\n"));
     if sharded.verb_latency_lines.is_empty() {
         out.push_str("  ]\n}\n");
     } else {
@@ -625,23 +627,23 @@ fn curve_mix<R: Rng>(rng: &mut R) -> ImportanceCurve {
     }
 }
 
-/// Renders one gate-compatible case line (and its stdout row). Same
-/// shape `gate::parse_report` reads from `BENCH_engine.json`; the memory
-/// column is omitted — a serving fleet's footprint is workload-dependent,
-/// and the gate treats the column as optional. The comparison column is
-/// self-describing: `reference_ns_per_op` with `"reference":
-/// "single_shard"`, and the ratio is `scaling` (shards vs one shard),
-/// not `speedup` (indexed vs a naive oracle) — the single-shard run is a
-/// reference point, not a rival implementation.
-fn case_line(name: &str, shards: u64, indexed_ns: f64, reference_ns: f64) -> String {
+/// The gate-compatible case (and its stdout row). The memory column is
+/// omitted — a serving fleet's footprint is workload-dependent. The
+/// report labels the ratio `scaling` (shards vs one shard), not `speedup`
+/// (indexed vs a naive oracle): the single-shard run is a reference
+/// point, not a rival implementation.
+fn report_case(name: &str, shards: u64, indexed_ns: f64, reference_ns: f64) -> BenchCase {
     let scaling = reference_ns / indexed_ns;
     println!(
         "{name:<14} {shards:>3} shards: sharded {indexed_ns:>9.1} ns/op, \
          single-shard {reference_ns:>9.1} ns/op, scaling {scaling:>5.1}x"
     );
-    format!(
-        "{{ \"case\": \"{name}\", \"residents\": {shards}, \
-         \"indexed_ns_per_op\": {indexed_ns:.1}, \"reference_ns_per_op\": {reference_ns:.1}, \
-         \"reference\": \"single_shard\", \"scaling\": {scaling:.1} }}"
-    )
+    BenchCase {
+        case: name.to_string(),
+        residents: shards,
+        indexed_ns_per_op: indexed_ns,
+        reference_ns_per_op: reference_ns,
+        bytes_per_resident: None,
+        write_amplification: None,
+    }
 }

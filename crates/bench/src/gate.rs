@@ -1,15 +1,18 @@
-//! The bench regression gate: compares a fresh `BENCH_engine.json` against
-//! the committed baseline and flags slowdowns of the indexed engine.
+//! The bench regression gate: compares a fresh `BENCH_*.json` report
+//! against the committed baseline and flags regressions of the measured
+//! configuration.
 //!
-//! The report format is the fixed shape `bench_engine` emits, so parsing
-//! is plain string extraction (the vendored `serde_json` is typed-only).
-//! Two columns gate: `indexed_ns_per_op` (time per operation) and
-//! `bytes_per_resident` (fixture heap footprint — the memory side of the
-//! ID-arena layout). The reference column (`reference_ns_per_op`, with
-//! the historical `naive_ns_per_op` spelling still accepted) documents
-//! what the measurement is compared against — the naive scan oracle for
-//! engine reports, the single-shard run for serve reports — but is not a
-//! performance promise. [`obs_overheads`] additionally derives the
+//! This module owns the case-line schema of all three reports:
+//! `bench_engine`, `bench_serve` and `bench_durable` build [`BenchCase`]
+//! values and write them with [`BenchCase::render`]; [`parse_report`]
+//! reads them back by plain string extraction (the vendored `serde_json`
+//! is typed-only). Three columns gate: `indexed_ns_per_op` (time per
+//! operation), `bytes_per_resident` (heap or disk footprint) and
+//! `write_amplification` (durable reports). The reference column
+//! (`reference_ns_per_op`) documents what the measurement is compared
+//! against — the naive scan oracle for engine reports, the single-shard
+//! run for serve reports, the in-memory unit for durable reports — but is
+//! not a performance promise. [`obs_overheads`] additionally derives the
 //! instrumentation cost from the fresh report alone, by comparing the
 //! `store_churn_observed` rows against their plain `store_churn` peers,
 //! and [`parse_verb_latencies`]/[`check_verb_latencies`] read and sanity-
@@ -18,25 +21,27 @@
 
 use std::fmt;
 
-/// One measured case from a `BENCH_engine.json` report.
+/// One measured case line of a `BENCH_*.json` report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchCase {
-    /// Case name (`store_churn`, `peek_admission`, `density_sampling`,
-    /// `store_churn_observed`).
+    /// Case name (`store_churn`, `serve_mixed`, `durable_churn`, …).
     pub case: String,
-    /// Resident-object count of the fixture.
+    /// Resident-object count of the fixture (the shard count in serve
+    /// reports).
     pub residents: u64,
-    /// Nanoseconds per operation on the indexed engine.
+    /// Nanoseconds per operation on the configuration under measurement.
     pub indexed_ns_per_op: f64,
     /// Nanoseconds per operation on the reference configuration: the
     /// naive scan oracle for engine reports, the same workload forced
-    /// through a single shard for serve reports. Reports label the
-    /// column `reference_ns_per_op` (old reports spelled it
-    /// `naive_ns_per_op`; both parse).
+    /// through a single shard for serve reports, the plain in-memory unit
+    /// for durable reports.
     pub reference_ns_per_op: f64,
-    /// Net heap bytes per resident of the indexed fixture. Optional so
-    /// the gate still reads reports from before the memory column.
+    /// Bytes per resident: net heap of the indexed fixture in engine
+    /// reports, log file bytes in durable reports. Serve reports carry no
+    /// such column (a fleet's footprint is workload-dependent).
     pub bytes_per_resident: Option<f64>,
+    /// Total bytes appended over first-write bytes. Durable reports only.
+    pub write_amplification: Option<f64>,
 }
 
 impl BenchCase {
@@ -44,17 +49,43 @@ impl BenchCase {
     pub fn key(&self) -> (&str, u64) {
         (&self.case, self.residents)
     }
+
+    /// The report line [`parse_report`] reads back. `reference` names
+    /// what `reference_ns_per_op` was measured on; `ratio`, when given,
+    /// labels a `reference / indexed` column (`speedup` over the naive
+    /// oracle, `scaling` over a single shard). Neither is parsed — they
+    /// make the committed report self-describing.
+    pub fn render(&self, reference: &str, ratio: Option<&str>) -> String {
+        let mut line = format!(
+            "{{ \"case\": \"{}\", \"residents\": {}, \"indexed_ns_per_op\": {:.1}, \
+             \"reference_ns_per_op\": {:.1}, \"reference\": \"{reference}\"",
+            self.case, self.residents, self.indexed_ns_per_op, self.reference_ns_per_op
+        );
+        if let Some(ratio) = ratio {
+            let value = self.reference_ns_per_op / self.indexed_ns_per_op;
+            line.push_str(&format!(", \"{ratio}\": {value:.1}"));
+        }
+        if let Some(bytes) = self.bytes_per_resident {
+            line.push_str(&format!(", \"bytes_per_resident\": {bytes:.1}"));
+        }
+        if let Some(amplification) = self.write_amplification {
+            line.push_str(&format!(", \"write_amplification\": {amplification:.3}"));
+        }
+        line.push_str(" }");
+        line
+    }
 }
 
-/// A detected regression of one case beyond the tolerance, on either the
-/// time or the memory column.
+/// A detected regression of one case beyond the tolerance, on one of the
+/// gated columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// The offending case.
     pub case: String,
     /// Its fixture size.
     pub residents: u64,
-    /// Which column regressed (`"ns/op"` or `"bytes/resident"`).
+    /// Which column regressed (`"ns/op"`, `"bytes/resident"` or
+    /// `"write amplification"`).
     pub metric: &'static str,
     /// Baseline value.
     pub baseline: f64,
@@ -66,9 +97,15 @@ pub struct Regression {
 
 impl fmt::Display for Regression {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Write amplification lives within a few hundredths of 1.
+        let precision = if self.metric == WRITE_AMPLIFICATION {
+            3
+        } else {
+            1
+        };
         write!(
             f,
-            "{} @ {} residents: {:.1} {metric} -> {:.1} {metric} ({:.0}% worse)",
+            "{} @ {} residents: {:.precision$} {metric} -> {:.precision$} {metric} ({:.0}% worse)",
             self.case,
             self.residents,
             self.baseline,
@@ -78,6 +115,8 @@ impl fmt::Display for Regression {
         )
     }
 }
+
+const WRITE_AMPLIFICATION: &str = "write amplification";
 
 fn extract_str<'a>(line: &'a str, field: &str) -> Option<&'a str> {
     let needle = format!("\"{field}\": \"");
@@ -96,7 +135,7 @@ fn extract_num(line: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Parses every case line of a `BENCH_engine.json` report.
+/// Parses every case line of a `BENCH_*.json` report.
 ///
 /// # Errors
 ///
@@ -113,9 +152,9 @@ pub fn parse_report(json: &str) -> Result<Vec<BenchCase>, String> {
                 case: extract_str(line, "case")?.to_string(),
                 residents: extract_num(line, "residents")? as u64,
                 indexed_ns_per_op: extract_num(line, "indexed_ns_per_op")?,
-                reference_ns_per_op: extract_num(line, "reference_ns_per_op")
-                    .or_else(|| extract_num(line, "naive_ns_per_op"))?,
+                reference_ns_per_op: extract_num(line, "reference_ns_per_op")?,
                 bytes_per_resident: extract_num(line, "bytes_per_resident"),
+                write_amplification: extract_num(line, "write_amplification"),
             })
         })();
         match parsed {
@@ -129,18 +168,20 @@ pub fn parse_report(json: &str) -> Result<Vec<BenchCase>, String> {
     Ok(cases)
 }
 
-/// Compares fresh measurements against the baseline, on both gated
-/// columns.
+/// Compares fresh measurements against the baseline, on every gated
+/// column.
 ///
 /// A case's time regresses when `fresh > baseline * (1 + tolerance)`
 /// **and** the absolute slowdown exceeds `min_delta_ns` (sub-100ns cases
 /// on shared CI runners jitter by more than 25% from noise alone). The
 /// memory column gates with the same envelope against a 64-byte floor —
 /// the measurement is near-deterministic, but allocator rounding may move
-/// a few bytes between runs. Baseline cases missing from the fresh report
-/// count as regressions — the gate must not pass because a case silently
-/// disappeared. A baseline case without a memory column skips the memory
-/// check (pre-column reports stay comparable).
+/// a few bytes between runs. Write amplification is deterministic for a
+/// fixed workload and gates at a fixed 5% — the bound `BENCHMARK.json`
+/// puts on `write_amp` — whatever `tolerance` the timing columns get.
+/// Baseline cases missing from the fresh report count as regressions —
+/// the gate must not pass because a case silently disappeared. A column
+/// the baseline case does not carry is not checked.
 pub fn compare(
     baseline: &[BenchCase],
     fresh: &[BenchCase],
@@ -148,43 +189,46 @@ pub fn compare(
     min_delta_ns: f64,
 ) -> Vec<Regression> {
     const MIN_DELTA_BYTES: f64 = 64.0;
+    const WRITE_AMPLIFICATION_TOLERANCE: f64 = 0.05;
     let mut regressions = Vec::new();
     for base in baseline {
-        let Some(new) = fresh.iter().find(|c| c.key() == base.key()) else {
-            regressions.push(Regression {
-                case: base.case.clone(),
-                residents: base.residents,
-                metric: "ns/op",
-                baseline: base.indexed_ns_per_op,
-                fresh: f64::INFINITY,
-                ratio: f64::INFINITY,
-            });
-            continue;
-        };
-        let ratio = new.indexed_ns_per_op / base.indexed_ns_per_op;
-        let delta = new.indexed_ns_per_op - base.indexed_ns_per_op;
-        if ratio > 1.0 + tolerance && delta > min_delta_ns {
-            regressions.push(Regression {
-                case: base.case.clone(),
-                residents: base.residents,
-                metric: "ns/op",
-                baseline: base.indexed_ns_per_op,
-                fresh: new.indexed_ns_per_op,
-                ratio,
-            });
-        }
-        if let (Some(base_bytes), Some(new_bytes)) =
-            (base.bytes_per_resident, new.bytes_per_resident)
-        {
-            let ratio = new_bytes / base_bytes;
-            let delta = new_bytes - base_bytes;
-            if ratio > 1.0 + tolerance && delta > MIN_DELTA_BYTES {
+        let new = fresh.iter().find(|c| c.key() == base.key());
+        // (metric, baseline, fresh, relative tolerance, absolute floor)
+        let columns = [
+            (
+                "ns/op",
+                Some(base.indexed_ns_per_op),
+                Some(new.map_or(f64::INFINITY, |c| c.indexed_ns_per_op)),
+                tolerance,
+                min_delta_ns,
+            ),
+            (
+                "bytes/resident",
+                base.bytes_per_resident,
+                new.and_then(|c| c.bytes_per_resident),
+                tolerance,
+                MIN_DELTA_BYTES,
+            ),
+            (
+                WRITE_AMPLIFICATION,
+                base.write_amplification,
+                new.and_then(|c| c.write_amplification),
+                WRITE_AMPLIFICATION_TOLERANCE,
+                0.0,
+            ),
+        ];
+        for (metric, base_value, new_value, tolerance, floor) in columns {
+            let (Some(baseline), Some(fresh)) = (base_value, new_value) else {
+                continue;
+            };
+            let ratio = fresh / baseline;
+            if ratio > 1.0 + tolerance && fresh - baseline > floor {
                 regressions.push(Regression {
                     case: base.case.clone(),
                     residents: base.residents,
-                    metric: "bytes/resident",
-                    baseline: base_bytes,
-                    fresh: new_bytes,
+                    metric,
+                    baseline,
+                    fresh,
                     ratio,
                 });
             }
@@ -343,10 +387,10 @@ mod tests {
   "command": "cargo run --release -p bench-harness --bin bench_engine",
   "unit": "ns per operation",
   "cases": [
-    { "case": "store_churn", "residents": 10000, "indexed_ns_per_op": 2000.0, "naive_ns_per_op": 900000.0, "speedup": 450.0, "bytes_per_resident": 400.0 },
-    { "case": "peek_admission", "residents": 10000, "indexed_ns_per_op": 800.0, "naive_ns_per_op": 800000.0, "speedup": 1000.0, "bytes_per_resident": 400.0 },
-    { "case": "density_sampling", "residents": 100000, "indexed_ns_per_op": 40.0, "naive_ns_per_op": 1400000.0, "speedup": 35000.0, "bytes_per_resident": 380.0 },
-    { "case": "store_churn_observed", "residents": 10000, "indexed_ns_per_op": 2300.0, "naive_ns_per_op": 900000.0, "speedup": 391.3, "bytes_per_resident": 400.0 }
+    { "case": "store_churn", "residents": 10000, "indexed_ns_per_op": 2000.0, "reference_ns_per_op": 900000.0, "reference": "naive_scan", "speedup": 450.0, "bytes_per_resident": 400.0 },
+    { "case": "peek_admission", "residents": 10000, "indexed_ns_per_op": 800.0, "reference_ns_per_op": 800000.0, "reference": "naive_scan", "speedup": 1000.0, "bytes_per_resident": 400.0 },
+    { "case": "density_sampling", "residents": 100000, "indexed_ns_per_op": 40.0, "reference_ns_per_op": 1400000.0, "reference": "naive_scan", "speedup": 35000.0, "bytes_per_resident": 380.0 },
+    { "case": "store_churn_observed", "residents": 10000, "indexed_ns_per_op": 2300.0, "reference_ns_per_op": 900000.0, "reference": "naive_scan", "speedup": 391.3, "bytes_per_resident": 400.0 }
   ]
 }
 "#;
@@ -374,14 +418,47 @@ mod tests {
         assert_eq!(cases[2].key(), ("density_sampling", 100_000));
     }
 
+    fn case(name: &str, residents: u64, bytes: Option<f64>, wa: Option<f64>) -> BenchCase {
+        BenchCase {
+            case: name.to_string(),
+            residents,
+            indexed_ns_per_op: 376.5,
+            reference_ns_per_op: 1051.5,
+            bytes_per_resident: bytes,
+            write_amplification: wa,
+        }
+    }
+
     #[test]
-    fn self_describing_reference_column_parses_and_wins_over_legacy() {
-        let serve = r#"{ "case": "serve_mixed", "residents": 8, "indexed_ns_per_op": 1963.3, "reference_ns_per_op": 1066.6, "reference": "single_shard", "scaling": 0.5 }"#;
-        let cases = parse_report(serve).unwrap();
-        assert_eq!(cases[0].reference_ns_per_op, 1066.6);
-        // A report carrying both spellings prefers the new column.
-        let both = r#"{ "case": "serve_mixed", "residents": 8, "indexed_ns_per_op": 1963.3, "reference_ns_per_op": 1066.6, "naive_ns_per_op": 42.0 }"#;
-        assert_eq!(parse_report(both).unwrap()[0].reference_ns_per_op, 1066.6);
+    fn rendered_lines_parse_back_for_each_bins_column_set() {
+        let engine = case("store_churn", 10_000, Some(388.5), None);
+        let serve = case("serve_mixed", 8, None, None);
+        let durable = case("durable_churn", 10_000, Some(259.5), Some(1.128));
+        let lines = [
+            engine.render("naive_scan", Some("speedup")),
+            serve.render("single_shard", Some("scaling")),
+            durable.render("in_memory", None),
+        ];
+        assert_eq!(
+            lines[0],
+            r#"{ "case": "store_churn", "residents": 10000, "indexed_ns_per_op": 376.5, "reference_ns_per_op": 1051.5, "reference": "naive_scan", "speedup": 2.8, "bytes_per_resident": 388.5 }"#
+        );
+        assert!(lines[1].ends_with(r#""reference": "single_shard", "scaling": 2.8 }"#));
+        assert!(lines[2].ends_with(
+            r#""reference": "in_memory", "bytes_per_resident": 259.5, "write_amplification": 1.128 }"#
+        ));
+        assert_eq!(
+            parse_report(&lines.join(",\n")).unwrap(),
+            [engine, serve, durable]
+        );
+    }
+
+    #[test]
+    fn the_legacy_reference_spelling_is_rejected() {
+        let legacy = r#"{ "case": "store_churn", "residents": 10000, "indexed_ns_per_op": 2000.0, "naive_ns_per_op": 900000.0, "speedup": 450.0 }"#;
+        assert!(parse_report(legacy)
+            .unwrap_err()
+            .starts_with("malformed bench case line"));
     }
 
     #[test]
@@ -427,15 +504,23 @@ mod tests {
         assert_eq!(cases[0].case, "serve_mixed");
         assert!(cases[0].indexed_ns_per_op > 0.0);
         assert!(cases[0].reference_ns_per_op > 0.0);
+        assert_eq!(cases[0].bytes_per_resident, None);
+        assert_eq!(cases[0].write_amplification, None);
         let rows = parse_verb_latencies(committed).unwrap();
         check_verb_latencies(&rows).expect("committed serve baseline carries sane verb latencies");
     }
 
     #[test]
-    fn reports_without_the_memory_column_still_parse() {
-        let legacy = r#"{ "case": "store_churn", "residents": 10000, "indexed_ns_per_op": 2000.0, "naive_ns_per_op": 900000.0, "speedup": 450.0 }"#;
-        let cases = parse_report(legacy).unwrap();
-        assert_eq!(cases[0].bytes_per_resident, None);
+    fn parses_the_committed_durable_baseline() {
+        let committed = include_str!("../../../BENCH_durable.json");
+        let cases = parse_report(committed).unwrap();
+        assert_eq!(cases.len(), 2);
+        assert_eq!(cases[0].key(), ("durable_append", 10_000));
+        assert_eq!(cases[1].key(), ("durable_churn", 10_000));
+        assert!(cases.iter().all(|c| c.bytes_per_resident.is_some()));
+        assert_eq!(cases[0].write_amplification, Some(1.0));
+        // ROADMAP pins churn write amplification at 1.128 or better.
+        assert!(cases[1].write_amplification.is_some_and(|wa| wa <= 1.128));
     }
 
     #[test]
@@ -534,6 +619,24 @@ mod tests {
         legacy[0].bytes_per_resident = None;
         fresh[0].bytes_per_resident = Some(10_000.0);
         assert!(compare(&legacy, &fresh, 0.25, 50.0).is_empty());
+    }
+
+    #[test]
+    fn write_amplification_gates_at_five_percent() {
+        let baseline = [case("durable_churn", 10_000, Some(259.5), Some(1.128))];
+        let mut fresh = baseline.clone();
+        // 1.128 -> 1.17 is +3.7%: inside the bound.
+        fresh[0].write_amplification = Some(1.17);
+        assert!(compare(&baseline, &fresh, 0.25, 100.0).is_empty());
+        // 1.128 -> 1.40 trips however loose the timing tolerance is.
+        fresh[0].write_amplification = Some(1.40);
+        let regressions = compare(&baseline, &fresh, 10.0, 100.0);
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].case, "durable_churn");
+        assert_eq!(regressions[0].metric, "write amplification");
+        assert!(regressions[0]
+            .to_string()
+            .contains("1.128 write amplification -> 1.400"));
     }
 
     #[test]

@@ -1,4 +1,12 @@
-//! Shared fixtures for the Criterion benches and the `repro` binary.
+//! What the `bench-harness` binaries share: the churn fixtures of
+//! `bench_engine` / `bench_durable`, the `BENCH_*.json` schema and
+//! regression [`gate`], the [`golden`] trace workload and the
+//! [`servetop`] renderer.
+//!
+//! A performance claim is made with `bench_stack` against the root
+//! `BENCHMARK.json`. `bench_engine`, `bench_serve` and `bench_durable`
+//! with `bench_gate` are CI envelopes over the committed `BENCH_*.json`
+//! baselines: they catch a regression, they do not prove a gain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

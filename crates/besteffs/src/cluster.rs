@@ -138,10 +138,9 @@ pub struct FailureEpoch {
 
 /// Configures and builds a [`Besteffs`] cluster.
 ///
-/// Obtained from [`Besteffs::builder`]; every knob is optional and the
-/// defaults reproduce what `Besteffs::new` used to do. The RNG is consumed
-/// only at [`build`](ClusterBuilder::build) time, in the same order as the
-/// old constructor, so seeded simulations are bit-for-bit unchanged.
+/// Obtained from [`Besteffs::builder`]; every knob is optional. The RNG is
+/// consumed only at [`build`](ClusterBuilder::build) time, to wire the
+/// overlay, so seeded simulations are bit-for-bit reproducible.
 ///
 /// # Examples
 ///
@@ -322,23 +321,6 @@ impl Besteffs {
             churn: None,
             obs: None,
         }
-    }
-
-    /// Creates a cluster of `nodes` units of equal `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes < 3` (the overlay needs a ring).
-    #[deprecated(since = "0.1.0", note = "use `Besteffs::builder(nodes, capacity)`")]
-    pub fn new<R: Rng>(
-        nodes: usize,
-        capacity: ByteSize,
-        config: PlacementConfig,
-        rng: &mut R,
-    ) -> Self {
-        Besteffs::builder(nodes, capacity)
-            .placement(config)
-            .build(rng)
     }
 
     /// Number of nodes (live and failed).

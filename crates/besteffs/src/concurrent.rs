@@ -111,22 +111,8 @@ pub struct SharedCluster {
 }
 
 impl SharedCluster {
-    /// Creates a shared cluster of `nodes` units of equal `capacity`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Besteffs::builder(nodes, capacity).build_shared(rng)"
-    )]
-    pub fn new<R: Rng>(
-        nodes: usize,
-        capacity: ByteSize,
-        config: PlacementConfig,
-        rng: &mut R,
-    ) -> Self {
-        SharedCluster::from_parts(nodes, capacity, config, Obs::global(), rng)
-    }
-
-    /// The construction path shared by the builder terminal and the
-    /// deprecated constructor.
+    /// The construction path behind
+    /// [`ClusterBuilder::build_shared`](crate::ClusterBuilder::build_shared).
     ///
     /// # Panics
     ///

@@ -507,93 +507,45 @@ pub trait StoreApi {
     }
 }
 
-/// Which routing function a [`ShardRouter`] applies.
-///
-/// Route stability is a compatibility contract: a recorded request log
-/// only finds its objects on replay if every id maps to the same shard it
-/// mapped to when the log was written. The routing function is therefore
-/// *versioned* — improving the hash must never silently re-home existing
-/// deployments, so [`ShardRouter::new`] stays pinned to [`V1`] and the
-/// better-mixed [`V2`] is opt-in via [`ShardRouter::versioned`].
-///
-/// [`V1`]: RouterVersion::V1
-/// [`V2`]: RouterVersion::V2
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum RouterVersion {
-    /// The original mapping: [`FxHasher`] over the raw id, reduced with
-    /// `% shards`.
-    ///
-    /// FxHash is a multiply-rotate hash whose final step is a wrapping
-    /// multiply by an odd constant — strong in the *high* bits but only
-    /// lightly mixed in the low ones, and `%` keeps low-bit structure
-    /// whenever the shard count is not a power of two (the modulo of a
-    /// weakly-mixed value inherits its bias). In practice sequential ids
-    /// spread acceptably, but adversarially-shaped id sets can stripe.
-    /// Kept bit-for-bit stable as the compatibility default.
-    #[default]
-    V1,
-    /// A finalizer-mixed mapping for new deployments: the id is run
-    /// through the splitmix64 finalizer (two xor-shift-multiply rounds,
-    /// every output bit depends on every input bit), then reduced with
-    /// Lemire's widening multiply `(mix × shards) >> 64`, which consumes
-    /// the well-mixed *high* bits and has no power-of-two bias.
-    V2,
-}
-
 /// Deterministic, total object-to-shard routing shared by every sharded
 /// [`StoreApi`] implementor.
 ///
 /// The raw id is mixed before reduction so that sequentially allocated
 /// ids (the common case — [`crate::ObjectIdGen`] counts up) spread across
 /// shards instead of striping, and the mapping is a pure function of
-/// `(id, shards, version)`: two routers with the same shard count and
-/// [`RouterVersion`] agree on every id, across processes and across runs.
-/// See [`RouterVersion`] for the compatibility contract and the bias
-/// trade-off between the two functions.
+/// `(id, shards)`: two routers with the same shard count agree on every
+/// id, across processes and across runs. That stability is a
+/// compatibility contract — a recorded request log only finds its objects
+/// on replay if every id maps to the shard it mapped to when the log was
+/// written — so the function ([`FxHasher`] over the raw id, reduced with
+/// `% shards`) must not change without something persisted recording
+/// which function a fleet was built under.
 ///
 /// # Examples
 ///
 /// ```
-/// use temporal_importance::protocol::{RouterVersion, ShardRouter};
+/// use temporal_importance::protocol::ShardRouter;
 /// use temporal_importance::ObjectId;
 ///
 /// let router = ShardRouter::new(8);
 /// let shard = router.route(ObjectId::new(42));
 /// assert!(shard < 8);
 /// assert_eq!(shard, ShardRouter::new(8).route(ObjectId::new(42)));
-///
-/// let mixed = ShardRouter::versioned(6, RouterVersion::V2);
-/// assert!(mixed.route(ObjectId::new(42)) < 6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardRouter {
     shards: u32,
-    /// Defaults on deserialization so routers persisted before versioning
-    /// existed come back as the [`RouterVersion::V1`] they were.
-    #[serde(default)]
-    version: RouterVersion,
 }
 
 impl ShardRouter {
-    /// A router over `shards` shards with the stable [`RouterVersion::V1`]
-    /// mapping — the compatibility default every existing log and
-    /// deployment was recorded under.
+    /// A router over `shards` shards.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: u32) -> Self {
-        ShardRouter::versioned(shards, RouterVersion::V1)
-    }
-
-    /// A router over `shards` shards with an explicit routing function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn versioned(shards: u32, version: RouterVersion) -> Self {
         assert!(shards > 0, "a store needs at least one shard");
-        ShardRouter { shards, version }
+        ShardRouter { shards }
     }
 
     /// The shard count.
@@ -601,29 +553,11 @@ impl ShardRouter {
         self.shards
     }
 
-    /// The routing function this router applies.
-    pub fn version(&self) -> RouterVersion {
-        self.version
-    }
-
     /// The shard `id` lives on: always in `0..shards()`.
     pub fn route(&self, id: ObjectId) -> u32 {
-        match self.version {
-            RouterVersion::V1 => {
-                let mut hasher = FxHasher::default();
-                hasher.write_u64(id.raw());
-                (hasher.finish() % u64::from(self.shards)) as u32
-            }
-            RouterVersion::V2 => {
-                // splitmix64 finalizer, then Lemire's multiply-shift
-                // reduction over the high bits.
-                let mut mix = id.raw();
-                mix = (mix ^ (mix >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                mix = (mix ^ (mix >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                mix ^= mix >> 31;
-                ((u128::from(mix) * u128::from(self.shards)) >> 64) as u32
-            }
-        }
+        let mut hasher = FxHasher::default();
+        hasher.write_u64(id.raw());
+        (hasher.finish() % u64::from(self.shards)) as u32
     }
 }
 
@@ -898,63 +832,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_router_is_total_deterministic_and_unbiased_off_powers_of_two() {
-        // Seven shards — the non-power-of-two case where V1's `%` keeps
-        // whatever low-bit structure the hash left behind.
-        let router = ShardRouter::versioned(7, RouterVersion::V2);
-        for raw in 0..10_000u64 {
-            let shard = router.route(ObjectId::new(raw));
-            assert!(shard < 7);
-            assert_eq!(shard, router.route(ObjectId::new(raw)));
-        }
-        // Distribution check over structured ids (sequential, strided, and
-        // high-bit-tagged — the shapes real clients allocate): every shard
-        // stays within 20% of the uniform share.
-        for stride in [1u64, 8, 1 << 32] {
-            let mut seen = vec![0u64; 7];
-            let per_shard = 70_000 / 7;
-            for raw in 0..70_000u64 {
-                seen[router.route(ObjectId::new(raw * stride)) as usize] += 1;
-            }
-            for (shard, &count) in seen.iter().enumerate() {
-                let skew = (count as f64 - per_shard as f64).abs() / per_shard as f64;
-                assert!(
-                    skew < 0.2,
-                    "stride {stride}: shard {shard} holds {count} of {per_shard} expected \
-                     ({seen:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn router_versions_are_independent_and_v1_stays_default() {
-        assert_eq!(ShardRouter::new(6).version(), RouterVersion::V1);
-        assert_eq!(
-            ShardRouter::new(6),
-            ShardRouter::versioned(6, RouterVersion::V1)
-        );
-        // Same ids, same shard count, different functions — the versions
-        // must actually disagree somewhere, or V2 is a no-op rename.
-        let v1 = ShardRouter::new(6);
-        let v2 = ShardRouter::versioned(6, RouterVersion::V2);
-        assert!(
-            (0..1_000u64).any(|raw| v1.route(ObjectId::new(raw)) != v2.route(ObjectId::new(raw))),
-            "V1 and V2 agree on every probe id"
-        );
-    }
-
-    #[test]
-    fn routers_persisted_before_versioning_deserialize_as_v1() {
-        // A pre-versioning serialized router has no `version` field; it
-        // must come back as the V1 it was recorded under (the route-
-        // stability compatibility contract).
-        let old: ShardRouter = serde_json::from_str("{\"shards\":6}").unwrap();
-        assert_eq!(old, ShardRouter::new(6));
-        // And a round trip through the current shape is lossless.
-        let v2 = ShardRouter::versioned(6, RouterVersion::V2);
-        let json = serde_json::to_string(&v2).unwrap();
-        assert_eq!(serde_json::from_str::<ShardRouter>(&json).unwrap(), v2);
+    fn router_serializes_as_its_shard_count_alone() {
+        let router: ShardRouter = serde_json::from_str("{\"shards\":6}").unwrap();
+        assert_eq!(router, ShardRouter::new(6));
+        assert_eq!(serde_json::to_string(&router).unwrap(), "{\"shards\":6}");
     }
 
     #[test]

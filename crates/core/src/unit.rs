@@ -270,28 +270,6 @@ impl StorageUnit {
         }
     }
 
-    /// Creates an empty unit with an explicit eviction policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use StorageUnit::builder(capacity).policy(policy).build()"
-    )]
-    pub fn with_policy(capacity: ByteSize, policy: EvictionPolicy) -> Self {
-        StorageUnit::builder(capacity).policy(policy).build()
-    }
-
-    /// Creates a unit that answers every query with full scans instead of
-    /// the incremental indexes.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use StorageUnit::builder(capacity).policy(policy).naive_oracle(true).build()"
-    )]
-    pub fn with_policy_naive(capacity: ByteSize, policy: EvictionPolicy) -> Self {
-        StorageUnit::builder(capacity)
-            .policy(policy)
-            .naive_oracle(true)
-            .build()
-    }
-
     /// Redirects this unit's instrumentation to `obs` (e.g. to attach a
     /// trace sink to an already-populated unit).
     pub fn set_observer(&mut self, obs: Obs) {
