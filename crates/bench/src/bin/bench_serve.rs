@@ -413,17 +413,16 @@ fn run_serve(
 
     let started = Instant::now();
     let mut tally = Tally::default();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for c in 0..clients {
             let client = prototype.clone();
-            handles.push(scope.spawn(move |_| drive_client(client, c, per_client, skew, mix)));
+            handles.push(scope.spawn(move || drive_client(client, c, per_client, skew, mix)));
         }
         for handle in handles {
             tally.absorb(handle.join().expect("bench client panicked"));
         }
-    })
-    .expect("bench client scope");
+    });
     let elapsed = started.elapsed();
     if let Some(handle) = monitor {
         stop.store(true, Ordering::Relaxed);

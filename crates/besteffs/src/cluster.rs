@@ -14,19 +14,6 @@ use crate::churn::{ChurnDriver, ChurnSchedule};
 use crate::directory::Directory;
 use crate::overlay::{NodeId, Overlay};
 
-/// Fleets smaller than this are swept/advanced/measured sequentially:
-/// thread spawn overhead would outweigh the per-node work.
-const PARALLEL_THRESHOLD: usize = 256;
-
-/// Worker threads for a parallel pass over `nodes` units.
-fn worker_count(nodes: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(nodes.div_ceil(64))
-        .max(1)
-}
-
 /// Parameters of the §5.3 distributed placement algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementConfig {
@@ -609,82 +596,31 @@ impl Besteffs {
     ///
     /// Sampling loops that read [`importance_density`] between placements
     /// should call this first so density reads stay `O(live nodes)`
-    /// instead of re-scanning every stored object. Large fleets advance
-    /// their nodes on worker threads (node state is independent).
+    /// instead of re-scanning every stored object.
     ///
     /// [`importance_density`]: Besteffs::importance_density
     pub fn advance(&mut self, now: SimTime) {
         let _span = self.obs.span("span.cluster.advance");
-        if self.units.len() < PARALLEL_THRESHOLD {
-            for (i, unit) in self.units.iter_mut().enumerate() {
-                if self.alive[i] {
-                    unit.advance(now);
-                }
+        for (i, unit) in self.units.iter_mut().enumerate() {
+            if self.alive[i] {
+                unit.advance(now);
             }
-            return;
         }
-        let chunk = self.units.len().div_ceil(worker_count(self.units.len()));
-        let alive = &self.alive;
-        crossbeam::thread::scope(|s| {
-            for (ci, units) in self.units.chunks_mut(chunk).enumerate() {
-                let base = ci * chunk;
-                s.spawn(move |_| {
-                    for (j, unit) in units.iter_mut().enumerate() {
-                        if alive[base + j] {
-                            unit.advance(now);
-                        }
-                    }
-                });
-            }
-        })
-        .expect("advance worker panicked");
     }
 
-    /// Sweeps expired objects on all live nodes, returning the records
-    /// (empty unless recording is enabled on the node — records returned
-    /// here are generated regardless of the recording flag).
-    ///
-    /// Per-node sweeps are independent, so large fleets run them on
-    /// worker threads; records are merged in node order either way, so
-    /// the result does not depend on the execution strategy.
+    /// Sweeps expired objects on all live nodes and returns their
+    /// eviction records in node order. The records are returned whether
+    /// or not the nodes keep their own eviction log (the cluster builds
+    /// its units with recording off).
     pub fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
         let _span = self.obs.span("span.cluster.sweep");
-        if self.units.len() < PARALLEL_THRESHOLD {
-            let mut out = Vec::new();
-            for (i, unit) in self.units.iter_mut().enumerate() {
-                if self.alive[i] {
-                    out.extend(unit.sweep_expired(now));
-                }
+        let mut out = Vec::new();
+        for (i, unit) in self.units.iter_mut().enumerate() {
+            if self.alive[i] {
+                out.extend(unit.sweep_expired(now));
             }
-            return out;
         }
-        let chunk = self.units.len().div_ceil(worker_count(self.units.len()));
-        let alive = &self.alive;
-        let per_chunk: Vec<Vec<EvictionRecord>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .units
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, units)| {
-                    let base = ci * chunk;
-                    s.spawn(move |_| {
-                        let mut records = Vec::new();
-                        for (j, unit) in units.iter_mut().enumerate() {
-                            if alive[base + j] {
-                                records.extend(unit.sweep_expired(now));
-                            }
-                        }
-                        records
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-        .expect("sweep worker panicked");
-        per_chunk.into_iter().flatten().collect()
+        out
     }
 
     /// Total bytes stored across live nodes.
@@ -698,52 +634,17 @@ impl Besteffs {
     }
 
     /// The cluster-wide average storage importance density at `now`:
-    /// importance-weighted bytes over total live capacity.
-    ///
-    /// Per-node densities of large fleets are computed on worker threads;
-    /// the reduction always runs sequentially in node order, so the result
-    /// is bit-identical to a serial evaluation.
+    /// importance-weighted bytes over total live capacity, summed in node
+    /// order.
     pub fn importance_density(&self, now: SimTime) -> f64 {
         let capacity = self.capacity().as_bytes() as f64;
         if capacity == 0.0 {
             return 0.0;
         }
-        let weighted: f64 = if self.units.len() < PARALLEL_THRESHOLD {
-            self.live_units()
-                .map(|(_, u)| u.importance_density(now) * u.capacity().as_bytes() as f64)
-                .sum()
-        } else {
-            let chunk = self.units.len().div_ceil(worker_count(self.units.len()));
-            let alive = &self.alive;
-            let per_chunk: Vec<Vec<f64>> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .units
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(ci, units)| {
-                        let base = ci * chunk;
-                        s.spawn(move |_| {
-                            units
-                                .iter()
-                                .enumerate()
-                                .filter(|&(j, _)| alive[base + j])
-                                .map(|(_, u)| {
-                                    u.importance_density(now) * u.capacity().as_bytes() as f64
-                                })
-                                .collect::<Vec<f64>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("density worker panicked"))
-                    .collect()
-            })
-            .expect("density worker panicked");
-            // Sequential left-fold in node order: same float additions in
-            // the same order as the serial path.
-            per_chunk.into_iter().flatten().sum()
-        };
+        let weighted: f64 = self
+            .live_units()
+            .map(|(_, u)| u.importance_density(now) * u.capacity().as_bytes() as f64)
+            .sum();
         weighted / capacity
     }
 
@@ -753,10 +654,7 @@ impl Besteffs {
     /// Emits one `cluster.node` event per node (density, occupancy, and
     /// liveness — dead nodes report zeros) followed by a single
     /// `cluster.density` rollup. Fractions are scaled to parts-per-million
-    /// so traces stay integer-only. Emission always runs sequentially in
-    /// node order, even on fleets large enough that the density *reads*
-    /// fan out to worker threads, so traces are byte-identical regardless
-    /// of fleet size.
+    /// so traces stay integer-only.
     ///
     /// [`importance_density`]: Besteffs::importance_density
     pub fn observe_density(&self, now: SimTime) -> f64 {
@@ -976,6 +874,59 @@ mod tests {
         let swept = cluster.sweep_expired(SimTime::from_days(30));
         assert_eq!(swept.len(), 5);
         assert_eq!(cluster.used(), ByteSize::ZERO);
+    }
+
+    /// The §5.3 deployment is thousands of nodes: at that scale the
+    /// cluster-level passes must equal applying each step node by node.
+    #[test]
+    fn paper_scale_passes_equal_per_node_application() {
+        fn filled() -> Besteffs {
+            let mut rand = rng::seeded(53);
+            let mut cluster = Besteffs::builder(300, ByteSize::from_mib(100)).build(&mut rand);
+            for id in 0..1200u64 {
+                let curve = ImportanceCurve::two_step(
+                    Importance::new(0.4 + (id % 7) as f64 * 0.1).unwrap(),
+                    SimDuration::from_days(5 + id % 40),
+                    SimDuration::from_days(10 + id % 25),
+                );
+                let spec =
+                    ObjectSpec::new(ObjectId::new(id), ByteSize::from_mib(10 + id % 20), curve);
+                let _ = cluster.place(spec, SimTime::from_days(id / 100), &mut rand);
+            }
+            cluster.fail_node(NodeId::new(7), SimTime::from_days(12));
+            cluster.fail_node(NodeId::new(299), SimTime::from_days(12));
+            cluster
+        }
+        let (mut whole, mut by_node) = (filled(), filled());
+
+        let mut swept = 0;
+        for day in [20, 45, 70] {
+            let now = SimTime::from_days(day);
+            whole.advance(now);
+            let records = whole.sweep_expired(now);
+            let density = whole.importance_density(now);
+            assert!(density > 0.0, "day {day}: nothing left to weigh");
+
+            let live: Vec<NodeId> = by_node.live_units().map(|(n, _)| n).collect();
+            assert_eq!(live.len(), 298);
+            let mut expected = Vec::new();
+            for &n in &live {
+                by_node.node_mut(n).advance(now);
+                expected.extend(by_node.node_mut(n).sweep_expired(now));
+            }
+            let weighted: f64 = live
+                .iter()
+                .map(|&n| by_node.node(n))
+                .map(|u| u.importance_density(now) * u.capacity().as_bytes() as f64)
+                .sum();
+            let expected_density = weighted / by_node.capacity().as_bytes() as f64;
+
+            assert_eq!(records, expected, "day {day}: records in node order");
+            assert_eq!(density.to_bits(), expected_density.to_bits(), "day {day}");
+            assert_eq!(whole.used(), by_node.used());
+            swept += records.len();
+        }
+        assert!(swept > 500, "only {swept} objects expired");
     }
 }
 

@@ -9,10 +9,10 @@
 //! where a probed unit fills up before the store lands, which the §5.3
 //! algorithm handles by retrying the next candidate.
 
-use parking_lot::Mutex;
 use rand::Rng;
 use sim_core::{ByteSize, Obs, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use temporal_importance::protocol::{
     DensityInfo, HealthSnapshot, ObjectInfo, Request, Response, ShardHealth, ShardRouter, StoreApi,
     StoreStats,
@@ -66,9 +66,15 @@ impl SharedStats {
     }
 }
 
-/// A cluster whose nodes are individually locked, supporting concurrent
-/// `place` calls from many threads. Built with
+/// A cluster whose nodes are individually locked (one `std::sync::Mutex`
+/// per storage unit), supporting concurrent `place` calls from many
+/// threads. Built with
 /// [`ClusterBuilder::build_shared`](crate::ClusterBuilder::build_shared).
+///
+/// The node locks do not poison: a thread that panics while holding one
+/// (a [`with_node`](SharedCluster::with_node) closure, say) leaves that
+/// node usable by every other thread, as a station that crashed mid-call
+/// would.
 ///
 /// Beyond the §5.3 random-walk [`place`](SharedCluster::place) path, the
 /// cluster speaks the [`StoreApi`] protocol: each node doubles as a shard
@@ -164,15 +170,28 @@ impl SharedCluster {
         &self.stats
     }
 
+    /// Locks one node's unit, ignoring poison. A `with_node` closure that
+    /// panics does so between calls on the unit, each of which leaves it
+    /// consistent, so the next holder gets a usable unit; refusing the
+    /// lock instead would take the node away from every other thread for
+    /// good.
+    fn lock(&self, node: NodeId) -> MutexGuard<'_, StorageUnit> {
+        self.units[node.index()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Total bytes stored across all nodes (momentary snapshot — other
     /// threads may be placing concurrently).
     pub fn used(&self) -> ByteSize {
-        self.units.iter().map(|u| u.lock().used()).sum()
+        (0..self.units.len())
+            .map(|i| self.lock(NodeId::new(i)).used())
+            .sum()
     }
 
     /// Runs a closure against one node's unit, under its lock.
     pub fn with_node<T>(&self, node: NodeId, f: impl FnOnce(&mut StorageUnit) -> T) -> T {
-        f(&mut self.units[node.index()].lock())
+        f(&mut self.lock(node))
     }
 
     /// True if `node` is currently in the membership set.
@@ -203,7 +222,7 @@ impl SharedCluster {
             return 0;
         }
         let lost = {
-            let mut unit = self.units[i].lock();
+            let mut unit = self.lock(node);
             let lost = unit.len() as u64;
             *unit = StorageUnit::builder(unit.capacity())
                 .recording(false)
@@ -270,7 +289,7 @@ impl SharedCluster {
             for node in sampled {
                 probed += 1;
                 let admission = {
-                    let mut unit = self.units[node.index()].lock();
+                    let mut unit = self.lock(node);
                     // Drain due curve-breakpoint events under the lock so
                     // the probe answers from the eviction-order index
                     // instead of the stale-index full-scan fallback.
@@ -289,7 +308,7 @@ impl SharedCluster {
 
         // Try candidates best-first; a lost race falls through to the next.
         for &(_, node) in &candidates {
-            match self.units[node.index()].lock().store(spec.clone(), now) {
+            match self.lock(node).store(spec.clone(), now) {
                 Ok(_) => {
                     self.stats.placed.fetch_add(1, Ordering::Relaxed);
                     return Ok(node);
@@ -480,10 +499,10 @@ mod tests {
         let threads = 8;
         let per_thread = 50u64;
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
                 let cluster = &cluster;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rand = rng::stream(99, &format!("placer-{t}"));
                     for i in 0..per_thread {
                         let id = t as u64 * 10_000 + i;
@@ -491,8 +510,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("no placer thread panicked");
+        });
 
         let placed = cluster.stats().placed();
         let rejected = cluster.stats().rejected();
@@ -526,10 +544,10 @@ mod tests {
                 unit.store(spec(i as u64, 20, 0.5), SimTime::ZERO).unwrap();
             });
         }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..4 {
                 let cluster = &cluster;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rand = rng::stream(7, &format!("rejector-{t}"));
                     for i in 0..20u64 {
                         let id = 1_000 + t as u64 * 100 + i;
@@ -538,8 +556,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(cluster.stats().rejected(), 80);
         assert_eq!(cluster.stats().placed(), 0);
     }
@@ -611,6 +628,36 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_under_a_node_lock_does_not_wedge_the_node() {
+        let mut rand = rng::seeded(8);
+        let mut cluster =
+            crate::Besteffs::builder(3, ByteSize::from_mib(100)).build_shared(&mut rand);
+        // Panic while holding every node's lock, so whichever node a later
+        // call reaches has had a holder die on it.
+        for i in 0..3 {
+            let died = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        cluster.with_node(NodeId::new(i), |unit| {
+                            unit.store(spec(i as u64, 10, 0.5), SimTime::ZERO).unwrap();
+                            panic!("station crashed mid-call");
+                        })
+                    })
+                    .join()
+            });
+            assert!(died.is_err());
+        }
+
+        assert_eq!(cluster.used(), ByteSize::from_mib(30));
+        let node = cluster
+            .place(spec(10, 10, 0.5), SimTime::ZERO, &mut rand)
+            .unwrap();
+        assert_eq!(cluster.with_node(node, |unit| unit.len()), 2);
+        assert_eq!(cluster.store_stats(SimTime::ZERO).unwrap().objects, 4);
+        assert_eq!(cluster.fail_node(node), 2);
+    }
+
+    #[test]
     fn fail_and_rejoin_are_idempotent_and_accounted() {
         let mut rand = rng::seeded(4);
         let cluster = crate::Besteffs::builder(10, ByteSize::from_mib(100)).build_shared(&mut rand);
@@ -638,10 +685,10 @@ mod tests {
         let threads = 4;
         let per_thread = 40u64;
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // One chaos thread flaps membership while placers run.
             let chaos = &cluster;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rand = rng::stream(77, "chaos");
                 for _ in 0..200 {
                     let node = NodeId::new(rand.gen_range(0..30));
@@ -659,7 +706,7 @@ mod tests {
             });
             for t in 0..threads {
                 let cluster = &cluster;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rand = rng::stream(78, &format!("churn-placer-{t}"));
                     for i in 0..per_thread {
                         let id = t as u64 * 10_000 + i;
@@ -667,8 +714,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("no churn thread panicked");
+        });
 
         let stats = cluster.stats();
         // Every request resolved one way or another (NoLiveNodes counts as

@@ -255,17 +255,7 @@ pub struct StoreStats {
 impl StoreStats {
     /// Folds another shard's stats into this aggregate.
     pub fn absorb(&mut self, other: &StoreStats) {
-        let a = &mut self.unit;
-        let b = &other.unit;
-        a.stores_attempted += b.stores_attempted;
-        a.stores_accepted += b.stores_accepted;
-        a.rejections_full += b.rejections_full;
-        a.rejections_too_large += b.rejections_too_large;
-        a.evictions_preempted += b.evictions_preempted;
-        a.evictions_expired += b.evictions_expired;
-        a.removals += b.removals;
-        a.bytes_accepted += b.bytes_accepted;
-        a.bytes_evicted += b.bytes_evicted;
+        self.unit += &other.unit;
         self.used += other.used;
         self.capacity += other.capacity;
         self.objects += other.objects;

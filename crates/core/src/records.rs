@@ -188,6 +188,34 @@ impl UnitStats {
     }
 }
 
+/// Field-wise sum: shard aggregation and journal recovery both add
+/// per-unit counters. The pattern names every field, so a new counter
+/// does not compile until it is summed here.
+impl std::ops::AddAssign<&UnitStats> for UnitStats {
+    fn add_assign(&mut self, other: &UnitStats) {
+        let UnitStats {
+            stores_attempted,
+            stores_accepted,
+            rejections_full,
+            rejections_too_large,
+            evictions_preempted,
+            evictions_expired,
+            removals,
+            bytes_accepted,
+            bytes_evicted,
+        } = self;
+        *stores_attempted += other.stores_attempted;
+        *stores_accepted += other.stores_accepted;
+        *rejections_full += other.rejections_full;
+        *rejections_too_large += other.rejections_too_large;
+        *evictions_preempted += other.evictions_preempted;
+        *evictions_expired += other.evictions_expired;
+        *removals += other.removals;
+        *bytes_accepted += other.bytes_accepted;
+        *bytes_evicted += other.bytes_evicted;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -141,18 +141,6 @@ impl DiskInfo {
     }
 }
 
-fn add_stats(total: &mut UnitStats, delta: &UnitStats) {
-    total.stores_attempted += delta.stores_attempted;
-    total.stores_accepted += delta.stores_accepted;
-    total.rejections_full += delta.rejections_full;
-    total.rejections_too_large += delta.rejections_too_large;
-    total.evictions_preempted += delta.evictions_preempted;
-    total.evictions_expired += delta.evictions_expired;
-    total.removals += delta.removals;
-    total.bytes_accepted += delta.bytes_accepted;
-    total.bytes_evicted += delta.bytes_evicted;
-}
-
 /// The append-only segment store. See the module docs for the design.
 #[derive(Debug)]
 pub(crate) struct SegmentLog {
@@ -324,7 +312,7 @@ impl SegmentLog {
         let mut clock = SimTime::ZERO;
         let mut last_sweep = SimTime::ZERO;
         for meta in log.segments.values() {
-            add_stats(&mut stats, &meta.stats);
+            stats += &meta.stats;
             clock = clock.max(meta.max_at);
             last_sweep = last_sweep.max(meta.max_sweep);
         }
@@ -433,7 +421,7 @@ impl SegmentLog {
                 .get_mut(&loc.seq)
                 .expect("apply targets a tracked segment");
             meta.bytes += loc.len;
-            add_stats(&mut meta.stats, &record.stats_delta());
+            meta.stats += &record.stats_delta();
             if let Some(at) = record.at() {
                 meta.max_at = meta.max_at.max(at);
             }

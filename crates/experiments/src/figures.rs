@@ -137,11 +137,11 @@ where
     F: Fn(&single_class::SingleClassResult) -> Vec<(SimTime, f64)> + Sync,
 {
     let extract = &extract;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = PolicyChoice::ALL
             .into_iter()
             .map(|policy| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut cfg = SingleClassConfig::paper(seed, capacity_gib, policy);
                     cfg.days = days;
                     let result = single_class::run(cfg);
@@ -154,7 +154,6 @@ where
             .map(|h| h.join().expect("policy simulation panicked"))
             .collect()
     })
-    .expect("simulation scope panicked")
 }
 
 /// Figure 3: lifetimes achieved (monthly mean, days) under the three

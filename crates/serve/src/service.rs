@@ -1088,10 +1088,10 @@ mod tests {
     fn clients_are_cloneable_and_shareable_across_threads() {
         let service = small_service(2);
         let client = service.client();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for worker in 0..4u64 {
                 let mut client = client.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..50u64 {
                         client
                             .put(
@@ -1104,8 +1104,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut client = client;
         let stats = client.store_stats(SimTime::from_minutes(50)).unwrap();
         assert_eq!(stats.objects, 200);

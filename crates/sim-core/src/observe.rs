@@ -62,8 +62,8 @@ use crate::SimTime;
 /// A sink for instrumentation emitted by simulation components.
 ///
 /// All methods take `&self`: observers are shared (usually behind an
-/// [`Arc`]) between components and, in the parallel cluster sweeps,
-/// between threads. Implementations must therefore be internally
+/// [`Arc`]) between components and, where simulations or placers run
+/// concurrently, between threads. Implementations must therefore be internally
 /// synchronized, and — to keep multi-threaded runs deterministic — should
 /// aggregate only commutatively (sums, maxima, bucket counts).
 pub trait Observer: Send + Sync {

@@ -43,10 +43,10 @@ fn shared_cluster_preserves_capacity_invariants_under_churn() {
     let mut rand = rng::seeded(77);
     let cluster = temporal_reclaim::besteffs::Besteffs::builder(30, ByteSize::from_mib(50))
         .build_shared(&mut rand);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..6 {
             let cluster = &cluster;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rand = rng::stream(123, &format!("churn-{t}"));
                 for i in 0..200u64 {
                     let id = t as u64 * 100_000 + i;
@@ -63,8 +63,7 @@ fn shared_cluster_preserves_capacity_invariants_under_churn() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Every node's invariant held.
     for node in 0..cluster.len() {
         cluster.with_node(temporal_reclaim::besteffs::NodeId::new(node), |unit| {

@@ -113,16 +113,15 @@ fn concurrent_run_replays_to_identical_shards() {
     let router = ShardRouter::new(service.shards());
     let prototype = service.client();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..CLIENTS {
             let mut client = prototype.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut rng = rng::stream(0xd1ff, &format!("serve-diff-{c}"));
                 drive(&mut client, c, &mut rng);
             });
         }
-    })
-    .expect("client scope");
+    });
     drop(prototype);
 
     let reports = service.shutdown().expect_clean();

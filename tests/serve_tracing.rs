@@ -70,17 +70,16 @@ fn stage_stamps_are_monotone_and_ids_unique_under_concurrency() {
     let prototype = service.client();
 
     let collected: Mutex<Vec<RequestTrace>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..CLIENTS {
             let mut client = prototype.clone();
             let collected = &collected;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let traces = drive(&mut client, c);
                 collected.lock().unwrap().extend(traces);
             });
         }
-    })
-    .expect("client scope");
+    });
     drop(prototype);
     service.shutdown().expect_clean();
 
