@@ -439,7 +439,10 @@ impl SegmentForm {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "Vec<(SimDuration, Importance)>")]
+#[serde(
+    try_from = "Vec<(SimDuration, Importance)>",
+    into = "Vec<(SimDuration, Importance)>"
+)]
 pub struct PiecewiseCurve {
     points: Vec<(SimDuration, Importance)>,
 }
@@ -559,6 +562,14 @@ impl TryFrom<Vec<(SimDuration, Importance)>> for PiecewiseCurve {
     }
 }
 
+/// The serialized form is the point list itself — the shape
+/// deserialization validates through `TryFrom`, so a curve round-trips.
+impl From<PiecewiseCurve> for Vec<(SimDuration, Importance)> {
+    fn from(curve: PiecewiseCurve) -> Self {
+        curve.points
+    }
+}
+
 impl From<PiecewiseCurve> for ImportanceCurve {
     fn from(curve: PiecewiseCurve) -> Self {
         ImportanceCurve::Piecewise(curve)
@@ -575,6 +586,28 @@ mod tests {
 
     fn imp(v: f64) -> Importance {
         Importance::new(v).unwrap()
+    }
+
+    /// A piecewise curve serializes as the point list its `TryFrom`
+    /// deserializer validates, so it survives a journal round trip.
+    #[test]
+    fn piecewise_round_trips_through_json() {
+        let curve = ImportanceCurve::Piecewise(
+            PiecewiseCurve::new(vec![
+                (days(0), imp(0.9)),
+                (days(3), imp(0.25)),
+                (days(40), Importance::ZERO),
+            ])
+            .unwrap(),
+        );
+        let text = serde_json::to_string(&curve).unwrap();
+        assert_eq!(text, r#"{"Piecewise":[[0,0.9],[4320,0.25],[57600,0.0]]}"#);
+        assert_eq!(
+            serde_json::from_str::<ImportanceCurve>(&text).unwrap(),
+            curve
+        );
+        // Validation still runs on the way in.
+        assert!(serde_json::from_str::<ImportanceCurve>(r#"{"Piecewise":[[5,0.9]]}"#).is_err());
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod tests {
         EvictionPolicy, ImportanceCurve, ObjectClass, ObjectId, ObjectSpec, StorageUnit,
     };
 
-    use crate::{DurableConfig, DurableUnit};
+    use crate::{DurableConfig, DurableError, DurableUnit};
 
     /// A fresh scratch directory under the workspace `target/` (tests
     /// must not touch anything outside the repository).
@@ -306,6 +306,187 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// One step of a workload that leaves stale full-state copies
+    /// behind kills (re-stored ids, rejuvenations, removals, sweeps) —
+    /// the shape that makes compaction write tombstones — and compacts
+    /// by hand now and then. Returns the tombstones written.
+    fn churn_step(durable: &mut DurableUnit, step: u64) -> usize {
+        let now = SimTime::from_minutes(step * 3);
+        let id = ObjectId::new(step % 40);
+        match step % 7 {
+            0 | 1 | 2 | 4 => {
+                let _ = durable.store(spec(step % 40, 1 + step % 7, 30 + (step % 11) * 15), now);
+            }
+            3 => {
+                durable.sweep_expired(now).expect("sweep journals");
+            }
+            5 => {
+                durable.remove(id, now).expect("remove journals");
+            }
+            _ => {
+                let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_minutes(240));
+                let _ = durable.rejuvenate(id, curve, now);
+            }
+        }
+        let mut tombstones = 0;
+        if step % 40 == 39 {
+            for _ in 0..2 {
+                if let Some(report) = durable.compact(now).expect("compaction") {
+                    tombstones += report.tombstones;
+                }
+            }
+        }
+        tombstones
+    }
+
+    /// The segment files of `dir`, oldest first.
+    fn segment_files(dir: &std::path::Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("log dir")
+            .map(|entry| entry.expect("entry").path())
+            .filter(|path| path.extension().is_some_and(|x| x == "log"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Name and bytes of every segment file of `dir`, oldest first.
+    fn segment_contents(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        segment_files(dir)
+            .into_iter()
+            .map(|path| {
+                let name = path.file_name().expect("segment file name").to_owned();
+                (name, std::fs::read(path).expect("segment bytes"))
+            })
+            .collect()
+    }
+
+    /// The per-segment ledger is built by the one `apply` path, so a
+    /// ledger rebuilt by replay must drive the same compactions — the
+    /// same survivors and tombstones, byte for byte — as the one built
+    /// by the live appends of a process that never restarted.
+    #[test]
+    fn a_replayed_ledger_compacts_in_lockstep_with_a_live_one() {
+        let live_dir = scratch("lockstep-live");
+        let copy_dir = scratch("lockstep-copy");
+        let capacity = ByteSize::from_kib(64);
+        let mut live = DurableUnit::open(
+            &live_dir,
+            capacity,
+            EvictionPolicy::Preemptive,
+            tiny_config(),
+        )
+        .expect("open fresh");
+        let mut tombstones = 0;
+        for step in 0..600 {
+            tombstones += churn_step(&mut live, step);
+        }
+        assert!(
+            live.disk_info().compactions >= 4 && tombstones > 0,
+            "the first phase should compact and tombstone: {:?}, {tombstones} tombstones",
+            live.disk_info()
+        );
+
+        std::fs::create_dir_all(&copy_dir).expect("copy dir");
+        for (name, bytes) in segment_contents(&live_dir) {
+            std::fs::write(copy_dir.join(name), bytes).expect("copy segment");
+        }
+        let mut replayed = DurableUnit::open(
+            &copy_dir,
+            capacity,
+            EvictionPolicy::Preemptive,
+            tiny_config(),
+        )
+        .expect("reopen the copy");
+        assert_eq!(fingerprint(replayed.unit()), fingerprint(live.unit()));
+
+        let before = live.disk_info().compactions;
+        let mut tombstones = (0, 0);
+        for step in 600..1200 {
+            tombstones.0 += churn_step(&mut live, step);
+            tombstones.1 += churn_step(&mut replayed, step);
+        }
+        assert!(
+            live.disk_info().compactions >= before + 4 && tombstones.0 > 0,
+            "the second phase should compact and tombstone: {:?}, {tombstones:?} tombstones",
+            live.disk_info()
+        );
+        assert_eq!(tombstones.0, tombstones.1);
+        assert_eq!(segment_contents(&live_dir), segment_contents(&copy_dir));
+        std::fs::remove_dir_all(&live_dir).expect("cleanup");
+        std::fs::remove_dir_all(&copy_dir).expect("cleanup");
+    }
+
+    /// A unit with several compactable sealed segments, every one of
+    /// them damaged by `damage` behind the open log's back; compaction
+    /// must refuse with a `Corrupt` naming `expected` and delete
+    /// nothing.
+    fn compaction_refuses(tag: &str, damage: impl Fn(&mut Vec<u8>), expected: &str) {
+        let dir = scratch(tag);
+        let mut durable = DurableUnit::open(
+            &dir,
+            ByteSize::from_kib(64),
+            EvictionPolicy::Preemptive,
+            tiny_config(),
+        )
+        .expect("open fresh");
+        for step in 0..400u64 {
+            let _ = durable.store(spec(step % 12, 2, 45), SimTime::from_minutes(step * 5));
+        }
+        let files = segment_files(&dir);
+        assert!(files.len() > 3, "expected several segments: {files:?}");
+        let (_active, sealed) = files.split_last().expect("segments exist");
+        for path in sealed {
+            let mut bytes = std::fs::read(path).expect("segment bytes");
+            damage(&mut bytes);
+            std::fs::write(path, bytes).expect("inject damage");
+        }
+
+        let error = durable
+            .compact(SimTime::from_minutes(400 * 5))
+            .expect_err("a damaged victim must not be folded");
+        let DurableError::Corrupt { segment, detail } = &error else {
+            panic!("expected Corrupt, got {error:?}");
+        };
+        assert!(detail.contains(expected), "unexpected detail: {detail}");
+        assert!(sealed.contains(segment), "{segment:?} is not a sealed file");
+        assert_eq!(segment_files(&dir), files, "no file may be deleted");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A sealed segment that still frames cleanly but lost its last
+    /// record no longer holds what the ledger says was appended.
+    #[test]
+    fn compaction_refuses_a_victim_that_lost_a_record() {
+        compaction_refuses(
+            "lost-record",
+            |bytes| {
+                let mut offset = 0;
+                let mut last = 0;
+                while offset < bytes.len() {
+                    last = offset;
+                    let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
+                    offset += 8 + len as usize;
+                }
+                bytes.truncate(last);
+            },
+            "records under compaction",
+        );
+    }
+
+    /// A flipped byte fails the victim's end-to-end checksum scan.
+    #[test]
+    fn compaction_refuses_a_victim_with_a_flipped_byte() {
+        compaction_refuses(
+            "flipped-byte",
+            |bytes| {
+                let middle = bytes.len() / 2;
+                bytes[middle] ^= 0x40;
+            },
+            "torn under compaction",
+        );
     }
 
     /// The `StoreApi` protocol surface answers identically to a bare

@@ -23,6 +23,16 @@
 //! * per-segment metadata: file bytes, live bytes (for victim ranking),
 //!   the statistics contribution of its records, and clock high-water
 //!   marks (folded forward by `Compacted` when the segment dies).
+//! * the per-segment **ledger**: the record count, the id of every
+//!   full-state record and every id a record kills (8 bytes each while
+//!   the segment lives). Compaction learns what its victim held from
+//!   the ledger instead of parsing the file again; it still reads and
+//!   CRC-scans the file end to end, and refuses to fold a victim whose
+//!   frames are torn or are not as many as were appended.
+//!
+//! All of it is maintained by one function, `SegmentLog::apply`, which
+//! live appends and recovery replay share — a rebuilt log therefore
+//! compacts exactly as the log that never restarted would.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -47,10 +57,18 @@ struct Loc {
 }
 
 /// Per-segment bookkeeping.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct SegmentMeta {
     /// Framed bytes written to the file.
     bytes: u64,
+    /// Records (frames) written to the file. Compaction checks its
+    /// end-to-end frame scan of the file against this.
+    records: u64,
+    /// Ledger: the id of every full-state record in the file, one entry
+    /// per record, in file order.
+    asserted: Vec<ObjectId>,
+    /// Ledger: every id some record in the file kills, in file order.
+    killed: Vec<ObjectId>,
     /// Framed bytes of records that are still some live id's newest
     /// full-state record.
     live_bytes: u64,
@@ -61,6 +79,20 @@ struct SegmentMeta {
     max_at: SimTime,
     /// Sweep-clock high-water mark across this segment's records.
     max_sweep: SimTime,
+}
+
+impl SegmentMeta {
+    /// The `Compacted` record that folds this segment, numbered `seq`,
+    /// into the log.
+    fn commit_record(&self, seq: u64) -> LogRecord {
+        LogRecord::Compacted {
+            seq,
+            bytes: self.bytes,
+            stats: self.stats,
+            at: self.max_at,
+            sweep: self.max_sweep,
+        }
+    }
 }
 
 /// Everything recovery reconstructs from the segment files.
@@ -347,16 +379,18 @@ impl SegmentLog {
             self.roll()?;
         }
         self.buf.clear();
-        let payload = serde_json::to_string(record).map_err(|e| DurableError::Corrupt {
-            segment: self.active_path(),
-            detail: format!("record failed to serialize: {e}"),
-        })?;
-        frame::encode(payload.as_bytes(), &mut self.buf);
+        self.buf.extend_from_slice(&[0; frame::HEADER]);
+        if let Err(e) = record.write_json(&mut self.buf) {
+            return Err(DurableError::Corrupt {
+                segment: self.active_path(),
+                detail: format!("record failed to serialize: {e}"),
+            });
+        }
+        frame::seal(&mut self.buf);
         let len = self.buf.len() as u64;
-        let path = self.active_path();
-        self.active
-            .write_all(&self.buf)
-            .map_err(|e| DurableError::io(&path, e))?;
+        if let Err(e) = self.active.write_all(&self.buf) {
+            return Err(DurableError::io(&self.active_path(), e));
+        }
         self.appended_bytes += len;
         self.obs.counter("durable.appended_bytes", len);
         self.apply(
@@ -374,8 +408,9 @@ impl SegmentLog {
     /// crash loses only a suffix, which torn-tail recovery truncates to
     /// the newest consistent prefix.
     pub fn flush(&mut self) -> Result<(), DurableError> {
-        let path = self.active_path();
-        self.active.flush().map_err(|e| DurableError::io(&path, e))
+        self.active
+            .flush()
+            .map_err(|e| DurableError::io(&self.active_path(), e))
     }
 
     /// Flushes and forces the active segment to stable storage. Called
@@ -385,11 +420,10 @@ impl SegmentLog {
     /// closing the log.
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.flush()?;
-        let path = self.active_path();
         self.active
             .get_ref()
             .sync_all()
-            .map_err(|e| DurableError::io(&path, e))
+            .map_err(|e| DurableError::io(&self.active_path(), e))
     }
 
     /// Seals the active segment and opens the next one.
@@ -421,6 +455,11 @@ impl SegmentLog {
                 .get_mut(&loc.seq)
                 .expect("apply targets a tracked segment");
             meta.bytes += loc.len;
+            meta.records += 1;
+            if let Some(object) = record.asserted() {
+                meta.asserted.push(object.id());
+            }
+            record.killed(&mut meta.killed);
             meta.stats += &record.stats_delta();
             if let Some(at) = record.at() {
                 meta.max_at = meta.max_at.max(at);
@@ -488,7 +527,8 @@ impl SegmentLog {
     /// the one holding the *least important live object* — the content
     /// the engine would reclaim next anyway, so rewriting it is cheap
     /// and likely final. Segments with no live objects at all rank
-    /// first (pure reclamation, zero rewrite). Ties break toward more
+    /// first (pure reclamation, zero rewrite), so when one exists it is
+    /// returned before any resident is ranked. Ties break toward more
     /// dead bytes, then lower sequence number (BTreeMap iteration order
     /// keeps the first-seen winner). `importance_of` maps a live id to
     /// its current importance.
@@ -496,6 +536,36 @@ impl SegmentLog {
         &self,
         mut importance_of: impl FnMut(ObjectId) -> Importance,
     ) -> Option<u64> {
+        let mut live_free: Option<(u64, u64)> = None;
+        let mut holding_live: Vec<(u64, u64)> = Vec::new();
+        for (&seq, meta) in &self.segments {
+            if seq == self.active_seq {
+                continue;
+            }
+            let dead = meta.bytes.saturating_sub(meta.live_bytes);
+            // Compacting appends the survivors back (byte-neutral) plus
+            // one `Compacted` commit record, so the net gain is the
+            // dead bytes minus that overhead. A victim whose dead
+            // weight is only its own bookkeeping would be rewritten
+            // into an identical segment forever; require strict
+            // progress instead, accepting a bounded sliver of
+            // unreclaimable overhead per segment.
+            if dead <= self.commit_overhead(seq, meta) {
+                continue;
+            }
+            if meta.live_bytes > 0 {
+                holding_live.push((seq, dead));
+            } else if live_free.is_none_or(|(_, most)| dead > most) {
+                live_free = Some((seq, dead));
+            }
+        }
+        if let Some((seq, _)) = live_free {
+            return Some(seq);
+        }
+        if holding_live.is_empty() {
+            return None;
+        }
+
         // Each sealed segment's floor: the min current importance of
         // the live objects whose newest record it holds.
         let mut floor: FxHashMap<u64, Importance> = FxHashMap::default();
@@ -514,39 +584,16 @@ impl SegmentLog {
                 .or_insert(imp);
         }
 
-        let mut best: Option<(u64, Option<Importance>, u64)> = None;
-        for (&seq, meta) in &self.segments {
-            if seq == self.active_seq {
-                continue;
-            }
-            let dead = meta.bytes.saturating_sub(meta.live_bytes);
-            // Compacting appends the survivors back (byte-neutral) plus
-            // one `Compacted` commit record, so the net gain is the
-            // dead bytes minus that overhead. A victim whose dead
-            // weight is only its own bookkeeping would be rewritten
-            // into an identical segment forever; require strict
-            // progress instead, accepting a bounded sliver of
-            // unreclaimable overhead per segment.
-            if dead <= self.commit_overhead(seq, meta) {
-                continue;
-            }
-            let imp = floor.get(&seq).copied();
-            let better = match &best {
+        let mut best: Option<(u64, Importance, u64)> = None;
+        for (seq, dead) in holding_live {
+            let imp = *floor
+                .get(&seq)
+                .expect("a segment with live bytes holds some live id's newest record");
+            let better = match best {
                 None => true,
-                Some((_, best_imp, best_dead)) => match (imp, best_imp) {
-                    (None, Some(_)) => true,
-                    (Some(_), None) => false,
-                    (None, None) => dead > *best_dead,
-                    (Some(a), Some(b)) => {
-                        if a < *b {
-                            true
-                        } else if a > *b {
-                            false
-                        } else {
-                            dead > *best_dead
-                        }
-                    }
-                },
+                Some((_, best_imp, best_dead)) => {
+                    imp < best_imp || (imp == best_imp && dead > best_dead)
+                }
             };
             if better {
                 best = Some((seq, imp, dead));
@@ -558,14 +605,7 @@ impl SegmentLog {
     /// Framed size of the `Compacted` record that compacting `seq`
     /// would append — the irreducible cost of folding the segment.
     fn commit_overhead(&self, seq: u64, meta: &SegmentMeta) -> u64 {
-        let commit = LogRecord::Compacted {
-            seq,
-            bytes: meta.bytes,
-            stats: meta.stats,
-            at: meta.max_at,
-            sweep: meta.max_sweep,
-        };
-        serde_json::to_string(&commit)
+        serde_json::to_string(&meta.commit_record(seq))
             .map(|payload| frame::framed_len(payload.len()))
             .unwrap_or(0)
     }
@@ -608,12 +648,15 @@ impl SegmentLog {
         let meta = self
             .segments
             .get(&victim)
-            .expect("compaction victim is a tracked segment")
-            .clone();
+            .expect("compaction victim is a tracked segment");
+        let commit = meta.commit_record(victim);
+        let reclaimed_bytes = meta.bytes;
         let path = segment_path(&self.dir, victim);
 
-        // Re-read the victim to learn which records it holds. Sealed
-        // segments must frame cleanly end to end.
+        // Which records the victim holds is the ledger's knowledge; the
+        // file is still read and checksummed end to end before anything
+        // is dropped on its account. Sealed segments must frame cleanly,
+        // into exactly the records that were appended.
         let bytes = fs::read(&path).map_err(|e| DurableError::io(&path, e))?;
         let scan = frame::scan(&bytes);
         if scan.torn(bytes.len() as u64) {
@@ -622,9 +665,15 @@ impl SegmentLog {
                 detail: "sealed segment torn under compaction".to_owned(),
             });
         }
-        let mut records = Vec::with_capacity(scan.payloads.len());
-        for (payload, _) in &scan.payloads {
-            records.push(parse_record(payload, &path)?);
+        if scan.payloads.len() as u64 != meta.records {
+            return Err(DurableError::Corrupt {
+                segment: path,
+                detail: format!(
+                    "sealed segment holds {} records under compaction, {} were appended",
+                    scan.payloads.len(),
+                    meta.records
+                ),
+            });
         }
 
         // Live ids whose newest record lives in the victim — these get
@@ -639,15 +688,12 @@ impl SegmentLog {
 
         // Dropping the victim's full-state records first lets the
         // tombstone test below see post-drop copy counts.
-        for record in &records {
-            if let Some(object) = record.asserted() {
-                let id = object.id();
-                if let Some(copies) = self.state_copies.get_mut(&id) {
-                    if *copies <= 1 {
-                        self.state_copies.remove(&id);
-                    } else {
-                        *copies -= 1;
-                    }
+        for id in &meta.asserted {
+            if let Some(copies) = self.state_copies.get_mut(id) {
+                if *copies <= 1 {
+                    self.state_copies.remove(id);
+                } else {
+                    *copies -= 1;
                 }
             }
         }
@@ -656,10 +702,7 @@ impl SegmentLog {
         // is dead now and a stale full-state record of it survives in
         // another segment — otherwise replay's last word on the id
         // would be that stale record, resurrecting it.
-        let mut killed: Vec<ObjectId> = Vec::new();
-        for record in &records {
-            record.killed(&mut killed);
-        }
+        let mut killed = meta.killed.clone();
         killed.sort_unstable();
         killed.dedup();
         killed.retain(|id| !self.index.contains_key(id) && self.state_copies.contains_key(id));
@@ -673,18 +716,11 @@ impl SegmentLog {
             self.append(&LogRecord::Survivor { object })?;
         }
         survivor_bytes += self.appended_bytes - before;
+        let tombstones = killed.len();
         if !killed.is_empty() {
-            self.append(&LogRecord::Dead {
-                ids: killed.clone(),
-            })?;
+            self.append(&LogRecord::Dead { ids: killed })?;
         }
-        self.append(&LogRecord::Compacted {
-            seq: victim,
-            bytes: meta.bytes,
-            stats: meta.stats,
-            at: meta.max_at,
-            sweep: meta.max_sweep,
-        })?;
+        self.append(&commit)?;
         self.sync()?;
 
         self.rewrite_bytes += self.appended_bytes - before;
@@ -695,16 +731,16 @@ impl SegmentLog {
         self.segments.remove(&victim);
         self.compactions += 1;
         self.obs.counter("durable.compactions", 1);
-        self.obs.counter("durable.reclaimed_bytes", meta.bytes);
+        self.obs.counter("durable.reclaimed_bytes", reclaimed_bytes);
         self.obs
             .gauge("durable.segments", self.segments.len() as u64);
 
         Ok(CompactionReport {
             victim,
-            reclaimed_bytes: meta.bytes,
+            reclaimed_bytes,
             survivors: survivors.len(),
             survivor_bytes,
-            tombstones: killed.len(),
+            tombstones,
         })
     }
 
@@ -744,7 +780,7 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 
 /// Decodes one checksummed payload; a parse failure at this point means
 /// real damage (the CRC already vouched for the bytes).
-fn parse_record(payload: &[u8], segment: &Path) -> Result<LogRecord, DurableError> {
+pub(crate) fn parse_record(payload: &[u8], segment: &Path) -> Result<LogRecord, DurableError> {
     let text = std::str::from_utf8(payload).map_err(|e| DurableError::Corrupt {
         segment: segment.to_path_buf(),
         detail: format!("checksummed record is not UTF-8: {e}"),
