@@ -26,6 +26,20 @@ use crate::segment::{CompactionReport, DiskInfo, SegmentLog};
 use crate::DurableError;
 
 /// Tuning for a [`DurableUnit`]'s log.
+///
+/// # Durability contract
+///
+/// Not tunable here, and the same for every configuration: when a
+/// mutation (`store`, `remove`, an annotation, a sweep) returns, its
+/// record has been handed to the operating system by a `flush` — one
+/// `write` per mutation — so it survives the death of the process. It
+/// is forced to the disk (`fsync`) only when its segment seals on a
+/// roll, when a compaction commits, and when the unit is closed; an
+/// operating-system crash or power loss can therefore lose the
+/// unsynced suffix of the active segment, which recovery truncates to
+/// the newest consistent prefix. A serving layer that acknowledges a
+/// `Put` after the call returns acknowledges "reached the OS", not
+/// "reached the disk".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableConfig {
     segment_bytes: u64,

@@ -9,10 +9,12 @@
 //! exclusively by a worker thread, and requests travel to the owner over
 //! a bounded MPSC ingest queue as the typed
 //! [`Request`]/[`Response`] messages of the
-//! [`StoreApi`](temporal_importance::protocol::StoreApi) protocol. No
-//! locks, no shared state: concurrency comes from ownership transfer,
-//! and each shard remains exactly as deterministic as the engine it
-//! wraps.
+//! [`StoreApi`](temporal_importance::protocol::StoreApi) protocol. The
+//! engines share nothing and take no locks: concurrency comes from
+//! ownership transfer, and each shard remains exactly as deterministic as
+//! the engine it wraps. The one piece of shared mutable state is on the
+//! way back — each client connection's reply mailbox, a slab of slots
+//! behind one mutex that workers fill once per drained batch.
 //!
 //! Three properties the design guarantees:
 //!
@@ -65,6 +67,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod engine;
+mod mailbox;
 mod service;
 mod trace;
 

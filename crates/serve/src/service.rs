@@ -2,12 +2,18 @@
 //!
 //! A [`Tempimpd`] owns N worker threads, each running a private
 //! [`ShardEngine`] fed by a bounded MPSC ingest queue. [`ServeClient`]s
-//! hash every keyed request to its shard ([`ShardRouter`]), enqueue it
-//! with the client's timestamp, and block on a per-request reply channel;
+//! hash every keyed request to its shard ([`ShardRouter`]), reserve a slot
+//! in the connection's reply mailbox, enqueue the request with the
+//! client's timestamp, and collect the answer from that slot;
 //! whole-store queries (`Density`, `Stats`, `Health`) fan out to every
 //! shard and aggregate in shard order. Workers drain requests in batches
 //! and process each batch at a single effective instant — see
-//! [`ShardEngine`] for why that keeps shards deterministically replayable.
+//! [`ShardEngine`] for why that keeps shards deterministically replayable
+//! — then answer the whole batch at once: one lock per mailbox it
+//! addresses and at most one wake-up per client (see [`crate::mailbox`]).
+//! The hop back therefore costs per batch, not per request, and nothing
+//! is acknowledged before every mutation of its batch has been applied
+//! (journaled and flushed, on a durable shard).
 //!
 //! Every job additionally carries request-scoped trace stamps (see
 //! [`crate::trace`]): clients stamp an id and the enqueue instant, the
@@ -19,7 +25,7 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -32,16 +38,18 @@ use temporal_importance::protocol::{
 use temporal_importance::{Error, EvictionPolicy, StorageUnit};
 
 use crate::engine::ShardEngine;
+use crate::mailbox::{Mailbox, Outbox, ReplyTo};
 use crate::trace::{Reply, Stamps, Telemetry, WorkerTracing};
 use crate::RequestTrace;
 
 /// One queued request: the client's timestamp, the request, its trace
-/// stamps, and where to send the answer.
+/// stamps, and the mailbox slot its answer goes to. A job dropped
+/// unanswered marks that slot lost (see [`ReplyTo`]).
 struct Job {
     at: SimTime,
     request: Request,
     stamps: Stamps,
-    reply: Sender<Reply>,
+    reply_to: ReplyTo,
 }
 
 /// The round-trip span name blocking dispatch records for each verb.
@@ -105,7 +113,9 @@ impl TempimpdBuilder {
 
     /// Most requests a worker drains into one batch (default 64). Every
     /// request in a batch is processed at the batch's latest timestamp,
-    /// so larger batches amortize more breakpoint/expiry work.
+    /// so larger batches amortize more breakpoint/expiry work. Replies
+    /// are delivered when their batch completes, so this also bounds how
+    /// many engine calls a finished answer can be held behind.
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max;
         self
@@ -313,6 +323,10 @@ impl Worker {
         let mut tracing = WorkerTracing::new(&self.telemetry, self.slow_ns);
         let mut log = Vec::new();
         let mut batch: Vec<Job> = Vec::with_capacity(self.batch_max);
+        // Replies wait here until their whole batch has been applied. A
+        // panic below drops it (and `batch`, and `ingest`), which marks
+        // every unanswered slot lost: no client waits on a dead worker.
+        let mut outbox = Outbox::with_capacity(self.batch_max);
         let mut requests = 0u64;
         let mut batches = 0u64;
         // Block for the first request of a batch, then drain greedily up
@@ -356,9 +370,14 @@ impl Worker {
                 let reply = tracing.complete(
                     &self.obs, now, self.shard, verb, job.stamps, applied, response,
                 );
-                // A client that gave up on the reply is not an error.
-                let _ = job.reply.send(reply);
+                outbox.push(job.reply_to, reply);
             }
+            // Every mutation of the batch has been applied — journaled and
+            // flushed, on a durable shard — before any of it is
+            // acknowledged. A client that gave up on its reply is not an
+            // error: its slot is simply freed.
+            outbox.deliver();
+            tracing.flush(&self.obs);
             drop(span);
             self.obs.counter("serve.requests", drained);
             self.obs.counter("serve.batches", 1);
@@ -479,12 +498,14 @@ impl Tempimpd {
         self.sweep_every
     }
 
-    /// A new connection to the service. Clients are cheap to clone and
-    /// `Send`, so load generators hand one to each thread.
+    /// A new connection to the service, with a reply mailbox of its
+    /// own. Clients are cheap to clone and `Send`, so load generators
+    /// hand one to each thread.
     pub fn client(&self) -> ServeClient {
         ServeClient {
             router: self.router,
             ingests: self.ingests.clone(),
+            mailbox: Mailbox::new(),
             telemetry: self.telemetry.clone(),
             obs: self.obs.clone(),
         }
@@ -591,12 +612,30 @@ impl ShutdownReport {
 /// `stats`, and `health` fan out to all shards and aggregate in shard
 /// order. The non-blocking [`try_call`](ServeClient::try_call) surfaces a
 /// full ingest queue as [`Error::QueueFull`] instead of waiting.
-#[derive(Debug, Clone)]
+///
+/// Every connection owns one reply mailbox, which the shard workers
+/// answer into; a clone is a new connection with a mailbox of its own, so
+/// clones on different threads never contend for, or see, each other's
+/// replies.
+#[derive(Debug)]
 pub struct ServeClient {
     router: ShardRouter,
     ingests: Vec<SyncSender<Job>>,
+    mailbox: Arc<Mailbox>,
     telemetry: Arc<Telemetry>,
     obs: Obs,
+}
+
+impl Clone for ServeClient {
+    fn clone(&self) -> Self {
+        ServeClient {
+            router: self.router,
+            ingests: self.ingests.clone(),
+            mailbox: Mailbox::new(),
+            telemetry: self.telemetry.clone(),
+            obs: self.obs.clone(),
+        }
+    }
 }
 
 impl ServeClient {
@@ -615,15 +654,16 @@ impl ServeClient {
     /// Routes `request` to its shard(s) and returns without waiting for
     /// the reply. The returned [`Pending`] is the claim ticket; redeem it
     /// with [`Pending::wait`] (or [`Pending::wait_traced`] to also get
-    /// the request's stage timestamps).
+    /// the request's stage timestamps) — on this thread or any other.
     ///
-    /// This is the pipelining primitive: a client that keeps a window of
-    /// submissions in flight amortizes the thread wake-ups of the
-    /// request channels over the whole window, where [`StoreApi::call`]
-    /// pays a round trip per request. Replies still arrive in per-shard
-    /// FIFO order, so per-shard effects of earlier submissions are
-    /// visible to later ones regardless of when the replies are
-    /// collected.
+    /// This is the pipelining primitive. A worker answers a whole drained
+    /// batch at once, into this connection's mailbox, and wakes the
+    /// client only if it is parked on one of those answers: a client that
+    /// keeps a window of submissions in flight pays one wake-up per batch
+    /// at most, where [`StoreApi::call`] — a batch of one — pays a round
+    /// trip per request. Replies become ready in per-shard FIFO order, so
+    /// per-shard effects of earlier submissions are visible to later ones
+    /// regardless of when the replies are collected.
     ///
     /// Fails with [`Error::Disconnected`] if a target worker is gone.
     /// The blocking send waits while an ingest queue is full; use
@@ -639,40 +679,37 @@ impl ServeClient {
         blocking: bool,
     ) -> Result<Pending, Error> {
         let verb = VerbKind::of(&request);
-        let replies = match &request {
+        let slots = match &request {
             Request::Put { id, .. } | Request::Get { id } | Request::Advise { id, .. } => {
                 let shard = self.router.route(*id);
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let job = Job {
-                    at: now,
-                    request,
-                    stamps: self.telemetry.stamp(),
-                    reply: reply_tx,
-                };
-                self.enqueue(job, shard, blocking)?;
-                Replies::One(reply_rx)
+                Slots::One(self.enqueue(now, request, shard, blocking)?)
             }
-            // Fan-out: every shard gets the request, each with its own
-            // reply channel, kept in shard order so aggregation is
+            // Fan-out: every shard gets the request, each answering into
+            // its own slot, kept in shard order so aggregation is
             // deterministic (float summation order never depends on
             // which worker answers first).
             Request::Density | Request::Stats | Request::Health => {
-                let mut replies = Vec::with_capacity(self.ingests.len());
+                let mut slots = Vec::with_capacity(self.ingests.len());
                 for shard in 0..self.ingests.len() as u32 {
-                    let (reply_tx, reply_rx) = mpsc::channel();
-                    let job = Job {
-                        at: now,
-                        request: request.clone(),
-                        stamps: self.telemetry.stamp(),
-                        reply: reply_tx,
-                    };
-                    self.enqueue(job, shard, blocking)?;
-                    replies.push(reply_rx);
+                    match self.enqueue(now, request.clone(), shard, blocking) {
+                        Ok(slot) => slots.push(slot),
+                        Err(error) => {
+                            // The legs already sent will be answered;
+                            // nobody is going to collect them.
+                            self.mailbox.abandon(&slots);
+                            return Err(error);
+                        }
+                    }
                 }
-                Replies::FanOut(replies)
+                Slots::FanOut(slots)
             }
         };
-        Ok(Pending { verb, replies })
+        Ok(Pending {
+            verb,
+            mailbox: self.mailbox.clone(),
+            slots,
+            collected: 0,
+        })
     }
 
     /// Blocking calls span the full round trip under the verb's
@@ -688,58 +725,101 @@ impl ServeClient {
         }
     }
 
-    /// Sends `job` to `shard`, keeping the queue-depth accounting
-    /// conservative: the depth is incremented before the send and undone
-    /// if the send fails, so it exactly counts jobs in the channel.
-    fn enqueue(&self, job: Job, shard: u32, blocking: bool) -> Result<(), Error> {
+    /// Reserves a reply slot and sends `request` to `shard`, returning
+    /// the slot. The queue-depth accounting stays conservative: the depth
+    /// is incremented before the send and undone if the send fails, so it
+    /// exactly counts jobs in the channel. A refused job never reached a
+    /// worker, so its slot goes straight back to the mailbox.
+    fn enqueue(
+        &self,
+        at: SimTime,
+        request: Request,
+        shard: u32,
+        blocking: bool,
+    ) -> Result<u32, Error> {
+        let reply_to = self.mailbox.reserve();
+        let slot = reply_to.slot();
+        let job = Job {
+            at,
+            request,
+            stamps: self.telemetry.stamp(),
+            reply_to,
+        };
         self.telemetry.enqueued(shard);
         let queue = &self.ingests[shard as usize];
-        let result = if blocking {
-            queue.send(job).map_err(|_| Error::Disconnected)
+        let sent = if blocking {
+            queue
+                .send(job)
+                .map_err(|refused| (refused.0, Error::Disconnected))
         } else {
-            match queue.try_send(job) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) => Err(Error::QueueFull { shard }),
-                Err(TrySendError::Disconnected(_)) => Err(Error::Disconnected),
-            }
+            queue.try_send(job).map_err(|refused| match refused {
+                TrySendError::Full(job) => (job, Error::QueueFull { shard }),
+                TrySendError::Disconnected(job) => (job, Error::Disconnected),
+            })
         };
-        if let Err(error) = &result {
+        sent.map(|()| slot).map_err(|(job, error)| {
+            job.reply_to.release();
             self.telemetry.enqueue_failed(shard);
             if matches!(error, Error::QueueFull { .. }) {
                 self.telemetry.rejected(shard);
             }
-        }
-        result
+            error
+        })
     }
 }
 
 /// A submitted request whose reply has not been collected yet — the
 /// other half of [`ServeClient::submit`].
 ///
-/// Holds the per-request reply channel(s); [`wait`](Pending::wait)
-/// collects the response. Dropping a `Pending` abandons the reply — the
-/// worker still processes the request (it may already have), only the
-/// answer is discarded.
+/// Holds the request's slot(s) in its connection's reply mailbox;
+/// [`wait`](Pending::wait) collects the response, on whichever thread
+/// holds the `Pending`. The reply becomes available when the worker has
+/// finished the batch the request was drained into (at most the
+/// service's `batch_max` requests), not the instant its own engine call
+/// returns. Dropping a `Pending` abandons the reply — the worker still
+/// processes the request (it may already have), only the answer is
+/// discarded and its slot reused.
 pub struct Pending {
     verb: VerbKind,
-    replies: Replies,
+    mailbox: Arc<Mailbox>,
+    slots: Slots,
+    /// How many of `slots`, from the front, have been collected; the
+    /// rest are abandoned on drop.
+    collected: usize,
 }
 
-enum Replies {
-    One(Receiver<Reply>),
-    FanOut(Vec<Receiver<Reply>>),
+/// One slot for a keyed verb; one per shard, in shard order, for a
+/// fan-out.
+enum Slots {
+    One(u32),
+    FanOut(Vec<u32>),
+}
+
+impl Slots {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Slots::One(slot) => std::slice::from_ref(slot),
+            Slots::FanOut(slots) => slots,
+        }
+    }
 }
 
 impl fmt::Debug for Pending {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let outstanding = match &self.replies {
-            Replies::One(_) => 1,
-            Replies::FanOut(replies) => replies.len(),
-        };
         f.debug_struct("Pending")
             .field("verb", &self.verb)
-            .field("outstanding", &outstanding)
+            .field(
+                "outstanding",
+                &(self.slots.as_slice().len() - self.collected),
+            )
             .finish()
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.mailbox
+            .abandon(&self.slots.as_slice()[self.collected..]);
     }
 }
 
@@ -758,35 +838,40 @@ impl Pending {
     ///
     /// The trace is `None` under `obs-off` (tracing compiled out) or
     /// when the worker died before answering. Fan-out verbs return the
-    /// slowest shard's trace: its reply instant is when the whole
-    /// aggregate became available.
-    pub fn wait_traced(self) -> (Response, Option<RequestTrace>) {
-        let Pending { verb, replies } = self;
-        match replies {
-            Replies::One(reply_rx) => match reply_rx.recv() {
-                Ok(reply) => reply.into_parts(),
-                Err(_) => (verb.failed(Error::Disconnected), None),
-            },
-            Replies::FanOut(reply_rxs) => {
-                let mut responses = Vec::with_capacity(reply_rxs.len());
-                let mut slowest: Option<RequestTrace> = None;
-                for reply_rx in reply_rxs {
-                    match reply_rx.recv() {
-                        Ok(reply) => {
-                            let (response, trace) = reply.into_parts();
-                            responses.push(response);
-                            if let Some(trace) = trace {
-                                if slowest.is_none_or(|s| trace.replied_ns > s.replied_ns) {
-                                    slowest = Some(trace);
-                                }
-                            }
-                        }
-                        Err(_) => return (verb.failed(Error::Disconnected), None),
-                    }
+    /// slowest shard's trace: its reply instant is when the last engine
+    /// call of the aggregate finished.
+    pub fn wait_traced(mut self) -> (Response, Option<RequestTrace>) {
+        let verb = self.verb;
+        // Returning early drops `self`, which abandons the legs not yet
+        // collected.
+        let lost = || (verb.failed(Error::Disconnected), None);
+        let legs = match &self.slots {
+            Slots::One(_) => return self.collect_next().map_or_else(lost, Reply::into_parts),
+            Slots::FanOut(slots) => slots.len(),
+        };
+        let mut responses = Vec::with_capacity(legs);
+        let mut slowest: Option<RequestTrace> = None;
+        for _ in 0..legs {
+            let Some(reply) = self.collect_next() else {
+                return lost();
+            };
+            let (response, trace) = reply.into_parts();
+            responses.push(response);
+            if let Some(trace) = trace {
+                if slowest.is_none_or(|s| trace.replied_ns > s.replied_ns) {
+                    slowest = Some(trace);
                 }
-                (aggregate(verb, responses), slowest)
             }
         }
+        (aggregate(verb, responses), slowest)
+    }
+
+    /// Blocks for the next uncollected slot's reply; `None` if it is
+    /// lost.
+    fn collect_next(&mut self) -> Option<Reply> {
+        let slot = self.slots.as_slice()[self.collected];
+        self.collected += 1;
+        self.mailbox.take(slot)
     }
 }
 
@@ -831,9 +916,9 @@ fn aggregate(verb: VerbKind, responses: Vec<Response>) -> Response {
             }))
         }
         VerbKind::Health => {
-            // Workers answer in shard order (the fan-out enqueued in
-            // shard order and each reply channel is per-shard), so the
-            // concatenated snapshot lists shards 0..N.
+            // Replies are collected in shard order (the fan-out keeps one
+            // slot per shard, in shard order), so the concatenated
+            // snapshot lists shards 0..N.
             let mut total = HealthSnapshot::default();
             for response in responses {
                 match response {
@@ -1119,17 +1204,18 @@ mod tests {
         // must fail fast with the backpressure error.
         let telemetry = Arc::new(Telemetry::new(1));
         let (tx, _rx) = mpsc::sync_channel::<Job>(1);
-        let (dummy_reply, _keep) = mpsc::channel();
+        let filler = Mailbox::new();
         tx.send(Job {
             at: SimTime::ZERO,
             request: Request::Density,
             stamps: Stamps::default(),
-            reply: dummy_reply,
+            reply_to: filler.reserve(),
         })
         .unwrap();
         let client = ServeClient {
             router: ShardRouter::new(1),
             ingests: vec![tx],
+            mailbox: Mailbox::new(),
             telemetry: telemetry.clone(),
             obs: Obs::none(),
         };
@@ -1148,6 +1234,59 @@ mod tests {
             assert_eq!(telemetry.rejected_count(0), 1);
             assert_eq!(telemetry.depth(0), 0, "hand-sent job is untracked");
         }
+        // A refused request gives its reply slot straight back: however
+        // many are refused, the mailbox never holds more than the one.
+        for i in 0..10_000u64 {
+            let response = client.try_call(
+                SimTime::ZERO,
+                Request::Get {
+                    id: ObjectId::new(i),
+                },
+            );
+            assert!(matches!(
+                response,
+                Response::Get(Err(Error::QueueFull { shard: 0 }))
+            ));
+        }
+        assert_eq!(client.mailbox.high_water(), 1);
+        assert_eq!(client.mailbox.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_fan_out_refused_midway_abandons_the_legs_already_sent() {
+        // Two hand-built shards without workers: shard 0 has room, shard
+        // 1 is full, so a non-blocking fan-out fails on its second leg.
+        let (tx0, rx0) = mpsc::sync_channel::<Job>(4);
+        let (tx1, _rx1) = mpsc::sync_channel::<Job>(1);
+        let filler = Mailbox::new();
+        tx1.send(Job {
+            at: SimTime::ZERO,
+            request: Request::Density,
+            stamps: Stamps::default(),
+            reply_to: filler.reserve(),
+        })
+        .unwrap();
+        let client = ServeClient {
+            router: ShardRouter::new(2),
+            ingests: vec![tx0, tx1],
+            mailbox: Mailbox::new(),
+            telemetry: Arc::new(Telemetry::new(2)),
+            obs: Obs::none(),
+        };
+        match client.try_call(SimTime::ZERO, Request::Stats) {
+            Response::Stats(Err(Error::QueueFull { shard: 1 })) => {}
+            other => panic!("expected QueueFull on shard 1, got {other:?}"),
+        }
+        // Shard 0's leg is queued and nobody will collect it: its slot
+        // stays reserved until shard 0's worker answers, which frees it.
+        assert_eq!(client.mailbox.in_flight(), 1);
+        let job = rx0.try_recv().expect("shard 0 was sent its leg");
+        let reply = Reply::bare(Response::Stats(Ok(StoreStats::default())));
+        let mut outbox = Outbox::with_capacity(1);
+        outbox.push(job.reply_to, reply);
+        outbox.deliver();
+        assert_eq!(client.mailbox.in_flight(), 0);
+        assert_eq!(client.mailbox.high_water(), 2);
     }
 
     #[test]
@@ -1157,6 +1296,7 @@ mod tests {
         let mut client = ServeClient {
             router: ShardRouter::new(1),
             ingests: vec![tx],
+            mailbox: Mailbox::new(),
             telemetry: Arc::new(Telemetry::new(1)),
             obs: Obs::none(),
         };
@@ -1173,6 +1313,12 @@ mod tests {
         assert!(matches!(err, Error::Disconnected));
         let err = client.health(SimTime::ZERO).unwrap_err();
         assert!(matches!(err, Error::Disconnected));
+        assert_eq!(
+            client.mailbox.in_flight(),
+            0,
+            "refused jobs free their slots"
+        );
+        assert_eq!(client.mailbox.high_water(), 1);
     }
 
     /// A fresh scratch directory under the workspace `target/` (tests

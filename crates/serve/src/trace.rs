@@ -4,9 +4,10 @@
 //! stamped with a [`RequestId`] and wall-clock stage timestamps —
 //! **enqueue** (client, before the channel send), **dequeue** (worker,
 //! when the job is drained into a batch), **apply** (worker, right
-//! before the engine call) and **reply** (worker, right after) — all
-//! read from one service-wide monotonic origin so they compare across
-//! threads. From the stamps the worker derives the two halves of every
+//! before the engine call) and **reply** (worker, right after: the
+//! answer exists, and is delivered when the rest of its batch has been
+//! applied) — all read from one service-wide monotonic origin so they
+//! compare across threads. From the stamps the worker derives the two halves of every
 //! request's latency:
 //!
 //! * **queue wait** = apply − enqueue: channel transit, time parked in
@@ -19,7 +20,8 @@
 //! source of the per-shard quantiles in `health` answers) and into the
 //! shared [`Observer`](sim_core::observe::Observer) seam under the
 //! static [`VerbKind::queue_wait_metric`]/[`VerbKind::service_metric`]
-//! names. Requests whose total latency crosses the worker's slow
+//! names — the seam's samples buffered in the worker and handed over
+//! once per drained batch, so a sink behind a lock is locked per batch. Requests whose total latency crosses the worker's slow
 //! threshold additionally emit an integer-only `serve.slow` trace event.
 //!
 //! This module is the one place in the crate that mentions the
@@ -59,7 +61,9 @@ pub struct RequestTrace {
     pub dequeued_ns: u64,
     /// When the worker began applying the request to the engine.
     pub applied_ns: u64,
-    /// When the worker finished the engine call and sent the reply.
+    /// When the worker finished the engine call: the answer exists. It
+    /// is delivered to the client once the rest of its batch (at most
+    /// `batch_max` requests) has been applied too.
     pub replied_ns: u64,
 }
 
@@ -75,8 +79,9 @@ impl RequestTrace {
         self.replied_ns.saturating_sub(self.applied_ns)
     }
 
-    /// Nanoseconds from client enqueue to reply — the request's full
-    /// in-service latency (excluding only reply-channel transit back).
+    /// Nanoseconds from client enqueue to the end of the engine call.
+    /// Excludes the way back: the hold until the request's batch
+    /// completes and the mailbox hand-over to the client.
     pub fn total_ns(&self) -> u64 {
         self.replied_ns.saturating_sub(self.enqueued_ns)
     }
@@ -102,6 +107,26 @@ impl Reply {
         {
             (self.response, None)
         }
+    }
+}
+
+#[cfg(test)]
+impl Reply {
+    /// An envelope around `response` for tests that settle a slot without
+    /// running a worker.
+    pub(crate) fn bare(response: Response) -> Reply {
+        let telemetry = Telemetry::new(1);
+        let mut tracing = WorkerTracing::new(&telemetry, u64::MAX);
+        let applied = tracing.mark();
+        tracing.complete(
+            &sim_core::Obs::none(),
+            sim_core::SimTime::ZERO,
+            0,
+            temporal_importance::protocol::VerbKind::Get,
+            telemetry.stamp(),
+            applied,
+            response,
+        )
     }
 }
 
@@ -294,6 +319,10 @@ pub(crate) struct WorkerTracing {
     slow_ns: u64,
     #[cfg(not(feature = "obs-off"))]
     latencies: [(Histogram, Histogram); VerbKind::ALL.len()],
+    /// Seam-bound samples of the batch in progress, handed over together
+    /// by [`flush`](WorkerTracing::flush).
+    #[cfg(not(feature = "obs-off"))]
+    samples: Vec<(&'static str, u64)>,
 }
 
 impl WorkerTracing {
@@ -307,6 +336,7 @@ impl WorkerTracing {
                 origin: telemetry.origin,
                 slow_ns,
                 latencies: std::array::from_fn(|_| (Histogram::new(), Histogram::new())),
+                samples: Vec::new(),
             }
         }
         #[cfg(feature = "obs-off")]
@@ -335,10 +365,10 @@ impl WorkerTracing {
 
     /// Completes one request: derives queue-wait and service time from
     /// the stamps and the `applied` mark, records both into the local
-    /// per-verb histograms and through the observer seam, emits the
-    /// `serve.slow` event when the total crosses the threshold, and
-    /// wraps the response and its finished trace into the reply
-    /// envelope.
+    /// per-verb histograms, buffers them for the observer seam (see
+    /// [`flush`](WorkerTracing::flush)), emits the `serve.slow` event
+    /// when the total crosses the threshold, and wraps the response and
+    /// its finished trace into the reply envelope.
     // One argument per pipeline ingredient (seam, clock, identity,
     // stamps, outcome); bundling them into a struct would be built and
     // destructured at the single call site for no clarity gain.
@@ -371,8 +401,10 @@ impl WorkerTracing {
             let slot = &mut self.latencies[verb.code() as usize];
             slot.0.record(queue_wait);
             slot.1.record(service);
-            obs.record(verb.queue_wait_metric(), queue_wait);
-            obs.record(verb.service_metric(), service);
+            if obs.is_enabled() {
+                self.samples.push((verb.queue_wait_metric(), queue_wait));
+                self.samples.push((verb.service_metric(), service));
+            }
             if trace.total_ns() >= self.slow_ns {
                 obs.event(
                     now,
@@ -393,6 +425,20 @@ impl WorkerTracing {
         {
             Reply { response }
         }
+    }
+
+    /// Hands the samples buffered since the last flush to the observer
+    /// seam in one call. Workers flush once per drained batch, so a sink
+    /// behind a lock is locked once per batch instead of twice per
+    /// request.
+    pub(crate) fn flush(&mut self, obs: &sim_core::Obs) {
+        #[cfg(not(feature = "obs-off"))]
+        if !self.samples.is_empty() {
+            obs.record_many(&self.samples);
+            self.samples.clear();
+        }
+        #[cfg(feature = "obs-off")]
+        let _ = obs;
     }
 
     /// The per-verb latency quantiles this worker has accumulated, for
@@ -495,6 +541,11 @@ mod tests {
         let mut tracing = WorkerTracing::new(&telemetry, u64::MAX);
         complete_one(&mut tracing, &telemetry, &obs);
         complete_one(&mut tracing, &telemetry, &obs);
+        // The seam sees nothing until the batch is flushed, then all of
+        // it, once.
+        assert!(catcher.records.lock().unwrap().is_empty());
+        tracing.flush(&obs);
+        tracing.flush(&obs);
 
         let latencies = tracing.verb_latencies();
         assert_eq!(latencies.len(), 1, "only the get verb has samples");
