@@ -6,8 +6,7 @@
 //! ```text
 //! bench_gate --baseline BENCH_engine.json --fresh fresh.json \
 //!            [--tolerance 0.25] [--min-delta-ns 100] \
-//!            [--residents N] [--max-obs-overhead 0.20] \
-//!            [--require-verb-latency]
+//!            [--residents N] [--max-obs-overhead 0.20]
 //! ```
 //!
 //! Exits 0 when every case of the fresh report is within `tolerance`
@@ -20,18 +19,13 @@
 //! `--residents N` restricts both reports to one fixture size, matching a
 //! `bench_engine --residents N` run, so a CI matrix can gate sizes in
 //! parallel jobs. `--max-obs-overhead F` additionally fails the gate when
-//! the fresh report's instrumented churn (`store_churn_observed`) costs
-//! more than `F` (a fraction, e.g. `0.20`) over plain `store_churn`.
-//! `--require-verb-latency` (for `bench_serve` reports) fails the gate
-//! when the fresh report carries no sane per-verb queue-wait/service
-//! rows — catching a serve build whose request tracing silently stopped
-//! sampling. Latency *values* are not gated; they are runner-dependent.
+//! an instrumented row of the fresh report (`store_churn_observed`,
+//! `serve_mixed_observed`) costs more than `F` (a fraction, e.g. `0.20`)
+//! over its plain peer (`store_churn`, `serve_mixed`).
 
 use std::process::ExitCode;
 
-use bench_harness::gate::{
-    check_verb_latencies, compare, obs_overheads, parse_report, parse_verb_latencies,
-};
+use bench_harness::gate::{compare, obs_overheads, parse_report};
 
 struct Options {
     baseline: String,
@@ -40,7 +34,6 @@ struct Options {
     min_delta_ns: f64,
     residents: Option<u64>,
     max_obs_overhead: Option<f64>,
-    require_verb_latency: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -51,7 +44,6 @@ fn parse_args() -> Result<Options, String> {
         min_delta_ns: 100.0,
         residents: None,
         max_obs_overhead: None,
-        require_verb_latency: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -85,13 +77,11 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|_| format!("invalid obs overhead '{raw}'"))?,
                 );
             }
-            "--require-verb-latency" => options.require_verb_latency = true,
             "--help" | "-h" => {
                 println!(
                     "usage: bench_gate --baseline BASE.json --fresh FRESH.json \
                      [--tolerance 0.25] [--min-delta-ns 100] \
-                     [--residents N] [--max-obs-overhead 0.20] \
-                     [--require-verb-latency]"
+                     [--residents N] [--max-obs-overhead 0.20]"
                 );
                 std::process::exit(0);
             }
@@ -171,29 +161,10 @@ fn main() -> ExitCode {
         }
     }
 
-    if options.require_verb_latency {
-        // Re-read the fresh report raw: verb-latency rows live outside
-        // the "cases" array that `parse_report` consumes.
-        let checked = std::fs::read_to_string(&options.fresh)
-            .map_err(|e| format!("cannot read {}: {e}", options.fresh))
-            .and_then(|raw| parse_verb_latencies(&raw))
-            .and_then(|rows| {
-                let count = rows.len();
-                check_verb_latencies(&rows).map(|()| count)
-            });
-        match checked {
-            Ok(count) => println!("bench gate: {count} verb-latency rows present and sane"),
-            Err(message) => {
-                failed = true;
-                eprintln!("bench gate: verb-latency check failed: {message}");
-            }
-        }
-    }
-
     if let Some(max) = options.max_obs_overhead {
         let overheads = obs_overheads(&fresh);
         if overheads.is_empty() {
-            eprintln!("bench gate: no store_churn / store_churn_observed pair to check");
+            eprintln!("bench gate: no <case> / <case>_observed pair to check");
             return ExitCode::from(2);
         }
         for overhead in &overheads {

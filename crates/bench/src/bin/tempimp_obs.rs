@@ -27,10 +27,11 @@
 //!   it against the figure's CSV (`results/fig6_*.csv` or a fresh
 //!   `--json` dump), closing the loop trace → analysis → paper artifact.
 //! * `serve-top` — a refreshing per-shard live view of a `tempimpd`
-//!   service: spins one up in-process, drives it from client threads, and
-//!   renders the `health` verb's aggregate (queue depth, residents,
-//!   request rate, per-verb queue-wait/service percentiles) plus a
-//!   slow-request log each frame. `--from FILE` instead replays the
+//!   service: spins one up in-process, drives it from client threads with
+//!   `bench_stack`'s request stream at 1/50 size, and renders the
+//!   `health` verb's aggregate (queue depth, residents, request rate,
+//!   per-verb queue-wait/service percentiles) plus a slow-request log
+//!   each frame. `--from FILE` instead replays the
 //!   frames of a `bench_serve --snapshots` capture. Under
 //!   `--features obs-off` the view still runs; every latency column
 //!   honestly reads `n/a`.
@@ -41,6 +42,7 @@
 
 use std::process::ExitCode;
 
+use bench_harness::stream::{Scale, Stream, Tally};
 use obs::tracefile::{self, TraceEvent};
 
 fn main() -> ExitCode {
@@ -340,9 +342,10 @@ fn cmd_verify_density(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `serve-top` — live per-shard telemetry view. Without `--from`, spins
-/// up an in-process `tempimpd`, drives it from client threads, and
-/// renders one frame per `--interval-ms` from the `health` verb plus the
-/// slow-request log (requests over `--slow-ms`). With `--from FILE`,
+/// up an in-process `tempimpd`, drives it from client threads with the
+/// [`bench_harness::stream`] requests, and renders one frame per
+/// `--interval-ms` from the `health` verb plus the slow-request log
+/// (requests over `--slow-ms`). With `--from FILE`,
 /// replays the frames of a `bench_serve --snapshots` capture instead.
 fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
     use bench_harness::servetop::{render_frame, split_frames, tracing_compiled_in, SlowLog};
@@ -416,14 +419,15 @@ fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
         println!("note: built with obs-off — latency columns and the slow log will read n/a/none");
     }
 
-    // Live mode: an in-process service under synthetic load. The slow log
-    // listens for the workers' `serve.slow` events next to the registry.
+    // Live mode: an in-process service under the bench_stack stream, sized
+    // for it at 1/50. The slow log listens for the workers' `serve.slow`
+    // events next to the registry.
     let registry = Arc::new(obs::MetricsRegistry::new());
     let slow_log = Arc::new(SlowLog::new(64));
     let stack: Vec<Arc<dyn obs::Observer>> = vec![registry, slow_log.clone()];
     let service = tempimpd::Tempimpd::builder()
         .shards(shards)
-        .shard_capacity(sim_core::ByteSize::from_mib(256))
+        .shard_capacity(Scale::CHECK.shard_capacity(shards))
         .slow_threshold(Duration::from_millis(slow_ms))
         .observer(sim_core::Obs::attached(Arc::new(obs::Fanout::new(stack))))
         .spawn();
@@ -433,7 +437,10 @@ fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
     for index in 0..clients {
         let client = service.client();
         let stop = stop.clone();
-        drivers.push(std::thread::spawn(move || drive_load(client, index, &stop)));
+        let stream = Stream::new(experiments::DEFAULT_SEED, index, clients, Scale::CHECK);
+        drivers.push(std::thread::spawn(move || {
+            drive_load(client, stream, &stop)
+        }));
     }
 
     let mut monitor = service.client();
@@ -456,62 +463,50 @@ fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
     }
 
     stop.store(true, Ordering::Relaxed);
-    let driven: u64 = drivers
-        .into_iter()
-        .map(|h| h.join().expect("serve-top load thread panicked"))
-        .sum();
+    let mut driven = Tally::default();
+    for driver in drivers {
+        driven.absorb(&driver.join().expect("serve-top load thread panicked"));
+    }
     drop(monitor);
     service.shutdown().expect_clean();
-    println!("serve-top: {frames} frames over {clients} clients, {driven} ops driven");
+    println!(
+        "serve-top: {frames} frames over {clients} clients, {} ops driven \
+         ({:.0}% of puts accepted, {:.0}% of gets hit)",
+        driven.ops,
+        driven.put_accept_share() * 100.0,
+        driven.get_hit_share() * 100.0
+    );
     Ok(ExitCode::SUCCESS)
 }
 
-/// One serve-top load thread: a pipelined put/get loop (2:1) in a
-/// per-client key range, running until the view stops it. Returns the
-/// number of submissions issued.
+/// One serve-top load thread: `stream`'s requests, pipelined, until the
+/// view stops it. Returns what the replies added up to.
 fn drive_load(
     client: tempimpd::ServeClient,
-    index: u32,
+    mut stream: Stream,
     stop: &std::sync::atomic::AtomicBool,
-) -> u64 {
+) -> Tally {
     use std::sync::atomic::Ordering;
-    use temporal_importance::protocol::Request;
-    use temporal_importance::{ImportanceCurve, ObjectClass, ObjectId};
+    use temporal_importance::protocol::VerbKind;
 
     const WINDOW: usize = 64;
-    let base = u64::from(index) << 40;
-    let mut issued = 0u64;
-    let mut inflight = std::collections::VecDeque::with_capacity(WINDOW);
+    let mut tally = Tally::default();
+    let mut inflight: std::collections::VecDeque<(VerbKind, tempimpd::Pending)> =
+        std::collections::VecDeque::with_capacity(WINDOW);
     while !stop.load(Ordering::Relaxed) {
         if inflight.len() >= WINDOW {
-            let oldest: tempimpd::Pending = inflight.pop_front().expect("window is non-empty");
-            let _ = oldest.wait();
+            let (verb, oldest) = inflight.pop_front().expect("window is non-empty");
+            tally.settle(verb, &oldest.wait());
         }
-        let at = sim_core::SimTime::from_minutes(issued * 4);
-        let request = if issued % 3 == 2 {
-            Request::Get {
-                id: ObjectId::new(base + issued.saturating_sub(2)),
-            }
-        } else {
-            Request::Put {
-                id: ObjectId::new(base + issued),
-                bytes: sim_core::ByteSize::from_mib(1),
-                curve: ImportanceCurve::two_step(
-                    temporal_importance::Importance::FULL,
-                    sim_core::SimDuration::from_days(15),
-                    sim_core::SimDuration::from_days(15),
-                ),
-                class: ObjectClass::default(),
-            }
-        };
+        let (at, request) = stream.next();
+        let verb = VerbKind::of(&request);
         match client.submit(at, request) {
-            Ok(pending) => inflight.push_back(pending),
+            Ok(pending) => inflight.push_back((verb, pending)),
             Err(_) => break,
         }
-        issued += 1;
     }
-    for pending in inflight {
-        let _ = pending.wait();
+    for (verb, pending) in inflight {
+        tally.settle(verb, &pending.wait());
     }
-    issued
+    tally
 }

@@ -10,14 +10,12 @@
 //! operation), `bytes_per_resident` (heap or disk footprint) and
 //! `write_amplification` (durable reports). The reference column
 //! (`reference_ns_per_op`) documents what the measurement is compared
-//! against — the naive scan oracle for engine reports, the single-shard
-//! run for serve reports, the in-memory unit for durable reports — but is
-//! not a performance promise. [`obs_overheads`] additionally derives the
-//! instrumentation cost from the fresh report alone, by comparing the
-//! `store_churn_observed` rows against their plain `store_churn` peers,
-//! and [`parse_verb_latencies`]/[`check_verb_latencies`] read and sanity-
-//! check the per-verb queue-wait/service percentile rows `bench_serve`
-//! derives from request-scoped trace stamps.
+//! against — the naive scan oracle for engine reports, the run with the
+//! observer detached for serve reports, the in-memory unit for durable
+//! reports — but is not a performance promise. [`obs_overheads`]
+//! additionally derives the instrumentation cost from the fresh report
+//! alone, by comparing every `<case>_observed` row against its plain
+//! `<case>` peer.
 
 use std::fmt;
 
@@ -26,15 +24,15 @@ use std::fmt;
 pub struct BenchCase {
     /// Case name (`store_churn`, `serve_mixed`, `durable_churn`, …).
     pub case: String,
-    /// Resident-object count of the fixture (the shard count in serve
-    /// reports).
+    /// Resident-object count of the fixture (in serve reports, what a
+    /// healthy fleet holds under the stream).
     pub residents: u64,
     /// Nanoseconds per operation on the configuration under measurement.
     pub indexed_ns_per_op: f64,
     /// Nanoseconds per operation on the reference configuration: the
-    /// naive scan oracle for engine reports, the same workload forced
-    /// through a single shard for serve reports, the plain in-memory unit
-    /// for durable reports.
+    /// naive scan oracle for engine reports, the same run with the
+    /// observer detached for serve reports, the plain in-memory unit for
+    /// durable reports.
     pub reference_ns_per_op: f64,
     /// Bytes per resident: net heap of the indexed fixture in engine
     /// reports, log file bytes in durable reports. Serve reports carry no
@@ -53,8 +51,8 @@ impl BenchCase {
     /// The report line [`parse_report`] reads back. `reference` names
     /// what `reference_ns_per_op` was measured on; `ratio`, when given,
     /// labels a `reference / indexed` column (`speedup` over the naive
-    /// oracle, `scaling` over a single shard). Neither is parsed — they
-    /// make the committed report self-describing.
+    /// oracle). Neither is parsed — they make the committed report
+    /// self-describing.
     pub fn render(&self, reference: &str, ratio: Option<&str>) -> String {
         let mut line = format!(
             "{{ \"case\": \"{}\", \"residents\": {}, \"indexed_ns_per_op\": {:.1}, \
@@ -237,15 +235,15 @@ pub fn compare(
     regressions
 }
 
-/// The measured instrumentation cost of one fixture size: the
-/// `store_churn_observed` row against its plain `store_churn` peer.
+/// The measured instrumentation cost of one fixture size: a
+/// `<case>_observed` row against its plain `<case>` peer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsOverhead {
     /// Resident-object count the pair was measured at.
     pub residents: u64,
-    /// Plain `store_churn` ns/op.
+    /// Plain `<case>` ns/op.
     pub plain_ns: f64,
-    /// Instrumented `store_churn_observed` ns/op.
+    /// Instrumented `<case>_observed` ns/op.
     pub observed_ns: f64,
     /// `(observed - plain) / plain` — 0.15 means 15% overhead.
     pub overhead: f64,
@@ -264,19 +262,20 @@ impl fmt::Display for ObsOverhead {
     }
 }
 
-/// Derives the observability overhead from one report: every fixture size
-/// carrying both a `store_churn` and a `store_churn_observed` row yields
-/// one [`ObsOverhead`], ordered by resident count. Sizes with only one of
-/// the rows contribute nothing — the caller decides whether an empty
+/// Derives the observability overhead from one report: every
+/// `<case>_observed` row with a plain `<case>` row at the same fixture
+/// size (`store_churn` in engine reports, `serve_mixed` in serve reports)
+/// yields one [`ObsOverhead`], ordered by resident count. A row without
+/// its peer contributes nothing — the caller decides whether an empty
 /// result is acceptable.
 pub fn obs_overheads(cases: &[BenchCase]) -> Vec<ObsOverhead> {
     let mut out: Vec<ObsOverhead> = cases
         .iter()
-        .filter(|c| c.case == "store_churn")
-        .filter_map(|plain| {
-            let observed = cases
+        .filter_map(|observed| {
+            let plain_name = observed.case.strip_suffix("_observed")?;
+            let plain = cases
                 .iter()
-                .find(|c| c.case == "store_churn_observed" && c.residents == plain.residents)?;
+                .find(|c| c.key() == (plain_name, observed.residents))?;
             Some(ObsOverhead {
                 residents: plain.residents,
                 plain_ns: plain.indexed_ns_per_op,
@@ -288,94 +287,6 @@ pub fn obs_overheads(cases: &[BenchCase]) -> Vec<ObsOverhead> {
         .collect();
     out.sort_by_key(|o| o.residents);
     out
-}
-
-/// One per-verb latency row of a serve report: queue-wait and
-/// service-time percentiles derived from request-scoped trace stamps
-/// (all submissions, pipelined included — not just blocking probes).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VerbLatencyRow {
-    /// The protocol verb (`put`, `get`, …).
-    pub verb: String,
-    /// Requests the percentiles summarize.
-    pub samples: u64,
-    /// Median nanoseconds from client enqueue to batch apply.
-    pub queue_wait_p50_ns: u64,
-    /// Tail (p99) queue-wait nanoseconds.
-    pub queue_wait_p99_ns: u64,
-    /// Median engine-call nanoseconds.
-    pub service_p50_ns: u64,
-    /// Tail (p99) engine-call nanoseconds.
-    pub service_p99_ns: u64,
-}
-
-/// Parses the `"verb_latencies"` rows of a serve report. Reports without
-/// the section (engine reports, `obs-off` serve runs) yield an empty
-/// vector — use [`check_verb_latencies`] to make presence mandatory.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed line if a `"verb"` row is
-/// missing one of its required fields.
-pub fn parse_verb_latencies(json: &str) -> Result<Vec<VerbLatencyRow>, String> {
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        if !line.contains("\"verb\":") {
-            continue;
-        }
-        let parsed = (|| {
-            Some(VerbLatencyRow {
-                verb: extract_str(line, "verb")?.to_string(),
-                samples: extract_num(line, "samples")? as u64,
-                queue_wait_p50_ns: extract_num(line, "queue_wait_p50_ns")? as u64,
-                queue_wait_p99_ns: extract_num(line, "queue_wait_p99_ns")? as u64,
-                service_p50_ns: extract_num(line, "service_p50_ns")? as u64,
-                service_p99_ns: extract_num(line, "service_p99_ns")? as u64,
-            })
-        })();
-        match parsed {
-            Some(row) => rows.push(row),
-            None => return Err(format!("malformed verb latency line: {line}")),
-        }
-    }
-    Ok(rows)
-}
-
-/// Verifies that a serve report's verb-latency rows exist and are sane:
-/// the `put` and `get` verbs (present in every serve workload) each have
-/// samples, and every row's p50 never exceeds its p99 on either the
-/// queue-wait or the service column. Values are deliberately not gated —
-/// absolute latency on a shared runner is noise; shape and presence are
-/// not.
-///
-/// # Errors
-///
-/// Returns a message naming the missing verb or the inverted percentile.
-pub fn check_verb_latencies(rows: &[VerbLatencyRow]) -> Result<(), String> {
-    for required in ["put", "get"] {
-        let row = rows
-            .iter()
-            .find(|r| r.verb == required)
-            .ok_or_else(|| format!("serve report has no '{required}' latency row"))?;
-        if row.samples == 0 {
-            return Err(format!("'{required}' latency row has zero samples"));
-        }
-    }
-    for row in rows {
-        if row.queue_wait_p50_ns > row.queue_wait_p99_ns {
-            return Err(format!(
-                "'{}' queue-wait p50 {} ns exceeds p99 {} ns",
-                row.verb, row.queue_wait_p50_ns, row.queue_wait_p99_ns
-            ));
-        }
-        if row.service_p50_ns > row.service_p99_ns {
-            return Err(format!(
-                "'{}' service p50 {} ns exceeds p99 {} ns",
-                row.verb, row.service_p50_ns, row.service_p99_ns
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -432,18 +343,18 @@ mod tests {
     #[test]
     fn rendered_lines_parse_back_for_each_bins_column_set() {
         let engine = case("store_churn", 10_000, Some(388.5), None);
-        let serve = case("serve_mixed", 8, None, None);
+        let serve = case("serve_mixed", 160_000, None, None);
         let durable = case("durable_churn", 10_000, Some(259.5), Some(1.128));
         let lines = [
             engine.render("naive_scan", Some("speedup")),
-            serve.render("single_shard", Some("scaling")),
+            serve.render("unobserved", None),
             durable.render("in_memory", None),
         ];
         assert_eq!(
             lines[0],
             r#"{ "case": "store_churn", "residents": 10000, "indexed_ns_per_op": 376.5, "reference_ns_per_op": 1051.5, "reference": "naive_scan", "speedup": 2.8, "bytes_per_resident": 388.5 }"#
         );
-        assert!(lines[1].ends_with(r#""reference": "single_shard", "scaling": 2.8 }"#));
+        assert!(lines[1].ends_with(r#""reference_ns_per_op": 1051.5, "reference": "unobserved" }"#));
         assert!(lines[2].ends_with(
             r#""reference": "in_memory", "bytes_per_resident": 259.5, "write_amplification": 1.128 }"#
         ));
@@ -462,52 +373,24 @@ mod tests {
     }
 
     #[test]
-    fn verb_latency_rows_parse_and_sanity_check() {
-        let report = r#"{
-  "cases": [
-    { "case": "serve_mixed", "residents": 8, "indexed_ns_per_op": 1963.3, "reference_ns_per_op": 1066.6, "reference": "single_shard", "scaling": 0.5 }
-  ],
-  "verb_latencies": [
-    { "verb": "put", "samples": 1000, "queue_wait_p50_ns": 1024, "queue_wait_p99_ns": 65536, "service_p50_ns": 2048, "service_p99_ns": 16384 },
-    { "verb": "get", "samples": 500, "queue_wait_p50_ns": 512, "queue_wait_p99_ns": 32768, "service_p50_ns": 256, "service_p99_ns": 4096 }
-  ]
-}
-"#;
-        let rows = parse_verb_latencies(report).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].verb, "put");
-        assert_eq!(rows[0].samples, 1000);
-        assert_eq!(rows[1].queue_wait_p99_ns, 32_768);
-        check_verb_latencies(&rows).unwrap();
-        // Engine reports have no rows: parse is empty, check refuses.
-        let empty = parse_verb_latencies(REPORT).unwrap();
-        assert!(empty.is_empty());
-        assert!(check_verb_latencies(&empty).is_err());
-        // Inverted percentiles and zero-sample required verbs refuse.
-        let mut inverted = rows.clone();
-        inverted[0].queue_wait_p50_ns = 1 << 40;
-        assert!(check_verb_latencies(&inverted)
-            .unwrap_err()
-            .contains("queue-wait"));
-        let mut starved = rows.clone();
-        starved[1].samples = 0;
-        assert!(check_verb_latencies(&starved).unwrap_err().contains("get"));
-        // A malformed row is an error, not a silent skip.
-        assert!(parse_verb_latencies(r#"{ "verb": "put", "samples": 5 }"#).is_err());
-    }
-
-    #[test]
     fn parses_the_committed_serve_baseline() {
         let committed = include_str!("../../../BENCH_serve.json");
         let cases = parse_report(committed).unwrap();
-        assert_eq!(cases.len(), 1);
-        assert_eq!(cases[0].case, "serve_mixed");
-        assert!(cases[0].indexed_ns_per_op > 0.0);
-        assert!(cases[0].reference_ns_per_op > 0.0);
-        assert_eq!(cases[0].bytes_per_resident, None);
-        assert_eq!(cases[0].write_amplification, None);
-        let rows = parse_verb_latencies(committed).unwrap();
-        check_verb_latencies(&rows).expect("committed serve baseline carries sane verb latencies");
+        let names: Vec<&str> = cases.iter().map(|c| c.case.as_str()).collect();
+        assert_eq!(names, ["serve_mixed", "serve_mixed_observed"]);
+        // One `residents` key, so the two rows pair; both carry the
+        // unobserved run as their reference and no footprint column.
+        assert_eq!(cases[0].residents, cases[1].residents);
+        for case in &cases {
+            assert!(case.indexed_ns_per_op > 0.0);
+            assert_eq!(case.reference_ns_per_op, cases[0].indexed_ns_per_op);
+            assert_eq!(case.bytes_per_resident, None);
+            assert_eq!(case.write_amplification, None);
+        }
+        let overheads = obs_overheads(&cases);
+        assert_eq!(overheads.len(), 1);
+        assert_eq!(overheads[0].plain_ns, cases[0].indexed_ns_per_op);
+        assert_eq!(overheads[0].observed_ns, cases[1].indexed_ns_per_op);
     }
 
     #[test]
@@ -536,14 +419,12 @@ mod tests {
                 .all(|c| c.bytes_per_resident.unwrap_or(0.0) > 0.0),
             "every baseline case must carry the memory column"
         );
-        for residents in [10_000, 100_000] {
-            assert!(
-                cases
-                    .iter()
-                    .any(|c| c.key() == ("store_churn_observed", residents)),
-                "the observability-overhead case must stay at {residents} residents"
-            );
-        }
+        let overhead_sizes: Vec<u64> = obs_overheads(&cases).iter().map(|o| o.residents).collect();
+        assert_eq!(
+            overhead_sizes,
+            [10_000, 100_000],
+            "the observability-overhead pair must stay at both sizes"
+        );
     }
 
     #[test]
@@ -647,8 +528,26 @@ mod tests {
         assert_eq!(overheads[0].residents, 10_000);
         assert!((overheads[0].overhead - 0.15).abs() < 1e-9);
         assert!(overheads[0].to_string().contains("+15%"));
-        // An observed row without its plain peer contributes nothing.
+        // An observed row without its plain peer contributes nothing, nor
+        // does one whose peer is at another size.
         let orphan = vec![cases[3].clone()];
         assert!(obs_overheads(&orphan).is_empty());
+        let other_size = [
+            case("store_churn", 10_000, None, None),
+            case("store_churn_observed", 100_000, None, None),
+        ];
+        assert!(obs_overheads(&other_size).is_empty());
+        // The pairing is by suffix, whatever the case is called.
+        let serve = [
+            case("serve_mixed", 160_000, None, None),
+            BenchCase {
+                indexed_ns_per_op: 451.8,
+                ..case("serve_mixed_observed", 160_000, None, None)
+            },
+        ];
+        let overheads = obs_overheads(&serve);
+        assert_eq!(overheads.len(), 1);
+        assert_eq!(overheads[0].residents, 160_000);
+        assert!((overheads[0].overhead - 0.2).abs() < 1e-9);
     }
 }

@@ -1,12 +1,14 @@
 //! What the `bench-harness` binaries share: the churn fixtures of
-//! `bench_engine` / `bench_durable`, the `BENCH_*.json` schema and
-//! regression [`gate`], the [`golden`] trace workload and the
-//! [`servetop`] renderer.
+//! `bench_engine` / `bench_durable`, the one seeded request [`stream`],
+//! the `BENCH_*.json` schema and regression [`gate`], the [`golden`]
+//! trace workload and the [`servetop`] renderer.
 //!
 //! A performance claim is made with `bench_stack` against the root
 //! `BENCHMARK.json`. `bench_engine`, `bench_serve` and `bench_durable`
 //! with `bench_gate` are CI envelopes over the committed `BENCH_*.json`
 //! baselines: they catch a regression, they do not prove a gain.
+//! `bench_serve` and `tempimp-obs serve-top` drive `bench_stack`'s own
+//! request stream, so the tree has one request generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,6 +73,13 @@ pub fn incoming_spec(id: u64, mib: u64) -> ObjectSpec {
 
 pub mod gate;
 pub mod servetop;
+
+/// `bench_stack`'s seeded request stream and reply tally, re-exported from
+/// the benchmark's own source file (which `BENCHMARK.json` freezes) so that
+/// `bench_serve` and `serve-top` draw the requests `bench_stack` does.
+#[allow(missing_docs, clippy::should_implement_trait)]
+#[path = "bin/bench_stack/stream.rs"]
+pub mod stream;
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,7 @@ use sim_core::{ByteSize, Obs, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use temporal_importance::protocol::{
-    DensityInfo, HealthSnapshot, ObjectInfo, Request, Response, ShardHealth, ShardRouter, StoreApi,
-    StoreStats,
+    aggregate, Request, Response, ShardRouter, StoreApi, VerbKind,
 };
 use temporal_importance::{Importance, ObjectSpec, StorageUnit};
 
@@ -344,118 +343,35 @@ impl SharedCluster {
 
 /// The protocol view of the cluster: every node is a shard under the
 /// workspace-wide hash routing. Keyed verbs go to the owning node under
-/// its lock; `Density` and `Stats` aggregate over the *live* membership
-/// in node order (a failed node contributes neither capacity nor bytes).
+/// its lock; `Density`, `Stats` and `Health` ask every *live* node in node
+/// order (a failed node contributes neither capacity nor bytes) and fold
+/// the answers with the shared [`aggregate`]. What a verb does to a unit
+/// is [`StorageUnit`]'s own `StoreApi` implementation; a lock-per-node
+/// cluster has no ingest queues, so `Health`'s serving-layer fields keep
+/// the unit's inert zeroes.
 impl StoreApi for SharedCluster {
     fn call(&mut self, now: SimTime, request: Request) -> Response {
-        match request {
-            Request::Put {
-                id,
-                bytes,
-                curve,
-                class,
-            } => Response::Put(self.live_shard(id).and_then(|node| {
-                let spec = ObjectSpec::new(id, bytes, curve).with_class(class);
-                self.with_node(node, |unit| unit.store(spec, now))
-                    .map_err(temporal_importance::Error::from)
-            })),
-            Request::Get { id } => Response::Get(self.live_shard(id).map(|node| {
-                self.with_node(node, |unit| {
-                    unit.advance(now);
-                    unit.get(id).map(|object| ObjectInfo {
-                        id: object.id(),
-                        size: object.size(),
-                        arrival: object.arrival(),
-                        importance: object.current_importance(now),
-                        expired: object.is_expired(now),
-                    })
-                })
-            })),
-            Request::Advise {
-                id,
-                bytes,
-                incoming,
-            } => Response::Advise(self.live_shard(id).map(|node| {
-                self.with_node(node, |unit| {
-                    unit.advance(now);
-                    unit.peek_admission(bytes, incoming, now)
-                })
-            })),
-            Request::Density => {
-                let mut weighted = 0.0f64;
-                let mut capacity = ByteSize::ZERO;
-                let mut used = ByteSize::ZERO;
-                for index in 0..self.units.len() {
-                    let node = NodeId::new(index);
-                    if !self.is_alive(node) {
-                        continue;
+        let key = match &request {
+            Request::Put { id, .. } | Request::Get { id } | Request::Advise { id, .. } => *id,
+            Request::Density | Request::Stats | Request::Health => {
+                let live = (0..self.units.len())
+                    .map(NodeId::new)
+                    .filter(|&node| self.is_alive(node));
+                let answers = live.map(|node| {
+                    let mut answer = self.with_node(node, |unit| unit.call(now, request.clone()));
+                    if let Response::Health(Ok(snapshot)) = &mut answer {
+                        for health in &mut snapshot.shards {
+                            health.shard = node.index() as u32;
+                        }
                     }
-                    self.with_node(node, |unit| {
-                        unit.advance(now);
-                        weighted +=
-                            unit.importance_density(now) * unit.capacity().as_bytes() as f64;
-                        capacity += unit.capacity();
-                        used += unit.used();
-                    });
-                }
-                let density = if capacity.is_zero() {
-                    0.0
-                } else {
-                    weighted / capacity.as_bytes() as f64
-                };
-                Response::Density(Ok(DensityInfo {
-                    density,
-                    capacity,
-                    used,
-                }))
+                    answer
+                });
+                return aggregate(VerbKind::of(&request), answers);
             }
-            Request::Stats => {
-                let mut total = StoreStats::default();
-                for index in 0..self.units.len() {
-                    let node = NodeId::new(index);
-                    if !self.is_alive(node) {
-                        continue;
-                    }
-                    self.with_node(node, |unit| {
-                        total.absorb(&StoreStats {
-                            unit: *unit.stats(),
-                            used: unit.used(),
-                            capacity: unit.capacity(),
-                            objects: unit.len() as u64,
-                        });
-                    });
-                }
-                Response::Stats(Ok(total))
-            }
-            Request::Health => {
-                // One entry per *live* node, in node order (matching the
-                // Density/Stats aggregation membership); the queue-depth
-                // and worker counters are inert — a lock-per-node cluster
-                // has no ingest queues.
-                let mut snapshot = HealthSnapshot::default();
-                for index in 0..self.units.len() {
-                    let node = NodeId::new(index);
-                    if !self.is_alive(node) {
-                        continue;
-                    }
-                    self.with_node(node, |unit| {
-                        unit.advance(now);
-                        snapshot.shards.push(ShardHealth {
-                            shard: index as u32,
-                            clock: now,
-                            residents: unit.len() as u64,
-                            used: unit.used(),
-                            capacity: unit.capacity(),
-                            queue_depth: 0,
-                            requests: 0,
-                            batches: 0,
-                            rejected: 0,
-                            latencies: Vec::new(),
-                        });
-                    });
-                }
-                Response::Health(Ok(snapshot))
-            }
+        };
+        match self.live_shard(key) {
+            Ok(node) => self.with_node(node, |unit| unit.call(now, request)),
+            Err(error) => Response::failed(&request, error),
         }
     }
 }

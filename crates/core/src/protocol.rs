@@ -551,6 +551,75 @@ impl ShardRouter {
     }
 }
 
+/// Folds the per-shard answers to a whole-store query (`Density`, `Stats`
+/// or `Health`) into one response — the one fold every sharded
+/// [`StoreApi`] implementor shares.
+///
+/// Answers are folded in the order given, which callers keep at shard
+/// order: `Health` lists its shards in that order, and `Density` is a
+/// capacity-weighted mean whose float summation is only reproducible for a
+/// fixed order. The first shard error becomes the aggregate's answer.
+///
+/// # Panics
+///
+/// Panics if `verb` is a keyed verb, or if a response is not `verb`'s
+/// variant — protocol bugs in the caller, never runtime conditions.
+pub fn aggregate(verb: VerbKind, responses: impl IntoIterator<Item = Response>) -> Response {
+    match verb {
+        VerbKind::Stats => {
+            let mut total = StoreStats::default();
+            for response in responses {
+                match response {
+                    Response::Stats(Ok(stats)) => total.absorb(&stats),
+                    Response::Stats(Err(error)) => return Response::Stats(Err(error)),
+                    other => panic!("protocol violation: Stats answered with {other:?}"),
+                }
+            }
+            Response::Stats(Ok(total))
+        }
+        VerbKind::Density => {
+            let mut weighted = 0.0f64;
+            let mut capacity = ByteSize::ZERO;
+            let mut used = ByteSize::ZERO;
+            for response in responses {
+                match response {
+                    Response::Density(Ok(info)) => {
+                        weighted += info.density * info.capacity.as_bytes() as f64;
+                        capacity += info.capacity;
+                        used += info.used;
+                    }
+                    Response::Density(Err(error)) => return Response::Density(Err(error)),
+                    other => panic!("protocol violation: Density answered with {other:?}"),
+                }
+            }
+            let density = if capacity.is_zero() {
+                0.0
+            } else {
+                weighted / capacity.as_bytes() as f64
+            };
+            Response::Density(Ok(DensityInfo {
+                density,
+                capacity,
+                used,
+            }))
+        }
+        VerbKind::Health => {
+            let mut total = HealthSnapshot::default();
+            for response in responses {
+                match response {
+                    Response::Health(Ok(snapshot)) => total.absorb(snapshot),
+                    Response::Health(Err(error)) => return Response::Health(Err(error)),
+                    other => panic!("protocol violation: Health answered with {other:?}"),
+                }
+            }
+            Response::Health(Ok(total))
+        }
+        VerbKind::Put | VerbKind::Get | VerbKind::Advise => {
+            unreachable!("only whole-store verbs aggregate")
+        }
+    }
+}
+
 impl StoreApi for StorageUnit {
     fn call(&mut self, now: SimTime, request: Request) -> Response {
         match request {

@@ -33,7 +33,7 @@ use std::time::Duration;
 use sim_core::{ByteSize, Obs, SimDuration, SimTime};
 use tempimp_durable::DurableConfig;
 use temporal_importance::protocol::{
-    DensityInfo, HealthSnapshot, Request, Response, ShardRouter, StoreApi, StoreStats, VerbKind,
+    aggregate, Request, Response, ShardRouter, StoreApi, VerbKind,
 };
 use temporal_importance::{Error, EvictionPolicy, StorageUnit};
 
@@ -288,7 +288,7 @@ impl Worker {
                 health.requests = requests;
                 health.batches = batches;
                 health.rejected = self.telemetry.rejected_count(self.shard);
-                health.latencies = tracing.verb_latencies();
+                health.latencies = tracing.latencies();
             }
         }
     }
@@ -863,6 +863,8 @@ impl Pending {
                 }
             }
         }
+        // The fan-out keeps one slot per shard, in shard order, so the
+        // fold sees shards 0..N.
         (aggregate(verb, responses), slowest)
     }
 
@@ -875,64 +877,6 @@ impl Pending {
     }
 }
 
-/// Folds per-shard answers to a whole-store query into one response.
-fn aggregate(verb: VerbKind, responses: Vec<Response>) -> Response {
-    match verb {
-        VerbKind::Stats => {
-            let mut total = StoreStats::default();
-            for response in responses {
-                match response {
-                    Response::Stats(Ok(stats)) => total.absorb(&stats),
-                    Response::Stats(Err(error)) => return Response::Stats(Err(error)),
-                    other => panic!("protocol violation: Stats answered with {other:?}"),
-                }
-            }
-            Response::Stats(Ok(total))
-        }
-        VerbKind::Density => {
-            let mut weighted = 0.0f64;
-            let mut capacity = ByteSize::ZERO;
-            let mut used = ByteSize::ZERO;
-            for response in responses {
-                match response {
-                    Response::Density(Ok(info)) => {
-                        weighted += info.density * info.capacity.as_bytes() as f64;
-                        capacity += info.capacity;
-                        used += info.used;
-                    }
-                    Response::Density(Err(error)) => return Response::Density(Err(error)),
-                    other => panic!("protocol violation: Density answered with {other:?}"),
-                }
-            }
-            let density = if capacity.is_zero() {
-                0.0
-            } else {
-                weighted / capacity.as_bytes() as f64
-            };
-            Response::Density(Ok(DensityInfo {
-                density,
-                capacity,
-                used,
-            }))
-        }
-        VerbKind::Health => {
-            // Replies are collected in shard order (the fan-out keeps one
-            // slot per shard, in shard order), so the concatenated
-            // snapshot lists shards 0..N.
-            let mut total = HealthSnapshot::default();
-            for response in responses {
-                match response {
-                    Response::Health(Ok(snapshot)) => total.absorb(snapshot),
-                    Response::Health(Err(error)) => return Response::Health(Err(error)),
-                    other => panic!("protocol violation: Health answered with {other:?}"),
-                }
-            }
-            Response::Health(Ok(total))
-        }
-        _ => unreachable!("only whole-store verbs aggregate"),
-    }
-}
-
 impl StoreApi for ServeClient {
     fn call(&mut self, now: SimTime, request: Request) -> Response {
         self.dispatch(now, request, true)
@@ -942,6 +886,7 @@ impl StoreApi for ServeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temporal_importance::protocol::StoreStats;
     use temporal_importance::{Importance, ImportanceCurve, ObjectId};
 
     fn week_curve() -> ImportanceCurve {

@@ -444,7 +444,7 @@ impl WorkerTracing {
     /// The per-verb latency quantiles this worker has accumulated, for
     /// verbs with at least one sample — what the worker splices into
     /// its `health` answers. Empty under `obs-off`.
-    pub(crate) fn verb_latencies(&self) -> Vec<VerbLatency> {
+    pub(crate) fn latencies(&self) -> Vec<VerbLatency> {
         #[cfg(not(feature = "obs-off"))]
         {
             VerbKind::ALL
@@ -547,7 +547,7 @@ mod tests {
         tracing.flush(&obs);
         tracing.flush(&obs);
 
-        let latencies = tracing.verb_latencies();
+        let latencies = tracing.latencies();
         assert_eq!(latencies.len(), 1, "only the get verb has samples");
         assert_eq!(latencies[0].verb, VerbKind::Get);
         assert_eq!(latencies[0].samples, 2);
