@@ -12,7 +12,9 @@
 //! `write_amplification` (total bytes appended over first-write bytes;
 //! compaction's survivor rewrites are the excess). Both disk columns are
 //! deterministic: the workload is fixed, so only the timing columns see
-//! runner noise. Run from the repository root:
+//! runner noise. The churn case refuses to report if compaction never
+//! fired or if write amplification exceeds `1 / compact_trigger`, the
+//! bound the log's victim rule gives. Run from the repository root:
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin bench_durable
@@ -191,7 +193,8 @@ fn churn_case() -> BenchCase {
     // Preempting half the pool leaves the sealed dead ratio just above a
     // quarter; a 0.25 trigger makes compaction fire repeatedly inside the
     // window (the default 0.5 would need a deeper kill fraction).
-    let churn_config = config().compact_trigger(0.25);
+    let trigger = 0.25;
+    let churn_config = config().compact_trigger(trigger);
     for _ in 0..REPETITIONS {
         let dir = scratch("churn");
         let mut unit = DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, churn_config)
@@ -217,6 +220,13 @@ fn churn_case() -> BenchCase {
         );
         bytes_per_resident = disk.file_bytes as f64 / unit.unit().len() as f64;
         write_amplification = disk.write_amplification();
+        // The log folds its deadest sealed segment once `trigger` of the
+        // sealed bytes are dead, which bounds what compaction rewrites.
+        assert!(
+            write_amplification <= 1.0 / trigger,
+            "write amplification {write_amplification:.3} exceeds 1/{trigger}: \
+             compaction is copying more than its trigger allows"
+        );
         drop(unit);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -20,8 +20,9 @@
 //!   tombstone **iff** the killed id is dead and some (possibly stale)
 //!   full-state record of it still survives in another segment —
 //!   otherwise replay's last word on the id would be a resurrection.
-//! * per-segment metadata: file bytes, live bytes (for victim ranking),
-//!   the statistics contribution of its records, and clock high-water
+//! * per-segment metadata: file bytes and live bytes (their difference,
+//!   the dead bytes, is all that picks a compaction victim), the
+//!   statistics contribution of its records, and clock high-water
 //!   marks (folded forward by `Compacted` when the segment dies).
 //! * the per-segment **ledger**: the record count, the id of every
 //!   full-state record and every id a record kills (8 bytes each while
@@ -41,7 +42,7 @@ use std::path::{Path, PathBuf};
 
 use sim_core::fx::FxHashMap;
 use sim_core::{Obs, SimTime};
-use temporal_importance::{Importance, ObjectId, StoredObject, UnitStats};
+use temporal_importance::{ObjectId, StoredObject, UnitStats};
 
 use crate::frame;
 use crate::record::LogRecord;
@@ -522,111 +523,43 @@ impl SegmentLog {
         }
     }
 
-    /// Picks the compaction victim by the temporal-importance engine's
-    /// eviction order: among sealed segments carrying any dead bytes,
-    /// the one holding the *least important live object* — the content
-    /// the engine would reclaim next anyway, so rewriting it is cheap
-    /// and likely final. Segments with no live objects at all rank
-    /// first (pure reclamation, zero rewrite), so when one exists it is
-    /// returned before any resident is ranked. Ties break toward more
-    /// dead bytes, then lower sequence number (BTreeMap iteration order
-    /// keeps the first-seen winner). `importance_of` maps a live id to
-    /// its current importance.
-    pub fn select_victim(
-        &self,
-        mut importance_of: impl FnMut(ObjectId) -> Importance,
-    ) -> Option<u64> {
-        let mut live_free: Option<(u64, u64)> = None;
-        let mut holding_live: Vec<(u64, u64)> = Vec::new();
+    /// The sealed segment to compact next, if compaction is due: the one
+    /// with the most dead bytes (ties to the lower sequence number),
+    /// once dead bytes make up at least `trigger` of all sealed bytes.
+    /// The annotations decide which *objects* die; which *segment* to
+    /// fold follows from the byte counts they leave behind. The
+    /// most-dead segment is at least as dead as the sealed average that
+    /// reached `trigger`, so a compaction rewrites at most `1 - trigger`
+    /// of a segment's worth and write amplification stays within
+    /// `1 / trigger` at any segment size.
+    pub fn victim(&self, trigger: f64) -> Option<u64> {
+        let mut total = 0u64;
+        let mut dead_total = 0u64;
+        let mut most: Option<(u64, u64)> = None;
         for (&seq, meta) in &self.segments {
             if seq == self.active_seq {
                 continue;
             }
             let dead = meta.bytes.saturating_sub(meta.live_bytes);
-            // Compacting appends the survivors back (byte-neutral) plus
-            // one `Compacted` commit record, so the net gain is the
-            // dead bytes minus that overhead. A victim whose dead
-            // weight is only its own bookkeeping would be rewritten
-            // into an identical segment forever; require strict
-            // progress instead, accepting a bounded sliver of
-            // unreclaimable overhead per segment.
-            if dead <= self.commit_overhead(seq, meta) {
-                continue;
-            }
-            if meta.live_bytes > 0 {
-                holding_live.push((seq, dead));
-            } else if live_free.is_none_or(|(_, most)| dead > most) {
-                live_free = Some((seq, dead));
+            total += meta.bytes;
+            dead_total += dead;
+            if most.is_none_or(|(_, most_dead)| dead > most_dead) {
+                most = Some((seq, dead));
             }
         }
-        if let Some((seq, _)) = live_free {
-            return Some(seq);
-        }
-        if holding_live.is_empty() {
+        let (seq, dead) = most?;
+        if (dead_total as f64) < trigger * total as f64 {
             return None;
         }
-
-        // Each sealed segment's floor: the min current importance of
-        // the live objects whose newest record it holds.
-        let mut floor: FxHashMap<u64, Importance> = FxHashMap::default();
-        for (&id, loc) in &self.index {
-            if loc.seq == self.active_seq {
-                continue;
-            }
-            let imp = importance_of(id);
-            floor
-                .entry(loc.seq)
-                .and_modify(|min| {
-                    if imp < *min {
-                        *min = imp;
-                    }
-                })
-                .or_insert(imp);
-        }
-
-        let mut best: Option<(u64, Importance, u64)> = None;
-        for (seq, dead) in holding_live {
-            let imp = *floor
-                .get(&seq)
-                .expect("a segment with live bytes holds some live id's newest record");
-            let better = match best {
-                None => true,
-                Some((_, best_imp, best_dead)) => {
-                    imp < best_imp || (imp == best_imp && dead > best_dead)
-                }
-            };
-            if better {
-                best = Some((seq, imp, dead));
-            }
-        }
-        best.map(|(seq, _, _)| seq)
-    }
-
-    /// Framed size of the `Compacted` record that compacting `seq`
-    /// would append — the irreducible cost of folding the segment.
-    fn commit_overhead(&self, seq: u64, meta: &SegmentMeta) -> u64 {
-        serde_json::to_string(&meta.commit_record(seq))
-            .map(|payload| frame::framed_len(payload.len()))
-            .unwrap_or(0)
-    }
-
-    /// Dead-byte fraction across sealed segments; `0.0` with no sealed
-    /// bytes. The auto-compaction trigger compares against this.
-    pub fn sealed_dead_ratio(&self) -> f64 {
-        let mut total = 0u64;
-        let mut dead = 0u64;
-        for (&seq, meta) in &self.segments {
-            if seq == self.active_seq {
-                continue;
-            }
-            total += meta.bytes;
-            dead += meta.bytes.saturating_sub(meta.live_bytes);
-        }
-        if total == 0 {
-            0.0
-        } else {
-            dead as f64 / total as f64
-        }
+        // Compacting appends the survivors back (byte-neutral) plus one
+        // `Compacted` commit record, so the net gain is the dead bytes
+        // minus that overhead. A victim whose dead weight is only its
+        // own bookkeeping would be rewritten into an identical segment
+        // forever; require strict progress instead, accepting a bounded
+        // sliver of unreclaimable overhead per segment.
+        let commit = serde_json::to_string(&self.segments[&seq].commit_record(seq))
+            .map_or(0, |payload| frame::framed_len(payload.len()));
+        (dead > commit).then_some(seq)
     }
 
     /// Compacts sealed segment `victim`: rewrites its live objects into
@@ -763,11 +696,6 @@ impl SegmentLog {
         }
     }
 
-    /// Number of segment files, including the active one.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     fn active_path(&self) -> PathBuf {
         segment_path(&self.dir, self.active_seq)
     }
@@ -789,4 +717,70 @@ pub(crate) fn parse_record(payload: &[u8], segment: &Path) -> Result<LogRecord, 
         segment: segment.to_path_buf(),
         detail: format!("checksummed record failed to parse: {e}"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use sim_core::{ByteSize, SimDuration};
+    use temporal_importance::{ImportanceCurve, ObjectSpec};
+
+    use super::*;
+
+    /// Three sealed segments on which the rule this one replaced — fold
+    /// the segment holding the least important live object — and "most
+    /// dead bytes" disagree. Segment 0 is mostly live and holds id 7,
+    /// which has expired unswept by the time compaction runs: the
+    /// engine reclaims it next, so the old rule ranked its segment first
+    /// and copied six live neighbours forward to reclaim three records.
+    /// Segment 1 is mostly dead; segment 2 has nothing to reclaim.
+    #[test]
+    fn the_victim_is_the_most_dead_segment_not_the_least_important_one() {
+        let dir = crate::tests::scratch("victim");
+        let (mut log, _) = SegmentLog::open(&dir, u64::MAX, Obs::none()).expect("open fresh");
+        let object = |id: u64| {
+            let lifetime = if id == 7 {
+                SimDuration::from_minutes(1)
+            } else {
+                SimDuration::from_days(365)
+            };
+            StoredObject::from_spec(
+                ObjectSpec::new(
+                    ObjectId::new(id),
+                    ByteSize::from_kib(1),
+                    ImportanceCurve::fixed_lifetime(lifetime),
+                ),
+                SimTime::ZERO,
+            )
+        };
+        for seq in 0..3 {
+            for id in seq * 10..seq * 10 + 10 {
+                log.append(&LogRecord::Store {
+                    at: SimTime::ZERO,
+                    object: object(id),
+                    evicted: Vec::new(),
+                })
+                .expect("append");
+            }
+            log.roll().expect("seal");
+        }
+        for id in (0..3).chain(10..19) {
+            log.append(&LogRecord::Remove {
+                at: SimTime::from_minutes(5),
+                id: ObjectId::new(id),
+                size: ByteSize::from_kib(1),
+            })
+            .expect("append");
+        }
+
+        // Twelve of thirty sealed records are dead.
+        assert_eq!(log.victim(0.0), Some(1));
+        assert_eq!(log.victim(0.4), Some(1));
+        assert_eq!(log.victim(0.5), None);
+
+        // With segment 1 folded, segment 0 is the deadest left, and its
+        // three dead records are more than a commit record.
+        log.compact(1, |id| object(id.raw())).expect("compaction");
+        assert_eq!(log.victim(0.0), Some(0));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }

@@ -167,7 +167,7 @@ impl DurableUnit {
                     evicted,
                 })?;
                 self.log.flush()?;
-                self.maybe_compact(now)?;
+                self.maybe_compact()?;
                 Ok(outcome)
             }
             Err(e) => {
@@ -201,7 +201,7 @@ impl DurableUnit {
         })?;
         self.last_sweep = self.last_sweep.max(now);
         self.log.flush()?;
-        self.maybe_compact(now)?;
+        self.maybe_compact()?;
         Ok(records)
     }
 
@@ -225,7 +225,7 @@ impl DurableUnit {
                 size: rec.size,
             })?;
             self.log.flush()?;
-            self.maybe_compact(now)?;
+            self.maybe_compact()?;
         }
         Ok(record)
     }
@@ -274,23 +274,25 @@ impl DurableUnit {
             .clone();
         self.log.append(&LogRecord::Annotate { at: now, object })?;
         self.log.flush()?;
+        self.maybe_compact()?;
         Ok(())
     }
 
-    /// Compacts the segment the engine's eviction order points at (the
-    /// sealed segment holding the least important live content), if any
-    /// sealed segment carries dead bytes. Returns what was reclaimed.
+    /// Compacts the sealed segment holding the most dead bytes, if
+    /// folding it reclaims more than the commit record costs. Returns
+    /// what was reclaimed.
     ///
     /// # Errors
     ///
     /// [`DurableError`] when rewriting or committing fails.
-    pub fn compact(&mut self, now: SimTime) -> Result<Option<CompactionReport>, DurableError> {
-        let unit = &self.unit;
-        let Some(victim) = self.log.select_victim(|id| {
-            unit.get(id)
-                .expect("live id is resident")
-                .current_importance(now)
-        }) else {
+    pub fn compact(&mut self) -> Result<Option<CompactionReport>, DurableError> {
+        self.compact_once(0.0)
+    }
+
+    /// One compaction, if the sealed dead-byte share has reached
+    /// `trigger`.
+    fn compact_once(&mut self, trigger: f64) -> Result<Option<CompactionReport>, DurableError> {
+        let Some(victim) = self.log.victim(trigger) else {
             return Ok(None);
         };
         let unit = &self.unit;
@@ -300,18 +302,19 @@ impl DurableUnit {
         Ok(Some(report))
     }
 
-    /// Runs compactions until the sealed dead-byte ratio drops below
-    /// the configured trigger (no-op when auto-compaction is off).
-    fn maybe_compact(&mut self, now: SimTime) -> Result<(), DurableError> {
+    /// Runs compactions until the sealed dead-byte share drops below
+    /// the configured trigger, one round per segment at most (no-op
+    /// when auto-compaction is off).
+    fn maybe_compact(&mut self) -> Result<(), DurableError> {
         if !self.config.auto_compact {
             return Ok(());
         }
-        let mut rounds = self.log.segment_count();
-        while rounds > 0 && self.log.sealed_dead_ratio() >= self.config.compact_trigger {
-            if self.compact(now)?.is_none() {
+        let mut rounds = 0;
+        while self.compact_once(self.config.compact_trigger)?.is_some() {
+            rounds += 1;
+            if rounds >= self.log.disk_info().segments {
                 break;
             }
-            rounds -= 1;
         }
         Ok(())
     }

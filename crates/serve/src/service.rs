@@ -52,18 +52,6 @@ struct Job {
     reply_to: ReplyTo,
 }
 
-/// The round-trip span name blocking dispatch records for each verb.
-fn span_name(verb: VerbKind) -> &'static str {
-    match verb {
-        VerbKind::Put => "span.serve.put",
-        VerbKind::Get => "span.serve.get",
-        VerbKind::Advise => "span.serve.advise",
-        VerbKind::Density => "span.serve.density",
-        VerbKind::Stats => "span.serve.stats",
-        VerbKind::Health => "span.serve.health",
-    }
-}
-
 /// Configures and spawns a [`Tempimpd`]. Obtained from
 /// [`Tempimpd::builder`].
 #[derive(Debug, Clone)]
@@ -222,7 +210,6 @@ impl TempimpdBuilder {
             ingests,
             workers,
             telemetry,
-            obs,
             shard_capacity: self.shard_capacity,
             policy: self.policy,
             sweep_every: self.sweep_every,
@@ -448,7 +435,6 @@ pub struct Tempimpd {
     ingests: Vec<SyncSender<Job>>,
     workers: Vec<JoinHandle<ShardReport>>,
     telemetry: Arc<Telemetry>,
-    obs: Obs,
     shard_capacity: ByteSize,
     policy: EvictionPolicy,
     sweep_every: SimDuration,
@@ -507,7 +493,6 @@ impl Tempimpd {
             ingests: self.ingests.clone(),
             mailbox: Mailbox::new(),
             telemetry: self.telemetry.clone(),
-            obs: self.obs.clone(),
         }
     }
 
@@ -623,7 +608,6 @@ pub struct ServeClient {
     ingests: Vec<SyncSender<Job>>,
     mailbox: Arc<Mailbox>,
     telemetry: Arc<Telemetry>,
-    obs: Obs,
 }
 
 impl Clone for ServeClient {
@@ -633,7 +617,6 @@ impl Clone for ServeClient {
             ingests: self.ingests.clone(),
             mailbox: Mailbox::new(),
             telemetry: self.telemetry.clone(),
-            obs: self.obs.clone(),
         }
     }
 }
@@ -712,13 +695,9 @@ impl ServeClient {
         })
     }
 
-    /// Blocking calls span the full round trip under the verb's
-    /// `span.serve.*` name; pipelined submissions carry their own stage
-    /// stamps instead — redeem them with [`Pending::wait_traced`].
+    /// Submits, then waits for the answer.
     fn dispatch(&self, now: SimTime, request: Request, blocking: bool) -> Response {
         let verb = VerbKind::of(&request);
-        let mut span = self.obs.span(span_name(verb));
-        span.sim_to(now);
         match self.submit_inner(now, request, blocking) {
             Ok(pending) => pending.wait(),
             Err(error) => verb.failed(error),
@@ -1162,7 +1141,6 @@ mod tests {
             ingests: vec![tx],
             mailbox: Mailbox::new(),
             telemetry: telemetry.clone(),
-            obs: Obs::none(),
         };
         let response = client.try_call(
             SimTime::ZERO,
@@ -1216,7 +1194,6 @@ mod tests {
             ingests: vec![tx0, tx1],
             mailbox: Mailbox::new(),
             telemetry: Arc::new(Telemetry::new(2)),
-            obs: Obs::none(),
         };
         match client.try_call(SimTime::ZERO, Request::Stats) {
             Response::Stats(Err(Error::QueueFull { shard: 1 })) => {}
@@ -1243,7 +1220,6 @@ mod tests {
             ingests: vec![tx],
             mailbox: Mailbox::new(),
             telemetry: Arc::new(Telemetry::new(1)),
-            obs: Obs::none(),
         };
         let err = client
             .put(
@@ -1313,7 +1289,6 @@ mod tests {
             ingests: Vec::new(),
             workers: vec![healthy, dead],
             telemetry: Arc::new(Telemetry::new(2)),
-            obs: Obs::none(),
             shard_capacity: ByteSize::from_mib(1),
             policy: EvictionPolicy::Preemptive,
             sweep_every: SimDuration::DAY,

@@ -68,7 +68,7 @@ pub mod tempimp {
     pub use besteffs::{Besteffs, ClusterBuilder, Directory, PlacementConfig};
     pub use obs::{MetricsRegistry, Obs, Report, Snapshot, TraceSink};
     pub use sim_core::{rng, ByteSize, SimDuration, SimTime};
-    pub use tempimp_durable::{DurableConfig, DurableUnit, RetentionPolicy};
+    pub use tempimp_durable::{DurableConfig, DurableUnit};
     pub use tempimpd::{RequestTrace, ServeClient, Tempimpd};
     pub use temporal_importance::protocol::{
         DensityInfo, HealthSnapshot, ObjectInfo, Request, RequestId, Response, ShardHealth,

@@ -131,7 +131,7 @@ fn a_crash_mid_compaction_recovers_to_the_clean_state() {
     let mut unit = tiny_open(&live);
     let now = SimTime::from_days(3);
     let report = unit
-        .compact(now)
+        .compact()
         .expect("compaction runs")
         .expect("the churn left a compactable victim");
     assert!(report.reclaimed_bytes > 0, "compaction reclaimed disk");
@@ -188,8 +188,7 @@ fn a_crash_after_commit_but_before_victim_deletion_recovers_cleanly() {
     overlay(&live, &crashed);
 
     let mut unit = tiny_open(&live);
-    let now = SimTime::from_days(3);
-    unit.compact(now)
+    unit.compact()
         .expect("compaction runs")
         .expect("the churn left a compactable victim");
     let expected = fingerprint(&unit);
