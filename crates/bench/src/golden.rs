@@ -13,6 +13,8 @@
 //! attaches only after the fill so the golden file stays small while still
 //! covering stores, rejections, preemptions, expiries, and breakpoint
 //! advancement.
+//!
+//! [`TraceSink`]: obs::TraceSink
 
 use std::sync::Arc;
 

@@ -127,6 +127,8 @@ impl Overlay {
     /// When every node is alive this consumes the RNG identically to
     /// [`random_walk`] (one uniform draw over the full neighbor list per
     /// hop), so churn-free simulations are bit-for-bit unchanged.
+    ///
+    /// [`random_walk`]: Overlay::random_walk
     pub fn random_walk_live<R, F>(
         &self,
         start: NodeId,

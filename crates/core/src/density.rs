@@ -85,7 +85,6 @@ impl StorageUnit {
     /// assert_eq!(unit.importance_density(SimTime::ZERO), 0.0);
     /// ```
     pub fn importance_density(&self, now: SimTime) -> f64 {
-        self.obs().counter("engine.density_samples", 1);
         if self.capacity().is_zero() {
             return 0.0;
         }

@@ -12,9 +12,10 @@
 //! The [`StoreApi`] trait has a single required method,
 //! [`call`](StoreApi::call), which takes a request envelope and returns
 //! the matching response; the verb methods ([`put`](StoreApi::put),
-//! [`get`](StoreApi::get), …) are provided on top of it. Load generators
-//! and differential tests are written against `StoreApi`, so the same
-//! driver exercises a bare unit and a sharded service without change.
+//! [`get_info`](StoreApi::get_info), …) are provided on top of it. Load
+//! generators and differential tests are written against `StoreApi`, so
+//! the same driver exercises a bare unit and a sharded service without
+//! change.
 //!
 //! # Examples
 //!

@@ -425,7 +425,6 @@ impl StorageUnit {
             } => {
                 self.scratch = scratch;
                 self.stats.rejections_full += 1;
-                self.obs.counter("engine.rejections_full", 1);
                 self.obs.event(
                     now,
                     "engine.reject",
@@ -453,9 +452,6 @@ impl StorageUnit {
             }
         };
 
-        self.obs.counter("engine.plans", 1);
-        self.obs
-            .record("engine.plan_victims", scratch.victims.len() as u64);
         self.obs.event(
             now,
             "engine.store",
@@ -549,7 +545,6 @@ impl StorageUnit {
                     .map(|o| o.id()),
             );
         }
-        self.obs.counter("engine.sweeps", 1);
         self.obs
             .record("engine.sweep_reclaimed", scratch.sweep_ids.len() as u64);
         let records = scratch
@@ -628,15 +623,10 @@ impl StorageUnit {
         }
         self.used -= object.size();
         match reason {
-            EvictionReason::Preempted => {
-                self.stats.evictions_preempted += 1;
-                self.obs.counter("engine.evictions_preempted", 1);
-            }
-            EvictionReason::Expired => {
-                self.stats.evictions_expired += 1;
-                self.obs.counter("engine.evictions_expired", 1);
-            }
-            EvictionReason::Removed => self.obs.counter("engine.removals", 1),
+            EvictionReason::Preempted => self.stats.evictions_preempted += 1,
+            EvictionReason::Expired => self.stats.evictions_expired += 1,
+            // `remove` counts `stats.removals` itself, before calling here.
+            EvictionReason::Removed => {}
         }
         self.stats.bytes_evicted += object.size().as_bytes();
         let record = EvictionRecord {
@@ -1384,5 +1374,170 @@ mod tests {
             let resident: ByteSize = unit.iter().map(|o| o.size()).sum();
             assert_eq!(resident, unit.used());
         }
+    }
+
+    /// One signal the engine sent, as the [`Observer`] seam delivered it.
+    #[derive(Debug, PartialEq)]
+    enum Signal {
+        Counter(&'static str, u64),
+        Gauge(&'static str),
+        Sample(&'static str, u64),
+        Event(&'static str, Vec<(&'static str, u64)>),
+        Span(&'static str),
+    }
+
+    impl Signal {
+        fn field(&self, kind: &str, field: &str) -> Option<u64> {
+            match self {
+                Signal::Event(k, fields) if *k == kind => {
+                    fields.iter().find(|(name, _)| *name == field).map(|f| f.1)
+                }
+                _ => None,
+            }
+        }
+    }
+
+    #[derive(Debug, Default)]
+    struct Ledger(std::sync::Mutex<Vec<Signal>>);
+
+    impl Ledger {
+        fn push(&self, signal: Signal) {
+            self.0.lock().unwrap().push(signal);
+        }
+    }
+
+    impl sim_core::Observer for Ledger {
+        fn counter(&self, name: &'static str, delta: u64) {
+            self.push(Signal::Counter(name, delta));
+        }
+        fn gauge(&self, name: &'static str, _value: u64) {
+            self.push(Signal::Gauge(name));
+        }
+        fn record(&self, name: &'static str, value: u64) {
+            self.push(Signal::Sample(name, value));
+        }
+        fn event(&self, _at: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
+            self.push(Signal::Event(kind, fields.to_vec()));
+        }
+        fn span(&self, name: &'static str, _wall_nanos: u64, _sim_minutes: u64) {
+            self.push(Signal::Span(name));
+        }
+    }
+
+    /// The emission rule of `sim_core::observe` — one fact, one signal —
+    /// held two ways over a seeded churn that admits, preempts, refuses
+    /// (full, oversized, duplicate), sweeps and removes: each store sends
+    /// exactly its budget, and every fact a deleted repeat used to carry
+    /// is still readable from the signals that remain, equal to
+    /// [`UnitStats`].
+    #[test]
+    fn a_decision_crosses_the_observer_seam_as_one_signal() {
+        use rand::Rng;
+
+        let ledger = std::sync::Arc::new(Ledger::default());
+        let obs = Obs::attached(ledger.clone());
+        if !obs.is_enabled() {
+            return; // obs-off: nothing crosses the seam at all.
+        }
+        let mut unit = StorageUnit::builder(mib(64)).observer(obs).build();
+        let mut rng = sim_core::rng::seeded(20);
+        let mut all = Vec::new();
+        let mut sweeps = 0;
+        let mut widest_plan = 0;
+        for step in 0..4000u64 {
+            let now = SimTime::from_minutes(step * 300);
+            let mut store_outcome = None;
+            match rng.gen_range(0..20u32) {
+                0 => {
+                    unit.sweep_expired(now);
+                    sweeps += 1;
+                }
+                1 => {
+                    unit.remove(ObjectId::new(step - rng.gen_range(1..=30).min(step)), now);
+                }
+                kind => {
+                    let (id, size) = match kind {
+                        2 => (step, mib(65)),
+                        3 => (unit.iter().next().map_or(step, |o| o.id().raw()), mib(1)),
+                        _ => (step, mib(rng.gen_range(1..=6))),
+                    };
+                    let level = imp(f64::from(rng.gen_range(1..=10u32)) / 10.0);
+                    let plateau = days(rng.gen_range(1..=6));
+                    let curve = ImportanceCurve::two_step(level, plateau, plateau);
+                    let spec = ObjectSpec::new(ObjectId::new(id), size, curve);
+                    store_outcome = Some(unit.store(spec, now));
+                }
+            }
+            let mut sent = std::mem::take(&mut *ledger.0.lock().unwrap());
+            if let Some(outcome) = store_outcome {
+                // What `advance` sends is clock-keeping, not the decision.
+                let decision: Vec<&Signal> = sent
+                    .iter()
+                    .filter(|signal| {
+                        !matches!(
+                            signal,
+                            Signal::Gauge("engine.breakpoint_queue")
+                                | Signal::Event("engine.breakpoint", _)
+                        )
+                    })
+                    .collect();
+                assert_eq!(*decision[0], Signal::Counter("engine.stores", 1));
+                match outcome {
+                    Ok(outcome) => {
+                        let victims = outcome.evicted.len();
+                        widest_plan = widest_plan.max(victims);
+                        assert_eq!(decision.len(), 2 + victims, "step {step}: {decision:?}");
+                        assert_eq!(
+                            decision[1].field("engine.store", "victims"),
+                            Some(victims as u64)
+                        );
+                        for evict in &decision[2..] {
+                            assert_eq!(evict.field("engine.evict", "reason"), Some(0));
+                        }
+                    }
+                    Err(StoreError::Full { .. }) => {
+                        assert_eq!(decision.len(), 2, "step {step}: {decision:?}");
+                        assert!(decision[1].field("engine.reject", "id").is_some());
+                    }
+                    // Refused before planning: only the attempt is a fact.
+                    Err(_) => assert_eq!(decision.len(), 1, "step {step}: {decision:?}"),
+                }
+            }
+            all.append(&mut sent);
+        }
+
+        let stats = *unit.stats();
+        let events = |kind: &str, field: &str| -> Vec<u64> {
+            all.iter().filter_map(|s| s.field(kind, field)).collect()
+        };
+        let reasons = events("engine.evict", "reason");
+        let evicted = |reason: u64| reasons.iter().filter(|&&r| r == reason).count() as u64;
+        let plans = events("engine.store", "victims");
+        assert_eq!(plans.len() as u64, stats.stores_accepted);
+        assert_eq!(plans.iter().sum::<u64>(), stats.evictions_preempted);
+        assert_eq!(
+            events("engine.reject", "id").len() as u64,
+            stats.rejections_full
+        );
+        assert_eq!(evicted(0), stats.evictions_preempted);
+        assert_eq!(evicted(1), stats.evictions_expired);
+        assert_eq!(evicted(2), stats.removals);
+        let (mut attempts, mut harvests) = (0, Vec::new());
+        for signal in &all {
+            match signal {
+                Signal::Counter("engine.stores", delta) => attempts += delta,
+                Signal::Sample("engine.sweep_reclaimed", reclaimed) => harvests.push(*reclaimed),
+                _ => {}
+            }
+        }
+        assert_eq!(attempts, stats.stores_attempted);
+        assert_eq!(harvests.len(), sweeps);
+        assert_eq!(harvests.iter().sum::<u64>(), stats.evictions_expired);
+
+        // The churn reached every arm the budget names.
+        assert!(widest_plan >= 2, "no multi-victim plan");
+        assert!(stats.rejections_full > 0 && stats.rejections_too_large > 0);
+        assert!(stats.stores_attempted > stats.stores_accepted + stats.rejections());
+        assert!(stats.evictions_expired > 0 && stats.removals > 0);
     }
 }

@@ -5,7 +5,7 @@
 //! what dies; this crate makes those decisions survive process death.
 //! A [`DurableUnit`] wraps a
 //! [`StorageUnit`](temporal_importance::StorageUnit) with a
-//! [`SegmentLog`](segment): an append-only directory of fixed-size
+//! segment log: an append-only directory of fixed-size
 //! segment files holding CRC-framed JSON records, one per engine
 //! mutation. Replaying the log reconstructs the engine byte-for-byte —
 //! residents, lifetime statistics, clock high-water marks — which is
@@ -511,6 +511,40 @@ mod tests {
         assert!(
             disk.compactions > 0 && disk.segments <= 4,
             "3000 annotations of one object should fold as they go: {disk:?}"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A `Reject` record is dead from birth, so a saturated unit — full
+    /// for everything that arrives, the paper's end state — that does
+    /// nothing but refuse has to trigger compaction itself too.
+    #[test]
+    fn rejections_alone_keep_the_log_bounded() {
+        let dir = scratch("reject-only");
+        let config = DurableConfig::default().segment_bytes(2048);
+        let mut durable = DurableUnit::open(
+            &dir,
+            ByteSize::from_kib(64),
+            EvictionPolicy::Preemptive,
+            config,
+        )
+        .expect("open fresh");
+        let year = 60 * 24 * 365;
+        for id in 0..32 {
+            durable
+                .store(spec(id, 2, year), SimTime::ZERO)
+                .expect("fits");
+        }
+        for step in 1..=3000 {
+            durable
+                .store(spec(100 + step, 2, year), SimTime::from_minutes(step))
+                .expect_err("every resident is at full importance");
+        }
+        assert_eq!(durable.stats().rejections_full, 3000);
+        let disk = durable.disk_info();
+        assert!(
+            disk.compactions > 0 && disk.segments <= 9,
+            "3000 refusals should fold as they go: {disk:?}"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

@@ -127,7 +127,7 @@ pub struct CompactionReport {
     pub tombstones: usize,
 }
 
-/// Disk-occupancy snapshot of a [`SegmentLog`]. The engine's notion of
+/// Disk-occupancy snapshot of the segment log. The engine's notion of
 /// occupancy (`used`, importance density) tracks *logical* object bytes;
 /// this tracks the *physical* log, where superseded and dead records
 /// linger until compaction folds them away.

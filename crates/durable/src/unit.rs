@@ -85,8 +85,8 @@ impl DurableConfig {
 
 /// A storage unit whose state survives process death.
 ///
-/// See the [module docs](self) for the engine/log split and the
-/// [crate docs](crate) for the log-structured design.
+/// The engine stays the source of truth and the log records its
+/// outcomes; see the [crate docs](crate) for the log-structured design.
 #[derive(Debug)]
 pub struct DurableUnit {
     unit: StorageUnit,
@@ -161,13 +161,11 @@ impl DurableUnit {
                     .expect("accepted object is resident")
                     .clone();
                 let evicted = outcome.evicted.iter().map(Victim::from).collect();
-                self.log.append(&LogRecord::Store {
+                self.journal(&LogRecord::Store {
                     at: now,
                     object,
                     evicted,
                 })?;
-                self.log.flush()?;
-                self.maybe_compact()?;
                 Ok(outcome)
             }
             Err(e) => {
@@ -178,8 +176,7 @@ impl DurableUnit {
                     StoreError::EmptyObject(_) => RejectKind::Empty,
                     _ => RejectKind::Other,
                 };
-                self.log.append(&LogRecord::Reject { at: now, kind })?;
-                self.log.flush()?;
+                self.journal(&LogRecord::Reject { at: now, kind })?;
                 Err(Error::from(e))
             }
         }
@@ -195,13 +192,11 @@ impl DurableUnit {
     pub fn sweep_expired(&mut self, now: SimTime) -> Result<Vec<EvictionRecord>, DurableError> {
         self.clock = self.clock.max(now);
         let records = self.unit.sweep_expired(now);
-        self.log.append(&LogRecord::Sweep {
+        self.journal(&LogRecord::Sweep {
             at: now,
             expired: records.iter().map(Victim::from).collect(),
         })?;
         self.last_sweep = self.last_sweep.max(now);
-        self.log.flush()?;
-        self.maybe_compact()?;
         Ok(records)
     }
 
@@ -219,13 +214,11 @@ impl DurableUnit {
         self.clock = self.clock.max(now);
         let record = self.unit.remove(id, now);
         if let Some(rec) = &record {
-            self.log.append(&LogRecord::Remove {
+            self.journal(&LogRecord::Remove {
                 at: now,
                 id,
                 size: rec.size,
             })?;
-            self.log.flush()?;
-            self.maybe_compact()?;
         }
         Ok(record)
     }
@@ -272,10 +265,18 @@ impl DurableUnit {
             .get(id)
             .expect("annotated object is resident")
             .clone();
-        self.log.append(&LogRecord::Annotate { at: now, object })?;
-        self.log.flush()?;
-        self.maybe_compact()?;
+        self.journal(&LogRecord::Annotate { at: now, object })?;
         Ok(())
+    }
+
+    /// The one way a mutation reaches the log: append the record, hand it
+    /// to the operating system, then let compaction look at the dead bytes
+    /// it may have left — every record kind can leave some (a `Reject` is
+    /// dead from birth), so none may skip the last step.
+    fn journal(&mut self, record: &LogRecord) -> Result<(), DurableError> {
+        self.log.append(record)?;
+        self.log.flush()?;
+        self.maybe_compact()
     }
 
     /// Compacts the sealed segment holding the most dead bytes, if

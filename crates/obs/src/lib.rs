@@ -35,12 +35,14 @@
 //! let registry = Arc::new(MetricsRegistry::new());
 //! let obs = Obs::attached(registry.clone());
 //! obs.counter("engine.stores", 3);
-//! obs.record("engine.plan_victims", 2);
+//! obs.record("engine.sweep_reclaimed", 2);
 //!
 //! let snapshot = registry.snapshot();
 //! # #[cfg(not(feature = "obs-off"))]
 //! assert_eq!(snapshot.counters["engine.stores"], 3);
 //! ```
+//!
+//! [`SimTime`]: sim_core::SimTime
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

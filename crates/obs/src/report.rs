@@ -433,7 +433,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("engine.stores", 3);
         registry.gauge("engine.breakpoint_queue", 7);
-        registry.record("engine.plan_victims", 2);
+        registry.record("engine.sweep_reclaimed", 2);
         registry.event(SimTime::ZERO, "engine.store", &[("id", 1)]);
         registry.span("span.experiment.fig2", 5_000, 60);
         let snapshot = registry.snapshot();
@@ -446,8 +446,8 @@ mod tests {
         );
         assert!(text.contains("tempimp_engine_stores 3"), "{text}");
         assert!(text.contains("# TYPE tempimp_engine_breakpoint_queue gauge"));
-        assert!(text.contains("tempimp_engine_plan_victims{quantile=\"0.5\"} 2"));
-        assert!(text.contains("tempimp_engine_plan_victims_count 1"));
+        assert!(text.contains("tempimp_engine_sweep_reclaimed{quantile=\"0.5\"} 2"));
+        assert!(text.contains("tempimp_engine_sweep_reclaimed_count 1"));
         assert!(text.contains("tempimp_events_total{kind=\"engine.store\"} 1"));
         assert!(text.contains("tempimp_span_wall_nanos_total{span=\"span.experiment.fig2\"} 5000"));
         assert!(text.contains("tempimp_span_sim_minutes_total{span=\"span.experiment.fig2\"} 60"));

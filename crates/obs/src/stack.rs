@@ -4,7 +4,8 @@
 //! built from the individual sinks costs one mutex acquisition *per sink
 //! per signal*: a [`Fanout`] over [`MetricsRegistry`], [`SeriesRecorder`],
 //! and [`TraceSink`] takes three locks for every emission, plus a dynamic
-//! dispatch each. On the engine's store path (~6 signals per store) that
+//! dispatch each. On the engine's store path (~3 signals per store: a
+//! counter, the store event, an evict event per victim) that
 //! synchronization overhead alone dwarfs the 20% instrumentation budget
 //! the CI gate enforces.
 //!

@@ -62,6 +62,9 @@
 //! assert_eq!(reports.iter().map(|r| r.unit.len()).sum::<usize>(), 1);
 //! # Ok::<(), temporal_importance::Error>(())
 //! ```
+//!
+//! [`Request`]: temporal_importance::protocol::Request
+//! [`Response`]: temporal_importance::protocol::Response
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -42,6 +42,11 @@ use crate::mailbox::{Mailbox, Outbox, ReplyTo};
 use crate::trace::{Reply, Stamps, Telemetry, WorkerTracing};
 use crate::RequestTrace;
 
+/// How much simulated time may elapse on a shard between expired-object
+/// sweeps: one cadence for every fleet (the unit tests that vary it build
+/// a [`ShardEngine`] directly).
+const SWEEP_EVERY: SimDuration = SimDuration::DAY;
+
 /// One queued request: the client's timestamp, the request, its trace
 /// stamps, and the mailbox slot its answer goes to. A job dropped
 /// unanswered marks that slot lost (see [`ReplyTo`]).
@@ -62,7 +67,6 @@ pub struct TempimpdBuilder {
     policy: EvictionPolicy,
     queue_depth: usize,
     batch_max: usize,
-    sweep_every: SimDuration,
     record_log: bool,
     slow_threshold: Option<Duration>,
     obs: Option<Obs>,
@@ -106,13 +110,6 @@ impl TempimpdBuilder {
     /// many engine calls a finished answer can be held behind.
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max;
-        self
-    }
-
-    /// How much simulated time may elapse on a shard between
-    /// expired-object sweeps (default one day).
-    pub fn sweep_every(mut self, cadence: SimDuration) -> Self {
-        self.sweep_every = cadence;
         self
     }
 
@@ -186,7 +183,6 @@ impl TempimpdBuilder {
                 shard,
                 capacity: self.shard_capacity,
                 policy: self.policy,
-                sweep_every: self.sweep_every,
                 batch_max: self.batch_max,
                 record_log: self.record_log,
                 slow_ns,
@@ -212,7 +208,6 @@ impl TempimpdBuilder {
             telemetry,
             shard_capacity: self.shard_capacity,
             policy: self.policy,
-            sweep_every: self.sweep_every,
         }
     }
 }
@@ -245,7 +240,6 @@ struct Worker {
     shard: u32,
     capacity: ByteSize,
     policy: EvictionPolicy,
-    sweep_every: SimDuration,
     batch_max: usize,
     record_log: bool,
     slow_ns: u64,
@@ -289,7 +283,7 @@ impl Worker {
                 dir,
                 self.capacity,
                 self.policy,
-                self.sweep_every,
+                SWEEP_EVERY,
                 self.durable_config,
                 self.obs.clone(),
             )
@@ -303,7 +297,7 @@ impl Worker {
             None => ShardEngine::with_observer(
                 self.capacity,
                 self.policy,
-                self.sweep_every,
+                SWEEP_EVERY,
                 self.obs.clone(),
             ),
         };
@@ -366,8 +360,6 @@ impl Worker {
             outbox.deliver();
             tracing.flush(&self.obs);
             drop(span);
-            self.obs.counter("serve.requests", drained);
-            self.obs.counter("serve.batches", 1);
             self.obs.record("serve.batch_fill", drained);
             self.obs.gauge("serve.queue_depth", depth);
             self.obs.event(
@@ -437,7 +429,6 @@ pub struct Tempimpd {
     telemetry: Arc<Telemetry>,
     shard_capacity: ByteSize,
     policy: EvictionPolicy,
-    sweep_every: SimDuration,
 }
 
 impl std::fmt::Debug for Job {
@@ -455,7 +446,6 @@ impl Tempimpd {
             policy: EvictionPolicy::Preemptive,
             queue_depth: 1024,
             batch_max: 64,
-            sweep_every: SimDuration::DAY,
             record_log: false,
             slow_threshold: None,
             obs: None,
@@ -481,7 +471,7 @@ impl Tempimpd {
 
     /// The shards' expiry-sweep cadence.
     pub fn sweep_every(&self) -> SimDuration {
-        self.sweep_every
+        SWEEP_EVERY
     }
 
     /// A new connection to the service, with a reply mailbox of its
@@ -988,6 +978,42 @@ mod tests {
         service.shutdown().expect_clean();
     }
 
+    /// `serve.batch_fill` is the only carrier of the fleet's request and
+    /// batch totals on the observer side: its sum and count must be the
+    /// shard reports' own.
+    #[test]
+    fn batch_fill_carries_the_request_and_batch_totals() {
+        let registry = Arc::new(obs::MetricsRegistry::new());
+        let obs = Obs::attached(registry.clone());
+        if !obs.is_enabled() {
+            return; // obs-off: the registry hears nothing.
+        }
+        let service = Tempimpd::builder()
+            .shards(4)
+            .shard_capacity(ByteSize::from_mib(256))
+            .observer(obs)
+            .spawn();
+        let mut client = service.client();
+        for i in 0..100u64 {
+            client
+                .put(
+                    ObjectId::new(i),
+                    ByteSize::from_mib(1),
+                    week_curve(),
+                    SimTime::from_minutes(i),
+                )
+                .unwrap();
+        }
+        client.health(SimTime::from_minutes(100)).unwrap();
+        drop(client);
+        let reports = service.shutdown().expect_clean();
+        let fill = registry
+            .histogram("serve.batch_fill")
+            .expect("every batch records its fill");
+        assert_eq!(fill.count(), reports.iter().map(|r| r.batches).sum::<u64>());
+        assert_eq!(fill.sum(), reports.iter().map(|r| r.requests).sum::<u64>());
+    }
+
     #[test]
     fn pipelined_submissions_carry_stage_traces() {
         let service = small_service(2);
@@ -1291,7 +1317,6 @@ mod tests {
             telemetry: Arc::new(Telemetry::new(2)),
             shard_capacity: ByteSize::from_mib(1),
             policy: EvictionPolicy::Preemptive,
-            sweep_every: SimDuration::DAY,
         }
     }
 

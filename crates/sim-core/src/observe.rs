@@ -25,6 +25,22 @@
 //! whether an observer is attached — results with and without observation
 //! are byte-identical by construction.
 //!
+//! # One fact, one signal
+//!
+//! A sink behind a lock pays that lock once per signal, so an emitter
+//! says each thing once: it sends no counter or histogram whose value a
+//! signal it already sends carries — an event kind the registry counts
+//! (`tempimp_events_total{kind=…}`), an event field, a histogram's count
+//! or sum, the sum of two counters beside it. The engine's accepted store
+//! is one `engine.stores` counter (attempts: some refusals send nothing
+//! else), one `engine.store` event whose `victims` field is the plan's
+//! size, and one `engine.evict` event per victim whose `reason` field is
+//! the preempted / expired / removed split; no counter of accepted
+//! plans, histogram of plan sizes or per-reason eviction counter rides
+//! beside them. A consumer that wants the repeat derives it on the read
+//! side, or reads the component's own ledger (`UnitStats` through the
+//! `Stats` verb).
+//!
 //! # Examples
 //!
 //! ```
