@@ -231,31 +231,6 @@ impl ClusterBuilder {
         let cluster = self.build(rng);
         (cluster, ChurnDriver::new(schedule))
     }
-
-    /// Builds a [`SharedCluster`](crate::concurrent::SharedCluster) — the
-    /// thread-safe, per-node-locked front-end — from the same knobs, so
-    /// concurrent and single-threaded deployments share one construction
-    /// path. The churn schedule, if any, is ignored: fault injection on a
-    /// `SharedCluster` happens through its own
-    /// [`fail_node`](crate::concurrent::SharedCluster::fail_node) /
-    /// [`rejoin_node`](crate::concurrent::SharedCluster::rejoin_node)
-    /// calls (usually from a chaos thread), not an event-loop driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder was created with fewer than 3 nodes (the
-    /// overlay needs a ring).
-    pub fn build_shared<R: Rng>(self, rng: &mut R) -> crate::concurrent::SharedCluster {
-        let ClusterBuilder {
-            nodes,
-            capacity,
-            config,
-            churn: _,
-            obs,
-        } = self;
-        let obs = obs.unwrap_or_else(Obs::global);
-        crate::concurrent::SharedCluster::from_parts(nodes, capacity, config, obs, rng)
-    }
 }
 
 /// A simulated Besteffs deployment: `n` storage units joined by a p2p

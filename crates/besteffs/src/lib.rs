@@ -29,7 +29,6 @@
 
 pub mod churn;
 pub mod cluster;
-pub mod concurrent;
 pub mod directory;
 pub mod overlay;
 
@@ -38,6 +37,5 @@ pub use cluster::{
     Besteffs, ClusterBuilder, ClusterStats, FailureEpoch, PlacementConfig, PlacementError,
     PlacementOutcome,
 };
-pub use concurrent::SharedCluster;
 pub use directory::{Directory, ObjectName, Version, VersionEntry};
 pub use overlay::{NodeId, Overlay};

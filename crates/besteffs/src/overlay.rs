@@ -120,34 +120,18 @@ impl Overlay {
 
     /// Performs a `steps`-hop random walk that only ever hops onto nodes
     /// for which `alive` returns true — a failed desktop cannot forward a
-    /// walk. Returns `None` if the walk gets stuck (no live neighbor) or
-    /// ends on a dead node (only possible for `steps == 0` from a dead
-    /// start).
+    /// walk. Returns the end node, `None` if the walk gets stuck (no live
+    /// neighbor) or ends on a dead node (only possible for `steps == 0`
+    /// from a dead start), and the number of hops actually taken — the
+    /// figure placement telemetry records. [`sample_walks_counted`] draws
+    /// its candidates with this walk.
     ///
     /// When every node is alive this consumes the RNG identically to
     /// [`random_walk`] (one uniform draw over the full neighbor list per
     /// hop), so churn-free simulations are bit-for-bit unchanged.
     ///
     /// [`random_walk`]: Overlay::random_walk
-    pub fn random_walk_live<R, F>(
-        &self,
-        start: NodeId,
-        steps: usize,
-        rng: &mut R,
-        alive: F,
-    ) -> Option<NodeId>
-    where
-        R: Rng,
-        F: Fn(NodeId) -> bool,
-    {
-        self.random_walk_live_counted(start, steps, rng, alive).0
-    }
-
-    /// [`random_walk_live`] plus the number of hops actually taken before
-    /// the walk finished or got stuck — the figure placement telemetry
-    /// records. Consumes the RNG identically to the uncounted form.
-    ///
-    /// [`random_walk_live`]: Overlay::random_walk_live
+    /// [`sample_walks_counted`]: Overlay::sample_walks_counted
     pub fn random_walk_live_counted<R, F>(
         &self,
         start: NodeId,
@@ -175,32 +159,14 @@ impl Overlay {
     }
 
     /// Samples up to `count` *distinct* live nodes by repeated live-aware
-    /// random walks from `start` (see [`random_walk_live`]: dead nodes
-    /// neither forward nor terminate a walk). Gives up after a bounded
-    /// number of attempts, so the result may be shorter than `count` on
-    /// small or heavily-failed overlays.
+    /// random walks from `start` (see [`random_walk_live_counted`]: dead
+    /// nodes neither forward nor terminate a walk). Gives up after a
+    /// bounded number of attempts, so the result may be shorter than
+    /// `count` on small or heavily-failed overlays. Also returns the total
+    /// hops taken across every attempted walk (including walks that got
+    /// stuck or landed on duplicates).
     ///
-    /// [`random_walk_live`]: Overlay::random_walk_live
-    pub fn sample_walks<R, F>(
-        &self,
-        start: NodeId,
-        count: usize,
-        steps: usize,
-        rng: &mut R,
-        alive: F,
-    ) -> Vec<NodeId>
-    where
-        R: Rng,
-        F: Fn(NodeId) -> bool,
-    {
-        self.sample_walks_counted(start, count, steps, rng, alive).0
-    }
-
-    /// [`sample_walks`] plus the total hops taken across every attempted
-    /// walk (including walks that got stuck or landed on duplicates).
-    /// Consumes the RNG identically to the uncounted form.
-    ///
-    /// [`sample_walks`]: Overlay::sample_walks
+    /// [`random_walk_live_counted`]: Overlay::random_walk_live_counted
     pub fn sample_walks_counted<R, F>(
         &self,
         start: NodeId,
@@ -314,7 +280,9 @@ mod tests {
         let mut rand = rng::seeded(3);
         let overlay = Overlay::random(100, 6, &mut rand);
         let dead = NodeId::new(5);
-        let sample = overlay.sample_walks(NodeId::new(0), 10, 8, &mut rand, |n| n != dead);
+        let sample = overlay
+            .sample_walks_counted(NodeId::new(0), 10, 8, &mut rand, |n| n != dead)
+            .0;
         assert!(sample.len() <= 10);
         assert!(!sample.contains(&dead));
         let mut unique = sample.clone();
@@ -329,10 +297,17 @@ mod tests {
         let mut b = rng::seeded(9);
         let overlay_a = Overlay::random(50, 4, &mut a);
         let overlay_b = Overlay::random(50, 4, &mut b);
-        let plain = overlay_a.sample_walks(NodeId::new(0), 5, 6, &mut a, |_| true);
+        // The no-liveness reference walk, deduplicated the same way.
+        let mut plain = Vec::new();
+        while plain.len() < 5 {
+            let node = overlay_a.random_walk(NodeId::new(0), 6, &mut a);
+            if !plain.contains(&node) {
+                plain.push(node);
+            }
+        }
         let (counted, hops) =
             overlay_b.sample_walks_counted(NodeId::new(0), 5, 6, &mut b, |_| true);
-        assert_eq!(plain, counted, "counted variant must not perturb the RNG");
+        assert_eq!(plain, counted, "an all-alive mask must not perturb the RNG");
         // Every attempted walk runs all 6 hops on an all-alive overlay, and
         // at least `count` attempts are needed to find 5 distinct nodes.
         assert!(hops >= 30, "hops {hops}");
@@ -343,7 +318,9 @@ mod tests {
     fn sample_walks_gives_up_gracefully_when_everything_is_dead() {
         let mut rand = rng::seeded(4);
         let overlay = Overlay::random(10, 3, &mut rand);
-        let sample = overlay.sample_walks(NodeId::new(0), 5, 4, &mut rand, |_| false);
+        let sample = overlay
+            .sample_walks_counted(NodeId::new(0), 5, 4, &mut rand, |_| false)
+            .0;
         assert!(sample.is_empty());
     }
 

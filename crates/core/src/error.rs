@@ -54,12 +54,6 @@ pub enum Error {
     /// workload parsing, filesystem), carried without this crate having to
     /// know its type.
     External(Box<dyn StdError + Send + Sync + 'static>),
-    /// A serving layer routed a request to a shard that is not accepting
-    /// work (failed node, worker shut down).
-    ShardUnavailable {
-        /// The shard the request hashed to.
-        shard: u32,
-    },
     /// A shard's bounded ingest queue was full — the backpressure signal
     /// of the serving layer. Retry later or slow down.
     QueueFull {
@@ -88,9 +82,6 @@ impl fmt::Display for Error {
             Error::Rejuvenate(e) => e.fmt(f),
             Error::FairStore(e) => e.fmt(f),
             Error::External(e) => e.fmt(f),
-            Error::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} is not accepting requests")
-            }
             Error::QueueFull { shard } => {
                 write!(f, "shard {shard} ingest queue is full")
             }
@@ -108,7 +99,7 @@ impl StdError for Error {
             Error::Rejuvenate(e) => Some(e),
             Error::FairStore(e) => Some(e),
             Error::External(e) => Some(e.as_ref()),
-            Error::ShardUnavailable { .. } | Error::QueueFull { .. } | Error::Disconnected => None,
+            Error::QueueFull { .. } | Error::Disconnected => None,
         }
     }
 }
@@ -390,10 +381,6 @@ mod tests {
 
     #[test]
     fn service_variants_are_sourceless_and_descriptive() {
-        let shard = Error::ShardUnavailable { shard: 3 };
-        assert_eq!(shard.to_string(), "shard 3 is not accepting requests");
-        assert!(shard.source().is_none());
-
         let full = Error::QueueFull { shard: 7 };
         assert_eq!(full.to_string(), "shard 7 ingest queue is full");
         assert!(full.source().is_none());

@@ -1,9 +1,10 @@
 //! The unified `StoreApi` request/response protocol.
 //!
 //! Every front-end to the reclamation engine — a single in-process
-//! [`StorageUnit`], the lock-per-node `SharedCluster` in `besteffs`, and
-//! the sharded `tempimpd` service — speaks the same five-verb protocol:
-//! **put**, **get**, **advise**, **density**, **stats**. The verbs are
+//! [`StorageUnit`], the journaled `DurableUnit` in `tempimp-durable`, and
+//! the sharded `tempimpd` service (its per-shard `ShardEngine` and its
+//! `ServeClient`) — speaks the same six-verb protocol: **put**, **get**,
+//! **advise**, **density**, **stats**, **health**. The verbs are
 //! reified as the [`Request`] and [`Response`] enums so they can cross
 //! thread boundaries (the `tempimpd` ingest queues carry exactly these
 //! values), be recorded to a replayable request log, and be dispatched
@@ -553,8 +554,8 @@ impl ShardRouter {
 }
 
 /// Folds the per-shard answers to a whole-store query (`Density`, `Stats`
-/// or `Health`) into one response — the one fold every sharded
-/// [`StoreApi`] implementor shares.
+/// or `Health`) into one response — the fold `tempimpd`'s client applies
+/// to a fan-out's replies.
 ///
 /// Answers are folded in the order given, which callers keep at shard
 /// order: `Health` lists its shards in that order, and `Density` is a
@@ -916,5 +917,92 @@ mod tests {
         assert_eq!(total.unit.stores_accepted, 2);
         assert_eq!(total.used, ByteSize::from_mib(20));
         assert_eq!(total.capacity, ByteSize::from_mib(100));
+    }
+
+    #[test]
+    fn aggregate_folds_each_whole_store_verb_in_the_given_order() {
+        // Shard `k`'s answer; every Stats field scales with `k`, so shards
+        // 1..=3 sum to exactly `stats(6)`.
+        let stats = |k: u64| StoreStats {
+            unit: UnitStats {
+                stores_attempted: k,
+                stores_accepted: 2 * k,
+                rejections_full: 3 * k,
+                rejections_too_large: 4 * k,
+                evictions_preempted: 5 * k,
+                evictions_expired: 6 * k,
+                removals: 7 * k,
+                bytes_accepted: 8 * k,
+                bytes_evicted: 9 * k,
+            },
+            used: ByteSize::from_mib(10 * k),
+            capacity: ByteSize::from_mib(11 * k),
+            objects: 12 * k,
+        };
+        let density = |k: u64| DensityInfo {
+            density: k as f64 / 10.0,
+            capacity: ByteSize::from_mib(2 * k + 1),
+            used: ByteSize::from_mib(k),
+        };
+        // Shard indices deliberately out of order: the fold concatenates,
+        // it does not sort.
+        let health = |k: u64| HealthSnapshot {
+            shards: [9 - k, k]
+                .into_iter()
+                .map(|shard| ShardHealth {
+                    shard: shard as u32,
+                    clock: SimTime::ZERO,
+                    residents: k,
+                    used: ByteSize::ZERO,
+                    capacity: ByteSize::ZERO,
+                    queue_depth: 0,
+                    requests: 0,
+                    batches: 0,
+                    rejected: 0,
+                    latencies: Vec::new(),
+                })
+                .collect(),
+        };
+        let answer = |verb: VerbKind, k: u64| match verb {
+            VerbKind::Stats => Response::Stats(Ok(stats(k))),
+            VerbKind::Density => Response::Density(Ok(density(k))),
+            VerbKind::Health => Response::Health(Ok(health(k))),
+            keyed => unreachable!("{keyed:?} does not aggregate"),
+        };
+
+        for verb in [VerbKind::Density, VerbKind::Stats, VerbKind::Health] {
+            match aggregate(verb, (1..=3).map(|k| answer(verb, k))) {
+                Response::Stats(Ok(total)) => assert_eq!(total, stats(6)),
+                Response::Density(Ok(info)) => {
+                    let mut weighted = 0.0f64;
+                    for k in 1..=3 {
+                        let part = density(k);
+                        weighted += part.density * part.capacity.as_bytes() as f64;
+                    }
+                    let expected = weighted / ByteSize::from_mib(15).as_bytes() as f64;
+                    assert_eq!(info.density.to_bits(), expected.to_bits());
+                    assert_eq!(info.capacity, ByteSize::from_mib(15));
+                    assert_eq!(info.used, ByteSize::from_mib(6));
+                }
+                Response::Health(Ok(total)) => assert_eq!(
+                    total.shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
+                    vec![8, 1, 7, 2, 6, 3]
+                ),
+                other => panic!("{verb:?} folded to {other:?}"),
+            }
+
+            // A partial fleet: the first error is the answer, whatever
+            // answered before or after it.
+            let partial = [
+                answer(verb, 1),
+                verb.failed(Error::QueueFull { shard: 1 }),
+                answer(verb, 3),
+                verb.failed(Error::Disconnected),
+            ];
+            assert_eq!(
+                format!("{:?}", aggregate(verb, partial)),
+                format!("{:?}", verb.failed(Error::QueueFull { shard: 1 })),
+            );
+        }
     }
 }

@@ -178,9 +178,10 @@ impl Default for Histogram {
 ///
 /// Aggregation is strictly commutative — counters add, gauges keep their
 /// high watermark, histograms bucket-count — so totals are deterministic
-/// even when several threads (the §5.1 policy simulations, `SharedCluster`
-/// placers, serving workers) emit at once. Names are `&'static str` by design: instrumentation sites name
-/// their metrics statically, and the registry never allocates per event.
+/// even when several threads (the §5.1 policy simulations, serving
+/// workers) emit at once. Names are `&'static str` by design:
+/// instrumentation sites name their metrics statically, and the registry
+/// never allocates per event.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<RegistryCore>,

@@ -46,13 +46,15 @@ proptest! {
             let Some(start) = (0..FLEET).find(|&i| alive[i]) else {
                 continue;
             };
-            let sample = overlay.sample_walks(
-                NodeId::new(start),
-                4,
-                steps,
-                &mut rand,
-                |n| alive[n.index()],
-            );
+            let sample = overlay
+                .sample_walks_counted(
+                    NodeId::new(start),
+                    4,
+                    steps,
+                    &mut rand,
+                    |n| alive[n.index()],
+                )
+                .0;
             for visited in &sample {
                 prop_assert!(
                     alive[visited.index()],
@@ -63,8 +65,14 @@ proptest! {
             unique.sort();
             unique.dedup();
             prop_assert_eq!(unique.len(), sample.len(), "sampled nodes must be distinct");
-            if let Some(end) =
-                overlay.random_walk_live(NodeId::new(start), steps, &mut rand, |n| alive[n.index()])
+            if let Some(end) = overlay
+                .random_walk_live_counted(
+                    NodeId::new(start),
+                    steps,
+                    &mut rand,
+                    |n| alive[n.index()],
+                )
+                .0
             {
                 prop_assert!(alive[end.index()]);
             }
