@@ -228,7 +228,7 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use temporal_importance::{Importance, ImportanceCurve, ObjectId};
+    use temporal_importance::{ImportanceCurve, ObjectId};
 
     fn ephemeral_curve() -> ImportanceCurve {
         ImportanceCurve::fixed_lifetime(SimDuration::from_days(1))
@@ -283,34 +283,5 @@ mod tests {
             .expect("stored");
         assert!(!info.expired);
         assert_eq!(shard.now(), SimTime::from_days(3));
-    }
-
-    #[test]
-    fn replay_of_a_recorded_log_reproduces_state() {
-        let capacity = ByteSize::from_mib(64);
-        let sweep = SimDuration::HOUR;
-        let mut live = ShardEngine::new(capacity, EvictionPolicy::Preemptive, sweep);
-        let mut log = Vec::new();
-        for i in 0..200u64 {
-            let at = SimTime::from_hours(i / 2);
-            let request = Request::Put {
-                id: ObjectId::new(i),
-                bytes: ByteSize::from_mib(1 + i % 7),
-                curve: ImportanceCurve::two_step(
-                    Importance::FULL,
-                    SimDuration::from_hours(6 + i % 30),
-                    SimDuration::from_hours(12),
-                ),
-                class: temporal_importance::ObjectClass::GENERIC,
-            };
-            let effective = live.now().max(at);
-            log.push((effective, request.clone()));
-            live.call(at, request);
-        }
-        let replayed = replay(capacity, EvictionPolicy::Preemptive, sweep, &log);
-        let live_json = serde_json::to_string(live.unit()).unwrap();
-        let replay_json = serde_json::to_string(replayed.unit()).unwrap();
-        assert_eq!(live_json, replay_json);
-        assert_eq!(live.unit().stats(), replayed.unit().stats());
     }
 }

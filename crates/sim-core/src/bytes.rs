@@ -72,11 +72,6 @@ impl ByteSize {
         self.0 as f64 / GIB as f64
     }
 
-    /// The size in fractional MiB.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
-
     /// True if this is zero bytes.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

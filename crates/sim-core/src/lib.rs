@@ -39,7 +39,6 @@ pub mod driver;
 pub mod fx;
 pub mod observe;
 pub mod rng;
-pub mod schedule;
 
 pub use bytes::ByteSize;
 pub use driver::Simulation;

@@ -168,11 +168,6 @@ impl SimDuration {
         self.0 as f64 / MINUTES_PER_DAY as f64
     }
 
-    /// Length in fractional hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / MINUTES_PER_HOUR as f64
-    }
-
     /// True if this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
