@@ -24,7 +24,7 @@ use temporal_importance::{
 /// importance cycles through ten levels — a representative mixed-pressure
 /// state for eviction/density benchmarks.
 pub fn mixed_unit(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit {
-    let mut unit = StorageUnit::new(capacity);
+    let mut unit = StorageUnit::builder(capacity).recording(false).build();
     fill_mixed(&mut unit, count, mib);
     unit
 }
@@ -36,13 +36,13 @@ pub fn mixed_unit_naive(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit
     let mut unit = StorageUnit::builder(capacity)
         .policy(EvictionPolicy::Preemptive)
         .naive_oracle(true)
+        .recording(false)
         .build();
     fill_mixed(&mut unit, count, mib);
     unit
 }
 
 fn fill_mixed(unit: &mut StorageUnit, count: u64, mib: u64) {
-    unit.set_recording(false);
     for i in 0..count {
         let importance = Importance::new_clamped(0.05 + (i % 10) as f64 * 0.1);
         let spec = ObjectSpec::new(

@@ -126,8 +126,10 @@ pub struct SlowEntry {
     pub shard: u64,
     /// The request's verb.
     pub verb: VerbKind,
-    /// The request's service-unique id.
-    pub id: u64,
+    /// The request's 1-based ordinal on its shard: `(shard, seq)` is
+    /// unique within a service, and indexes the shard's recorded request
+    /// log at `seq - 1`.
+    pub seq: u64,
     /// Nanoseconds spent queued (enqueue → apply).
     pub queue_ns: u64,
     /// Nanoseconds spent in the engine call.
@@ -186,10 +188,10 @@ impl SlowLog {
         );
         for entry in entries.iter().rev().take(limit).rev() {
             out.push_str(&format!(
-                "  id {:>8}  {:<7}  shard {:>2}  queue {:>10} ns  service {:>10} ns  total {:>10} ns\n",
-                entry.id,
-                entry.verb.name(),
+                "  shard {:>2}  seq {:>8}  {:<7}  queue {:>10} ns  service {:>10} ns  total {:>10} ns\n",
                 entry.shard,
+                entry.seq,
+                entry.verb.name(),
                 entry.queue_ns,
                 entry.service_ns,
                 entry.total_ns,
@@ -225,7 +227,7 @@ impl obs::Observer for SlowLog {
             at,
             shard: field("shard"),
             verb,
-            id: field("id"),
+            seq: field("seq"),
             queue_ns: field("queue_ns"),
             service_ns: field("service_ns"),
             total_ns: field("total_ns"),
@@ -345,14 +347,14 @@ mod tests {
         );
         assert!(log.entries().is_empty());
         assert!(log.render_tail(5).contains("none"));
-        for id in 0..3u64 {
+        for seq in 1..=3u64 {
             log.event(
-                SimTime::from_minutes(id),
+                SimTime::from_minutes(seq),
                 "serve.slow",
                 &[
                     ("shard", 1),
                     ("verb", VerbKind::Get.code()),
-                    ("id", id),
+                    ("seq", seq),
                     ("queue_ns", 10),
                     ("service_ns", 20),
                     ("total_ns", 30),
@@ -361,12 +363,13 @@ mod tests {
         }
         let entries = log.entries();
         assert_eq!(entries.len(), 2, "capacity bounds the log");
-        assert_eq!(entries[0].id, 1, "oldest entry was evicted");
+        assert_eq!(entries[0].seq, 2, "oldest entry was evicted");
         assert_eq!(entries[1].verb, VerbKind::Get);
         assert_eq!(entries[1].total_ns, 30);
         let tail = log.render_tail(1);
         assert_eq!(tail.lines().count(), 2, "header plus one entry");
         assert!(tail.contains("get"));
+        assert!(tail.contains("shard  1  seq        3"));
         assert!(tail.contains("total"));
     }
 
@@ -376,7 +379,7 @@ mod tests {
         log.event(
             SimTime::ZERO,
             "serve.slow",
-            &[("shard", 0), ("verb", VerbKind::Put.code()), ("id", 7)],
+            &[("shard", 0), ("verb", VerbKind::Put.code()), ("seq", 7)],
         );
         // Poison the mutex the way a real service does: some thread
         // panics while holding it. The log must keep reading and
@@ -392,12 +395,12 @@ mod tests {
         assert!(log.entries.is_poisoned());
 
         assert_eq!(log.entries().len(), 1);
-        assert_eq!(log.entries()[0].id, 7);
+        assert_eq!(log.entries()[0].seq, 7);
         assert!(log.render_tail(5).contains("put"));
         log.event(
             SimTime::from_minutes(1),
             "serve.slow",
-            &[("shard", 1), ("verb", VerbKind::Get.code()), ("id", 8)],
+            &[("shard", 1), ("verb", VerbKind::Get.code()), ("seq", 8)],
         );
         assert_eq!(log.entries().len(), 2, "recording continues after poison");
     }

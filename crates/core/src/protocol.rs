@@ -98,27 +98,6 @@ pub enum Request {
     Health,
 }
 
-/// Identifies one in-flight request in a serving layer's trace stream.
-///
-/// Ids are allocated per service from a shared counter, so they are
-/// unique within a service's lifetime but carry no meaning across
-/// processes — they exist to correlate a request's stage timestamps and
-/// its slow-log trace events, never to address objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct RequestId(u64);
-
-impl RequestId {
-    /// Wraps a raw id value.
-    pub const fn new(raw: u64) -> Self {
-        RequestId(raw)
-    }
-
-    /// The raw id value (what trace events carry in their `id` field).
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// Which protocol verb a [`Request`] is, detached from its payload.
 ///
 /// Serving layers use this for everything that needs a verb after the

@@ -367,14 +367,6 @@ impl StorageUnit {
         self.objects.iter()
     }
 
-    /// Enables or disables eviction/rejection record keeping.
-    ///
-    /// Recording is on by default; large multi-node simulations that only
-    /// need aggregate [`stats`](StorageUnit::stats) can turn it off.
-    pub fn set_recording(&mut self, recording: bool) {
-        self.recording = recording;
-    }
-
     /// Drains the accumulated eviction records.
     pub fn take_evictions(&mut self) -> Vec<EvictionRecord> {
         std::mem::take(&mut self.evictions)
@@ -1347,8 +1339,7 @@ mod tests {
 
     #[test]
     fn recording_can_be_disabled() {
-        let mut unit = StorageUnit::new(mib(10));
-        unit.set_recording(false);
+        let mut unit = StorageUnit::builder(mib(10)).recording(false).build();
         unit.store(fixed_spec(1, mib(10), 0.5, 10), SimTime::ZERO)
             .unwrap();
         let _ = unit.store(fixed_spec(2, mib(10), 0.9, 10), SimTime::ZERO);

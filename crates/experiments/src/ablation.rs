@@ -105,7 +105,6 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                 expiry: SimDuration::from_days(30),
             };
             let mut unit = StorageUnit::new(capacity);
-            unit.set_recording(true);
             let mut ids = ObjectIdGen::new();
             let mut shaped_offered = 0u64;
             let mut shaped_rejected = 0u64;

@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use sim_core::{ByteSize, Obs, ShardClock, SimDuration, SimTime};
+use sim_core::{ByteSize, Obs, SimDuration, SimTime};
 use tempimp_durable::{DiskInfo, DurableConfig, DurableError, DurableUnit};
 use temporal_importance::protocol::{Request, Response, StoreApi};
 use temporal_importance::{EvictionPolicy, StorageUnit};
@@ -53,7 +53,10 @@ enum Backend {
 #[derive(Debug)]
 pub struct ShardEngine {
     backend: Backend,
-    clock: ShardClock,
+    /// The latest instant the shard has seen: requests race in from
+    /// clients out of timestamp order, and a straggler applies at this
+    /// instant rather than rewinding the engine.
+    clock: SimTime,
     last_sweep: SimTime,
     sweep_every: SimDuration,
 }
@@ -83,7 +86,7 @@ impl ShardEngine {
             .build();
         ShardEngine {
             backend: Backend::Memory(Box::new(unit)),
-            clock: ShardClock::new(),
+            clock: SimTime::ZERO,
             last_sweep: SimTime::ZERO,
             sweep_every,
         }
@@ -108,8 +111,7 @@ impl ShardEngine {
         obs: Obs,
     ) -> Result<Self, DurableError> {
         let unit = DurableUnit::with_observer(dir, capacity, policy, config, obs)?;
-        let mut clock = ShardClock::new();
-        clock.observe(unit.clock());
+        let clock = unit.clock();
         let last_sweep = unit.last_sweep();
         Ok(ShardEngine {
             backend: Backend::Durable(Box::new(unit)),
@@ -125,12 +127,13 @@ impl ShardEngine {
     /// processed at one effective instant and breakpoint/expiry work is
     /// paid once per batch instead of once per request.
     pub fn observe(&mut self, at: SimTime) -> SimTime {
-        self.clock.observe(at)
+        self.clock = self.clock.max(at);
+        self.clock
     }
 
     /// The latest effective instant this shard has processed.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.clock
     }
 
     /// The shard's storage unit.
@@ -179,7 +182,7 @@ impl StoreApi for ShardEngine {
     /// is what makes single-threaded replay of a recorded log reproduce a
     /// live shard exactly.
     fn call(&mut self, at: SimTime, request: Request) -> Response {
-        let now = self.clock.observe(at);
+        let now = self.observe(at);
         if now.saturating_since(self.last_sweep) >= self.sweep_every {
             match &mut self.backend {
                 Backend::Memory(unit) => {

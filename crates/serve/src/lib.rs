@@ -78,7 +78,6 @@ pub use engine::{replay, ShardEngine};
 pub use service::{
     Pending, ServeClient, ShardFailure, ShardReport, ShutdownReport, Tempimpd, TempimpdBuilder,
 };
-pub use trace::RequestTrace;
 
 // Durable-shard vocabulary a serve consumer configures or reads, so
 // wiring a persistent service doesn't force a direct dependency on the
@@ -90,5 +89,5 @@ pub use tempimp_durable::{DiskInfo, DurableConfig};
 // crate's vocabulary, as are the health-verb answer types every serve
 // consumer reads.
 pub use temporal_importance::protocol::{
-    HealthSnapshot, RequestId, ShardHealth, ShardRouter, VerbKind, VerbLatency,
+    HealthSnapshot, ShardHealth, ShardRouter, VerbKind, VerbLatency,
 };

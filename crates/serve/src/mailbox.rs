@@ -26,7 +26,7 @@ use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::Poll;
 
-use crate::trace::Reply;
+use temporal_importance::protocol::Response;
 
 /// Where one reserved reply stands.
 enum Slot<T> {
@@ -128,7 +128,7 @@ impl<T> Slab<T> {
 
 /// One client connection's reply slots.
 pub(crate) struct Mailbox {
-    slab: Mutex<Slab<Reply>>,
+    slab: Mutex<Slab<Response>>,
     settled: Condvar,
 }
 
@@ -153,7 +153,7 @@ impl Mailbox {
     /// A thread that panicked holding the lock was inside one of the
     /// `Slab` methods above, each of which leaves every slot in a valid
     /// state at every step; keep serving the other slots.
-    fn lock(&self) -> MutexGuard<'_, Slab<Reply>> {
+    fn lock(&self) -> MutexGuard<'_, Slab<Response>> {
         self.slab.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -168,7 +168,7 @@ impl Mailbox {
 
     /// Blocks until `slot` is settled and returns its reply, or `None`
     /// if it was lost.
-    pub(crate) fn take(&self, slot: u32) -> Option<Reply> {
+    pub(crate) fn take(&self, slot: u32) -> Option<Response> {
         let mut slab = self.lock();
         loop {
             if let Poll::Ready(outcome) = slab.poll_take(slot) {
@@ -243,7 +243,7 @@ impl Drop for ReplyTo {
 /// unwinding — every answer in it is lost.
 pub(crate) struct Outbox {
     /// The reply is taken, and its handle spent, once settled.
-    entries: Vec<(ReplyTo, Option<Reply>)>,
+    entries: Vec<(ReplyTo, Option<Response>)>,
 }
 
 impl Outbox {
@@ -253,7 +253,7 @@ impl Outbox {
         }
     }
 
-    pub(crate) fn push(&mut self, to: ReplyTo, reply: Reply) {
+    pub(crate) fn push(&mut self, to: ReplyTo, reply: Response) {
         self.entries.push((to, Some(reply)));
     }
 
@@ -353,8 +353,8 @@ mod tests {
         Ok(())
     }
 
-    fn get_miss() -> Reply {
-        Reply::bare(temporal_importance::protocol::Response::Get(Ok(None)))
+    fn get_miss() -> Response {
+        Response::Get(Ok(None))
     }
 
     #[test]

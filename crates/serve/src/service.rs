@@ -15,13 +15,14 @@
 //! is acknowledged before every mutation of its batch has been applied
 //! (journaled and flushed, on a durable shard).
 //!
-//! Every job additionally carries request-scoped trace stamps (see
-//! [`crate::trace`]): clients stamp an id and the enqueue instant, the
-//! worker stamps dequeue/apply/reply and derives per-verb queue-wait and
-//! service-time histograms from them — both per shard (surfaced through
-//! the `health` verb) and in aggregate through the `Observer` seam. The
-//! stamps ride outside the serialized [`Request`], so effective request
-//! logs and replay stay byte-identical with or without tracing.
+//! Every job additionally carries its enqueue instant (see
+//! [`crate::trace`]): the worker reads the apply and reply instants and
+//! derives per-verb queue-wait and service-time histograms from the
+//! three — both per shard (surfaced through the `health` verb) and in
+//! aggregate through the `Observer` seam. The stamp rides outside the
+//! serialized [`Request`], so effective request logs and replay stay
+//! byte-identical with or without tracing, and nothing rides back with
+//! the reply.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -39,16 +40,15 @@ use temporal_importance::{Error, EvictionPolicy, StorageUnit};
 
 use crate::engine::ShardEngine;
 use crate::mailbox::{Mailbox, Outbox, ReplyTo};
-use crate::trace::{Reply, Stamps, Telemetry, WorkerTracing};
-use crate::RequestTrace;
+use crate::trace::{Stamps, Telemetry, WorkerTracing};
 
 /// How much simulated time may elapse on a shard between expired-object
 /// sweeps: one cadence for every fleet (the unit tests that vary it build
 /// a [`ShardEngine`] directly).
 const SWEEP_EVERY: SimDuration = SimDuration::DAY;
 
-/// One queued request: the client's timestamp, the request, its trace
-/// stamps, and the mailbox slot its answer goes to. A job dropped
+/// One queued request: the client's timestamp, the request, its enqueue
+/// stamp, and the mailbox slot its answer goes to. A job dropped
 /// unanswered marks that slot lost (see [`ReplyTo`]).
 struct Job {
     at: SimTime,
@@ -124,8 +124,9 @@ impl TempimpdBuilder {
 
     /// Requests whose total in-service wall time (enqueue → reply)
     /// reaches `threshold` emit an integer-only `serve.slow` trace event
-    /// naming the shard, verb, request id, and the queue-wait/service
-    /// split (default: no slow log). A no-op under `obs-off`.
+    /// naming the shard, the request's 1-based ordinal on it (`seq`), the
+    /// verb, and the queue-wait/service split (default: no slow log). A
+    /// no-op under `obs-off`.
     pub fn slow_threshold(mut self, threshold: Duration) -> Self {
         self.slow_threshold = Some(threshold);
         self
@@ -329,15 +330,11 @@ impl Worker {
                 .expect("non-empty batch");
             let now = engine.observe(latest);
             let drained = batch.len() as u64;
-            // One clock read covers the whole drain; the per-job apply
-            // stamp below restores per-request resolution.
-            let dequeued = tracing.mark();
             let depth = self.telemetry.drained(self.shard, drained);
             batches += 1;
             let mut span = self.obs.span("span.serve.shard_batch");
             span.sim_to(now);
-            for mut job in batch.drain(..) {
-                job.stamps.dequeued(dequeued);
+            for job in batch.drain(..) {
                 if self.record_log {
                     log.push((now, job.request.clone()));
                 }
@@ -348,10 +345,12 @@ impl Worker {
                 if verb == VerbKind::Health {
                     self.enrich_health(&mut response, &tracing, requests, batches);
                 }
-                let reply = tracing.complete(
-                    &self.obs, now, self.shard, verb, job.stamps, applied, response,
+                // `requests` is now this request's 1-based seq on the
+                // shard, and `log[requests - 1]` its recorded entry.
+                tracing.complete(
+                    &self.obs, now, self.shard, requests, verb, job.stamps, applied,
                 );
-                outbox.push(job.reply_to, reply);
+                outbox.push(job.reply_to, response);
             }
             // Every mutation of the batch has been applied — journaled and
             // flushed, on a durable shard — before any of it is
@@ -626,8 +625,7 @@ impl ServeClient {
 
     /// Routes `request` to its shard(s) and returns without waiting for
     /// the reply. The returned [`Pending`] is the claim ticket; redeem it
-    /// with [`Pending::wait`] (or [`Pending::wait_traced`] to also get
-    /// the request's stage timestamps) — on this thread or any other.
+    /// with [`Pending::wait`] — on this thread or any other.
     ///
     /// This is the pipelining primitive. A worker answers a whole drained
     /// batch at once, into this connection's mailbox, and wakes the
@@ -796,50 +794,30 @@ impl Pending {
     /// Blocks until the reply arrives (all shard replies, for a fan-out
     /// verb) and returns it. A worker that died before answering yields
     /// the verb's response variant carrying [`Error::Disconnected`].
-    pub fn wait(self) -> Response {
-        self.wait_traced().0
-    }
-
-    /// Like [`wait`](Pending::wait), but also returns the request's
-    /// completed [`RequestTrace`] — the honest pipelined latency record:
-    /// queue wait and service time measured by the worker, regardless of
-    /// when the caller collected the reply.
-    ///
-    /// The trace is `None` under `obs-off` (tracing compiled out) or
-    /// when the worker died before answering. Fan-out verbs return the
-    /// slowest shard's trace: its reply instant is when the last engine
-    /// call of the aggregate finished.
-    pub fn wait_traced(mut self) -> (Response, Option<RequestTrace>) {
+    pub fn wait(mut self) -> Response {
         let verb = self.verb;
         // Returning early drops `self`, which abandons the legs not yet
         // collected.
-        let lost = || (verb.failed(Error::Disconnected), None);
+        let lost = || verb.failed(Error::Disconnected);
         let legs = match &self.slots {
-            Slots::One(_) => return self.collect_next().map_or_else(lost, Reply::into_parts),
+            Slots::One(_) => return self.collect_next().unwrap_or_else(lost),
             Slots::FanOut(slots) => slots.len(),
         };
         let mut responses = Vec::with_capacity(legs);
-        let mut slowest: Option<RequestTrace> = None;
         for _ in 0..legs {
-            let Some(reply) = self.collect_next() else {
+            let Some(response) = self.collect_next() else {
                 return lost();
             };
-            let (response, trace) = reply.into_parts();
             responses.push(response);
-            if let Some(trace) = trace {
-                if slowest.is_none_or(|s| trace.replied_ns > s.replied_ns) {
-                    slowest = Some(trace);
-                }
-            }
         }
         // The fan-out keeps one slot per shard, in shard order, so the
         // fold sees shards 0..N.
-        (aggregate(verb, responses), slowest)
+        aggregate(verb, responses)
     }
 
     /// Blocks for the next uncollected slot's reply; `None` if it is
     /// lost.
-    fn collect_next(&mut self) -> Option<Reply> {
+    fn collect_next(&mut self) -> Option<Response> {
         let slot = self.slots.as_slice()[self.collected];
         self.collected += 1;
         self.mailbox.take(slot)
@@ -1014,41 +992,83 @@ mod tests {
         assert_eq!(fill.sum(), reports.iter().map(|r| r.requests).sum::<u64>());
     }
 
+    /// A `serve.slow` event names its request by `(shard, seq)`: one
+    /// event per request served, and `seq` is the request's 1-based
+    /// position in that shard's recorded log.
     #[test]
-    fn pipelined_submissions_carry_stage_traces() {
-        let service = small_service(2);
+    fn slow_events_index_the_shard_log_by_seq() {
+        /// `(shard, seq, verb)` of every `serve.slow` event.
+        #[derive(Debug, Default)]
+        struct SlowCatcher(std::sync::Mutex<Vec<(u64, u64, u64)>>);
+
+        impl sim_core::observe::Observer for SlowCatcher {
+            fn counter(&self, _: &'static str, _: u64) {}
+            fn gauge(&self, _: &'static str, _: u64) {}
+            fn record(&self, _: &'static str, _: u64) {}
+            fn event(&self, _: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
+                if kind == "serve.slow" {
+                    let field = |name: &str| {
+                        fields
+                            .iter()
+                            .find(|(key, _)| *key == name)
+                            .map(|&(_, value)| value)
+                            .expect("serve.slow carries every field")
+                    };
+                    self.0
+                        .lock()
+                        .unwrap()
+                        .push((field("shard"), field("seq"), field("verb")));
+                }
+            }
+        }
+
+        let catcher = Arc::new(SlowCatcher::default());
+        let obs = Obs::attached(catcher.clone());
+        if !obs.is_enabled() {
+            return; // obs-off: no slow log.
+        }
+        let service = Tempimpd::builder()
+            .shards(2)
+            .shard_capacity(ByteSize::from_mib(256))
+            .record_log(true)
+            .slow_threshold(Duration::ZERO)
+            .observer(obs)
+            .spawn();
         let client = service.client();
-        let pending = client
-            .submit(
-                SimTime::ZERO,
-                Request::Put {
-                    id: ObjectId::new(7),
-                    bytes: ByteSize::from_mib(1),
-                    curve: week_curve(),
-                    class: Default::default(),
-                },
-            )
-            .unwrap();
-        let (response, trace) = pending.wait_traced();
-        assert!(matches!(response, Response::Put(Ok(_))));
-        let fanout = client.submit(SimTime::ZERO, Request::Stats).unwrap();
-        let (response, fanout_trace) = fanout.wait_traced();
-        assert!(matches!(response, Response::Stats(Ok(_))));
-        if cfg!(feature = "obs-off") {
-            assert!(trace.is_none());
-            assert!(fanout_trace.is_none());
-        } else {
-            let trace = trace.expect("tracing compiled in");
-            assert!(trace.enqueued_ns <= trace.dequeued_ns);
-            assert!(trace.dequeued_ns <= trace.applied_ns);
-            assert!(trace.applied_ns <= trace.replied_ns);
-            assert_eq!(trace.queue_wait_ns() + trace.service_ns(), trace.total_ns());
-            let fanout_trace = fanout_trace.expect("tracing compiled in");
-            // Ids allocate per shard leg; the fan-out came after the put.
-            assert!(fanout_trace.id.raw() > trace.id.raw());
+        let pending: Vec<Pending> = (0..60u64)
+            .map(|i| {
+                let request = match i % 3 {
+                    0 => Request::Put {
+                        id: ObjectId::new(i),
+                        bytes: ByteSize::from_mib(1),
+                        curve: week_curve(),
+                        class: Default::default(),
+                    },
+                    1 => Request::Get {
+                        id: ObjectId::new(i - 1),
+                    },
+                    _ => Request::Stats,
+                };
+                client.submit(SimTime::from_minutes(i), request).unwrap()
+            })
+            .collect();
+        for pending in pending {
+            pending.wait();
         }
         drop(client);
-        service.shutdown().expect_clean();
+        let reports = service.shutdown().expect_clean();
+
+        let events = catcher.0.lock().unwrap();
+        assert_eq!(
+            events.len() as u64,
+            reports.iter().map(|r| r.requests).sum::<u64>()
+        );
+        let mut named = std::collections::HashSet::new();
+        for &(shard, seq, verb) in events.iter() {
+            assert!(named.insert((shard, seq)), "({shard}, {seq}) named twice");
+            let (_, request) = &reports[shard as usize].log[seq as usize - 1];
+            assert_eq!(VerbKind::of(request).code(), verb);
+        }
     }
 
     #[test]
@@ -1229,9 +1249,8 @@ mod tests {
         // stays reserved until shard 0's worker answers, which frees it.
         assert_eq!(client.mailbox.in_flight(), 1);
         let job = rx0.try_recv().expect("shard 0 was sent its leg");
-        let reply = Reply::bare(Response::Stats(Ok(StoreStats::default())));
         let mut outbox = Outbox::with_capacity(1);
-        outbox.push(job.reply_to, reply);
+        outbox.push(job.reply_to, Response::Stats(Ok(StoreStats::default())));
         outbox.deliver();
         assert_eq!(client.mailbox.in_flight(), 0);
         assert_eq!(client.mailbox.high_water(), 2);

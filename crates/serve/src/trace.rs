@@ -1,13 +1,12 @@
-//! Request-scoped trace context for the serving pipeline.
+//! Request-scoped latency for the serving pipeline.
 //!
 //! Every request enqueued into a [`Tempimpd`](crate::Tempimpd) is
-//! stamped with a [`RequestId`] and wall-clock stage timestamps —
-//! **enqueue** (client, before the channel send), **dequeue** (worker,
-//! when the job is drained into a batch), **apply** (worker, right
-//! before the engine call) and **reply** (worker, right after: the
-//! answer exists, and is delivered when the rest of its batch has been
-//! applied) — all read from one service-wide monotonic origin so they
-//! compare across threads. From the stamps the worker derives the two halves of every
+//! stamped with its **enqueue** instant (client, before the channel
+//! send); its worker reads the clock twice more, at **apply** (right
+//! before the engine call) and **reply** (right after: the answer
+//! exists, and is delivered when the rest of its batch has been applied)
+//! — all three against one service-wide monotonic origin so they compare
+//! across threads. From them the worker derives the two halves of every
 //! request's latency:
 //!
 //! * **queue wait** = apply − enqueue: channel transit, time parked in
@@ -23,6 +22,7 @@
 //! names — the seam's samples buffered in the worker and handed over
 //! once per drained batch, so a sink behind a lock is locked per batch. Requests whose total latency crosses the worker's slow
 //! threshold additionally emit an integer-only `serve.slow` trace event.
+//! Nothing travels back to the client with the reply.
 //!
 //! This module is the one place in the crate that mentions the
 //! `obs-off` feature: under it, every type here collapses to a unit
@@ -33,7 +33,7 @@
 //! them by construction only for spans, so keep `serve.slow` out of
 //! golden traces — the golden workload never drives the serve layer.)
 
-use temporal_importance::protocol::{RequestId, Response, VerbLatency};
+use temporal_importance::protocol::VerbLatency;
 
 #[cfg(not(feature = "obs-off"))]
 use obs::Histogram;
@@ -44,107 +44,25 @@ use std::time::Instant;
 #[cfg(not(feature = "obs-off"))]
 use temporal_importance::protocol::VerbKind;
 
-/// The four stage timestamps of one served request, in nanoseconds
-/// since the service's trace origin, plus its [`RequestId`].
-///
-/// Returned by [`Pending::wait_traced`](crate::Pending::wait_traced)
-/// when the service was built with tracing compiled in (`None` under
-/// `obs-off`). All stamps come from one monotonic clock, so the stages
-/// are non-decreasing: `enqueued ≤ dequeued ≤ applied ≤ replied`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestTrace {
-    /// The request's service-unique id.
-    pub id: RequestId,
-    /// When the client stamped the request, before the channel send.
-    pub enqueued_ns: u64,
-    /// When the worker drained the request into a batch.
-    pub dequeued_ns: u64,
-    /// When the worker began applying the request to the engine.
-    pub applied_ns: u64,
-    /// When the worker finished the engine call: the answer exists. It
-    /// is delivered to the client once the rest of its batch (at most
-    /// `batch_max` requests) has been applied too.
-    pub replied_ns: u64,
+/// Nanoseconds elapsed on the trace clock anchored at `origin`.
+#[cfg(not(feature = "obs-off"))]
+fn since(origin: Instant) -> u64 {
+    u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-impl RequestTrace {
-    /// Nanoseconds from client enqueue to batch apply: channel transit,
-    /// queue residence, and head-of-line wait within the batch.
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.applied_ns.saturating_sub(self.enqueued_ns)
-    }
-
-    /// Nanoseconds the engine call itself took.
-    pub fn service_ns(&self) -> u64 {
-        self.replied_ns.saturating_sub(self.applied_ns)
-    }
-
-    /// Nanoseconds from client enqueue to the end of the engine call.
-    /// Excludes the way back: the hold until the request's batch
-    /// completes and the mailbox hand-over to the client.
-    pub fn total_ns(&self) -> u64 {
-        self.replied_ns.saturating_sub(self.enqueued_ns)
-    }
-}
-
-/// The reply envelope a worker sends back: the response plus, when
-/// tracing is compiled in, the request's completed stage stamps.
-#[derive(Debug)]
-pub(crate) struct Reply {
-    pub(crate) response: Response,
-    #[cfg(not(feature = "obs-off"))]
-    pub(crate) trace: RequestTrace,
-}
-
-impl Reply {
-    /// Splits the envelope for `wait_traced`.
-    pub(crate) fn into_parts(self) -> (Response, Option<RequestTrace>) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            (self.response, Some(self.trace))
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            (self.response, None)
-        }
-    }
-}
-
-#[cfg(test)]
-impl Reply {
-    /// An envelope around `response` for tests that settle a slot without
-    /// running a worker.
-    pub(crate) fn bare(response: Response) -> Reply {
-        let telemetry = Telemetry::new(1);
-        let mut tracing = WorkerTracing::new(&telemetry, u64::MAX);
-        let applied = tracing.mark();
-        tracing.complete(
-            &sim_core::Obs::none(),
-            sim_core::SimTime::ZERO,
-            0,
-            temporal_importance::protocol::VerbKind::Get,
-            telemetry.stamp(),
-            applied,
-            response,
-        )
-    }
-}
-
-/// Service-wide shared telemetry: the trace-clock origin, the request-id
-/// allocator, and per-shard ingest-queue counters. One per service,
-/// shared by every client and worker through an `Arc`.
+/// Service-wide shared telemetry: the trace-clock origin and per-shard
+/// ingest-queue counters. One per service, shared by every client and
+/// worker through an `Arc`.
 ///
 /// Queue-depth accounting conserves by construction: a client increments
 /// its shard's depth *before* the channel send and undoes the increment
 /// if the send fails, the worker decrements once per drained job —
 /// enqueues − dequeues is exactly the number of jobs sitting in the
 /// channel, and a drained service always returns to zero.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Telemetry {
     #[cfg(not(feature = "obs-off"))]
-    origin: Option<Instant>,
-    #[cfg(not(feature = "obs-off"))]
-    next_id: AtomicU64,
+    origin: Instant,
     #[cfg(not(feature = "obs-off"))]
     shards: Vec<ShardCounters>,
 }
@@ -163,8 +81,7 @@ impl Telemetry {
         #[cfg(not(feature = "obs-off"))]
         {
             Telemetry {
-                origin: Some(Instant::now()),
-                next_id: AtomicU64::new(0),
+                origin: Instant::now(),
                 shards: (0..shards).map(|_| ShardCounters::default()).collect(),
             }
         }
@@ -175,22 +92,13 @@ impl Telemetry {
         }
     }
 
-    #[cfg(not(feature = "obs-off"))]
-    fn now_ns(&self) -> u64 {
-        self.origin
-            .map(|origin| u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX))
-            .unwrap_or(0)
-    }
-
-    /// Allocates an id and stamps the enqueue stage. Clients call this
-    /// once per job, right before the channel send.
+    /// Stamps the enqueue stage. Clients call this once per job, right
+    /// before the channel send.
     pub(crate) fn stamp(&self) -> Stamps {
         #[cfg(not(feature = "obs-off"))]
         {
             Stamps {
-                id: self.next_id.fetch_add(1, Ordering::Relaxed),
-                enqueued_ns: self.now_ns(),
-                dequeued_ns: 0,
+                enqueued_ns: since(self.origin),
             }
         }
         #[cfg(feature = "obs-off")]
@@ -275,36 +183,17 @@ impl Telemetry {
     }
 }
 
-/// The in-flight stamps riding inside a queued `Job`: id, enqueue time
-/// and dequeue time. The apply/reply stages are measured by the worker
-/// at completion and never stored in the job.
+/// The enqueue instant riding inside a queued `Job`. The apply and reply
+/// stages are measured by the worker at completion and never stored in
+/// the job.
 #[derive(Debug, Default)]
 pub(crate) struct Stamps {
     #[cfg(not(feature = "obs-off"))]
-    id: u64,
-    #[cfg(not(feature = "obs-off"))]
     enqueued_ns: u64,
-    #[cfg(not(feature = "obs-off"))]
-    dequeued_ns: u64,
 }
 
-impl Stamps {
-    /// Records the dequeue stage from a worker's [`Mark`]. Workers take
-    /// one mark per drained batch — every job in the batch left the
-    /// channel in the same drain loop.
-    pub(crate) fn dequeued(&mut self, mark: Mark) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.dequeued_ns = mark.0;
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = mark;
-    }
-}
-
-/// A captured instant on the service trace clock, used to hand a
-/// timestamp from [`WorkerTracing::mark`] into [`Stamps::dequeued`] and
-/// [`WorkerTracing::complete`] without re-reading the clock.
+/// A captured instant on the service trace clock, used to hand the apply
+/// timestamp from [`WorkerTracing::mark`] to [`WorkerTracing::complete`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Mark(#[cfg(not(feature = "obs-off"))] u64);
 
@@ -314,7 +203,7 @@ pub(crate) struct Mark(#[cfg(not(feature = "obs-off"))] u64);
 #[derive(Debug)]
 pub(crate) struct WorkerTracing {
     #[cfg(not(feature = "obs-off"))]
-    origin: Option<Instant>,
+    origin: Instant,
     #[cfg(not(feature = "obs-off"))]
     slow_ns: u64,
     #[cfg(not(feature = "obs-off"))]
@@ -346,16 +235,12 @@ impl WorkerTracing {
         }
     }
 
-    /// Reads the trace clock once; feed the mark to [`Stamps::dequeued`]
-    /// (batch granularity) or [`WorkerTracing::complete`] (per job).
+    /// Reads the trace clock once; feed the mark to
+    /// [`WorkerTracing::complete`] as the apply instant.
     pub(crate) fn mark(&self) -> Mark {
         #[cfg(not(feature = "obs-off"))]
         {
-            Mark(
-                self.origin
-                    .map(|origin| u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                    .unwrap_or(0),
-            )
+            Mark(since(self.origin))
         }
         #[cfg(feature = "obs-off")]
         {
@@ -363,14 +248,16 @@ impl WorkerTracing {
         }
     }
 
-    /// Completes one request: derives queue-wait and service time from
-    /// the stamps and the `applied` mark, records both into the local
-    /// per-verb histograms, buffers them for the observer seam (see
-    /// [`flush`](WorkerTracing::flush)), emits the `serve.slow` event
-    /// when the total crosses the threshold, and wraps the response and
-    /// its finished trace into the reply envelope.
+    /// Completes one request: reads the reply instant, derives queue-wait
+    /// and service time from it, the stamps and the `applied` mark,
+    /// records both into the local per-verb histograms, buffers them for
+    /// the observer seam (see [`flush`](WorkerTracing::flush)), and emits
+    /// the `serve.slow` event when the total crosses the threshold.
+    /// `seq` is the request's 1-based ordinal on `shard`: `(shard, seq)`
+    /// names it uniquely within the service, and indexes the shard's
+    /// recorded log at `seq − 1`.
     // One argument per pipeline ingredient (seam, clock, identity,
-    // stamps, outcome); bundling them into a struct would be built and
+    // stamps); bundling them into a struct would be built and
     // destructured at the single call site for no clarity gain.
     #[allow(unused_variables, clippy::too_many_arguments)]
     pub(crate) fn complete(
@@ -378,26 +265,16 @@ impl WorkerTracing {
         obs: &sim_core::Obs,
         now: sim_core::SimTime,
         shard: u32,
+        seq: u64,
         verb: temporal_importance::protocol::VerbKind,
         stamps: Stamps,
         applied: Mark,
-        response: Response,
-    ) -> Reply {
+    ) {
         #[cfg(not(feature = "obs-off"))]
         {
-            let replied_ns = self
-                .origin
-                .map(|origin| u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
-            let trace = RequestTrace {
-                id: RequestId::new(stamps.id),
-                enqueued_ns: stamps.enqueued_ns,
-                dequeued_ns: stamps.dequeued_ns,
-                applied_ns: applied.0,
-                replied_ns,
-            };
-            let queue_wait = trace.queue_wait_ns();
-            let service = trace.service_ns();
+            let queue_wait = applied.0.saturating_sub(stamps.enqueued_ns);
+            let service = since(self.origin).saturating_sub(applied.0);
+            let total = queue_wait + service;
             let slot = &mut self.latencies[verb.code() as usize];
             slot.0.record(queue_wait);
             slot.1.record(service);
@@ -405,25 +282,20 @@ impl WorkerTracing {
                 self.samples.push((verb.queue_wait_metric(), queue_wait));
                 self.samples.push((verb.service_metric(), service));
             }
-            if trace.total_ns() >= self.slow_ns {
+            if total >= self.slow_ns {
                 obs.event(
                     now,
                     "serve.slow",
                     &[
                         ("shard", u64::from(shard)),
                         ("verb", verb.code()),
-                        ("id", trace.id.raw()),
+                        ("seq", seq),
                         ("queue_ns", queue_wait),
                         ("service_ns", service),
-                        ("total_ns", trace.total_ns()),
+                        ("total_ns", total),
                     ],
                 );
             }
-            Reply { response, trace }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            Reply { response }
         }
     }
 
@@ -500,37 +372,10 @@ mod tests {
         }
     }
 
-    fn complete_one(tracing: &mut WorkerTracing, telemetry: &Telemetry, obs: &Obs) -> RequestTrace {
-        let mut stamps = telemetry.stamp();
-        stamps.dequeued(tracing.mark());
+    fn complete_one(tracing: &mut WorkerTracing, telemetry: &Telemetry, obs: &Obs, seq: u64) {
+        let stamps = telemetry.stamp();
         let applied = tracing.mark();
-        let reply = tracing.complete(
-            obs,
-            SimTime::ZERO,
-            0,
-            VerbKind::Get,
-            stamps,
-            applied,
-            Response::Get(Ok(None)),
-        );
-        let (_, trace) = reply.into_parts();
-        trace.expect("tracing is compiled in")
-    }
-
-    #[test]
-    fn stages_are_monotone_and_ids_unique() {
-        let telemetry = Telemetry::new(1);
-        let mut tracing = WorkerTracing::new(&telemetry, u64::MAX);
-        let obs = Obs::none();
-        let a = complete_one(&mut tracing, &telemetry, &obs);
-        let b = complete_one(&mut tracing, &telemetry, &obs);
-        for trace in [a, b] {
-            assert!(trace.enqueued_ns <= trace.dequeued_ns);
-            assert!(trace.dequeued_ns <= trace.applied_ns);
-            assert!(trace.applied_ns <= trace.replied_ns);
-            assert_eq!(trace.queue_wait_ns() + trace.service_ns(), trace.total_ns());
-        }
-        assert_ne!(a.id, b.id);
+        tracing.complete(obs, SimTime::ZERO, 0, seq, VerbKind::Get, stamps, applied);
     }
 
     #[test]
@@ -539,8 +384,8 @@ mod tests {
         let obs = Obs::attached(catcher.clone());
         let telemetry = Telemetry::new(1);
         let mut tracing = WorkerTracing::new(&telemetry, u64::MAX);
-        complete_one(&mut tracing, &telemetry, &obs);
-        complete_one(&mut tracing, &telemetry, &obs);
+        complete_one(&mut tracing, &telemetry, &obs, 1);
+        complete_one(&mut tracing, &telemetry, &obs, 2);
         // The seam sees nothing until the batch is flushed, then all of
         // it, once.
         assert!(catcher.records.lock().unwrap().is_empty());
@@ -569,7 +414,7 @@ mod tests {
         let telemetry = Telemetry::new(1);
         // Threshold zero: every request is "slow".
         let mut tracing = WorkerTracing::new(&telemetry, 0);
-        let trace = complete_one(&mut tracing, &telemetry, &obs);
+        complete_one(&mut tracing, &telemetry, &obs, 7);
 
         let events = catcher.events.lock().unwrap();
         assert_eq!(events.len(), 1);
@@ -583,7 +428,7 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(field("verb"), VerbKind::Get.code());
-        assert_eq!(field("id"), trace.id.raw());
+        assert_eq!(field("seq"), 7);
         assert_eq!(field("queue_ns") + field("service_ns"), field("total_ns"));
     }
 

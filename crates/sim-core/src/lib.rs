@@ -44,7 +44,7 @@ pub use bytes::ByteSize;
 pub use driver::Simulation;
 pub use observe::{Obs, Observer, Span};
 pub use queue::EventQueue;
-pub use time::{ShardClock, SimDuration, SimTime};
+pub use time::{SimDuration, SimTime};
 
 #[cfg(test)]
 mod manifest_guard {

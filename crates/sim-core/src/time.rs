@@ -299,71 +299,9 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A shard-local monotonic clock.
-///
-/// A sharded serving layer gives each shard its own notion of "now":
-/// requests carry the client's timestamp, but clients race, so a shard can
-/// observe timestamps out of order while the reclamation engine requires
-/// time to only move forward. `ShardClock` resolves this by clamping:
-/// [`observe`](ShardClock::observe) returns the later of the request's
-/// timestamp and everything the shard has already seen, making the
-/// effective time sequence a pure function of per-shard arrival order —
-/// the property the differential replay tests rely on.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::{ShardClock, SimTime};
-///
-/// let mut clock = ShardClock::new();
-/// assert_eq!(clock.observe(SimTime::from_days(2)), SimTime::from_days(2));
-/// // A straggler from a slower client does not move time backwards.
-/// assert_eq!(clock.observe(SimTime::from_days(1)), SimTime::from_days(2));
-/// assert_eq!(clock.now(), SimTime::from_days(2));
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardClock {
-    now: SimTime,
-}
-
-impl ShardClock {
-    /// A clock starting at the simulation epoch.
-    pub const fn new() -> Self {
-        ShardClock { now: SimTime::ZERO }
-    }
-
-    /// The latest instant this clock has observed.
-    pub const fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Folds a request timestamp into the clock and returns the effective
-    /// (monotonically non-decreasing) instant for processing it.
-    pub fn observe(&mut self, at: SimTime) -> SimTime {
-        if at > self.now {
-            self.now = at;
-        }
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_clock_is_monotone_over_racing_timestamps() {
-        let mut clock = ShardClock::new();
-        let stamps = [5u64, 3, 9, 9, 2, 14, 10];
-        let mut previous = SimTime::ZERO;
-        for &m in &stamps {
-            let effective = clock.observe(SimTime::from_minutes(m));
-            assert!(effective >= previous, "clock went backwards");
-            assert!(effective >= SimTime::from_minutes(m));
-            previous = effective;
-        }
-        assert_eq!(clock.now(), SimTime::from_minutes(14));
-    }
 
     #[test]
     fn constructors_agree_on_units() {

@@ -69,10 +69,10 @@ pub mod tempimp {
     pub use obs::{MetricsRegistry, Obs, Report, Snapshot, TraceSink};
     pub use sim_core::{rng, ByteSize, SimDuration, SimTime};
     pub use tempimp_durable::{DurableConfig, DurableUnit};
-    pub use tempimpd::{RequestTrace, ServeClient, Tempimpd};
+    pub use tempimpd::{ServeClient, Tempimpd};
     pub use temporal_importance::protocol::{
-        DensityInfo, HealthSnapshot, ObjectInfo, Request, RequestId, Response, ShardHealth,
-        ShardRouter, StoreApi, StoreStats, VerbKind, VerbLatency,
+        DensityInfo, HealthSnapshot, ObjectInfo, Request, Response, ShardHealth, ShardRouter,
+        StoreApi, StoreStats, VerbKind, VerbLatency,
     };
     pub use temporal_importance::{
         Admission, Error, EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectIdGen,

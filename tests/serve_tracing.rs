@@ -1,20 +1,24 @@
-//! Black-box tests for the serve layer's request-scoped tracing and the
+//! Black-box tests for the serve layer's request-scoped latency and the
 //! aggregating `health` verb, through the umbrella crate's public API.
 //!
 //! The serve crate's unit tests pin the mechanics (stamp arithmetic,
 //! queue-depth conservation, histogram feeding); these tests pin the
-//! end-to-end contract a client sees: every pipelined submission under
-//! concurrent load comes back with non-decreasing stage timestamps and a
-//! service-unique id, and once all clients drain, `health` reports empty
+//! end-to-end contract a reader sees: under concurrent pipelined load
+//! every served request emits one slow-log event naming it by a
+//! service-unique `(shard, seq)` pair, its queue-wait and service halves
+//! partition its total, the per-verb histograms `health` reports count
+//! every request, and once all clients drain, `health` reports empty
 //! queues with request counts that add up.
 //!
-//! Everything tolerates `--features obs-off`: traces are then `None` and
-//! the health snapshot carries no latency tables, which is itself part of
-//! the contract (the seam compiles out, the verbs stay).
+//! Everything tolerates `--features obs-off`: no slow events are then
+//! emitted and the health snapshot carries no latency tables, which is
+//! itself part of the contract (the seam compiles out, the verbs stay).
 
-use std::sync::Mutex;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use temporal_reclaim::serve::RequestTrace;
+use temporal_reclaim::obs::Observer;
 use temporal_reclaim::tempimp::*;
 
 const CLIENTS: u32 = 4;
@@ -34,11 +38,50 @@ fn put(base: u64, i: u64) -> Request {
     }
 }
 
-/// Drives one client through a pipelined put/get/fan-out mix, collecting
-/// every returned trace.
-fn drive(client: &mut ServeClient, index: u32) -> Vec<RequestTrace> {
+/// The fields of one `serve.slow` event.
+#[derive(Debug, Clone, Copy)]
+struct Slow {
+    shard: u64,
+    seq: u64,
+    queue_ns: u64,
+    service_ns: u64,
+    total_ns: u64,
+}
+
+/// Collects every `serve.slow` event; all other signals are ignored.
+#[derive(Debug, Default)]
+struct SlowEvents(Mutex<Vec<Slow>>);
+
+impl Observer for SlowEvents {
+    fn counter(&self, _: &'static str, _: u64) {}
+    fn gauge(&self, _: &'static str, _: u64) {}
+    fn record(&self, _: &'static str, _: u64) {}
+    fn event(&self, _: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
+        if kind != "serve.slow" {
+            return;
+        }
+        let field = |name: &str| {
+            fields
+                .iter()
+                .find(|(key, _)| *key == name)
+                .map(|&(_, value)| value)
+                .expect("serve.slow carries every field")
+        };
+        self.0.lock().unwrap().push(Slow {
+            shard: field("shard"),
+            seq: field("seq"),
+            queue_ns: field("queue_ns"),
+            service_ns: field("service_ns"),
+            total_ns: field("total_ns"),
+        });
+    }
+}
+
+/// Drives one client through a pipelined put/get/fan-out mix and returns
+/// how many shard legs it was served.
+fn drive(client: &mut ServeClient, index: u32) -> u64 {
     let base = u64::from(index) << 32;
-    let mut traces = Vec::new();
+    let mut legs = 0;
     let mut window = Vec::new();
     for i in 0..OPS_PER_CLIENT {
         let at = SimTime::from_minutes(i * 30);
@@ -49,73 +92,81 @@ fn drive(client: &mut ServeClient, index: u32) -> Vec<RequestTrace> {
             },
             _ => Request::Stats,
         };
+        legs += if matches!(request, Request::Stats) {
+            u64::from(SHARDS)
+        } else {
+            1
+        };
         window.push(client.submit(at, request).expect("live service accepts"));
         if window.len() >= 32 {
             for pending in window.drain(..) {
-                let (_, trace) = pending.wait_traced();
-                traces.extend(trace);
+                pending.wait();
             }
         }
     }
     for pending in window {
-        let (_, trace) = pending.wait_traced();
-        traces.extend(trace);
+        pending.wait();
     }
-    traces
+    legs
 }
 
 #[test]
 fn stage_stamps_are_monotone_and_ids_unique_under_concurrency() {
-    let service = Tempimpd::builder().shards(SHARDS).spawn();
+    let events = Arc::new(SlowEvents::default());
+    let service = Tempimpd::builder()
+        .shards(SHARDS)
+        .slow_threshold(Duration::ZERO)
+        .observer(Obs::attached(events.clone()))
+        .spawn();
     let prototype = service.client();
 
-    let collected: Mutex<Vec<RequestTrace>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
-            let mut client = prototype.clone();
-            let collected = &collected;
-            scope.spawn(move || {
-                let traces = drive(&mut client, c);
-                collected.lock().unwrap().extend(traces);
-            });
-        }
+    let legs: u64 = std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let mut client = prototype.clone();
+                scope.spawn(move || drive(&mut client, c))
+            })
+            .collect();
+        drivers.into_iter().map(|d| d.join().unwrap()).sum()
     });
-    drop(prototype);
+    // The probe's own legs are slow events too, but its answers were
+    // spliced before its latencies were recorded.
+    let mut probe = prototype;
+    let health = probe
+        .health(SimTime::from_minutes(OPS_PER_CLIENT * 30))
+        .expect("live service answers health");
+    drop(probe);
     service.shutdown().expect_clean();
 
-    let traces = collected.into_inner().unwrap();
+    let samples: u64 = health
+        .shards
+        .iter()
+        .flat_map(|shard| &shard.latencies)
+        .map(|latency| latency.samples)
+        .sum();
+    let events = events.0.lock().unwrap();
     if cfg!(feature = "obs-off") {
-        assert!(
-            traces.is_empty(),
-            "obs-off submissions must not carry traces"
-        );
+        assert_eq!(samples, 0, "obs-off health carries no latency tables");
+        assert!(events.is_empty(), "obs-off emits no slow events");
         return;
     }
 
-    let expected = u64::from(CLIENTS) * OPS_PER_CLIENT;
-    assert_eq!(traces.len() as u64, expected, "every submission is traced");
-    let mut ids: Vec<u64> = traces.iter().map(|t| t.id.raw()).collect();
-    ids.sort_unstable();
-    ids.dedup();
+    assert_eq!(samples, legs, "the per-verb histograms count every leg");
     assert_eq!(
-        ids.len() as u64,
-        expected,
-        "request ids are service-unique across clients and shards"
+        events.len() as u64,
+        legs + u64::from(SHARDS),
+        "one slow event per leg served, the probe's included"
     );
-    for trace in &traces {
-        // The whole pipeline shares one clock origin, so the stages of
-        // any request — whichever shard served it — are comparable and
-        // must be non-decreasing in submission order.
+    let mut named = HashSet::new();
+    for event in events.iter() {
         assert!(
-            trace.enqueued_ns <= trace.dequeued_ns
-                && trace.dequeued_ns <= trace.applied_ns
-                && trace.applied_ns <= trace.replied_ns,
-            "stage stamps regressed: {trace:?}"
+            named.insert((event.shard, event.seq)),
+            "(shard, seq) is service-unique: {event:?}"
         );
         assert_eq!(
-            trace.queue_wait_ns() + trace.service_ns(),
-            trace.total_ns(),
-            "queue-wait and service partition the total: {trace:?}"
+            event.queue_ns + event.service_ns,
+            event.total_ns,
+            "queue-wait and service partition the total: {event:?}"
         );
     }
 }
