@@ -29,20 +29,22 @@
 //! against the committed `BENCH_serve.json`, and `bench_gate
 //! --max-obs-overhead` reads the instrumentation cost off the pair.
 //!
-//! Every observed run also prints per-verb **queue-wait vs service-time**
-//! p50/p99, from the request-scoped trace stamps every job carries (see
-//! `tempimpd`'s trace module): the worker derives both halves for *every*
-//! request — pipelined submissions included, not just the
-//! every-[`PROBE_EVERY`]th blocking probe — and records them through the
-//! observer seam. With tracing compiled in, a run whose `put` or `get`
-//! has no samples fails: tracing silently stopped sampling. Under
-//! `--features obs-off` the stamps compile out and the columns print
-//! `n/a`; throughput still gates.
+//! Every run, observed or not, also prints per-verb **queue-wait vs
+//! service-time** p50/p99 from a `health` answer taken after its timed
+//! phase (see `tempimpd`'s trace module): the worker derives both halves
+//! for *every* request — pipelined submissions included, not just the
+//! every-[`PROBE_EVERY`]th blocking probe — into its own histograms, which
+//! do not depend on the observer. The shards fold as serve-top folds
+//! them, with [`worst_shard`]. With tracing compiled in, a run whose `put`
+//! or `get` has no samples fails: tracing silently stopped sampling.
+//! Under `--features obs-off` the stamps compile out and the columns
+//! print `n/a`; throughput still gates.
 //!
 //! `--snapshots FILE` additionally samples the `health` verb during the
 //! last observed run and captures rendered serve-top frames (replayable
 //! with `tempimp-obs serve-top --from FILE`); `--prom FILE` writes the
-//! last observed run's registry as Prometheus exposition text.
+//! last observed run's registry as Prometheus exposition text (its batch
+//! signals; serve latency is the `health` answer's).
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin bench_serve -- \
@@ -57,7 +59,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bench_harness::gate::BenchCase;
-use bench_harness::servetop::{render_frame, tracing_compiled_in, FRAME_SEPARATOR};
+use bench_harness::servetop::{render_frame, tracing_compiled_in, worst_shard, FRAME_SEPARATOR};
 use bench_harness::stream::{Scale, Stream, Tally};
 use obs::MetricsRegistry;
 use sim_core::{ByteSize, Obs, SimTime};
@@ -135,7 +137,6 @@ fn main() {
         let last = round == ROUNDS;
         let snapshots = snapshots.as_deref().filter(|_| last);
         observed = observed.min(run(Obs::attached(registry.clone()), snapshots));
-        report_latencies(&registry).unwrap_or_else(|refusal| panic!("{refusal}"));
         if let Some(path) = prom.as_deref().filter(|_| last) {
             std::fs::write(path, registry.snapshot().render_prometheus())
                 .expect("write prometheus exposition");
@@ -233,9 +234,10 @@ fn health_guard(timed: &Tally, residents: u64, scale: Scale) -> Result<(), Strin
 
 /// One closed-loop run on `service`: each of `clients` threads warms the
 /// store with its share of the stream's warm-up, all are released
-/// together, and each issues its share of `total_ops` against the clock. Shuts the service
-/// down, prints the outcome and health lines, and returns aggregate
-/// wall-ns per timed op — or the health guard's refusal. `snapshots`
+/// together, and each issues its share of `total_ops` against the clock.
+/// Asks the fleet for `health`, shuts it down, prints the outcome, health
+/// and latency lines, and returns aggregate wall-ns per timed op — or the
+/// health guard's or [`report_latencies`]' refusal. `snapshots`
 /// additionally samples `health` every 250 ms on a monitor thread and
 /// writes the rendered serve-top frames there.
 fn run_serve(
@@ -306,6 +308,9 @@ fn run_serve(
         let path = handle.join().expect("snapshot monitor panicked");
         println!("wrote {path}");
     }
+    // SimTime::ZERO never advances a shard clock, so the probe leaves the
+    // store as the timed phase left it.
+    let health = service.client().health(SimTime::ZERO);
     let reports = service.shutdown().expect_clean();
 
     let residents: u64 = reports.iter().map(|r| r.unit.len() as u64).sum();
@@ -337,6 +342,8 @@ fn run_serve(
         ));
     }
     health_guard(&tally, residents, scale)?;
+    let health = health.map_err(|error| format!("health after the run failed: {error}"))?;
+    report_latencies(&health)?;
     Ok(elapsed.as_nanos() as f64 / tally.ops as f64)
 }
 
@@ -371,21 +378,19 @@ fn drive_client(client: &mut ServeClient, stream: &mut Stream, ops: u64) -> Tall
     tally
 }
 
-/// Prints every verb's queue-wait/service split, from the trace stamps
-/// the workers record through the observer seam — pipelined submissions
-/// included, not just blocking probes. With tracing compiled in, `put`
-/// and `get` (half and a third of the stream) must have samples in both
-/// histograms, and no verb's p50 may exceed its p99; values are not
-/// gated — absolute latency on a shared runner is noise, presence and
+/// Prints every verb's queue-wait/service split from `health`, the
+/// workers' own histograms folded over the shards by [`worst_shard`] —
+/// pipelined submissions included, not just blocking probes. With
+/// tracing compiled in, `put` and `get` (half and a third of the stream)
+/// must have samples, and no verb's p50 may exceed its p99; values are
+/// not gated — absolute latency on a shared runner is noise, presence and
 /// shape are not.
-fn report_latencies(registry: &MetricsRegistry) -> Result<(), String> {
+fn report_latencies(health: &HealthSnapshot) -> Result<(), String> {
     for verb in VerbKind::ALL {
         let name = verb.name();
-        let sampled = registry
-            .histogram(verb.queue_wait_metric())
-            .zip(registry.histogram(verb.service_metric()))
-            .filter(|(queue_wait, service)| queue_wait.count() > 0 && service.count() > 0);
-        let Some((queue_wait, service)) = sampled else {
+        let Some((samples, [wait_p50, wait_p99, service_p50, service_p99])) =
+            worst_shard(health, verb)
+        else {
             println!("  latency {name:<8} n/a (obs-off or no samples)");
             if tracing_compiled_in() && matches!(verb, VerbKind::Put | VerbKind::Get) {
                 return Err(format!(
@@ -394,12 +399,10 @@ fn report_latencies(registry: &MetricsRegistry) -> Result<(), String> {
             }
             continue;
         };
-        let (wait_p50, wait_p99) = (queue_wait.quantile(0.5), queue_wait.quantile(0.99));
-        let (service_p50, service_p99) = (service.quantile(0.5), service.quantile(0.99));
         println!(
             "  latency {name:<8} queue-wait p50 {wait_p50:>7} ns p99 {wait_p99:>9} ns | \
-             service p50 {service_p50:>7} ns p99 {service_p99:>9} ns ({} samples)",
-            queue_wait.count()
+             service p50 {service_p50:>7} ns p99 {service_p99:>9} ns ({samples} samples, worst \
+             shard)"
         );
         if wait_p50 > wait_p99 || service_p50 > service_p99 {
             return Err(format!("'{name}' latency p50 exceeds its p99"));
@@ -418,6 +421,9 @@ mod tests {
     /// box are simulated weeks apart.
     const CHECK_OPS: u64 = 40_000;
 
+    /// The run also passes [`report_latencies`], so `cargo test` checks
+    /// that request tracing still samples `put` and `get`, with the
+    /// observer detached.
     #[test]
     fn a_check_scale_run_passes_the_health_guard() {
         let scale = Scale::CHECK;

@@ -420,16 +420,14 @@ fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
     }
 
     // Live mode: an in-process service under the bench_stack stream, sized
-    // for it at 1/50. The slow log listens for the workers' `serve.slow`
-    // events next to the registry.
-    let registry = Arc::new(obs::MetricsRegistry::new());
+    // for it at 1/50. The slow log, the only observer, listens for the
+    // workers' `serve.slow` events.
     let slow_log = Arc::new(SlowLog::new(64));
-    let stack: Vec<Arc<dyn obs::Observer>> = vec![registry, slow_log.clone()];
     let service = tempimpd::Tempimpd::builder()
         .shards(shards)
         .shard_capacity(Scale::CHECK.shard_capacity(shards))
         .slow_threshold(Duration::from_millis(slow_ms))
-        .observer(sim_core::Obs::attached(Arc::new(obs::Fanout::new(stack))))
+        .observer(sim_core::Obs::attached(slow_log.clone()))
         .spawn();
     let clients = clients.unwrap_or(shards * 2).max(1);
     let stop = Arc::new(AtomicBool::new(false));

@@ -83,38 +83,44 @@ pub fn render_frame(
     out.push_str("per-verb latency, worst shard (ns):\n");
     out.push_str("verb       samples  qwait p50  qwait p99    svc p50    svc p99\n");
     for verb in VerbKind::ALL {
-        // Pool the sample counts; report each quantile's maximum across
-        // shards (the honest cross-shard aggregate of bucketed
-        // quantiles: a conservative tail, never an invented average).
-        let mut samples = 0u64;
-        let mut worst = [0u64; 4];
-        for shard in &health.shards {
-            for latency in shard.latencies.iter().filter(|l| l.verb == verb) {
-                samples += latency.samples;
-                for (slot, value) in worst.iter_mut().zip([
-                    latency.queue_wait_p50_ns,
-                    latency.queue_wait_p99_ns,
-                    latency.service_p50_ns,
-                    latency.service_p99_ns,
-                ]) {
-                    *slot = (*slot).max(value);
-                }
-            }
-        }
-        if samples == 0 {
-            out.push_str(&format!("{:<9}  {:>7}\n", verb.name(), "n/a"));
-        } else {
-            out.push_str(&format!(
+        match worst_shard(health, verb) {
+            None => out.push_str(&format!("{:<9}  {:>7}\n", verb.name(), "n/a")),
+            Some((samples, worst)) => out.push_str(&format!(
                 "{:<9}  {samples:>7}  {:>9}  {:>9}  {:>9}  {:>9}\n",
                 verb.name(),
                 worst[0],
                 worst[1],
                 worst[2],
                 worst[3],
-            ));
+            )),
         }
     }
     out
+}
+
+/// `verb`'s latency across every shard of `health`: the pooled sample
+/// count and each quantile's maximum over the shards — queue-wait p50,
+/// queue-wait p99, service p50, service p99, in nanoseconds. That is the
+/// honest cross-shard aggregate of bucketed quantiles: a conservative
+/// tail, never an invented average. `None` when no shard sampled `verb`
+/// (every verb, under `obs-off`).
+pub fn worst_shard(health: &HealthSnapshot, verb: VerbKind) -> Option<(u64, [u64; 4])> {
+    let mut samples = 0u64;
+    let mut worst = [0u64; 4];
+    for shard in &health.shards {
+        for latency in shard.latencies.iter().filter(|l| l.verb == verb) {
+            samples += latency.samples;
+            for (slot, value) in worst.iter_mut().zip([
+                latency.queue_wait_p50_ns,
+                latency.queue_wait_p99_ns,
+                latency.service_p50_ns,
+                latency.service_p99_ns,
+            ]) {
+                *slot = (*slot).max(value);
+            }
+        }
+    }
+    (samples > 0).then_some((samples, worst))
 }
 
 /// One captured slow request, decoded from a `serve.slow` trace event.
@@ -139,8 +145,7 @@ pub struct SlowEntry {
 }
 
 /// A bounded, thread-safe slow-request log: an [`Observer`] that keeps
-/// the most recent `serve.slow` events (all other signals pass through
-/// untouched — stack it next to a registry with [`obs::Fanout`]).
+/// the most recent `serve.slow` events and ignores every other signal.
 ///
 /// [`Observer`]: obs::Observer
 #[derive(Debug)]
@@ -311,6 +316,35 @@ mod tests {
             VerbKind::ALL.len(),
             "every verb row is n/a on an inert snapshot"
         );
+    }
+
+    #[test]
+    fn worst_shard_pools_samples_and_takes_each_quantile_maximum() {
+        let shard = |index: u32, latencies: Vec<VerbLatency>| ShardHealth {
+            shard: index,
+            latencies,
+            ..snapshot(0, false).shards[0].clone()
+        };
+        let put = |samples: u64, [qw50, qw99, sv50, sv99]: [u64; 4]| VerbLatency {
+            verb: VerbKind::Put,
+            samples,
+            queue_wait_p50_ns: qw50,
+            queue_wait_p99_ns: qw99,
+            service_p50_ns: sv50,
+            service_p99_ns: sv99,
+        };
+        let health = HealthSnapshot {
+            shards: vec![
+                shard(0, vec![put(12, [1, 90, 7, 8])]),
+                shard(1, Vec::new()),
+                shard(2, vec![put(8, [5, 20, 3, 60])]),
+            ],
+        };
+        assert_eq!(
+            worst_shard(&health, VerbKind::Put),
+            Some((20, [5, 90, 7, 60]))
+        );
+        assert_eq!(worst_shard(&health, VerbKind::Get), None);
     }
 
     #[test]

@@ -106,7 +106,6 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
             };
             let mut unit = StorageUnit::new(capacity);
             let mut ids = ObjectIdGen::new();
-            let mut shaped_offered = 0u64;
             let mut shaped_rejected = 0u64;
             for (index, arrival) in RampedArrivals::paper(seed).enumerate() {
                 if arrival.at >= SimTime::from_days(days) {
@@ -118,9 +117,6 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                 } else {
                     (COMPETITOR, competitor_curve.clone())
                 };
-                if shaped {
-                    shaped_offered += 1;
-                }
                 let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve).with_class(class);
                 match unit.store(spec, arrival.at) {
                     Ok(_) => {}
@@ -132,7 +128,6 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                     Err(e) => panic!("unexpected store error: {e}"),
                 }
             }
-            let _ = shaped_offered;
             let evictions = unit.take_evictions();
             let preempted: Vec<f64> = evictions
                 .iter()

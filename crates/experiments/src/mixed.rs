@@ -207,7 +207,6 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
         }
     }
 
-    let end = SimTime::from_days(config.days);
     let evictions = unit.take_evictions();
     let apps = config
         .profiles
@@ -238,7 +237,6 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
             }
         })
         .collect();
-    let _ = end;
 
     MixedRunResult {
         apps,

@@ -383,13 +383,6 @@ impl Observer for MetricsRegistry {
         locked(&self.inner).record(name, value);
     }
 
-    fn record_many(&self, samples: &[(&'static str, u64)]) {
-        let mut core = locked(&self.inner);
-        for &(name, value) in samples {
-            core.record(name, value);
-        }
-    }
-
     fn event(&self, _at: SimTime, kind: &'static str, _fields: &[(&'static str, u64)]) {
         locked(&self.inner).event(kind);
     }

@@ -227,13 +227,6 @@ impl Observer for ObsStack {
         locked(&self.inner).registry.record(name, value);
     }
 
-    fn record_many(&self, samples: &[(&'static str, u64)]) {
-        let mut core = locked(&self.inner);
-        for &(name, value) in samples {
-            core.registry.record(name, value);
-        }
-    }
-
     fn event(&self, at: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
         let mut core = locked(&self.inner);
         core.registry.event(kind);
@@ -273,18 +266,8 @@ mod tests {
             observer.counter("c", 3);
             observer.gauge("g", 9);
             observer.record("h", 4);
-            observer.record_many(&[("h", 9), ("h2", 1)]);
             observer.event(SimTime::from_minutes(25), "e", &[("v", 7)]);
             observer.span("s", 1_000, 5);
-        }
-        // A batch of samples lands exactly as one `record` each would.
-        let singly = MetricsRegistry::new();
-        for (name, value) in [("h", 4), ("h", 9), ("h2", 1)] {
-            singly.record(name, value);
-        }
-        for name in ["h", "h2"] {
-            assert_eq!(stack.histogram(name), singly.histogram(name));
-            assert_eq!(registry.histogram(name), singly.histogram(name));
         }
         stack.advance_to(SimTime::from_minutes(30));
         recorder.advance_to(SimTime::from_minutes(30));

@@ -209,12 +209,6 @@ impl Observer for Fanout {
         }
     }
 
-    fn record_many(&self, samples: &[(&'static str, u64)]) {
-        for sink in &self.sinks {
-            sink.record_many(samples);
-        }
-    }
-
     fn event(&self, at: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
         for sink in &self.sinks {
             sink.event(at, kind, fields);

@@ -207,8 +207,6 @@ impl TempimpdBuilder {
             ingests,
             workers,
             telemetry,
-            shard_capacity: self.shard_capacity,
-            policy: self.policy,
         }
     }
 }
@@ -357,7 +355,6 @@ impl Worker {
             // acknowledged. A client that gave up on its reply is not an
             // error: its slot is simply freed.
             outbox.deliver();
-            tracing.flush(&self.obs);
             drop(span);
             self.obs.record("serve.batch_fill", drained);
             self.obs.gauge("serve.queue_depth", depth);
@@ -426,8 +423,6 @@ pub struct Tempimpd {
     ingests: Vec<SyncSender<Job>>,
     workers: Vec<JoinHandle<ShardReport>>,
     telemetry: Arc<Telemetry>,
-    shard_capacity: ByteSize,
-    policy: EvictionPolicy,
 }
 
 impl std::fmt::Debug for Job {
@@ -456,21 +451,6 @@ impl Tempimpd {
     /// The shard count.
     pub fn shards(&self) -> u32 {
         self.router.shards()
-    }
-
-    /// Each shard's capacity (replay needs it to rebuild identical units).
-    pub fn shard_capacity(&self) -> ByteSize {
-        self.shard_capacity
-    }
-
-    /// The shards' eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    /// The shards' expiry-sweep cadence.
-    pub fn sweep_every(&self) -> SimDuration {
-        SWEEP_EVERY
     }
 
     /// A new connection to the service, with a reply mailbox of its
@@ -1334,8 +1314,6 @@ mod tests {
             ingests: Vec::new(),
             workers: vec![healthy, dead],
             telemetry: Arc::new(Telemetry::new(2)),
-            shard_capacity: ByteSize::from_mib(1),
-            policy: EvictionPolicy::Preemptive,
         }
     }
 

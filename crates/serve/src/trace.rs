@@ -15,13 +15,12 @@
 //!   into a large batch still waits for its turn inside the batch.
 //! * **service** = reply − apply: the engine call itself.
 //!
-//! Both are recorded per verb into worker-local log₂ histograms (the
-//! source of the per-shard quantiles in `health` answers) and into the
-//! shared [`Observer`](sim_core::observe::Observer) seam under the
-//! static [`VerbKind::queue_wait_metric`]/[`VerbKind::service_metric`]
-//! names — the seam's samples buffered in the worker and handed over
-//! once per drained batch, so a sink behind a lock is locked per batch. Requests whose total latency crosses the worker's slow
-//! threshold additionally emit an integer-only `serve.slow` trace event.
+//! Both are recorded per verb into worker-local log₂ histograms, the
+//! one record of request latency: every reader (`serve-top`,
+//! `bench_serve`, the tests) gets its quantiles from the per-shard
+//! `health` answers built from them. Requests whose total latency
+//! crosses the worker's slow threshold additionally emit an
+//! integer-only `serve.slow` trace event through the observer seam.
 //! Nothing travels back to the client with the reply.
 //!
 //! This module is the one place in the crate that mentions the
@@ -208,10 +207,6 @@ pub(crate) struct WorkerTracing {
     slow_ns: u64,
     #[cfg(not(feature = "obs-off"))]
     latencies: [(Histogram, Histogram); VerbKind::ALL.len()],
-    /// Seam-bound samples of the batch in progress, handed over together
-    /// by [`flush`](WorkerTracing::flush).
-    #[cfg(not(feature = "obs-off"))]
-    samples: Vec<(&'static str, u64)>,
 }
 
 impl WorkerTracing {
@@ -225,7 +220,6 @@ impl WorkerTracing {
                 origin: telemetry.origin,
                 slow_ns,
                 latencies: std::array::from_fn(|_| (Histogram::new(), Histogram::new())),
-                samples: Vec::new(),
             }
         }
         #[cfg(feature = "obs-off")]
@@ -250,9 +244,8 @@ impl WorkerTracing {
 
     /// Completes one request: reads the reply instant, derives queue-wait
     /// and service time from it, the stamps and the `applied` mark,
-    /// records both into the local per-verb histograms, buffers them for
-    /// the observer seam (see [`flush`](WorkerTracing::flush)), and emits
-    /// the `serve.slow` event when the total crosses the threshold.
+    /// records both into the local per-verb histograms, and emits the
+    /// `serve.slow` event when the total crosses the threshold.
     /// `seq` is the request's 1-based ordinal on `shard`: `(shard, seq)`
     /// names it uniquely within the service, and indexes the shard's
     /// recorded log at `seq − 1`.
@@ -278,10 +271,6 @@ impl WorkerTracing {
             let slot = &mut self.latencies[verb.code() as usize];
             slot.0.record(queue_wait);
             slot.1.record(service);
-            if obs.is_enabled() {
-                self.samples.push((verb.queue_wait_metric(), queue_wait));
-                self.samples.push((verb.service_metric(), service));
-            }
             if total >= self.slow_ns {
                 obs.event(
                     now,
@@ -297,20 +286,6 @@ impl WorkerTracing {
                 );
             }
         }
-    }
-
-    /// Hands the samples buffered since the last flush to the observer
-    /// seam in one call. Workers flush once per drained batch, so a sink
-    /// behind a lock is locked once per batch instead of twice per
-    /// request.
-    pub(crate) fn flush(&mut self, obs: &sim_core::Obs) {
-        #[cfg(not(feature = "obs-off"))]
-        if !self.samples.is_empty() {
-            obs.record_many(&self.samples);
-            self.samples.clear();
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = obs;
     }
 
     /// The per-verb latency quantiles this worker has accumulated, for
@@ -379,18 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn completions_feed_local_histograms_and_the_seam() {
+    fn completions_feed_the_local_histograms_only() {
         let catcher = Arc::new(EventCatcher::default());
         let obs = Obs::attached(catcher.clone());
         let telemetry = Telemetry::new(1);
         let mut tracing = WorkerTracing::new(&telemetry, u64::MAX);
         complete_one(&mut tracing, &telemetry, &obs, 1);
         complete_one(&mut tracing, &telemetry, &obs, 2);
-        // The seam sees nothing until the batch is flushed, then all of
-        // it, once.
-        assert!(catcher.records.lock().unwrap().is_empty());
-        tracing.flush(&obs);
-        tracing.flush(&obs);
 
         let latencies = tracing.latencies();
         assert_eq!(latencies.len(), 1, "only the get verb has samples");
@@ -399,11 +369,9 @@ mod tests {
         assert!(latencies[0].queue_wait_p50_ns <= latencies[0].queue_wait_p99_ns);
         assert!(latencies[0].service_p50_ns <= latencies[0].service_p99_ns);
 
-        let records = catcher.records.lock().unwrap();
-        let count = |name: &str| records.iter().filter(|(n, _)| n == name).count();
-        assert_eq!(count("serve.queue_wait.get"), 2);
-        assert_eq!(count("serve.service.get"), 2);
-        // No slow events at a disabled threshold.
+        // Latency has one home: the seam receives no sample, and no slow
+        // event at a disabled threshold.
+        assert!(catcher.records.lock().unwrap().is_empty());
         assert!(catcher.events.lock().unwrap().is_empty());
     }
 

@@ -94,17 +94,6 @@ pub trait Observer: Send + Sync {
     /// Records one sample into the named magnitude histogram.
     fn record(&self, name: &'static str, value: u64);
 
-    /// Records a batch of `(name, value)` histogram samples, exactly as
-    /// one [`record`](Observer::record) call each would. An emitter that
-    /// completes many samples at once (a shard worker, per drained
-    /// batch) hands them over together so that a sink behind a lock can
-    /// override this and take the lock once for the batch.
-    fn record_many(&self, samples: &[(&'static str, u64)]) {
-        for &(name, value) in samples {
-            self.record(name, value);
-        }
-    }
-
     /// Emits a structured trace event at simulated instant `at`.
     ///
     /// Field values are plain `u64`s (counts, byte sizes, raw ids,
@@ -239,15 +228,6 @@ impl Obs {
     pub fn record(&self, name: &'static str, value: u64) {
         if let Some(sink) = self.sink() {
             sink.record(name, value);
-        }
-    }
-
-    /// Records a batch of histogram samples (see
-    /// [`Observer::record_many`]).
-    #[inline]
-    pub fn record_many(&self, samples: &[(&'static str, u64)]) {
-        if let Some(sink) = self.sink() {
-            sink.record_many(samples);
         }
     }
 
