@@ -26,8 +26,8 @@ use std::time::Instant;
 
 use bench_harness::gate::BenchCase;
 use bench_harness::{incoming_spec, mixed_unit, mixed_unit_naive};
-use obs::{Obs, ObsStack};
-use sim_core::{ByteSize, SimDuration, SimTime};
+use obs::{MetricsRegistry, Obs};
+use sim_core::{ByteSize, SimTime};
 use temporal_importance::{Importance, StorageUnit};
 
 const RESIDENT_COUNTS: [u64; 2] = [10_000, 100_000];
@@ -243,44 +243,14 @@ fn store_churn_ns(mut unit: StorageUnit, residents: u64) -> f64 {
     start.elapsed().as_nanos() as f64 / ops as f64
 }
 
-/// `store_churn` with the full observability stack attached — registry,
-/// daily series recorder, and trace role as one single-lock [`ObsStack`].
-/// This is the instrumented cost the obs-overhead CI gate compares to the
-/// plain `store_churn` row; under `obs-off` the attach compiles to nothing
-/// and this case collapses to `store_churn`, which is the zero-cost claim
-/// made measurable. The trace runs as a flight recorder bounded to the
-/// most recent 4k events — the steady-state configuration for a
-/// long-lived instrumented process, where capture cost must stay flat
-/// rather than grow with the run.
+/// `store_churn` with a [`MetricsRegistry`] attached — the sink `repro`,
+/// `bench_serve` and `examples/quickstart` attach. This is the instrumented
+/// cost the obs-overhead CI gate compares to the plain `store_churn` row;
+/// under `obs-off` the attach compiles to nothing and this case collapses
+/// to `store_churn`, which is the zero-cost claim made measurable.
 fn store_churn_observed_ns(mut unit: StorageUnit, residents: u64) -> f64 {
-    let stack = Arc::new(ObsStack::new(SimDuration::DAY));
-    stack.track_counter("engine.stores");
-    stack.track_events("engine.evict", "importance_ppm", &[]);
-    stack.limit_trace(4096);
-    unit.set_observer(Obs::attached(stack.clone()));
-
-    let mut next_id = residents;
-    let mut minute = 0u64;
-    let do_store = |unit: &mut StorageUnit, id: u64, minute: u64| {
-        unit.store(incoming_spec(id, 10), SimTime::from_minutes(minute))
-            .expect("churn store preempts one victim");
-    };
-
-    let start = Instant::now();
-    next_id += 1;
-    minute += 1;
-    do_store(&mut unit, next_id, minute);
-    let first = start.elapsed().as_nanos() as f64;
-    let _ = stack.take_jsonl();
-
-    let ops = calibrated_ops(first, residents / 2);
-    let start = Instant::now();
-    for _ in 0..ops {
-        next_id += 1;
-        minute += 1;
-        do_store(&mut unit, next_id, minute);
-    }
-    start.elapsed().as_nanos() as f64 / ops as f64
+    unit.set_observer(Obs::attached(Arc::new(MetricsRegistry::new())));
+    store_churn_ns(unit, residents)
 }
 
 /// The §5.3 placement probe: plan an admission without mutating the unit.

@@ -98,12 +98,23 @@ pub enum Request {
     Health,
 }
 
+impl Request {
+    /// The routing key of a keyed verb (`Put`, `Get`, `Advise`), or
+    /// `None` for a whole-store query that fans out to every shard.
+    pub fn key(&self) -> Option<ObjectId> {
+        match self {
+            Request::Put { id, .. } | Request::Get { id } | Request::Advise { id, .. } => Some(*id),
+            Request::Density | Request::Stats | Request::Health => None,
+        }
+    }
+}
+
 /// Which protocol verb a [`Request`] is, detached from its payload.
 ///
 /// Serving layers use this for everything that needs a verb after the
 /// request value has been moved into a queue: building the matching
-/// failure [`Response`], naming per-verb metrics, and tagging trace
-/// events with a stable integer [`code`](VerbKind::code).
+/// failure [`Response`], keying per-verb latency histograms, and tagging
+/// trace events with a stable integer [`code`](VerbKind::code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VerbKind {
     /// [`Request::Put`].
@@ -763,6 +774,9 @@ mod tests {
         for (request, &verb) in requests.iter().zip(VerbKind::ALL.iter()) {
             assert_eq!(VerbKind::of(request), verb);
             assert_eq!(VerbKind::ALL[verb.code() as usize], verb);
+            // Exactly the keyed verbs route by id; the rest fan out.
+            let keyed = matches!(verb, VerbKind::Put | VerbKind::Get | VerbKind::Advise);
+            assert_eq!(request.key(), keyed.then_some(ObjectId::new(1)), "{verb:?}");
             // Each verb fails as its own response variant.
             let failed = format!("{:?}", verb.failed(Error::Disconnected));
             assert!(

@@ -12,7 +12,7 @@
 //! of the last persisted mutation: a crash forgets that reads advanced
 //! time, which is harmless — the next mutation re-advances it.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use sim_core::{ByteSize, Obs, SimTime};
 use temporal_importance::protocol::{Request, Response, StoreApi};
@@ -94,7 +94,6 @@ pub struct DurableUnit {
     config: DurableConfig,
     clock: SimTime,
     last_sweep: SimTime,
-    dir: PathBuf,
     recovered_torn_bytes: u64,
 }
 
@@ -124,8 +123,7 @@ impl DurableUnit {
         config: DurableConfig,
         obs: Obs,
     ) -> Result<DurableUnit, DurableError> {
-        let dir = dir.as_ref();
-        let (log, recovered) = SegmentLog::open(dir, config.segment_bytes, obs.clone())?;
+        let (log, recovered) = SegmentLog::open(dir.as_ref(), config.segment_bytes, obs.clone())?;
         let unit = StorageUnit::builder(capacity)
             .policy(policy)
             .recording(false)
@@ -137,7 +135,6 @@ impl DurableUnit {
             config,
             clock: recovered.clock,
             last_sweep: recovered.last_sweep,
-            dir: dir.to_path_buf(),
             recovered_torn_bytes: recovered.torn_bytes,
         })
     }
@@ -370,11 +367,6 @@ impl DurableUnit {
     /// Sweep-clock high-water mark across persisted sweeps.
     pub fn last_sweep(&self) -> SimTime {
         self.last_sweep
-    }
-
-    /// The directory holding the segment files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Bytes of torn tail this open truncated from the final segment —

@@ -50,14 +50,12 @@
 mod registry;
 mod report;
 mod series;
-mod stack;
 mod trace;
 pub mod tracefile;
 
 pub use registry::{Histogram, MetricsRegistry};
 pub use report::{HistogramSummary, Report, Snapshot, SpanSummary};
 pub use series::SeriesRecorder;
-pub use stack::ObsStack;
 pub use trace::{Fanout, TraceSink};
 
 use std::sync::Arc;

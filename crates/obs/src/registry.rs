@@ -227,15 +227,12 @@ impl<V: Default> NameTable<V> {
     }
 }
 
-/// The lock-free body of a [`MetricsRegistry`]: linear name tables with a
-/// pointer-equality fast path (see [`NameTable`]) and deterministic,
-/// sorted output produced at snapshot time instead of per emission.
-/// [`MetricsRegistry`] wraps it in a mutex; the single-lock composite
-/// stack embeds it directly.
-///
-/// [`MetricsRegistry`]: crate::MetricsRegistry
+/// The body of a [`MetricsRegistry`], behind its mutex: linear name
+/// tables with a pointer-equality fast path (see [`NameTable`]) and
+/// deterministic, sorted output produced at snapshot time instead of per
+/// emission.
 #[derive(Debug, Default)]
-pub(crate) struct RegistryCore {
+struct RegistryCore {
     counters: NameTable<u64>,
     gauges: NameTable<u64>,
     histograms: NameTable<Histogram>,
@@ -244,24 +241,24 @@ pub(crate) struct RegistryCore {
 }
 
 impl RegistryCore {
-    pub(crate) fn counter(&mut self, name: &'static str, delta: u64) {
+    fn counter(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name) += delta;
     }
 
-    pub(crate) fn gauge(&mut self, name: &'static str, value: u64) {
+    fn gauge(&mut self, name: &'static str, value: u64) {
         let slot = self.gauges.entry(name);
         *slot = (*slot).max(value);
     }
 
-    pub(crate) fn record(&mut self, name: &'static str, value: u64) {
+    fn record(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).record(value);
     }
 
-    pub(crate) fn event(&mut self, kind: &'static str) {
+    fn event(&mut self, kind: &'static str) {
         *self.events.entry(kind) += 1;
     }
 
-    pub(crate) fn span(&mut self, name: &'static str, wall_nanos: u64, sim_minutes: u64) {
+    fn span(&mut self, name: &'static str, wall_nanos: u64, sim_minutes: u64) {
         // Wall-clock distribution goes into the log₂ histogram like any
         // magnitude; the span table keeps the simulated-time correlation.
         self.record(name, wall_nanos);
@@ -271,27 +268,27 @@ impl RegistryCore {
         summary.sim_minutes = summary.sim_minutes.saturating_add(sim_minutes);
     }
 
-    pub(crate) fn counter_value(&self, name: &str) -> u64 {
+    fn counter_value(&self, name: &str) -> u64 {
         self.counters.find(name).copied().unwrap_or(0)
     }
 
-    pub(crate) fn gauge_value(&self, name: &str) -> u64 {
+    fn gauge_value(&self, name: &str) -> u64 {
         self.gauges.find(name).copied().unwrap_or(0)
     }
 
-    pub(crate) fn histogram(&self, name: &str) -> Option<Histogram> {
+    fn histogram(&self, name: &str) -> Option<Histogram> {
         self.histograms.find(name).cloned()
     }
 
-    pub(crate) fn event_count(&self, kind: &str) -> u64 {
+    fn event_count(&self, kind: &str) -> u64 {
         self.events.find(kind).copied().unwrap_or(0)
     }
 
-    pub(crate) fn span_summary(&self, name: &str) -> SpanSummary {
+    fn span_summary(&self, name: &str) -> SpanSummary {
         self.spans.find(name).copied().unwrap_or_default()
     }
 
-    pub(crate) fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         // Collecting into the snapshot's BTreeMaps restores the sorted,
         // deterministic order the insertion-ordered tables gave up.
         Snapshot {

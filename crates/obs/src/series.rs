@@ -107,9 +107,9 @@ struct EventTrack {
 /// linearly (mostly by pointer equality on static names) and captured
 /// buffers in an append-only table addressed by cached index; name-sorted
 /// views are produced at read time. [`SeriesRecorder`] wraps it in a
-/// mutex; the single-lock composite stack embeds it directly.
+/// mutex.
 #[derive(Debug)]
-pub(crate) struct SeriesCore {
+struct SeriesCore {
     cadence: u64,
     capacity: usize,
     /// Tracked counters: running totals, sampled on the cadence grid.
@@ -129,7 +129,7 @@ pub(crate) struct SeriesCore {
 }
 
 impl SeriesCore {
-    pub(crate) fn new(cadence: SimDuration, capacity: usize) -> Self {
+    fn new(cadence: SimDuration, capacity: usize) -> Self {
         assert!(
             cadence.as_minutes() > 0,
             "series cadence must be a positive duration"
@@ -146,7 +146,7 @@ impl SeriesCore {
         }
     }
 
-    pub(crate) fn track_counter(&mut self, name: &'static str) {
+    fn track_counter(&mut self, name: &'static str) {
         if !self.counters.iter().any(|t| t.name == name) {
             self.counters.push(ScalarTrack {
                 name,
@@ -156,7 +156,7 @@ impl SeriesCore {
         }
     }
 
-    pub(crate) fn track_gauge(&mut self, name: &'static str) {
+    fn track_gauge(&mut self, name: &'static str) {
         if !self.gauges.iter().any(|t| t.name == name) {
             self.gauges.push(ScalarTrack {
                 name,
@@ -166,7 +166,7 @@ impl SeriesCore {
         }
     }
 
-    pub(crate) fn track_events(
+    fn track_events(
         &mut self,
         kind: &'static str,
         value_field: &'static str,
@@ -195,19 +195,19 @@ impl SeriesCore {
         }
     }
 
-    pub(crate) fn counter(&mut self, name: &'static str, delta: u64) {
+    fn counter(&mut self, name: &'static str, delta: u64) {
         if let Some(track) = self.counters.iter_mut().find(|t| t.name == name) {
             track.value = track.value.saturating_add(delta);
         }
     }
 
-    pub(crate) fn gauge(&mut self, name: &'static str, value: u64) {
+    fn gauge(&mut self, name: &'static str, value: u64) {
         if let Some(track) = self.gauges.iter_mut().find(|t| t.name == name) {
             track.value = value;
         }
     }
 
-    pub(crate) fn advance_to(&mut self, at: SimTime) {
+    fn advance_to(&mut self, at: SimTime) {
         let minutes = at.as_minutes();
         if minutes < self.last_seen {
             return;
@@ -225,12 +225,7 @@ impl SeriesCore {
         }
     }
 
-    pub(crate) fn event(
-        &mut self,
-        at: SimTime,
-        kind: &'static str,
-        fields: &[(&'static str, u64)],
-    ) {
+    fn event(&mut self, at: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
         self.advance_to(at);
         let Some(track) = self.events.iter_mut().find(|t| t.kind == kind) else {
             return;
@@ -261,20 +256,20 @@ impl SeriesCore {
         self.bufs[i].1.push(self.capacity, at.as_minutes(), value);
     }
 
-    pub(crate) fn names(&self) -> Vec<String> {
+    fn names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.bufs.iter().map(|(n, _)| n.clone()).collect();
         names.sort_unstable();
         names
     }
 
-    pub(crate) fn samples(&self, name: &str) -> Option<Vec<(SimTime, u64)>> {
+    fn samples(&self, name: &str) -> Option<Vec<(SimTime, u64)>> {
         self.bufs
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, buf)| buf.samples())
     }
 
-    pub(crate) fn last_values(&self) -> Vec<(&str, u64)> {
+    fn last_values(&self) -> Vec<(&str, u64)> {
         let mut out: Vec<(&str, u64)> = self
             .bufs
             .iter()
@@ -284,7 +279,7 @@ impl SeriesCore {
         out
     }
 
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.bufs.clear();
         self.next_sample = 0;
         self.last_seen = 0;

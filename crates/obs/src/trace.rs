@@ -43,59 +43,32 @@ pub struct TraceSink {
     lines: Mutex<TraceCore>,
 }
 
-/// The lock-free body of a [`TraceSink`]: capture is a structured append
-/// (two `Vec` pushes — no formatting, no per-event allocation), and the
-/// JSONL text is rendered on demand. [`TraceSink`] wraps it in a mutex;
-/// the single-lock composite stack embeds it directly.
-///
-/// By default capture is unbounded (full-fidelity traces back the golden
-/// file). [`set_limit`](TraceCore::set_limit) turns the core into a
-/// flight recorder: when the window fills, it is dropped and capture
-/// restarts in the same buffers — steady state never allocates, so
-/// arbitrarily long instrumented runs keep a flat per-event cost.
-#[derive(Debug)]
-pub(crate) struct TraceCore {
+/// The body of a [`TraceSink`], behind its mutex: capture is a structured
+/// append (two `Vec` pushes — no formatting, no per-event allocation), and
+/// the JSONL text is rendered on demand. Capture is unbounded, so a trace
+/// keeps full fidelity (the golden file depends on it); long-running
+/// callers bound memory by draining with [`TraceSink::take_jsonl`].
+#[derive(Debug, Default)]
+struct TraceCore {
     /// One `(t_minutes, kind, fields offset, fields len)` row per event.
     events: Vec<(u64, &'static str, usize, usize)>,
     /// Flat field storage shared by all captured events.
     fields: Vec<(&'static str, u64)>,
-    /// Maximum retained events before the window restarts.
-    limit: usize,
-}
-
-impl Default for TraceCore {
-    fn default() -> Self {
-        TraceCore {
-            events: Vec::new(),
-            fields: Vec::new(),
-            limit: usize::MAX,
-        }
-    }
 }
 
 impl TraceCore {
-    pub(crate) fn push(&mut self, at: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
+    fn push(&mut self, at: SimTime, kind: &'static str, fields: &[(&'static str, u64)]) {
         debug_assert!(
             !kind.contains(['"', '\\']) && fields.iter().all(|(k, _)| !k.contains(['"', '\\'])),
             "event kinds and field names are static identifiers; escaping is not supported"
         );
-        if self.events.len() >= self.limit {
-            // Flight-recorder wraparound: drop the filled window but keep
-            // the buffer capacity, so the push below never reallocates.
-            self.events.clear();
-            self.fields.clear();
-        }
         let start = self.fields.len();
         self.fields.extend_from_slice(fields);
         self.events
             .push((at.as_minutes(), kind, start, fields.len()));
     }
 
-    pub(crate) fn set_limit(&mut self, limit: usize) {
-        self.limit = limit.max(1);
-    }
-
-    pub(crate) fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut text = String::with_capacity(self.events.len() * 48);
         for &(t, kind, start, len) in &self.events {
             write!(text, "{{\"t\":{t},\"kind\":\"{kind}\",\"fields\":{{").expect("write to String");
@@ -108,14 +81,14 @@ impl TraceCore {
         text
     }
 
-    pub(crate) fn drain(&mut self) -> String {
+    fn drain(&mut self) -> String {
         let text = self.render();
         self.events.clear();
         self.fields.clear();
         text
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.events.len()
     }
 }
@@ -225,7 +198,8 @@ impl Observer for Fanout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
+    use crate::{MetricsRegistry, SeriesRecorder};
+    use sim_core::SimDuration;
 
     #[test]
     fn events_render_as_stable_jsonl() {
@@ -255,12 +229,18 @@ mod tests {
     fn fanout_reaches_every_sink() {
         let registry = Arc::new(MetricsRegistry::new());
         let trace = Arc::new(TraceSink::new());
-        let fanout = Fanout::new(vec![registry.clone(), trace.clone()]);
+        // The composition `repro --series` attaches: a series recorder
+        // behind the fanout, with a tracked counter and event kind.
+        let recorder = Arc::new(SeriesRecorder::new(SimDuration::from_minutes(10)));
+        recorder.track_counter("c");
+        recorder.track_events("e", "n", &[]);
+        let fanout = Fanout::new(vec![registry.clone(), trace.clone(), recorder.clone()]);
         fanout.counter("c", 4);
         fanout.gauge("g", 9);
         fanout.record("h", 2);
-        fanout.event(SimTime::ZERO, "e", &[("n", 1)]);
+        fanout.event(SimTime::from_minutes(25), "e", &[("n", 1)]);
         fanout.span("s", 1_000, 5);
+        recorder.advance_to(SimTime::from_minutes(30));
 
         assert_eq!(registry.counter_value("c"), 4);
         assert_eq!(registry.gauge_value("g"), 9);
@@ -268,7 +248,13 @@ mod tests {
         assert_eq!(registry.event_count("e"), 1);
         assert_eq!(registry.span_summary("s").sim_minutes, 5);
         assert_eq!(trace.len(), 1, "spans never become trace lines");
-        assert!(format!("{fanout:?}").contains("sinks: 2"));
+        let minutes = |name: &str| -> Vec<(u64, u64)> {
+            let points = recorder.series(name).unwrap();
+            points.iter().map(|&(t, v)| (t.as_minutes(), v)).collect()
+        };
+        assert_eq!(minutes("c"), vec![(0, 4), (10, 4), (20, 4), (30, 4)]);
+        assert_eq!(minutes("e.n"), vec![(25, 1)]);
+        assert!(format!("{fanout:?}").contains("sinks: 3"));
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! Every job additionally carries its enqueue instant (see
 //! [`crate::trace`]): the worker reads the apply and reply instants and
 //! derives per-verb queue-wait and service-time histograms from the
-//! three — both per shard (surfaced through the `health` verb) and in
-//! aggregate through the `Observer` seam. The stamp rides outside the
-//! serialized [`Request`], so effective request logs and replay stay
-//! byte-identical with or without tracing, and nothing rides back with
-//! the reply.
+//! three, per shard, surfaced through the `health` verb. The stamp rides
+//! outside the serialized [`Request`], so effective request logs and
+//! replay stay byte-identical with or without tracing, and nothing rides
+//! back with the reply.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -630,16 +629,16 @@ impl ServeClient {
         blocking: bool,
     ) -> Result<Pending, Error> {
         let verb = VerbKind::of(&request);
-        let slots = match &request {
-            Request::Put { id, .. } | Request::Get { id } | Request::Advise { id, .. } => {
-                let shard = self.router.route(*id);
+        let slots = match request.key() {
+            Some(id) => {
+                let shard = self.router.route(id);
                 Slots::One(self.enqueue(now, request, shard, blocking)?)
             }
             // Fan-out: every shard gets the request, each answering into
             // its own slot, kept in shard order so aggregation is
             // deterministic (float summation order never depends on
             // which worker answers first).
-            Request::Density | Request::Stats | Request::Health => {
+            None => {
                 let mut slots = Vec::with_capacity(self.ingests.len());
                 for shard in 0..self.ingests.len() as u32 {
                     match self.enqueue(now, request.clone(), shard, blocking) {

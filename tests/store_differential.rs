@@ -483,11 +483,9 @@ fn serve(case: &Case, shards: u32, durable: bool) {
             client = service.client();
         }
         let Op::Call(request) = op else { continue };
-        let expected = match request {
-            Request::Put { id, .. } | Request::Get { id } | Request::Advise { id, .. } => {
-                model[router.route(*id) as usize].call(*at, request.clone())
-            }
-            _ => {
+        let expected = match request.key() {
+            Some(id) => model[router.route(id) as usize].call(*at, request.clone()),
+            None => {
                 let legs: Vec<Response> = model
                     .iter_mut()
                     .map(|shard| shard.call(*at, request.clone()))
