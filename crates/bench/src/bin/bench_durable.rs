@@ -21,11 +21,9 @@
 //! ```
 //!
 //! `--out PATH` redirects the report (CI measures into a scratch file and
-//! gates it against the committed baseline with `bench_gate`).
-//! `--recovery-smoke` skips measurement entirely and instead exercises
-//! the crash paths end-to-end in a release build: a torn tail must
-//! recover to the exact pre-corruption state, and a truncated final
-//! record must drop exactly the last mutation.
+//! gates it against the committed baseline with `bench_gate`). Crash
+//! recovery is not measured here: `tests/durable_recovery.rs` reopens
+//! every crash state of a seeded workload.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -53,18 +51,12 @@ const SEGMENT_BYTES: u64 = 64 * 1024;
 
 fn main() {
     let mut output = OUTPUT.to_string();
-    let mut recovery_smoke = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => output = args.next().expect("--out needs a path"),
-            "--recovery-smoke" => recovery_smoke = true,
-            other => panic!("unknown argument '{other}' (expected --out PATH / --recovery-smoke)"),
+            other => panic!("unknown argument '{other}' (expected --out PATH)"),
         }
-    }
-    if recovery_smoke {
-        run_recovery_smoke();
-        return;
     }
 
     let cases = [append_case(), churn_case()];
@@ -255,99 +247,4 @@ fn churn_case() -> BenchCase {
         bytes_per_resident,
         write_amplification,
     )
-}
-
-/// The CI crash-recovery smoke: both torn-tail shapes, in a release
-/// build, through the public API only.
-fn run_recovery_smoke() {
-    let capacity = ByteSize::from_mib(4_000);
-    let stores = 300u64;
-
-    // Shape 1: garbage appended after the last complete record (the
-    // write that never finished). Recovery must truncate it away and
-    // reproduce the pre-corruption state exactly.
-    let dir = scratch("smoke-torn");
-    let mut unit =
-        DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, config()).expect("open");
-    for id in 0..stores {
-        unit.store(resident_spec(id), SimTime::from_minutes(id))
-            .expect("store fits");
-    }
-    let before = serde_json::to_string(unit.unit()).expect("serialize state");
-    drop(unit.close().expect("clean close"));
-
-    let last = last_segment(&dir);
-    let mut bytes = std::fs::read(&last).expect("read last segment");
-    let clean_len = bytes.len();
-    bytes.extend_from_slice(&[0x42u8; 13]);
-    std::fs::write(&last, &bytes).expect("corrupt tail");
-
-    let unit =
-        DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, config()).expect("recover");
-    assert_eq!(unit.recovered_torn_bytes(), 13, "torn bytes truncated");
-    let after = serde_json::to_string(unit.unit()).expect("serialize state");
-    assert_eq!(before, after, "torn tail recovered to pre-corruption state");
-    assert_eq!(
-        std::fs::metadata(&last).expect("stat").len(),
-        clean_len as u64,
-        "tail truncated back to the last complete record"
-    );
-    drop(unit);
-    std::fs::remove_dir_all(&dir).ok();
-    println!("recovery smoke: torn tail recovered {stores} stores intact");
-
-    // Shape 2: the final record itself cut mid-write. Recovery must drop
-    // exactly that one mutation and keep everything before it.
-    let dir = scratch("smoke-cut");
-    let mut unit =
-        DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, config()).expect("open");
-    for id in 0..stores {
-        unit.store(resident_spec(id), SimTime::from_minutes(id))
-            .expect("store fits");
-    }
-    drop(unit.close().expect("clean close"));
-
-    let last = last_segment(&dir);
-    let len = std::fs::metadata(&last).expect("stat").len();
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&last)
-        .expect("reopen last segment");
-    file.set_len(len - 3).expect("cut final record");
-    drop(file);
-
-    let unit =
-        DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, config()).expect("recover");
-    assert_eq!(
-        unit.unit().len(),
-        stores as usize - 1,
-        "exactly the cut final store is gone"
-    );
-    assert!(
-        unit.unit().get(ObjectId::new(stores - 1)).is_none(),
-        "the dropped mutation is the last one"
-    );
-    assert!(
-        unit.unit().get(ObjectId::new(stores - 2)).is_some(),
-        "every earlier mutation survives"
-    );
-    drop(unit);
-    std::fs::remove_dir_all(&dir).ok();
-    println!("recovery smoke: cut final record dropped exactly one store");
-    println!("recovery smoke: OK");
-}
-
-/// The highest-numbered segment file in a log directory.
-fn last_segment(dir: &std::path::Path) -> PathBuf {
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("read log dir")
-        .map(|entry| entry.expect("dir entry").path())
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with("seg-") && name.ends_with(".log"))
-        })
-        .collect();
-    segments.sort();
-    segments.pop().expect("log has at least one segment")
 }

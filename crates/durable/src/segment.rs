@@ -104,10 +104,6 @@ pub(crate) struct Recovered {
     /// Lifetime statistics, identical to what the in-memory engine
     /// would report after the same request sequence.
     pub stats: UnitStats,
-    /// Engine-clock high-water mark across the whole log.
-    pub clock: SimTime,
-    /// Sweep-clock high-water mark across the whole log.
-    pub last_sweep: SimTime,
     /// Bytes of torn tail truncated from the final segment, if any.
     pub torn_bytes: u64,
 }
@@ -342,12 +338,8 @@ impl SegmentLog {
         }
 
         let mut stats = UnitStats::default();
-        let mut clock = SimTime::ZERO;
-        let mut last_sweep = SimTime::ZERO;
         for meta in log.segments.values() {
             stats += &meta.stats;
-            clock = clock.max(meta.max_at);
-            last_sweep = last_sweep.max(meta.max_sweep);
         }
 
         if torn_bytes > 0 {
@@ -360,8 +352,6 @@ impl SegmentLog {
             Recovered {
                 objects,
                 stats,
-                clock,
-                last_sweep,
                 torn_bytes,
             },
         ))
@@ -675,6 +665,16 @@ impl SegmentLog {
             survivor_bytes,
             tombstones,
         })
+    }
+
+    /// The engine-clock and sweep-clock high-water marks across the
+    /// log. A folded segment's marks live on in its `Compacted` record.
+    pub fn clocks(&self) -> (SimTime, SimTime) {
+        self.segments
+            .values()
+            .fold((SimTime::ZERO, SimTime::ZERO), |(at, sweep), meta| {
+                (at.max(meta.max_at), sweep.max(meta.max_sweep))
+            })
     }
 
     /// Current disk occupancy.

@@ -8,9 +8,12 @@
 //! rejection) is appended to the log, so replaying the log reproduces
 //! the engine's state and statistics *exactly*, not approximately.
 //!
-//! Reads are not journaled. The recovered clock is therefore the clock
-//! of the last persisted mutation: a crash forgets that reads advanced
-//! time, which is harmless — the next mutation re-advances it.
+//! The unit's clocks are the log's: [`clock`](DurableUnit::clock) and
+//! [`last_sweep`](DurableUnit::last_sweep) read the high-water marks of
+//! the records on disk, so a live unit and its reopened log report the
+//! same values. A call that journals nothing — a read, a remove of an id
+//! that is not stored, a refused annotation — does not advance them; the
+//! next journaled mutation does.
 
 use std::path::Path;
 
@@ -92,8 +95,6 @@ pub struct DurableUnit {
     unit: StorageUnit,
     log: SegmentLog,
     config: DurableConfig,
-    clock: SimTime,
-    last_sweep: SimTime,
     recovered_torn_bytes: u64,
 }
 
@@ -133,8 +134,6 @@ impl DurableUnit {
             unit,
             log,
             config,
-            clock: recovered.clock,
-            last_sweep: recovered.last_sweep,
             recovered_torn_bytes: recovered.torn_bytes,
         })
     }
@@ -149,7 +148,6 @@ impl DurableUnit {
     /// [`Error::Store`] when the engine refuses the object, or an
     /// external-wrapped [`DurableError`] when journaling fails.
     pub fn store(&mut self, spec: ObjectSpec, now: SimTime) -> Result<StoreOutcome, Error> {
-        self.clock = self.clock.max(now);
         match self.unit.store(spec, now) {
             Ok(outcome) => {
                 let object = self
@@ -187,13 +185,11 @@ impl DurableUnit {
     ///
     /// An external-wrapped [`DurableError`] when journaling fails.
     pub fn sweep_expired(&mut self, now: SimTime) -> Result<Vec<EvictionRecord>, DurableError> {
-        self.clock = self.clock.max(now);
         let records = self.unit.sweep_expired(now);
         self.journal(&LogRecord::Sweep {
             at: now,
             expired: records.iter().map(Victim::from).collect(),
         })?;
-        self.last_sweep = self.last_sweep.max(now);
         Ok(records)
     }
 
@@ -208,7 +204,6 @@ impl DurableUnit {
         id: ObjectId,
         now: SimTime,
     ) -> Result<Option<EvictionRecord>, DurableError> {
-        self.clock = self.clock.max(now);
         let record = self.unit.remove(id, now);
         if let Some(rec) = &record {
             self.journal(&LogRecord::Remove {
@@ -233,7 +228,6 @@ impl DurableUnit {
         curve: ImportanceCurve,
         now: SimTime,
     ) -> Result<(), Error> {
-        self.clock = self.clock.max(now);
         self.unit.rejuvenate(id, curve, now)?;
         self.journal_annotation(id, now)
     }
@@ -251,7 +245,6 @@ impl DurableUnit {
         curve: ImportanceCurve,
         now: SimTime,
     ) -> Result<(), Error> {
-        self.clock = self.clock.max(now);
         self.unit.reannotate(id, curve, now)?;
         self.journal_annotation(id, now)
     }
@@ -353,20 +346,14 @@ impl DurableUnit {
         self.log.disk_info()
     }
 
-    /// Bytes appended per byte of first-write record (compaction
-    /// rewrites are the amplification).
-    pub fn write_amplification(&self) -> f64 {
-        self.disk_info().write_amplification()
-    }
-
     /// Engine-clock high-water mark across persisted mutations.
     pub fn clock(&self) -> SimTime {
-        self.clock
+        self.log.clocks().0
     }
 
     /// Sweep-clock high-water mark across persisted sweeps.
     pub fn last_sweep(&self) -> SimTime {
-        self.last_sweep
+        self.log.clocks().1
     }
 
     /// Bytes of torn tail this open truncated from the final segment —
@@ -381,8 +368,8 @@ impl DurableUnit {
         self.unit.set_observer(obs);
     }
 
-    /// Advances the engine clock in memory (not journaled; see the
-    /// module docs on reads and recovery).
+    /// Advances the engine clock in memory. Not journaled, so
+    /// [`clock`](DurableUnit::clock) does not move (see the module docs).
     pub fn advance(&mut self, now: SimTime) {
         self.unit.advance(now);
     }

@@ -15,7 +15,7 @@ use workload::{CLASS_STUDENT, CLASS_UNIVERSITY};
 use crate::ablation::{decay_ablation, placement_ablation};
 use crate::availability;
 use crate::lecture::{self, LectureRunConfig};
-use crate::single_class::{self, PolicyChoice, SingleClassConfig};
+use crate::single_class::{self, PolicyChoice, SingleClassConfig, SingleClassResult};
 use crate::university::{self, UniversityRunConfig};
 
 /// A regenerated paper artifact: tables plus interpretation notes.
@@ -126,17 +126,8 @@ pub fn fig2(seed: u64) -> FigureReport {
 }
 
 /// Runs the three §5.1 policy simulations in parallel (they are
-/// independent) and extracts one series from each.
-fn policy_columns<F>(
-    seed: u64,
-    days: u64,
-    capacity_gib: u64,
-    extract: F,
-) -> Vec<(String, Vec<(SimTime, f64)>)>
-where
-    F: Fn(&single_class::SingleClassResult) -> Vec<(SimTime, f64)> + Sync,
-{
-    let extract = &extract;
+/// independent).
+fn policy_runs(seed: u64, days: u64, capacity_gib: u64) -> Vec<(String, SingleClassResult)> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = PolicyChoice::ALL
             .into_iter()
@@ -144,8 +135,7 @@ where
                 scope.spawn(move || {
                     let mut cfg = SingleClassConfig::paper(seed, capacity_gib, policy);
                     cfg.days = days;
-                    let result = single_class::run(cfg);
-                    (policy.label().to_string(), extract(&result))
+                    (policy.label().to_string(), single_class::run(cfg))
                 })
             })
             .collect();
@@ -163,9 +153,11 @@ pub fn fig3(seed: u64, days: u64) -> FigureReport {
     let mut tables = Vec::new();
     let mut notes = Vec::new();
     for capacity in CAPACITIES_GIB {
-        let columns = policy_columns(seed, days, capacity, |r| {
-            r.lifetime_series().bucket_mean(MONTH)
-        });
+        let runs = policy_runs(seed, days, capacity);
+        let columns: Vec<_> = runs
+            .iter()
+            .map(|(name, r)| (name.clone(), r.lifetime_series().bucket_mean(MONTH)))
+            .collect();
         // Note the ordering the paper calls out in the Figure 3 caption.
         let means: BTreeMap<String, f64> = columns
             .iter()
@@ -188,7 +180,7 @@ pub fn fig3(seed: u64, days: u64) -> FigureReport {
         ));
         tables.push((
             format!("{capacity} GiB — lifetime distribution (fraction of evictions)"),
-            lifetime_histogram_table(seed, days, capacity),
+            lifetime_histogram_table(&runs),
         ));
     }
     notes.push("series start once the disk first fills (~day 40), as in the paper".into());
@@ -206,9 +198,10 @@ pub fn fig4(seed: u64, days: u64) -> FigureReport {
     let mut tables = Vec::new();
     let mut notes = Vec::new();
     for capacity in CAPACITIES_GIB {
-        let columns = policy_columns(seed, days, capacity, |r| {
-            r.rejection_series().bucket_sum(MONTH)
-        });
+        let columns: Vec<_> = policy_runs(seed, days, capacity)
+            .iter()
+            .map(|(name, r)| (name.clone(), r.rejection_series().bucket_sum(MONTH)))
+            .collect();
         let totals: Vec<(String, f64)> = columns
             .iter()
             .map(|(name, pts)| (name.clone(), pts.iter().map(|&(_, v)| v).sum()))
@@ -237,18 +230,15 @@ pub fn fig4(seed: u64, days: u64) -> FigureReport {
 }
 
 /// A 0–40-day lifetime histogram per policy, as fractions of evictions.
-fn lifetime_histogram_table(seed: u64, days: u64, capacity_gib: u64) -> Table {
+fn lifetime_histogram_table(runs: &[(String, SingleClassResult)]) -> Table {
     use analysis::Histogram;
 
-    let per_policy: Vec<(String, Histogram)> = PolicyChoice::ALL
-        .into_iter()
-        .map(|policy| {
-            let mut cfg = SingleClassConfig::paper(seed, capacity_gib, policy);
-            cfg.days = days;
-            let result = single_class::run(cfg);
+    let per_policy: Vec<(String, Histogram)> = runs
+        .iter()
+        .map(|(name, result)| {
             let mut hist = Histogram::new(0.0, 40.0, 8).expect("valid spec");
             hist.record_all(result.lifetime_series().values());
-            (policy.label().to_string(), hist)
+            (name.clone(), hist)
         })
         .collect();
 

@@ -23,11 +23,12 @@
 //! integer-only `serve.slow` trace event through the observer seam.
 //! Nothing travels back to the client with the reply.
 //!
-//! This module is the one place in the crate that mentions the
-//! `obs-off` feature: under it, every type here collapses to a unit
-//! struct and every method to an empty inline body, so the serve hot
-//! path carries no atomic traffic, no `Instant` reads, and no extra
-//! bytes per job. (Serve trace events carry wall-clock durations and so
+//! This module is where the crate gates on the `obs-off` feature (its
+//! tests only read it), and with `sim_core::observe` one of the two
+//! places in library code that do: under it, every type here collapses
+//! to a unit struct and every method to an empty inline body, so the
+//! serve hot path carries no atomic traffic, no `Instant` reads, and no
+//! extra bytes per job. (Serve trace events carry wall-clock durations and so
 //! must never feed a byte-stable artifact; the `TraceSink` ignores
 //! them by construction only for spans, so keep `serve.slow` out of
 //! golden traces — the golden workload never drives the serve layer.)

@@ -15,8 +15,11 @@
 //! unit struct and every emission method to an empty inline body, so
 //! instrumented hot paths carry no branch, no load, and no extra struct
 //! bytes. Downstream crates forward the feature (`obs-off =
-//! ["sim-core/obs-off"]`) rather than sprinkling their own `cfg`s: this
-//! module is the only place in the workspace that mentions the feature.
+//! ["sim-core/obs-off"]`) rather than sprinkling their own `cfg`s. Library
+//! code gates on it in two places: this module, and `tempimpd`'s `trace`
+//! module, whose per-request latency stamps are not [`Obs`] signals and
+//! compile out the same way. Elsewhere the feature appears only in tests,
+//! doc examples and the bench tools, which read it to know what to expect.
 //!
 //! # Determinism contract
 //!

@@ -345,9 +345,9 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     let (mut indexed, mut naive) = (unit(false), unit(true));
     let open = || DurableUnit::open(&dir, CAPACITY, case.policy, segments()).expect("open the log");
     let mut durable = open();
-    // The durable clocks the model expects: the last mutation, the last
-    // journaled one (all a reopened log remembers), the last sweep.
-    let (mut clock, mut journaled, mut swept) = (SimTime::ZERO, SimTime::ZERO, SimTime::ZERO);
+    // The durable clocks the model expects, live and reopened alike: the
+    // last journaled mutation and the last sweep, all the log remembers.
+    let (mut journaled, mut swept) = (SimTime::ZERO, SimTime::ZERO);
     let (mut sealed, mut compacted) = (false, false);
     let mut reopen = |durable: DurableUnit, expected: &StorageUnit, clocks| {
         let disk = durable.disk_info();
@@ -369,7 +369,6 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     for (step, (now, op)) in case.script.iter().enumerate() {
         if step == case.cut {
             durable = reopen(durable, &indexed, (journaled, swept));
-            clock = journaled;
             tolerance = REOPENED_TOLERANCE;
         }
         let (expected, journals) = apply(&mut indexed, *now, op);
@@ -379,9 +378,6 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         check(step, "durable unit", &answered, &expected, tolerance);
         if journals {
             journaled = *now;
-        }
-        if journals || matches!(op, Op::Remove(_) | Op::Rejuvenate(..) | Op::Reannotate(..)) {
-            clock = *now;
         }
         if matches!(op, Op::Sweep) {
             swept = *now;
@@ -396,7 +392,7 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
             "durable at step {step}"
         );
         let clocks = (durable.clock(), durable.last_sweep());
-        assert_eq!(clocks, (clock, swept), "durable clocks at step {step}");
+        assert_eq!(clocks, (journaled, swept), "durable clocks at step {step}");
     }
     drop(reopen(durable, &indexed, (journaled, swept)));
     assert_eq!(fingerprint(&naive), fingerprint(&indexed), "final oracle");
