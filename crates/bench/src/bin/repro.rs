@@ -3,39 +3,47 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--seed N] [--quick] [--json DIR] [--series DIR] [--prom FILE] [EXPERIMENT...]
+//! repro [--seed N] [--quick] [--json DIR] [--trace DIR] [--prom FILE] [EXPERIMENT...]
 //! repro --list
 //! ```
 //!
 //! With no experiment arguments, all of them run in paper order. `--quick`
 //! shortens the simulated horizons (CI-friendly); the default horizons
 //! match the figures in the paper. `--json DIR` additionally dumps each
-//! report's tables as CSV files into DIR. `--series DIR` attaches a
-//! [`obs::SeriesRecorder`] and dumps every captured time series (density
-//! samples, per-node cluster trajectories, …) as per-experiment CSVs into
-//! DIR; `--prom FILE` writes the final registry and series state in the
-//! Prometheus text exposition format.
+//! report's tables as CSV files into DIR. `--trace DIR` attaches an
+//! [`obs::TraceSink`] and writes each experiment's event trace as
+//! `DIR/<experiment>.jsonl`; `tempimp-obs series` extracts any trajectory
+//! from it (density samples by `gib`/`policy`, per-node cluster density,
+//! …) and `tempimp-obs verify-density` checks Figure 6 against it.
+//! `--prom FILE` writes the final registry state in the Prometheus text
+//! exposition format.
+//!
+//! A trace is byte-identical across runs when the experiment emits from
+//! one thread (`fig6`, `sec53`, …). `fig3` and `fig4` run their three
+//! §5.1 policy simulations on threads, so their lines interleave in
+//! scheduling order; a series filtered to one run (`density.sample` with
+//! `policy=…`) is still that thread's alone, so what `tempimp-obs series`
+//! extracts is stable even where the file is not.
 //!
 //! A process-global [`obs::MetricsRegistry`] is installed at startup;
 //! after each experiment the delta of engine/cluster counters goes to
 //! **stderr**, so the frozen stdout (`repro_output.txt`, `results/*.csv`)
 //! stays byte-identical while humans still get per-phase telemetry. The
-//! series recorder only ever *reads* the same integer events the trace
-//! layer sees, so it cannot perturb stdout either.
+//! trace sink only ever *reads* the same integer events, so it cannot
+//! perturb stdout either.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use experiments::figures::{self, FigureReport};
 use experiments::DEFAULT_SEED;
-use obs::{Observer, Report, SeriesRecorder};
-use sim_core::SimDuration;
+use obs::{Observer, Report, TraceSink};
 
 struct Options {
     seed: u64,
     quick: bool,
     json_dir: Option<String>,
-    series_dir: Option<String>,
+    trace_dir: Option<String>,
     prom_file: Option<String>,
     experiments: Vec<String>,
 }
@@ -87,32 +95,20 @@ fn main() -> ExitCode {
 
     // Every unit/cluster built from here on reports into this registry
     // (unless compiled with `obs-off`, in which case it stays silent).
-    // With `--series` the registry shares the stream with a series
-    // recorder through a fan-out.
+    // With `--trace` the registry shares the stream with a trace sink
+    // through a fan-out.
     let registry = Arc::new(obs::MetricsRegistry::new());
-    let recorder = options.series_dir.as_ref().map(|_| {
-        let recorder = Arc::new(SeriesRecorder::new(SimDuration::DAY));
-        recorder.track_counter("engine.stores");
-        recorder.track_counter("cluster.placements");
-        recorder.track_events("density.sample", "density_ppm", &["gib", "policy"]);
-        recorder.track_events("cluster.density", "density_ppm", &[]);
-        recorder.track_events("cluster.node", "density_ppm", &["node"]);
-        recorder
-    });
+    let trace = options
+        .trace_dir
+        .as_ref()
+        .map(|dir| (dir, Arc::new(TraceSink::new())));
     let mut sinks: Vec<Arc<dyn Observer>> = vec![registry.clone()];
-    if let Some(recorder) = &recorder {
-        sinks.push(recorder.clone());
+    if let Some((_, sink)) = &trace {
+        sinks.push(sink.clone());
     }
     let metrics = obs::set_global_observer(Arc::new(obs::Fanout::new(sinks))).then_some(registry);
 
-    for (index, id) in ids.iter().enumerate() {
-        // One series bundle per experiment: start each one (after the
-        // first) from a clean clock so trajectories never interleave.
-        if index > 0 {
-            if let Some(recorder) = &recorder {
-                recorder.reset();
-            }
-        }
+    for id in &ids {
         let phase_start = metrics.as_ref().map(|m| m.snapshot());
         let report = match run_experiment(id, &options) {
             Some(report) => report,
@@ -136,21 +132,21 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        if let (Some(dir), Some(recorder)) = (&options.series_dir, &recorder) {
-            if let Err(e) = dump_series(dir, id, recorder) {
-                eprintln!("failed to write series for {id}: {e}");
+        // Draining after each experiment leaves one trace per file.
+        if let Some((dir, sink)) = &trace {
+            let written = std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(format!("{dir}/{id}.jsonl"), sink.take_jsonl()));
+            if let Err(e) = written {
+                eprintln!("failed to write trace for {id}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
     if let Some(path) = &options.prom_file {
-        let mut text = metrics
+        let text = metrics
             .as_ref()
             .map(|m| m.snapshot().render_prometheus())
             .unwrap_or_default();
-        if let Some(recorder) = &recorder {
-            text.push_str(&recorder.render_prometheus());
-        }
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
@@ -164,7 +160,7 @@ fn parse_args() -> Result<Options, String> {
         seed: DEFAULT_SEED,
         quick: false,
         json_dir: None,
-        series_dir: None,
+        trace_dir: None,
         prom_file: None,
         experiments: Vec::new(),
     };
@@ -181,8 +177,8 @@ fn parse_args() -> Result<Options, String> {
             "--json" => {
                 options.json_dir = Some(args.next().ok_or("--json needs a directory")?);
             }
-            "--series" => {
-                options.series_dir = Some(args.next().ok_or("--series needs a directory")?);
+            "--trace" => {
+                options.trace_dir = Some(args.next().ok_or("--trace needs a directory")?);
             }
             "--prom" => {
                 options.prom_file = Some(args.next().ok_or("--prom needs a file path")?);
@@ -194,7 +190,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--seed N] [--quick] [--json DIR] [--series DIR] [--prom FILE] [EXPERIMENT...]\n       repro --list"
+                    "usage: repro [--seed N] [--quick] [--json DIR] [--trace DIR] [--prom FILE] [EXPERIMENT...]\n       repro --list"
                 );
                 std::process::exit(0);
             }
@@ -246,18 +242,6 @@ fn dump_csv(dir: &str, report: &FigureReport) -> std::io::Result<()> {
     for (index, (name, table)) in report.tables.iter().enumerate() {
         let path = format!("{dir}/{}_{index}_{}.csv", report.id, slug(name));
         std::fs::write(path, table.to_csv())?;
-    }
-    Ok(())
-}
-
-/// Writes every series the recorder captured during `experiment` as
-/// `DIR/<experiment>__<series>.csv` (slugged; one value column keyed by
-/// simulated minutes).
-fn dump_series(dir: &str, experiment: &str, recorder: &SeriesRecorder) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for (name, csv) in recorder.dump_csvs() {
-        let path = format!("{dir}/{}__{}.csv", slug(experiment), slug(&name));
-        std::fs::write(path, csv)?;
     }
     Ok(())
 }

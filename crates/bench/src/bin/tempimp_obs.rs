@@ -22,10 +22,10 @@
 //! * `golden` — replays [`bench_harness::golden`] (the exact workload
 //!   pinned by `tests/golden_trace.rs`) and writes its trace.
 //! * `verify-density` — recomputes Figure 6's monthly mean density from
-//!   the daily parts-per-million series (either a JSONL trace's
-//!   `density.sample` events or a `repro --series` CSV dump) and checks
-//!   it against the figure's CSV (`results/fig6_*.csv` or a fresh
-//!   `--json` dump), closing the loop trace → analysis → paper artifact.
+//!   the daily parts-per-million `density.sample` events of a trace
+//!   (`repro --trace DIR fig6` writes `DIR/fig6.jsonl`) and checks it
+//!   against the figure's CSV (`results/fig6_*.csv` or a fresh `--json`
+//!   dump), closing the loop trace → analysis → paper artifact.
 //! * `serve-top` — a refreshing per-shard live view of a `tempimpd`
 //!   service: spins one up in-process, drives it from client threads with
 //!   `bench_stack`'s request stream at 1/50 size, and renders the
@@ -204,44 +204,16 @@ fn cmd_golden(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Loads the daily density series, in parts-per-million, from either a
-/// JSONL trace (the `density.sample` events matching `gib`/`policy`) or a
-/// `repro --series` dump (`t_minutes,value` rows — the filters are baked
-/// into which file was dumped).
+/// Loads the daily density series, in parts-per-million, from a JSONL
+/// trace: the `density.sample` events matching `gib`/`policy`.
 fn load_ppm_series(path: &str, gib: u64, policy: u64) -> Result<Vec<(u64, u64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    if text.starts_with('{') {
-        let events =
-            tracefile::parse_jsonl(&text).map_err(|(line, e)| format!("{path}:{line}: {e}"))?;
-        let filters = [("gib".to_string(), gib), ("policy".to_string(), policy)];
-        let samples = tracefile::extract_series(&events, "density.sample", "density_ppm", &filters);
-        if samples.is_empty() {
-            return Err(format!(
-                "no density.sample events for gib={gib} policy={policy} in '{path}'"
-            ));
-        }
-        return Ok(samples);
-    }
-    let mut samples = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        if index == 0 {
-            if line != "t_minutes,value" {
-                return Err(format!(
-                    "'{path}' is neither a JSONL trace nor a series CSV (header '{line}')"
-                ));
-            }
-            continue;
-        }
-        let parsed = line
-            .split_once(',')
-            .and_then(|(t, v)| Some((t.parse::<u64>().ok()?, v.parse::<u64>().ok()?)));
-        let Some(point) = parsed else {
-            return Err(format!("{path}:{}: malformed row '{line}'", index + 1));
-        };
-        samples.push(point);
-    }
+    let events = load_trace(path)?;
+    let filters = [("gib".to_string(), gib), ("policy".to_string(), policy)];
+    let samples = tracefile::extract_series(&events, "density.sample", "density_ppm", &filters);
     if samples.is_empty() {
-        return Err(format!("'{path}' has no data rows"));
+        return Err(format!(
+            "no density.sample events for gib={gib} policy={policy} in '{path}'"
+        ));
     }
     Ok(samples)
 }

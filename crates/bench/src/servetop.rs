@@ -374,11 +374,7 @@ mod tests {
     #[test]
     fn slow_log_captures_only_serve_slow_and_bounds_itself() {
         let log = Arc::new(SlowLog::new(2));
-        log.event(
-            SimTime::ZERO,
-            "serve.batch",
-            &[("shard", 0), ("drained", 5)],
-        );
+        log.event(SimTime::ZERO, "engine.store", &[("id", 7), ("victims", 0)]);
         assert!(log.entries().is_empty());
         assert!(log.render_tail(5).contains("none"));
         for seq in 1..=3u64 {

@@ -94,12 +94,9 @@ pub fn fig2(seed: u64) -> FigureReport {
     let gen = RampedArrivals::paper(seed);
     let mut sampled = TimeSeries::new();
     let mut acc = 0.0;
-    for arrival in RampedArrivals::paper(seed) {
-        if arrival.at >= SimTime::from_days(365) {
-            break;
-        }
-        acc += arrival.size.as_gib_f64();
-        sampled.push(arrival.at, acc);
+    for (at, size) in ramp_arrivals(seed, 365) {
+        acc += size.as_gib_f64();
+        sampled.push(at, acc);
     }
 
     let mut table = Table::new(vec!["day", "cumulative GiB", "expected GiB"]);
@@ -258,6 +255,16 @@ fn lifetime_histogram_table(runs: &[(String, SingleClassResult)]) -> Table {
     table
 }
 
+/// The §5.1 arrival stream `(time, size)` over the first `days` — what a
+/// Palimpsest time-constant estimator sees, whatever policy stores it.
+fn ramp_arrivals(seed: u64, days: u64) -> Vec<(SimTime, ByteSize)> {
+    let horizon = SimTime::from_days(days);
+    RampedArrivals::paper(seed)
+        .take_while(|arrival| arrival.at < horizon)
+        .map(|arrival| (arrival.at, arrival.size))
+        .collect()
+}
+
 fn time_constant_table(
     arrivals: &[(SimTime, ByteSize)],
     capacity: ByteSize,
@@ -310,12 +317,9 @@ pub fn fig5(seed: u64, days: u64) -> FigureReport {
     let _span = observe_figure("fig5");
     let mut tables = Vec::new();
     let mut notes = Vec::new();
-    // The estimator needs only the arrival stream; reuse the temporal run.
-    let mut cfg = SingleClassConfig::paper(seed, 80, PolicyChoice::TemporalImportance);
-    cfg.days = days;
-    let result = single_class::run(cfg);
+    let arrivals = ramp_arrivals(seed, days);
     for capacity in CAPACITIES_GIB {
-        let (table, mut n) = time_constant_table(&result.arrivals, ByteSize::from_gib(capacity));
+        let (table, mut n) = time_constant_table(&arrivals, ByteSize::from_gib(capacity));
         notes.append(&mut n);
         tables.push((format!("{capacity} GiB — time constant estimates"), table));
     }
@@ -1101,9 +1105,7 @@ pub fn predictability(seed: u64, days: u64) -> FigureReport {
     let _span = observe_figure("predictability");
     use analysis::predict::rolling_mean_report;
 
-    let mut cfg = SingleClassConfig::paper(seed, 80, PolicyChoice::TemporalImportance);
-    cfg.days = days;
-    let result = single_class::run(cfg);
+    let arrivals = ramp_arrivals(seed, days);
 
     let mut table = Table::new(vec![
         "window",
@@ -1121,7 +1123,7 @@ pub fn predictability(seed: u64, days: u64) -> FigureReport {
         ("month", MONTH),
     ] {
         let series = TimeConstantEstimator::new(ByteSize::from_gib(80), window)
-            .estimate(result.arrivals.iter().copied());
+            .estimate(arrivals.iter().copied());
         for history in [1usize, 7, 30] {
             let Some(report) = rolling_mean_report(&series, history) else {
                 continue;

@@ -135,10 +135,6 @@ pub struct SingleClassResult {
     pub rejections: Vec<RejectionRecord>,
     /// Daily storage importance density samples.
     pub density: TimeSeries,
-    /// Daily used-bytes samples (fraction of capacity).
-    pub used_fraction: TimeSeries,
-    /// The raw arrival stream `(time, size)` (for Figures 2 and 5).
-    pub arrivals: Vec<(SimTime, ByteSize)>,
     /// Final unit counters.
     pub stats: UnitStats,
     /// The snapshot captured near `snapshot_density`, if requested & found.
@@ -162,18 +158,6 @@ impl SingleClassResult {
     pub fn rejection_series(&self) -> TimeSeries {
         self.rejections.iter().map(|r| (r.at, 1.0)).collect()
     }
-
-    /// Cumulative arrival volume in GiB — Figure 2's curve.
-    pub fn cumulative_volume(&self) -> TimeSeries {
-        let mut acc = 0.0;
-        self.arrivals
-            .iter()
-            .map(|&(at, size)| {
-                acc += size.as_gib_f64();
-                (at, acc)
-            })
-            .collect()
-    }
 }
 
 /// Runs the §5.1 experiment.
@@ -190,8 +174,6 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
     let curve = config.policy.curve();
 
     let mut density = TimeSeries::new();
-    let mut used_fraction = TimeSeries::new();
-    let mut arrivals_log = Vec::new();
     let mut next_sample = SimTime::ZERO;
     let mut snapshot: Option<DensitySnapshot> = None;
     let mut saw_eviction = false;
@@ -206,7 +188,6 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
             let d = unit.importance_density(next_sample);
             let used = unit.used().ratio(unit.capacity());
             density.push(next_sample, d);
-            used_fraction.push(next_sample, used);
             span.sim_to(next_sample);
             obs.event(
                 next_sample,
@@ -221,7 +202,6 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
             next_sample += config.sample_every;
         }
 
-        arrivals_log.push((arrival.at, arrival.size));
         let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve.clone());
         match unit.store(spec, arrival.at) {
             Ok(outcome) => {
@@ -252,8 +232,6 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
         evictions: unit.take_evictions(),
         rejections: unit.take_rejections(),
         density,
-        used_fraction,
-        arrivals: arrivals_log,
         stats: *unit.stats(),
         snapshot,
     }
@@ -363,9 +341,5 @@ mod tests {
     fn series_helpers_are_consistent() {
         let result = quick(PolicyChoice::TemporalImportance, 80);
         assert_eq!(result.rejection_series().len(), result.rejections.len());
-        let cumulative = result.cumulative_volume();
-        let vals = cumulative.values();
-        assert!(vals.windows(2).all(|w| w[1] >= w[0]));
-        assert_eq!(cumulative.len(), result.arrivals.len());
     }
 }

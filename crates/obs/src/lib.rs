@@ -49,13 +49,11 @@
 
 mod registry;
 mod report;
-mod series;
 mod trace;
 pub mod tracefile;
 
 pub use registry::{Histogram, MetricsRegistry};
 pub use report::{HistogramSummary, Report, Snapshot, SpanSummary};
-pub use series::SeriesRecorder;
 pub use trace::{Fanout, TraceSink};
 
 use std::sync::Arc;

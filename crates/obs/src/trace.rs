@@ -198,8 +198,7 @@ impl Observer for Fanout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsRegistry, SeriesRecorder};
-    use sim_core::SimDuration;
+    use crate::MetricsRegistry;
 
     #[test]
     fn events_render_as_stable_jsonl() {
@@ -229,18 +228,13 @@ mod tests {
     fn fanout_reaches_every_sink() {
         let registry = Arc::new(MetricsRegistry::new());
         let trace = Arc::new(TraceSink::new());
-        // The composition `repro --series` attaches: a series recorder
-        // behind the fanout, with a tracked counter and event kind.
-        let recorder = Arc::new(SeriesRecorder::new(SimDuration::from_minutes(10)));
-        recorder.track_counter("c");
-        recorder.track_events("e", "n", &[]);
-        let fanout = Fanout::new(vec![registry.clone(), trace.clone(), recorder.clone()]);
+        // The composition `repro --trace` attaches.
+        let fanout = Fanout::new(vec![registry.clone(), trace.clone()]);
         fanout.counter("c", 4);
         fanout.gauge("g", 9);
         fanout.record("h", 2);
         fanout.event(SimTime::from_minutes(25), "e", &[("n", 1)]);
         fanout.span("s", 1_000, 5);
-        recorder.advance_to(SimTime::from_minutes(30));
 
         assert_eq!(registry.counter_value("c"), 4);
         assert_eq!(registry.gauge_value("g"), 9);
@@ -248,13 +242,11 @@ mod tests {
         assert_eq!(registry.event_count("e"), 1);
         assert_eq!(registry.span_summary("s").sim_minutes, 5);
         assert_eq!(trace.len(), 1, "spans never become trace lines");
-        let minutes = |name: &str| -> Vec<(u64, u64)> {
-            let points = recorder.series(name).unwrap();
-            points.iter().map(|&(t, v)| (t.as_minutes(), v)).collect()
-        };
-        assert_eq!(minutes("c"), vec![(0, 4), (10, 4), (20, 4), (30, 4)]);
-        assert_eq!(minutes("e.n"), vec![(25, 1)]);
-        assert!(format!("{fanout:?}").contains("sinks: 3"));
+        assert_eq!(
+            trace.to_jsonl(),
+            "{\"t\":25,\"kind\":\"e\",\"fields\":{\"n\":1}}\n"
+        );
+        assert!(format!("{fanout:?}").contains("sinks: 2"));
     }
 
     #[test]

@@ -357,16 +357,6 @@ impl Worker {
             drop(span);
             self.obs.record("serve.batch_fill", drained);
             self.obs.gauge("serve.queue_depth", depth);
-            self.obs.event(
-                now,
-                "serve.batch",
-                &[("shard", u64::from(self.shard)), ("drained", drained)],
-            );
-            self.obs.event(
-                now,
-                "serve.depth",
-                &[("shard", u64::from(self.shard)), ("depth", depth)],
-            );
         }
         let final_now = engine.now();
         let disk = engine.disk_info();

@@ -132,11 +132,6 @@ impl RampedArrivals {
         &self.schedule
     }
 
-    /// Expected volume generated per active hour at `at` (half the cap).
-    pub fn expected_hourly_volume(&self, at: SimTime) -> ByteSize {
-        ByteSize::from_bytes(self.schedule.cap_at(at).as_bytes() / 2)
-    }
-
     /// Expected cumulative volume by `at` — the analytic counterpart of
     /// Figure 2's storage-requirement curve.
     pub fn expected_volume_by(&self, at: SimTime) -> ByteSize {

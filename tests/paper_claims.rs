@@ -5,8 +5,9 @@
 use temporal_reclaim::analysis::{TimeConstantEstimator, WeightedCdf};
 use temporal_reclaim::experiments::lecture::{self, LectureRunConfig};
 use temporal_reclaim::experiments::single_class::{self, PolicyChoice, SingleClassConfig};
+use temporal_reclaim::workload::ramp::RampedArrivals;
 use temporal_reclaim::workload::{CLASS_STUDENT, CLASS_UNIVERSITY};
-use temporal_reclaim::{ByteSize, SimDuration};
+use temporal_reclaim::{ByteSize, SimDuration, SimTime};
 
 const SEED: u64 = 20070625;
 
@@ -111,12 +112,16 @@ fn more_storage_never_hurts() {
 /// month window is far more stable.
 #[test]
 fn figure_5_time_constant_instability() {
-    let result = single_class(PolicyChoice::TemporalImportance, 80, 400);
+    let horizon = SimTime::from_days(400);
+    let arrivals: Vec<(SimTime, ByteSize)> = RampedArrivals::paper(SEED)
+        .take_while(|arrival| arrival.at < horizon)
+        .map(|arrival| (arrival.at, arrival.size))
+        .collect();
     let capacity = ByteSize::from_gib(80);
-    let hour = TimeConstantEstimator::new(capacity, SimDuration::HOUR)
-        .estimate(result.arrivals.iter().copied());
+    let hour =
+        TimeConstantEstimator::new(capacity, SimDuration::HOUR).estimate(arrivals.iter().copied());
     let month = TimeConstantEstimator::new(capacity, SimDuration::from_days(30))
-        .estimate(result.arrivals.iter().copied());
+        .estimate(arrivals.iter().copied());
     let cv_hour = hour.coefficient_of_variation().unwrap();
     let cv_month = month.coefficient_of_variation().unwrap();
     assert!(
@@ -124,8 +129,8 @@ fn figure_5_time_constant_instability() {
         "hour cv {cv_hour:.3} not ≫ month cv {cv_month:.3}"
     );
     // Day-window heteroscedasticity: dispersion depends on the rate.
-    let day = TimeConstantEstimator::new(capacity, SimDuration::DAY)
-        .estimate(result.arrivals.iter().copied());
+    let day =
+        TimeConstantEstimator::new(capacity, SimDuration::DAY).estimate(arrivals.iter().copied());
     let ratio = day.heteroscedasticity_ratio(4).unwrap();
     assert!(ratio > 2.0, "day-window variance ratio {ratio:.2}");
 }
