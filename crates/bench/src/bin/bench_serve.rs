@@ -59,7 +59,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bench_harness::gate::BenchCase;
-use bench_harness::servetop::{render_frame, tracing_compiled_in, worst_shard, FRAME_SEPARATOR};
+use bench_harness::servetop::{render_frame, worst_shard, FRAME_SEPARATOR};
 use bench_harness::stream::{Scale, Stream, Tally};
 use obs::MetricsRegistry;
 use sim_core::{ByteSize, Obs, SimTime};
@@ -392,7 +392,7 @@ fn report_latencies(health: &HealthSnapshot) -> Result<(), String> {
             worst_shard(health, verb)
         else {
             println!("  latency {name:<8} n/a (obs-off or no samples)");
-            if tracing_compiled_in() && matches!(verb, VerbKind::Put | VerbKind::Get) {
+            if sim_core::observe::ENABLED && matches!(verb, VerbKind::Put | VerbKind::Get) {
                 return Err(format!(
                     "request tracing stopped sampling: '{name}' has no latency samples"
                 ));

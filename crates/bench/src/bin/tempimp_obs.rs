@@ -187,7 +187,7 @@ fn cmd_object(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_golden(args: &[String]) -> Result<ExitCode, String> {
     let trace = bench_harness::golden::trace_run();
-    if cfg!(feature = "obs-off") {
+    if !sim_core::observe::ENABLED {
         return Err("this binary was built with obs-off; the golden trace is empty".into());
     }
     match args {
@@ -320,7 +320,7 @@ fn cmd_verify_density(args: &[String]) -> Result<ExitCode, String> {
 /// (requests over `--slow-ms`). With `--from FILE`,
 /// replays the frames of a `bench_serve --snapshots` capture instead.
 fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
-    use bench_harness::servetop::{render_frame, split_frames, tracing_compiled_in, SlowLog};
+    use bench_harness::servetop::{render_frame, split_frames, SlowLog};
     use std::io::IsTerminal;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -387,7 +387,7 @@ fn cmd_serve_top(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    if !tracing_compiled_in() {
+    if !sim_core::observe::ENABLED {
         println!("note: built with obs-off — latency columns and the slow log will read n/a/none");
     }
 

@@ -72,14 +72,14 @@ pub fn trace_run() -> String {
     sink.to_jsonl()
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn the_golden_workload_is_deterministic() {
         let first = trace_run();
-        assert!(!first.is_empty());
+        assert_eq!(first.is_empty(), !sim_core::observe::ENABLED);
         assert_eq!(first, trace_run());
     }
 }

@@ -245,15 +245,6 @@ impl obs::Observer for SlowLog {
     }
 }
 
-/// `true` when the attached observer stack would actually receive the
-/// serve trace signals — `false` under `obs-off`, letting callers print
-/// an upfront notice instead of a silently all-`n/a` view.
-pub fn tracing_compiled_in() -> bool {
-    // Obs::none() vs an attached observer differ only at runtime; the
-    // feature decides whether emission exists at all.
-    !cfg!(feature = "obs-off")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

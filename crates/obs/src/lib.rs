@@ -22,8 +22,8 @@
 //!   deterministic text block.
 //!
 //! The emission side lives in [`sim_core::observe`]; compile it out with
-//! the `obs-off` cargo feature (forwarded through every instrumented
-//! crate) and instrumented code carries zero overhead.
+//! sim-core's `obs-off` feature and instrumented code carries zero
+//! overhead (the sinks here still build, and never receive anything).
 //!
 //! # Examples
 //!
@@ -38,8 +38,9 @@
 //! obs.record("engine.sweep_reclaimed", 2);
 //!
 //! let snapshot = registry.snapshot();
-//! # #[cfg(not(feature = "obs-off"))]
-//! assert_eq!(snapshot.counters["engine.stores"], 3);
+//! if sim_core::observe::ENABLED {
+//!     assert_eq!(snapshot.counters["engine.stores"], 3);
+//! }
 //! ```
 //!
 //! [`SimTime`]: sim_core::SimTime
@@ -56,39 +57,6 @@ pub use registry::{Histogram, MetricsRegistry};
 pub use report::{HistogramSummary, Report, Snapshot, SpanSummary};
 pub use trace::{Fanout, TraceSink};
 
-use std::sync::Arc;
-
 // Re-exported so downstream users get the whole observability surface from
 // one crate: the hooks (sim-core) plus the sinks (here).
 pub use sim_core::observe::{set_global_observer, Obs, Observer, Span};
-
-/// Creates a [`MetricsRegistry`], installs it as the process-wide global
-/// observer, and hands it back for snapshotting.
-///
-/// Returns `None` when the global slot is already taken (first install
-/// wins, like `log::set_logger`) or when the `obs-off` feature compiled
-/// observation out — callers can treat `None` as "no reports this run".
-pub fn install_global_registry() -> Option<Arc<MetricsRegistry>> {
-    let registry = Arc::new(MetricsRegistry::new());
-    set_global_observer(registry.clone()).then_some(registry)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn install_returns_at_most_one_registry() {
-        // The global slot is per-process, so this test exercises both the
-        // first-install and already-taken paths in whatever order the
-        // harness runs things.
-        let first = install_global_registry();
-        let second = install_global_registry();
-        if cfg!(feature = "obs-off") {
-            assert!(first.is_none());
-        } else {
-            assert!(first.is_some() || second.is_none());
-        }
-        assert!(second.is_none(), "second install must not win");
-    }
-}

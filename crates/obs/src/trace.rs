@@ -32,11 +32,12 @@ use sim_core::SimTime;
 /// let sink = Arc::new(TraceSink::new());
 /// let obs = Obs::attached(sink.clone());
 /// obs.event(SimTime::from_minutes(5), "engine.store", &[("id", 7)]);
-/// # #[cfg(not(feature = "obs-off"))]
-/// assert_eq!(
-///     sink.to_jsonl(),
-///     "{\"t\":5,\"kind\":\"engine.store\",\"fields\":{\"id\":7}}\n"
-/// );
+/// if sim_core::observe::ENABLED {
+///     assert_eq!(
+///         sink.to_jsonl(),
+///         "{\"t\":5,\"kind\":\"engine.store\",\"fields\":{\"id\":7}}\n"
+///     );
+/// }
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceSink {

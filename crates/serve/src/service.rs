@@ -802,6 +802,7 @@ impl StoreApi for ServeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::observe::ENABLED;
     use temporal_importance::protocol::StoreStats;
     use temporal_importance::{Importance, ImportanceCurve, ObjectId};
 
@@ -905,7 +906,7 @@ mod tests {
         assert_eq!(health.total_queue_depth(), 0);
         // 100 puts + the health probe on every shard.
         assert_eq!(health.total_requests(), 104);
-        if cfg!(feature = "obs-off") {
+        if !ENABLED {
             for shard in &health.shards {
                 assert!(shard.latencies.is_empty(), "obs-off health is inert");
             }
@@ -1167,7 +1168,7 @@ mod tests {
             Response::Get(Err(Error::QueueFull { shard: 0 })) => {}
             other => panic!("expected QueueFull, got {other:?}"),
         }
-        if !cfg!(feature = "obs-off") {
+        if ENABLED {
             // The rejection counted; the failed enqueue was undone.
             assert_eq!(telemetry.rejected_count(0), 1);
             assert_eq!(telemetry.depth(0), 0, "hand-sent job is untracked");

@@ -23,29 +23,23 @@
 //! integer-only `serve.slow` trace event through the observer seam.
 //! Nothing travels back to the client with the reply.
 //!
-//! This module is where the crate gates on the `obs-off` feature (its
-//! tests only read it), and with `sim_core::observe` one of the two
-//! places in library code that do: under it, every type here collapses
-//! to a unit struct and every method to an empty inline body, so the
+//! Every piece of state here is held in a [`Gated`], so under `obs-off`
+//! every type is zero-sized and every method's body compiles out: the
 //! serve hot path carries no atomic traffic, no `Instant` reads, and no
-//! extra bytes per job. (Serve trace events carry wall-clock durations and so
-//! must never feed a byte-stable artifact; the `TraceSink` ignores
-//! them by construction only for spans, so keep `serve.slow` out of
-//! golden traces — the golden workload never drives the serve layer.)
+//! extra bytes per job. New state is one more field (of `WorkerState`,
+//! for a worker-side histogram), never a second method body. (Serve trace
+//! events carry wall-clock durations and so must never feed a byte-stable
+//! artifact; the `TraceSink` ignores them by construction only for spans,
+//! so keep `serve.slow` out of golden traces — the golden workload never
+//! drives the serve layer.)
 
-use temporal_importance::protocol::VerbLatency;
-
-#[cfg(not(feature = "obs-off"))]
 use obs::Histogram;
-#[cfg(not(feature = "obs-off"))]
+use sim_core::observe::Gated;
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
-#[cfg(not(feature = "obs-off"))]
-use temporal_importance::protocol::VerbKind;
+use temporal_importance::protocol::{VerbKind, VerbLatency};
 
 /// Nanoseconds elapsed on the trace clock anchored at `origin`.
-#[cfg(not(feature = "obs-off"))]
 fn since(origin: Instant) -> u64 {
     u64::try_from(origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -61,13 +55,10 @@ fn since(origin: Instant) -> u64 {
 /// channel, and a drained service always returns to zero.
 #[derive(Debug)]
 pub(crate) struct Telemetry {
-    #[cfg(not(feature = "obs-off"))]
-    origin: Instant,
-    #[cfg(not(feature = "obs-off"))]
-    shards: Vec<ShardCounters>,
+    origin: Gated<Instant>,
+    shards: Gated<Vec<ShardCounters>>,
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[derive(Debug, Default)]
 struct ShardCounters {
     depth: AtomicU64,
@@ -78,108 +69,68 @@ impl Telemetry {
     /// Telemetry for a `shards`-wide service, with the trace origin
     /// anchored at the call.
     pub(crate) fn new(shards: u32) -> Telemetry {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Telemetry {
-                origin: Instant::now(),
-                shards: (0..shards).map(|_| ShardCounters::default()).collect(),
-            }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = shards;
-            Telemetry {}
+        Telemetry {
+            origin: Gated::new(Instant::now),
+            shards: Gated::new(|| (0..shards).map(|_| ShardCounters::default()).collect()),
         }
     }
 
     /// Stamps the enqueue stage. Clients call this once per job, right
     /// before the channel send.
     pub(crate) fn stamp(&self) -> Stamps {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Stamps {
-                enqueued_ns: since(self.origin),
-            }
+        Stamps {
+            enqueued_ns: self.origin.map(|&origin| since(origin)),
         }
-        #[cfg(feature = "obs-off")]
-        {
-            Stamps {}
-        }
+    }
+
+    fn shard(&self, shard: u32) -> Option<&ShardCounters> {
+        Some(&self.shards.get()?[shard as usize])
     }
 
     /// Counts a job into `shard`'s queue depth (call before the send).
     pub(crate) fn enqueued(&self, shard: u32) {
-        #[cfg(not(feature = "obs-off"))]
-        self.shards[shard as usize]
-            .depth
-            .fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = shard;
+        if let Some(counters) = self.shard(shard) {
+            counters.depth.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Undoes [`enqueued`](Telemetry::enqueued) after a failed send, so
     /// depth never counts a job that is not in the channel.
     pub(crate) fn enqueue_failed(&self, shard: u32) {
-        #[cfg(not(feature = "obs-off"))]
-        self.shards[shard as usize]
-            .depth
-            .fetch_sub(1, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = shard;
+        if let Some(counters) = self.shard(shard) {
+            counters.depth.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// Counts one fast-fail backpressure rejection against `shard`.
     pub(crate) fn rejected(&self, shard: u32) {
-        #[cfg(not(feature = "obs-off"))]
-        self.shards[shard as usize]
-            .rejected
-            .fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = shard;
+        if let Some(counters) = self.shard(shard) {
+            counters.rejected.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Removes `n` drained jobs from `shard`'s depth and returns the
     /// remaining depth (what the worker reports as its gauge).
     pub(crate) fn drained(&self, shard: u32, n: u64) -> u64 {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.shards[shard as usize]
+        self.shard(shard).map_or(0, |counters| {
+            counters
                 .depth
                 .fetch_sub(n, Ordering::Relaxed)
                 .saturating_sub(n)
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (shard, n);
-            0
-        }
+        })
     }
 
     /// `shard`'s current ingest-queue depth (0 under `obs-off`).
     pub(crate) fn depth(&self, shard: u32) -> u64 {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.shards[shard as usize].depth.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = shard;
-            0
-        }
+        self.shard(shard)
+            .map_or(0, |counters| counters.depth.load(Ordering::Relaxed))
     }
 
     /// `shard`'s lifetime backpressure-rejection count (0 under
     /// `obs-off`).
     pub(crate) fn rejected_count(&self, shard: u32) -> u64 {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.shards[shard as usize].rejected.load(Ordering::Relaxed)
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = shard;
-            0
-        }
+        self.shard(shard)
+            .map_or(0, |counters| counters.rejected.load(Ordering::Relaxed))
     }
 }
 
@@ -188,25 +139,24 @@ impl Telemetry {
 /// the job.
 #[derive(Debug, Default)]
 pub(crate) struct Stamps {
-    #[cfg(not(feature = "obs-off"))]
-    enqueued_ns: u64,
+    enqueued_ns: Gated<u64>,
 }
 
 /// A captured instant on the service trace clock, used to hand the apply
 /// timestamp from [`WorkerTracing::mark`] to [`WorkerTracing::complete`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Mark(#[cfg(not(feature = "obs-off"))] u64);
+pub(crate) struct Mark(Gated<u64>);
 
 /// Per-worker tracing state: the clock handle, the per-verb queue-wait
 /// and service-time histograms behind this shard's `health` answers,
 /// and the slow-request threshold.
 #[derive(Debug)]
-pub(crate) struct WorkerTracing {
-    #[cfg(not(feature = "obs-off"))]
+pub(crate) struct WorkerTracing(Gated<WorkerState>);
+
+#[derive(Debug)]
+struct WorkerState {
     origin: Instant,
-    #[cfg(not(feature = "obs-off"))]
     slow_ns: u64,
-    #[cfg(not(feature = "obs-off"))]
     latencies: [(Histogram, Histogram); VerbKind::ALL.len()],
 }
 
@@ -215,32 +165,17 @@ impl WorkerTracing {
     /// requests slower than `slow_ns` total (u64::MAX disables the slow
     /// log).
     pub(crate) fn new(telemetry: &Telemetry, slow_ns: u64) -> WorkerTracing {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            WorkerTracing {
-                origin: telemetry.origin,
-                slow_ns,
-                latencies: std::array::from_fn(|_| (Histogram::new(), Histogram::new())),
-            }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (telemetry, slow_ns);
-            WorkerTracing {}
-        }
+        WorkerTracing(telemetry.origin.map(|&origin| WorkerState {
+            origin,
+            slow_ns,
+            latencies: std::array::from_fn(|_| (Histogram::new(), Histogram::new())),
+        }))
     }
 
     /// Reads the trace clock once; feed the mark to
     /// [`WorkerTracing::complete`] as the apply instant.
     pub(crate) fn mark(&self) -> Mark {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Mark(since(self.origin))
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            Mark()
-        }
+        Mark(self.0.map(|state| since(state.origin)))
     }
 
     /// Completes one request: reads the reply instant, derives queue-wait
@@ -253,39 +188,41 @@ impl WorkerTracing {
     // One argument per pipeline ingredient (seam, clock, identity,
     // stamps); bundling them into a struct would be built and
     // destructured at the single call site for no clarity gain.
-    #[allow(unused_variables, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn complete(
         &mut self,
         obs: &sim_core::Obs,
         now: sim_core::SimTime,
         shard: u32,
         seq: u64,
-        verb: temporal_importance::protocol::VerbKind,
+        verb: VerbKind,
         stamps: Stamps,
         applied: Mark,
     ) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let queue_wait = applied.0.saturating_sub(stamps.enqueued_ns);
-            let service = since(self.origin).saturating_sub(applied.0);
-            let total = queue_wait + service;
-            let slot = &mut self.latencies[verb.code() as usize];
-            slot.0.record(queue_wait);
-            slot.1.record(service);
-            if total >= self.slow_ns {
-                obs.event(
-                    now,
-                    "serve.slow",
-                    &[
-                        ("shard", u64::from(shard)),
-                        ("verb", verb.code()),
-                        ("seq", seq),
-                        ("queue_ns", queue_wait),
-                        ("service_ns", service),
-                        ("total_ns", total),
-                    ],
-                );
-            }
+        let (Some(state), Some(&enqueued), Some(&applied)) =
+            (self.0.get_mut(), stamps.enqueued_ns.get(), applied.0.get())
+        else {
+            return;
+        };
+        let queue_wait = applied.saturating_sub(enqueued);
+        let service = since(state.origin).saturating_sub(applied);
+        let total = queue_wait + service;
+        let slot = &mut state.latencies[verb.code() as usize];
+        slot.0.record(queue_wait);
+        slot.1.record(service);
+        if total >= state.slow_ns {
+            obs.event(
+                now,
+                "serve.slow",
+                &[
+                    ("shard", u64::from(shard)),
+                    ("verb", verb.code()),
+                    ("seq", seq),
+                    ("queue_ns", queue_wait),
+                    ("service_ns", service),
+                    ("total_ns", total),
+                ],
+            );
         }
     }
 
@@ -293,38 +230,34 @@ impl WorkerTracing {
     /// verbs with at least one sample — what the worker splices into
     /// its `health` answers. Empty under `obs-off`.
     pub(crate) fn latencies(&self) -> Vec<VerbLatency> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            VerbKind::ALL
-                .iter()
-                .filter_map(|&verb| {
-                    let (queue_wait, service) = &self.latencies[verb.code() as usize];
-                    (queue_wait.count() > 0).then(|| VerbLatency {
-                        verb,
-                        samples: queue_wait.count(),
-                        queue_wait_p50_ns: queue_wait.quantile(0.50),
-                        queue_wait_p99_ns: queue_wait.quantile(0.99),
-                        service_p50_ns: service.quantile(0.50),
-                        service_p99_ns: service.quantile(0.99),
-                    })
+        let Some(state) = self.0.get() else {
+            return Vec::new();
+        };
+        VerbKind::ALL
+            .iter()
+            .filter_map(|&verb| {
+                let (queue_wait, service) = &state.latencies[verb.code() as usize];
+                (queue_wait.count() > 0).then(|| VerbLatency {
+                    verb,
+                    samples: queue_wait.count(),
+                    queue_wait_p50_ns: queue_wait.quantile(0.50),
+                    queue_wait_p99_ns: queue_wait.quantile(0.99),
+                    service_p50_ns: service.quantile(0.50),
+                    service_p99_ns: service.quantile(0.99),
                 })
-                .collect()
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            Vec::new()
-        }
+            })
+            .collect()
     }
 }
 
-#[cfg(all(test, not(feature = "obs-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sim_core::observe::Observer;
+    use sim_core::observe::{Observer, ENABLED};
     use sim_core::{Obs, SimTime};
+    use std::mem::size_of;
     use std::sync::{Arc, Mutex};
-    use temporal_importance::protocol::VerbKind;
 
     type CaughtEvent = (String, Vec<(String, u64)>);
 
@@ -356,6 +289,9 @@ mod tests {
 
     #[test]
     fn completions_feed_the_local_histograms_only() {
+        if !ENABLED {
+            return;
+        }
         let catcher = Arc::new(EventCatcher::default());
         let obs = Obs::attached(catcher.clone());
         let telemetry = Telemetry::new(1);
@@ -378,6 +314,9 @@ mod tests {
 
     #[test]
     fn slow_requests_emit_integer_only_events() {
+        if !ENABLED {
+            return;
+        }
         let catcher = Arc::new(EventCatcher::default());
         let obs = Obs::attached(catcher.clone());
         let telemetry = Telemetry::new(1);
@@ -401,6 +340,26 @@ mod tests {
         assert_eq!(field("queue_ns") + field("service_ns"), field("total_ns"));
     }
 
+    /// The zero-cost contract: a queued job carries one `u64` of stamps
+    /// and a worker its clock and histograms; under `obs-off`, nothing.
+    #[test]
+    fn tracing_state_is_zero_sized_when_compiled_out() {
+        if ENABLED {
+            assert_eq!(
+                size_of::<Telemetry>(),
+                size_of::<(Instant, Vec<ShardCounters>)>()
+            );
+            assert_eq!(size_of::<Stamps>(), size_of::<u64>());
+            assert_eq!(size_of::<Mark>(), size_of::<u64>());
+            assert_eq!(size_of::<WorkerTracing>(), size_of::<WorkerState>());
+        } else {
+            assert_eq!(size_of::<Telemetry>(), 0);
+            assert_eq!(size_of::<Stamps>(), 0);
+            assert_eq!(size_of::<Mark>(), 0);
+            assert_eq!(size_of::<WorkerTracing>(), 0);
+        }
+    }
+
     proptest! {
         /// Queue-depth accounting conserves: after any interleaving of
         /// successful enqueues, failed enqueues (undone), and drains,
@@ -408,6 +367,9 @@ mod tests {
         /// returns to zero once everything drained.
         #[test]
         fn queue_depth_accounting_conserves(ops in proptest::collection::vec(0u8..3, 1..200)) {
+            if !ENABLED {
+                return Ok(());
+            }
             let telemetry = Telemetry::new(2);
             let mut model = [0u64; 2];
             for (i, op) in ops.iter().enumerate() {

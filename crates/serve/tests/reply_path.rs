@@ -8,14 +8,15 @@
 //! submission exactly once; and a worker that dies leaves no waiter
 //! behind.
 //!
-//! Everything tolerates `--features obs-off` except the dying worker,
-//! which is killed through the observer seam.
+//! Everything tolerates `--features obs-off`; the dying worker, which is
+//! killed through the observer seam, returns early there.
 
 use std::sync::mpsc;
 
 use proptest::test_runner::{run_cases_n, TestCaseError};
 use proptest::{prop_assert, prop_assert_eq};
 use rand::{Rng, SeedableRng};
+use sim_core::observe::ENABLED;
 use sim_core::{ByteSize, Obs, SimDuration, SimTime};
 use tempimpd::{ServeClient, Tempimpd};
 use temporal_importance::protocol::{Request, Response, StoreApi, VerbKind};
@@ -254,7 +255,7 @@ fn under_a_saturated_queue_every_submission_resolves_exactly_once() {
         let mut client = prototype;
         let health = client.health(SimTime::ZERO).expect("live service");
         prop_assert_eq!(health.total_queue_depth(), 0);
-        if !cfg!(feature = "obs-off") {
+        if ENABLED {
             let rejected: u64 = health.shards.iter().map(|shard| shard.rejected).sum();
             prop_assert_eq!(rejected, total.queue_full);
         }
@@ -280,7 +281,6 @@ fn under_a_saturated_queue_every_submission_resolves_exactly_once() {
 /// Kills a worker through the observer seam (which `obs-off` compiles
 /// out): the first `engine.stores` parks the worker until the test has
 /// queued more work behind it, the third panics it mid-batch.
-#[cfg(not(feature = "obs-off"))]
 mod dying_worker {
     use super::*;
     use sim_core::observe::Observer;
@@ -316,6 +316,9 @@ mod dying_worker {
 
     #[test]
     fn a_worker_that_panics_mid_batch_disconnects_every_outstanding_pending() {
+        if !ENABLED {
+            return;
+        }
         let (parked_tx, parked_rx) = mpsc::channel();
         let (resume_tx, resume_rx) = mpsc::channel();
         let service = Tempimpd::builder()

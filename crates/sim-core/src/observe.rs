@@ -11,15 +11,15 @@
 //!
 //! # Zero cost when disabled
 //!
-//! With the `obs-off` cargo feature enabled, [`Obs`] compiles down to a
-//! unit struct and every emission method to an empty inline body, so
-//! instrumented hot paths carry no branch, no load, and no extra struct
-//! bytes. Downstream crates forward the feature (`obs-off =
-//! ["sim-core/obs-off"]`) rather than sprinkling their own `cfg`s. Library
-//! code gates on it in two places: this module, and `tempimpd`'s `trace`
-//! module, whose per-request latency stamps are not [`Obs`] signals and
-//! compile out the same way. Elsewhere the feature appears only in tests,
-//! doc examples and the bench tools, which read it to know what to expect.
+//! The `obs-off` cargo feature compiles observability out. Library code
+//! reads it in one place, [`ENABLED`], which sizes [`Gated`]: telemetry
+//! state — [`Obs`]'s sink, a [`Span`]'s clock, `tempimpd`'s stamps and
+//! latency histograms — is a `Gated<T>`, a plain `T` by default and
+//! zero-sized under `obs-off`, where its constructor never runs and its
+//! accessors return `None`. Each method has one body and the code behind
+//! a `None` compiles out: hot paths carry no branch, no load, no bytes.
+//! Only the packages that build binaries forward the feature here; Cargo
+//! unifies it across the build. Tests and tools read [`ENABLED`].
 //!
 //! # Determinism contract
 //!
@@ -69,8 +69,8 @@
 //! let sink = Arc::new(CountStores::default());
 //! let obs = Obs::attached(sink.clone());
 //! obs.counter("engine.stores", 2);
-//! # #[cfg(not(feature = "obs-off"))]
-//! assert_eq!(sink.0.load(Ordering::Relaxed), 2);
+//! let expected = if sim_core::observe::ENABLED { 2 } else { 0 };
+//! assert_eq!(sink.0.load(Ordering::Relaxed), expected);
 //! ```
 
 use std::fmt;
@@ -119,7 +119,90 @@ pub trait Observer: Send + Sync {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
+/// `true` unless the `obs-off` feature compiled observability out. This
+/// constant is the one place library code reads the feature; everything
+/// else asks it, directly or through [`Gated`].
+pub const ENABLED: bool = !cfg!(feature = "obs-off");
+
+/// Telemetry state that exists only while observability is compiled in.
+///
+/// By default a `Gated<T>` holds one `T` and has its size; under
+/// `obs-off` it holds none and is zero-sized, [`Gated::new`]'s closure
+/// never runs, and [`get`](Gated::get) / [`get_mut`](Gated::get_mut)
+/// return `None`, so the code behind them compiles out. The state is an
+/// array of [`ENABLED`] `as usize` elements, so both builds share every
+/// method body; under `obs-off` it takes no bytes but keeps `T`'s
+/// alignment.
+///
+/// ```
+/// use sim_core::observe::{Gated, ENABLED};
+///
+/// let stamp = Gated::new(|| 7u64);
+/// assert_eq!(stamp.get().copied(), ENABLED.then_some(7));
+/// assert_eq!(std::mem::size_of::<Gated<u64>>(), if ENABLED { 8 } else { 0 });
+/// ```
+#[derive(Clone, Copy, Default)]
+pub struct Gated<T> {
+    value: [T; ENABLED as usize],
+}
+
+impl<T> Gated<T> {
+    /// The state `make` builds; under `obs-off`, nothing (`make` never
+    /// runs).
+    #[inline]
+    pub fn new(make: impl FnOnce() -> T) -> Gated<T> {
+        Gated {
+            value: Fill::fill(make),
+        }
+    }
+
+    /// The state, or `None` under `obs-off`.
+    #[inline]
+    pub fn get(&self) -> Option<&T> {
+        self.value.first()
+    }
+
+    /// The state, mutably, or `None` under `obs-off`.
+    #[inline]
+    pub fn get_mut(&mut self) -> Option<&mut T> {
+        self.value.first_mut()
+    }
+
+    /// State derived from this one by `f`; under `obs-off`, nothing (`f`
+    /// never runs).
+    #[inline]
+    pub fn map<U>(&self, f: impl FnOnce(&T) -> U) -> Gated<U> {
+        let mapped = self.get().map(f);
+        Gated::new(|| mapped.expect("every gate holds state exactly when built in"))
+    }
+}
+
+/// Builds a gate's array for either length it can have: one element
+/// runs `make` once, none never does.
+trait Fill<T> {
+    fn fill(make: impl FnOnce() -> T) -> Self;
+}
+
+impl<T> Fill<T> for [T; 1] {
+    #[inline]
+    fn fill(make: impl FnOnce() -> T) -> Self {
+        [make()]
+    }
+}
+
+impl<T> Fill<T> for [T; 0] {
+    #[inline]
+    fn fill(_: impl FnOnce() -> T) -> Self {
+        []
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Gated<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 static GLOBAL: std::sync::OnceLock<Arc<dyn Observer>> = std::sync::OnceLock::new();
 
 /// Installs the process-wide default observer picked up by [`Obs::global`].
@@ -129,17 +212,9 @@ static GLOBAL: std::sync::OnceLock<Arc<dyn Observer>> = std::sync::OnceLock::new
 /// instruments every unit and cluster it creates with one call at startup.
 /// Follows the `log::set_logger` model: first install wins. Returns
 /// `false` if an observer was already installed — or always, under the
-/// `obs-off` feature, where the global slot does not exist.
+/// `obs-off` feature, where nothing is installed.
 pub fn set_global_observer(observer: Arc<dyn Observer>) -> bool {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        GLOBAL.set(observer).is_ok()
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = observer;
-        false
-    }
+    ENABLED && GLOBAL.set(observer).is_ok()
 }
 
 /// A cheap, cloneable handle to an optional [`Observer`].
@@ -150,8 +225,7 @@ pub fn set_global_observer(observer: Arc<dyn Observer>) -> bool {
 /// at all and the methods compile to nothing.
 #[derive(Clone, Default)]
 pub struct Obs {
-    #[cfg(not(feature = "obs-off"))]
-    inner: Option<Arc<dyn Observer>>,
+    sink: Gated<Option<Arc<dyn Observer>>>,
 }
 
 impl Obs {
@@ -163,16 +237,8 @@ impl Obs {
     /// A handle attached to `observer`. Under `obs-off` the observer is
     /// dropped and the handle is silent.
     pub fn attached(observer: Arc<dyn Observer>) -> Obs {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Obs {
-                inner: Some(observer),
-            }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = observer;
-            Obs {}
+        Obs {
+            sink: Gated::new(|| Some(observer)),
         }
     }
 
@@ -181,15 +247,8 @@ impl Obs {
     /// Captures the global at call time: components built before the
     /// install stay silent.
     pub fn global() -> Obs {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Obs {
-                inner: GLOBAL.get().cloned(),
-            }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            Obs {}
+        Obs {
+            sink: Gated::new(|| GLOBAL.get().cloned()),
         }
     }
 
@@ -200,14 +259,7 @@ impl Obs {
 
     #[inline]
     fn sink(&self) -> Option<&Arc<dyn Observer>> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.inner.as_ref()
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            None
-        }
+        self.sink.get()?.as_ref()
     }
 
     /// Adds `delta` to the named counter.
@@ -252,22 +304,16 @@ impl Obs {
     /// read and nothing is emitted.
     #[inline]
     pub fn span(&self, name: &'static str) -> Span {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Span {
-                state: self.inner.clone().map(|sink| SpanState {
+        Span {
+            state: self.sink.map(|attached| {
+                attached.clone().map(|sink| SpanState {
                     sink,
                     name,
                     started: std::time::Instant::now(),
                     sim_first: None,
                     sim_last: None,
-                }),
-            }
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = name;
-            Span {}
+                })
+            }),
         }
     }
 }
@@ -280,7 +326,6 @@ impl fmt::Debug for Obs {
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
 struct SpanState {
     sink: Arc<dyn Observer>,
     name: &'static str,
@@ -295,12 +340,11 @@ struct SpanState {
 /// Wall time is measured between construction and drop; simulated-time
 /// progress is whatever interval the [`sim_to`](Span::sim_to) calls
 /// covered (zero if never called). Under the `obs-off` feature the guard
-/// is a unit struct and every method compiles to nothing.
+/// is zero-sized and every method compiles to nothing.
 #[must_use = "a span measures until dropped; binding it to _ drops it immediately"]
 #[derive(Default)]
 pub struct Span {
-    #[cfg(not(feature = "obs-off"))]
-    state: Option<SpanState>,
+    state: Gated<Option<SpanState>>,
 }
 
 impl Span {
@@ -317,36 +361,23 @@ impl Span {
     /// iteration.
     #[inline]
     pub fn sim_to(&mut self, now: SimTime) {
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(state) = self.state.as_mut() {
+        if let Some(state) = self.state.get_mut().and_then(Option::as_mut) {
             if state.sim_first.is_none() {
                 state.sim_first = Some(now);
             }
             state.sim_last = Some(now);
         }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = now;
-        }
     }
 
     /// True if dropping this span will report to a sink.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.state.is_some()
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            false
-        }
+        self.state.get().is_some_and(Option::is_some)
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(state) = self.state.take() {
+        if let Some(state) = self.state.get_mut().and_then(Option::take) {
             let wall_nanos = u64::try_from(state.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let sim_minutes = match (state.sim_first, state.sim_last) {
                 (Some(first), Some(last)) => last.saturating_since(first).as_minutes(),
@@ -413,9 +444,8 @@ mod tests {
         obs.event(SimTime::from_minutes(7), "store", &[("victims", 2)]);
 
         let seen = recorder.seen.lock().unwrap();
-        #[cfg(not(feature = "obs-off"))]
-        {
-            assert!(obs.is_enabled());
+        assert_eq!(obs.is_enabled(), ENABLED);
+        if ENABLED {
             assert_eq!(
                 *seen,
                 vec![
@@ -425,10 +455,7 @@ mod tests {
                     "e store@7 [(\"victims\", 2)]".to_string(),
                 ]
             );
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            assert!(!obs.is_enabled());
+        } else {
             assert!(seen.is_empty());
         }
     }
@@ -439,8 +466,7 @@ mod tests {
         let obs = Obs::attached(recorder.clone());
         let copy = obs.clone();
         copy.counter("shared", 5);
-        #[cfg(not(feature = "obs-off"))]
-        assert_eq!(recorder.seen.lock().unwrap().len(), 1);
+        assert_eq!(recorder.seen.lock().unwrap().len(), usize::from(ENABLED));
     }
 
     #[test]
@@ -459,15 +485,14 @@ mod tests {
             span.sim_to(SimTime::from_minutes(25));
         }
         let seen = recorder.seen.lock().unwrap();
-        #[cfg(not(feature = "obs-off"))]
-        {
+        if ENABLED {
             // The default Observer::span routes wall nanos into record();
             // the Recorder logs it as a histogram sample.
             assert_eq!(seen.len(), 1);
             assert!(seen[0].starts_with("h phase.test "), "{:?}", seen[0]);
+        } else {
+            assert!(seen.is_empty());
         }
-        #[cfg(feature = "obs-off")]
-        assert!(seen.is_empty());
     }
 
     #[test]
@@ -497,16 +522,17 @@ mod tests {
             let _span = obs.span("phase.idle");
         }
         let seen = catcher.seen.lock().unwrap();
-        #[cfg(not(feature = "obs-off"))]
-        assert_eq!(
-            *seen,
-            vec![
-                ("phase.caught".to_string(), 2 * 24 * 60),
-                ("phase.idle".to_string(), 0),
-            ]
-        );
-        #[cfg(feature = "obs-off")]
-        assert!(seen.is_empty());
+        if ENABLED {
+            assert_eq!(
+                *seen,
+                vec![
+                    ("phase.caught".to_string(), 2 * 24 * 60),
+                    ("phase.idle".to_string(), 0),
+                ]
+            );
+        } else {
+            assert!(seen.is_empty());
+        }
     }
 
     #[test]
@@ -518,5 +544,40 @@ mod tests {
         let none = Span::none();
         assert!(!none.is_enabled());
         assert!(format!("{none:?}").contains("enabled: false"));
+    }
+
+    /// The zero-cost contract: the gate adds no bytes to a handle, and
+    /// under `obs-off` handles and spans have none at all.
+    #[test]
+    fn the_gate_costs_no_bytes() {
+        use std::mem::size_of;
+        if ENABLED {
+            assert_eq!(size_of::<Gated<u64>>(), size_of::<u64>());
+            assert_eq!(size_of::<Obs>(), size_of::<Option<Arc<dyn Observer>>>());
+            assert_eq!(size_of::<Span>(), size_of::<Option<SpanState>>());
+        } else {
+            assert_eq!(size_of::<Gated<u64>>(), 0);
+            assert_eq!(size_of::<Obs>(), 0);
+            assert_eq!(size_of::<Span>(), 0);
+        }
+    }
+
+    #[test]
+    fn gated_closures_run_only_when_compiled_in() {
+        let mut runs = 0;
+        let gated = Gated::new(|| {
+            runs += 1;
+            41u64
+        });
+        let mut derived = gated.map(|&value| value + 1);
+        if let Some(value) = derived.get_mut() {
+            *value += 1;
+        }
+        assert_eq!(runs, usize::from(ENABLED));
+        assert_eq!(derived.get().copied(), ENABLED.then_some(43));
+        assert_eq!(
+            format!("{derived:?}"),
+            format!("{:?}", ENABLED.then_some(43))
+        );
     }
 }

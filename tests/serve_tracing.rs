@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use temporal_reclaim::obs::Observer;
+use temporal_reclaim::sim::observe::ENABLED;
 use temporal_reclaim::tempimp::*;
 
 const CLIENTS: u32 = 4;
@@ -145,7 +146,7 @@ fn stage_stamps_are_monotone_and_ids_unique_under_concurrency() {
         .map(|latency| latency.samples)
         .sum();
     let events = events.0.lock().unwrap();
-    if cfg!(feature = "obs-off") {
+    if !ENABLED {
         assert_eq!(samples, 0, "obs-off health carries no latency tables");
         assert!(events.is_empty(), "obs-off emits no slow events");
         return;
@@ -194,7 +195,7 @@ fn drained_service_reports_empty_queues_and_consistent_counts() {
     for shard in &health.shards {
         assert_eq!(shard.rejected, 0, "nothing was rejected");
         assert!(shard.batches <= shard.requests);
-        if cfg!(feature = "obs-off") {
+        if !ENABLED {
             assert!(
                 shard.latencies.is_empty(),
                 "obs-off health carries no latency tables"

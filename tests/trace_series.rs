@@ -13,6 +13,7 @@ use proptest::prelude::*;
 use temporal_reclaim::analysis::TimeSeries;
 use temporal_reclaim::experiments::figures;
 use temporal_reclaim::obs::{self, tracefile, Observer, TraceSink};
+use temporal_reclaim::sim::observe::ENABLED;
 use temporal_reclaim::{SimDuration, SimTime};
 
 /// Temporal importance's `policy` code on `density.sample` events.
@@ -21,7 +22,7 @@ const TEMPORAL_IMPORTANCE: u64 = 1;
 #[test]
 fn fig6_table_is_the_bucket_mean_of_its_traced_density_samples() {
     let sink = Arc::new(TraceSink::new());
-    if cfg!(feature = "obs-off") || !obs::set_global_observer(sink.clone()) {
+    if !ENABLED || !obs::set_global_observer(sink.clone()) {
         return;
     }
     let report = figures::fig6(7, 120);
