@@ -103,6 +103,15 @@ impl Advisor {
     ///
     /// §5.1.2 reads this off Figure 7: "Objects with importance less than
     /// 0.25 cannot be stored."
+    ///
+    /// For a full-importance object it is the engine's own plan, read
+    /// from [`StorageUnit::peek_admission`](crate::StorageUnit::peek_admission):
+    /// zero where the plan `Fits`, the plan's `highest` where it is
+    /// `Preempting`, and [`Importance::FULL`] where the unit is `Full` or
+    /// the object is larger than the unit (`tests/fairness_properties.rs`
+    /// pins this over every curve shape). The one place they part: a
+    /// zero-byte object gets zero here, and the engine refuses it as
+    /// empty.
     pub fn admission_threshold_for(&self, size: ByteSize) -> Importance {
         let free = self
             .snapshot

@@ -3,8 +3,9 @@
 //! Every front-end to the reclamation engine — a single in-process
 //! [`StorageUnit`], the journaled `DurableUnit` in `tempimp-durable`, and
 //! the sharded `tempimpd` service (its per-shard `ShardEngine` and its
-//! `ServeClient`) — speaks the same six-verb protocol: **put**, **get**,
-//! **advise**, **density**, **stats**, **health**. The verbs are
+//! `ServeClient`) — speaks the same eight-verb protocol: **put**, **get**,
+//! **advise**, **density**, **stats**, **health**, **remove** and
+//! **annotate**. The verbs are
 //! reified as the [`Request`] and [`Response`] enums so they can cross
 //! thread boundaries (the `tempimpd` ingest queues carry exactly these
 //! values), be recorded to a replayable request log, and be dispatched
@@ -43,14 +44,14 @@ use sim_core::{ByteSize, SimTime};
 use std::hash::Hasher;
 
 use crate::{
-    Admission, Error, Importance, ImportanceCurve, ObjectClass, ObjectId, ObjectSpec, StorageUnit,
-    StoreOutcome, UnitStats,
+    Admission, Error, EvictionRecord, Importance, ImportanceCurve, ObjectClass, ObjectId,
+    ObjectSpec, StorageUnit, StoreOutcome, UnitStats,
 };
 
-/// One protocol request. `Put`, `Get` and `Advise` are keyed by an
-/// [`ObjectId`] and route to a single shard in sharded implementations;
-/// `Density`, `Stats` and `Health` are whole-store queries that fan out
-/// and aggregate.
+/// One protocol request. `Put`, `Get`, `Advise`, `Remove` and `Annotate`
+/// are keyed by an [`ObjectId`] and route to a single shard in sharded
+/// implementations; `Density`, `Stats` and `Health` are whole-store
+/// queries that fan out and aggregate.
 ///
 /// Requests are serializable so a serving layer can keep a replayable
 /// request log — the differential determinism tests record the per-shard
@@ -96,17 +97,50 @@ pub enum Request {
     /// entry per shard, in shard order; plain stores answer a single
     /// entry with the serving-layer fields at their inert zero values.
     Health,
+    /// Delete an object now — the user's active intervention of §3.
+    /// Removing an id that is not stored is not an error: the answer is
+    /// `Ok(None)` and nothing changes.
+    Remove {
+        /// The object id to delete.
+        id: ObjectId,
+    },
+    /// Give a stored object a new annotation, whose age restarts at the
+    /// request's effective time.
+    Annotate {
+        /// The object id to annotate.
+        id: ObjectId,
+        /// The new temporal-importance annotation.
+        curve: ImportanceCurve,
+        /// Whether the new curve may lower the object's importance.
+        mode: AnnotateMode,
+    },
 }
 
 impl Request {
-    /// The routing key of a keyed verb (`Put`, `Get`, `Advise`), or
-    /// `None` for a whole-store query that fans out to every shard.
+    /// The routing key of a keyed verb (`Put`, `Get`, `Advise`, `Remove`,
+    /// `Annotate`), or `None` for a whole-store query that fans out to
+    /// every shard.
     pub fn key(&self) -> Option<ObjectId> {
         match self {
-            Request::Put { id, .. } | Request::Get { id } | Request::Advise { id, .. } => Some(*id),
+            Request::Put { id, .. }
+            | Request::Get { id }
+            | Request::Advise { id, .. }
+            | Request::Remove { id }
+            | Request::Annotate { id, .. } => Some(*id),
             Request::Density | Request::Stats | Request::Health => None,
         }
     }
+}
+
+/// How a [`Request::Annotate`] treats the object's current importance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum AnnotateMode {
+    /// Rejuvenate: the new curve must not start below the object's
+    /// current importance ([`StorageUnit::rejuvenate`]).
+    Raise,
+    /// Reannotate: the new curve replaces the old one wherever it starts,
+    /// so importance may also fall ([`StorageUnit::reannotate`]).
+    Replace,
 }
 
 /// Which protocol verb a [`Request`] is, detached from its payload.
@@ -129,17 +163,23 @@ pub enum VerbKind {
     Stats,
     /// [`Request::Health`].
     Health,
+    /// [`Request::Remove`].
+    Remove,
+    /// [`Request::Annotate`].
+    Annotate,
 }
 
 impl VerbKind {
     /// Every verb, in [`code`](VerbKind::code) order.
-    pub const ALL: [VerbKind; 6] = [
+    pub const ALL: [VerbKind; 8] = [
         VerbKind::Put,
         VerbKind::Get,
         VerbKind::Advise,
         VerbKind::Density,
         VerbKind::Stats,
         VerbKind::Health,
+        VerbKind::Remove,
+        VerbKind::Annotate,
     ];
 
     /// The verb of `request`.
@@ -151,6 +191,8 @@ impl VerbKind {
             Request::Density => VerbKind::Density,
             Request::Stats => VerbKind::Stats,
             Request::Health => VerbKind::Health,
+            Request::Remove { .. } => VerbKind::Remove,
+            Request::Annotate { .. } => VerbKind::Annotate,
         }
     }
 
@@ -163,6 +205,8 @@ impl VerbKind {
             VerbKind::Density => "density",
             VerbKind::Stats => "stats",
             VerbKind::Health => "health",
+            VerbKind::Remove => "remove",
+            VerbKind::Annotate => "annotate",
         }
     }
 
@@ -183,6 +227,8 @@ impl VerbKind {
             VerbKind::Density => Response::Density(Err(error)),
             VerbKind::Stats => Response::Stats(Err(error)),
             VerbKind::Health => Response::Health(Err(error)),
+            VerbKind::Remove => Response::Remove(Err(error)),
+            VerbKind::Annotate => Response::Annotate(Err(error)),
         }
     }
 }
@@ -337,6 +383,11 @@ pub enum Response {
     Stats(Result<StoreStats, Error>),
     /// Answer to [`Request::Health`].
     Health(Result<HealthSnapshot, Error>),
+    /// Answer to [`Request::Remove`]: the removed object's record, or
+    /// `None` if it was not stored.
+    Remove(Result<Option<EvictionRecord>, Error>),
+    /// Answer to [`Request::Annotate`].
+    Annotate(Result<(), Error>),
 }
 
 /// The unified store interface: one [`call`](StoreApi::call) entry point
@@ -450,6 +501,45 @@ pub trait StoreApi {
         match self.call(now, Request::Health) {
             Response::Health(result) => result,
             other => panic!("protocol violation: Health answered with {other:?}"),
+        }
+    }
+
+    /// Deletes an object; `Ok(None)` means it was not stored.
+    ///
+    /// # Errors
+    ///
+    /// A service variant of [`Error`] when the shard is unreachable, or
+    /// [`Error::External`] when a journaling store cannot write the
+    /// removal.
+    fn remove_object(
+        &mut self,
+        id: ObjectId,
+        now: SimTime,
+    ) -> Result<Option<EvictionRecord>, Error> {
+        match self.call(now, Request::Remove { id }) {
+            Response::Remove(result) => result,
+            other => panic!("protocol violation: Remove answered with {other:?}"),
+        }
+    }
+
+    /// Gives a stored object a new annotation (see [`AnnotateMode`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Rejuvenate`] when the object is not stored or a `Raise`
+    /// would lower its importance, a service variant when the shard is
+    /// unreachable, or [`Error::External`] when a journaling store cannot
+    /// write the annotation.
+    fn annotate(
+        &mut self,
+        id: ObjectId,
+        curve: ImportanceCurve,
+        mode: AnnotateMode,
+        now: SimTime,
+    ) -> Result<(), Error> {
+        match self.call(now, Request::Annotate { id, curve, mode }) {
+            Response::Annotate(result) => result,
+            other => panic!("protocol violation: Annotate answered with {other:?}"),
         }
     }
 }
@@ -571,7 +661,11 @@ pub fn aggregate(verb: VerbKind, responses: impl IntoIterator<Item = Response>) 
             }
             Response::Health(Ok(total))
         }
-        VerbKind::Put | VerbKind::Get | VerbKind::Advise => {
+        VerbKind::Put
+        | VerbKind::Get
+        | VerbKind::Advise
+        | VerbKind::Remove
+        | VerbKind::Annotate => {
             unreachable!("only whole-store verbs aggregate")
         }
     }
@@ -644,6 +738,14 @@ impl StoreApi for StorageUnit {
                     }],
                 }))
             }
+            Request::Remove { id } => Response::Remove(Ok(self.remove(id, now))),
+            Request::Annotate { id, curve, mode } => {
+                let result = match mode {
+                    AnnotateMode::Raise => self.rejuvenate(id, curve, now),
+                    AnnotateMode::Replace => self.reannotate(id, curve, now),
+                };
+                Response::Annotate(result.map_err(Error::from))
+            }
         }
     }
 }
@@ -700,6 +802,31 @@ mod tests {
         assert_eq!(stats.objects, 1);
         assert_eq!(stats.unit.stores_accepted, 1);
         assert_eq!(stats.capacity, ByteSize::from_mib(100));
+
+        // A raise may not lower importance; a replace may.
+        let (id, day) = (ObjectId::new(1), SimTime::from_days(1));
+        let half = ImportanceCurve::Fixed {
+            importance: Importance::new(0.5).unwrap(),
+            expiry: SimDuration::from_days(30),
+        };
+        let err = unit
+            .annotate(id, half.clone(), AnnotateMode::Raise, day)
+            .unwrap_err();
+        assert!(matches!(err, Error::Rejuvenate(_)), "{err:?}");
+        unit.annotate(id, half, AnnotateMode::Replace, day).unwrap();
+        let info = unit.get_info(id, day).unwrap().expect("stored");
+        assert_eq!(info.importance.value(), 0.5);
+        unit.annotate(id, curve(60), AnnotateMode::Raise, day)
+            .unwrap();
+
+        let removed = unit.remove_object(id, day).unwrap().expect("stored");
+        assert_eq!(removed.size, ByteSize::from_mib(60));
+        assert!(unit.remove_object(id, day).unwrap().is_none());
+        let err = unit
+            .annotate(id, curve(1), AnnotateMode::Replace, day)
+            .unwrap_err();
+        assert!(matches!(err, Error::Rejuvenate(_)), "{err:?}");
+        assert_eq!(unit.store_stats(day).unwrap().unit.removals, 1);
     }
 
     #[test]
@@ -770,12 +897,22 @@ mod tests {
             Request::Density,
             Request::Stats,
             Request::Health,
+            Request::Remove {
+                id: ObjectId::new(1),
+            },
+            Request::Annotate {
+                id: ObjectId::new(1),
+                curve: curve(30),
+                mode: AnnotateMode::Raise,
+            },
         ];
+        // A verb missing from the list must fail here, not zip away.
+        assert_eq!(requests.len(), VerbKind::ALL.len());
         for (request, &verb) in requests.iter().zip(VerbKind::ALL.iter()) {
             assert_eq!(VerbKind::of(request), verb);
             assert_eq!(VerbKind::ALL[verb.code() as usize], verb);
             // Exactly the keyed verbs route by id; the rest fan out.
-            let keyed = matches!(verb, VerbKind::Put | VerbKind::Get | VerbKind::Advise);
+            let keyed = !matches!(verb, VerbKind::Density | VerbKind::Stats | VerbKind::Health);
             assert_eq!(request.key(), keyed.then_some(ObjectId::new(1)), "{verb:?}");
             // Each verb fails as its own response variant.
             let failed = format!("{:?}", verb.failed(Error::Disconnected));
@@ -844,6 +981,29 @@ mod tests {
         let router: ShardRouter = serde_json::from_str("{\"shards\":6}").unwrap();
         assert_eq!(router, ShardRouter::new(6));
         assert_eq!(serde_json::to_string(&router).unwrap(), "{\"shards\":6}");
+    }
+
+    #[test]
+    fn request_logs_parse_across_the_verb_set_growing() {
+        // A log of the six verbs as serialized before `Remove` and
+        // `Annotate` existed: it parses and writes back byte for byte.
+        let old = r#"[[0,{"Put":{"id":1,"bytes":1048576,"curve":{"TwoStep":{"importance":1.0,"persist":1440,"wane":1440}},"class":2}}],[5,{"Get":{"id":1}}],[6,{"Advise":{"id":2,"bytes":3145728,"incoming":1.0}}],[7,"Density"],[8,"Stats"],[9,"Health"]]"#;
+        let log: Vec<(SimTime, Request)> = serde_json::from_str(old).unwrap();
+        assert_eq!(log.len(), 6);
+        assert_eq!(serde_json::to_string(&log).unwrap(), old);
+        for request in [
+            Request::Remove {
+                id: ObjectId::new(3),
+            },
+            Request::Annotate {
+                id: ObjectId::new(3),
+                curve: curve(7),
+                mode: AnnotateMode::Replace,
+            },
+        ] {
+            let text = serde_json::to_string(&request).unwrap();
+            assert_eq!(serde_json::from_str::<Request>(&text).unwrap(), request);
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use sim_core::{ByteSize, SimDuration, SimTime};
+    use temporal_importance::protocol::{AnnotateMode, StoreApi};
     use temporal_importance::{
         EvictionPolicy, Importance, ImportanceCurve, ObjectClass, ObjectId, ObjectSpec, StorageUnit,
     };
@@ -154,11 +155,11 @@ mod tests {
                 durable.sweep_expired(now).expect("sweep journals");
             }
             5 => {
-                durable.remove(id, now).expect("remove journals");
+                durable.remove_object(id, now).expect("remove journals");
             }
             _ => {
                 let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_minutes(240));
-                let _ = durable.rejuvenate(id, curve, now);
+                let _ = durable.annotate(id, curve, AnnotateMode::Raise, now);
             }
         }
         let mut tombstones = 0;
@@ -340,8 +341,9 @@ mod tests {
             .expect("fits");
         let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_minutes(year));
         for step in 1..=3000 {
+            let at = SimTime::from_minutes(step);
             durable
-                .rejuvenate(ObjectId::new(1), curve.clone(), SimTime::from_minutes(step))
+                .annotate(ObjectId::new(1), curve.clone(), AnnotateMode::Raise, at)
                 .expect("the object is resident");
         }
         let disk = durable.disk_info();

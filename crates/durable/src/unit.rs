@@ -18,10 +18,10 @@
 use std::path::Path;
 
 use sim_core::{ByteSize, Obs, SimTime};
-use temporal_importance::protocol::{Request, Response, StoreApi};
+use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi};
 use temporal_importance::{
-    Error, EvictionPolicy, EvictionRecord, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
-    StoreError, StoreOutcome, UnitStats,
+    Error, EvictionPolicy, EvictionRecord, ObjectSpec, StorageUnit, StoreError, StoreOutcome,
+    UnitStats,
 };
 
 use crate::record::{LogRecord, RejectKind, Victim};
@@ -33,16 +33,16 @@ use crate::DurableError;
 /// # Durability contract
 ///
 /// Not tunable here, and the same for every configuration: when a
-/// mutation (`store`, `remove`, an annotation, a sweep) returns, its
-/// record has been handed to the operating system by a `flush` — one
-/// `write` per mutation — so it survives the death of the process. It
-/// is forced to the disk (`fsync`) only when its segment seals on a
-/// roll, when a compaction commits, and when the unit is closed; an
-/// operating-system crash or power loss can therefore lose the
-/// unsynced suffix of the active segment, which recovery truncates to
-/// the newest consistent prefix. A serving layer that acknowledges a
-/// `Put` after the call returns acknowledges "reached the OS", not
-/// "reached the disk".
+/// mutation — a `Put`, `Remove` or `Annotate` through
+/// [`call`](StoreApi::call), or a sweep — returns, its record has been
+/// handed to the operating system by a `flush` — one `write` per
+/// mutation — so it survives the death of the process. It is forced to
+/// the disk (`fsync`) only when its segment seals on a roll, when a
+/// compaction commits, and when the unit is closed; an operating-system
+/// crash or power loss can therefore lose the unsynced suffix of the
+/// active segment, which recovery truncates to the newest consistent
+/// prefix. A serving layer that acknowledges a `Put` after the call
+/// returns acknowledges "reached the OS", not "reached the disk".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableConfig {
     segment_bytes: u64,
@@ -193,72 +193,6 @@ impl DurableUnit {
         Ok(records)
     }
 
-    /// Removes an object explicitly; `Ok(None)` means it was not
-    /// resident (and nothing was journaled).
-    ///
-    /// # Errors
-    ///
-    /// [`DurableError`] when journaling fails.
-    pub fn remove(
-        &mut self,
-        id: ObjectId,
-        now: SimTime,
-    ) -> Result<Option<EvictionRecord>, DurableError> {
-        let record = self.unit.remove(id, now);
-        if let Some(rec) = &record {
-            self.journal(&LogRecord::Remove {
-                at: now,
-                id,
-                size: rec.size,
-            })?;
-        }
-        Ok(record)
-    }
-
-    /// Rejuvenates an object (importance may only rise), journaling its
-    /// complete post-annotation state.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Rejuvenate`] from the engine, or an external-wrapped
-    /// [`DurableError`] when journaling fails.
-    pub fn rejuvenate(
-        &mut self,
-        id: ObjectId,
-        curve: ImportanceCurve,
-        now: SimTime,
-    ) -> Result<(), Error> {
-        self.unit.rejuvenate(id, curve, now)?;
-        self.journal_annotation(id, now)
-    }
-
-    /// Reannotates an object (importance may also fall), journaling its
-    /// complete post-annotation state.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Rejuvenate`] from the engine, or an external-wrapped
-    /// [`DurableError`] when journaling fails.
-    pub fn reannotate(
-        &mut self,
-        id: ObjectId,
-        curve: ImportanceCurve,
-        now: SimTime,
-    ) -> Result<(), Error> {
-        self.unit.reannotate(id, curve, now)?;
-        self.journal_annotation(id, now)
-    }
-
-    fn journal_annotation(&mut self, id: ObjectId, now: SimTime) -> Result<(), Error> {
-        let object = self
-            .unit
-            .get(id)
-            .expect("annotated object is resident")
-            .clone();
-        self.journal(&LogRecord::Annotate { at: now, object })?;
-        Ok(())
-    }
-
     /// The one way a mutation reaches the log: append the record, hand it
     /// to the operating system, then let compaction look at the dead bytes
     /// it may have left — every record kind can leave some (a `Reject` is
@@ -330,8 +264,10 @@ impl DurableUnit {
         Ok(self.unit)
     }
 
-    /// The wrapped in-memory engine (read-only; mutations must go
-    /// through the durable methods so they reach the journal).
+    /// The wrapped in-memory engine (read-only; mutations go through
+    /// [`call`](StoreApi::call), [`store`](DurableUnit::store) and
+    /// [`sweep_expired`](DurableUnit::sweep_expired), which journal
+    /// them).
     pub fn unit(&self) -> &StorageUnit {
         &self.unit
     }
@@ -376,9 +312,13 @@ impl DurableUnit {
 }
 
 impl StoreApi for DurableUnit {
-    /// Dispatches exactly like the wrapped [`StorageUnit`]: `Put` goes
-    /// through [`store`](DurableUnit::store) (and thus the journal),
-    /// every read verb delegates straight to the engine.
+    /// Dispatches exactly like the wrapped [`StorageUnit`]. Every mutating
+    /// verb runs against the engine and then journals its outcome: `Put`
+    /// through [`store`](DurableUnit::store), a `Remove` that removed
+    /// something as a `Remove` record, an accepted `Annotate` as the
+    /// object's complete post-annotation state. Read verbs delegate
+    /// straight to the engine. The match names every verb, so a new one
+    /// has to choose its side here.
     fn call(&mut self, now: SimTime, request: Request) -> Response {
         match request {
             Request::Put {
@@ -390,7 +330,38 @@ impl StoreApi for DurableUnit {
                 let spec = ObjectSpec::new(id, bytes, curve).with_class(class);
                 Response::Put(self.store(spec, now))
             }
-            read => self.unit.call(now, read),
+            Request::Remove { id } => {
+                let removed = self.unit.remove(id, now);
+                let journaled = match &removed {
+                    Some(record) => self.journal(&LogRecord::Remove {
+                        at: now,
+                        id,
+                        size: record.size,
+                    }),
+                    None => Ok(()),
+                };
+                Response::Remove(journaled.map(|()| removed).map_err(Error::from))
+            }
+            Request::Annotate { id, curve, mode } => {
+                let annotated = match mode {
+                    AnnotateMode::Raise => self.unit.rejuvenate(id, curve, now),
+                    AnnotateMode::Replace => self.unit.reannotate(id, curve, now),
+                };
+                let result = annotated.map_err(Error::from).and_then(|()| {
+                    let object = self.unit.get(id).expect("annotated object is resident");
+                    let record = LogRecord::Annotate {
+                        at: now,
+                        object: object.clone(),
+                    };
+                    self.journal(&record).map_err(Error::from)
+                });
+                Response::Annotate(result)
+            }
+            read @ (Request::Get { .. }
+            | Request::Advise { .. }
+            | Request::Density
+            | Request::Stats
+            | Request::Health) => self.unit.call(now, read),
         }
     }
 }

@@ -551,10 +551,11 @@ impl ShutdownReport {
 /// A connection to a [`Tempimpd`]: implements [`StoreApi`] by enqueueing
 /// requests to the owning shard and blocking on the reply.
 ///
-/// Keyed verbs (`put`/`get`/`advise`) touch exactly one shard; `density`,
-/// `stats`, and `health` fan out to all shards and aggregate in shard
-/// order. The non-blocking [`try_call`](ServeClient::try_call) surfaces a
-/// full ingest queue as [`Error::QueueFull`] instead of waiting.
+/// Keyed verbs (`put`/`get`/`advise`/`remove`/`annotate`) touch exactly
+/// one shard; `density`, `stats`, and `health` fan out to all shards and
+/// aggregate in shard order. The non-blocking
+/// [`try_call`](ServeClient::try_call) surfaces a full ingest queue as
+/// [`Error::QueueFull`] instead of waiting.
 ///
 /// Every connection owns one reply mailbox, which the shard workers
 /// answer into; a clone is a new connection with a mailbox of its own, so

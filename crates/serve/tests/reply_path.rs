@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use sim_core::observe::ENABLED;
 use sim_core::{ByteSize, Obs, SimDuration, SimTime};
 use tempimpd::{ServeClient, Tempimpd};
-use temporal_importance::protocol::{Request, Response, StoreApi, VerbKind};
+use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi, VerbKind};
 use temporal_importance::{Error, ImportanceCurve, ObjectId};
 
 fn put(id: u64) -> Request {
@@ -133,6 +133,8 @@ struct Outcomes {
     /// shard).
     applied_legs: u64,
     applied_puts: u64,
+    /// Removes that found their object.
+    removed: u64,
     /// Legs of refused fan-outs that had already been sent: `QueueFull`
     /// on shard k means shards 0..k took theirs.
     orphaned_legs: u64,
@@ -148,13 +150,23 @@ impl Outcomes {
             | Response::Advise(Err(error))
             | Response::Density(Err(error))
             | Response::Stats(Err(error))
-            | Response::Health(Err(error)) => Some(error),
-            _ => None,
+            | Response::Health(Err(error))
+            | Response::Remove(Err(error))
+            | Response::Annotate(Err(error)) => Some(error),
+            Response::Put(Ok(_))
+            | Response::Get(Ok(_))
+            | Response::Advise(Ok(_))
+            | Response::Density(Ok(_))
+            | Response::Stats(Ok(_))
+            | Response::Health(Ok(_))
+            | Response::Remove(Ok(_))
+            | Response::Annotate(Ok(_)) => None,
         };
         match failure {
-            None | Some(Error::Store(_)) => {
+            None | Some(Error::Store(_) | Error::Rejuvenate(_)) => {
                 self.applied_legs += if fan_out { u64::from(shards) } else { 1 };
                 self.applied_puts += u64::from(verb == VerbKind::Put);
+                self.removed += u64::from(matches!(response, Response::Remove(Ok(Some(_)))));
             }
             Some(Error::QueueFull { shard }) => {
                 self.queue_full += 1;
@@ -181,10 +193,17 @@ fn overload(
     let mut outcomes = Outcomes::default();
     let mut window = Vec::new();
     for i in 0..ops {
-        let request = match rng.gen_range(0..10u32) {
+        let id = ObjectId::new((thread << 32) + rng.gen_range(0..=i));
+        let request = match rng.gen_range(0..12u32) {
             0..=4 => put((thread << 32) + i),
-            5..=7 => get((thread << 32) + rng.gen_range(0..=i)),
-            8 => Request::Stats,
+            5..=7 => get(id.raw()),
+            8 => Request::Remove { id },
+            9 => Request::Annotate {
+                id,
+                curve: ImportanceCurve::fixed_lifetime(SimDuration::from_days(30)),
+                mode: AnnotateMode::Raise,
+            },
+            10 => Request::Stats,
             _ => Request::Density,
         };
         let verb = VerbKind::of(&request);
@@ -247,6 +266,7 @@ fn under_a_saturated_queue_every_submission_resolves_exactly_once() {
             total.submitted += outcomes.submitted;
             total.applied_legs += outcomes.applied_legs;
             total.applied_puts += outcomes.applied_puts;
+            total.removed += outcomes.removed;
             total.orphaned_legs += outcomes.orphaned_legs;
             total.queue_full += outcomes.queue_full;
         }
@@ -273,6 +293,11 @@ fn under_a_saturated_queue_every_submission_resolves_exactly_once() {
             .map(|report| report.unit.stats().stores_attempted)
             .sum();
         prop_assert_eq!(attempted, total.applied_puts, "seed {seed}: {total:?}");
+        let removals: u64 = reports
+            .iter()
+            .map(|report| report.unit.stats().removals)
+            .sum();
+        prop_assert_eq!(removals, total.removed, "seed {seed}: {total:?}");
         prop_assert!(total.applied_legs > 0);
         Ok(())
     });

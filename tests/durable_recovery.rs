@@ -41,6 +41,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use sim_core::{rng, ByteSize, SimDuration, SimTime};
 use tempimp_durable::{DurableConfig, DurableError, DurableUnit};
+use temporal_importance::protocol::{AnnotateMode, StoreApi};
 use temporal_importance::{
     Error, EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, PiecewiseCurve,
     StorageUnit,
@@ -222,16 +223,23 @@ struct Counts {
 /// One non-compaction step of the seeded mix.
 fn mutate(unit: &mut DurableUnit, rng: &mut StdRng, now: SimTime, counts: &mut Counts) {
     let id = ObjectId::new(rng.gen_range(0..IDS));
-    match rng.gen_range(0..10) {
+    let choice = rng.gen_range(0..10);
+    match choice {
         0..=4 => {
             let bytes = ByteSize::from_mib(rng.gen_range(1..=12));
             let _ = unit.store(ObjectSpec::new(id, bytes, curve(rng)), now);
         }
         5 => {
-            unit.remove(id, now).expect("journal a remove");
+            unit.remove_object(id, now).expect("journal a remove");
         }
-        6 => counts.annotations += u64::from(unit.rejuvenate(id, curve(rng), now).is_ok()),
-        7 | 8 => counts.annotations += u64::from(unit.reannotate(id, curve(rng), now).is_ok()),
+        6..=8 => {
+            let mode = if choice == 6 {
+                AnnotateMode::Raise
+            } else {
+                AnnotateMode::Replace
+            };
+            counts.annotations += u64::from(unit.annotate(id, curve(rng), mode, now).is_ok());
+        }
         _ => {
             unit.sweep_expired(now).expect("journal a sweep");
         }
@@ -476,7 +484,7 @@ fn churn(unit: &mut DurableUnit) {
         .expect("store fits");
     }
     for id in (0..120u64).step_by(3) {
-        unit.remove(ObjectId::new(id), SimTime::from_hours(3))
+        unit.remove_object(ObjectId::new(id), SimTime::from_hours(3))
             .expect("journal remove");
     }
     unit.sweep_expired(SimTime::from_days(3))

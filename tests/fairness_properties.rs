@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use temporal_reclaim::core::{
-    Advisor, FairStore, FairStoreError, Importance, ImportanceCurve, ObjectId, ObjectSpec,
-    PrincipalId, StorageUnit,
+    Admission, Advisor, FairStore, FairStoreError, Importance, ImportanceCurve, ObjectId,
+    ObjectSpec, PrincipalId, StorageUnit,
 };
 use temporal_reclaim::{ByteSize, SimDuration, SimTime};
 
@@ -128,6 +128,62 @@ proptest! {
                 !unit.peek_admission(size, threshold, SimTime::ZERO).is_admitted(),
                 "threshold {threshold} itself admitted for {probe_mib} MiB"
             );
+        }
+    }
+    /// The advisor reads off the plan (ROADMAP 9b): for a full-importance
+    /// object the size-aware threshold is the engine's own answer — zero
+    /// when the object fits, the highest importance it would preempt, and
+    /// `FULL` (or the blocking importance) when the unit is full for it.
+    /// Units hold every curve shape, arrive over weeks and are probed up
+    /// to forty days later, so expired and decaying bytes are in play.
+    #[test]
+    fn advisor_threshold_is_the_plans_highest_preempted(
+        fill in proptest::collection::vec(
+            (1u64..60, 0u8..5, 0.01f64..=1.0, 1u64..40, 0u64..48),
+            0..30,
+        ),
+        probe_mib in 1u64..240,
+        later in 0u64..40,
+    ) {
+        let capacity = ByteSize::from_mib(200);
+        let mut unit = StorageUnit::new(capacity);
+        let mut now = SimTime::ZERO;
+        for (i, (mib, shape, level, days, gap)) in fill.into_iter().enumerate() {
+            now += SimDuration::from_hours(gap);
+            let level = Importance::new_clamped(level);
+            let span = SimDuration::from_days(days);
+            let curve = match shape {
+                0 => ImportanceCurve::Fixed {
+                    importance: level,
+                    expiry: span,
+                },
+                1 => ImportanceCurve::two_step(level, span, span),
+                2 => ImportanceCurve::exp_decay(level, span, span, SimDuration::from_days(3))
+                    .expect("positive half-life"),
+                3 => ImportanceCurve::Persistent,
+                _ => ImportanceCurve::Ephemeral,
+            };
+            let spec = ObjectSpec::new(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve);
+            let _ = unit.store(spec, now);
+        }
+        let now = now + SimDuration::from_days(later);
+        let size = ByteSize::from_mib(probe_mib);
+        let advisor = Advisor::from_snapshot(unit.density_snapshot(now));
+        let threshold = advisor.admission_threshold_for(size);
+        match unit.peek_admission(size, Importance::FULL, now) {
+            Admission::Fits { .. } => prop_assert_eq!(threshold, Importance::ZERO),
+            Admission::Preempting { highest, .. } => prop_assert_eq!(threshold, highest),
+            // Only full-importance bytes can block a full-importance
+            // object, so the blocking importance is `FULL` as well.
+            Admission::Full { blocking } => prop_assert_eq!(
+                (threshold, blocking),
+                (Importance::FULL, Some(Importance::FULL))
+            ),
+            Admission::TooLarge => {
+                prop_assert!(size > capacity);
+                prop_assert_eq!(threshold, Importance::FULL);
+            }
+            other => prop_assert!(false, "unexpected admission {other:?}"),
         }
     }
 }

@@ -1,17 +1,18 @@
 //! One generated request log, one model, every `StoreApi` store.
 //!
 //! A case is a script of timestamped steps from one generator: every
-//! protocol verb plus the engine's other mutations (`remove`,
-//! `rejuvenate`, `reannotate`, `sweep_expired`, `advance`), annotated with
-//! all six curve families, under either policy, sized and keyed so that
-//! every rejection kind — `Full`, `TooLarge`, `DuplicateId`, `EmptyObject` —
-//! comes up. Three legs run it:
+//! protocol verb plus the two steps only the in-process stores take
+//! (`sweep_expired`, `advance`), annotated with all six curve families,
+//! under either policy, sized and keyed so that every rejection kind —
+//! `Full`, `TooLarge`, `DuplicateId`, `EmptyObject` — comes up. Three
+//! legs run it:
 //!
 //! * **Lockstep.** The indexed `StorageUnit`, the naive scan oracle and a
 //!   `DurableUnit` on 1 KiB segments with auto-compaction, closed and
 //!   reopened at a generated cut and again at the end. Every answer, the
 //!   stats, the durable clocks and the serialized engine state must agree.
-//! * **Served.** The protocol steps, through one blocking client, to a
+//! * **Served.** The protocol steps, removes and annotations included,
+//!   through one blocking client, to a
 //!   1-shard and an N-shard memory `Tempimpd` and an N-shard durable one
 //!   shut down and respawned at the cut. The model is `ShardRouter` over N
 //!   `ShardEngine`s folded by `protocol::aggregate`; every answer must be
@@ -38,10 +39,10 @@ use sim_core::{ByteSize, Obs, SimDuration, SimTime};
 use tempimp_durable::{DurableConfig, DurableUnit};
 use tempimpd::{replay, Pending, ShardEngine, Tempimpd, TempimpdBuilder};
 use temporal_importance::protocol::{
-    aggregate, Request, Response, ShardRouter, StoreApi, VerbKind,
+    aggregate, AnnotateMode, Request, Response, ShardRouter, StoreApi, VerbKind,
 };
 use temporal_importance::{
-    Error, EvictionPolicy, Importance, ImportanceCurve, ObjectClass, ObjectId, PiecewiseCurve,
+    EvictionPolicy, Importance, ImportanceCurve, ObjectClass, ObjectId, PiecewiseCurve,
     StorageUnit, UnitStats,
 };
 
@@ -63,14 +64,11 @@ const REJECTIONS: [&str; 4] = [
     "Store(EmptyObject",
 ];
 
-/// One generated step: a protocol request, or one of the engine's other
-/// mutations, which only the in-process stores speak.
+/// One generated step: a protocol request, or a step only the in-process
+/// stores take.
 #[derive(Debug, Clone)]
 enum Op {
     Call(Request),
-    Remove(ObjectId),
-    Rejuvenate(ObjectId, ImportanceCurve),
-    Reannotate(ObjectId, ImportanceCurve),
     Sweep,
     Advance,
 }
@@ -140,7 +138,8 @@ fn generate(rng: &mut StdRng, base: u64) -> Case {
         .map(|_| {
             now += span(rng, 3);
             let id = ObjectId::new(base + rng.gen_range(0..IDS));
-            let op = match rng.gen_range(0..16) {
+            let draw = rng.gen_range(0..16);
+            let op = match draw {
                 0..=5 => Op::Call(Request::Put {
                     id,
                     bytes: size(rng),
@@ -156,9 +155,16 @@ fn generate(rng: &mut StdRng, base: u64) -> Case {
                 8 => Op::Call(Request::Density),
                 9 => Op::Call(Request::Stats),
                 10 => Op::Call(Request::Health),
-                11 => Op::Remove(id),
-                12 => Op::Rejuvenate(id, curve(rng)),
-                13 => Op::Reannotate(id, curve(rng)),
+                11 => Op::Call(Request::Remove { id }),
+                12 | 13 => Op::Call(Request::Annotate {
+                    id,
+                    curve: curve(rng),
+                    mode: if draw == 12 {
+                        AnnotateMode::Raise
+                    } else {
+                        AnnotateMode::Replace
+                    },
+                }),
                 14 => Op::Sweep,
                 _ => Op::Advance,
             };
@@ -256,28 +262,17 @@ fn check(step: usize, who: &str, got: &Answer, want: &Answer, tolerance: f64) {
 }
 
 /// Applies `op` to a bare unit. The flag says whether a `DurableUnit`
-/// journals it, and so whether a reopened log remembers its clock.
+/// journals it, and so whether a reopened log remembers its clock: every
+/// put does, a remove that removed something and an accepted annotation.
 fn apply(unit: &mut StorageUnit, now: SimTime, op: &Op) -> (Answer, bool) {
     match op {
-        Op::Call(request) => (
-            answer(unit.call(now, request.clone())),
-            matches!(request, Request::Put { .. }),
-        ),
-        Op::Remove(id) => {
-            let removed = unit.remove(*id, now);
-            (shown(&removed), removed.is_some())
-        }
-        Op::Rejuvenate(id, curve) => {
-            let result = unit
-                .rejuvenate(*id, curve.clone(), now)
-                .map_err(Error::from);
-            (shown(&result), result.is_ok())
-        }
-        Op::Reannotate(id, curve) => {
-            let result = unit
-                .reannotate(*id, curve.clone(), now)
-                .map_err(Error::from);
-            (shown(&result), result.is_ok())
+        Op::Call(request) => {
+            let response = unit.call(now, request.clone());
+            let journals = matches!(
+                response,
+                Response::Put(_) | Response::Remove(Ok(Some(_))) | Response::Annotate(Ok(()))
+            );
+            (answer(response), journals)
         }
         Op::Sweep => (shown(unit.sweep_expired(now)), true),
         Op::Advance => {
@@ -290,9 +285,6 @@ fn apply(unit: &mut StorageUnit, now: SimTime, op: &Op) -> (Answer, bool) {
 fn apply_durable(durable: &mut DurableUnit, now: SimTime, op: &Op) -> Answer {
     match op {
         Op::Call(request) => answer(durable.call(now, request.clone())),
-        Op::Remove(id) => shown(durable.remove(*id, now).expect("journal a removal")),
-        Op::Rejuvenate(id, curve) => shown(durable.rejuvenate(*id, curve.clone(), now)),
-        Op::Reannotate(id, curve) => shown(durable.reannotate(*id, curve.clone(), now)),
         Op::Sweep => shown(durable.sweep_expired(now).expect("journal a sweep")),
         Op::Advance => {
             durable.advance(now);
