@@ -32,6 +32,7 @@ use bench_harness::gate::BenchCase;
 use bench_harness::incoming_spec;
 use sim_core::{ByteSize, SimDuration, SimTime};
 use tempimp_durable::{DurableConfig, DurableUnit};
+use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
     EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
 };
@@ -145,8 +146,8 @@ fn append_case() -> BenchCase {
             .expect("open fresh log");
         let start = Instant::now();
         for id in 0..RESIDENTS {
-            unit.store(resident_spec(id), SimTime::ZERO)
-                .expect("append fits");
+            let stored = unit.call(SimTime::ZERO, resident_spec(id).into());
+            assert!(matches!(stored, Response::Put(Ok(_))), "append fits");
         }
         durable_ns = durable_ns.min(start.elapsed().as_nanos() as f64 / RESIDENTS as f64);
         bytes_per_resident = unit.disk_info().file_bytes as f64 / RESIDENTS as f64;
@@ -192,16 +193,17 @@ fn churn_case() -> BenchCase {
         let mut unit = DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, churn_config)
             .expect("open fresh log");
         for id in 0..RESIDENTS {
-            unit.store(resident_spec(id), SimTime::ZERO)
-                .expect("prefill fits");
+            let stored = unit.call(SimTime::ZERO, resident_spec(id).into());
+            assert!(matches!(stored, Response::Put(Ok(_))), "prefill fits");
         }
         let start = Instant::now();
         for op in 0..CHURN_OPS {
-            unit.store(
-                incoming_spec(RESIDENTS + op, 10),
-                SimTime::from_minutes(op + 1),
-            )
-            .expect("churn store preempts one victim");
+            let spec = incoming_spec(RESIDENTS + op, 10);
+            let stored = unit.call(SimTime::from_minutes(op + 1), spec.into());
+            assert!(
+                matches!(stored, Response::Put(Ok(_))),
+                "churn store preempts one victim"
+            );
         }
         durable_ns = durable_ns.min(start.elapsed().as_nanos() as f64 / CHURN_OPS as f64);
         let disk = unit.disk_info();

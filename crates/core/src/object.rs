@@ -173,6 +173,18 @@ impl ObjectSpec {
     }
 }
 
+impl From<ObjectSpec> for crate::protocol::Request {
+    /// The `Put` that stores `spec`.
+    fn from(spec: ObjectSpec) -> Self {
+        crate::protocol::Request::Put {
+            id: spec.id,
+            bytes: spec.size,
+            curve: spec.curve,
+            class: spec.class,
+        }
+    }
+}
+
 /// An object resident in a [`StorageUnit`](crate::StorageUnit).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredObject {

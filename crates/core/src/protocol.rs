@@ -3,9 +3,9 @@
 //! Every front-end to the reclamation engine — a single in-process
 //! [`StorageUnit`], the journaled `DurableUnit` in `tempimp-durable`, and
 //! the sharded `tempimpd` service (its per-shard `ShardEngine` and its
-//! `ServeClient`) — speaks the same eight-verb protocol: **put**, **get**,
-//! **advise**, **density**, **stats**, **health**, **remove** and
-//! **annotate**. The verbs are
+//! `ServeClient`) — speaks the same nine-verb protocol: **put**, **get**,
+//! **advise**, **density**, **stats**, **health**, **remove**,
+//! **annotate** and **sweep**. The verbs are
 //! reified as the [`Request`] and [`Response`] enums so they can cross
 //! thread boundaries (the `tempimpd` ingest queues carry exactly these
 //! values), be recorded to a replayable request log, and be dispatched
@@ -50,8 +50,8 @@ use crate::{
 
 /// One protocol request. `Put`, `Get`, `Advise`, `Remove` and `Annotate`
 /// are keyed by an [`ObjectId`] and route to a single shard in sharded
-/// implementations; `Density`, `Stats` and `Health` are whole-store
-/// queries that fan out and aggregate.
+/// implementations; `Density`, `Stats`, `Health` and `Sweep` address the
+/// whole store, fan out and aggregate.
 ///
 /// Requests are serializable so a serving layer can keep a replayable
 /// request log — the differential determinism tests record the per-shard
@@ -114,12 +114,16 @@ pub enum Request {
         /// Whether the new curve may lower the object's importance.
         mode: AnnotateMode,
     },
+    /// Reclaim every expired object now — the sweep §3 leaves expired
+    /// objects waiting for. Answers the reclaimed objects' records; a
+    /// sharded store sweeps every shard.
+    Sweep,
 }
 
 impl Request {
     /// The routing key of a keyed verb (`Put`, `Get`, `Advise`, `Remove`,
-    /// `Annotate`), or `None` for a whole-store query that fans out to
-    /// every shard.
+    /// `Annotate`), or `None` for a whole-store verb (`Density`, `Stats`,
+    /// `Health`, `Sweep`) that fans out to every shard.
     pub fn key(&self) -> Option<ObjectId> {
         match self {
             Request::Put { id, .. }
@@ -127,7 +131,7 @@ impl Request {
             | Request::Advise { id, .. }
             | Request::Remove { id }
             | Request::Annotate { id, .. } => Some(*id),
-            Request::Density | Request::Stats | Request::Health => None,
+            Request::Density | Request::Stats | Request::Health | Request::Sweep => None,
         }
     }
 }
@@ -167,11 +171,13 @@ pub enum VerbKind {
     Remove,
     /// [`Request::Annotate`].
     Annotate,
+    /// [`Request::Sweep`].
+    Sweep,
 }
 
 impl VerbKind {
     /// Every verb, in [`code`](VerbKind::code) order.
-    pub const ALL: [VerbKind; 8] = [
+    pub const ALL: [VerbKind; 9] = [
         VerbKind::Put,
         VerbKind::Get,
         VerbKind::Advise,
@@ -180,6 +186,7 @@ impl VerbKind {
         VerbKind::Health,
         VerbKind::Remove,
         VerbKind::Annotate,
+        VerbKind::Sweep,
     ];
 
     /// The verb of `request`.
@@ -193,6 +200,7 @@ impl VerbKind {
             Request::Health => VerbKind::Health,
             Request::Remove { .. } => VerbKind::Remove,
             Request::Annotate { .. } => VerbKind::Annotate,
+            Request::Sweep => VerbKind::Sweep,
         }
     }
 
@@ -207,6 +215,7 @@ impl VerbKind {
             VerbKind::Health => "health",
             VerbKind::Remove => "remove",
             VerbKind::Annotate => "annotate",
+            VerbKind::Sweep => "sweep",
         }
     }
 
@@ -229,6 +238,7 @@ impl VerbKind {
             VerbKind::Health => Response::Health(Err(error)),
             VerbKind::Remove => Response::Remove(Err(error)),
             VerbKind::Annotate => Response::Annotate(Err(error)),
+            VerbKind::Sweep => Response::Sweep(Err(error)),
         }
     }
 }
@@ -388,6 +398,9 @@ pub enum Response {
     Remove(Result<Option<EvictionRecord>, Error>),
     /// Answer to [`Request::Annotate`].
     Annotate(Result<(), Error>),
+    /// Answer to [`Request::Sweep`]: the records of the objects it
+    /// reclaimed, in shard order for a sharded store.
+    Sweep(Result<Vec<EvictionRecord>, Error>),
 }
 
 /// The unified store interface: one [`call`](StoreApi::call) entry point
@@ -542,6 +555,19 @@ pub trait StoreApi {
             other => panic!("protocol violation: Annotate answered with {other:?}"),
         }
     }
+
+    /// Reclaims every expired object, returning their records.
+    ///
+    /// # Errors
+    ///
+    /// A service variant of [`Error`] when any shard is unreachable, or
+    /// [`Error::External`] when a journaling store cannot write the sweep.
+    fn sweep(&mut self, now: SimTime) -> Result<Vec<EvictionRecord>, Error> {
+        match self.call(now, Request::Sweep) {
+            Response::Sweep(result) => result,
+            other => panic!("protocol violation: Sweep answered with {other:?}"),
+        }
+    }
 }
 
 /// Deterministic, total object-to-shard routing shared by every sharded
@@ -598,14 +624,15 @@ impl ShardRouter {
     }
 }
 
-/// Folds the per-shard answers to a whole-store query (`Density`, `Stats`
-/// or `Health`) into one response — the fold `tempimpd`'s client applies
-/// to a fan-out's replies.
+/// Folds the per-shard answers to a whole-store verb (`Density`, `Stats`,
+/// `Health` or `Sweep`) into one response — the fold `tempimpd`'s client
+/// applies to a fan-out's replies.
 ///
 /// Answers are folded in the order given, which callers keep at shard
-/// order: `Health` lists its shards in that order, and `Density` is a
-/// capacity-weighted mean whose float summation is only reproducible for a
-/// fixed order. The first shard error becomes the aggregate's answer.
+/// order: `Health` and `Sweep` list their shards' entries in that order,
+/// and `Density` is a capacity-weighted mean whose float summation is only
+/// reproducible for a fixed order. The first shard error becomes the
+/// aggregate's answer.
 ///
 /// # Panics
 ///
@@ -660,6 +687,17 @@ pub fn aggregate(verb: VerbKind, responses: impl IntoIterator<Item = Response>) 
                 }
             }
             Response::Health(Ok(total))
+        }
+        VerbKind::Sweep => {
+            let mut total = Vec::new();
+            for response in responses {
+                match response {
+                    Response::Sweep(Ok(records)) => total.extend(records),
+                    Response::Sweep(Err(error)) => return Response::Sweep(Err(error)),
+                    other => panic!("protocol violation: Sweep answered with {other:?}"),
+                }
+            }
+            Response::Sweep(Ok(total))
         }
         VerbKind::Put
         | VerbKind::Get
@@ -746,6 +784,7 @@ impl StoreApi for StorageUnit {
                 };
                 Response::Annotate(result.map_err(Error::from))
             }
+            Request::Sweep => Response::Sweep(Ok(self.sweep_expired(now))),
         }
     }
 }
@@ -753,6 +792,7 @@ impl StoreApi for StorageUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EvictionReason;
     use sim_core::SimDuration;
 
     fn curve(days: u64) -> ImportanceCurve {
@@ -827,6 +867,18 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Rejuvenate(_)), "{err:?}");
         assert_eq!(unit.store_stats(day).unwrap().unit.removals, 1);
+
+        // A sweep reclaims what has expired, and only that.
+        unit.put(id, ByteSize::from_mib(10), curve(1), day).unwrap();
+        assert!(unit.sweep(day).unwrap().is_empty());
+        let swept = unit.sweep(SimTime::from_days(3)).unwrap();
+        assert_eq!(swept.len(), 1);
+        assert_eq!(
+            (swept[0].id, swept[0].reason),
+            (id, EvictionReason::Expired)
+        );
+        let stats = unit.store_stats(SimTime::from_days(3)).unwrap();
+        assert_eq!((stats.objects, stats.unit.evictions_expired), (0, 1));
     }
 
     #[test]
@@ -905,6 +957,7 @@ mod tests {
                 curve: curve(30),
                 mode: AnnotateMode::Raise,
             },
+            Request::Sweep,
         ];
         // A verb missing from the list must fail here, not zip away.
         assert_eq!(requests.len(), VerbKind::ALL.len());
@@ -912,7 +965,10 @@ mod tests {
             assert_eq!(VerbKind::of(request), verb);
             assert_eq!(VerbKind::ALL[verb.code() as usize], verb);
             // Exactly the keyed verbs route by id; the rest fan out.
-            let keyed = !matches!(verb, VerbKind::Density | VerbKind::Stats | VerbKind::Health);
+            let keyed = !matches!(
+                verb,
+                VerbKind::Density | VerbKind::Stats | VerbKind::Health | VerbKind::Sweep
+            );
             assert_eq!(request.key(), keyed.then_some(ObjectId::new(1)), "{verb:?}");
             // Each verb fails as its own response variant.
             let failed = format!("{:?}", verb.failed(Error::Disconnected));
@@ -985,25 +1041,22 @@ mod tests {
 
     #[test]
     fn request_logs_parse_across_the_verb_set_growing() {
-        // A log of the six verbs as serialized before `Remove` and
-        // `Annotate` existed: it parses and writes back byte for byte.
-        let old = r#"[[0,{"Put":{"id":1,"bytes":1048576,"curve":{"TwoStep":{"importance":1.0,"persist":1440,"wane":1440}},"class":2}}],[5,{"Get":{"id":1}}],[6,{"Advise":{"id":2,"bytes":3145728,"incoming":1.0}}],[7,"Density"],[8,"Stats"],[9,"Health"]]"#;
-        let log: Vec<(SimTime, Request)> = serde_json::from_str(old).unwrap();
-        assert_eq!(log.len(), 6);
-        assert_eq!(serde_json::to_string(&log).unwrap(), old);
-        for request in [
-            Request::Remove {
-                id: ObjectId::new(3),
-            },
-            Request::Annotate {
-                id: ObjectId::new(3),
-                curve: curve(7),
-                mode: AnnotateMode::Replace,
-            },
-        ] {
-            let text = serde_json::to_string(&request).unwrap();
-            assert_eq!(serde_json::from_str::<Request>(&text).unwrap(), request);
+        // Logs as serialized before `Remove` and `Annotate` existed (six
+        // verbs) and before `Sweep` did (eight): each parses and writes
+        // back byte for byte.
+        let six = r#"[[0,{"Put":{"id":1,"bytes":1048576,"curve":{"TwoStep":{"importance":1.0,"persist":1440,"wane":1440}},"class":2}}],[5,{"Get":{"id":1}}],[6,{"Advise":{"id":2,"bytes":3145728,"incoming":1.0}}],[7,"Density"],[8,"Stats"],[9,"Health"]]"#;
+        let eight = r#"[[0,{"Put":{"id":1,"bytes":1048576,"curve":{"TwoStep":{"importance":1.0,"persist":1440,"wane":1440}},"class":2}}],[5,{"Get":{"id":1}}],[6,{"Advise":{"id":2,"bytes":3145728,"incoming":1.0}}],[7,"Density"],[8,"Stats"],[9,"Health"],[10,{"Remove":{"id":3}}],[11,{"Annotate":{"id":3,"curve":{"Fixed":{"importance":1.0,"expiry":10080}},"mode":"Replace"}}]]"#;
+        for (old, verbs) in [(six, 6), (eight, 8)] {
+            let log: Vec<(SimTime, Request)> = serde_json::from_str(old).unwrap();
+            assert_eq!(log.len(), verbs);
+            assert_eq!(serde_json::to_string(&log).unwrap(), old);
         }
+        let text = serde_json::to_string(&Request::Sweep).unwrap();
+        assert_eq!(text, r#""Sweep""#);
+        assert_eq!(
+            serde_json::from_str::<Request>(&text).unwrap(),
+            Request::Sweep
+        );
     }
 
     #[test]
@@ -1070,14 +1123,36 @@ mod tests {
                 })
                 .collect(),
         };
+        // Shard `k` reclaims `k` objects, ids `10k..10k + k`.
+        let swept = |k: u64| -> Vec<EvictionRecord> {
+            (10 * k..11 * k)
+                .map(|id| EvictionRecord {
+                    id: ObjectId::new(id),
+                    class: ObjectClass::GENERIC,
+                    size: ByteSize::from_mib(1),
+                    arrival: SimTime::ZERO,
+                    evicted_at: SimTime::from_days(1),
+                    importance_at_eviction: Importance::ZERO,
+                    requested_expiry: Some(SimDuration::DAY),
+                    reason: EvictionReason::Expired,
+                })
+                .collect()
+        };
         let answer = |verb: VerbKind, k: u64| match verb {
             VerbKind::Stats => Response::Stats(Ok(stats(k))),
             VerbKind::Density => Response::Density(Ok(density(k))),
             VerbKind::Health => Response::Health(Ok(health(k))),
+            VerbKind::Sweep => Response::Sweep(Ok(swept(k))),
             keyed => unreachable!("{keyed:?} does not aggregate"),
         };
 
-        for verb in [VerbKind::Density, VerbKind::Stats, VerbKind::Health] {
+        let fan_outs = [
+            VerbKind::Density,
+            VerbKind::Stats,
+            VerbKind::Health,
+            VerbKind::Sweep,
+        ];
+        for verb in fan_outs {
             match aggregate(verb, (1..=3).map(|k| answer(verb, k))) {
                 Response::Stats(Ok(total)) => assert_eq!(total, stats(6)),
                 Response::Density(Ok(info)) => {
@@ -1094,6 +1169,10 @@ mod tests {
                 Response::Health(Ok(total)) => assert_eq!(
                     total.shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
                     vec![8, 1, 7, 2, 6, 3]
+                ),
+                Response::Sweep(Ok(total)) => assert_eq!(
+                    total.iter().map(|r| r.id.raw()).collect::<Vec<_>>(),
+                    vec![10, 20, 21, 30, 31, 32]
                 ),
                 other => panic!("{verb:?} folded to {other:?}"),
             }

@@ -4,6 +4,7 @@ use std::error::Error as StdError;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use temporal_importance::{Error, RestoreError};
 
@@ -32,6 +33,10 @@ pub enum DurableError {
     /// id or recovered residents exceeding capacity) — the log and the
     /// engine configuration disagree.
     Restore(RestoreError),
+    /// A journal write failed, so the engine may hold a mutation the log
+    /// never saw; the unit refuses every call from then on. Carries the
+    /// failure that poisoned it.
+    Poisoned(Arc<DurableError>),
 }
 
 impl DurableError {
@@ -53,6 +58,12 @@ impl fmt::Display for DurableError {
                 write!(f, "segment {} is corrupt: {detail}", segment.display())
             }
             DurableError::Restore(e) => write!(f, "recovered state rejected: {e}"),
+            DurableError::Poisoned(cause) => {
+                write!(
+                    f,
+                    "durable unit refuses calls after a journal failure: {cause}"
+                )
+            }
         }
     }
 }
@@ -63,6 +74,7 @@ impl StdError for DurableError {
             DurableError::Io { source, .. } => Some(source),
             DurableError::Corrupt { .. } => None,
             DurableError::Restore(e) => Some(e),
+            DurableError::Poisoned(cause) => Some(cause.as_ref()),
         }
     }
 }

@@ -49,10 +49,13 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    use std::io::ErrorKind;
+
     use sim_core::{ByteSize, SimDuration, SimTime};
-    use temporal_importance::protocol::{AnnotateMode, StoreApi};
+    use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi};
     use temporal_importance::{
-        EvictionPolicy, Importance, ImportanceCurve, ObjectClass, ObjectId, ObjectSpec, StorageUnit,
+        Error, EvictionPolicy, Importance, ImportanceCurve, ObjectClass, ObjectId, ObjectSpec,
+        StorageUnit,
     };
 
     use crate::{DurableConfig, DurableError, DurableUnit};
@@ -111,9 +114,9 @@ mod tests {
         for step in 0..400u64 {
             let now = SimTime::from_minutes(step * 5);
             // Re-storing a small id range makes most records dead.
-            let _ = durable.store(spec(step % 12, 2, 45), now);
+            durable.call(now, spec(step % 12, 2, 45).into());
             if step % 9 == 8 {
-                durable.sweep_expired(now).expect("sweep journals");
+                durable.sweep(now).expect("sweep journals");
             }
         }
         let before = durable.disk_info();
@@ -149,10 +152,11 @@ mod tests {
         let id = ObjectId::new(step % 40);
         match step % 7 {
             0 | 1 | 2 | 4 => {
-                let _ = durable.store(spec(step % 40, 1 + step % 7, 30 + (step % 11) * 15), now);
+                let spec = spec(step % 40, 1 + step % 7, 30 + (step % 11) * 15);
+                durable.call(now, spec.into());
             }
             3 => {
-                durable.sweep_expired(now).expect("sweep journals");
+                durable.sweep(now).expect("sweep journals");
             }
             5 => {
                 durable.remove_object(id, now).expect("remove journals");
@@ -265,7 +269,10 @@ mod tests {
         )
         .expect("open fresh");
         for step in 0..400u64 {
-            let _ = durable.store(spec(step % 12, 2, 45), SimTime::from_minutes(step * 5));
+            durable.call(
+                SimTime::from_minutes(step * 5),
+                spec(step % 12, 2, 45).into(),
+            );
         }
         let files = segment_files(&dir);
         assert!(files.len() > 3, "expected several segments: {files:?}");
@@ -335,11 +342,15 @@ mod tests {
             config,
         )
         .expect("open fresh");
-        let year = 60 * 24 * 365;
+        let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_days(365));
         durable
-            .store(spec(1, 2, year), SimTime::ZERO)
+            .put(
+                ObjectId::new(1),
+                ByteSize::from_kib(2),
+                curve.clone(),
+                SimTime::ZERO,
+            )
             .expect("fits");
-        let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_minutes(year));
         for step in 1..=3000 {
             let at = SimTime::from_minutes(step);
             durable
@@ -368,15 +379,16 @@ mod tests {
             config,
         )
         .expect("open fresh");
-        let year = 60 * 24 * 365;
+        let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_days(365));
+        let mut put = |id: u64, at: SimTime| {
+            let bytes = ByteSize::from_kib(2);
+            durable.put(ObjectId::new(id), bytes, curve.clone(), at)
+        };
         for id in 0..32 {
-            durable
-                .store(spec(id, 2, year), SimTime::ZERO)
-                .expect("fits");
+            put(id, SimTime::ZERO).expect("fits");
         }
         for step in 1..=3000 {
-            durable
-                .store(spec(100 + step, 2, year), SimTime::from_minutes(step))
+            put(100 + step, SimTime::from_minutes(step))
                 .expect_err("every resident is at full importance");
         }
         assert_eq!(durable.stats().rejections_full, 3000);
@@ -386,6 +398,87 @@ mod tests {
             "3000 refusals should fold as they go: {disk:?}"
         );
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A journal write that fails leaves the engine ahead of the log, so
+    /// the unit refuses everything after it. The failure is a real one:
+    /// with the log directory gone, appends still reach the open active
+    /// segment, but the next roll cannot create its successor.
+    #[test]
+    fn a_failed_journal_write_poisons_the_unit() {
+        let dir = scratch("poison");
+        let mut durable = DurableUnit::open(
+            &dir,
+            ByteSize::from_mib(64),
+            EvictionPolicy::Preemptive,
+            tiny_config(),
+        )
+        .expect("open fresh");
+        let mut stored = 0;
+        let mut store = |durable: &mut DurableUnit| {
+            stored += 1;
+            match durable.call(SimTime::ZERO, spec(stored, 1, 45).into()) {
+                Response::Put(result) => result,
+                other => panic!("Put answered {other:?}"),
+            }
+        };
+        while durable.disk_info().segments < 2 {
+            store(&mut durable).expect("fits");
+        }
+        std::fs::remove_dir_all(&dir).expect("pull the log directory away");
+        let failure = (0..1_000)
+            .find_map(|_| store(&mut durable).err())
+            .expect("a roll within 1,000 stores fails");
+        let cause = |error: &Error| match error {
+            Error::External(error) => match error.downcast_ref::<DurableError>() {
+                Some(DurableError::Poisoned(cause)) => match cause.as_ref() {
+                    DurableError::Io { source, .. } => Some(source.kind()),
+                    _ => None,
+                },
+                _ => None,
+            },
+            _ => None,
+        };
+        assert_eq!(cause(&failure), Some(ErrorKind::NotFound), "{failure}");
+
+        // A day on, every object has expired: a sweep that reached the
+        // engine would change it.
+        let (now, id) = (SimTime::from_days(1), ObjectId::new(1));
+        let (engine, stats) = (fingerprint(durable.unit()), *durable.stats());
+        let curve = ImportanceCurve::fixed_lifetime(SimDuration::DAY);
+        let refused = [
+            durable.call(now, spec(0, 1, 45).into()),
+            durable.call(now, Request::Get { id }),
+            durable.call(now, Request::Stats),
+            durable.call(now, Request::Sweep),
+            durable.call(now, Request::Remove { id }),
+            durable.call(
+                now,
+                Request::Annotate {
+                    id,
+                    curve,
+                    mode: AnnotateMode::Replace,
+                },
+            ),
+        ];
+        for response in refused {
+            let error = match response {
+                Response::Put(Err(error))
+                | Response::Get(Err(error))
+                | Response::Stats(Err(error))
+                | Response::Sweep(Err(error))
+                | Response::Remove(Err(error))
+                | Response::Annotate(Err(error)) => error,
+                other => panic!("a poisoned unit answered {other:?}"),
+            };
+            assert_eq!(cause(&error), Some(ErrorKind::NotFound), "{error}");
+        }
+        assert_eq!(*durable.stats(), stats);
+        assert!(
+            fingerprint(durable.unit()) == engine,
+            "a refused call reached the engine"
+        );
+        assert!(matches!(durable.close(), Err(DurableError::Poisoned(_))));
     }
 
     /// Runs a seeded preemption-heavy churn — about 2,000 residents of
@@ -417,7 +510,7 @@ mod tests {
                 ByteSize::from_kib(1024 + draw(2048)),
                 ImportanceCurve::two_step(level, plateau, plateau),
             );
-            let _ = durable.store(spec, SimTime::from_minutes(step * 10));
+            durable.call(SimTime::from_minutes(step * 10), spec.into());
         }
         let disk = durable.disk_info();
         assert!(

@@ -14,14 +14,19 @@
 //! same values. A call that journals nothing — a read, a remove of an id
 //! that is not stored, a refused annotation — does not advance them; the
 //! next journaled mutation does.
+//!
+//! A journal write that fails poisons the unit: the engine may already
+//! hold a mutation the log never saw, so from then on every call is
+//! refused with [`DurableError::Poisoned`] and nothing reaches the
+//! engine. Reopening the log recovers the last state it did see.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use sim_core::{ByteSize, Obs, SimTime};
-use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi};
+use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi, VerbKind};
 use temporal_importance::{
-    Error, EvictionPolicy, EvictionRecord, ObjectSpec, StorageUnit, StoreError, StoreOutcome,
-    UnitStats,
+    Error, EvictionPolicy, ObjectSpec, StorageUnit, StoreError, StoreOutcome, UnitStats,
 };
 
 use crate::record::{LogRecord, RejectKind, Victim};
@@ -33,16 +38,21 @@ use crate::DurableError;
 /// # Durability contract
 ///
 /// Not tunable here, and the same for every configuration: when a
-/// mutation — a `Put`, `Remove` or `Annotate` through
-/// [`call`](StoreApi::call), or a sweep — returns, its record has been
-/// handed to the operating system by a `flush` — one `write` per
-/// mutation — so it survives the death of the process. It is forced to
-/// the disk (`fsync`) only when its segment seals on a roll, when a
-/// compaction commits, and when the unit is closed; an operating-system
-/// crash or power loss can therefore lose the unsynced suffix of the
-/// active segment, which recovery truncates to the newest consistent
-/// prefix. A serving layer that acknowledges a `Put` after the call
-/// returns acknowledges "reached the OS", not "reached the disk".
+/// mutation — a `Put`, `Remove`, `Annotate` or `Sweep` through
+/// [`call`](StoreApi::call) — returns, its record has been handed to the
+/// operating system by a `flush` — one `write` per mutation — so it
+/// survives the death of the process. It is forced to the disk (`fsync`)
+/// only when its segment seals on a roll, when a compaction commits, and
+/// when the unit is closed; an operating-system crash or power loss can
+/// therefore lose the unsynced suffix of the active segment, which
+/// recovery truncates to the newest consistent prefix. A serving layer
+/// that acknowledges a `Put` after the call returns acknowledges
+/// "reached the OS", not "reached the disk".
+///
+/// A mutation whose record cannot be written answers
+/// [`DurableError::Poisoned`] and poisons the unit: every later call
+/// answers the same error without touching the engine, and
+/// [`close`](DurableUnit::close) returns it instead of the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurableConfig {
     segment_bytes: u64,
@@ -96,6 +106,8 @@ pub struct DurableUnit {
     log: SegmentLog,
     config: DurableConfig,
     recovered_torn_bytes: u64,
+    /// The first journal failure: once set, every call is refused.
+    poisoned: Option<Arc<DurableError>>,
 }
 
 impl DurableUnit {
@@ -135,6 +147,7 @@ impl DurableUnit {
             log,
             config,
             recovered_torn_bytes: recovered.torn_bytes,
+            poisoned: None,
         })
     }
 
@@ -142,12 +155,7 @@ impl DurableUnit {
     /// appended record carries the admitted object's full state and the
     /// victims it preempted; rejections are journaled too, because they
     /// count in [`UnitStats`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Store`] when the engine refuses the object, or an
-    /// external-wrapped [`DurableError`] when journaling fails.
-    pub fn store(&mut self, spec: ObjectSpec, now: SimTime) -> Result<StoreOutcome, Error> {
+    fn store(&mut self, spec: ObjectSpec, now: SimTime) -> Result<StoreOutcome, Error> {
         match self.unit.store(spec, now) {
             Ok(outcome) => {
                 let object = self
@@ -177,30 +185,27 @@ impl DurableUnit {
         }
     }
 
-    /// Sweeps expired objects, journaling the harvest. An empty sweep
-    /// still writes a record so the sweep cadence clock survives a
-    /// crash.
-    ///
-    /// # Errors
-    ///
-    /// An external-wrapped [`DurableError`] when journaling fails.
-    pub fn sweep_expired(&mut self, now: SimTime) -> Result<Vec<EvictionRecord>, DurableError> {
-        let records = self.unit.sweep_expired(now);
-        self.journal(&LogRecord::Sweep {
-            at: now,
-            expired: records.iter().map(Victim::from).collect(),
-        })?;
-        Ok(records)
-    }
-
     /// The one way a mutation reaches the log: append the record, hand it
     /// to the operating system, then let compaction look at the dead bytes
     /// it may have left — every record kind can leave some (a `Reject` is
-    /// dead from birth), so none may skip the last step.
+    /// dead from birth), so none may skip the last step. A failure
+    /// poisons the unit: the engine already holds the mutation.
     fn journal(&mut self, record: &LogRecord) -> Result<(), DurableError> {
-        self.log.append(record)?;
-        self.log.flush()?;
-        self.maybe_compact()
+        let written = self
+            .log
+            .append(record)
+            .and_then(|()| self.log.flush())
+            .and_then(|()| self.maybe_compact());
+        written.map_err(|error| {
+            let cause = Arc::new(error);
+            self.poisoned = Some(cause.clone());
+            DurableError::Poisoned(cause)
+        })
+    }
+
+    /// The error a poisoned unit answers instead of serving.
+    fn refusal(&self) -> Option<DurableError> {
+        self.poisoned.clone().map(DurableError::Poisoned)
     }
 
     /// Compacts the sealed segment holding the most dead bytes, if
@@ -209,8 +214,13 @@ impl DurableUnit {
     ///
     /// # Errors
     ///
-    /// [`DurableError`] when rewriting or committing fails.
+    /// [`DurableError`] when rewriting or committing fails, or
+    /// [`DurableError::Poisoned`] once a journal write has failed (the
+    /// log no longer describes the engine).
     pub fn compact(&mut self) -> Result<Option<CompactionReport>, DurableError> {
+        if let Some(refusal) = self.refusal() {
+            return Err(refusal);
+        }
         self.compact_once(0.0)
     }
 
@@ -257,17 +267,19 @@ impl DurableUnit {
     ///
     /// # Errors
     ///
-    /// [`DurableError`] on I/O failure (the engine is lost in that
+    /// [`DurableError`] on I/O failure, or [`DurableError::Poisoned`]
+    /// once a journal write has failed (the engine is lost in either
     /// case — the log on disk remains the recovery source).
     pub fn close(mut self) -> Result<StorageUnit, DurableError> {
+        if let Some(refusal) = self.refusal() {
+            return Err(refusal);
+        }
         self.log.sync()?;
         Ok(self.unit)
     }
 
     /// The wrapped in-memory engine (read-only; mutations go through
-    /// [`call`](StoreApi::call), [`store`](DurableUnit::store) and
-    /// [`sweep_expired`](DurableUnit::sweep_expired), which journal
-    /// them).
+    /// [`call`](StoreApi::call), which journals them).
     pub fn unit(&self) -> &StorageUnit {
         &self.unit
     }
@@ -313,13 +325,20 @@ impl DurableUnit {
 
 impl StoreApi for DurableUnit {
     /// Dispatches exactly like the wrapped [`StorageUnit`]. Every mutating
-    /// verb runs against the engine and then journals its outcome: `Put`
-    /// through [`store`](DurableUnit::store), a `Remove` that removed
-    /// something as a `Remove` record, an accepted `Annotate` as the
-    /// object's complete post-annotation state. Read verbs delegate
-    /// straight to the engine. The match names every verb, so a new one
-    /// has to choose its side here.
+    /// verb runs against the engine and then journals its outcome: a
+    /// `Put` as the admitted object with its victims (or the refusal), a
+    /// `Remove` that removed something as a `Remove` record, an accepted
+    /// `Annotate` as the object's complete post-annotation state, and a
+    /// `Sweep` as its harvest — even an empty one, so the sweep clock
+    /// survives a crash. Read verbs delegate straight to the engine. The
+    /// match names every verb, so a new one has to choose its side here.
+    ///
+    /// A poisoned unit answers every verb with [`DurableError::Poisoned`]
+    /// and leaves the engine alone.
     fn call(&mut self, now: SimTime, request: Request) -> Response {
+        if let Some(refusal) = self.refusal() {
+            return VerbKind::of(&request).failed(refusal.into());
+        }
         match request {
             Request::Put {
                 id,
@@ -356,6 +375,14 @@ impl StoreApi for DurableUnit {
                     self.journal(&record).map_err(Error::from)
                 });
                 Response::Annotate(result)
+            }
+            Request::Sweep => {
+                let swept = self.unit.sweep_expired(now);
+                let record = LogRecord::Sweep {
+                    at: now,
+                    expired: swept.iter().map(Victim::from).collect(),
+                };
+                Response::Sweep(self.journal(&record).map(|()| swept).map_err(Error::from))
             }
             read @ (Request::Get { .. }
             | Request::Advise { .. }

@@ -158,16 +158,25 @@ impl ShardEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the final sync of a durable backend fails — the shard
-    /// cannot truthfully report clean state it could not persist. On a
-    /// worker thread the panic surfaces through the service's shutdown
-    /// report.
+    /// Panics if closing a durable backend fails — its final sync, or a
+    /// journal write that failed earlier — since the shard cannot
+    /// truthfully report clean state it could not persist. On a worker
+    /// thread the panic surfaces through the service's shutdown report.
     pub fn into_unit(self) -> StorageUnit {
         match self.backend {
             Backend::Memory(unit) => *unit,
             Backend::Durable(durable) => durable
                 .close()
-                .expect("final sync of the shard's segment log failed"),
+                .expect("closing the shard's segment log failed"),
+        }
+    }
+
+    /// Hands one request to the backend at `now`: the one place a shard
+    /// meets its store, for client requests and cadence sweeps alike.
+    fn apply(&mut self, now: SimTime, request: Request) -> Response {
+        match &mut self.backend {
+            Backend::Memory(unit) => unit.call(now, request),
+            Backend::Durable(durable) => durable.call(now, request),
         }
     }
 }
@@ -176,6 +185,8 @@ impl StoreApi for ShardEngine {
     /// Applies one request at `max(at, clock)` — time never moves
     /// backwards on a shard — running an expired-object sweep first
     /// whenever at least the sweep cadence has elapsed since the last one.
+    /// A client's `Sweep` is that sweep: it runs in place of a due one,
+    /// answers what it reclaimed, and restarts the cadence.
     ///
     /// Both the sweep decision and the effective timestamp depend only on
     /// the sequence of `(at, request)` pairs this engine has seen, which
@@ -183,26 +194,20 @@ impl StoreApi for ShardEngine {
     /// live shard exactly.
     fn call(&mut self, at: SimTime, request: Request) -> Response {
         let now = self.observe(at);
-        if now.saturating_since(self.last_sweep) >= self.sweep_every {
-            match &mut self.backend {
-                Backend::Memory(unit) => {
-                    unit.sweep_expired(now);
-                }
-                Backend::Durable(durable) => {
-                    // A journaling failure here cannot be answered to
-                    // any one client (the sweep belongs to no request);
-                    // panic and let the shutdown report surface it.
-                    durable
-                        .sweep_expired(now)
-                        .expect("journaling a shard sweep failed");
-                }
-            }
+        if matches!(request, Request::Sweep) {
             self.last_sweep = now;
+            return self.apply(now, request);
         }
-        match &mut self.backend {
-            Backend::Memory(unit) => unit.call(now, request),
-            Backend::Durable(durable) => durable.call(now, request),
+        if now.saturating_since(self.last_sweep) >= self.sweep_every {
+            self.last_sweep = now;
+            // A journaling failure here cannot be answered to any one
+            // client (the sweep belongs to no request); panic and let the
+            // shutdown report surface it.
+            if let Response::Sweep(Err(error)) = self.apply(now, Request::Sweep) {
+                panic!("journaling a shard sweep failed: {error}");
+            }
         }
+        self.apply(now, request)
     }
 }
 
@@ -231,6 +236,9 @@ pub fn replay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::observe::{Observer, ENABLED};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use temporal_importance::{ImportanceCurve, ObjectId};
 
     fn ephemeral_curve() -> ImportanceCurve {
@@ -286,5 +294,67 @@ mod tests {
             .expect("stored");
         assert!(!info.expired);
         assert_eq!(shard.now(), SimTime::from_days(3));
+    }
+
+    /// Counts the sweeps an engine applies (each reports its harvest).
+    #[derive(Debug, Default)]
+    struct Sweeps(AtomicU64);
+
+    impl Observer for Sweeps {
+        fn counter(&self, _: &'static str, _: u64) {}
+        fn gauge(&self, _: &'static str, _: u64) {}
+        fn record(&self, name: &'static str, _: u64) {
+            if name == "engine.sweep_reclaimed" {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        fn event(&self, _: SimTime, _: &'static str, _: &[(&'static str, u64)]) {}
+    }
+
+    #[test]
+    fn a_client_sweep_runs_in_place_of_a_due_cadence_sweep() {
+        let sweeps = Arc::new(Sweeps::default());
+        let mut shard = ShardEngine::with_observer(
+            ByteSize::from_mib(100),
+            EvictionPolicy::Preemptive,
+            SimDuration::DAY,
+            Obs::attached(sweeps.clone()),
+        );
+        let applied = || sweeps.0.load(Ordering::Relaxed);
+        for (id, hours) in [(1, 24), (2, 60)] {
+            let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_hours(hours));
+            shard
+                .put(
+                    ObjectId::new(id),
+                    ByteSize::from_mib(10),
+                    curve,
+                    SimTime::ZERO,
+                )
+                .unwrap();
+        }
+
+        // Two days on the cadence is due; the client's sweep is the one
+        // that runs, so it answers what expired.
+        let day2 = SimTime::from_days(2);
+        let swept = shard.sweep(day2).unwrap();
+        assert_eq!(swept.len(), 1);
+        assert_eq!(swept[0].id, ObjectId::new(1));
+        if ENABLED {
+            assert_eq!(
+                applied(),
+                1,
+                "one sweep, not a cadence sweep and the client's"
+            );
+        }
+
+        // The cadence restarts at day 2: object 2, expired at 60 hours,
+        // waits for the sweep a full day later.
+        let almost = day2 + SimDuration::from_hours(23);
+        assert_eq!(shard.store_stats(almost).unwrap().objects, 1);
+        let stats = shard.store_stats(SimTime::from_days(3)).unwrap();
+        assert_eq!((stats.objects, stats.unit.evictions_expired), (0, 2));
+        if ENABLED {
+            assert_eq!(applied(), 2);
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! hash every keyed request to its shard ([`ShardRouter`]), reserve a slot
 //! in the connection's reply mailbox, enqueue the request with the
 //! client's timestamp, and collect the answer from that slot;
-//! whole-store queries (`Density`, `Stats`, `Health`) fan out to every
-//! shard and aggregate in shard order. Workers drain requests in batches
-//! and process each batch at a single effective instant — see
+//! whole-store verbs (`Density`, `Stats`, `Health`, `Sweep`) fan out to
+//! every shard and aggregate in shard order. Workers drain requests in
+//! batches and process each batch at a single effective instant — see
 //! [`ShardEngine`] for why that keeps shards deterministically replayable
 //! — then answer the whole batch at once: one lock per mailbox it
 //! addresses and at most one wake-up per client (see [`crate::mailbox`]).
@@ -310,8 +310,8 @@ impl Worker {
         let mut batches = 0u64;
         // Block for the first request of a batch, then drain greedily up
         // to batch_max. The whole batch is processed at its latest
-        // timestamp: one clock advance, at most one sweep, then every
-        // request applies at the same instant.
+        // timestamp: one clock advance, at most one cadence sweep, then
+        // every request applies at the same instant.
         while let Ok(first) = ingest.recv() {
             batch.push(first);
             while batch.len() < self.batch_max {
@@ -552,8 +552,8 @@ impl ShutdownReport {
 /// requests to the owning shard and blocking on the reply.
 ///
 /// Keyed verbs (`put`/`get`/`advise`/`remove`/`annotate`) touch exactly
-/// one shard; `density`, `stats`, and `health` fan out to all shards and
-/// aggregate in shard order. The non-blocking
+/// one shard; `density`, `stats`, `health` and `sweep` fan out to all
+/// shards and aggregate in shard order. The non-blocking
 /// [`try_call`](ServeClient::try_call) surfaces a full ingest queue as
 /// [`Error::QueueFull`] instead of waiting.
 ///

@@ -20,13 +20,20 @@ use sim_core::observe::ENABLED;
 use sim_core::{ByteSize, Obs, SimDuration, SimTime};
 use tempimpd::{ServeClient, Tempimpd};
 use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi, VerbKind};
-use temporal_importance::{Error, ImportanceCurve, ObjectId};
+use temporal_importance::{Error, EvictionReason, ImportanceCurve, ObjectId};
 
 fn put(id: u64) -> Request {
+    put_with(
+        id,
+        ImportanceCurve::fixed_lifetime(SimDuration::from_days(7)),
+    )
+}
+
+fn put_with(id: u64, curve: ImportanceCurve) -> Request {
     Request::Put {
         id: ObjectId::new(id),
         bytes: ByteSize::from_kib(1),
-        curve: ImportanceCurve::fixed_lifetime(SimDuration::from_days(7)),
+        curve,
         class: Default::default(),
     }
 }
@@ -135,6 +142,12 @@ struct Outcomes {
     applied_puts: u64,
     /// Removes that found their object.
     removed: u64,
+    /// Sweeps submitted.
+    sweeps: u64,
+    /// Sweeps answered, applied or `QueueFull`: each exactly once.
+    sweeps_resolved: u64,
+    /// Records the applied sweeps answered.
+    expired: u64,
     /// Legs of refused fan-outs that had already been sent: `QueueFull`
     /// on shard k means shards 0..k took theirs.
     orphaned_legs: u64,
@@ -143,7 +156,10 @@ struct Outcomes {
 
 impl Outcomes {
     fn settle(&mut self, verb: VerbKind, shards: u32, response: &Response) -> Result<(), String> {
-        let fan_out = matches!(verb, VerbKind::Density | VerbKind::Stats | VerbKind::Health);
+        let fan_out = matches!(
+            verb,
+            VerbKind::Density | VerbKind::Stats | VerbKind::Health | VerbKind::Sweep
+        );
         let failure = match response {
             Response::Put(Err(error))
             | Response::Get(Err(error))
@@ -152,7 +168,8 @@ impl Outcomes {
             | Response::Stats(Err(error))
             | Response::Health(Err(error))
             | Response::Remove(Err(error))
-            | Response::Annotate(Err(error)) => Some(error),
+            | Response::Annotate(Err(error))
+            | Response::Sweep(Err(error)) => Some(error),
             Response::Put(Ok(_))
             | Response::Get(Ok(_))
             | Response::Advise(Ok(_))
@@ -160,13 +177,23 @@ impl Outcomes {
             | Response::Stats(Ok(_))
             | Response::Health(Ok(_))
             | Response::Remove(Ok(_))
-            | Response::Annotate(Ok(_)) => None,
+            | Response::Annotate(Ok(_))
+            | Response::Sweep(Ok(_)) => None,
         };
         match failure {
             None | Some(Error::Store(_) | Error::Rejuvenate(_)) => {
                 self.applied_legs += if fan_out { u64::from(shards) } else { 1 };
                 self.applied_puts += u64::from(verb == VerbKind::Put);
                 self.removed += u64::from(matches!(response, Response::Remove(Ok(Some(_)))));
+                if let Response::Sweep(Ok(records)) = response {
+                    if let Some(record) = records
+                        .iter()
+                        .find(|record| record.reason != EvictionReason::Expired)
+                    {
+                        return Err(format!("a sweep answered {record:?}"));
+                    }
+                    self.expired += records.len() as u64;
+                }
             }
             Some(Error::QueueFull { shard }) => {
                 self.queue_full += 1;
@@ -176,6 +203,7 @@ impl Outcomes {
             }
             Some(other) => return Err(format!("{verb:?} answered {other:?}")),
         }
+        self.sweeps_resolved += u64::from(verb == VerbKind::Sweep);
         Ok(())
     }
 }
@@ -194,20 +222,24 @@ fn overload(
     let mut window = Vec::new();
     for i in 0..ops {
         let id = ObjectId::new((thread << 32) + rng.gen_range(0..=i));
-        let request = match rng.gen_range(0..12u32) {
+        let request = match rng.gen_range(0..14u32) {
             0..=4 => put((thread << 32) + i),
-            5..=7 => get(id.raw()),
-            8 => Request::Remove { id },
-            9 => Request::Annotate {
+            // Expired on arrival: what the sweeps find.
+            5 => put_with((thread << 32) + i, ImportanceCurve::Ephemeral),
+            6..=8 => get(id.raw()),
+            9 => Request::Remove { id },
+            10 => Request::Annotate {
                 id,
                 curve: ImportanceCurve::fixed_lifetime(SimDuration::from_days(30)),
                 mode: AnnotateMode::Raise,
             },
-            10 => Request::Stats,
+            11 => Request::Stats,
+            12 => Request::Sweep,
             _ => Request::Density,
         };
         let verb = VerbKind::of(&request);
         outcomes.submitted += 1;
+        outcomes.sweeps += u64::from(verb == VerbKind::Sweep);
         match rng.gen_range(0..3u32) {
             0 => outcomes.settle(verb, shards, &client.call(SimTime::ZERO, request))?,
             1 => outcomes.settle(verb, shards, &client.try_call(SimTime::ZERO, request))?,
@@ -267,6 +299,9 @@ fn under_a_saturated_queue_every_submission_resolves_exactly_once() {
             total.applied_legs += outcomes.applied_legs;
             total.applied_puts += outcomes.applied_puts;
             total.removed += outcomes.removed;
+            total.sweeps += outcomes.sweeps;
+            total.sweeps_resolved += outcomes.sweeps_resolved;
+            total.expired += outcomes.expired;
             total.orphaned_legs += outcomes.orphaned_legs;
             total.queue_full += outcomes.queue_full;
         }
@@ -298,7 +333,20 @@ fn under_a_saturated_queue_every_submission_resolves_exactly_once() {
             .map(|report| report.unit.stats().removals)
             .sum();
         prop_assert_eq!(removals, total.removed, "seed {seed}: {total:?}");
-        prop_assert!(total.applied_legs > 0);
+        prop_assert_eq!(
+            total.sweeps_resolved,
+            total.sweeps,
+            "seed {seed}: {total:?}"
+        );
+        // The clock never leaves zero, so no cadence sweep runs: every
+        // expiry is a client sweep's, though a refused fan-out's legs
+        // reclaim unseen.
+        let expired: u64 = reports
+            .iter()
+            .map(|report| report.unit.stats().evictions_expired)
+            .sum();
+        prop_assert!(total.expired <= expired, "seed {seed}: {total:?}");
+        prop_assert!(total.applied_legs > 0 && total.expired > 0);
         Ok(())
     });
 }

@@ -1,8 +1,8 @@
 //! One generated request log, one model, every `StoreApi` store.
 //!
 //! A case is a script of timestamped steps from one generator: every
-//! protocol verb plus the two steps only the in-process stores take
-//! (`sweep_expired`, `advance`), annotated with all six curve families,
+//! protocol verb plus the one step only the in-process stores take
+//! (`advance`), annotated with all six curve families,
 //! under either policy, sized and keyed so that every rejection kind —
 //! `Full`, `TooLarge`, `DuplicateId`, `EmptyObject` — comes up. Three
 //! legs run it:
@@ -11,8 +11,8 @@
 //!   `DurableUnit` on 1 KiB segments with auto-compaction, closed and
 //!   reopened at a generated cut and again at the end. Every answer, the
 //!   stats, the durable clocks and the serialized engine state must agree.
-//! * **Served.** The protocol steps, removes and annotations included,
-//!   through one blocking client, to a
+//! * **Served.** The protocol steps, removes, annotations and sweeps
+//!   included, through one blocking client, to a
 //!   1-shard and an N-shard memory `Tempimpd` and an N-shard durable one
 //!   shut down and respawned at the cut. The model is `ShardRouter` over N
 //!   `ShardEngine`s folded by `protocol::aggregate`; every answer must be
@@ -64,12 +64,11 @@ const REJECTIONS: [&str; 4] = [
     "Store(EmptyObject",
 ];
 
-/// One generated step: a protocol request, or a step only the in-process
-/// stores take.
+/// One generated step: a protocol request, or the clock advance only the
+/// in-process stores take.
 #[derive(Debug, Clone)]
 enum Op {
     Call(Request),
-    Sweep,
     Advance,
 }
 
@@ -165,7 +164,7 @@ fn generate(rng: &mut StdRng, base: u64) -> Case {
                         AnnotateMode::Replace
                     },
                 }),
-                14 => Op::Sweep,
+                14 => Op::Call(Request::Sweep),
                 _ => Op::Advance,
             };
             (now, op)
@@ -183,7 +182,7 @@ fn generate(rng: &mut StdRng, base: u64) -> Case {
 fn requests(case: &Case) -> impl Iterator<Item = (SimTime, &Request)> {
     case.script.iter().filter_map(|(at, op)| match op {
         Op::Call(request) => Some((*at, request)),
-        _ => None,
+        Op::Advance => None,
     })
 }
 
@@ -263,18 +262,21 @@ fn check(step: usize, who: &str, got: &Answer, want: &Answer, tolerance: f64) {
 
 /// Applies `op` to a bare unit. The flag says whether a `DurableUnit`
 /// journals it, and so whether a reopened log remembers its clock: every
-/// put does, a remove that removed something and an accepted annotation.
+/// put and sweep does, a remove that removed something and an accepted
+/// annotation.
 fn apply(unit: &mut StorageUnit, now: SimTime, op: &Op) -> (Answer, bool) {
     match op {
         Op::Call(request) => {
             let response = unit.call(now, request.clone());
             let journals = matches!(
                 response,
-                Response::Put(_) | Response::Remove(Ok(Some(_))) | Response::Annotate(Ok(()))
+                Response::Put(_)
+                    | Response::Remove(Ok(Some(_)))
+                    | Response::Annotate(Ok(()))
+                    | Response::Sweep(_)
             );
             (answer(response), journals)
         }
-        Op::Sweep => (shown(unit.sweep_expired(now)), true),
         Op::Advance => {
             unit.advance(now);
             (shown(()), false)
@@ -285,7 +287,6 @@ fn apply(unit: &mut StorageUnit, now: SimTime, op: &Op) -> (Answer, bool) {
 fn apply_durable(durable: &mut DurableUnit, now: SimTime, op: &Op) -> Answer {
     match op {
         Op::Call(request) => answer(durable.call(now, request.clone())),
-        Op::Sweep => shown(durable.sweep_expired(now).expect("journal a sweep")),
         Op::Advance => {
             durable.advance(now);
             shown(())
@@ -371,7 +372,7 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         if journals {
             journaled = *now;
         }
-        if matches!(op, Op::Sweep) {
+        if matches!(op, Op::Call(Request::Sweep)) {
             swept = *now;
         }
         for (kind, seen) in REJECTIONS.iter().zip(&mut reach.rejections) {
@@ -538,9 +539,9 @@ fn concurrent() {
         // Shard requests = keyed requests + one leg per shard per fan-out.
         let (mut keyed, mut fanned) = (0, 0);
         for (_, request) in scripts.iter().flat_map(requests) {
-            match request {
-                Request::Density | Request::Stats | Request::Health => fanned += 1,
-                _ => keyed += 1,
+            match request.key() {
+                Some(_) => keyed += 1,
+                None => fanned += 1,
             }
         }
         let legs: u64 = reports.iter().map(|report| report.requests).sum();
