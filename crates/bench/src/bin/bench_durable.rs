@@ -157,7 +157,7 @@ fn append_case() -> BenchCase {
 
     let mut memory_ns = f64::INFINITY;
     for _ in 0..REPETITIONS {
-        let mut unit = StorageUnit::builder(capacity).recording(false).build();
+        let mut unit = StorageUnit::new(capacity);
         let start = Instant::now();
         for id in 0..RESIDENTS {
             unit.store(resident_spec(id), SimTime::ZERO)
@@ -227,7 +227,7 @@ fn churn_case() -> BenchCase {
 
     let mut memory_ns = f64::INFINITY;
     for _ in 0..REPETITIONS {
-        let mut unit = StorageUnit::builder(capacity).recording(false).build();
+        let mut unit = StorageUnit::new(capacity);
         for id in 0..RESIDENTS {
             unit.store(resident_spec(id), SimTime::ZERO)
                 .expect("prefill fits");

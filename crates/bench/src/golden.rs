@@ -55,9 +55,7 @@ pub fn mixed_spec(rng: &mut impl Rng, id: u64) -> ObjectSpec {
 /// pins.
 pub fn trace_run() -> String {
     let mut rand = rng::seeded(SEED);
-    let mut unit = StorageUnit::builder(ByteSize::from_mib(2_000))
-        .recording(false)
-        .build();
+    let mut unit = StorageUnit::new(ByteSize::from_mib(2_000));
     for id in 0..RESIDENTS {
         let _ = unit.store(mixed_spec(&mut rand, id), SimTime::ZERO);
     }

@@ -24,7 +24,7 @@ use temporal_importance::{
 /// importance cycles through ten levels — a representative mixed-pressure
 /// state for eviction/density benchmarks.
 pub fn mixed_unit(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit {
-    let mut unit = StorageUnit::builder(capacity).recording(false).build();
+    let mut unit = StorageUnit::new(capacity);
     fill_mixed(&mut unit, count, mib);
     unit
 }
@@ -36,7 +36,6 @@ pub fn mixed_unit_naive(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit
     let mut unit = StorageUnit::builder(capacity)
         .policy(EvictionPolicy::Preemptive)
         .naive_oracle(true)
-        .recording(false)
         .build();
     fill_mixed(&mut unit, count, mib);
     unit

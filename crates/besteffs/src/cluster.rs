@@ -201,15 +201,8 @@ impl ClusterBuilder {
         let obs = obs.unwrap_or_else(Obs::global);
         let degree = 6.min(nodes - 1).max(2);
         let overlay = Overlay::random(nodes, degree, rng);
-        // Large fleets keep aggregate stats only; per-eviction records on
-        // 2,000 nodes over years would dominate memory.
         let units: Vec<StorageUnit> = (0..nodes)
-            .map(|_| {
-                StorageUnit::builder(capacity)
-                    .recording(false)
-                    .observer(obs.clone())
-                    .build()
-            })
+            .map(|_| StorageUnit::builder(capacity).observer(obs.clone()).build())
             .collect();
         Besteffs {
             units,
@@ -319,8 +312,8 @@ impl Besteffs {
         &self.units[node.index()]
     }
 
-    /// Mutably borrow a node's storage unit (e.g. to enable recording on
-    /// a sampled subset).
+    /// Mutably borrow a node's storage unit, e.g. to pre-fill one node
+    /// directly instead of through [`place`](Besteffs::place).
     ///
     /// # Panics
     ///
@@ -355,7 +348,6 @@ impl Besteffs {
         debug_assert_eq!(id.index(), self.units.len());
         self.units.push(
             StorageUnit::builder(capacity)
-                .recording(false)
                 .observer(self.obs.clone())
                 .build(),
         );
@@ -403,7 +395,6 @@ impl Besteffs {
             bytes_lost: lost_bytes,
         });
         self.units[i] = StorageUnit::builder(self.units[i].capacity())
-            .recording(false)
             .observer(self.obs.clone())
             .build();
         self.obs.counter("cluster.node_failures", 1);
@@ -584,9 +575,7 @@ impl Besteffs {
     }
 
     /// Sweeps expired objects on all live nodes and returns their
-    /// eviction records in node order. The records are returned whether
-    /// or not the nodes keep their own eviction log (the cluster builds
-    /// its units with recording off).
+    /// eviction records in node order.
     pub fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
         let _span = self.obs.span("span.cluster.sweep");
         let mut out = Vec::new();

@@ -83,9 +83,7 @@ pub use fairness::{FairStore, FairStoreError, PrincipalId, PrincipalUsage};
 pub use importance::Importance;
 pub use object::{ObjectClass, ObjectId, ObjectIdGen, ObjectSpec, StoredObject};
 pub use policy::EvictionPolicy;
-pub use records::{
-    Admission, EvictionReason, EvictionRecord, RejectionRecord, StoreOutcome, UnitStats,
-};
+pub use records::{Admission, EvictionReason, EvictionRecord, StoreOutcome, UnitStats};
 pub use unit::{StorageUnit, StorageUnitBuilder};
 
 #[cfg(test)]

@@ -55,26 +55,6 @@ impl EvictionRecord {
     }
 }
 
-/// A record of a store request the unit turned down.
-///
-/// Figure 4 ("requests turned down because of full storage") counts these.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RejectionRecord {
-    /// The rejected object.
-    pub id: ObjectId,
-    /// Its class tag.
-    pub class: ObjectClass,
-    /// Its size.
-    pub size: ByteSize,
-    /// When the request was made.
-    pub at: SimTime,
-    /// The importance the object would have entered with.
-    pub incoming_importance: Importance,
-    /// Lowest current importance among the objects that blocked it, if the
-    /// unit held any non-preemptible objects.
-    pub blocking: Option<Importance>,
-}
-
 /// The result of a successful store.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoreOutcome {
@@ -172,13 +152,18 @@ pub struct UnitStats {
 }
 
 impl UnitStats {
-    /// Total rejected store requests.
+    /// Store requests refused for lack of room: `rejections_full +
+    /// rejections_too_large`. An empty object or a duplicate id is refused
+    /// too, but counts only in `stores_attempted`, so `stores_attempted`
+    /// can exceed `stores_accepted + rejections()`.
     pub fn rejections(&self) -> u64 {
         self.rejections_full + self.rejections_too_large
     }
 
     /// Fraction of attempted stores that were accepted, or 1.0 when no
-    /// store was ever attempted.
+    /// store was ever attempted. Its denominator counts every attempt,
+    /// empty objects and duplicate ids included, not just accepted plus
+    /// [`rejections`](UnitStats::rejections).
     pub fn acceptance_ratio(&self) -> f64 {
         if self.stores_attempted == 0 {
             1.0

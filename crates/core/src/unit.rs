@@ -6,9 +6,7 @@ use sim_core::{ByteSize, Obs, SimTime};
 use crate::arena::ObjectArena;
 use crate::engine::{EngineIndex, EvictionKey};
 use crate::error::{RejuvenateError, RestoreError, StoreError};
-use crate::records::{
-    Admission, EvictionReason, EvictionRecord, RejectionRecord, StoreOutcome, UnitStats,
-};
+use crate::records::{Admission, EvictionReason, EvictionRecord, StoreOutcome, UnitStats};
 use crate::{EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, StoredObject};
 
 /// A storage unit of fixed capacity holding temporally-annotated objects.
@@ -48,9 +46,6 @@ pub struct StorageUnit {
     policy: EvictionPolicy,
     objects: ObjectArena,
     stats: UnitStats,
-    evictions: Vec<EvictionRecord>,
-    rejections: Vec<RejectionRecord>,
-    recording: bool,
     /// Incremental candidate/density indexes; derived state, rebuilt on
     /// demand after deserialization.
     #[serde(skip)]
@@ -76,8 +71,8 @@ pub struct StorageUnit {
 }
 
 /// Builds a [`StorageUnit`], the single construction path for every
-/// configuration: policy, the naive scan oracle, record keeping, and the
-/// observability hook.
+/// configuration: policy, the naive scan oracle, and the observability
+/// hook.
 ///
 /// # Examples
 ///
@@ -87,7 +82,6 @@ pub struct StorageUnit {
 ///
 /// let unit = StorageUnit::builder(ByteSize::from_gib(1))
 ///     .policy(EvictionPolicy::Fifo)
-///     .recording(false)
 ///     .build();
 /// assert_eq!(unit.policy(), EvictionPolicy::Fifo);
 /// ```
@@ -97,7 +91,6 @@ pub struct StorageUnitBuilder {
     capacity: ByteSize,
     policy: EvictionPolicy,
     naive: bool,
-    recording: bool,
     obs: Option<Obs>,
 }
 
@@ -119,11 +112,12 @@ impl StorageUnitBuilder {
         self
     }
 
-    /// Enables or disables per-event eviction/rejection records (default:
-    /// on). Large multi-node simulations that only need aggregate
-    /// [`stats`](StorageUnit::stats) turn this off.
-    pub fn recording(mut self, recording: bool) -> Self {
-        self.recording = recording;
+    /// Inert: the unit keeps no per-event log to switch on or off; every
+    /// eviction and refusal is returned by the call that caused it. Kept
+    /// only because `bench_stack`'s engine workload still calls it, and
+    /// deleted together with that call.
+    #[doc(hidden)]
+    pub fn recording(self, _recording: bool) -> Self {
         self
     }
 
@@ -142,9 +136,6 @@ impl StorageUnitBuilder {
             policy: self.policy,
             objects: ObjectArena::new(),
             stats: UnitStats::default(),
-            evictions: Vec::new(),
-            rejections: Vec::new(),
-            recording: self.recording,
             index: EngineIndex::for_policy(self.policy),
             scratch: PlanScratch::default(),
             last_queue_depth: None,
@@ -158,12 +149,10 @@ impl StorageUnitBuilder {
     /// recovers them from its log.
     ///
     /// The restored unit is indistinguishable from one that arrived at the
-    /// same `(stats, objects)` through live operations with per-event
-    /// recording off: occupancy is recomputed from the objects, and the
-    /// incremental indexes rebuild lazily on the next
-    /// [`advance`](StorageUnit::advance) (exactly as after
-    /// deserialization). Per-event eviction/rejection records are not
-    /// restored — aggregate history lives in `stats`.
+    /// same `(stats, objects)` through live operations: occupancy is
+    /// recomputed from the objects, and the incremental indexes rebuild
+    /// lazily on the next [`advance`](StorageUnit::advance) (exactly as
+    /// after deserialization). Its lifetime history is `stats` alone.
     ///
     /// # Errors
     ///
@@ -265,7 +254,6 @@ impl StorageUnit {
             capacity,
             policy: EvictionPolicy::Preemptive,
             naive: false,
-            recording: true,
             obs: None,
         }
     }
@@ -367,16 +355,6 @@ impl StorageUnit {
         self.objects.iter()
     }
 
-    /// Drains the accumulated eviction records.
-    pub fn take_evictions(&mut self) -> Vec<EvictionRecord> {
-        std::mem::take(&mut self.evictions)
-    }
-
-    /// Drains the accumulated rejection records.
-    pub fn take_rejections(&mut self) -> Vec<RejectionRecord> {
-        std::mem::take(&mut self.rejections)
-    }
-
     /// Attempts to store `spec` at simulated time `now`, preempting less
     /// important objects if necessary.
     ///
@@ -426,16 +404,6 @@ impl StorageUnit {
                         ("reclaimable", (self.free() + reclaimable).as_bytes()),
                     ],
                 );
-                if self.recording {
-                    self.rejections.push(RejectionRecord {
-                        id: spec.id(),
-                        class: spec.class(),
-                        size: spec.size(),
-                        at: now,
-                        incoming_importance: incoming,
-                        blocking,
-                    });
-                }
                 return Err(StoreError::Full {
                     required: spec.size(),
                     reclaimable: self.free() + reclaimable,
@@ -647,9 +615,6 @@ impl StorageUnit {
                 ),
             ],
         );
-        if self.recording {
-            self.evictions.push(record.clone());
-        }
         record
     }
 
@@ -1182,11 +1147,6 @@ mod tests {
         assert_eq!(rec.importance_at_eviction, imp(0.5));
         assert_eq!(rec.requested_expiry, Some(days(30)));
         assert_eq!(rec.reason, EvictionReason::Preempted);
-        // The unit also logged it.
-        let log = unit.take_evictions();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0], *rec);
-        assert!(unit.take_evictions().is_empty());
     }
 
     #[test]
@@ -1196,11 +1156,19 @@ mod tests {
             .unwrap();
         unit.store(fixed_spec(2, mib(20), 0.3, 365), SimTime::ZERO)
             .unwrap();
-        let _ = unit.store(fixed_spec(3, mib(50), 0.4, 365), SimTime::ZERO);
-        let rejections = unit.take_rejections();
-        assert_eq!(rejections.len(), 1);
-        assert_eq!(rejections[0].incoming_importance, imp(0.4));
-        assert_eq!(rejections[0].blocking, Some(imp(0.6)));
+        let err = unit
+            .store(fixed_spec(3, mib(50), 0.4, 365), SimTime::ZERO)
+            .unwrap_err();
+        match err {
+            StoreError::Full {
+                required, blocking, ..
+            } => {
+                assert_eq!(required, mib(50));
+                assert_eq!(blocking, Some(imp(0.6)));
+            }
+            other => panic!("expected Full, got {other:?}"),
+        }
+        assert_eq!(unit.stats().rejections_full, 1);
     }
 
     #[test]
@@ -1335,20 +1303,6 @@ mod tests {
                 .current_importance(SimTime::ZERO),
             Importance::ZERO
         );
-    }
-
-    #[test]
-    fn recording_can_be_disabled() {
-        let mut unit = StorageUnit::builder(mib(10)).recording(false).build();
-        unit.store(fixed_spec(1, mib(10), 0.5, 10), SimTime::ZERO)
-            .unwrap();
-        let _ = unit.store(fixed_spec(2, mib(10), 0.9, 10), SimTime::ZERO);
-        let _ = unit.store(fixed_spec(3, mib(10), 0.1, 10), SimTime::ZERO);
-        assert!(unit.take_evictions().is_empty());
-        assert!(unit.take_rejections().is_empty());
-        // Stats still counted.
-        assert_eq!(unit.stats().evictions_preempted, 1);
-        assert_eq!(unit.stats().rejections_full, 1);
     }
 
     #[test]

@@ -418,9 +418,7 @@ mod tests {
         if annotated_at == arrival {
             return StoredObject::from_spec(spec, SimTime::from_minutes(arrival));
         }
-        let mut unit = StorageUnit::builder(ByteSize::from_bytes(u64::MAX))
-            .recording(false)
-            .build();
+        let mut unit = StorageUnit::new(ByteSize::from_bytes(u64::MAX));
         unit.store(spec, SimTime::from_minutes(arrival))
             .expect("an empty unit of maximal capacity admits it");
         unit.reannotate(id, curve, SimTime::from_minutes(annotated_at))

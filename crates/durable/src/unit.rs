@@ -139,7 +139,6 @@ impl DurableUnit {
         let (log, recovered) = SegmentLog::open(dir.as_ref(), config.segment_bytes, obs.clone())?;
         let unit = StorageUnit::builder(capacity)
             .policy(policy)
-            .recording(false)
             .observer(obs)
             .restore(recovered.stats, recovered.objects)?;
         Ok(DurableUnit {

@@ -107,6 +107,7 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
             let mut unit = StorageUnit::new(capacity);
             let mut ids = ObjectIdGen::new();
             let mut shaped_rejected = 0u64;
+            let mut evictions = Vec::new();
             for (index, arrival) in RampedArrivals::paper(seed).enumerate() {
                 if arrival.at >= SimTime::from_days(days) {
                     break;
@@ -119,7 +120,7 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                 };
                 let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve).with_class(class);
                 match unit.store(spec, arrival.at) {
-                    Ok(_) => {}
+                    Ok(outcome) => evictions.extend(outcome.evicted),
                     Err(StoreError::Full { .. }) => {
                         if shaped {
                             shaped_rejected += 1;
@@ -128,7 +129,6 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                     Err(e) => panic!("unexpected store error: {e}"),
                 }
             }
-            let evictions = unit.take_evictions();
             let preempted: Vec<f64> = evictions
                 .iter()
                 .filter(|e| e.class == SHAPED && e.reason == EvictionReason::Preempted)

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
 use temporal_importance::{
     EvictionPolicy, EvictionReason, EvictionRecord, ImportanceCurve, ObjectClass, ObjectIdGen,
-    RejectionRecord, StorageUnit, StoreError, UnitStats,
+    StorageUnit, StoreError, UnitStats,
 };
 use workload::lecture::{generate, LectureConfig};
 use workload::{CLASS_STUDENT, CLASS_UNIVERSITY};
@@ -45,10 +45,11 @@ impl LectureRunConfig {
 pub struct LectureRunResult {
     /// The configuration that produced this result.
     pub config: LectureRunConfig,
-    /// All evictions, in time order.
+    /// All evictions, in time order. Only stores evict in this run, so
+    /// these are the records their outcomes returned.
     pub evictions: Vec<EvictionRecord>,
-    /// All rejections, in time order.
-    pub rejections: Vec<RejectionRecord>,
+    /// The creator class of every store refused as full, in time order.
+    pub rejections: Vec<ObjectClass>,
     /// Daily importance-density samples (Figure 12).
     pub density: TimeSeries,
     /// The raw arrival stream `(time, size)` (Figure 11's estimator input).
@@ -90,7 +91,7 @@ impl LectureRunResult {
             .chain(
                 self.rejections
                     .iter()
-                    .filter(|r| r.class == class)
+                    .filter(|&&rejected| rejected == class)
                     .map(|_| 0.0),
             )
             .collect();
@@ -103,7 +104,10 @@ impl LectureRunResult {
 
     /// Rejected-store count for a class.
     pub fn rejections_for(&self, class: ObjectClass) -> usize {
-        self.rejections.iter().filter(|r| r.class == class).count()
+        self.rejections
+            .iter()
+            .filter(|&&rejected| rejected == class)
+            .count()
     }
 }
 
@@ -128,6 +132,8 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
     let mut density = TimeSeries::new();
     let mut arrivals_log = Vec::with_capacity(arrivals.len());
     let mut next_sample = SimTime::ZERO;
+    let mut evictions = Vec::new();
+    let mut rejections = Vec::new();
 
     for arrival in arrivals {
         while next_sample <= arrival.at {
@@ -147,15 +153,16 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
         let spec = temporal_importance::ObjectSpec::new(ids.next_id(), arrival.size, curve)
             .with_class(arrival.class);
         match unit.store(spec, at) {
-            Ok(_) | Err(StoreError::Full { .. }) => {}
+            Ok(outcome) => evictions.extend(outcome.evicted),
+            Err(StoreError::Full { .. }) => rejections.push(arrival.class),
             Err(e) => panic!("unexpected store error in workload: {e}"),
         }
     }
 
     LectureRunResult {
         config,
-        evictions: unit.take_evictions(),
-        rejections: unit.take_rejections(),
+        evictions,
+        rejections,
         density,
         arrivals: arrivals_log,
         stats: *unit.stats(),

@@ -168,6 +168,7 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
     let mut offered = vec![0u64; config.profiles.len()];
     let mut accepted = vec![0u64; config.profiles.len()];
     let mut rejected = vec![0u64; config.profiles.len()];
+    let mut evictions = Vec::new();
 
     for day in 0..config.days {
         let midnight = SimTime::from_days(day);
@@ -200,14 +201,16 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
             let spec = ObjectSpec::new(ids.next_id(), size, profile.curve.clone())
                 .with_class(profile.class);
             match unit.store(spec, at) {
-                Ok(_) => accepted[i] += 1,
+                Ok(outcome) => {
+                    accepted[i] += 1;
+                    evictions.extend(outcome.evicted);
+                }
                 Err(StoreError::Full { .. }) => rejected[i] += 1,
                 Err(e) => panic!("unexpected store error: {e}"),
             }
         }
     }
 
-    let evictions = unit.take_evictions();
     let apps = config
         .profiles
         .iter()

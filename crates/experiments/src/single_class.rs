@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
 use temporal_importance::{
     EvictionPolicy, EvictionReason, EvictionRecord, Importance, ImportanceCurve, ObjectIdGen,
-    ObjectSpec, RejectionRecord, StorageUnit, StoreError, UnitStats,
+    ObjectSpec, StorageUnit, StoreError, UnitStats,
 };
 use workload::ramp::RampedArrivals;
 
@@ -129,10 +129,11 @@ impl SingleClassConfig {
 pub struct SingleClassResult {
     /// The configuration that produced this result.
     pub config: SingleClassConfig,
-    /// Every preemption/expiry eviction, in time order.
+    /// Every eviction, in time order. Only stores evict in this run, so
+    /// these are the records their outcomes returned.
     pub evictions: Vec<EvictionRecord>,
-    /// Every rejected store, in time order.
-    pub rejections: Vec<RejectionRecord>,
+    /// The instant of every store refused as full, in time order.
+    pub rejections: Vec<SimTime>,
     /// Daily storage importance density samples.
     pub density: TimeSeries,
     /// Final unit counters.
@@ -156,7 +157,7 @@ impl SingleClassResult {
     /// Rejections as unit impulses `(time, 1.0)` — Figure 4's series
     /// after weekly bucket summing.
     pub fn rejection_series(&self) -> TimeSeries {
-        self.rejections.iter().map(|r| (r.at, 1.0)).collect()
+        self.rejections.iter().map(|&at| (at, 1.0)).collect()
     }
 }
 
@@ -177,6 +178,8 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
     let mut next_sample = SimTime::ZERO;
     let mut snapshot: Option<DensitySnapshot> = None;
     let mut saw_eviction = false;
+    let mut evictions = Vec::new();
+    let mut rejections = Vec::new();
 
     for arrival in RampedArrivals::paper(config.seed) {
         if arrival.at >= horizon {
@@ -208,9 +211,11 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
                 if !outcome.evicted.is_empty() {
                     saw_eviction = true;
                 }
+                evictions.extend(outcome.evicted);
             }
             Err(StoreError::Full { .. }) => {
                 saw_eviction = true; // pressure has begun
+                rejections.push(arrival.at);
             }
             Err(e) => panic!("unexpected store error in workload: {e}"),
         }
@@ -229,8 +234,8 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
 
     SingleClassResult {
         config,
-        evictions: unit.take_evictions(),
-        rejections: unit.take_rejections(),
+        evictions,
+        rejections,
         density,
         stats: *unit.stats(),
         snapshot,

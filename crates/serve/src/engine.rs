@@ -63,9 +63,7 @@ pub struct ShardEngine {
 
 impl ShardEngine {
     /// An empty shard with the given capacity, policy, and expiry-sweep
-    /// cadence. Eviction/rejection record keeping is off — a serving shard
-    /// reports through aggregate stats and the observer, not per-event
-    /// record vectors that would grow without bound.
+    /// cadence.
     pub fn new(capacity: ByteSize, policy: EvictionPolicy, sweep_every: SimDuration) -> Self {
         ShardEngine::with_observer(capacity, policy, sweep_every, Obs::none())
     }
@@ -81,7 +79,6 @@ impl ShardEngine {
     ) -> Self {
         let unit = StorageUnit::builder(capacity)
             .policy(policy)
-            .recording(false)
             .observer(obs)
             .build();
         ShardEngine {

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use temporal_reclaim::core::{
-    EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, PiecewiseCurve, StorageUnit,
-    StoreError,
+    EvictionPolicy, EvictionReason, Importance, ImportanceCurve, ObjectId, ObjectSpec,
+    PiecewiseCurve, StorageUnit, StoreError,
 };
 use temporal_reclaim::{ByteSize, SimDuration, SimTime};
 
@@ -111,30 +111,85 @@ proptest! {
     }
 
     /// Engine invariant: used + free == capacity, and used equals the sum
-    /// of resident object sizes, across arbitrary store sequences.
+    /// of resident object sizes, across arbitrary churn. The unit keeps no
+    /// log of its own, so the records each call returns must account for
+    /// every counted eviction and refusal: after every step, summing what
+    /// `store`, `sweep_expired` and `remove` returned reproduces the
+    /// counters exactly.
+    ///
+    /// Action 0 sweeps, 1 removes an earlier id (resident or not), 2
+    /// stores under half the step's index, which may still be resident
+    /// (a duplicate refusal), and 3–9 store under a fresh id.
     #[test]
     fn accounting_is_exact_under_churn(
         ops in proptest::collection::vec(
-            (1u64..200, 0.0f64..=1.0, 0u64..120, 0u64..400),
+            (1u64..200, 0.0f64..=1.0, 0u64..120, 0u64..400, 0u8..10),
             1..80,
         ),
     ) {
         let capacity = ByteSize::from_mib(1_000);
         let mut unit = StorageUnit::new(capacity);
-        for (i, (mib, importance, expiry, at_day)) in ops.into_iter().enumerate() {
-            let spec = ObjectSpec::new(
-                ObjectId::new(i as u64),
-                ByteSize::from_mib(mib),
-                ImportanceCurve::Fixed {
-                    importance: Importance::new_clamped(importance),
-                    expiry: SimDuration::from_days(expiry),
-                },
-            );
-            let _ = unit.store(spec, SimTime::from_days(at_day));
+        let (mut preempted, mut expired, mut removed, mut bytes_evicted) = (0u64, 0u64, 0u64, 0u64);
+        let (mut accepted, mut full, mut duplicates) = (0u64, 0u64, 0u64);
+        for (i, (mib, importance, expiry, at_day, action)) in ops.into_iter().enumerate() {
+            let i = i as u64;
+            let now = SimTime::from_days(at_day);
+            let returned = match action {
+                0 => unit.sweep_expired(now),
+                1 => unit.remove(ObjectId::new(at_day % (i + 1)), now).into_iter().collect(),
+                _ => {
+                    let id = ObjectId::new(if action == 2 { i / 2 } else { i });
+                    let spec = ObjectSpec::new(
+                        id,
+                        ByteSize::from_mib(mib),
+                        ImportanceCurve::Fixed {
+                            importance: Importance::new_clamped(importance),
+                            expiry: SimDuration::from_days(expiry),
+                        },
+                    );
+                    match unit.store(spec, now) {
+                        Ok(outcome) => {
+                            accepted += 1;
+                            outcome.evicted
+                        }
+                        Err(StoreError::Full { .. }) => {
+                            full += 1;
+                            Vec::new()
+                        }
+                        Err(e) => {
+                            prop_assert!(
+                                matches!(e, StoreError::DuplicateId(_)),
+                                "unexpected error {e}"
+                            );
+                            duplicates += 1;
+                            Vec::new()
+                        }
+                    }
+                }
+            };
+            for record in &returned {
+                match record.reason {
+                    EvictionReason::Preempted => preempted += 1,
+                    EvictionReason::Expired => expired += 1,
+                    EvictionReason::Removed => removed += 1,
+                    other => prop_assert!(false, "unexpected reason {other:?}"),
+                }
+                bytes_evicted += record.size.as_bytes();
+            }
+
+            let stats = *unit.stats();
+            prop_assert_eq!(stats.evictions_preempted, preempted);
+            prop_assert_eq!(stats.evictions_expired, expired);
+            prop_assert_eq!(stats.removals, removed);
+            prop_assert_eq!(stats.bytes_evicted, bytes_evicted);
+            prop_assert_eq!(stats.rejections_full, full);
+            prop_assert_eq!(stats.stores_accepted, accepted);
+            prop_assert_eq!(stats.stores_attempted, accepted + stats.rejections() + duplicates);
+
             prop_assert_eq!(unit.used() + unit.free(), capacity);
             let resident: ByteSize = unit.iter().map(|o| o.size()).sum();
             prop_assert_eq!(resident, unit.used());
-            let d = unit.importance_density(SimTime::from_days(at_day));
+            let d = unit.importance_density(now);
             prop_assert!((0.0..=1.0).contains(&d));
         }
     }

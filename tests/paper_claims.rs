@@ -32,7 +32,7 @@ fn traditional_storage_fills_in_about_forty_days() {
         .first()
         .map(|e| e.evicted_at)
         .into_iter()
-        .chain(result.rejections.first().map(|r| r.at))
+        .chain(result.rejections.first().copied())
         .min()
         .expect("pressure must appear within 120 days");
     let day = first_pressure.as_days();

@@ -331,7 +331,6 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     let unit = |naive| {
         StorageUnit::builder(CAPACITY)
             .policy(case.policy)
-            .recording(false)
             .naive_oracle(naive)
             .build()
     };
