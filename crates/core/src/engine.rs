@@ -15,13 +15,13 @@
 //! * an **expired set** ordered by `(arrival, id)` — exactly the naive
 //!   engine's eviction order among zero-importance objects;
 //! * **shape groups**: same-curve objects ordered by `(annotated_at,
-//!   arrival, id)`. Because members share a curve, older annotations have
-//!   lower current importance and (for finite-expiry curves) lower
-//!   remaining lifetime, so group order equals the §5.3 eviction order and
-//!   stays valid as time passes *without any updates*;
-//! * a **settled set** of never-expiring objects on their final constant
-//!   segment, ordered by importance bits — their relative order is frozen
-//!   forever;
+//!   arrival, id)`, the storage behind the curve families below. Members
+//!   of one shape arrive in annotation order, so inserts append;
+//! * **curve families**: one list per family of its non-empty groups,
+//!   keyed by each group's head (see *Planning* below);
+//! * a **settled set** of never-expiring objects on a constant segment,
+//!   ordered by `(importance bits, arrival, id)` — frozen until the
+//!   segment's breakpoint, forever on the final one;
 //! * **density accumulators**: the weighted importance sum decomposed into
 //!   a linear part (value at a reference time plus aggregate slope) and
 //!   per-half-life exponential parts, giving O(1) density reads.
@@ -36,9 +36,39 @@
 //! list equals the `BTreeSet` ordering it replaced, which the golden trace
 //! pins.
 //!
-//! Preemption planning k-way merges the expired set, the settled set and
-//! the group cursors, lazily computing each head's exact eviction key, so
-//! it visits `O(victims + groups)` objects instead of all of them.
+//! # Planning
+//!
+//! A **curve family** is a set of curves that differ only in their plateau
+//! length: `TwoStep` and `ExpDecay` curves sharing importance, wane and
+//! half-life, with any `persist`; `Fixed` curves sharing importance, with
+//! any `expiry`. Every other curve is a family of one shape. Call a
+//! member's *plateau end* `E = annotated_at + plateau`. Within a family, a
+//! member's importance and remaining lifetime at `now` are functions of
+//! `now − E` alone: the importance is non-increasing in it (one fixed float
+//! formula of a monotone argument), and the remaining lifetime falls
+//! strictly until expiry. So at every `now`, a family's members in `(E,
+//! arrival, id)` order are in §5.3 eviction order: members with distinct
+//! `E` differ in remaining lifetime, and members with equal `E` tie up to
+//! arrival and id. That covers every object a fresh index keeps in a group:
+//! not yet expired, or on a zero-wane curve's one finalize minute, where
+//! all such members share `E = now`. A family of one shape is the case of
+//! a fixed plateau, which is why a group's `(annotated_at, arrival, id)`
+//! order needs no updates as time passes. A never-expiring curve has no
+//! remaining lifetime to break ties, so its constant segments sit in the
+//! settled set; on its sloped segments the importance falls strictly with
+//! age (barring float ties on a slope a few ulps from flat).
+//!
+//! Preemption planning is a lazy tournament. Its flat merge starts with
+//! the heads of the expired set, the settled set and each family's first
+//! group (the one whose head has the least `(E, arrival, id)`). Every other
+//! group of that family sorts after that head, so it may wait. Popping the
+//! original head of a family's most recently activated group activates the
+//! family's next group. A plan therefore evaluates at most `2 + families +
+//! victims + activations` heads (one more if it stops at a blocker), where
+//! a merge over every group would pay one head per shape: the §5.3
+//! university run mints a new `persist` on every capture day. Each family's
+//! list is rewritten only when a group's head changes, so a store still
+//! appends to its group.
 //!
 //! [`StorageUnit`]: crate::StorageUnit
 
@@ -65,69 +95,123 @@ pub(crate) struct EvictionKey {
     pub(crate) id: ObjectId,
 }
 
-/// Hashable identity of a curve's shape: two objects with the same
-/// `ShapeKey` have pointwise-identical curves (floats compared by bit
-/// pattern, which is exact for the validated `[0, 1]` importance range).
+/// Hashable identity of a curve *family*: curves that differ at most in
+/// their plateau length (floats compared by bit pattern, which is exact for
+/// the validated `[0, 1]` importance range). A family together with a
+/// plateau length — see [`FamilyKey::of`] — names one exact shape: two
+/// objects with the same pair have pointwise-identical curves.
+///
+/// Within a family, a member's eviction key at `now` depends only on
+/// `now - (annotated_at + plateau)`; the module docs' *Planning* section
+/// has the argument.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ShapeKey {
+enum FamilyKey {
     Persistent,
-    Fixed {
-        imp: u64,
-        expiry: u64,
-    },
+    Fixed { imp: u64 },
     Ephemeral,
-    TwoStep {
-        imp: u64,
-        persist: u64,
-        wane: u64,
-    },
-    ExpDecay {
-        imp: u64,
-        persist: u64,
-        wane: u64,
-        half_life: u64,
-    },
+    TwoStep { imp: u64, wane: u64 },
+    ExpDecay { imp: u64, wane: u64, half_life: u64 },
     Piecewise(Vec<(u64, u64)>),
 }
 
-impl ShapeKey {
-    fn of(curve: &ImportanceCurve) -> ShapeKey {
+impl FamilyKey {
+    /// The curve's family and its plateau length within it: `persist` for
+    /// the step curves, `expiry` for `Fixed`, zero for the families that
+    /// hold one shape.
+    fn of(curve: &ImportanceCurve) -> (FamilyKey, SimDuration) {
         match curve {
-            ImportanceCurve::Persistent => ShapeKey::Persistent,
-            ImportanceCurve::Fixed { importance, expiry } => ShapeKey::Fixed {
-                imp: importance.value().to_bits(),
-                expiry: expiry.as_minutes(),
-            },
-            ImportanceCurve::Ephemeral => ShapeKey::Ephemeral,
+            ImportanceCurve::Persistent => (FamilyKey::Persistent, SimDuration::ZERO),
+            ImportanceCurve::Fixed { importance, expiry } => (
+                FamilyKey::Fixed {
+                    imp: importance.value().to_bits(),
+                },
+                *expiry,
+            ),
+            ImportanceCurve::Ephemeral => (FamilyKey::Ephemeral, SimDuration::ZERO),
             ImportanceCurve::TwoStep {
                 importance,
                 persist,
                 wane,
-            } => ShapeKey::TwoStep {
-                imp: importance.value().to_bits(),
-                persist: persist.as_minutes(),
-                wane: wane.as_minutes(),
-            },
+            } => (
+                FamilyKey::TwoStep {
+                    imp: importance.value().to_bits(),
+                    wane: wane.as_minutes(),
+                },
+                *persist,
+            ),
             ImportanceCurve::ExpDecay {
                 importance,
                 persist,
                 wane,
                 half_life,
-            } => ShapeKey::ExpDecay {
-                imp: importance.value().to_bits(),
-                persist: persist.as_minutes(),
-                wane: wane.as_minutes(),
-                half_life: half_life.as_minutes(),
-            },
-            ImportanceCurve::Piecewise(curve) => ShapeKey::Piecewise(
-                curve
-                    .points()
-                    .iter()
-                    .map(|&(age, imp)| (age.as_minutes(), imp.value().to_bits()))
-                    .collect(),
+            } => (
+                FamilyKey::ExpDecay {
+                    imp: importance.value().to_bits(),
+                    wane: wane.as_minutes(),
+                    half_life: half_life.as_minutes(),
+                },
+                *persist,
+            ),
+            ImportanceCurve::Piecewise(curve) => (
+                FamilyKey::Piecewise(
+                    curve
+                        .points()
+                        .iter()
+                        .map(|&(age, imp)| (age.as_minutes(), imp.value().to_bits()))
+                        .collect(),
+                ),
+                SimDuration::ZERO,
             ),
         }
     }
+}
+
+/// A group's sort key: `(annotated_at, arrival, id)`. Its family's list
+/// keys the group by its head's key with the plateau added to the first
+/// field.
+type MemberKey = (SimTime, SimTime, ObjectId);
+
+/// Same-shape objects, in `(annotated_at, arrival, id)` order.
+#[derive(Debug, Clone)]
+struct ShapeGroup {
+    members: SortedList<MemberKey>,
+    /// A representative curve, pointwise identical to every member's
+    /// (the [`FamilyKey::of`] contract), so stream heads compute exact
+    /// eviction keys without touching any `StoredObject`.
+    curve: ImportanceCurve,
+    family: u32,
+    plateau: SimDuration,
+}
+
+impl ShapeGroup {
+    /// `key` as its family orders it: by the plateau-end instant.
+    fn family_key(&self, (ann, arrival, id): MemberKey) -> MemberKey {
+        (ann + self.plateau, arrival, id)
+    }
+}
+
+/// A candidate stream of a preemption plan's merge.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    Expired,
+    Settled,
+    Group(u32),
+}
+
+/// One stream's current head in a preemption plan's merge: the exact
+/// [`EvictionKey`] and expiry status of the candidate, its slot, and the
+/// cursor that continues the stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    pub(crate) key: EvictionKey,
+    pub(crate) expired: bool,
+    pub(crate) slot: u32,
+    stream: Stream,
+    resume: usize,
+    /// Set only on the original head of its family's most recently
+    /// activated group: the family, and the cursor of the family's next
+    /// group. Popping this head activates that group.
+    activates: Option<(u32, usize)>,
 }
 
 /// Which ordered candidate structure an object currently lives in.
@@ -137,7 +221,8 @@ enum Home {
     Absent,
     /// Shape group `groups[i]`, keyed by `(annotated_at, arrival, id)`.
     Group(u32),
-    /// Never-expiring final constant segment, keyed by the value's bits.
+    /// Never-expiring curve on a constant segment, keyed by the value's
+    /// bits.
     Settled(u64),
     /// Expired with importance zero, keyed by `(arrival, id)`.
     Expired,
@@ -369,15 +454,18 @@ pub(crate) struct EngineIndex {
     ///
     /// [`EvictionPolicy::Fifo`]: crate::EvictionPolicy::Fifo
     track_fifo: bool,
-    /// Never-expiring final-segment objects by `(value bits, arrival, id)`.
+    /// Never-expiring objects on a constant segment by `(value bits,
+    /// arrival, id)`.
     settled: SortedList<(u64, SimTime, ObjectId)>,
-    /// Same-shape cohorts in `(annotated_at, arrival, id)` order.
-    groups: Vec<SortedList<(SimTime, SimTime, ObjectId)>>,
-    /// One representative curve per group — pointwise identical to every
-    /// member's curve (the [`ShapeKey`] contract), so stream heads can
-    /// compute exact eviction keys without touching any `StoredObject`.
-    group_curves: Vec<ImportanceCurve>,
-    group_ids: FxHashMap<ShapeKey, u32>,
+    /// Same-shape cohorts. Inserts append: members of one shape arrive
+    /// in annotation order.
+    groups: Vec<ShapeGroup>,
+    group_ids: FxHashMap<(FamilyKey, SimDuration), u32>,
+    /// Per family, its non-empty groups keyed by their head's
+    /// `(annotated_at + plateau, arrival, id)`, payload the group index.
+    /// Rewritten only when a group's head changes.
+    families: Vec<SortedList<MemberKey>>,
+    family_ids: FxHashMap<FamilyKey, u32>,
     density: DensityAccum,
 }
 
@@ -402,8 +490,9 @@ impl Default for EngineIndex {
             track_fifo: true,
             settled: SortedList::new(),
             groups: Vec::new(),
-            group_curves: Vec::new(),
             group_ids: FxHashMap::default(),
+            families: Vec::new(),
+            family_ids: FxHashMap::default(),
             density: DensityAccum::default(),
         }
     }
@@ -592,26 +681,27 @@ impl EngineIndex {
                 // the expired set at the next one.
                 let fire = ann + segment.next.expect("step boundary has a next breakpoint");
                 let group = self.group_of(object.curve());
-                self.groups[group as usize].insert((ann, arrival, id), u64::from(slot));
+                self.group_insert(group, (ann, arrival, id), slot);
                 self.events.push(Reverse((fire, id, slot)));
                 self.events_live += 1;
                 self.finalizes.insert((fire, id), u64::from(slot));
                 (Home::Group(group), reg, Some((fire, EventKind::Finalize)))
-            } else if segment.next.is_none() && matches!(segment.form, SegmentForm::Constant(_)) {
-                // Final constant segment of a never-expiring curve: its
-                // importance is frozen, so order by the value itself.
+            } else if object.curve().expiry().is_none()
+                && matches!(segment.form, SegmentForm::Constant(_))
+            {
+                // A constant segment of a never-expiring curve: the key is
+                // `(value, never, arrival, id)` until the segment ends, so
+                // order by the value itself. Group order, by annotation
+                // instant, would misplace same-value members whose
+                // annotation and arrival orders differ.
                 let bits = value.to_bits();
                 self.settled.insert((bits, arrival, id), u64::from(slot));
-                (Home::Settled(bits), reg, None)
+                let event = segment.next.map(|next| self.schedule(ann + next, id, slot));
+                (Home::Settled(bits), reg, event)
             } else {
                 let group = self.group_of(object.curve());
-                self.groups[group as usize].insert((ann, arrival, id), u64::from(slot));
-                let event = segment.next.map(|next| {
-                    let fire = ann + next;
-                    self.events.push(Reverse((fire, id, slot)));
-                    self.events_live += 1;
-                    (fire, EventKind::Segment)
-                });
+                self.group_insert(group, (ann, arrival, id), slot);
+                let event = segment.next.map(|next| self.schedule(ann + next, id, slot));
                 (Home::Group(group), reg, event)
             }
         };
@@ -629,6 +719,13 @@ impl EngineIndex {
         self.len += 1;
     }
 
+    /// Queues the slot's next segment breakpoint.
+    fn schedule(&mut self, fire: SimTime, id: ObjectId, slot: u32) -> (SimTime, EventKind) {
+        self.events.push(Reverse((fire, id, slot)));
+        self.events_live += 1;
+        (fire, EventKind::Segment)
+    }
+
     /// Removes an object from its home structure, the density accumulators
     /// and the event queue, using the state captured at registration.
     fn unregister(&mut self, slot: u32, id: ObjectId) {
@@ -636,9 +733,7 @@ impl EngineIndex {
         let arrival = *self.arrival.get(slot);
         match *self.home.get(slot) {
             Home::Absent => panic!("unregister unindexed slot"),
-            Home::Group(group) => {
-                self.groups[group as usize].remove(&(ann, arrival, id));
-            }
+            Home::Group(group) => self.group_remove(group, (ann, arrival, id)),
             Home::Settled(bits) => {
                 self.settled.remove(&(bits, arrival, id));
             }
@@ -678,17 +773,57 @@ impl EngineIndex {
         }
     }
 
+    /// The group of `curve`'s exact shape, created (and its family with
+    /// it) on first use.
     fn group_of(&mut self, curve: &ImportanceCurve) -> u32 {
-        let groups = &mut self.groups;
-        let group_curves = &mut self.group_curves;
-        *self
-            .group_ids
-            .entry(ShapeKey::of(curve))
-            .or_insert_with(|| {
-                groups.push(SortedList::new());
-                group_curves.push(curve.clone());
-                (groups.len() - 1) as u32
-            })
+        let shape = FamilyKey::of(curve);
+        if let Some(&group) = self.group_ids.get(&shape) {
+            return group;
+        }
+        let families = &mut self.families;
+        let family = *self.family_ids.entry(shape.0.clone()).or_insert_with(|| {
+            families.push(SortedList::new());
+            (families.len() - 1) as u32
+        });
+        let group = self.groups.len() as u32;
+        self.groups.push(ShapeGroup {
+            members: SortedList::new(),
+            curve: curve.clone(),
+            family,
+            plateau: shape.1,
+        });
+        self.group_ids.insert(shape, group);
+        group
+    }
+
+    /// Adds `key` to group `g`, re-keying the group in its family's list
+    /// if `key` becomes the group's head.
+    fn group_insert(&mut self, g: u32, key: MemberKey, slot: u32) {
+        let group = &mut self.groups[g as usize];
+        let old = group.members.first().map(|(head, _)| head);
+        group.members.insert(key, u64::from(slot));
+        if old.is_none_or(|old| key < old) {
+            let family = &mut self.families[group.family as usize];
+            if let Some(old) = old {
+                family.remove(&group.family_key(old));
+            }
+            family.insert(group.family_key(key), u64::from(g));
+        }
+    }
+
+    /// Drops `key` from group `g`, re-keying the group in its family's
+    /// list (or leaving it) if `key` was the group's head.
+    fn group_remove(&mut self, g: u32, key: MemberKey) {
+        let group = &mut self.groups[g as usize];
+        let was_head = group.members.first().map(|(head, _)| head) == Some(key);
+        group.members.remove(&key);
+        if was_head {
+            let family = &mut self.families[group.family as usize];
+            family.remove(&group.family_key(key));
+            if let Some((head, _)) = group.members.first() {
+                family.insert(group.family_key(head), u64::from(g));
+            }
+        }
     }
 
     /// The weighted importance sum `Σ size·L(now)` (`now >= clock`).
@@ -696,45 +831,62 @@ impl EngineIndex {
         self.density.value_at(now)
     }
 
-    /// Number of candidate streams for preemption planning: the expired
-    /// set, the settled set and every shape group (possibly empty — the
-    /// merge skips empty streams by getting no first entry from them).
-    pub(crate) fn stream_count(&self) -> usize {
-        2 + self.groups.len()
+    /// Seeds a preemption plan's merge at `now`, replacing `heads`: the
+    /// heads of the expired set, the settled set and each family's first
+    /// group. A family's other groups wait, because all their members sort
+    /// after that group's head.
+    pub(crate) fn seed_heads(&self, now: SimTime, heads: &mut Vec<Head>) {
+        heads.clear();
+        for stream in [Stream::Expired, Stream::Settled] {
+            heads.extend(self.head(stream, self.stream_start(stream), now));
+        }
+        for (family, list) in self.families.iter().enumerate() {
+            heads.extend(self.activate(family as u32, list.start(), now));
+        }
     }
 
-    /// The head of stream `sid` in eviction order, as `(key, expired,
-    /// slot, resume)`. The exact [`EvictionKey`] (and expiry status) is
-    /// computed from the stream's own sort key plus the group's
-    /// representative curve — candidate objects are never dereferenced, so
-    /// a plan touches object memory only for its actual victims' sizes.
-    pub(crate) fn stream_head(
-        &self,
-        sid: usize,
-        now: SimTime,
-    ) -> Option<(EvictionKey, bool, u32, usize)> {
-        let start = match sid {
-            0 => self.expired.start(),
-            1 => self.settled.start(),
-            g => self.groups[g - 2].start(),
-        };
-        self.stream_next_head(sid, start, now)
+    /// What takes `popped`'s place in a plan's merge: the next entry of its
+    /// stream and, if `popped` was the original head of its family's most
+    /// recently activated group, the head of the family's next group.
+    /// Cursors stay valid while the index is not mutated.
+    pub(crate) fn successors(&self, popped: &Head, now: SimTime) -> (Option<Head>, Option<Head>) {
+        let next = self.head(popped.stream, popped.resume, now);
+        let activated = popped
+            .activates
+            .and_then(|(family, pos)| self.activate(family, pos, now));
+        (next, activated)
     }
 
-    /// [`stream_head`](EngineIndex::stream_head) continued from cursor
-    /// `pos`. Cursors stay valid while the index is not mutated — plan
-    /// merges keep `(sid, resume)` in their heap instead of boxed
-    /// iterators.
-    pub(crate) fn stream_next_head(
-        &self,
-        sid: usize,
-        pos: usize,
-        now: SimTime,
-    ) -> Option<(EvictionKey, bool, u32, usize)> {
-        match sid {
-            0 => {
-                // Expired home: importance already waned to zero (and stays
-                // there — curves are non-increasing), expiry is in the past.
+    /// The head of the first group at or after cursor `pos` in `family`'s
+    /// list, carrying the cursor of the group after it.
+    fn activate(&self, family: u32, pos: usize, now: SimTime) -> Option<Head> {
+        let (group, next) = self.families[family as usize].next_live(pos)?;
+        let stream = Stream::Group(group as u32);
+        let head = self.head(stream, self.stream_start(stream), now)?;
+        Some(Head {
+            activates: Some((family, next)),
+            ..head
+        })
+    }
+
+    fn stream_start(&self, stream: Stream) -> usize {
+        match stream {
+            Stream::Expired => self.expired.start(),
+            Stream::Settled => self.settled.start(),
+            Stream::Group(g) => self.groups[g as usize].members.start(),
+        }
+    }
+
+    /// The first entry of `stream` at or after cursor `pos`. Its exact
+    /// [`EvictionKey`] (and expiry status) comes from the stream's own sort
+    /// key plus the group's representative curve: candidate objects are
+    /// never dereferenced, so a plan touches object memory only for its
+    /// actual victims' sizes.
+    fn head(&self, stream: Stream, pos: usize, now: SimTime) -> Option<Head> {
+        let (key, expired, payload, resume) = match stream {
+            Stream::Expired => {
+                // Importance already waned to zero (and stays there —
+                // curves are non-increasing), expiry is in the past.
                 let ((arrival, id), payload, resume) = self.expired.next_live_kv(pos)?;
                 let key = EvictionKey {
                     importance: Importance::ZERO,
@@ -743,11 +895,11 @@ impl EngineIndex {
                     arrival,
                     id,
                 };
-                Some((key, true, payload as u32, resume))
+                (key, true, payload, resume)
             }
-            1 => {
-                // Settled home: frozen positive importance on a final
-                // constant segment of a curve that never reaches zero.
+            Stream::Settled => {
+                // Positive importance, frozen until the constant segment
+                // ends, of a curve that never reaches zero.
                 let ((bits, arrival, id), payload, resume) = self.settled.next_live_kv(pos)?;
                 let key = EvictionKey {
                     importance: Importance::new_clamped(f64::from_bits(bits)),
@@ -756,26 +908,34 @@ impl EngineIndex {
                     arrival,
                     id,
                 };
-                Some((key, false, payload as u32, resume))
+                (key, false, payload, resume)
             }
-            g => {
-                let ((ann, arrival, id), payload, resume) = self.groups[g - 2].next_live_kv(pos)?;
-                let curve = &self.group_curves[g - 2];
+            Stream::Group(g) => {
+                let group = &self.groups[g as usize];
+                let ((ann, arrival, id), payload, resume) = group.members.next_live_kv(pos)?;
                 let age = now.saturating_since(ann);
-                let (never_expires, remaining, expired) = match curve.expiry() {
+                let (never_expires, remaining, expired) = match group.curve.expiry() {
                     Some(e) => (false, e.saturating_sub(age).as_minutes(), age >= e),
                     None => (true, 0, false),
                 };
                 let key = EvictionKey {
-                    importance: curve.importance_at(age),
+                    importance: group.curve.importance_at(age),
                     never_expires,
                     remaining,
                     arrival,
                     id,
                 };
-                Some((key, expired, payload as u32, resume))
+                (key, expired, payload, resume)
             }
-        }
+        };
+        Some(Head {
+            key,
+            expired,
+            slot: payload as u32,
+            stream,
+            resume,
+            activates: None,
+        })
     }
 
     /// The FIFO eviction order, `(arrival, id)` ascending, yielding slots.
@@ -798,5 +958,35 @@ fn registration(form: &SegmentForm) -> Registered {
             peak: *peak,
             half_life: *half_life,
         },
+    }
+}
+
+#[cfg(test)]
+impl EngineIndex {
+    /// Every entry of every stream at `now`: the expired set, the settled
+    /// set, then each group.
+    pub(crate) fn all_streams(&self, now: SimTime) -> Vec<Vec<Head>> {
+        let groups = (0..self.groups.len() as u32).map(Stream::Group);
+        [Stream::Expired, Stream::Settled]
+            .into_iter()
+            .chain(groups)
+            .map(|stream| {
+                let mut entries = Vec::new();
+                let mut cursor = self.head(stream, self.stream_start(stream), now);
+                while let Some(head) = cursor {
+                    entries.push(head);
+                    cursor = self.head(stream, head.resume, now);
+                }
+                entries
+            })
+            .collect()
+    }
+
+    /// Each family's groups, in the order of its list.
+    pub(crate) fn family_groups(&self) -> Vec<Vec<u32>> {
+        self.families
+            .iter()
+            .map(|list| list.iter().map(|(_, group)| group as u32).collect())
+            .collect()
     }
 }

@@ -4,7 +4,9 @@ use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, Obs, SimTime};
 
 use crate::arena::ObjectArena;
-use crate::engine::{EngineIndex, EvictionKey};
+#[cfg(test)]
+use crate::engine::EvictionKey;
+use crate::engine::{EngineIndex, Head};
 use crate::error::{RejuvenateError, RestoreError, StoreError};
 use crate::records::{Admission, EvictionReason, EvictionRecord, StoreOutcome, UnitStats};
 use crate::{EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, StoredObject};
@@ -185,20 +187,25 @@ impl StorageUnitBuilder {
     }
 }
 
-/// Reusable buffers for planning and sweeping. Victim lists and the k-way
-/// merge heap live here across operations, so a steady churn of stores
-/// reuses their capacity instead of allocating per call.
+/// Reusable buffers for planning and sweeping. Victim lists and the merge
+/// heads live here across operations, so a steady churn of stores reuses
+/// their capacity instead of allocating per call.
 ///
-/// Merge entries are `(key, expired, stream, resume, slot)`. With a dozen
-/// or so candidate streams and most plans consuming one or two victims, a
-/// flat array scanned for its minimum beats a binary heap: seeding is
-/// plain appends and each extraction is a short, branch-predictable pass
-/// over one cache line per stream.
+/// With a handful of live heads (the expired set, the settled set, one
+/// per curve family) and most plans consuming one or two victims, a flat
+/// array scanned for its minimum beats a binary heap: seeding is plain
+/// appends and each extraction is a short, branch-predictable pass.
 #[derive(Debug, Clone, Default)]
 struct PlanScratch {
     victims: Vec<ObjectId>,
-    heads: Vec<(EvictionKey, bool, usize, usize, u32)>,
+    heads: Vec<Head>,
     sweep_ids: Vec<ObjectId>,
+    /// Heads evaluated by the plans computed into this scratch, and how
+    /// many of them a family activated mid-merge.
+    #[cfg(test)]
+    evaluated: usize,
+    #[cfg(test)]
+    activations: usize,
 }
 
 /// A preemption plan computed by [`StorageUnit::plan`]; the victim ids live
@@ -645,11 +652,12 @@ impl StorageUnit {
         }
     }
 
-    /// Preemption planning over the incremental indexes: a k-way merge of
-    /// the expired set, the settled set and the shape-group cursors, each
-    /// already in eviction order, stopping as soon as enough bytes are
-    /// freed. Visits `O(victims + streams)` objects instead of all of
-    /// them.
+    /// Preemption planning over the incremental indexes: a lazy tournament
+    /// over the expired set, the settled set and each curve family's
+    /// groups, all already in eviction order, stopping as soon as enough
+    /// bytes are freed. A family enters with its first group; popping the
+    /// original head of its most recently activated group activates the
+    /// next. Evaluates `O(families + victims)` heads, not one per shape.
     fn plan_indexed(
         &self,
         size: ByteSize,
@@ -657,11 +665,10 @@ impl StorageUnit {
         now: SimTime,
         scratch: &mut PlanScratch,
     ) -> PlanResult {
-        scratch.heads.clear();
-        for sid in 0..self.index.stream_count() {
-            if let Some((key, expired, slot, resume)) = self.index.stream_head(sid, now) {
-                scratch.heads.push((key, expired, sid, resume, slot));
-            }
+        self.index.seed_heads(now, &mut scratch.heads);
+        #[cfg(test)]
+        {
+            scratch.evaluated += scratch.heads.len();
         }
 
         // While a step curve sits on its expiry minute, an expired (hence
@@ -679,7 +686,7 @@ impl StorageUnit {
                 .heads
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| a.0.cmp(&b.0))
+                .min_by(|(_, a), (_, b)| a.key.cmp(&b.key))
                 .map(|(i, _)| i)
             else {
                 // Every candidate consumed and still not enough room.
@@ -688,15 +695,23 @@ impl StorageUnit {
                     reclaimable: freed,
                 };
             };
-            let (key, expired, sid, resume, slot) = scratch.heads[best];
-            match self.index.stream_next_head(sid, resume, now) {
-                Some((next_key, next_expired, next_slot, next_resume)) => {
-                    scratch.heads[best] = (next_key, next_expired, sid, next_resume, next_slot);
-                }
+            let head = scratch.heads[best];
+            let (next, activated) = self.index.successors(&head, now);
+            #[cfg(test)]
+            {
+                scratch.evaluated += usize::from(next.is_some()) + usize::from(activated.is_some());
+                scratch.activations += usize::from(activated.is_some());
+            }
+            match next {
+                Some(next) => scratch.heads[best] = next,
                 None => {
                     scratch.heads.swap_remove(best);
                 }
             }
+            scratch.heads.extend(activated);
+            let Head {
+                key, expired, slot, ..
+            } = head;
             if key.importance < incoming || expired {
                 scratch.victims.push(key.id);
                 freed += self.objects.at(slot).size();
@@ -706,7 +721,8 @@ impl StorageUnit {
                 });
             } else {
                 // First blocker carries the minimum non-preemptible
-                // importance; everything still enqueued sorts after it.
+                // importance; everything still in the merge, or waiting
+                // to enter it, sorts after it.
                 if blocking.is_none() {
                     blocking = Some(key.importance);
                 }
@@ -904,57 +920,171 @@ mod tests {
         )
     }
 
+    /// Where `object`'s plateau ends: the instant its family orders it by.
+    fn plateau_end(object: &StoredObject) -> SimTime {
+        let plateau = match *object.curve() {
+            ImportanceCurve::TwoStep { persist, .. }
+            | ImportanceCurve::ExpDecay { persist, .. } => persist,
+            ImportanceCurve::Fixed { expiry, .. } => expiry,
+            _ => SimDuration::ZERO,
+        };
+        object.annotated_at() + plateau
+    }
+
     /// Every stream-head key the index derives from its dense columns must
     /// equal the key computed directly from the stored object — across
     /// expired, settled and shape-group homes, including rejuvenated
-    /// annotations (`annotated_at != arrival`).
+    /// annotations (`annotated_at != arrival`), a zero-wane curve on its
+    /// finalize minute and a never-expiring curve's flat first segment.
+    /// Every stream's keys strictly increase. Each curve family's groups,
+    /// walked in the order of its list, have strictly increasing head keys,
+    /// and all its members, ordered by `(plateau end, arrival, id)`, have
+    /// strictly increasing keys: at plateau ends, mid-wane and expiry
+    /// instants alike.
     #[test]
     fn index_derived_keys_match_the_object_oracle() {
-        let now = SimTime::ZERO + days(20);
         let mut unit = StorageUnit::new(mib(1000));
-        let two_step = |id: u64| {
-            ObjectSpec::new(
-                ObjectId::new(id),
-                mib(1),
-                ImportanceCurve::two_step(imp(0.8), days(15), days(15)),
-            )
+        let store = |unit: &mut StorageUnit, id: u64, curve: ImportanceCurve, day: u64| {
+            let spec = ObjectSpec::new(ObjectId::new(id), mib(1), curve);
+            unit.store(spec, SimTime::from_days(day)).unwrap();
         };
-        unit.store(fixed_spec(1, mib(1), 0.9, 10), SimTime::ZERO)
-            .unwrap(); // expired by day 20
-        unit.store(fixed_spec(2, mib(1), 0.9, 3650), SimTime::ZERO)
-            .unwrap(); // mid-plateau group member
-        unit.store(two_step(3), SimTime::ZERO).unwrap(); // mid-wane
-        unit.store(two_step(4), SimTime::ZERO + days(2)).unwrap();
-        unit.store(
-            ObjectSpec::new(ObjectId::new(5), mib(1), ImportanceCurve::Persistent),
-            SimTime::ZERO,
-        )
-        .unwrap(); // settled
-        unit.store(
-            ObjectSpec::new(ObjectId::new(6), mib(1), ImportanceCurve::Ephemeral),
-            SimTime::ZERO,
-        )
-        .unwrap(); // expired immediately
-        unit.rejuvenate(
-            ObjectId::new(4),
-            ImportanceCurve::two_step(imp(0.8), days(15), days(15)),
-            SimTime::ZERO + days(10),
-        )
-        .unwrap(); // annotated_at != arrival
-        unit.advance(now);
+        let fixed = |expiry| ImportanceCurve::Fixed {
+            importance: imp(0.9),
+            expiry: days(expiry),
+        };
+        let two_step = |plateau| ImportanceCurve::two_step(imp(0.8), days(plateau), days(15));
+        let step = |plateau| ImportanceCurve::two_step(imp(0.5), days(plateau), SimDuration::ZERO);
+        let exp = |plateau| ImportanceCurve::exp_decay(imp(0.7), days(plateau), days(20), days(5));
+        let flat = || -> ImportanceCurve {
+            let points = vec![
+                (days(0), imp(0.6)),
+                (days(10), imp(0.6)),
+                (days(20), imp(0.3)),
+            ];
+            crate::PiecewiseCurve::new(points).unwrap().into()
+        };
+        store(&mut unit, 1, fixed(10), 0); // expired by day 10
+        store(&mut unit, 2, fixed(3650), 0);
+        store(&mut unit, 7, fixed(25), 0);
+        store(&mut unit, 3, two_step(15), 0);
+        store(&mut unit, 9, two_step(20), 0);
+        store(&mut unit, 11, step(18), 0); // finalize minute at day 18
+        store(&mut unit, 13, step(30), 0);
+        store(&mut unit, 14, exp(4).unwrap(), 0);
+        store(&mut unit, 5, ImportanceCurve::Persistent, 0); // settled
+        store(&mut unit, 6, ImportanceCurve::Ephemeral, 0); // expired at once
+        store(&mut unit, 17, flat(), 0);
+        store(&mut unit, 8, two_step(5), 1);
+        store(&mut unit, 18, flat(), 1);
+        store(&mut unit, 15, exp(8).unwrap(), 1);
+        store(&mut unit, 4, two_step(15), 2);
+        store(&mut unit, 12, step(16), 2); // same plateau end as 11
+        store(&mut unit, 10, two_step(12), 3);
+        store(&mut unit, 16, exp(1).unwrap(), 5);
+        let rejuvenated = SimTime::from_days(10);
+        unit.rejuvenate(ObjectId::new(4), two_step(15), rejuvenated)
+            .unwrap();
+        unit.rejuvenate(ObjectId::new(10), two_step(2), rejuvenated)
+            .unwrap();
+        unit.rejuvenate(ObjectId::new(17), flat(), rejuvenated)
+            .unwrap(); // annotated after 18, arrived before it
 
-        let mut seen = 0;
-        for sid in 0..unit.index.stream_count() {
-            let mut cursor = unit.index.stream_head(sid, now);
-            while let Some((key, expired, slot, resume)) = cursor {
-                let object = unit.objects.at(slot);
-                assert_eq!(key, eviction_key(object, now), "stream {sid}");
-                assert_eq!(expired, object.is_expired(now), "stream {sid}");
-                seen += 1;
-                cursor = unit.index.stream_next_head(sid, resume, now);
+        let minute = SimDuration::MINUTE;
+        let instants = [
+            rejuvenated,
+            SimTime::from_days(12),          // id 10's plateau ends
+            SimTime::from_days(16),          // mid-wane
+            SimTime::from_days(18),          // ids 11 and 12 finalize
+            SimTime::from_days(18) + minute, // ... into the expired set
+            SimTime::from_days(20),          // id 9's plateau ends
+            SimTime::from_days(21),          // id 8 expires
+            SimTime::from_days(25),          // id 7 expires
+            SimTime::from_days(26),          // id 16 expires
+            SimTime::from_days(31),
+        ];
+        let (mut finalized, mut widest) = (false, 0);
+        for now in instants {
+            unit.advance(now);
+            let streams = unit.index.all_streams(now);
+            let mut seen = 0;
+            for (stream, heads) in streams.iter().enumerate() {
+                let keys: Vec<EvictionKey> = heads.iter().map(|head| head.key).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "stream {stream}");
+                for head in heads {
+                    let object = unit.objects.at(head.slot);
+                    assert_eq!(head.key, eviction_key(object, now), "stream {stream}");
+                    assert_eq!(head.expired, object.is_expired(now), "stream {stream}");
+                    finalized |= head.expired && !head.key.importance.is_zero();
+                    seen += 1;
+                }
+            }
+            assert_eq!(seen, unit.len(), "every resident visited exactly once");
+
+            for groups in unit.index.family_groups() {
+                let group = |g: u32| &streams[2 + g as usize];
+                let heads: Vec<EvictionKey> = groups.iter().map(|&g| group(g)[0].key).collect();
+                assert!(heads.windows(2).all(|w| w[0] < w[1]), "{heads:?} at {now}");
+                let mut members: Vec<&StoredObject> = groups
+                    .iter()
+                    .flat_map(|&g| group(g))
+                    .map(|head| unit.objects.at(head.slot))
+                    .collect();
+                members.sort_by_key(|o| (plateau_end(o), o.arrival(), o.id()));
+                let keys: Vec<EvictionKey> = members.iter().map(|o| eviction_key(o, now)).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?} at {now}");
+                widest = widest.max(groups.len());
             }
         }
-        assert_eq!(seen, unit.len(), "every resident visited exactly once");
+        assert!(
+            finalized,
+            "no zero-wane curve was seen on its finalize minute"
+        );
+        assert!(widest >= 3, "no family held three groups");
+    }
+
+    /// A plan over one family of 500 shapes evaluates the family's head,
+    /// one head per victim and one per activated group — not one head per
+    /// shape, as a merge over every group would — and takes exactly the
+    /// naive oracle's victims.
+    #[test]
+    fn a_plan_evaluates_heads_per_family_not_per_shape() {
+        const OBJECTS: u64 = 500;
+        let now = SimTime::from_days(12);
+        let fill = |naive| {
+            let mut unit = StorageUnit::builder(mib(OBJECTS))
+                .naive_oracle(naive)
+                .build();
+            for i in 0..OBJECTS {
+                // Distinct plateaus, scrambled against arrival order.
+                let plateau = days(1) + SimDuration::from_hours((i * 263) % OBJECTS);
+                let curve = ImportanceCurve::two_step(imp(0.6), plateau, days(30));
+                let spec = ObjectSpec::new(ObjectId::new(i), mib(1), curve);
+                unit.store(spec, SimTime::from_minutes(7 * i)).unwrap();
+            }
+            unit.advance(now);
+            unit
+        };
+        let plan = |unit: &StorageUnit| {
+            let mut scratch = PlanScratch::default();
+            let admitted = matches!(
+                unit.plan(mib(7), imp(0.7), now, &mut scratch),
+                PlanResult::Admit(_)
+            );
+            assert!(admitted);
+            scratch
+        };
+        let (indexed, naive) = (fill(false), fill(true));
+        assert_eq!(indexed.index.family_groups().len(), 1);
+        let scratch = plan(&indexed);
+        assert_eq!(scratch.victims, plan(&naive).victims);
+        let (victims, activations) = (scratch.victims.len(), scratch.activations);
+        assert_eq!(victims, 7);
+        assert!(activations > 0, "the merge never activated a group");
+        assert!(
+            scratch.evaluated <= 2 + 1 + victims + activations,
+            "{} heads evaluated for {victims} victims and {activations} activations",
+            scratch.evaluated
+        );
     }
 
     #[test]

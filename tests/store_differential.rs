@@ -2,7 +2,7 @@
 //!
 //! A case is a script of timestamped steps from one generator: every
 //! protocol verb plus the one step only the in-process stores take
-//! (`advance`), annotated with all six curve families,
+//! (`advance`), annotated with all six curve kinds,
 //! under either policy, sized and keyed so that every rejection kind —
 //! `Full`, `TooLarge`, `DuplicateId`, `EmptyObject` — comes up. Three
 //! legs run it:
@@ -11,6 +11,9 @@
 //!   `DurableUnit` on 1 KiB segments with auto-compaction, closed and
 //!   reopened at a generated cut and again at the end. Every answer, the
 //!   stats, the durable clocks and the serialized engine state must agree.
+//!   It runs once per policy, and once more, preemptive, with curves from
+//!   a quantised palette (`palette_curve`) so that many shapes share one
+//!   curve family.
 //! * **Served.** The protocol steps, removes, annotations and sweeps
 //!   included, through one blocking client, to a
 //!   1-shard and an N-shard memory `Tempimpd` and an N-shard durable one
@@ -87,7 +90,7 @@ fn span(rng: &mut StdRng, days: u64) -> SimDuration {
     SimDuration::from_minutes(rng.gen_range(0..days * MINUTES_PER_DAY))
 }
 
-/// An annotation from one of the six curve families, at minute resolution
+/// An annotation of one of the six curve kinds, at minute resolution
 /// so breakpoints fire inside the script's horizon (zero-length waning
 /// included).
 fn curve(rng: &mut StdRng) -> ImportanceCurve {
@@ -119,6 +122,27 @@ fn curve(rng: &mut StdRng) -> ImportanceCurve {
     }
 }
 
+/// An annotation from a quantised palette: two levels, two wanes (zero
+/// included) and one half-life, with a plateau drawn per object. Residents
+/// then share a curve family across many plateau lengths, which `curve`'s
+/// continuous draws never produce, so the indexed plan's lazy merge over a
+/// family's shapes runs here. A plan that skipped a family's second shape
+/// passes the other legs and fails this one within 256 cases.
+fn palette_curve(rng: &mut StdRng) -> ImportanceCurve {
+    let level = Importance::new_clamped([0.5, 1.0][rng.gen_range(0..2)]);
+    let wane = SimDuration::from_days([0, 10][rng.gen_range(0..2)]);
+    let plateau = span(rng, 40);
+    match rng.gen_range(0..3) {
+        0 => ImportanceCurve::Fixed {
+            importance: level,
+            expiry: plateau,
+        },
+        1 => ImportanceCurve::two_step(level, plateau, wane),
+        _ => ImportanceCurve::exp_decay(level, plateau, wane, SimDuration::from_days(4))
+            .expect("positive half-life"),
+    }
+}
+
 /// One in sixteen sizes is empty and one outgrows the unit.
 fn size(rng: &mut StdRng) -> ByteSize {
     match rng.gen_range(0..16) {
@@ -129,8 +153,8 @@ fn size(rng: &mut StdRng) -> ByteSize {
 }
 
 /// A case of up to 99 steps, up to three days apart, on ids `base..base +
-/// IDS`.
-fn generate(rng: &mut StdRng, base: u64) -> Case {
+/// IDS`, annotated by `curve`.
+fn generate(rng: &mut StdRng, base: u64, curve: fn(&mut StdRng) -> ImportanceCurve) -> Case {
     let mut now = SimTime::ZERO;
     let len = rng.gen_range(1..100);
     let script = (0..len)
@@ -302,13 +326,13 @@ struct Reach {
     rejections: [bool; 4],
 }
 
-fn lockstep(name: &str, policy: EvictionPolicy) {
+fn lockstep(name: &str, policy: EvictionPolicy, curve: fn(&mut StdRng) -> ImportanceCurve) {
     let mut reach = Reach::default();
     let cases = cases();
     run_cases_n(name, cases, |rng| {
         let case = Case {
             policy,
-            ..generate(rng, 0)
+            ..generate(rng, 0, curve)
         };
         run_lockstep(&case, &mut reach);
         Ok(())
@@ -395,12 +419,22 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
 
 #[test]
 fn lockstep_preemptive() {
-    lockstep("lockstep_preemptive", EvictionPolicy::Preemptive);
+    lockstep("lockstep_preemptive", EvictionPolicy::Preemptive, curve);
 }
 
 #[test]
 fn lockstep_fifo() {
-    lockstep("lockstep_fifo", EvictionPolicy::Fifo);
+    lockstep("lockstep_fifo", EvictionPolicy::Fifo, curve);
+}
+
+/// The preemptive lockstep leg over `palette_curve`'s annotations.
+#[test]
+fn lockstep_palette() {
+    lockstep(
+        "lockstep_palette",
+        EvictionPolicy::Preemptive,
+        palette_curve,
+    );
 }
 
 /// A shard's recorded log must replay to `unit`, and `unit` must hold only
@@ -497,7 +531,7 @@ fn serve(case: &Case, shards: u32, durable: bool) {
 #[test]
 fn served() {
     run_cases_n("served", cases(), |rng| {
-        let case = generate(rng, 0);
+        let case = generate(rng, 0, curve);
         serve(&case, 1, false);
         serve(&case, case.shards, false);
         serve(&case, case.shards, true);
@@ -508,7 +542,9 @@ fn served() {
 #[test]
 fn concurrent() {
     run_cases_n("concurrent", cases(), |rng| {
-        let scripts: Vec<Case> = (0..CLIENTS).map(|c| generate(rng, c << 32)).collect();
+        let scripts: Vec<Case> = (0..CLIENTS)
+            .map(|c| generate(rng, c << 32, curve))
+            .collect();
         let (policy, shards) = (scripts[0].policy, scripts[0].shards);
         let service = fleet(shards, policy).spawn();
         let prototype = service.client();
