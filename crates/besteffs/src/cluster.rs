@@ -206,9 +206,9 @@ impl ClusterBuilder {
             .collect();
         Besteffs {
             units,
-            alive: vec![true; nodes],
             incarnations: vec![0; nodes],
             overlay,
+            sample: Vec::with_capacity(config.candidates_per_try),
             config,
             stats: ClusterStats::default(),
             failure_epochs: Vec::new(),
@@ -254,11 +254,13 @@ impl ClusterBuilder {
 #[derive(Debug, Clone)]
 pub struct Besteffs {
     units: Vec<StorageUnit>,
-    alive: Vec<bool>,
     /// Per-node generation counter, bumped on every rejoin so object ids
     /// placed before a failure can never resolve against the reborn node.
     incarnations: Vec<u64>,
+    /// The p2p overlay, which also owns which nodes are live.
     overlay: Overlay,
+    /// One try's walk-sampled candidates, kept so placements reuse it.
+    sample: Vec<NodeId>,
     config: PlacementConfig,
     stats: ClusterStats,
     failure_epochs: Vec<FailureEpoch>,
@@ -290,7 +292,7 @@ impl Besteffs {
 
     /// Number of live nodes.
     pub fn live_nodes(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.overlay.live_count()
     }
 
     /// Cluster-level counters.
@@ -327,13 +329,13 @@ impl Besteffs {
         self.units
             .iter()
             .enumerate()
-            .filter(|&(i, _)| self.alive[i])
             .map(|(i, u)| (NodeId::new(i), u))
+            .filter(|&(n, _)| self.overlay.is_live(n))
     }
 
     /// True if `node` is alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.alive[node.index()]
+        self.overlay.is_live(node)
     }
 
     /// Adds a fresh storage node of the given capacity to the running
@@ -351,7 +353,6 @@ impl Besteffs {
                 .observer(self.obs.clone())
                 .build(),
         );
-        self.alive.push(true);
         self.incarnations.push(0);
         self.obs.counter("cluster.nodes_added", 1);
         id
@@ -377,11 +378,10 @@ impl Besteffs {
     ///
     /// [`fail_node_purging`]: Besteffs::fail_node_purging
     pub fn fail_node(&mut self, node: NodeId, now: SimTime) -> u64 {
-        let i = node.index();
-        if !self.alive[i] {
+        if !self.overlay.set_live(node, false) {
             return 0;
         }
-        self.alive[i] = false;
+        let i = node.index();
         let lost_objects = self.units[i].len() as u64;
         let lost_bytes = self.units[i].used().as_bytes();
         self.stats.failed_nodes += 1;
@@ -420,8 +420,7 @@ impl Besteffs {
         now: SimTime,
         directory: &mut Directory,
     ) -> u64 {
-        let i = node.index();
-        if !self.alive[i] {
+        if !self.is_alive(node) {
             return 0;
         }
         let lost = self.fail_node(node, now);
@@ -437,12 +436,11 @@ impl Besteffs {
     /// its neighbors). Returns false (a no-op) if the node is already
     /// alive.
     pub fn rejoin_node(&mut self, node: NodeId) -> bool {
-        let i = node.index();
-        if self.alive[i] {
+        if !self.overlay.set_live(node, true) {
             return false;
         }
+        let i = node.index();
         debug_assert_eq!(self.units[i].len(), 0, "failed node must be empty");
-        self.alive[i] = true;
         self.incarnations[i] += 1;
         self.stats.rejoined_nodes += 1;
         self.obs.counter("cluster.node_rejoins", 1);
@@ -463,7 +461,7 @@ impl Besteffs {
     /// True if `entry` still resolves: its node is alive *and* running
     /// the same incarnation the entry was published under.
     pub fn entry_is_current(&self, entry: crate::directory::VersionEntry) -> bool {
-        self.alive[entry.node.index()] && self.incarnations[entry.node.index()] == entry.incarnation
+        self.is_alive(entry.node) && self.incarnations[entry.node.index()] == entry.incarnation
     }
 
     /// Every recorded node-failure event, in injection order.
@@ -503,17 +501,16 @@ impl Besteffs {
 
         'tries: for try_index in 0..self.config.max_tries {
             tries_used = try_index + 1;
-            let alive = &self.alive;
-            let (candidates, hops) = self.overlay.sample_walks_counted(
+            let hops = self.overlay.sample_walks_counted(
                 start,
                 self.config.candidates_per_try,
                 self.config.walk_steps,
                 rng,
-                |n| alive[n.index()],
+                &mut self.sample,
             );
-            self.obs.counter("cluster.walks", candidates.len() as u64);
+            self.obs.counter("cluster.walks", self.sample.len() as u64);
             self.obs.record("cluster.walk_hops", hops);
-            for node in candidates {
+            for &node in &self.sample {
                 probed += 1;
                 let unit = &mut self.units[node.index()];
                 // Bring the probed unit's incremental indexes up to `now`
@@ -568,7 +565,7 @@ impl Besteffs {
     pub fn advance(&mut self, now: SimTime) {
         let _span = self.obs.span("span.cluster.advance");
         for (i, unit) in self.units.iter_mut().enumerate() {
-            if self.alive[i] {
+            if self.overlay.is_live(NodeId::new(i)) {
                 unit.advance(now);
             }
         }
@@ -580,7 +577,7 @@ impl Besteffs {
         let _span = self.obs.span("span.cluster.sweep");
         let mut out = Vec::new();
         for (i, unit) in self.units.iter_mut().enumerate() {
-            if self.alive[i] {
+            if self.overlay.is_live(NodeId::new(i)) {
                 out.extend(unit.sweep_expired(now));
             }
         }
@@ -628,7 +625,7 @@ impl Besteffs {
         }
         let ppm = |fraction: f64| (fraction * 1e6).round() as u64;
         for (i, unit) in self.units.iter().enumerate() {
-            let live = self.alive[i];
+            let live = self.overlay.is_live(NodeId::new(i));
             let (node_density, node_used) = if live {
                 (
                     unit.importance_density(now),
@@ -669,9 +666,9 @@ impl Besteffs {
 
     fn random_live_start<R: Rng>(&self, rng: &mut R) -> NodeId {
         loop {
-            let i = rng.gen_range(0..self.units.len());
-            if self.alive[i] {
-                return NodeId::new(i);
+            let node = NodeId::new(rng.gen_range(0..self.units.len()));
+            if self.overlay.is_live(node) {
+                return node;
             }
         }
     }

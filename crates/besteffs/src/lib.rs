@@ -11,7 +11,8 @@
 //!
 //! * [`overlay`] — a connected random-regular p2p overlay whose random
 //!   walks supply placement candidates ("random walks on our p2p overlay
-//!   help us choose a good set of storage units").
+//!   help us choose a good set of storage units"). It owns node liveness
+//!   and keeps each node's live neighbors, so a walk hop never filters.
 //! * [`cluster`] — the §5.3 placement algorithm: probe `x` walk-sampled
 //!   units per try, store immediately on a unit whose highest preempted
 //!   importance is zero, otherwise take up to `m` tries and pick the unit

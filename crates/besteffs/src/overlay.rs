@@ -31,32 +31,51 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A connected, approximately-regular random overlay graph.
+/// A connected, approximately-regular random overlay graph, and the one
+/// owner of node liveness.
 ///
 /// Built as a ring (guaranteeing connectivity) plus random chords until
 /// every node has at least `degree` neighbors. Random walks over the
 /// overlay provide the uniform-ish node samples the §5.3 placement
 /// algorithm relies on.
 ///
+/// Every node is live when built or added. [`set_live`] fails and
+/// rejoins nodes; edges outlive an outage, so a rebooted desktop keeps
+/// its neighbors. Beside each node's neighbor list the overlay keeps its
+/// *live* neighbors in the same order, rebuilt only when a neighbor's
+/// liveness changes or a neighbor is added, so a walk hop is one draw
+/// over a list that already exists.
+///
+/// [`set_live`]: Overlay::set_live
+///
 /// # Examples
 ///
 /// ```
-/// use besteffs::Overlay;
+/// use besteffs::{NodeId, Overlay};
 /// use sim_core::rng;
 ///
 /// let mut rand = rng::seeded(7);
-/// let overlay = Overlay::random(100, 6, &mut rand);
+/// let mut overlay = Overlay::random(100, 6, &mut rand);
 /// assert_eq!(overlay.len(), 100);
-/// let walk_end = overlay.random_walk(besteffs::NodeId::new(0), 10, &mut rand);
-/// assert!(walk_end.index() < 100);
+/// overlay.set_live(NodeId::new(3), false);
+/// assert_eq!(overlay.live_count(), 99);
+/// let (end, hops) = overlay.random_walk_live_counted(NodeId::new(0), 10, &mut rand);
+/// let end = end.expect("a 99-node overlay never strands a walk");
+/// assert!(overlay.is_live(end));
+/// assert_eq!(hops, 10);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Overlay {
     neighbors: Vec<Vec<NodeId>>,
+    /// Per node, the live entries of `neighbors`, in neighbor order.
+    live_neighbors: Vec<Vec<NodeId>>,
+    live: Vec<bool>,
+    live_count: usize,
 }
 
 impl Overlay {
-    /// Builds a random overlay of `nodes` nodes with target `degree`.
+    /// Builds a random overlay of `nodes` nodes with target `degree`, all
+    /// of them live.
     ///
     /// # Panics
     ///
@@ -84,10 +103,15 @@ impl Overlay {
                 neighbors[j].push(NodeId(i));
             }
         }
-        Overlay { neighbors }
+        Overlay {
+            live_neighbors: neighbors.clone(),
+            neighbors,
+            live: vec![true; nodes],
+            live_count: nodes,
+        }
     }
 
-    /// Number of nodes.
+    /// Number of nodes (live and failed).
     pub fn len(&self) -> usize {
         self.neighbors.len()
     }
@@ -97,7 +121,7 @@ impl Overlay {
         self.neighbors.is_empty()
     }
 
-    /// The neighbors of `node`.
+    /// The neighbors of `node`, live or not.
     ///
     /// # Panics
     ///
@@ -106,87 +130,102 @@ impl Overlay {
         &self.neighbors[node.0]
     }
 
-    /// Performs a `steps`-hop uniform random walk from `start`.
-    pub fn random_walk<R: Rng>(&self, start: NodeId, steps: usize, rng: &mut R) -> NodeId {
-        let mut at = start;
-        for _ in 0..steps {
-            let next = self.neighbors[at.0]
-                .choose(rng)
-                .expect("every node has ring neighbors");
-            at = *next;
-        }
-        at
+    /// True if `node` is live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub fn is_live(&self, node: NodeId) -> bool {
+        self.live[node.0]
     }
 
-    /// Performs a `steps`-hop random walk that only ever hops onto nodes
-    /// for which `alive` returns true — a failed desktop cannot forward a
-    /// walk. Returns the end node, `None` if the walk gets stuck (no live
-    /// neighbor) or ends on a dead node (only possible for `steps == 0`
-    /// from a dead start), and the number of hops actually taken — the
-    /// figure placement telemetry records. [`sample_walks_counted`] draws
-    /// its candidates with this walk.
+    /// Number of live nodes.
+    pub fn live_count(&self) -> usize {
+        self.live_count
+    }
+
+    /// Fails (`live == false`) or rejoins (`live == true`) `node`, and
+    /// rebuilds the live-neighbor list of every neighbor of it. Returns
+    /// false, changing nothing, if `node` already had that liveness.
     ///
-    /// When every node is alive this consumes the RNG identically to
-    /// [`random_walk`] (one uniform draw over the full neighbor list per
-    /// hop), so churn-free simulations are bit-for-bit unchanged.
+    /// # Panics
     ///
-    /// [`random_walk`]: Overlay::random_walk
+    /// Panics if `node` is out of range.
+    pub fn set_live(&mut self, node: NodeId, live: bool) -> bool {
+        if self.live[node.0] == live {
+            return false;
+        }
+        self.live[node.0] = live;
+        if live {
+            self.live_count += 1;
+        } else {
+            self.live_count -= 1;
+        }
+        for k in 0..self.neighbors[node.0].len() {
+            self.refresh_live_neighbors(self.neighbors[node.0][k]);
+        }
+        true
+    }
+
+    /// Performs a `steps`-hop random walk that only ever hops onto live
+    /// nodes — a failed desktop cannot forward a walk. Returns the end
+    /// node, `None` if the walk gets stuck (no live neighbor) or ends on a
+    /// dead node (only possible for `steps == 0` from a dead start), and
+    /// the number of hops actually taken — the figure placement telemetry
+    /// records. [`sample_walks_counted`] draws its candidates with this
+    /// walk.
+    ///
+    /// Each hop is one uniform draw over the current node's live
+    /// neighbors, in neighbor order. That is the draw a per-hop filter of
+    /// the neighbor list would make, so the walk consumes the RNG exactly
+    /// as one did; with every node live it is one draw over the full
+    /// neighbor list.
+    ///
     /// [`sample_walks_counted`]: Overlay::sample_walks_counted
-    pub fn random_walk_live_counted<R, F>(
+    pub fn random_walk_live_counted<R: Rng>(
         &self,
         start: NodeId,
         steps: usize,
         rng: &mut R,
-        alive: F,
-    ) -> (Option<NodeId>, u64)
-    where
-        R: Rng,
-        F: Fn(NodeId) -> bool,
-    {
+    ) -> (Option<NodeId>, u64) {
         let mut at = start;
-        let mut hops = 0u64;
-        let mut live: Vec<NodeId> = Vec::new();
-        for _ in 0..steps {
-            live.clear();
-            live.extend(self.neighbors[at.0].iter().copied().filter(|&n| alive(n)));
-            let Some(next) = live.choose(rng) else {
-                return (None, hops);
+        for hop in 0..steps {
+            let Some(&next) = self.live_neighbors[at.0].choose(rng) else {
+                return (None, hop as u64);
             };
-            at = *next;
-            hops += 1;
+            at = next;
         }
-        (alive(at).then_some(at), hops)
+        (self.live[at.0].then_some(at), steps as u64)
     }
 
-    /// Samples up to `count` *distinct* live nodes by repeated live-aware
-    /// random walks from `start` (see [`random_walk_live_counted`]: dead
-    /// nodes neither forward nor terminate a walk). Gives up after a
-    /// bounded number of attempts, so the result may be shorter than
-    /// `count` on small or heavily-failed overlays. Also returns the total
-    /// hops taken across every attempted walk (including walks that got
-    /// stuck or landed on duplicates).
+    /// Samples up to `count` *distinct* live nodes into `out` (cleared
+    /// first) by repeated live-aware random walks from `start` (see
+    /// [`random_walk_live_counted`]: dead nodes neither forward nor
+    /// terminate a walk). Gives up after a bounded number of attempts, so
+    /// the sample may be shorter than `count` on small or heavily-failed
+    /// overlays. Returns the total hops taken across every attempted walk
+    /// (including walks that got stuck or landed on duplicates).
+    ///
+    /// Callers that sample repeatedly pass the same `out` and allocate
+    /// nothing after the first call.
     ///
     /// [`random_walk_live_counted`]: Overlay::random_walk_live_counted
-    pub fn sample_walks_counted<R, F>(
+    pub fn sample_walks_counted<R: Rng>(
         &self,
         start: NodeId,
         count: usize,
         steps: usize,
         rng: &mut R,
-        alive: F,
-    ) -> (Vec<NodeId>, u64)
-    where
-        R: Rng,
-        F: Fn(NodeId) -> bool,
-    {
-        let mut out: Vec<NodeId> = Vec::with_capacity(count);
+        out: &mut Vec<NodeId>,
+    ) -> u64 {
+        out.clear();
         let mut hops = 0u64;
         let max_attempts = count * 8 + 16;
         for _ in 0..max_attempts {
             if out.len() >= count {
                 break;
             }
-            let (node, walked) = self.random_walk_live_counted(start, steps, rng, &alive);
+            let (node, walked) = self.random_walk_live_counted(start, steps, rng);
             hops += walked;
             let Some(node) = node else {
                 continue;
@@ -195,10 +234,10 @@ impl Overlay {
                 out.push(node);
             }
         }
-        (out, hops)
+        hops
     }
 
-    /// Joins a new node to the overlay, wiring it to `degree` random
+    /// Joins a new, live node to the overlay, wiring it to `degree` random
     /// existing neighbors (always at least one, so it stays reachable).
     /// Returns the new node's id.
     ///
@@ -207,6 +246,9 @@ impl Overlay {
     pub fn add_node<R: Rng>(&mut self, degree: usize, rng: &mut R) -> NodeId {
         let id = NodeId(self.neighbors.len());
         self.neighbors.push(Vec::with_capacity(degree.max(1)));
+        self.live_neighbors.push(Vec::new());
+        self.live.push(true);
+        self.live_count += 1;
         let existing = id.0;
         let mut guard = 0;
         while self.neighbors[id.0].len() < degree.max(1) && guard < 100 {
@@ -217,11 +259,14 @@ impl Overlay {
             }
             self.neighbors[id.0].push(NodeId(j));
             self.neighbors[j].push(id);
+            self.refresh_live_neighbors(NodeId(j));
         }
+        self.refresh_live_neighbors(id);
         id
     }
 
-    /// True if every node can reach every other (BFS from node 0).
+    /// True if every node can reach every other (BFS from node 0), over
+    /// every edge, live or not.
     pub fn is_connected(&self) -> bool {
         if self.neighbors.is_empty() {
             return true;
@@ -241,11 +286,24 @@ impl Overlay {
         }
         visited == self.neighbors.len()
     }
+
+    /// Rebuilds `node`'s live-neighbor list from its neighbor list.
+    fn refresh_live_neighbors(&mut self, node: NodeId) {
+        let list = &mut self.live_neighbors[node.0];
+        list.clear();
+        list.extend(
+            self.neighbors[node.0]
+                .iter()
+                .copied()
+                .filter(|n| self.live[n.0]),
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use sim_core::rng;
 
     #[test]
@@ -266,8 +324,9 @@ mod tests {
         let overlay = Overlay::random(200, 6, &mut rand);
         let mut hits = vec![0u32; 200];
         for _ in 0..4000 {
-            let end = overlay.random_walk(NodeId::new(0), 12, &mut rand);
-            hits[end.index()] += 1;
+            let (end, hops) = overlay.random_walk_live_counted(NodeId::new(0), 12, &mut rand);
+            assert_eq!(hops, 12);
+            hits[end.expect("an all-live walk never strands").index()] += 1;
         }
         // A 12-step walk over a degree-6 expander should reach a large
         // fraction of a 200-node overlay.
@@ -278,11 +337,16 @@ mod tests {
     #[test]
     fn sample_walks_returns_distinct_alive_nodes() {
         let mut rand = rng::seeded(3);
-        let overlay = Overlay::random(100, 6, &mut rand);
+        let mut overlay = Overlay::random(100, 6, &mut rand);
         let dead = NodeId::new(5);
-        let sample = overlay
-            .sample_walks_counted(NodeId::new(0), 10, 8, &mut rand, |n| n != dead)
-            .0;
+        assert!(overlay.set_live(dead, false));
+        assert!(
+            !overlay.set_live(dead, false),
+            "failing a dead node is a no-op"
+        );
+        assert_eq!(overlay.live_count(), 99);
+        let mut sample = Vec::new();
+        overlay.sample_walks_counted(NodeId::new(0), 10, 8, &mut rand, &mut sample);
         assert!(sample.len() <= 10);
         assert!(!sample.contains(&dead));
         let mut unique = sample.clone();
@@ -291,25 +355,61 @@ mod tests {
         assert_eq!(unique.len(), sample.len());
     }
 
-    #[test]
-    fn counted_walks_match_uncounted_and_report_hops() {
-        let mut a = rng::seeded(9);
-        let mut b = rng::seeded(9);
-        let overlay_a = Overlay::random(50, 4, &mut a);
-        let overlay_b = Overlay::random(50, 4, &mut b);
-        // The no-liveness reference walk, deduplicated the same way.
-        let mut plain = Vec::new();
-        while plain.len() < 5 {
-            let node = overlay_a.random_walk(NodeId::new(0), 6, &mut a);
-            if !plain.contains(&node) {
-                plain.push(node);
-            }
+    /// The walk as a per-hop filter draws it: collect the live neighbors
+    /// into a fresh `Vec`, then choose.
+    fn filtered_walk<R: Rng>(
+        overlay: &Overlay,
+        start: NodeId,
+        steps: usize,
+        rng: &mut R,
+    ) -> (Option<NodeId>, u64) {
+        let mut at = start;
+        for hop in 0..steps {
+            let live: Vec<NodeId> = overlay
+                .neighbors(at)
+                .iter()
+                .copied()
+                .filter(|&n| overlay.is_live(n))
+                .collect();
+            let Some(&next) = live.choose(rng) else {
+                return (None, hop as u64);
+            };
+            at = next;
         }
-        let (counted, hops) =
-            overlay_b.sample_walks_counted(NodeId::new(0), 5, 6, &mut b, |_| true);
-        assert_eq!(plain, counted, "an all-alive mask must not perturb the RNG");
-        // Every attempted walk runs all 6 hops on an all-alive overlay, and
+        (overlay.is_live(at).then_some(at), steps as u64)
+    }
+
+    #[test]
+    fn kept_live_lists_draw_like_a_per_hop_filter() {
+        let mut rand = rng::seeded(9);
+        let mut overlay = Overlay::random(50, 4, &mut rand);
+        for round in 0..40usize {
+            match round % 4 {
+                0 => {
+                    overlay.add_node(3, &mut rand);
+                }
+                1 | 2 => {
+                    let node = NodeId::new(rand.gen_range(0..overlay.len()));
+                    overlay.set_live(node, !overlay.is_live(node));
+                }
+                _ => {}
+            }
+            let start = NodeId::new(rand.gen_range(0..overlay.len()));
+            let mut reference = rand.clone();
+            let (end, hops) = overlay.random_walk_live_counted(start, 6, &mut rand);
+            assert_eq!(
+                (end, hops),
+                filtered_walk(&overlay, start, 6, &mut reference),
+                "round {round}"
+            );
+            assert_eq!(rand.next_u64(), reference.next_u64(), "round {round}");
+        }
+        // Every attempted walk runs all 6 hops on an all-live overlay, and
         // at least `count` attempts are needed to find 5 distinct nodes.
+        let all_live = Overlay::random(50, 4, &mut rand);
+        let mut sample = Vec::new();
+        let hops = all_live.sample_walks_counted(NodeId::new(0), 5, 6, &mut rand, &mut sample);
+        assert_eq!(sample.len(), 5);
         assert!(hops >= 30, "hops {hops}");
         assert_eq!(hops % 6, 0);
     }
@@ -317,11 +417,18 @@ mod tests {
     #[test]
     fn sample_walks_gives_up_gracefully_when_everything_is_dead() {
         let mut rand = rng::seeded(4);
-        let overlay = Overlay::random(10, 3, &mut rand);
-        let sample = overlay
-            .sample_walks_counted(NodeId::new(0), 5, 4, &mut rand, |_| false)
-            .0;
+        let mut overlay = Overlay::random(10, 3, &mut rand);
+        for i in 0..10 {
+            overlay.set_live(NodeId::new(i), false);
+        }
+        assert_eq!(overlay.live_count(), 0);
+        let mut sample = vec![NodeId::new(1)];
+        let hops = overlay.sample_walks_counted(NodeId::new(0), 5, 4, &mut rand, &mut sample);
         assert!(sample.is_empty());
+        assert_eq!(
+            hops, 0,
+            "a walk from a node with no live neighbor takes no hop"
+        );
     }
 
     #[test]

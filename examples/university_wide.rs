@@ -2,8 +2,8 @@
 //! a Besteffs cluster with random-walk placement.
 //!
 //! Run with: `cargo run --release --example university_wide`
-//! (add `-- --full` for the paper's full 2,000-node scale: 69 s wall on
-//! 2 vCPUs, against 1.1 s for the default 1/20 scale)
+//! (add `-- --full` for the paper's full 2,000-node scale: 33–52 s wall
+//! on 2 vCPUs, against 0.9–1.0 s for the default 1/20 scale)
 
 use temporal_reclaim::experiments::university::{self, UniversityRunConfig};
 

@@ -3,12 +3,19 @@
 //! * Live-walk safety: across arbitrary fail/rejoin interleavings the
 //!   overlay stays connected (edges outlive outages) and walks only ever
 //!   visit live nodes.
+//! * Draw parity: the overlay's kept live-neighbor lists make every walk
+//!   hop the draw a per-hop filter of the neighbor list would make, so a
+//!   walk ends, counts hops, samples and leaves the RNG exactly as that
+//!   filter did, across any interleaving of fails, rejoins and joins.
 //! * Slicing differential: replaying a churn schedule through the
 //!   sim-core event loop in arbitrarily-cut `advance` slices must leave
 //!   the cluster and directory in exactly the state a naive one-pass
 //!   application of the same sorted events produces.
 
 use proptest::prelude::*;
+use proptest::test_runner::case_count;
+use rand::seq::SliceRandom;
+use rand::{Rng, RngCore};
 use temporal_reclaim::besteffs::churn::{AvailabilitySchedule, ChurnDriver, ChurnSchedule};
 use temporal_reclaim::besteffs::{
     Besteffs, ChurnEventKind, Directory, NodeId, ObjectName, Overlay,
@@ -28,9 +35,9 @@ fn spec(id: u64) -> ObjectSpec {
 }
 
 proptest! {
-    /// Walks filtered by an arbitrary (mutating) membership mask never
-    /// return a dead node and never lose overlay connectivity: a failed
-    /// desktop keeps its edges for when it reboots.
+    /// Walks over an overlay whose liveness flips arbitrarily never return
+    /// a dead node and never lose overlay connectivity: a failed desktop
+    /// keeps its edges for when it reboots.
     #[test]
     fn walks_only_visit_live_nodes(
         seed in 0u64..1_000,
@@ -38,23 +45,18 @@ proptest! {
         toggles in proptest::collection::vec(0usize..FLEET, 1..60),
     ) {
         let mut rand = rng::seeded(seed);
-        let overlay = Overlay::random(FLEET, 5, &mut rand);
+        let mut overlay = Overlay::random(FLEET, 5, &mut rand);
         let mut alive = [true; FLEET];
+        let mut sample = Vec::new();
         for node in toggles {
             alive[node] = !alive[node];
+            prop_assert!(overlay.set_live(NodeId::new(node), alive[node]), "a flip changes liveness");
+            prop_assert_eq!(overlay.live_count(), alive.iter().filter(|&&a| a).count());
             prop_assert!(overlay.is_connected(), "edges must survive outages");
             let Some(start) = (0..FLEET).find(|&i| alive[i]) else {
                 continue;
             };
-            let sample = overlay
-                .sample_walks_counted(
-                    NodeId::new(start),
-                    4,
-                    steps,
-                    &mut rand,
-                    |n| alive[n.index()],
-                )
-                .0;
+            overlay.sample_walks_counted(NodeId::new(start), 4, steps, &mut rand, &mut sample);
             for visited in &sample {
                 prop_assert!(
                     alive[visited.index()],
@@ -66,12 +68,7 @@ proptest! {
             unique.dedup();
             prop_assert_eq!(unique.len(), sample.len(), "sampled nodes must be distinct");
             if let Some(end) = overlay
-                .random_walk_live_counted(
-                    NodeId::new(start),
-                    steps,
-                    &mut rand,
-                    |n| alive[n.index()],
-                )
+                .random_walk_live_counted(NodeId::new(start), steps, &mut rand)
                 .0
             {
                 prop_assert!(alive[end.index()]);
@@ -301,4 +298,135 @@ fn deep_fuzz_churn_differential() {
             run_slicing_differential(seed, shape_centi, cut_offsets)
         },
     );
+}
+
+/// Cases for the differentials: `DIFF_CASES` when set (the nightly deep
+/// fuzz runs 4096), else proptest's count.
+fn diff_cases() -> u64 {
+    std::env::var("DIFF_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(case_count)
+}
+
+/// The walk as a per-hop filter draws it: collect the current node's live
+/// neighbors into a fresh `Vec`, then choose one.
+fn filtered_walk<R: Rng>(
+    overlay: &Overlay,
+    alive: &[bool],
+    start: NodeId,
+    steps: usize,
+    rng: &mut R,
+) -> (Option<NodeId>, u64) {
+    let mut at = start;
+    for hop in 0..steps {
+        let live: Vec<NodeId> = overlay
+            .neighbors(at)
+            .iter()
+            .copied()
+            .filter(|n| alive[n.index()])
+            .collect();
+        let Some(&next) = live.choose(rng) else {
+            return (None, hop as u64);
+        };
+        at = next;
+    }
+    (alive[at.index()].then_some(at), steps as u64)
+}
+
+/// `Overlay::sample_walks_counted` over [`filtered_walk`].
+fn filtered_sample<R: Rng>(
+    overlay: &Overlay,
+    alive: &[bool],
+    start: NodeId,
+    count: usize,
+    steps: usize,
+    rng: &mut R,
+) -> (Vec<NodeId>, u64) {
+    let mut out = Vec::new();
+    let mut hops = 0;
+    for _ in 0..count * 8 + 16 {
+        if out.len() >= count {
+            break;
+        }
+        let (node, walked) = filtered_walk(overlay, alive, start, steps, rng);
+        hops += walked;
+        if let Some(node) = node.filter(|node| !out.contains(node)) {
+            out.push(node);
+        }
+    }
+    (out, hops)
+}
+
+/// One overlay change: `(kind, node, start)`. Kind 0 joins a node wired to
+/// `1 + node % 4` neighbors, kinds 1 and 2 flip `node`'s liveness, kind 3
+/// changes nothing; then walks start from `start`. Node indexes wrap to
+/// the overlay's current size.
+type WalkOp = (u8, usize, usize);
+
+/// Applies `ops` to an overlay and a test-local liveness mask, and after
+/// each one runs a walk and a sample on the overlay and through
+/// [`filtered_walk`] on a clone of the RNG.
+fn run_walk_parity(seed: u64, steps: usize, ops: Vec<WalkOp>) -> Result<(), TestCaseError> {
+    let mut rand = rng::seeded(seed);
+    let mut overlay = Overlay::random(FLEET, 5, &mut rand);
+    let mut alive = vec![true; FLEET];
+    let mut sample = Vec::new();
+    for (step, (kind, node, start)) in ops.into_iter().enumerate() {
+        match kind {
+            0 => {
+                let joined = overlay.add_node(1 + node % 4, &mut rand);
+                prop_assert_eq!(joined.index(), alive.len());
+                alive.push(true);
+            }
+            1 | 2 => {
+                let node = node % alive.len();
+                alive[node] = !alive[node];
+                prop_assert!(overlay.set_live(NodeId::new(node), alive[node]));
+            }
+            _ => {}
+        }
+        prop_assert_eq!(overlay.live_count(), alive.iter().filter(|&&a| a).count());
+        let start = NodeId::new(start % alive.len());
+
+        let mut reference = rand.clone();
+        let kept = overlay.random_walk_live_counted(start, steps, &mut rand);
+        let filtered = filtered_walk(&overlay, &alive, start, steps, &mut reference);
+        prop_assert_eq!(kept, filtered, "walk diverged after op {step}");
+        prop_assert_eq!(
+            rand.next_u32(),
+            reference.next_u32(),
+            "RNG diverged after op {step}"
+        );
+
+        let mut reference = rand.clone();
+        let hops = overlay.sample_walks_counted(start, 4, steps, &mut rand, &mut sample);
+        let (expected, expected_hops) =
+            filtered_sample(&overlay, &alive, start, 4, steps, &mut reference);
+        prop_assert_eq!(&sample, &expected, "sample diverged after op {step}");
+        prop_assert_eq!(hops, expected_hops, "sample hops diverged after op {step}");
+        prop_assert_eq!(
+            rand.next_u32(),
+            reference.next_u32(),
+            "RNG diverged after op {step}"
+        );
+    }
+    Ok(())
+}
+
+/// Draw parity: walks over the overlay's kept live-neighbor lists end,
+/// count hops, sample and consume the RNG exactly as walks that filter
+/// each hop's neighbors into a fresh `Vec` did, across any sequence of
+/// fails, rejoins and joins. `DIFF_CASES` deepens it.
+#[test]
+fn walks_draw_like_a_per_hop_filter() {
+    let strategy = (
+        0u64..10_000,
+        0usize..12,
+        proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..48),
+    );
+    proptest::test_runner::run_cases_n("walks_draw_like_a_per_hop_filter", diff_cases(), |rng| {
+        let (seed, steps, ops) = strategy.generate(rng);
+        run_walk_parity(seed, steps, ops)
+    });
 }
