@@ -269,8 +269,10 @@ impl ImportanceCurve {
                     // The plateau holds through `persist` inclusive. At
                     // age == persist with a positive wane the wane segment
                     // evaluates to the plateau value, so hand over to it
-                    // immediately (keeping `next > age`); with a zero wane
-                    // the curve steps to zero one minute after the plateau.
+                    // immediately (keeping `next > age`). With a zero wane
+                    // the curve steps to zero one minute after the plateau,
+                    // but it expires at `persist` itself: that minute is a
+                    // breakpoint of its own.
                     if age == *persist && !wane.is_zero() {
                         CurveSegment {
                             form: SegmentForm::Linear {
@@ -282,7 +284,7 @@ impl ImportanceCurve {
                             next: Some(expiry),
                         }
                     } else {
-                        let next = if wane.is_zero() {
+                        let next = if wane.is_zero() && age == *persist {
                             *persist + SimDuration::MINUTE
                         } else {
                             *persist
@@ -324,7 +326,7 @@ impl ImportanceCurve {
                             next: Some(expiry),
                         }
                     } else {
-                        let next = if wane.is_zero() {
+                        let next = if wane.is_zero() && age == *persist {
                             *persist + SimDuration::MINUTE
                         } else {
                             *persist

@@ -10,7 +10,7 @@
 //! The index maintains, keyed off an internal clock that only moves
 //! forward:
 //!
-//! * an **event queue** of curve breakpoints (`events`), so advancing time
+//! * a **breakpoint queue** (see *Breakpoints* below), so advancing time
 //!   touches only the objects whose analytic form actually changes;
 //! * an **expired set** ordered by `(arrival, id)` — exactly the naive
 //!   engine's eviction order among zero-importance objects;
@@ -70,10 +70,30 @@
 //! list is rewritten only when a group's head changes, so a store still
 //! appends to its group.
 //!
+//! # Breakpoints
+//!
+//! Breakpoints pop in `(fire, id, slot)` order, which the golden trace's
+//! `engine.breakpoint` events and the density sums both depend on. Only
+//! the near future is kept in that order, as in a calendar queue (Brown,
+//! CACM 1988) or a timing wheel (Varghese & Lauck, SOSP 1987): a sorted
+//! vector holds the breakpoints of one window of [`WINDOW_MINUTES`], and a
+//! later breakpoint lives only in its slot's column, covered by a lower
+//! bound. When the window runs dry and that bound is due, one pass over
+//! the column opens the window holding the instant the clock advances to,
+//! and sorts its entries once. A new breakpoint fires after the clock,
+//! and nearly always after the window, so scheduling it is a column write
+//! and a `min`. The window is anchored at the clock, never at the earliest
+//! pending breakpoint: a window opened at a far breakpoint would take
+//! every nearer one that is scheduled later as a sorted insert.
+//!
+//! A breakpoint that leaves its object in the same home under the same key
+//! — a two-step curve leaving its plateau, say — changes only the object's
+//! density registration and next breakpoint; its ordered lists stay as
+//! they are. Any other breakpoint re-files the object.
+//!
 //! [`StorageUnit`]: crate::StorageUnit
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use sim_core::fx::FxHashMap;
 use sim_core::{Obs, SimDuration, SimTime};
@@ -256,10 +276,142 @@ pub(crate) enum EventKind {
     Finalize,
 }
 
-/// A pending breakpoint in the lazy event heap: `(fire time, id, slot)`.
-/// Min-ordered by `(fire, id)`; the slot rides along so a popped entry can
-/// be validated against the per-slot columns without a lookup.
-type EventEntry = Reverse<(SimTime, ObjectId, u32)>;
+/// Minutes in one window of the breakpoint queue: 2¹¹, about 1.4 days. A
+/// power of two, so the window holding an instant is its minute with the
+/// low bits masked.
+pub(crate) const WINDOW_MINUTES: u64 = 1 << 11;
+
+/// A slot's pending breakpoint: when it fires, for which object, and what
+/// it does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pending {
+    fire: SimTime,
+    id: ObjectId,
+    kind: EventKind,
+}
+
+/// Where an object belongs at the clock: its home, its density
+/// registration and its next breakpoint.
+type Class = (Home, Registered, Option<Pending>);
+
+/// An entry of the open window, `(fire, id, slot)`: the order breakpoints
+/// pop in. The slot rides along so a surfacing entry is checked against
+/// its slot's column without a lookup.
+type EventEntry = (SimTime, ObjectId, u32);
+
+/// The pending curve breakpoints, popped in `(fire, id, slot)` order; the
+/// module docs' *Breakpoints* section has the design.
+#[derive(Debug, Clone)]
+struct Breakpoints {
+    /// Per-slot pending breakpoint — the authority. A window entry is live
+    /// only while it matches its slot's column; a breakpoint after the
+    /// window lives here alone.
+    pending: TotalMap<Option<Pending>>,
+    /// Every pending breakpoint that fires at or before `horizon`, sorted
+    /// descending so the next to pop is last. Cancelling one only clears
+    /// its column; the entry is dropped when it surfaces, and at the
+    /// latest when the window runs dry.
+    near: Vec<EventEntry>,
+    /// The last minute of the open window.
+    horizon: SimTime,
+    /// A lower bound on every pending breakpoint after `horizon`; `None`
+    /// when none was scheduled there since the window opened.
+    far_min: Option<SimTime>,
+    /// Pending breakpoints, cancelled ones not counted.
+    live: usize,
+}
+
+impl Default for Breakpoints {
+    fn default() -> Self {
+        Breakpoints {
+            pending: TotalMap::new(None),
+            near: Vec::new(),
+            horizon: SimTime::from_minutes(WINDOW_MINUTES - 1),
+            far_min: None,
+            live: 0,
+        }
+    }
+}
+
+impl Breakpoints {
+    /// Queues `pending` for `slot`, which has none.
+    fn schedule(&mut self, slot: u32, pending: Pending) {
+        debug_assert!(self.pending.get(slot).is_none(), "slot already pending");
+        let Pending { fire, id, .. } = pending;
+        if fire <= self.horizon {
+            let entry = (fire, id, slot);
+            let at = self.near.partition_point(|e| *e > entry);
+            self.near.insert(at, entry);
+        } else {
+            self.far_min = Some(self.far_min.map_or(fire, |min| min.min(fire)));
+        }
+        self.pending.set(slot, Some(pending));
+        self.live += 1;
+    }
+
+    /// Takes `slot`'s pending breakpoint, if any.
+    fn cancel(&mut self, slot: u32) -> Option<Pending> {
+        let pending = self.pending.take(slot)?;
+        self.live -= 1;
+        Some(pending)
+    }
+
+    fn is_live(&self, (fire, id, slot): EventEntry) -> bool {
+        matches!(self.pending.get(slot), Some(p) if p.fire == fire && p.id == id)
+    }
+
+    /// Takes the next breakpoint due at or before `now`, opening the window
+    /// that holds `now` when the open one has run dry and a later
+    /// breakpoint may be due. Cancelled entries that surface are dropped,
+    /// so once this returns `None` the window's last entry is live.
+    fn pop_due(&mut self, now: SimTime) -> Option<(u32, Pending)> {
+        loop {
+            match self.near.last().copied() {
+                Some(entry) if self.is_live(entry) => {
+                    if entry.0 > now {
+                        return None;
+                    }
+                    self.near.pop();
+                    return self.cancel(entry.2).map(|pending| (entry.2, pending));
+                }
+                Some(_) => {
+                    self.near.pop();
+                }
+                None if self.far_min.is_some_and(|min| min <= now) => self.open(now),
+                None => return None,
+            }
+        }
+    }
+
+    /// Opens the window holding `at`: one pass over the column moves its
+    /// breakpoints into `near`, sorted once, and recomputes `far_min`
+    /// exactly.
+    fn open(&mut self, at: SimTime) {
+        debug_assert!(self.near.is_empty(), "the open window has not run dry");
+        self.horizon = SimTime::from_minutes(at.as_minutes() | (WINDOW_MINUTES - 1));
+        self.far_min = None;
+        for slot in 0..self.pending.materialized() as u32 {
+            if let Some(Pending { fire, id, .. }) = *self.pending.get(slot) {
+                if fire <= self.horizon {
+                    self.near.push((fire, id, slot));
+                } else {
+                    self.far_min = Some(self.far_min.map_or(fire, |min| min.min(fire)));
+                }
+            }
+        }
+        self.near.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// True when no pending breakpoint fires at or before `now`.
+    /// Conservative: a cancelled entry on top of the window, or a
+    /// cancelled breakpoint behind `far_min`, can only make this `false`;
+    /// after [`pop_due`](Breakpoints::pop_due) has returned `None` for
+    /// `now`, it is exact.
+    fn processed_through(&self, now: SimTime) -> bool {
+        self.near.last().is_none_or(|&(fire, _, _)| fire > now)
+            && self.far_min.is_none_or(|min| min > now)
+    }
+}
 
 /// Neumaier-compensated running sum: keeps the density accumulators
 /// accurate through millions of incremental add/remove/integrate steps.
@@ -410,9 +562,6 @@ pub(crate) struct EngineIndex {
     clock: SimTime,
     /// Number of indexed objects.
     len: usize,
-    /// Per-slot ids of indexed objects (meaningful only while the slot's
-    /// `event` column is populated — it gates heap-entry validation).
-    ids: TotalMap<ObjectId>,
     /// Per-slot annotation instants of indexed objects.
     ann: TotalMap<SimTime>,
     /// Per-slot arrival instants of indexed objects.
@@ -423,25 +572,11 @@ pub(crate) struct EngineIndex {
     home: TotalMap<Home>,
     /// Per-slot density registrations.
     reg: TotalMap<Registered>,
-    /// Per-slot pending breakpoint instant and kind — the authoritative
-    /// record a heap entry must match to be live.
-    event: TotalMap<Option<(SimTime, EventKind)>>,
-    /// Pending breakpoints as a min-heap with *lazy deletion*: cancelling
-    /// an event just clears the slot's `event` column, and stale heap
-    /// entries are discarded when they surface. Breakpoint re-registration
-    /// fire times are not monotone, so a sorted vector would pay an O(n)
-    /// memmove per event; the heap pays O(log n) with no ordering
-    /// assumption and still pops in exactly the `(fire, id)` order the
-    /// id-keyed map used to iterate in.
-    events: BinaryHeap<EventEntry>,
-    /// Live (non-cancelled) event count — the breakpoint-queue gauge.
-    events_live: usize,
-    /// Cancelled entries still buried in `events`; when they outnumber the
-    /// live ones the heap is rebuilt (amortized O(1) per cancel).
-    events_stale: usize,
+    /// Pending curve breakpoints, one per slot at most.
+    breakpoints: Breakpoints,
     /// The rare [`EventKind::Finalize`] breakpoints, keyed `(fire, id)` —
     /// kept sorted so `finalize_pending`/`expired_ids` can range-scan one
-    /// minute without touching the heap.
+    /// minute without touching the queue.
     finalizes: SortedList<(SimTime, ObjectId)>,
     /// Expired zero-importance objects in `(arrival, id)` eviction order.
     expired: SortedList<(SimTime, ObjectId)>,
@@ -474,16 +609,12 @@ impl Default for EngineIndex {
         EngineIndex {
             clock: SimTime::ZERO,
             len: 0,
-            ids: TotalMap::new(ObjectId::new(0)),
             ann: TotalMap::new(SimTime::ZERO),
             arrival: TotalMap::new(SimTime::ZERO),
             size_f: TotalMap::new(0.0),
             home: TotalMap::new(Home::Absent),
             reg: TotalMap::new(Registered::None),
-            event: TotalMap::new(None),
-            events: BinaryHeap::new(),
-            events_live: 0,
-            events_stale: 0,
+            breakpoints: Breakpoints::default(),
             finalizes: SortedList::new(),
             expired: SortedList::new(),
             fifo: SortedList::new(),
@@ -519,25 +650,16 @@ impl EngineIndex {
     /// Number of pending curve breakpoints — the depth of the index's
     /// event queue, reported as an observability gauge.
     pub(crate) fn events_len(&self) -> usize {
-        self.events_live
-    }
-
-    /// True if the heap entry `(t, id, slot)` is the slot's current pending
-    /// event (lazy deletion: cancelled entries fail this check).
-    fn event_entry_live(&self, t: SimTime, id: ObjectId, slot: u32) -> bool {
-        matches!(self.event.get(slot), Some((fire, _)) if *fire == t) && *self.ids.get(slot) == id
+        self.breakpoints.live
     }
 
     /// True when every breakpoint at or before `now` has been processed.
-    /// O(1) via the heap minimum. Conservative: a cancelled entry that has
-    /// not yet surfaced can only make this report `false` (sending a
-    /// read-only caller to the full scan), never `true`; `advance` pops
-    /// stale minima, so mutating call sites always see the exact answer.
+    /// O(1): the open window's next entry and the bound on the ones after
+    /// it. Conservative: a cancelled breakpoint can only make this report
+    /// `false` (sending a read-only caller to the full scan), never
+    /// `true`; after `advance(now)` it is exact for `now`.
     pub(crate) fn events_processed_through(&self, now: SimTime) -> bool {
-        match self.events.peek() {
-            None => true,
-            Some(&Reverse((t, _, _))) => t > now,
-        }
+        self.breakpoints.processed_through(now)
     }
 
     /// True when a [`EventKind::Finalize`] is pending for the minute after
@@ -590,29 +712,13 @@ impl EngineIndex {
     /// event keyed by the breakpoint's own instant, so traces expose an
     /// object's full importance-curve lifecycle.
     pub(crate) fn advance(&mut self, objects: &ObjectArena, now: SimTime, obs: &Obs) {
-        while let Some(&Reverse((t, id, slot))) = self.events.peek() {
-            if !self.event_entry_live(t, id, slot) {
-                // Cancelled under lazy deletion; discard on surfacing.
-                self.events.pop();
-                self.events_stale -= 1;
-                continue;
-            }
-            if t > now {
-                break;
-            }
+        while let Some((slot, Pending { fire: t, id, kind })) = self.breakpoints.pop_due(now) {
             self.density.integrate_to(t);
             self.clock = t;
-            self.events.pop();
-            self.events_live -= 1;
-            let (_, kind) = self
-                .event
-                .take(slot)
-                .expect("live event has a column entry");
             if kind == EventKind::Finalize {
                 self.finalizes.remove(&(t, id));
             }
-            self.unregister(slot, id);
-            self.register(slot, objects.at(slot));
+            self.transition(slot, objects.at(slot));
             obs.event(
                 t,
                 "engine.breakpoint",
@@ -659,75 +765,117 @@ impl EngineIndex {
     }
 
     /// Classifies `object` at the current clock and adds it to its home
-    /// structure, the density accumulators and (if needed) the event queue.
+    /// structure, the density accumulators and (if needed) the breakpoint
+    /// queue.
     fn register(&mut self, slot: u32, object: &StoredObject) {
+        let class = self.classify(object);
+        self.file(slot, object, class);
+    }
+
+    /// Where `object` belongs at the current clock: its home, its density
+    /// registration and its next breakpoint. Creates its shape group on
+    /// first use and changes nothing else.
+    fn classify(&mut self, object: &StoredObject) -> Class {
+        let id = object.id();
+        let ann = object.annotated_at();
+        let age = self.clock.saturating_since(ann);
+        let expired = object.is_expired(self.clock);
+        let value = object.current_importance(self.clock).value();
+        if expired && value == 0.0 {
+            return (Home::Expired, Registered::None, None);
+        }
+        let segment = object.curve().segment_at(age);
+        let reg = registration(&segment.form);
+        let at = |next: SimDuration, kind| Pending {
+            fire: ann + next,
+            id,
+            kind,
+        };
+        if expired {
+            // Positive importance at the expiry minute: a zero-wane step
+            // curve observed at exactly `age == expiry`. It keeps its group
+            // position for this minute and finalizes into the expired set
+            // at the next one.
+            let next = segment.next.expect("step boundary has a next breakpoint");
+            let group = self.group_of(object.curve());
+            (Home::Group(group), reg, Some(at(next, EventKind::Finalize)))
+        } else if object.curve().expiry().is_none()
+            && matches!(segment.form, SegmentForm::Constant(_))
+        {
+            // A constant segment of a never-expiring curve: the key is
+            // `(value, never, arrival, id)` until the segment ends, so
+            // order by the value itself. Group order, by annotation
+            // instant, would misplace same-value members whose annotation
+            // and arrival orders differ.
+            let event = segment.next.map(|next| at(next, EventKind::Segment));
+            (Home::Settled(value.to_bits()), reg, event)
+        } else {
+            let group = self.group_of(object.curve());
+            let event = segment.next.map(|next| at(next, EventKind::Segment));
+            (Home::Group(group), reg, event)
+        }
+    }
+
+    /// Adds a classified object to its home, the breakpoint queue and the
+    /// density accumulators.
+    fn file(&mut self, slot: u32, object: &StoredObject, class: Class) {
+        let (home, reg, event) = class;
         let id = object.id();
         let ann = object.annotated_at();
         let arrival = object.arrival();
         let size_f = object.size().as_bytes() as f64;
-        let age = self.clock.saturating_since(ann);
-        let expired = object.is_expired(self.clock);
-        let value = object.current_importance(self.clock).value();
-
-        let (home, reg, event) = if expired && value == 0.0 {
-            (Home::Expired, Registered::None, None)
-        } else {
-            let segment = object.curve().segment_at(age);
-            let reg = registration(&segment.form);
-            if expired {
-                // Positive importance at the expiry minute: a zero-wane
-                // step curve observed at exactly `age == expiry`. It keeps
-                // its group position for this minute and finalizes into
-                // the expired set at the next one.
-                let fire = ann + segment.next.expect("step boundary has a next breakpoint");
-                let group = self.group_of(object.curve());
-                self.group_insert(group, (ann, arrival, id), slot);
-                self.events.push(Reverse((fire, id, slot)));
-                self.events_live += 1;
-                self.finalizes.insert((fire, id), u64::from(slot));
-                (Home::Group(group), reg, Some((fire, EventKind::Finalize)))
-            } else if object.curve().expiry().is_none()
-                && matches!(segment.form, SegmentForm::Constant(_))
-            {
-                // A constant segment of a never-expiring curve: the key is
-                // `(value, never, arrival, id)` until the segment ends, so
-                // order by the value itself. Group order, by annotation
-                // instant, would misplace same-value members whose
-                // annotation and arrival orders differ.
-                let bits = value.to_bits();
-                self.settled.insert((bits, arrival, id), u64::from(slot));
-                let event = segment.next.map(|next| self.schedule(ann + next, id, slot));
-                (Home::Settled(bits), reg, event)
-            } else {
-                let group = self.group_of(object.curve());
-                self.group_insert(group, (ann, arrival, id), slot);
-                let event = segment.next.map(|next| self.schedule(ann + next, id, slot));
-                (Home::Group(group), reg, event)
-            }
-        };
-        if home == Home::Expired {
-            self.expired.insert((arrival, id), u64::from(slot));
+        match home {
+            Home::Absent => unreachable!("classify never answers Absent"),
+            Home::Group(group) => self.group_insert(group, (ann, arrival, id), slot),
+            Home::Settled(bits) => self.settled.insert((bits, arrival, id), u64::from(slot)),
+            Home::Expired => self.expired.insert((arrival, id), u64::from(slot)),
+        }
+        if let Some(pending) = event {
+            self.schedule(slot, pending);
         }
         self.density.signed_update(&reg, size_f, ann, 1.0);
-        self.ids.set(slot, id);
         self.ann.set(slot, ann);
         self.arrival.set(slot, arrival);
         self.size_f.set(slot, size_f);
         self.home.set(slot, home);
         self.reg.set(slot, reg);
-        self.event.set(slot, event);
         self.len += 1;
     }
 
-    /// Queues the slot's next segment breakpoint.
-    fn schedule(&mut self, fire: SimTime, id: ObjectId, slot: u32) -> (SimTime, EventKind) {
-        self.events.push(Reverse((fire, id, slot)));
-        self.events_live += 1;
-        (fire, EventKind::Segment)
+    /// Re-classifies `object` once its breakpoint has been taken from the
+    /// queue. When it stays in the same home, its key — `(annotated_at,
+    /// arrival, id)`, or the settled value with arrival and id — is
+    /// unchanged, so only the density registration (old one out, then new
+    /// one in, as a re-file orders them) and the next breakpoint change.
+    fn transition(&mut self, slot: u32, object: &StoredObject) {
+        let class = self.classify(object);
+        if class.0 != *self.home.get(slot) {
+            self.unregister(slot, object.id());
+            self.file(slot, object, class);
+            return;
+        }
+        let (_, reg, event) = class;
+        let (ann, size_f) = (*self.ann.get(slot), *self.size_f.get(slot));
+        let old = self.reg.take(slot);
+        self.density.signed_update(&old, size_f, ann, -1.0);
+        self.density.signed_update(&reg, size_f, ann, 1.0);
+        self.reg.set(slot, reg);
+        if let Some(pending) = event {
+            self.schedule(slot, pending);
+        }
+    }
+
+    /// Queues `slot`'s next breakpoint.
+    fn schedule(&mut self, slot: u32, pending: Pending) {
+        if pending.kind == EventKind::Finalize {
+            self.finalizes
+                .insert((pending.fire, pending.id), u64::from(slot));
+        }
+        self.breakpoints.schedule(slot, pending);
     }
 
     /// Removes an object from its home structure, the density accumulators
-    /// and the event queue, using the state captured at registration.
+    /// and the breakpoint queue, using the state captured at registration.
     fn unregister(&mut self, slot: u32, id: ObjectId) {
         let ann = *self.ann.get(slot);
         let arrival = *self.arrival.get(slot);
@@ -742,35 +890,15 @@ impl EngineIndex {
             }
         }
         self.home.set(slot, Home::Absent);
-        if let Some((fire, kind)) = self.event.take(slot) {
-            // Lazy deletion: the heap entry stays buried until it surfaces
-            // (or the heap is compacted); clearing the column kills it.
-            self.events_live -= 1;
-            self.events_stale += 1;
+        if let Some(Pending { fire, kind, .. }) = self.breakpoints.cancel(slot) {
             if kind == EventKind::Finalize {
                 self.finalizes.remove(&(fire, id));
             }
-            self.maybe_compact_events();
         }
         let reg = self.reg.take(slot);
         self.density
             .signed_update(&reg, *self.size_f.get(slot), ann, -1.0);
         self.len -= 1;
-    }
-
-    /// Rebuilds the event heap without its cancelled entries once they
-    /// outnumber the live ones — O(live) with the stale majority dropped,
-    /// so amortized O(1) per cancellation.
-    fn maybe_compact_events(&mut self) {
-        if self.events_stale > self.events_live && self.events.len() >= 64 {
-            let mut entries = std::mem::take(&mut self.events).into_vec();
-            let (event, ids) = (&self.event, &self.ids);
-            entries.retain(|&Reverse((t, id, slot))| {
-                matches!(event.get(slot), Some((fire, _)) if *fire == t) && *ids.get(slot) == id
-            });
-            self.events = BinaryHeap::from(entries);
-            self.events_stale = 0;
-        }
     }
 
     /// The group of `curve`'s exact shape, created (and its family with
@@ -982,11 +1110,159 @@ impl EngineIndex {
             .collect()
     }
 
+    /// The fire instants of the open window's entries, cancelled ones
+    /// included, next to pop last.
+    pub(crate) fn near_fires(&self) -> Vec<SimTime> {
+        self.breakpoints
+            .near
+            .iter()
+            .map(|&(fire, _, _)| fire)
+            .collect()
+    }
+
     /// Each family's groups, in the order of its list.
     pub(crate) fn family_groups(&self) -> Vec<Vec<u32>> {
         self.families
             .iter()
             .map(|list| list.iter().map(|(_, group)| group as u32).collect())
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use rand::Rng;
+
+    use super::*;
+
+    /// Cases for the queue-parity property: `DIFF_CASES` when set (the
+    /// nightly deep fuzz runs 4096), else 128.
+    fn cases() -> u64 {
+        std::env::var("DIFF_CASES")
+            .ok()
+            .and_then(|cases| cases.parse().ok())
+            .unwrap_or(128)
+    }
+
+    /// The breakpoint queue pops what a `BinaryHeap<Reverse<(fire, id,
+    /// slot)>>` with lazy deletion pops, in the same order, over random
+    /// schedule, cancel and advance steps: `advance(now)` is every pop due
+    /// at `now`, after which `processed_through(now)` holds, and it never
+    /// claims `processed_through` for an instant a breakpoint is due at.
+    /// The steps cover clock jumps of one to five weeks (many windows at
+    /// once, as `sim_university`'s weekly advance), breakpoints scheduled
+    /// inside the open window, and a cancelled slot re-scheduled at the
+    /// same fire minute, by the same id or a new one, while its cancelled
+    /// entry is still in the window.
+    #[test]
+    fn breakpoints_pop_like_a_lazy_binary_heap() {
+        const SLOTS: u32 = 48;
+        let (mut jumps, mut inside, mut recycled) = (0, 0, 0);
+        for case in 0..cases() {
+            let mut rng = sim_core::rng::stream(case, "breakpoint-queue-parity");
+            let mut queue = Breakpoints::default();
+            let mut heap = BinaryHeap::new();
+            // The reference's authority: per slot, the live `(fire, id)`.
+            let mut live: Vec<Option<(SimTime, ObjectId)>> = vec![None; SLOTS as usize];
+            // Per slot, the last cancelled `(fire, id)`.
+            let mut cancelled: Vec<Option<(SimTime, ObjectId)>> = vec![None; SLOTS as usize];
+            let mut clock = SimTime::ZERO;
+            let mut ids = 0;
+            for _ in 0..300 {
+                match rng.gen_range(0u32..10) {
+                    0..=4 => {
+                        let slot = rng.gen_range(0..SLOTS);
+                        if live[slot as usize].is_some() {
+                            continue;
+                        }
+                        let (fire, id) = match cancelled[slot as usize] {
+                            Some((fire, id)) if fire > clock && rng.gen_bool(0.5) => {
+                                if fire <= queue.horizon {
+                                    recycled += 1;
+                                }
+                                let id = if rng.gen_bool(0.5) {
+                                    id
+                                } else {
+                                    ids += 1;
+                                    ObjectId::new(ids)
+                                };
+                                (fire, id)
+                            }
+                            _ => {
+                                // Whole hours, so that fire minutes tie.
+                                let hours = match rng.gen_range(0u32..3) {
+                                    0 => rng.gen_range(1..=24),
+                                    1 => rng.gen_range(1..=24 * 30),
+                                    _ => 24 * rng.gen_range(5..=30),
+                                };
+                                let fire = SimTime::from_hours(clock.as_hours() + hours);
+                                ids += 1;
+                                (fire, ObjectId::new(ids))
+                            }
+                        };
+                        inside += usize::from(fire <= queue.horizon);
+                        let kind = if rng.gen_bool(0.1) {
+                            EventKind::Finalize
+                        } else {
+                            EventKind::Segment
+                        };
+                        queue.schedule(slot, Pending { fire, id, kind });
+                        heap.push(Reverse((fire, id, slot)));
+                        live[slot as usize] = Some((fire, id));
+                    }
+                    5..=6 => {
+                        let slot = rng.gen_range(0..SLOTS);
+                        let taken = queue.cancel(slot).map(|p| (p.fire, p.id));
+                        assert_eq!(taken, live[slot as usize].take());
+                        cancelled[slot as usize] = taken.or(cancelled[slot as usize]);
+                    }
+                    _ => {
+                        let minutes = if rng.gen_bool(0.1) {
+                            rng.gen_range(7 * 24 * 60..=35 * 24 * 60)
+                        } else {
+                            rng.gen_range(0..=600)
+                        };
+                        let now = clock + SimDuration::from_minutes(minutes);
+                        // A read at a later instant may be conservative, but
+                        // never claims a due breakpoint processed.
+                        let due = live.iter().flatten().any(|&(fire, _)| fire <= now);
+                        assert!(!(due && queue.processed_through(now)), "case {case}");
+                        let mut popped = Vec::new();
+                        while let Some((slot, pending)) = queue.pop_due(now) {
+                            popped.push((pending.fire, pending.id, slot));
+                        }
+                        let mut expected = Vec::new();
+                        while let Some(&Reverse((fire, id, slot))) = heap.peek() {
+                            if fire > now {
+                                break;
+                            }
+                            heap.pop();
+                            if live[slot as usize] == Some((fire, id)) {
+                                live[slot as usize] = None;
+                                expected.push((fire, id, slot));
+                            }
+                        }
+                        assert_eq!(popped, expected, "case {case}");
+                        if minutes > 4 * WINDOW_MINUTES && !popped.is_empty() {
+                            jumps += 1;
+                        }
+                        clock = now;
+                        assert!(queue.processed_through(now), "case {case}");
+                    }
+                }
+                assert_eq!(queue.live, live.iter().flatten().count(), "case {case}");
+                assert!(
+                    queue.near.windows(2).all(|w| w[0] >= w[1]),
+                    "case {case}: the window is out of order"
+                );
+            }
+        }
+        assert!(
+            jumps > 0 && inside > 0 && recycled > 0,
+            "{jumps} {inside} {recycled}"
+        );
     }
 }

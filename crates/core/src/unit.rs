@@ -206,6 +206,10 @@ struct PlanScratch {
     evaluated: usize,
     #[cfg(test)]
     activations: usize,
+    /// Plans an indexed unit sent to [`plan_naive`](StorageUnit::plan_naive)
+    /// because its index was not fresh at the plan's instant.
+    #[cfg(test)]
+    naive_fallbacks: usize,
 }
 
 /// A preemption plan computed by [`StorageUnit::plan`]; the victim ids live
@@ -460,12 +464,23 @@ impl StorageUnit {
     /// candidate units: it reports the *highest importance object that will
     /// be preempted* as the placement score.
     pub fn peek_admission(&self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
+        self.admission(size, incoming, now, &mut PlanScratch::default())
+    }
+
+    /// [`peek_admission`](StorageUnit::peek_admission), planning into
+    /// `scratch`.
+    fn admission(
+        &self,
+        size: ByteSize,
+        incoming: Importance,
+        now: SimTime,
+        scratch: &mut PlanScratch,
+    ) -> Admission {
         self.obs.counter("engine.peeks", 1);
         if size.is_zero() || size > self.capacity {
             return Admission::TooLarge;
         }
-        let mut scratch = PlanScratch::default();
-        match self.plan(size, incoming, now, &mut scratch) {
+        match self.plan(size, incoming, now, scratch) {
             PlanResult::Admit(plan) => match plan.highest {
                 Some(h) if !h.is_zero() => Admission::Preempting {
                     highest: h,
@@ -648,6 +663,10 @@ impl StorageUnit {
                 EvictionPolicy::Fifo => self.plan_indexed_fifo(size, incoming, now, scratch),
             }
         } else {
+            #[cfg(test)]
+            {
+                scratch.naive_fallbacks += usize::from(!self.naive);
+            }
             self.plan_naive(size, incoming, now, scratch)
         }
     }
@@ -1085,6 +1104,147 @@ mod tests {
             "{} heads evaluated for {victims} victims and {activations} activations",
             scratch.evaluated
         );
+    }
+
+    /// The breakpoint window opens at the clock, not at the earliest
+    /// pending breakpoint. One 30-day breakpoint, then 5,000 five-day ones
+    /// stored ten minutes apart: after every store the open window holds
+    /// only breakpoints of the window the clock is in, never the five-day
+    /// ones a window opened at the 30-day breakpoint would take in, each by
+    /// a sorted insert.
+    #[test]
+    fn the_breakpoint_window_holds_only_the_clocks_window() {
+        use crate::engine::WINDOW_MINUTES;
+
+        let mut unit = StorageUnit::new(mib(10_000));
+        unit.store(fixed_spec(0, mib(1), 0.9, 30), SimTime::ZERO)
+            .unwrap();
+        let mut widest = 0;
+        for i in 1..=5_000 {
+            let now = SimTime::from_minutes(10 * i);
+            let curve = ImportanceCurve::fixed_lifetime(days(5));
+            unit.store(ObjectSpec::new(ObjectId::new(i), mib(1), curve), now)
+                .unwrap();
+            let near = unit.index.near_fires();
+            let window = now.as_minutes() / WINDOW_MINUTES;
+            assert!(
+                near.iter()
+                    .all(|fire| fire.as_minutes() / WINDOW_MINUTES == window),
+                "at {now}: {near:?}"
+            );
+            widest = widest.max(near.len());
+        }
+        let thirty = unit.get(ObjectId::new(0)).unwrap();
+        assert!(
+            thirty.is_expired(unit.index.clock()),
+            "the 30-day breakpoint never fired"
+        );
+        assert!(widest > 0, "no window ever opened");
+        // One store every ten minutes schedules at most this many per window.
+        assert!(widest as u64 <= WINDOW_MINUTES / 10 + 1, "{widest} entries");
+    }
+
+    /// `index_fresh(now)` holds after every `advance(now)`, and an
+    /// admission probe at an advanced instant plans over the index, never
+    /// falling back to `plan_naive`: a seeded churn of the benchmark's curve
+    /// palette with removes, sweeps, reannotations and week-long clock
+    /// jumps, probed after every step, agrees with the naive oracle
+    /// throughout.
+    #[test]
+    fn an_advanced_unit_never_plans_naively() {
+        use rand::Rng;
+
+        let mut unit = StorageUnit::new(mib(192));
+        let mut oracle = StorageUnit::builder(mib(192)).naive_oracle(true).build();
+        let mut rng = sim_core::rng::seeded(37);
+        let mut scratch = PlanScratch::default();
+        let (mut now, mut planned) = (SimTime::ZERO, 0);
+        for step in 0..3_000u64 {
+            now += match rng.gen_range(0..60u32) {
+                0 => days(7),
+                _ => SimDuration::from_minutes(rng.gen_range(0..400)),
+            };
+            let curve = match rng.gen_range(0..10u32) {
+                0..=3 => ImportanceCurve::two_step(Importance::FULL, days(15), days(15)),
+                4..=5 => ImportanceCurve::Fixed {
+                    importance: imp(0.2 * f64::from(rng.gen_range(2..=4u32))),
+                    expiry: days(10 * rng.gen_range(1..=3)),
+                },
+                6 => ImportanceCurve::two_step(imp(0.6), days(5), days(25)),
+                7..=8 => ImportanceCurve::fixed_lifetime(days(5 * rng.gen_range(1..=3))),
+                _ => ImportanceCurve::Ephemeral,
+            };
+            let old = ObjectId::new(step.saturating_sub(rng.gen_range(1..=40)));
+            for unit in [&mut unit, &mut oracle] {
+                match step % 25 {
+                    0 => drop(unit.sweep_expired(now)),
+                    1 => drop(unit.remove(old, now)),
+                    2 => drop(unit.reannotate(old, curve.clone(), now)),
+                    _ => {
+                        let spec =
+                            ObjectSpec::new(ObjectId::new(step), mib(1 + step % 4), curve.clone());
+                        drop(unit.store(spec, now));
+                    }
+                }
+            }
+            unit.advance(now);
+            assert!(unit.index_fresh(now), "step {step}");
+            let (size, incoming) = (
+                mib(rng.gen_range(1..=8)),
+                imp(0.1 * f64::from(rng.gen_range(1..=10u32))),
+            );
+            planned += usize::from(unit.free() < size);
+            let probe = unit.admission(size, incoming, now, &mut scratch);
+            assert_eq!(
+                probe,
+                oracle.peek_admission(size, incoming, now),
+                "step {step}"
+            );
+        }
+        assert_eq!(scratch.naive_fallbacks, 0);
+        assert!(planned > 1_000, "only {planned} probes planned");
+    }
+
+    /// A zero-wane step curve expires on its plateau's last minute while
+    /// it still carries the plateau's importance. Reached there by time
+    /// passing, not by a store on that minute, it is swept on that minute
+    /// by the indexed unit as by the naive scan, and an admission probe
+    /// that meets a blocker first still finds it behind.
+    #[test]
+    fn a_step_curve_reached_on_its_expiry_minute_is_expired() {
+        let expiry_minute = SimTime::from_days(10);
+        let fill = |naive| {
+            let mut unit = StorageUnit::builder(mib(30)).naive_oracle(naive).build();
+            let step = ImportanceCurve::two_step(imp(0.5), days(10), SimDuration::ZERO);
+            let spec = ObjectSpec::new(ObjectId::new(1), mib(10), step);
+            unit.store(spec, SimTime::ZERO).unwrap();
+            unit.store(fixed_spec(2, mib(10), 0.3, 30), SimTime::ZERO)
+                .unwrap();
+            unit.store(fixed_spec(3, mib(10), 0.4, 30), SimTime::ZERO)
+                .unwrap();
+            unit.advance(SimTime::from_days(9));
+            unit.advance(expiry_minute);
+            unit
+        };
+        for naive in [false, true] {
+            let unit = fill(naive);
+            let probe = unit.peek_admission(mib(20), imp(0.35), expiry_minute);
+            assert_eq!(
+                probe,
+                Admission::Preempting {
+                    highest: imp(0.5),
+                    victims: 2,
+                    freed: mib(20)
+                },
+                "naive {naive}"
+            );
+            let swept: Vec<u64> = fill(naive)
+                .sweep_expired(expiry_minute)
+                .iter()
+                .map(|record| record.id.raw())
+                .collect();
+            assert_eq!(swept, vec![1], "naive {naive}");
+        }
     }
 
     #[test]
