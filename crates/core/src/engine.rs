@@ -75,16 +75,19 @@
 //! Breakpoints pop in `(fire, id, slot)` order, which the golden trace's
 //! `engine.breakpoint` events and the density sums both depend on. Only
 //! the near future is kept in that order, as in a calendar queue (Brown,
-//! CACM 1988) or a timing wheel (Varghese & Lauck, SOSP 1987): a sorted
-//! vector holds the breakpoints of one window of [`WINDOW_MINUTES`], and a
-//! later breakpoint lives only in its slot's column, covered by a lower
-//! bound. When the window runs dry and that bound is due, one pass over
-//! the column opens the window holding the instant the clock advances to,
-//! and sorts its entries once. A new breakpoint fires after the clock,
-//! and nearly always after the window, so scheduling it is a column write
-//! and a `min`. The window is anchored at the clock, never at the earliest
-//! pending breakpoint: a window opened at a far breakpoint would take
-//! every nearer one that is scheduled later as a sorted insert.
+//! CACM 1988) or a timing wheel (Varghese & Lauck, SOSP 1987). The open
+//! window of [`WINDOW_MINUTES`] is split into 32 buckets: a sorted
+//! run holds the breakpoints up to the bucket the clock is in, each later
+//! bucket of the window is an unsorted vector that is sorted once, when the
+//! clock reaches it, and a breakpoint after the window lives only in its
+//! slot's column, covered by a lower bound. When the window runs dry and
+//! that bound is due, one pass over the column opens the window holding the
+//! instant the clock advances to. So scheduling a breakpoint is a push or a
+//! column write whatever the curve's lifetime; only one due within the
+//! clock's own bucket, under [`BUCKET_MINUTES`] ahead, is a sorted insert,
+//! into a run of one bucket's breakpoints. The window is anchored at the
+//! clock, never at the earliest pending breakpoint, which would file every
+//! nearer breakpoint scheduled later into the run.
 //!
 //! A breakpoint that leaves its object in the same home under the same key
 //! — a two-step curve leaving its plateau, say — changes only the object's
@@ -93,7 +96,7 @@
 //!
 //! [`StorageUnit`]: crate::StorageUnit
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use sim_core::fx::FxHashMap;
 use sim_core::{Obs, SimDuration, SimTime};
@@ -281,6 +284,13 @@ pub(crate) enum EventKind {
 /// low bits masked.
 pub(crate) const WINDOW_MINUTES: u64 = 1 << 11;
 
+/// Minutes in one bucket of the open window: 2⁶, so a window is 32 buckets.
+pub(crate) const BUCKET_MINUTES: u64 = 1 << 6;
+
+/// Buckets in one window; bit `b` of [`Breakpoints::occupied`] stands for
+/// bucket `b`.
+const BUCKETS: usize = (WINDOW_MINUTES / BUCKET_MINUTES) as usize;
+
 /// A slot's pending breakpoint: when it fires, for which object, and what
 /// it does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,14 +317,21 @@ struct Breakpoints {
     /// only while it matches its slot's column; a breakpoint after the
     /// window lives here alone.
     pending: TotalMap<Option<Pending>>,
-    /// Every pending breakpoint that fires at or before `horizon`, sorted
-    /// descending so the next to pop is last. Cancelling one only clears
-    /// its column; the entry is dropped when it surfaces, and at the
-    /// latest when the window runs dry.
-    near: Vec<EventEntry>,
-    /// The last minute of the open window.
-    horizon: SimTime,
-    /// A lower bound on every pending breakpoint after `horizon`; `None`
+    /// The open window's breakpoints up to the end of bucket `current`,
+    /// sorted ascending, so the next to pop is at the front. Cancelling one
+    /// only clears its column; the entry is dropped when it surfaces.
+    run: VecDeque<EventEntry>,
+    /// The open window's breakpoints after bucket `current`, unsorted:
+    /// `later[b]` holds bucket `b`'s. Empty until first used.
+    later: Vec<Vec<EventEntry>>,
+    /// Bit `b` is set while `later[b]` is not empty.
+    occupied: u32,
+    /// The bucket `run` reaches to: the one holding the clock, or an
+    /// earlier one of the open window.
+    current: usize,
+    /// The first minute of the open window.
+    base: SimTime,
+    /// A lower bound on every pending breakpoint after the window; `None`
     /// when none was scheduled there since the window opened.
     far_min: Option<SimTime>,
     /// Pending breakpoints, cancelled ones not counted.
@@ -325,8 +342,11 @@ impl Default for Breakpoints {
     fn default() -> Self {
         Breakpoints {
             pending: TotalMap::new(None),
-            near: Vec::new(),
-            horizon: SimTime::from_minutes(WINDOW_MINUTES - 1),
+            run: VecDeque::new(),
+            later: Vec::new(),
+            occupied: 0,
+            current: 0,
+            base: SimTime::ZERO,
             far_min: None,
             live: 0,
         }
@@ -334,19 +354,49 @@ impl Default for Breakpoints {
 }
 
 impl Breakpoints {
+    /// The last minute of the open window.
+    fn horizon(&self) -> SimTime {
+        self.base + SimDuration::from_minutes(WINDOW_MINUTES - 1)
+    }
+
+    /// The open window's bucket holding `fire` (at or before the horizon);
+    /// bucket 0 for an instant before the window.
+    fn bucket_of(&self, fire: SimTime) -> usize {
+        (fire.saturating_since(self.base).as_minutes() / BUCKET_MINUTES) as usize
+    }
+
+    /// The first minute of bucket `b` of the open window.
+    fn bucket_start(&self, b: usize) -> SimTime {
+        self.base + SimDuration::from_minutes(b as u64 * BUCKET_MINUTES)
+    }
+
     /// Queues `pending` for `slot`, which has none.
     fn schedule(&mut self, slot: u32, pending: Pending) {
         debug_assert!(self.pending.get(slot).is_none(), "slot already pending");
         let Pending { fire, id, .. } = pending;
-        if fire <= self.horizon {
-            let entry = (fire, id, slot);
-            let at = self.near.partition_point(|e| *e > entry);
-            self.near.insert(at, entry);
-        } else {
+        let entry = (fire, id, slot);
+        if fire > self.horizon() {
             self.far_min = Some(self.far_min.map_or(fire, |min| min.min(fire)));
+        } else if self.bucket_of(fire) > self.current {
+            self.push_later(entry);
+        } else if self.run.back().is_none_or(|&last| last < entry) {
+            self.run.push_back(entry);
+        } else {
+            let at = self.run.partition_point(|&e| e < entry);
+            self.run.insert(at, entry);
         }
         self.pending.set(slot, Some(pending));
         self.live += 1;
+    }
+
+    /// Adds `entry`, which fires in a bucket after `current`, to its bucket.
+    fn push_later(&mut self, entry: EventEntry) {
+        if self.later.is_empty() {
+            self.later.resize_with(BUCKETS, Vec::new);
+        }
+        let b = self.bucket_of(entry.0);
+        self.later[b].push(entry);
+        self.occupied |= 1 << b;
     }
 
     /// Takes `slot`'s pending breakpoint, if any.
@@ -360,56 +410,94 @@ impl Breakpoints {
         matches!(self.pending.get(slot), Some(p) if p.fire == fire && p.id == id)
     }
 
-    /// Takes the next breakpoint due at or before `now`, opening the window
-    /// that holds `now` when the open one has run dry and a later
-    /// breakpoint may be due. Cancelled entries that surface are dropped,
-    /// so once this returns `None` the window's last entry is live.
+    /// Takes the next breakpoint due at or before `now`. When the run is
+    /// dry it takes in the next bucket once that bucket has begun, and when
+    /// the whole window is dry and a later breakpoint may be due it opens
+    /// the window holding `now`. Cancelled entries that surface are
+    /// dropped, so once this returns `None` the run's front is live.
     fn pop_due(&mut self, now: SimTime) -> Option<(u32, Pending)> {
         loop {
-            match self.near.last().copied() {
-                Some(entry) if self.is_live(entry) => {
-                    if entry.0 > now {
-                        return None;
-                    }
-                    self.near.pop();
+            if let Some(&entry) = self.run.front() {
+                let live = self.is_live(entry);
+                if live && entry.0 > now {
+                    return None;
+                }
+                self.run.pop_front();
+                if live {
                     return self.cancel(entry.2).map(|pending| (entry.2, pending));
                 }
-                Some(_) => {
-                    self.near.pop();
+            } else if self.occupied != 0 {
+                let b = self.occupied.trailing_zeros() as usize;
+                if self.bucket_start(b) > now {
+                    return None;
                 }
-                None if self.far_min.is_some_and(|min| min <= now) => self.open(now),
-                None => return None,
+                self.take_bucket(b);
+            } else if self.far_min.is_some_and(|min| min <= now) {
+                self.open(now);
+            } else {
+                return None;
             }
         }
     }
 
-    /// Opens the window holding `at`: one pass over the column moves its
-    /// breakpoints into `near`, sorted once, and recomputes `far_min`
-    /// exactly.
+    /// Moves bucket `b`, the first occupied one, into the dry run, sorted.
+    fn take_bucket(&mut self, b: usize) {
+        let mut bucket = std::mem::take(&mut self.later[b]);
+        bucket.sort_unstable();
+        self.run.extend(bucket.drain(..));
+        self.later[b] = bucket;
+        self.occupied &= !(1 << b);
+        self.current = b;
+    }
+
+    /// Opens the window holding `at`: one pass over the column files its
+    /// breakpoints — those up to `at`'s bucket into the run, sorted once,
+    /// the rest into their buckets — and recomputes `far_min` exactly.
     fn open(&mut self, at: SimTime) {
-        debug_assert!(self.near.is_empty(), "the open window has not run dry");
-        self.horizon = SimTime::from_minutes(at.as_minutes() | (WINDOW_MINUTES - 1));
+        debug_assert!(
+            self.run.is_empty() && self.occupied == 0,
+            "the open window has not run dry"
+        );
+        self.base = SimTime::from_minutes(at.as_minutes() & !(WINDOW_MINUTES - 1));
+        self.current = self.bucket_of(at);
         self.far_min = None;
+        let horizon = self.horizon();
         for slot in 0..self.pending.materialized() as u32 {
             if let Some(Pending { fire, id, .. }) = *self.pending.get(slot) {
-                if fire <= self.horizon {
-                    self.near.push((fire, id, slot));
-                } else {
+                if fire > horizon {
                     self.far_min = Some(self.far_min.map_or(fire, |min| min.min(fire)));
+                } else if self.bucket_of(fire) > self.current {
+                    self.push_later((fire, id, slot));
+                } else {
+                    self.run.push_back((fire, id, slot));
                 }
             }
         }
-        self.near.sort_unstable_by(|a, b| b.cmp(a));
+        self.run.make_contiguous().sort_unstable();
     }
 
-    /// True when no pending breakpoint fires at or before `now`.
-    /// Conservative: a cancelled entry on top of the window, or a
-    /// cancelled breakpoint behind `far_min`, can only make this `false`;
-    /// after [`pop_due`](Breakpoints::pop_due) has returned `None` for
-    /// `now`, it is exact.
+    /// True when no pending breakpoint fires at or before `now`. O(1) when
+    /// the run's front and the bounds on the later buckets and the far
+    /// future decide it — after [`pop_due`](Breakpoints::pop_due) has
+    /// returned `None`, they do for every instant before the next bucket
+    /// and `far_min`. Otherwise, say after a cancellation, one pass over
+    /// the column answers exactly.
     fn processed_through(&self, now: SimTime) -> bool {
-        self.near.last().is_none_or(|&(fire, _, _)| fire > now)
-            && self.far_min.is_none_or(|min| min > now)
+        let window = match self.run.front() {
+            Some(&entry) if entry.0 <= now && self.is_live(entry) => return false,
+            Some(&(fire, _, _)) => Some(fire),
+            None if self.occupied != 0 => {
+                Some(self.bucket_start(self.occupied.trailing_zeros() as usize))
+            }
+            None => None,
+        };
+        let bound = match (window, self.far_min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        bound.is_none_or(|bound| bound > now)
+            || (0..self.pending.materialized() as u32)
+                .all(|slot| self.pending.get(slot).is_none_or(|p| p.fire > now))
     }
 }
 
@@ -654,10 +742,9 @@ impl EngineIndex {
     }
 
     /// True when every breakpoint at or before `now` has been processed.
-    /// O(1): the open window's next entry and the bound on the ones after
-    /// it. Conservative: a cancelled breakpoint can only make this report
-    /// `false` (sending a read-only caller to the full scan), never
-    /// `true`; after `advance(now)` it is exact for `now`.
+    /// Exact. O(1) after `advance(now)` for every instant before the next
+    /// pending breakpoint's bucket; a read past it, or one after a
+    /// cancellation, may take one pass over the breakpoint column.
     pub(crate) fn events_processed_through(&self, now: SimTime) -> bool {
         self.breakpoints.processed_through(now)
     }
@@ -1111,13 +1198,12 @@ impl EngineIndex {
     }
 
     /// The fire instants of the open window's entries, cancelled ones
-    /// included, next to pop last.
-    pub(crate) fn near_fires(&self) -> Vec<SimTime> {
-        self.breakpoints
-            .near
-            .iter()
-            .map(|&(fire, _, _)| fire)
-            .collect()
+    /// included: the sorted run's, then the later buckets'.
+    pub(crate) fn window_fires(&self) -> (Vec<SimTime>, Vec<SimTime>) {
+        let queue = &self.breakpoints;
+        let run = queue.run.iter().map(|&(fire, _, _)| fire).collect();
+        let later = queue.later.iter().flatten().map(|&(fire, _, _)| fire);
+        (run, later.collect())
     }
 
     /// Each family's groups, in the order of its list.
@@ -1135,8 +1221,10 @@ mod tests {
     use std::collections::BinaryHeap;
 
     use rand::Rng;
+    use sim_core::ByteSize;
 
     use super::*;
+    use crate::ObjectSpec;
 
     /// Cases for the queue-parity property: `DIFF_CASES` when set (the
     /// nightly deep fuzz runs 4096), else 128.
@@ -1149,18 +1237,18 @@ mod tests {
 
     /// The breakpoint queue pops what a `BinaryHeap<Reverse<(fire, id,
     /// slot)>>` with lazy deletion pops, in the same order, over random
-    /// schedule, cancel and advance steps: `advance(now)` is every pop due
-    /// at `now`, after which `processed_through(now)` holds, and it never
-    /// claims `processed_through` for an instant a breakpoint is due at.
-    /// The steps cover clock jumps of one to five weeks (many windows at
-    /// once, as `sim_university`'s weekly advance), breakpoints scheduled
-    /// inside the open window, and a cancelled slot re-scheduled at the
-    /// same fire minute, by the same id or a new one, while its cancelled
-    /// entry is still in the window.
+    /// schedule, cancel, read and advance steps: `advance(now)` is every
+    /// pop due at `now`, and `processed_through(at)` answers exactly
+    /// whether a breakpoint is due at `at`, whatever was cancelled. The
+    /// steps cover clock jumps of one to five weeks (many windows at once,
+    /// as `sim_university`'s weekly advance), breakpoints scheduled inside
+    /// the open window, in a later bucket or in the clock's own one, and a
+    /// cancelled slot re-scheduled at the same fire minute, by the same id
+    /// or a new one, while its cancelled entry is still in the window.
     #[test]
     fn breakpoints_pop_like_a_lazy_binary_heap() {
         const SLOTS: u32 = 48;
-        let (mut jumps, mut inside, mut recycled) = (0, 0, 0);
+        let (mut jumps, mut later, mut into_run, mut recycled) = (0, 0, 0, 0);
         for case in 0..cases() {
             let mut rng = sim_core::rng::stream(case, "breakpoint-queue-parity");
             let mut queue = Breakpoints::default();
@@ -1169,10 +1257,13 @@ mod tests {
             let mut live: Vec<Option<(SimTime, ObjectId)>> = vec![None; SLOTS as usize];
             // Per slot, the last cancelled `(fire, id)`.
             let mut cancelled: Vec<Option<(SimTime, ObjectId)>> = vec![None; SLOTS as usize];
+            let due = |live: &[Option<(SimTime, ObjectId)>], at: SimTime| {
+                live.iter().flatten().any(|&(fire, _)| fire <= at)
+            };
             let mut clock = SimTime::ZERO;
             let mut ids = 0;
             for _ in 0..300 {
-                match rng.gen_range(0u32..10) {
+                match rng.gen_range(0u32..12) {
                     0..=4 => {
                         let slot = rng.gen_range(0..SLOTS);
                         if live[slot as usize].is_some() {
@@ -1180,7 +1271,7 @@ mod tests {
                         }
                         let (fire, id) = match cancelled[slot as usize] {
                             Some((fire, id)) if fire > clock && rng.gen_bool(0.5) => {
-                                if fire <= queue.horizon {
+                                if fire <= queue.horizon() {
                                     recycled += 1;
                                 }
                                 let id = if rng.gen_bool(0.5) {
@@ -1192,18 +1283,26 @@ mod tests {
                                 (fire, id)
                             }
                             _ => {
-                                // Whole hours, so that fire minutes tie.
-                                let hours = match rng.gen_range(0u32..3) {
-                                    0 => rng.gen_range(1..=24),
-                                    1 => rng.gen_range(1..=24 * 30),
-                                    _ => 24 * rng.gen_range(5..=30),
+                                // Whole quarter hours from the clock's
+                                // quarter hour, so that fire minutes tie.
+                                let minutes = match rng.gen_range(0u32..4) {
+                                    0 => 15 * rng.gen_range(1..=8),
+                                    1 => 60 * rng.gen_range(1..=24),
+                                    2 => 60 * rng.gen_range(1..=24 * 30),
+                                    _ => 24 * 60 * rng.gen_range(5..=30),
                                 };
-                                let fire = SimTime::from_hours(clock.as_hours() + hours);
+                                let quarter = clock.as_minutes() / 15 * 15;
                                 ids += 1;
-                                (fire, ObjectId::new(ids))
+                                (SimTime::from_minutes(quarter + minutes), ObjectId::new(ids))
                             }
                         };
-                        inside += usize::from(fire <= queue.horizon);
+                        if fire <= queue.horizon() {
+                            if queue.bucket_of(fire) > queue.current {
+                                later += 1;
+                            } else {
+                                into_run += 1;
+                            }
+                        }
                         let kind = if rng.gen_bool(0.1) {
                             EventKind::Finalize
                         } else {
@@ -1219,6 +1318,12 @@ mod tests {
                         assert_eq!(taken, live[slot as usize].take());
                         cancelled[slot as usize] = taken.or(cancelled[slot as usize]);
                     }
+                    7 => {
+                        let minutes = rng.gen_range(0..=3 * WINDOW_MINUTES);
+                        let at = clock + SimDuration::from_minutes(minutes);
+                        let exact = !due(&live, at);
+                        assert_eq!(queue.processed_through(at), exact, "case {case}");
+                    }
                     _ => {
                         let minutes = if rng.gen_bool(0.1) {
                             rng.gen_range(7 * 24 * 60..=35 * 24 * 60)
@@ -1226,10 +1331,8 @@ mod tests {
                             rng.gen_range(0..=600)
                         };
                         let now = clock + SimDuration::from_minutes(minutes);
-                        // A read at a later instant may be conservative, but
-                        // never claims a due breakpoint processed.
-                        let due = live.iter().flatten().any(|&(fire, _)| fire <= now);
-                        assert!(!(due && queue.processed_through(now)), "case {case}");
+                        let exact = !due(&live, now);
+                        assert_eq!(queue.processed_through(now), exact, "case {case}");
                         let mut popped = Vec::new();
                         while let Some((slot, pending)) = queue.pop_due(now) {
                             popped.push((pending.fire, pending.id, slot));
@@ -1251,18 +1354,105 @@ mod tests {
                         }
                         clock = now;
                         assert!(queue.processed_through(now), "case {case}");
+                        // The run reaches no further than the clock's bucket.
+                        let clock_bucket = clock.as_minutes() / BUCKET_MINUTES;
+                        assert!(
+                            queue
+                                .run
+                                .iter()
+                                .all(|e| e.0.as_minutes() / BUCKET_MINUTES <= clock_bucket),
+                            "case {case}"
+                        );
                     }
                 }
                 assert_eq!(queue.live, live.iter().flatten().count(), "case {case}");
                 assert!(
-                    queue.near.windows(2).all(|w| w[0] >= w[1]),
-                    "case {case}: the window is out of order"
+                    queue
+                        .run
+                        .iter()
+                        .zip(queue.run.iter().skip(1))
+                        .all(|(a, b)| a <= b),
+                    "case {case}: the run is out of order"
                 );
+                for (b, bucket) in queue.later.iter().enumerate() {
+                    assert_eq!(queue.occupied >> b & 1 == 1, !bucket.is_empty());
+                    assert!(bucket.is_empty() || b > queue.current, "case {case}");
+                    assert!(bucket
+                        .iter()
+                        .all(|e| queue.bucket_of(e.0) == b && e.0 <= queue.horizon()));
+                }
             }
         }
         assert!(
-            jumps > 0 && inside > 0 && recycled > 0,
-            "{jumps} {inside} {recycled}"
+            jumps > 0 && later > 0 && into_run > 0 && recycled > 0,
+            "{jumps} {later} {into_run} {recycled}"
         );
+    }
+
+    /// An in-place transition subtracts the object's old density
+    /// registration, then adds the new one, as a re-file does. A two-step
+    /// curve leaving its plateau while it is the only linear registration
+    /// empties the linear accumulator between the two updates, which
+    /// resets it exactly; added first, the new registration would keep the
+    /// residue a removed linear neighbour left behind. The index's
+    /// weighted sum matches a subtract-then-add replay bit for bit, and the
+    /// swapped replay differs.
+    #[test]
+    fn a_plateau_exit_subtracts_then_adds_its_density() {
+        let minute = SimDuration::MINUTE;
+        let obs = Obs::none();
+        let mut objects = ObjectArena::new();
+        let mut index = EngineIndex::default();
+        let mut slots = Vec::new();
+        for (id, size, level, persist, wane) in
+            [(1, 1_000_003, 0.5, 3, 10), (2, 3_000_017, 0.7, 1, 7)]
+        {
+            let curve = ImportanceCurve::two_step(
+                Importance::new_clamped(level),
+                SimDuration::from_days(persist),
+                SimDuration::from_days(wane),
+            );
+            let spec = ObjectSpec::new(ObjectId::new(id), ByteSize::from_bytes(size), curve);
+            let slot = objects
+                .insert(StoredObject::from_spec(spec, SimTime::ZERO))
+                .slot();
+            index.insert(slot, objects.at(slot));
+            slots.push(slot);
+        }
+        // The neighbour wanes for a day and a bit, then leaves.
+        let gone = SimTime::from_days(2) + SimDuration::from_minutes(777);
+        index.advance(&objects, gone, &obs);
+        index.remove(slots[1], ObjectId::new(2));
+        objects.remove(ObjectId::new(2));
+        let exit = SimTime::from_days(3);
+        index.advance(&objects, exit - minute, &obs);
+        let before = index.density.clone();
+        let old = index.reg.get(slots[0]).clone();
+        index.advance(&objects, exit, &obs);
+        let new = index.reg.get(slots[0]).clone();
+        assert!(
+            matches!(old, Registered::Linear(SegmentForm::Constant(_))),
+            "{old:?}"
+        );
+        assert!(
+            matches!(new, Registered::Linear(SegmentForm::Linear { .. })),
+            "{new:?}"
+        );
+        let replay = |first: &Registered, first_sign, second: &Registered, second_sign| {
+            let mut density = before.clone();
+            density.integrate_to(exit);
+            density.signed_update(first, 1_000_003.0, SimTime::ZERO, first_sign);
+            density.signed_update(second, 1_000_003.0, SimTime::ZERO, second_sign);
+            density
+        };
+        let ordered = replay(&old, -1.0, &new, 1.0);
+        let swapped = replay(&new, 1.0, &old, -1.0);
+        let mut differs = false;
+        for at in [exit, exit + SimDuration::from_minutes(4_321)] {
+            let got = index.weighted_importance(at).to_bits();
+            assert_eq!(got, ordered.value_at(at).to_bits(), "at {at}");
+            differs |= got != swapped.value_at(at).to_bits();
+        }
+        assert!(differs, "the two orders agree here; the test pins nothing");
     }
 }

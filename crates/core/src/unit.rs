@@ -464,23 +464,12 @@ impl StorageUnit {
     /// candidate units: it reports the *highest importance object that will
     /// be preempted* as the placement score.
     pub fn peek_admission(&self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
-        self.admission(size, incoming, now, &mut PlanScratch::default())
-    }
-
-    /// [`peek_admission`](StorageUnit::peek_admission), planning into
-    /// `scratch`.
-    fn admission(
-        &self,
-        size: ByteSize,
-        incoming: Importance,
-        now: SimTime,
-        scratch: &mut PlanScratch,
-    ) -> Admission {
         self.obs.counter("engine.peeks", 1);
         if size.is_zero() || size > self.capacity {
             return Admission::TooLarge;
         }
-        match self.plan(size, incoming, now, scratch) {
+        let mut scratch = PlanScratch::default();
+        match self.plan(size, incoming, now, &mut scratch) {
             PlanResult::Admit(plan) => match plan.highest {
                 Some(h) if !h.is_zero() => Admission::Preempting {
                     highest: h,
@@ -1107,32 +1096,42 @@ mod tests {
     }
 
     /// The breakpoint window opens at the clock, not at the earliest
-    /// pending breakpoint. One 30-day breakpoint, then 5,000 five-day ones
-    /// stored ten minutes apart: after every store the open window holds
-    /// only breakpoints of the window the clock is in, never the five-day
-    /// ones a window opened at the 30-day breakpoint would take in, each by
-    /// a sorted insert.
+    /// pending breakpoint, and its sorted run reaches only to the clock's
+    /// bucket. One 30-day breakpoint, then 5,000 stores ten minutes apart
+    /// with lifetimes from one hour to five days: after every store the
+    /// open window holds only breakpoints of the window the clock is in,
+    /// never the later ones a window opened at the 30-day breakpoint would
+    /// take in, and only those of the clock's bucket are sorted.
     #[test]
     fn the_breakpoint_window_holds_only_the_clocks_window() {
-        use crate::engine::WINDOW_MINUTES;
+        use crate::engine::{BUCKET_MINUTES, WINDOW_MINUTES};
 
+        const LIFETIME_HOURS: [u64; 5] = [1, 3, 8, 24, 120];
         let mut unit = StorageUnit::new(mib(10_000));
         unit.store(fixed_spec(0, mib(1), 0.9, 30), SimTime::ZERO)
             .unwrap();
         let mut widest = 0;
         for i in 1..=5_000 {
             let now = SimTime::from_minutes(10 * i);
-            let curve = ImportanceCurve::fixed_lifetime(days(5));
+            let hours = LIFETIME_HOURS[i as usize % LIFETIME_HOURS.len()];
+            let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_hours(hours));
             unit.store(ObjectSpec::new(ObjectId::new(i), mib(1), curve), now)
                 .unwrap();
-            let near = unit.index.near_fires();
+            let (run, later) = unit.index.window_fires();
             let window = now.as_minutes() / WINDOW_MINUTES;
             assert!(
-                near.iter()
+                run.iter()
+                    .chain(&later)
                     .all(|fire| fire.as_minutes() / WINDOW_MINUTES == window),
-                "at {now}: {near:?}"
+                "at {now}: {run:?} {later:?}"
             );
-            widest = widest.max(near.len());
+            let bucket = now.as_minutes() / BUCKET_MINUTES;
+            assert!(
+                run.iter()
+                    .all(|fire| fire.as_minutes() / BUCKET_MINUTES <= bucket),
+                "at {now}: {run:?}"
+            );
+            widest = widest.max(run.len() + later.len());
         }
         let thirty = unit.get(ObjectId::new(0)).unwrap();
         assert!(
@@ -1140,8 +1139,13 @@ mod tests {
             "the 30-day breakpoint never fired"
         );
         assert!(widest > 0, "no window ever opened");
-        // One store every ten minutes schedules at most this many per window.
-        assert!(widest as u64 <= WINDOW_MINUTES / 10 + 1, "{widest} entries");
+        // A store every ten minutes schedules at most this many per window
+        // for each lifetime.
+        let per_window = WINDOW_MINUTES / 10 + 1;
+        assert!(
+            widest as u64 <= LIFETIME_HOURS.len() as u64 * per_window,
+            "{widest} entries"
+        );
     }
 
     /// `index_fresh(now)` holds after every `advance(now)`, and an
@@ -1194,9 +1198,9 @@ mod tests {
                 imp(0.1 * f64::from(rng.gen_range(1..=10u32))),
             );
             planned += usize::from(unit.free() < size);
-            let probe = unit.admission(size, incoming, now, &mut scratch);
+            unit.plan(size, incoming, now, &mut scratch);
             assert_eq!(
-                probe,
+                unit.peek_admission(size, incoming, now),
                 oracle.peek_admission(size, incoming, now),
                 "step {step}"
             );
