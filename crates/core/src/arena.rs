@@ -9,14 +9,224 @@
 //! [`ArenaIdx`] held across a recycle can never alias the new occupant
 //! (the ABA guard the arena property tests pin down).
 //!
+//! External ids reach their slots through an [`IdTable`]: open addressing
+//! with linear probing over inline `(id, slot)` pairs, whose deletions
+//! shift later entries back instead of leaving tombstones. A hash map
+//! whose removals leave tombstones runs out of growth room under steady
+//! churn and doubles with no more live ids; this table grows only when
+//! its live ids need the room.
+//!
 //! Serialization round-trips through exactly the same content tree as the
 //! `BTreeMap<ObjectId, StoredObject>` it replaced — an id-keyed object map
 //! in ascending id order — so persisted units remain byte-identical.
 
+use std::fmt;
+
 use serde::{Content, Deserialize, Error, Serialize};
-use sim_core::fx::FxHashMap;
 
 use crate::{ObjectId, StoredObject};
+
+/// An [`IdTable`] bucket: an id and its slot, or vacant.
+#[derive(Clone, Copy)]
+struct Bucket {
+    id: u64,
+    slot: u32,
+}
+
+impl Bucket {
+    /// The slot value that marks a vacant bucket.
+    const VACANT_SLOT: u32 = u32::MAX;
+    const VACANT: Bucket = Bucket {
+        id: 0,
+        slot: Bucket::VACANT_SLOT,
+    };
+
+    fn is_vacant(self) -> bool {
+        self.slot == Bucket::VACANT_SLOT
+    }
+}
+
+/// The fewest buckets an [`IdTable`] allocates.
+const MIN_BUCKETS: usize = 16;
+
+/// A map from [`ObjectId`]s to arena slots, by linear probing over inline
+/// `(id, slot)` buckets.
+///
+/// * A probe starts at the id's *home* bucket, the top bits of the id
+///   times 2⁶⁴/φ (Fibonacci hashing: no per-process seed, so the layout
+///   is the same in every run), and walks forward, wrapping past the
+///   last bucket, to the id or a vacant bucket.
+/// * Removal shifts each later entry of the probe run back into the gap
+///   when the gap lies on that entry's probe path, so no tombstone is
+///   left: every bucket holds a live entry or is vacant.
+/// * The table keeps at most three quarters of its buckets full and
+///   doubles only when an insert of a new id would pass that, so
+///   removals followed by inserts never grow it.
+///
+/// It is never iterated: the arena's own id order comes from its slots.
+/// Slot `u32::MAX` marks a vacant bucket and cannot be stored. Public so
+/// the property tests can drive it, like [`SortedList`](crate::dense::SortedList).
+///
+/// # Examples
+///
+/// ```
+/// use temporal_importance::arena::IdTable;
+/// use temporal_importance::ObjectId;
+///
+/// let mut table = IdTable::new();
+/// assert_eq!(table.insert(ObjectId::new(7), 0), None);
+/// assert_eq!(table.get(ObjectId::new(7)), Some(0));
+/// assert_eq!(table.remove(ObjectId::new(7)), Some(0));
+/// assert!(table.is_empty());
+/// ```
+#[derive(Clone, Default)]
+pub struct IdTable {
+    buckets: Vec<Bucket>,
+    len: usize,
+}
+
+impl fmt::Debug for IdTable {
+    /// A map from ids to slots, in bucket order.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = self.buckets.iter().filter(|bucket| !bucket.is_vacant());
+        f.debug_map()
+            .entries(entries.map(|bucket| (ObjectId::new(bucket.id), bucket.slot)))
+            .finish()
+    }
+}
+
+impl IdTable {
+    /// An empty table; it allocates on its first insert.
+    pub fn new() -> Self {
+        IdTable::default()
+    }
+
+    /// Number of ids held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no id is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of buckets, a power of two (0 before the first insert).
+    pub fn buckets(&self) -> usize {
+        self.buckets.len()
+    }
+
+    /// The bucket a probe for `id` starts at, at the current number of
+    /// buckets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no buckets yet.
+    pub fn home(&self, id: ObjectId) -> usize {
+        assert!(
+            !self.buckets.is_empty(),
+            "an unallocated table has no buckets"
+        );
+        let shift = 64 - self.buckets.len().trailing_zeros();
+        (id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// The bucket holding `id`, or the vacant bucket that ends its probe.
+    #[inline]
+    fn probe(&self, id: ObjectId) -> (usize, Bucket) {
+        let mask = self.buckets.len() - 1;
+        let mut at = self.home(id);
+        loop {
+            let bucket = self.buckets[at];
+            if bucket.is_vacant() || bucket.id == id.raw() {
+                return (at, bucket);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The slot mapped to `id`.
+    #[inline]
+    pub fn get(&self, id: ObjectId) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let (_, bucket) = self.probe(id);
+        (!bucket.is_vacant()).then_some(bucket.slot)
+    }
+
+    /// Maps `id` to `slot`, returning the slot it replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is `u32::MAX`, the vacancy mark.
+    pub fn insert(&mut self, id: ObjectId, slot: u32) -> Option<u32> {
+        assert!(
+            slot != Bucket::VACANT_SLOT,
+            "slot u32::MAX marks a vacant bucket"
+        );
+        if !self.buckets.is_empty() {
+            let (at, bucket) = self.probe(id);
+            if !bucket.is_vacant() {
+                self.buckets[at].slot = slot;
+                return Some(bucket.slot);
+            }
+            if (self.len + 1) * 4 <= self.buckets.len() * 3 {
+                self.buckets[at] = Bucket { id: id.raw(), slot };
+                self.len += 1;
+                return None;
+            }
+        }
+        self.grow();
+        let (at, _) = self.probe(id);
+        self.buckets[at] = Bucket { id: id.raw(), slot };
+        self.len += 1;
+        None
+    }
+
+    /// Unmaps `id`, returning its slot. Later entries of its probe run
+    /// shift back over the gap, so the run stays unbroken without a
+    /// tombstone.
+    pub fn remove(&mut self, id: ObjectId) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let (mut gap, bucket) = self.probe(id);
+        if bucket.is_vacant() {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut at = gap;
+        loop {
+            at = (at + 1) & mask;
+            let next = self.buckets[at];
+            if next.is_vacant() {
+                break;
+            }
+            // `next` may fill the gap unless its home lies after the gap
+            // on the run, i.e. its probe starts between the gap and it.
+            let from_home = at.wrapping_sub(self.home(ObjectId::new(next.id))) & mask;
+            if from_home >= at.wrapping_sub(gap) & mask {
+                self.buckets[gap] = next;
+                gap = at;
+            }
+        }
+        self.buckets[gap] = Bucket::VACANT;
+        self.len -= 1;
+        Some(bucket.slot)
+    }
+
+    /// Doubles the buckets (or allocates the first ones) and re-places
+    /// every entry.
+    fn grow(&mut self) {
+        let buckets = (self.buckets.len() * 2).max(MIN_BUCKETS);
+        let old = std::mem::replace(&mut self.buckets, vec![Bucket::VACANT; buckets]);
+        for bucket in old.into_iter().filter(|bucket| !bucket.is_vacant()) {
+            let (at, _) = self.probe(ObjectId::new(bucket.id));
+            self.buckets[at] = bucket;
+        }
+    }
+}
 
 /// A generation-checked handle to an arena slot.
 ///
@@ -67,7 +277,7 @@ struct Slot {
 pub struct ObjectArena {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    by_id: FxHashMap<ObjectId, u32>,
+    by_id: IdTable,
     len: usize,
 }
 
@@ -89,7 +299,7 @@ impl ObjectArena {
 
     /// True if an object with this id is resident.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.by_id.contains_key(&id)
+        self.by_id.get(id).is_some()
     }
 
     /// Admits an object, assigning it a dense slot (recycled if any are
@@ -117,7 +327,7 @@ impl ObjectArena {
                 slot
             }
         };
-        // One hash probe covers both the duplicate check and the mapping.
+        // One probe covers both the duplicate check and the mapping.
         let previous = self.by_id.insert(id, slot);
         assert!(previous.is_none(), "duplicate object id {id}");
         self.len += 1;
@@ -136,7 +346,7 @@ impl ObjectArena {
     /// slot's generation is bumped so existing handles go stale before the
     /// slot is recycled.
     pub(crate) fn remove_entry(&mut self, id: ObjectId) -> Option<(u32, StoredObject)> {
-        let slot = self.by_id.remove(&id)?;
+        let slot = self.by_id.remove(id)?;
         let entry = &mut self.slots[slot as usize];
         let object = entry.object.take().expect("mapped slot is occupied");
         entry.generation = entry.generation.wrapping_add(1);
@@ -147,7 +357,7 @@ impl ObjectArena {
 
     /// The current handle for a resident id.
     pub fn lookup(&self, id: ObjectId) -> Option<ArenaIdx> {
-        let slot = *self.by_id.get(&id)?;
+        let slot = self.by_id.get(id)?;
         Some(ArenaIdx {
             slot,
             generation: self.slots[slot as usize].generation,
@@ -166,17 +376,8 @@ impl ObjectArena {
 
     /// Looks up a resident object by id.
     pub fn get(&self, id: ObjectId) -> Option<&StoredObject> {
-        let slot = *self.by_id.get(&id)?;
+        let slot = self.by_id.get(id)?;
         self.slots[slot as usize].object.as_ref()
-    }
-
-    /// Mutable access by id, paired with the object's slot.
-    pub(crate) fn get_mut(&mut self, id: ObjectId) -> Option<(u32, &mut StoredObject)> {
-        let slot = *self.by_id.get(&id)?;
-        self.slots[slot as usize]
-            .object
-            .as_mut()
-            .map(|object| (slot, object))
     }
 
     /// The object occupying `slot`.
@@ -190,6 +391,18 @@ impl ObjectArena {
         self.slots[slot as usize]
             .object
             .as_ref()
+            .expect("indexed slot is vacant")
+    }
+
+    /// Mutable access to the object occupying `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is vacant.
+    pub(crate) fn at_mut(&mut self, slot: u32) -> &mut StoredObject {
+        self.slots[slot as usize]
+            .object
+            .as_mut()
             .expect("indexed slot is vacant")
     }
 
@@ -208,17 +421,17 @@ impl ObjectArena {
         refs.into_iter()
     }
 
-    /// Resident `(slot, object)` pairs in ascending id order (the rebuild
+    /// Occupied slots in ascending id order of their objects (the rebuild
     /// path, matching the insertion order of a fresh index).
-    pub(crate) fn entries_by_id(&self) -> impl Iterator<Item = (u32, &StoredObject)> {
-        let mut refs: Vec<(u32, &StoredObject)> = self
+    pub(crate) fn slots_by_id(&self) -> Vec<u32> {
+        let mut slots: Vec<(ObjectId, u32)> = self
             .slots
             .iter()
             .enumerate()
-            .filter_map(|(slot, entry)| entry.object.as_ref().map(|o| (slot as u32, o)))
+            .filter_map(|(slot, entry)| entry.object.as_ref().map(|o| (o.id(), slot as u32)))
             .collect();
-        refs.sort_unstable_by_key(|&(_, object)| object.id());
-        refs.into_iter()
+        slots.sort_unstable();
+        slots.into_iter().map(|(_, slot)| slot).collect()
     }
 }
 
@@ -312,8 +525,7 @@ mod tests {
         arena.insert(object(3)); // recycles slot 0
         let ids: Vec<u64> = arena.iter().map(|o| o.id().raw()).collect();
         assert_eq!(ids, vec![1, 3]);
-        let slots: Vec<u32> = arena.entries_by_id().map(|(slot, _)| slot).collect();
-        assert_eq!(slots, vec![1, 0]);
+        assert_eq!(arena.slots_by_id(), vec![1, 0]);
     }
 
     #[test]

@@ -29,12 +29,24 @@
 //! All of this is laid out over the unit's [`ObjectArena`] slots: the
 //! ordered structures are [`SortedList`]s mapping eviction keys to dense
 //! `u32` slots (struct-of-arrays, no per-entry allocation), and per-object
-//! classification state lives in slot-indexed [`TotalMap`] columns instead
-//! of an id-keyed hash map. Entry keys still end in `ObjectId` — ids are
-//! the §5.3 tiebreaker — but every lookup from a candidate back to its
-//! object is a vector index, not a hash probe. The iteration order of each
-//! list equals the `BTreeSet` ordering it replaced, which the golden trace
-//! pins.
+//! classification state lives in three slot-indexed [`TotalMap`] columns
+//! instead of an id-keyed hash map: `home` (which structure holds the
+//! object), `reg` (its density registration) and the breakpoint queue's
+//! `pending`. What the object itself says — annotation instant, arrival,
+//! size — is read from the object, never copied into a column: an eviction
+//! passes in the object it just took out of the arena, and an annotation
+//! change takes the object out of the index before changing it and files
+//! it again after. Entry keys still end in `ObjectId` — ids are the §5.3
+//! tiebreaker — but every lookup from a candidate back to its object is a
+//! vector index, not a hash probe. The iteration order of each list equals
+//! the `BTreeSet` ordering it replaced, which the golden trace pins.
+//!
+//! Each shape group holds an [`Arc`] of its curve that every resident of
+//! the shape shares: [`EngineIndex::intern`] answers a store with the
+//! group and that allocation from one hash lookup, and a rebuild gives each
+//! object its group's allocation, so a deserialized or restored unit
+//! shares its curves again. The group also keeps the curve inline, where
+//! a plan reads it for every head it evaluates.
 //!
 //! # Planning
 //!
@@ -97,6 +109,7 @@
 //! [`StorageUnit`]: crate::StorageUnit
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use sim_core::fx::FxHashMap;
 use sim_core::{Obs, SimDuration, SimTime};
@@ -198,10 +211,14 @@ type MemberKey = (SimTime, SimTime, ObjectId);
 #[derive(Debug, Clone)]
 struct ShapeGroup {
     members: SortedList<MemberKey>,
-    /// A representative curve, pointwise identical to every member's
-    /// (the [`FamilyKey::of`] contract), so stream heads compute exact
-    /// eviction keys without touching any `StoredObject`.
+    /// The shape's curve (every member's has equal fields: the
+    /// [`FamilyKey::of`] contract), so stream heads compute exact
+    /// eviction keys without touching any `StoredObject`. Held inline: a
+    /// plan reads it for every head it evaluates.
     curve: ImportanceCurve,
+    /// The same curve, the one allocation every resident of the shape
+    /// holds.
+    shared: Arc<ImportanceCurve>,
     family: u32,
     plateau: SimDuration,
 }
@@ -643,19 +660,15 @@ impl DensityAccum {
 /// Ordered structures are [`SortedList`]s whose payloads are arena slots;
 /// per-object classification state lives in slot-indexed [`TotalMap`]
 /// columns (struct-of-arrays) so registering/unregistering an object never
-/// hashes its id.
+/// hashes its id. The columns hold only what the index derives; the
+/// object's own fields are read from the object, which every mutation
+/// passes in before it changes or leaves.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineIndex {
     /// The time the index is classified at; only moves forward.
     clock: SimTime,
     /// Number of indexed objects.
     len: usize,
-    /// Per-slot annotation instants of indexed objects.
-    ann: TotalMap<SimTime>,
-    /// Per-slot arrival instants of indexed objects.
-    arrival: TotalMap<SimTime>,
-    /// Per-slot object sizes as floats (density weights).
-    size_f: TotalMap<f64>,
     /// Per-slot candidate-structure membership.
     home: TotalMap<Home>,
     /// Per-slot density registrations.
@@ -680,8 +693,9 @@ pub(crate) struct EngineIndex {
     /// Never-expiring objects on a constant segment by `(value bits,
     /// arrival, id)`.
     settled: SortedList<(u64, SimTime, ObjectId)>,
-    /// Same-shape cohorts. Inserts append: members of one shape arrive
-    /// in annotation order.
+    /// Same-shape cohorts, one for every shape a resident has held since
+    /// the index was built, members or not. Inserts append: members of
+    /// one shape arrive in annotation order.
     groups: Vec<ShapeGroup>,
     group_ids: FxHashMap<(FamilyKey, SimDuration), u32>,
     /// Per family, its non-empty groups keyed by their head's
@@ -697,9 +711,6 @@ impl Default for EngineIndex {
         EngineIndex {
             clock: SimTime::ZERO,
             len: 0,
-            ann: TotalMap::new(SimTime::ZERO),
-            arrival: TotalMap::new(SimTime::ZERO),
-            size_f: TotalMap::new(0.0),
             home: TotalMap::new(Home::Absent),
             reg: TotalMap::new(Registered::None),
             breakpoints: Breakpoints::default(),
@@ -779,17 +790,22 @@ impl EngineIndex {
 
     /// Rebuilds the whole index at `now` (post-deserialization path).
     /// Objects are inserted in ascending id order — the same order the
-    /// id-keyed map this arena replaced iterated in — so group numbering
-    /// and accumulator arithmetic match a freshly grown index.
-    pub(crate) fn rebuild(&mut self, objects: &ObjectArena, now: SimTime, track_fifo: bool) {
+    /// id-keyed map this arena replaced iterated in — so accumulator
+    /// arithmetic matches a freshly grown index. Each object comes to
+    /// hold its shape group's curve, so a unit that was deserialized or
+    /// restored shares its curves again.
+    pub(crate) fn rebuild(&mut self, objects: &mut ObjectArena, now: SimTime, track_fifo: bool) {
         *self = EngineIndex {
             clock: self.clock.max(now),
             track_fifo,
             ..EngineIndex::default()
         };
         self.density.at = self.clock;
-        for (slot, object) in objects.entries_by_id() {
-            self.insert(slot, object);
+        for slot in objects.slots_by_id() {
+            let object = objects.at_mut(slot);
+            let (group, curve) = self.intern(object.curve());
+            object.share_curve(&curve);
+            self.insert(slot, object, group);
         }
     }
 
@@ -821,48 +837,59 @@ impl EngineIndex {
         }
     }
 
-    /// Indexes a newly stored object (classified at the current clock).
-    pub(crate) fn insert(&mut self, slot: u32, object: &StoredObject) {
+    /// The shape group of `curve`, created (and its family with it) on
+    /// first use, and the curve allocation its residents share: one hash
+    /// lookup, whose group a store then passes to
+    /// [`insert`](EngineIndex::insert).
+    pub(crate) fn intern(&mut self, curve: &ImportanceCurve) -> (u32, Arc<ImportanceCurve>) {
+        let group = self.group_of(curve);
+        (group, Arc::clone(&self.groups[group as usize].shared))
+    }
+
+    /// Indexes a newly stored object (classified at the current clock);
+    /// `group` is its curve's, from [`intern`](EngineIndex::intern).
+    pub(crate) fn insert(&mut self, slot: u32, object: &StoredObject, group: u32) {
         if self.track_fifo {
             self.fifo
                 .insert((object.arrival(), object.id()), u64::from(slot));
         }
-        self.register(slot, object);
+        self.register(slot, object, group);
     }
 
-    /// Drops an object from the index entirely (eviction/removal). A no-op
-    /// if the slot was never indexed (pre-rebuild state).
-    pub(crate) fn remove(&mut self, slot: u32, id: ObjectId) {
-        if *self.home.get(slot) == Home::Absent {
-            return;
-        }
-        let arrival = *self.arrival.get(slot);
-        self.unregister(slot, id);
-        if self.track_fifo {
-            self.fifo.remove(&(arrival, id));
+    /// Drops `object`, just taken out of `slot`, from the index entirely
+    /// (eviction/removal). A no-op if the slot was never indexed
+    /// (pre-rebuild state).
+    pub(crate) fn remove(&mut self, slot: u32, object: &StoredObject) {
+        if self.take_out(slot, object) && self.track_fifo {
+            self.fifo.remove(&(object.arrival(), object.id()));
         }
     }
 
-    /// Re-indexes an object after its annotation changed in place.
-    pub(crate) fn reannotate(&mut self, slot: u32, object: &StoredObject) {
-        if *self.home.get(slot) != Home::Absent {
-            self.unregister(slot, object.id());
-            self.register(slot, object);
+    /// Takes `object` out of the index before its annotation changes,
+    /// keeping its FIFO position; false if the slot was never indexed
+    /// (pre-rebuild state). [`register`](EngineIndex::register) re-files
+    /// it once it has changed.
+    pub(crate) fn take_out(&mut self, slot: u32, object: &StoredObject) -> bool {
+        let indexed = *self.home.get(slot) != Home::Absent;
+        if indexed {
+            self.unregister(slot, object);
         }
+        indexed
     }
 
-    /// Classifies `object` at the current clock and adds it to its home
-    /// structure, the density accumulators and (if needed) the breakpoint
-    /// queue.
-    fn register(&mut self, slot: u32, object: &StoredObject) {
-        let class = self.classify(object);
+    /// Classifies `object`, whose curve's group is `group`, at the current
+    /// clock and adds it to its home structure, the density accumulators
+    /// and (if needed) the breakpoint queue.
+    pub(crate) fn register(&mut self, slot: u32, object: &StoredObject, group: u32) {
+        let class = self.classify(object, Some(group));
         self.file(slot, object, class);
     }
 
     /// Where `object` belongs at the current clock: its home, its density
-    /// registration and its next breakpoint. Creates its shape group on
-    /// first use and changes nothing else.
-    fn classify(&mut self, object: &StoredObject) -> Class {
+    /// registration and its next breakpoint. `group` is its curve's group
+    /// when the caller knows it; otherwise a home in a group looks it up.
+    /// Changes nothing else.
+    fn classify(&mut self, object: &StoredObject, group: Option<u32>) -> Class {
         let id = object.id();
         let ann = object.annotated_at();
         let age = self.clock.saturating_since(ann);
@@ -884,7 +911,7 @@ impl EngineIndex {
             // position for this minute and finalizes into the expired set
             // at the next one.
             let next = segment.next.expect("step boundary has a next breakpoint");
-            let group = self.group_of(object.curve());
+            let group = group.unwrap_or_else(|| self.group_of(object.curve()));
             (Home::Group(group), reg, Some(at(next, EventKind::Finalize)))
         } else if object.curve().expiry().is_none()
             && matches!(segment.form, SegmentForm::Constant(_))
@@ -897,7 +924,7 @@ impl EngineIndex {
             let event = segment.next.map(|next| at(next, EventKind::Segment));
             (Home::Settled(value.to_bits()), reg, event)
         } else {
-            let group = self.group_of(object.curve());
+            let group = group.unwrap_or_else(|| self.group_of(object.curve()));
             let event = segment.next.map(|next| at(next, EventKind::Segment));
             (Home::Group(group), reg, event)
         }
@@ -921,9 +948,6 @@ impl EngineIndex {
             self.schedule(slot, pending);
         }
         self.density.signed_update(&reg, size_f, ann, 1.0);
-        self.ann.set(slot, ann);
-        self.arrival.set(slot, arrival);
-        self.size_f.set(slot, size_f);
         self.home.set(slot, home);
         self.reg.set(slot, reg);
         self.len += 1;
@@ -934,15 +958,21 @@ impl EngineIndex {
     /// arrival, id)`, or the settled value with arrival and id — is
     /// unchanged, so only the density registration (old one out, then new
     /// one in, as a re-file orders them) and the next breakpoint change.
+    /// A member of a group keeps its group: its curve has not changed.
     fn transition(&mut self, slot: u32, object: &StoredObject) {
-        let class = self.classify(object);
-        if class.0 != *self.home.get(slot) {
-            self.unregister(slot, object.id());
+        let home = *self.home.get(slot);
+        let group = match home {
+            Home::Group(group) => Some(group),
+            _ => None,
+        };
+        let class = self.classify(object, group);
+        if class.0 != home {
+            self.unregister(slot, object);
             self.file(slot, object, class);
             return;
         }
         let (_, reg, event) = class;
-        let (ann, size_f) = (*self.ann.get(slot), *self.size_f.get(slot));
+        let (ann, size_f) = (object.annotated_at(), object.size().as_bytes() as f64);
         let old = self.reg.take(slot);
         self.density.signed_update(&old, size_f, ann, -1.0);
         self.density.signed_update(&reg, size_f, ann, 1.0);
@@ -961,11 +991,11 @@ impl EngineIndex {
         self.breakpoints.schedule(slot, pending);
     }
 
-    /// Removes an object from its home structure, the density accumulators
-    /// and the breakpoint queue, using the state captured at registration.
-    fn unregister(&mut self, slot: u32, id: ObjectId) {
-        let ann = *self.ann.get(slot);
-        let arrival = *self.arrival.get(slot);
+    /// Removes `object` from its home structure, the density accumulators
+    /// and the breakpoint queue. Its keys and weight are read from the
+    /// object, so this runs before the object changes.
+    fn unregister(&mut self, slot: u32, object: &StoredObject) {
+        let (id, ann, arrival) = (object.id(), object.annotated_at(), object.arrival());
         match *self.home.get(slot) {
             Home::Absent => panic!("unregister unindexed slot"),
             Home::Group(group) => self.group_remove(group, (ann, arrival, id)),
@@ -983,8 +1013,8 @@ impl EngineIndex {
             }
         }
         let reg = self.reg.take(slot);
-        self.density
-            .signed_update(&reg, *self.size_f.get(slot), ann, -1.0);
+        let size_f = object.size().as_bytes() as f64;
+        self.density.signed_update(&reg, size_f, ann, -1.0);
         self.len -= 1;
     }
 
@@ -1004,6 +1034,7 @@ impl EngineIndex {
         self.groups.push(ShapeGroup {
             members: SortedList::new(),
             curve: curve.clone(),
+            shared: Arc::new(curve.clone()),
             family,
             plateau: shape.1,
         });
@@ -1416,14 +1447,15 @@ mod tests {
             let slot = objects
                 .insert(StoredObject::from_spec(spec, SimTime::ZERO))
                 .slot();
-            index.insert(slot, objects.at(slot));
+            let (group, _) = index.intern(objects.at(slot).curve());
+            index.insert(slot, objects.at(slot), group);
             slots.push(slot);
         }
         // The neighbour wanes for a day and a bit, then leaves.
         let gone = SimTime::from_days(2) + SimDuration::from_minutes(777);
         index.advance(&objects, gone, &obs);
-        index.remove(slots[1], ObjectId::new(2));
-        objects.remove(ObjectId::new(2));
+        let neighbour = objects.remove(ObjectId::new(2)).unwrap();
+        index.remove(slots[1], &neighbour);
         let exit = SimTime::from_days(3);
         index.advance(&objects, exit - minute, &obs);
         let before = index.density.clone();

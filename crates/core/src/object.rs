@@ -1,8 +1,9 @@
 //! The object model: identifiers, classes, specifications and stored state.
 
 use std::fmt;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Error, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
 
 use crate::{Importance, ImportanceCurve};
@@ -186,14 +187,42 @@ impl From<ObjectSpec> for crate::protocol::Request {
 }
 
 /// An object resident in a [`StorageUnit`](crate::StorageUnit).
+///
+/// A unit's residents of one curve shape share one allocation of the
+/// curve (48 B a resident instead of 80); the curve reads, compares,
+/// prints and serializes as if each held its own copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredObject {
     id: ObjectId,
     size: ByteSize,
-    curve: ImportanceCurve,
+    curve: SharedCurve,
     class: ObjectClass,
     arrival: SimTime,
     annotated_at: SimTime,
+}
+
+/// A curve behind an [`Arc`], shared by every resident of its shape in a
+/// unit. `Debug`, equality and serde see only the curve, so a
+/// [`StoredObject`] has the same forms as when it held the curve inline.
+#[derive(Clone, PartialEq)]
+struct SharedCurve(Arc<ImportanceCurve>);
+
+impl fmt::Debug for SharedCurve {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl Serialize for SharedCurve {
+    fn to_content(&self) -> Content {
+        self.0.to_content()
+    }
+}
+
+impl Deserialize for SharedCurve {
+    fn deserialize(content: &Content) -> Result<Self, Error> {
+        ImportanceCurve::deserialize(content).map(|curve| SharedCurve(Arc::new(curve)))
+    }
 }
 
 impl StoredObject {
@@ -202,10 +231,31 @@ impl StoredObject {
     /// start at the store instant. Public so arena tooling and property
     /// tests can mint residents without driving a whole unit.
     pub fn from_spec(spec: ObjectSpec, now: SimTime) -> Self {
+        let ObjectSpec {
+            id,
+            size,
+            curve,
+            class,
+        } = spec;
+        StoredObject {
+            id,
+            size,
+            curve: SharedCurve(Arc::new(curve)),
+            class,
+            arrival: now,
+            annotated_at: now,
+        }
+    }
+
+    /// As [`from_spec`](StoredObject::from_spec), holding `curve` — the
+    /// unit's shared allocation of a curve equal to the spec's — in place
+    /// of a copy of its own.
+    pub(crate) fn sharing(spec: ObjectSpec, curve: Arc<ImportanceCurve>, now: SimTime) -> Self {
+        debug_assert!(*curve == spec.curve, "a shared curve equals the spec's");
         StoredObject {
             id: spec.id,
             size: spec.size,
-            curve: spec.curve,
+            curve: SharedCurve(curve),
             class: spec.class,
             arrival: now,
             annotated_at: now,
@@ -224,7 +274,7 @@ impl StoredObject {
 
     /// The active lifetime annotation.
     pub fn curve(&self) -> &ImportanceCurve {
-        &self.curve
+        &self.curve.0
     }
 
     /// The class tag.
@@ -252,24 +302,37 @@ impl StoredObject {
 
     /// The object's current importance at `now`.
     pub fn current_importance(&self, now: SimTime) -> Importance {
-        self.curve.importance_at(self.annotation_age(now))
+        self.curve().importance_at(self.annotation_age(now))
     }
 
     /// Remaining time until the annotation expires, if it ever does.
     pub fn remaining_lifetime(&self, now: SimTime) -> Option<SimDuration> {
-        self.curve
+        self.curve()
             .expiry()
             .map(|e| e.saturating_sub(self.annotation_age(now)))
     }
 
     /// True if the annotation has expired at `now`.
     pub fn is_expired(&self, now: SimTime) -> bool {
-        self.curve.is_expired(self.annotation_age(now))
+        self.curve().is_expired(self.annotation_age(now))
     }
 
-    pub(crate) fn rejuvenate(&mut self, curve: ImportanceCurve, now: SimTime) {
-        self.curve = curve;
+    /// Replaces the annotation with `curve`, applied at `now`.
+    pub(crate) fn rejuvenate(&mut self, curve: Arc<ImportanceCurve>, now: SimTime) {
+        self.curve = SharedCurve(curve);
         self.annotated_at = now;
+    }
+
+    /// Holds `curve`, an allocation equal to the object's own curve, in
+    /// place of the one it holds.
+    pub(crate) fn share_curve(&mut self, curve: &Arc<ImportanceCurve>) {
+        debug_assert!(
+            **curve == *self.curve.0,
+            "a shared curve equals the object's"
+        );
+        if !Arc::ptr_eq(&self.curve.0, curve) {
+            self.curve = SharedCurve(Arc::clone(curve));
+        }
     }
 }
 
@@ -327,6 +390,52 @@ mod tests {
         );
     }
 
+    /// A resident is 48 B: its curve is one shared allocation, not 40 B
+    /// inline (80 B in all).
+    #[test]
+    fn a_resident_holds_its_curve_by_pointer() {
+        assert!(std::mem::size_of::<StoredObject>() <= 48);
+    }
+
+    /// The shared curve is invisible to `Debug`, equality and serde: all
+    /// read as the layout that held the curve inline.
+    #[test]
+    fn forms_match_the_inline_curve_layout() {
+        mod inline {
+            use super::*;
+
+            #[derive(Debug, Serialize)]
+            pub struct StoredObject {
+                pub id: ObjectId,
+                pub size: ByteSize,
+                pub curve: ImportanceCurve,
+                pub class: ObjectClass,
+                pub arrival: SimTime,
+                pub annotated_at: SimTime,
+            }
+        }
+        let obj = StoredObject::from_spec(
+            spec().with_class(ObjectClass::new(2)),
+            SimTime::from_days(3),
+        );
+        let flat = inline::StoredObject {
+            id: obj.id(),
+            size: obj.size(),
+            curve: obj.curve().clone(),
+            class: obj.class(),
+            arrival: obj.arrival(),
+            annotated_at: obj.annotated_at(),
+        };
+        assert_eq!(format!("{obj:?}"), format!("{flat:?}"));
+        assert_eq!(format!("{obj:#?}"), format!("{flat:#?}"));
+        assert_eq!(obj.to_content(), flat.to_content());
+        let back = StoredObject::deserialize(&obj.to_content()).unwrap();
+        assert_eq!(back, obj);
+        let mut shared = back.clone();
+        shared.share_curve(&Arc::new(obj.curve().clone()));
+        assert_eq!(shared, obj, "equality reads the curve, not its allocation");
+    }
+
     #[test]
     fn rejuvenation_resets_annotation_age_not_arrival() {
         let arrived = SimTime::from_days(0);
@@ -334,7 +443,7 @@ mod tests {
         let later = SimTime::from_days(19);
         assert!(obj.current_importance(later) < Importance::FULL);
         obj.rejuvenate(
-            ImportanceCurve::fixed_lifetime(SimDuration::from_days(30)),
+            Arc::new(ImportanceCurve::fixed_lifetime(SimDuration::from_days(30))),
             later,
         );
         assert_eq!(obj.arrival(), arrived);

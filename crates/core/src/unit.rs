@@ -1,5 +1,7 @@
 //! A single storage unit with the temporal-importance reclamation engine.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, Obs, SimTime};
 
@@ -295,7 +297,7 @@ impl StorageUnit {
         }
         if self.index.len() != self.objects.len() {
             self.index
-                .rebuild(&self.objects, now, self.policy == EvictionPolicy::Fifo);
+                .rebuild(&mut self.objects, now, self.policy == EvictionPolicy::Fifo);
         } else {
             self.index.advance(&self.objects, now, &self.obs);
         }
@@ -445,9 +447,15 @@ impl StorageUnit {
         self.used += spec.size();
         self.stats.stores_accepted += 1;
         self.stats.bytes_accepted += spec.size().as_bytes();
-        let idx = self.objects.insert(StoredObject::from_spec(spec, now));
-        if !self.naive {
-            self.index.insert(idx.slot(), self.objects.at(idx.slot()));
+        if self.naive {
+            self.objects.insert(StoredObject::from_spec(spec, now));
+        } else {
+            let (group, curve) = self.index.intern(spec.curve());
+            let slot = self
+                .objects
+                .insert(StoredObject::sharing(spec, curve, now))
+                .slot();
+            self.index.insert(slot, self.objects.at(slot), group);
         }
 
         Ok(StoreOutcome {
@@ -543,19 +551,17 @@ impl StorageUnit {
         now: SimTime,
     ) -> Result<(), RejuvenateError> {
         self.advance(now);
-        let (slot, object) = self
+        let slot = self
             .objects
-            .get_mut(id)
-            .ok_or(RejuvenateError::NotFound(id))?;
-        let current = object.current_importance(now);
+            .lookup(id)
+            .ok_or(RejuvenateError::NotFound(id))?
+            .slot();
+        let current = self.objects.at(slot).current_importance(now);
         let proposed = curve.initial_importance();
         if proposed < current {
             return Err(RejuvenateError::WouldLowerImportance { current, proposed });
         }
-        object.rejuvenate(curve, now);
-        if !self.naive {
-            self.index.reannotate(slot, self.objects.at(slot));
-        }
+        self.annotate(slot, curve, now);
         Ok(())
     }
 
@@ -573,15 +579,27 @@ impl StorageUnit {
         now: SimTime,
     ) -> Result<(), RejuvenateError> {
         self.advance(now);
-        let (slot, object) = self
+        let slot = self
             .objects
-            .get_mut(id)
-            .ok_or(RejuvenateError::NotFound(id))?;
-        object.rejuvenate(curve, now);
-        if !self.naive {
-            self.index.reannotate(slot, self.objects.at(slot));
-        }
+            .lookup(id)
+            .ok_or(RejuvenateError::NotFound(id))?
+            .slot();
+        self.annotate(slot, curve, now);
         Ok(())
+    }
+
+    /// Gives the resident in `slot` the annotation `curve`, applied at
+    /// `now`: the index takes the object out, the object changes, the
+    /// index puts it back.
+    fn annotate(&mut self, slot: u32, curve: ImportanceCurve, now: SimTime) {
+        let object = self.objects.at_mut(slot);
+        if self.naive || !self.index.take_out(slot, object) {
+            object.rejuvenate(Arc::new(curve), now);
+            return;
+        }
+        let (group, shared) = self.index.intern(&curve);
+        object.rejuvenate(shared, now);
+        self.index.register(slot, object, group);
     }
 
     fn evict(&mut self, id: ObjectId, now: SimTime, reason: EvictionReason) -> EvictionRecord {
@@ -590,7 +608,7 @@ impl StorageUnit {
             .remove_entry(id)
             .expect("evict called with resident id");
         if !self.naive {
-            self.index.remove(slot, id);
+            self.index.remove(slot, &object);
         }
         self.used -= object.size();
         match reason {
@@ -1597,6 +1615,65 @@ mod tests {
                 .current_importance(SimTime::ZERO),
             Importance::ZERO
         );
+    }
+
+    /// Residents of one shape share one curve allocation: after a store,
+    /// a rejuvenation and a reannotation, and once the index rebuilds
+    /// after a serde round trip or a restore, whose residents arrive
+    /// holding a curve each.
+    #[test]
+    fn residents_of_one_shape_share_one_curve() {
+        let shares = |unit: &StorageUnit, a: u64, b: u64| {
+            let curve = |id| unit.get(ObjectId::new(id)).unwrap().curve();
+            std::ptr::eq(curve(a), curve(b))
+        };
+        // Each resident holding an allocation of its own, as a durable
+        // log or a snapshot hands them over.
+        let unshared = |unit: &StorageUnit| -> Vec<StoredObject> {
+            unit.iter()
+                .map(|o| StoredObject::deserialize(&o.to_content()).unwrap())
+                .collect()
+        };
+        let step = |level, plateau| ImportanceCurve::two_step(imp(level), days(plateau), days(10));
+        let mut unit = StorageUnit::new(mib(100));
+        for id in 0..6 {
+            let spec = ObjectSpec::new(ObjectId::new(id), mib(1), step(0.5, 10));
+            unit.store(spec, SimTime::from_minutes(id)).unwrap();
+        }
+        assert!(shares(&unit, 0, 5));
+        let later = SimTime::from_days(1);
+        for id in [0, 1] {
+            unit.rejuvenate(ObjectId::new(id), step(0.9, 20), later)
+                .unwrap();
+        }
+        for id in [2, 3] {
+            unit.reannotate(ObjectId::new(id), step(0.1, 3), later)
+                .unwrap();
+        }
+        let pairs = [(0, 1), (2, 3), (4, 5)];
+        assert!(pairs.iter().all(|&(a, b)| shares(&unit, a, b)));
+        assert!(!shares(&unit, 1, 2) && !shares(&unit, 3, 4));
+
+        let json = serde_json::to_string(&unit).unwrap();
+        let mut back: StorageUnit = serde_json::from_str(&json).unwrap();
+        assert!(
+            !shares(&back, 0, 1),
+            "a deserialized resident holds its own curve"
+        );
+        back.advance(later);
+        assert!(pairs.iter().all(|&(a, b)| shares(&back, a, b)));
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        let mut restored = StorageUnit::builder(mib(100))
+            .restore(*unit.stats(), unshared(&unit))
+            .unwrap();
+        assert!(
+            !shares(&restored, 0, 1),
+            "a restored resident holds its own curve"
+        );
+        restored.advance(later);
+        assert!(pairs.iter().all(|&(a, b)| shares(&restored, a, b)));
+        assert_eq!(serde_json::to_string(&restored).unwrap(), json);
     }
 
     #[test]
