@@ -9,7 +9,7 @@
 //! [`ArenaIdx`] held across a recycle can never alias the new occupant
 //! (the ABA guard the arena property tests pin down).
 //!
-//! External ids reach their slots through an [`IdTable`]: open addressing
+//! External ids reach their slots through an `IdTable`: open addressing
 //! with linear probing over inline `(id, slot)` pairs, whose deletions
 //! shift later entries back instead of leaving tombstones. A hash map
 //! whose removals leave tombstones runs out of growth room under steady
@@ -64,23 +64,9 @@ const MIN_BUCKETS: usize = 16;
 ///   removals followed by inserts never grow it.
 ///
 /// It is never iterated: the arena's own id order comes from its slots.
-/// Slot `u32::MAX` marks a vacant bucket and cannot be stored. Public so
-/// the property tests can drive it, like [`SortedList`](crate::dense::SortedList).
-///
-/// # Examples
-///
-/// ```
-/// use temporal_importance::arena::IdTable;
-/// use temporal_importance::ObjectId;
-///
-/// let mut table = IdTable::new();
-/// assert_eq!(table.insert(ObjectId::new(7), 0), None);
-/// assert_eq!(table.get(ObjectId::new(7)), Some(0));
-/// assert_eq!(table.remove(ObjectId::new(7)), Some(0));
-/// assert!(table.is_empty());
-/// ```
+/// Slot `u32::MAX` marks a vacant bucket and cannot be stored.
 #[derive(Clone, Default)]
-pub struct IdTable {
+struct IdTable {
     buckets: Vec<Bucket>,
     len: usize,
 }
@@ -96,37 +82,9 @@ impl fmt::Debug for IdTable {
 }
 
 impl IdTable {
-    /// An empty table; it allocates on its first insert.
-    pub fn new() -> Self {
-        IdTable::default()
-    }
-
-    /// Number of ids held.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no id is held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of buckets, a power of two (0 before the first insert).
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// The bucket a probe for `id` starts at, at the current number of
-    /// buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table has no buckets yet.
-    pub fn home(&self, id: ObjectId) -> usize {
-        assert!(
-            !self.buckets.is_empty(),
-            "an unallocated table has no buckets"
-        );
+    /// buckets (at least one).
+    fn home(&self, id: ObjectId) -> usize {
         let shift = 64 - self.buckets.len().trailing_zeros();
         (id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
     }
@@ -147,7 +105,7 @@ impl IdTable {
 
     /// The slot mapped to `id`.
     #[inline]
-    pub fn get(&self, id: ObjectId) -> Option<u32> {
+    fn get(&self, id: ObjectId) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
@@ -160,7 +118,7 @@ impl IdTable {
     /// # Panics
     ///
     /// Panics if `slot` is `u32::MAX`, the vacancy mark.
-    pub fn insert(&mut self, id: ObjectId, slot: u32) -> Option<u32> {
+    fn insert(&mut self, id: ObjectId, slot: u32) -> Option<u32> {
         assert!(
             slot != Bucket::VACANT_SLOT,
             "slot u32::MAX marks a vacant bucket"
@@ -187,7 +145,7 @@ impl IdTable {
     /// Unmaps `id`, returning its slot. Later entries of its probe run
     /// shift back over the gap, so the run stays unbroken without a
     /// tombstone.
-    pub fn remove(&mut self, id: ObjectId) -> Option<u32> {
+    fn remove(&mut self, id: ObjectId) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
@@ -479,7 +437,8 @@ impl Deserialize for ObjectArena {
 mod tests {
     use super::*;
     use crate::{ImportanceCurve, ObjectSpec};
-    use sim_core::{ByteSize, SimTime};
+    use rand::Rng;
+    use sim_core::{rng, ByteSize, SimTime};
     use std::collections::BTreeMap;
 
     fn object(id: u64) -> StoredObject {
@@ -541,6 +500,117 @@ mod tests {
         let back = ObjectArena::deserialize(&arena.to_content()).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(ObjectId::new(7)).unwrap().id(), ObjectId::new(7));
+    }
+
+    /// Cases for the id-table model: `DIFF_CASES` when set (the nightly
+    /// deep fuzz runs 4096), else 256.
+    fn id_table_cases() -> u64 {
+        std::env::var("DIFF_CASES")
+            .ok()
+            .and_then(|cases| cases.parse().ok())
+            .unwrap_or(256)
+    }
+
+    /// The buckets an `IdTable` needs for `peak` live ids: the fewest (at
+    /// least 16, a power of two) that keep it at most three quarters full.
+    fn buckets_for(peak: usize) -> usize {
+        if peak == 0 {
+            return 0;
+        }
+        let mut buckets = MIN_BUCKETS;
+        while peak * 4 > buckets * 3 {
+            buckets *= 2;
+        }
+        buckets
+    }
+
+    /// Replays random inserts, removals and lookups against a `BTreeMap`
+    /// model. The ids are drawn from a pool of 32: eight share one home
+    /// bucket at 16 buckets, eight start in the last two buckets, whose
+    /// probe runs wrap past the table's end, and sixteen are random. Up to
+    /// 32 live ids take the table from 16 buckets through 32 to 64, where
+    /// the colliding ids still start within a few buckets of each other.
+    /// After every step every pool id answers as the model does, and the
+    /// table has exactly the buckets the most ids it has held need.
+    #[test]
+    fn id_table_matches_a_btreemap_model() {
+        let (mut collided, mut wrapped) = (0, 0);
+        for case in 0..id_table_cases() {
+            let mut rng = rng::stream(case, "id-table-model");
+            let mut sixteen = IdTable::default();
+            sixteen.insert(ObjectId::new(0), 0);
+            assert_eq!(sixteen.buckets.len(), 16);
+            let (mut shared, mut tail) = (Vec::new(), Vec::new());
+            while shared.len() < 8 || tail.len() < 8 {
+                let id = ObjectId::new(rng.gen());
+                match sixteen.home(id) {
+                    3 if shared.len() < 8 => shared.push(id),
+                    14 | 15 if tail.len() < 8 => tail.push(id),
+                    _ => {}
+                }
+            }
+            let mut pool: Vec<ObjectId> = shared.into_iter().chain(tail).collect();
+            pool.extend((0..16).map(|_| ObjectId::new(rng.gen())));
+
+            let mut table = IdTable::default();
+            let mut model: BTreeMap<ObjectId, u32> = BTreeMap::new();
+            let mut peak = 0;
+            for step in 0..400 {
+                let id = pool[rng.gen_range(0..pool.len())];
+                match rng.gen_range(0u32..10) {
+                    0..=4 => {
+                        let slot = rng.gen_range(0..u32::MAX);
+                        assert_eq!(table.insert(id, slot), model.insert(id, slot));
+                    }
+                    5..=7 => assert_eq!(table.remove(id), model.remove(&id)),
+                    _ => assert_eq!(table.get(id), model.get(&id).copied()),
+                }
+                assert_eq!(table.len, model.len(), "case {case} step {step}");
+                for &id in &pool {
+                    let expected = model.get(&id).copied();
+                    assert_eq!(table.get(id), expected, "case {case} step {step} {id}");
+                }
+                peak = peak.max(model.len());
+                let buckets = table.buckets.len();
+                assert_eq!(buckets, buckets_for(peak), "case {case} step {step}");
+                if buckets > 0 {
+                    let mut homes: Vec<usize> = model.keys().map(|&id| table.home(id)).collect();
+                    homes.sort_unstable();
+                    collided += homes.windows(2).any(|w| w[0] == w[1]) as u64;
+                    // More live ids start in the last two buckets than fit
+                    // there: some probe run has wrapped to the front.
+                    wrapped += (homes.iter().filter(|&&h| h >= buckets - 2).count() > 2) as u64;
+                }
+            }
+        }
+        assert!(collided > 0 && wrapped > 0, "{collided} {wrapped}");
+    }
+
+    /// Churn at a steady live count never grows the table: 10k live ids,
+    /// then 1M cycles that each remove a random live id and insert a new
+    /// one. A table whose removals leave tombstones runs out of room under
+    /// this and doubles; backward-shift deletion leaves none.
+    #[test]
+    fn churn_never_grows_the_id_table() {
+        let mut rng = rng::stream(0, "id-table-churn");
+        let mut table = IdTable::default();
+        let mut live: Vec<ObjectId> = (0..10_000).map(ObjectId::new).collect();
+        for (slot, &id) in live.iter().enumerate() {
+            table.insert(id, slot as u32);
+        }
+        let buckets = table.buckets.len();
+        assert_eq!(buckets, buckets_for(live.len()));
+        for next in 10_000..1_010_000u64 {
+            let at = rng.gen_range(0..live.len());
+            assert_eq!(table.remove(live[at]), Some(at as u32));
+            live[at] = ObjectId::new(next);
+            assert_eq!(table.insert(live[at], at as u32), None);
+        }
+        assert_eq!(table.buckets.len(), buckets, "churn grew the table");
+        assert_eq!(table.len, live.len());
+        for (slot, &id) in live.iter().enumerate() {
+            assert_eq!(table.get(id), Some(slot as u32));
+        }
     }
 
     #[test]

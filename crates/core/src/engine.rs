@@ -46,7 +46,14 @@
 //! group and that allocation from one hash lookup, and a rebuild gives each
 //! object its group's allocation, so a deserialized or restored unit
 //! shares its curves again. The group also keeps the curve inline, where
-//! a plan reads it for every head it evaluates.
+//! a plan reads it for every head it evaluates. Every stored shape has a
+//! group while some resident holds it, whether or not its residents live
+//! in the group: the last holder's eviction or new annotation frees the
+//! group, and the next new shape takes its place. A group joins its
+//! curve family when it first gets a member, so a shape whose residents
+//! all sit in the settled or expired set adds no family for a plan to
+//! visit. Sharing pays when residents repeat shapes; a resident of a
+//! shape of its own pays a pointer and its own allocation instead.
 //!
 //! # Planning
 //!
@@ -219,7 +226,10 @@ struct ShapeGroup {
     /// The same curve, the one allocation every resident of the shape
     /// holds.
     shared: Arc<ImportanceCurve>,
-    family: u32,
+    /// The curve's family, looked up when the group first gets a member:
+    /// a shape whose residents all live in the settled or expired set
+    /// adds no family for a plan to visit.
+    family: Option<u32>,
     plateau: SimDuration,
 }
 
@@ -693,10 +703,12 @@ pub(crate) struct EngineIndex {
     /// Never-expiring objects on a constant segment by `(value bits,
     /// arrival, id)`.
     settled: SortedList<(u64, SimTime, ObjectId)>,
-    /// Same-shape cohorts, one for every shape a resident has held since
-    /// the index was built, members or not. Inserts append: members of
-    /// one shape arrive in annotation order.
-    groups: Vec<ShapeGroup>,
+    /// Same-shape cohorts, one for every shape some resident holds,
+    /// members or not; `None` marks a freed group, whose index
+    /// `free_groups` keeps for the next new shape. Inserts append:
+    /// members of one shape arrive in annotation order.
+    groups: Vec<Option<ShapeGroup>>,
+    free_groups: Vec<u32>,
     group_ids: FxHashMap<(FamilyKey, SimDuration), u32>,
     /// Per family, its non-empty groups keyed by their head's
     /// `(annotated_at + plateau, arrival, id)`, payload the group index.
@@ -720,6 +732,7 @@ impl Default for EngineIndex {
             track_fifo: true,
             settled: SortedList::new(),
             groups: Vec::new(),
+            free_groups: Vec::new(),
             group_ids: FxHashMap::default(),
             families: Vec::new(),
             family_ids: FxHashMap::default(),
@@ -837,13 +850,39 @@ impl EngineIndex {
         }
     }
 
-    /// The shape group of `curve`, created (and its family with it) on
-    /// first use, and the curve allocation its residents share: one hash
-    /// lookup, whose group a store then passes to
-    /// [`insert`](EngineIndex::insert).
+    /// The shape group of `curve`, created on first use, and the curve
+    /// allocation its residents share: one hash lookup, whose group a
+    /// store then passes to [`insert`](EngineIndex::insert). Every stored
+    /// shape gets a group, whether or not its residents live in it; the
+    /// group is freed when its last resident lets go of the curve (see
+    /// [`release`](EngineIndex::release)).
     pub(crate) fn intern(&mut self, curve: &ImportanceCurve) -> (u32, Arc<ImportanceCurve>) {
         let group = self.group_of(curve);
-        (group, Arc::clone(&self.groups[group as usize].shared))
+        (group, Arc::clone(&self.group(group).shared))
+    }
+
+    /// Frees the shape group of `curve` if the resident letting go of this
+    /// allocation is the last to hold it, so a group lives only as long
+    /// as its shape has residents. The resident holds the curve when this
+    /// is called: a freed group's allocation goes with the resident.
+    /// Shapes are looked up only for a last holder. A unit and its clone
+    /// hold each other's allocations, so neither frees the group of a
+    /// shape both held at the clone.
+    pub(crate) fn release(&mut self, curve: &Arc<ImportanceCurve>) {
+        // The group's hold and the resident's, and no other.
+        if Arc::strong_count(curve) != 2 {
+            return;
+        }
+        let shape = FamilyKey::of(curve);
+        let Some(&g) = self.group_ids.get(&shape) else {
+            return;
+        };
+        let group = self.group(g);
+        if Arc::ptr_eq(&group.shared, curve) && group.members.is_empty() {
+            self.group_ids.remove(&shape);
+            self.groups[g as usize] = None;
+            self.free_groups.push(g);
+        }
     }
 
     /// Indexes a newly stored object (classified at the current clock);
@@ -857,11 +896,15 @@ impl EngineIndex {
     }
 
     /// Drops `object`, just taken out of `slot`, from the index entirely
-    /// (eviction/removal). A no-op if the slot was never indexed
+    /// (eviction/removal), and its shape's group with it if no other
+    /// resident holds the shape. A no-op if the slot was never indexed
     /// (pre-rebuild state).
     pub(crate) fn remove(&mut self, slot: u32, object: &StoredObject) {
-        if self.take_out(slot, object) && self.track_fifo {
-            self.fifo.remove(&(object.arrival(), object.id()));
+        if self.take_out(slot, object) {
+            if self.track_fifo {
+                self.fifo.remove(&(object.arrival(), object.id()));
+            }
+            self.release(object.shared_curve());
         }
     }
 
@@ -1018,38 +1061,60 @@ impl EngineIndex {
         self.len -= 1;
     }
 
-    /// The group of `curve`'s exact shape, created (and its family with
-    /// it) on first use.
+    /// The group of `curve`'s exact shape, created on first use in a
+    /// freed group's place if there is one.
     fn group_of(&mut self, curve: &ImportanceCurve) -> u32 {
         let shape = FamilyKey::of(curve);
         if let Some(&group) = self.group_ids.get(&shape) {
             return group;
         }
-        let families = &mut self.families;
-        let family = *self.family_ids.entry(shape.0.clone()).or_insert_with(|| {
-            families.push(SortedList::new());
-            (families.len() - 1) as u32
-        });
-        let group = self.groups.len() as u32;
-        self.groups.push(ShapeGroup {
+        let group = Some(ShapeGroup {
             members: SortedList::new(),
             curve: curve.clone(),
             shared: Arc::new(curve.clone()),
-            family,
+            family: None,
             plateau: shape.1,
         });
-        self.group_ids.insert(shape, group);
-        group
+        let g = match self.free_groups.pop() {
+            Some(g) => {
+                self.groups[g as usize] = group;
+                g
+            }
+            None => {
+                self.groups.push(group);
+                (self.groups.len() - 1) as u32
+            }
+        };
+        self.group_ids.insert(shape, g);
+        g
+    }
+
+    /// Group `g`, which must not have been freed.
+    fn group(&self, g: u32) -> &ShapeGroup {
+        self.groups[g as usize]
+            .as_ref()
+            .expect("a live shape group")
     }
 
     /// Adds `key` to group `g`, re-keying the group in its family's list
-    /// if `key` becomes the group's head.
+    /// if `key` becomes the group's head. A group's first member looks up
+    /// its family, created on first use.
     fn group_insert(&mut self, g: u32, key: MemberKey, slot: u32) {
-        let group = &mut self.groups[g as usize];
+        let group = self.groups[g as usize]
+            .as_mut()
+            .expect("a live shape group");
         let old = group.members.first().map(|(head, _)| head);
         group.members.insert(key, u64::from(slot));
         if old.is_none_or(|old| key < old) {
-            let family = &mut self.families[group.family as usize];
+            let families = &mut self.families;
+            let family = *group.family.get_or_insert_with(|| {
+                let family = FamilyKey::of(&group.curve).0;
+                *self.family_ids.entry(family).or_insert_with(|| {
+                    families.push(SortedList::new());
+                    (families.len() - 1) as u32
+                })
+            });
+            let family = &mut families[family as usize];
             if let Some(old) = old {
                 family.remove(&group.family_key(old));
             }
@@ -1060,11 +1125,14 @@ impl EngineIndex {
     /// Drops `key` from group `g`, re-keying the group in its family's
     /// list (or leaving it) if `key` was the group's head.
     fn group_remove(&mut self, g: u32, key: MemberKey) {
-        let group = &mut self.groups[g as usize];
+        let group = self.groups[g as usize]
+            .as_mut()
+            .expect("a live shape group");
         let was_head = group.members.first().map(|(head, _)| head) == Some(key);
         group.members.remove(&key);
         if was_head {
-            let family = &mut self.families[group.family as usize];
+            let family = group.family.expect("a group with members has a family");
+            let family = &mut self.families[family as usize];
             family.remove(&group.family_key(key));
             if let Some((head, _)) = group.members.first() {
                 family.insert(group.family_key(head), u64::from(g));
@@ -1119,7 +1187,7 @@ impl EngineIndex {
         match stream {
             Stream::Expired => self.expired.start(),
             Stream::Settled => self.settled.start(),
-            Stream::Group(g) => self.groups[g as usize].members.start(),
+            Stream::Group(g) => self.group(g).members.start(),
         }
     }
 
@@ -1157,7 +1225,7 @@ impl EngineIndex {
                 (key, false, payload, resume)
             }
             Stream::Group(g) => {
-                let group = &self.groups[g as usize];
+                let group = self.group(g);
                 let ((ann, arrival, id), payload, resume) = group.members.next_live_kv(pos)?;
                 let age = now.saturating_since(ann);
                 let (never_expires, remaining, expired) = match group.curve.expiry() {
@@ -1210,13 +1278,16 @@ fn registration(form: &SegmentForm) -> Registered {
 #[cfg(test)]
 impl EngineIndex {
     /// Every entry of every stream at `now`: the expired set, the settled
-    /// set, then each group.
+    /// set, then each group (none for a freed one).
     pub(crate) fn all_streams(&self, now: SimTime) -> Vec<Vec<Head>> {
         let groups = (0..self.groups.len() as u32).map(Stream::Group);
         [Stream::Expired, Stream::Settled]
             .into_iter()
             .chain(groups)
             .map(|stream| {
+                if matches!(stream, Stream::Group(g) if self.groups[g as usize].is_none()) {
+                    return Vec::new();
+                }
                 let mut entries = Vec::new();
                 let mut cursor = self.head(stream, self.stream_start(stream), now);
                 while let Some(head) = cursor {
@@ -1235,6 +1306,13 @@ impl EngineIndex {
         let run = queue.run.iter().map(|&(fire, _, _)| fire).collect();
         let later = queue.later.iter().flatten().map(|&(fire, _, _)| fire);
         (run, later.collect())
+    }
+
+    /// The number of live shape groups, and of group places, freed ones
+    /// included.
+    pub(crate) fn group_count(&self) -> (usize, usize) {
+        let live = self.groups.iter().filter(|group| group.is_some()).count();
+        (live, self.groups.len())
     }
 
     /// Each family's groups, in the order of its list.

@@ -317,10 +317,21 @@ impl StoredObject {
         self.curve().is_expired(self.annotation_age(now))
     }
 
-    /// Replaces the annotation with `curve`, applied at `now`.
-    pub(crate) fn rejuvenate(&mut self, curve: Arc<ImportanceCurve>, now: SimTime) {
-        self.curve = SharedCurve(curve);
+    /// The allocation holding the curve, shared with the unit's other
+    /// residents of its shape.
+    pub(crate) fn shared_curve(&self) -> &Arc<ImportanceCurve> {
+        &self.curve.0
+    }
+
+    /// Replaces the annotation with `curve`, applied at `now`, and hands
+    /// back the allocation it held.
+    pub(crate) fn rejuvenate(
+        &mut self,
+        curve: Arc<ImportanceCurve>,
+        now: SimTime,
+    ) -> Arc<ImportanceCurve> {
         self.annotated_at = now;
+        std::mem::replace(&mut self.curve, SharedCurve(curve)).0
     }
 
     /// Holds `curve`, an allocation equal to the object's own curve, in

@@ -590,7 +590,8 @@ impl StorageUnit {
 
     /// Gives the resident in `slot` the annotation `curve`, applied at
     /// `now`: the index takes the object out, the object changes, the
-    /// index puts it back.
+    /// index puts it back and lets go of the old shape's group if no
+    /// resident holds that shape any more.
     fn annotate(&mut self, slot: u32, curve: ImportanceCurve, now: SimTime) {
         let object = self.objects.at_mut(slot);
         if self.naive || !self.index.take_out(slot, object) {
@@ -598,8 +599,9 @@ impl StorageUnit {
             return;
         }
         let (group, shared) = self.index.intern(&curve);
-        object.rejuvenate(shared, now);
+        let old = object.rejuvenate(shared, now);
         self.index.register(slot, object, group);
+        self.index.release(&old);
     }
 
     fn evict(&mut self, id: ObjectId, now: SimTime, reason: EvictionReason) -> EvictionRecord {
@@ -1674,6 +1676,49 @@ mod tests {
         restored.advance(later);
         assert!(pairs.iter().all(|&(a, b)| shares(&restored, a, b)));
         assert_eq!(serde_json::to_string(&restored).unwrap(), json);
+    }
+
+    /// A shape's group lives as long as some resident holds the shape:
+    /// the last one's removal, expiry sweep or new annotation frees it,
+    /// and a new shape takes the freed place. Shapes whose residents live
+    /// outside groups (persistent, ephemeral) add no curve family.
+    #[test]
+    fn a_shape_group_lives_as_long_as_its_residents() {
+        let mut unit = StorageUnit::new(mib(100));
+        let t0 = SimTime::ZERO;
+        let store = |unit: &mut StorageUnit, id, curve| {
+            let spec = ObjectSpec::new(ObjectId::new(id), mib(1), curve);
+            unit.store(spec, t0).unwrap();
+        };
+        store(&mut unit, 0, ImportanceCurve::Persistent);
+        store(&mut unit, 1, ImportanceCurve::Persistent);
+        store(&mut unit, 2, ImportanceCurve::Ephemeral);
+        assert_eq!(unit.index.group_count(), (2, 2));
+        assert!(unit.index.family_groups().is_empty());
+        let lifetime = |d| ImportanceCurve::fixed_lifetime(days(d));
+        for id in 10..16 {
+            store(&mut unit, id, lifetime(id));
+        }
+        store(&mut unit, 20, lifetime(10));
+        assert_eq!(unit.index.group_count(), (8, 8));
+        assert_eq!(unit.index.family_groups().len(), 1);
+
+        unit.remove(ObjectId::new(10), t0).unwrap();
+        assert_eq!(unit.index.group_count(), (8, 8), "20 holds the shape");
+        unit.remove(ObjectId::new(20), t0).unwrap();
+        unit.remove(ObjectId::new(0), t0).unwrap();
+        unit.remove(ObjectId::new(2), t0).unwrap();
+        assert_eq!(unit.index.group_count(), (6, 8));
+        unit.reannotate(ObjectId::new(11), lifetime(12), t0)
+            .unwrap();
+        assert_eq!(unit.index.group_count(), (5, 8));
+        let swept = unit.sweep_expired(SimTime::from_days(13) + SimDuration::MINUTE);
+        assert_eq!(swept.len(), 3);
+        assert_eq!(unit.index.group_count(), (3, 8), "1, 14 and 15 are left");
+        for id in 30..35 {
+            store(&mut unit, id, lifetime(id));
+        }
+        assert_eq!(unit.index.group_count(), (8, 8), "new shapes reuse places");
     }
 
     #[test]

@@ -13,20 +13,13 @@
 //!    iterate in exactly the order a `BTreeMap` would — this is the
 //!    ordering the eviction index inherited from the map era and the one
 //!    the golden trace pins.
-//! 3. **The id table is a map that grows only with its live ids.** The
-//!    arena's `IdTable` (linear probing, backward-shift deletion) answers
-//!    like a `BTreeMap` through inserts, removals and lookups, collisions
-//!    and wrapped probe runs included, and churn at a steady live count
-//!    never grows it.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use rand::Rng;
-use temporal_reclaim::core::arena::{ArenaIdx, IdTable, ObjectArena};
+use temporal_reclaim::core::arena::{ArenaIdx, ObjectArena};
 use temporal_reclaim::core::dense::SortedList;
 use temporal_reclaim::core::{ImportanceCurve, ObjectId, ObjectSpec, StoredObject};
-use temporal_reclaim::sim::rng;
 use temporal_reclaim::{ByteSize, SimTime};
 
 fn stored(id: u64) -> StoredObject {
@@ -205,121 +198,5 @@ proptest! {
                 prop_assert_eq!(dense_tail, mapped_tail);
             }
         }
-    }
-}
-
-/// Cases for the id-table model: `DIFF_CASES` when set (the nightly deep
-/// fuzz runs 4096), else 256.
-fn id_table_cases() -> u64 {
-    std::env::var("DIFF_CASES")
-        .ok()
-        .and_then(|cases| cases.parse().ok())
-        .unwrap_or(256)
-}
-
-/// The buckets an `IdTable` needs for `peak` live ids: the fewest (at
-/// least 16, a power of two) that keep it at most three quarters full.
-fn buckets_for(peak: usize) -> usize {
-    if peak == 0 {
-        return 0;
-    }
-    let mut buckets = 16;
-    while peak * 4 > buckets * 3 {
-        buckets *= 2;
-    }
-    buckets
-}
-
-/// Replays random inserts, removals and lookups against a `BTreeMap`
-/// model. The ids are drawn from a pool of 32: eight share one home
-/// bucket at 16 buckets, eight start in the last two buckets, whose probe
-/// runs wrap past the table's end, and sixteen are random. Up to 32 live
-/// ids take the table from 16 buckets through 32 to 64, where the
-/// colliding ids still start within a few buckets of each other. After
-/// every step every pool id answers as the model does, and the table has
-/// exactly the buckets the most ids it has held need.
-#[test]
-fn id_table_matches_a_btreemap_model() {
-    let (mut collided, mut wrapped) = (0, 0);
-    for case in 0..id_table_cases() {
-        let mut rng = rng::stream(case, "id-table-model");
-        let mut sixteen = IdTable::new();
-        sixteen.insert(ObjectId::new(0), 0);
-        assert_eq!(sixteen.buckets(), 16);
-        let (mut shared, mut tail) = (Vec::new(), Vec::new());
-        while shared.len() < 8 || tail.len() < 8 {
-            let id = ObjectId::new(rng.gen());
-            match sixteen.home(id) {
-                3 if shared.len() < 8 => shared.push(id),
-                14 | 15 if tail.len() < 8 => tail.push(id),
-                _ => {}
-            }
-        }
-        let mut pool: Vec<ObjectId> = shared.into_iter().chain(tail).collect();
-        pool.extend((0..16).map(|_| ObjectId::new(rng.gen())));
-
-        let mut table = IdTable::new();
-        let mut model: BTreeMap<ObjectId, u32> = BTreeMap::new();
-        let mut peak = 0;
-        for step in 0..400 {
-            let id = pool[rng.gen_range(0..pool.len())];
-            match rng.gen_range(0u32..10) {
-                0..=4 => {
-                    let slot = rng.gen_range(0..u32::MAX);
-                    assert_eq!(table.insert(id, slot), model.insert(id, slot));
-                }
-                5..=7 => assert_eq!(table.remove(id), model.remove(&id)),
-                _ => assert_eq!(table.get(id), model.get(&id).copied()),
-            }
-            assert_eq!(table.len(), model.len(), "case {case} step {step}");
-            assert_eq!(table.is_empty(), model.is_empty());
-            for &id in &pool {
-                let expected = model.get(&id).copied();
-                assert_eq!(table.get(id), expected, "case {case} step {step} {id}");
-            }
-            peak = peak.max(model.len());
-            assert_eq!(
-                table.buckets(),
-                buckets_for(peak),
-                "case {case} step {step}"
-            );
-            if table.buckets() > 0 {
-                let buckets = table.buckets();
-                let mut homes: Vec<usize> = model.keys().map(|&id| table.home(id)).collect();
-                homes.sort_unstable();
-                collided += homes.windows(2).any(|w| w[0] == w[1]) as u64;
-                // More live ids start in the last two buckets than fit
-                // there: some probe run has wrapped to the front.
-                wrapped += (homes.iter().filter(|&&h| h >= buckets - 2).count() > 2) as u64;
-            }
-        }
-    }
-    assert!(collided > 0 && wrapped > 0, "{collided} {wrapped}");
-}
-
-/// Churn at a steady live count never grows the table: 10k live ids,
-/// then 1M cycles that each remove a random live id and insert a new one.
-/// A table whose removals leave tombstones runs out of room under this
-/// and doubles; backward-shift deletion leaves none.
-#[test]
-fn churn_never_grows_the_id_table() {
-    let mut rng = rng::stream(0, "id-table-churn");
-    let mut table = IdTable::new();
-    let mut live: Vec<ObjectId> = (0..10_000).map(ObjectId::new).collect();
-    for (slot, &id) in live.iter().enumerate() {
-        table.insert(id, slot as u32);
-    }
-    let buckets = table.buckets();
-    assert_eq!(buckets, buckets_for(live.len()));
-    for next in 10_000..1_010_000u64 {
-        let at = rng.gen_range(0..live.len());
-        assert_eq!(table.remove(live[at]), Some(at as u32));
-        live[at] = ObjectId::new(next);
-        assert_eq!(table.insert(live[at], at as u32), None);
-    }
-    assert_eq!(table.buckets(), buckets, "churn grew the table");
-    assert_eq!(table.len(), live.len());
-    for (slot, &id) in live.iter().enumerate() {
-        assert_eq!(table.get(id), Some(slot as u32));
     }
 }
