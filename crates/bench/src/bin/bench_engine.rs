@@ -1,11 +1,11 @@
-//! Indexed-versus-naive engine comparison, emitted as `BENCH_engine.json`.
+//! Indexed engine against the reference model, emitted as
+//! `BENCH_engine.json`.
 //!
 //! Runs the three hot paths the indexed engine accelerates — sustained
 //! store churn, admission probes, and repeated density sampling — on both
-//! the incremental engine and the scan-everything oracle
-//! (`StorageUnit::builder(..).naive_oracle(true)`) at 10k and
-//! 100k residents, and records nanoseconds per operation plus the
-//! speedup. Each case also records `bytes_per_resident`: the net heap
+//! the incremental engine and `bench_harness::model::ModelUnit`, which
+//! answers each by scanning its residents, at 10k and 100k residents, and
+//! records nanoseconds per operation plus the speedup. Each case also records `bytes_per_resident`: the net heap
 //! growth of building the indexed fixture divided by its population, the
 //! memory side of the ID-arena data layout (gated by `bench_gate` next to
 //! the time-per-op columns). Run from the repository root:
@@ -25,10 +25,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench_harness::gate::BenchCase;
-use bench_harness::{incoming_spec, mixed_unit, mixed_unit_naive};
+use bench_harness::model::ModelUnit;
+use bench_harness::{incoming_spec, mixed_model, mixed_unit};
 use obs::{MetricsRegistry, Obs};
 use sim_core::{ByteSize, SimTime};
-use temporal_importance::{Importance, StorageUnit};
+use temporal_importance::protocol::StoreApi;
+use temporal_importance::{Admission, Importance, ObjectId, ObjectSpec, StorageUnit};
 
 const RESIDENT_COUNTS: [u64; 2] = [10_000, 100_000];
 const OUTPUT: &str = "BENCH_engine.json";
@@ -93,8 +95,18 @@ fn main() {
         }
         let (plain, observed) = run_churn_pair(residents);
         cases.push(plain);
-        cases.push(run_case("peek_admission", residents, peek_admission_ns));
-        cases.push(run_case("density_sampling", residents, density_sampling_ns));
+        cases.push(run_case(
+            "peek_admission",
+            residents,
+            peek_admission_ns,
+            peek_admission_ns,
+        ));
+        cases.push(run_case(
+            "density_sampling",
+            residents,
+            density_sampling_ns,
+            density_sampling_ns,
+        ));
         cases.push(observed);
     }
     assert!(!cases.is_empty(), "--residents matched no fixture size");
@@ -102,13 +114,13 @@ fn main() {
     // The vendored serde_json exposes only typed (de)serialization, so the
     // report is rendered by hand.
     let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"indexed engine vs naive scan oracle\",\n");
+    out.push_str("  \"benchmark\": \"indexed engine vs reference model\",\n");
     out.push_str("  \"command\": \"cargo run --release -p bench-harness --bin bench_engine\",\n");
     out.push_str("  \"unit\": \"ns per operation\",\n");
     out.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
-        let line = case.render("naive_scan", Some("speedup"));
+        let line = case.render("model", Some("speedup"));
         out.push_str(&format!("    {line}{comma}\n"));
     }
     out.push_str("  ]\n}\n");
@@ -116,7 +128,54 @@ fn main() {
     println!("wrote {output}");
 }
 
-fn run_case(name: &str, residents: u64, measure: fn(StorageUnit, u64) -> f64) -> BenchCase {
+/// The three measured operations, on the indexed unit through its own
+/// methods and on the model through [`StoreApi`].
+trait Measured {
+    fn churn_store(&mut self, spec: ObjectSpec, now: SimTime);
+    fn probe(&mut self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission;
+    /// Brings the clock to `now` and reads the density there.
+    fn sample(&mut self, now: SimTime) -> f64;
+}
+
+impl Measured for StorageUnit {
+    fn churn_store(&mut self, spec: ObjectSpec, now: SimTime) {
+        self.store(spec, now)
+            .expect("churn store preempts one victim");
+    }
+
+    fn probe(&mut self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
+        self.peek_admission(size, incoming, now)
+    }
+
+    fn sample(&mut self, now: SimTime) -> f64 {
+        self.advance(now);
+        self.importance_density(now)
+    }
+}
+
+impl Measured for ModelUnit {
+    fn churn_store(&mut self, spec: ObjectSpec, now: SimTime) {
+        let curve = spec.curve().clone();
+        self.put(spec.id(), spec.size(), curve, now)
+            .expect("churn store preempts one victim");
+    }
+
+    fn probe(&mut self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
+        self.advise(ObjectId::new(0), size, incoming, now)
+            .expect("a model answers")
+    }
+
+    fn sample(&mut self, now: SimTime) -> f64 {
+        self.density_info(now).expect("a model answers").density
+    }
+}
+
+fn run_case(
+    name: &str,
+    residents: u64,
+    measure: fn(StorageUnit, u64) -> f64,
+    reference: fn(ModelUnit, u64) -> f64,
+) -> BenchCase {
     let capacity = ByteSize::from_mib(residents * 10);
     // The indexed number is what `bench_gate` gates on, and at 10k
     // residents a single measurement window is only a few milliseconds —
@@ -137,8 +196,8 @@ fn run_case(name: &str, residents: u64, measure: fn(StorageUnit, u64) -> f64) ->
         }
         indexed_ns = indexed_ns.min(measure(unit, residents));
     }
-    let naive_ns = measure(mixed_unit_naive(capacity, residents, 10), residents);
-    report_case(name, residents, indexed_ns, naive_ns, bytes_per_resident)
+    let model_ns = reference(mixed_model(capacity, residents, 10), residents);
+    report_case(name, residents, indexed_ns, model_ns, bytes_per_resident)
 }
 
 /// Measures plain and instrumented churn as one interleaved pair: every
@@ -162,22 +221,22 @@ fn run_churn_pair(residents: u64) -> (BenchCase, BenchCase) {
         let unit = mixed_unit(capacity, residents, 10);
         observed_ns = observed_ns.min(store_churn_observed_ns(unit, residents));
     }
-    let naive_ns = store_churn_ns(mixed_unit_naive(capacity, residents, 10), residents);
-    let naive_observed_ns =
-        store_churn_observed_ns(mixed_unit_naive(capacity, residents, 10), residents);
+    // The model has no observer seam: one churn measurement is the
+    // reference of both rows.
+    let model_ns = store_churn_ns(mixed_model(capacity, residents, 10), residents);
     (
         report_case(
             "store_churn",
             residents,
             plain_ns,
-            naive_ns,
+            model_ns,
             bytes_per_resident,
         ),
         report_case(
             "store_churn_observed",
             residents,
             observed_ns,
-            naive_observed_ns,
+            model_ns,
             bytes_per_resident,
         ),
     )
@@ -187,26 +246,26 @@ fn report_case(
     name: &str,
     residents: u64,
     indexed_ns: f64,
-    naive_ns: f64,
+    model_ns: f64,
     bytes_per_resident: f64,
 ) -> BenchCase {
-    let speedup = naive_ns / indexed_ns;
+    let speedup = model_ns / indexed_ns;
     println!(
         "{name:<18} {residents:>7} residents: indexed {indexed_ns:>12.1} ns/op, \
-         naive {naive_ns:>14.1} ns/op, speedup {speedup:>8.1}x, \
+         model {model_ns:>14.1} ns/op, speedup {speedup:>8.1}x, \
          {bytes_per_resident:>7.1} bytes/resident"
     );
     BenchCase {
         case: name.to_string(),
         residents,
         indexed_ns_per_op: indexed_ns,
-        reference_ns_per_op: naive_ns,
+        reference_ns_per_op: model_ns,
         bytes_per_resident: Some(bytes_per_resident),
         write_amplification: None,
     }
 }
 
-/// Picks an iteration count that keeps the slow (naive, 100k) variants
+/// Picks an iteration count that keeps the slow (model, 100k) variants
 /// inside a few seconds while giving the fast variants enough repetitions
 /// to time reliably: calibrate with one operation, then target ~1s.
 fn calibrated_ops(first_op_ns: f64, available: u64) -> u64 {
@@ -217,12 +276,11 @@ fn calibrated_ops(first_op_ns: f64, available: u64) -> u64 {
 /// Sustained churn: each store of a same-sized full-importance object
 /// preempts exactly one resident, so the population is stable and every
 /// operation runs a full admission plan plus one eviction.
-fn store_churn_ns(mut unit: StorageUnit, residents: u64) -> f64 {
+fn store_churn_ns<U: Measured>(mut unit: U, residents: u64) -> f64 {
     let mut next_id = residents;
     let mut minute = 0u64;
-    let do_store = |unit: &mut StorageUnit, id: u64, minute: u64| {
-        unit.store(incoming_spec(id, 10), SimTime::from_minutes(minute))
-            .expect("churn store preempts one victim");
+    let do_store = |unit: &mut U, id: u64, minute: u64| {
+        unit.churn_store(incoming_spec(id, 10), SimTime::from_minutes(minute));
     };
 
     let start = Instant::now();
@@ -254,9 +312,9 @@ fn store_churn_observed_ns(mut unit: StorageUnit, residents: u64) -> f64 {
 }
 
 /// The §5.3 placement probe: plan an admission without mutating the unit.
-fn peek_admission_ns(unit: StorageUnit, _residents: u64) -> f64 {
-    let probe = |unit: &StorageUnit| {
-        unit.peek_admission(
+fn peek_admission_ns<U: Measured>(mut unit: U, _residents: u64) -> f64 {
+    let probe = |unit: &mut U| {
+        unit.probe(
             ByteSize::from_mib(30),
             Importance::new_clamped(0.9),
             SimTime::ZERO,
@@ -264,25 +322,21 @@ fn peek_admission_ns(unit: StorageUnit, _residents: u64) -> f64 {
     };
 
     let start = Instant::now();
-    let _ = probe(&unit);
+    let _ = probe(&mut unit);
     let first = start.elapsed().as_nanos() as f64;
 
     let ops = calibrated_ops(first, u64::MAX);
     let start = Instant::now();
     for _ in 0..ops {
-        std::hint::black_box(probe(&unit));
+        std::hint::black_box(probe(&mut unit));
     }
     start.elapsed().as_nanos() as f64 / ops as f64
 }
 
 /// The dashboard loop: advance the clock a minute and resample density.
-fn density_sampling_ns(mut unit: StorageUnit, _residents: u64) -> f64 {
+fn density_sampling_ns<U: Measured>(mut unit: U, _residents: u64) -> f64 {
     let mut minute = 0u64;
-    let sample = |unit: &mut StorageUnit, minute: u64| {
-        let now = SimTime::from_minutes(minute);
-        unit.advance(now);
-        unit.importance_density(now)
-    };
+    let sample = |unit: &mut U, minute: u64| unit.sample(SimTime::from_minutes(minute));
 
     let start = Instant::now();
     minute += 1;

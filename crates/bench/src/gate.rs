@@ -10,7 +10,7 @@
 //! operation), `bytes_per_resident` (heap or disk footprint) and
 //! `write_amplification` (durable reports). The reference column
 //! (`reference_ns_per_op`) documents what the measurement is compared
-//! against — the naive scan oracle for engine reports, the run with the
+//! against — the `ModelUnit` reference for engine reports, the run with the
 //! observer detached for serve reports, the in-memory unit for durable
 //! reports — but is not a performance promise. [`obs_overheads`]
 //! additionally derives the instrumentation cost from the fresh report
@@ -30,7 +30,7 @@ pub struct BenchCase {
     /// Nanoseconds per operation on the configuration under measurement.
     pub indexed_ns_per_op: f64,
     /// Nanoseconds per operation on the reference configuration: the
-    /// naive scan oracle for engine reports, the same run with the
+    /// `ModelUnit` reference for engine reports, the same run with the
     /// observer detached for serve reports, the plain in-memory unit for
     /// durable reports.
     pub reference_ns_per_op: f64,
@@ -50,8 +50,8 @@ impl BenchCase {
 
     /// The report line [`parse_report`] reads back. `reference` names
     /// what `reference_ns_per_op` was measured on; `ratio`, when given,
-    /// labels a `reference / indexed` column (`speedup` over the naive
-    /// oracle). Neither is parsed — they make the committed report
+    /// labels a `reference / indexed` column (`speedup` over the
+    /// reference model). Neither is parsed — they make the committed report
     /// self-describing.
     pub fn render(&self, reference: &str, ratio: Option<&str>) -> String {
         let mut line = format!(

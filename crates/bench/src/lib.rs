@@ -1,5 +1,7 @@
 //! What the `bench-harness` binaries share: the churn fixtures of
-//! `bench_engine` / `bench_durable`, the one seeded request [`stream`],
+//! `bench_engine` / `bench_durable`, the reference store [`model`] that
+//! `bench_engine` and the lockstep differential compare the engine with,
+//! the one seeded request [`stream`],
 //! the `BENCH_*.json` schema and regression [`gate`], the [`golden`]
 //! trace workload and the [`servetop`] renderer.
 //!
@@ -14,46 +16,52 @@
 #![warn(missing_docs)]
 
 pub mod golden;
+pub mod model;
 
 use sim_core::{ByteSize, SimDuration, SimTime};
+use temporal_importance::protocol::StoreApi;
 use temporal_importance::{
     EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
 };
+
+use model::ModelUnit;
 
 /// Builds a unit pre-filled with `count` objects of `mib` MiB whose fixed
 /// importance cycles through ten levels — a representative mixed-pressure
 /// state for eviction/density benchmarks.
 pub fn mixed_unit(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit {
     let mut unit = StorageUnit::new(capacity);
-    fill_mixed(&mut unit, count, mib);
+    for spec in mixed_specs(count, mib) {
+        unit.store(spec, SimTime::ZERO).expect("fixture fits");
+    }
     unit
 }
 
-/// The same fixture on the naive scan-everything engine
-/// (`StorageUnit::builder(..).naive_oracle(true)`) — the baseline the indexed engine
-/// is benchmarked against.
-pub fn mixed_unit_naive(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit {
-    let mut unit = StorageUnit::builder(capacity)
-        .policy(EvictionPolicy::Preemptive)
-        .naive_oracle(true)
-        .build();
-    fill_mixed(&mut unit, count, mib);
-    unit
+/// The same fixture on the [`ModelUnit`] — the reference the indexed
+/// engine is benchmarked against.
+pub fn mixed_model(capacity: ByteSize, count: u64, mib: u64) -> ModelUnit {
+    let mut model = ModelUnit::new(capacity, EvictionPolicy::Preemptive);
+    for spec in mixed_specs(count, mib) {
+        let curve = spec.curve().clone();
+        model
+            .put(spec.id(), spec.size(), curve, SimTime::ZERO)
+            .expect("fixture fits");
+    }
+    model
 }
 
-fn fill_mixed(unit: &mut StorageUnit, count: u64, mib: u64) {
-    for i in 0..count {
+fn mixed_specs(count: u64, mib: u64) -> impl Iterator<Item = ObjectSpec> {
+    (0..count).map(move |i| {
         let importance = Importance::new_clamped(0.05 + (i % 10) as f64 * 0.1);
-        let spec = ObjectSpec::new(
+        ObjectSpec::new(
             ObjectId::new(i),
             ByteSize::from_mib(mib),
             ImportanceCurve::Fixed {
                 importance,
                 expiry: SimDuration::from_days(3650),
             },
-        );
-        unit.store(spec, SimTime::ZERO).expect("fixture fits");
-    }
+        )
+    })
 }
 
 /// A full-importance two-step spec used as the "incoming" object in

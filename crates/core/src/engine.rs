@@ -1,6 +1,6 @@
 //! Incrementally maintained indexes over a [`StorageUnit`]'s objects.
 //!
-//! The naive engine re-evaluates every stored object's curve on every
+//! A full scan re-evaluates every stored object's curve on every
 //! plan/sweep/density query. This module exploits the fact that importance
 //! curves are *monotone, piecewise-analytic* functions of age: each object
 //! changes analytic form only at a handful of breakpoints, so the engine
@@ -12,8 +12,8 @@
 //!
 //! * a **breakpoint queue** (see *Breakpoints* below), so advancing time
 //!   touches only the objects whose analytic form actually changes;
-//! * an **expired set** ordered by `(arrival, id)` — exactly the naive
-//!   engine's eviction order among zero-importance objects;
+//! * an **expired set** ordered by `(arrival, id)` — exactly the §5.3
+//!   eviction order among zero-importance objects;
 //! * **shape groups**: same-curve objects ordered by `(annotated_at,
 //!   arrival, id)`, the storage behind the curve families below. Members
 //!   of one shape arrive in annotation order, so inserts append;
@@ -786,7 +786,7 @@ impl EngineIndex {
 
     /// Collects into `out` the id of every expired object (importance zero
     /// *or* positive at the expiry-minute boundary), in ascending id order
-    /// — the order the naive full-scan sweep evicts in. Callers pass a
+    /// — the order a full-scan sweep evicts in. Callers pass a
     /// reusable buffer so idle sweeps allocate nothing.
     pub(crate) fn expired_ids(&self, now: SimTime, out: &mut Vec<ObjectId>) {
         out.clear();

@@ -63,10 +63,6 @@ pub struct StorageUnit {
     /// touches under churn).
     #[serde(skip)]
     last_queue_depth: Option<u64>,
-    /// When set, the unit bypasses the indexes and answers every query by
-    /// scanning all objects — the reference oracle for differential tests.
-    #[serde(skip)]
-    naive: bool,
     /// Instrumentation handle. Never touches functional state: outcomes
     /// are byte-identical with or without an observer attached.
     /// Deserialized units come back silent (re-attach explicitly).
@@ -75,8 +71,7 @@ pub struct StorageUnit {
 }
 
 /// Builds a [`StorageUnit`], the single construction path for every
-/// configuration: policy, the naive scan oracle, and the observability
-/// hook.
+/// configuration: policy and the observability hook.
 ///
 /// # Examples
 ///
@@ -94,7 +89,6 @@ pub struct StorageUnit {
 pub struct StorageUnitBuilder {
     capacity: ByteSize,
     policy: EvictionPolicy,
-    naive: bool,
     obs: Option<Obs>,
 }
 
@@ -103,16 +97,6 @@ impl StorageUnitBuilder {
     /// the paper's mechanism).
     pub fn policy(mut self, policy: EvictionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// When true, the unit answers every query with full scans instead of
-    /// the incremental indexes — the executable specification of the
-    /// reclamation semantics, driven in lockstep with an indexed unit by
-    /// the differential tests. Every operation is `O(n)` or worse; not for
-    /// production use.
-    pub fn naive_oracle(mut self, naive: bool) -> Self {
-        self.naive = naive;
         self
     }
 
@@ -143,7 +127,6 @@ impl StorageUnitBuilder {
             index: EngineIndex::for_policy(self.policy),
             scratch: PlanScratch::default(),
             last_queue_depth: None,
-            naive: self.naive,
             obs: self.obs.unwrap_or_else(Obs::global),
         }
     }
@@ -253,6 +236,23 @@ fn eviction_key(object: &StoredObject, now: SimTime) -> EvictionKey {
     }
 }
 
+/// The admission preview a plan computed into `scratch` amounts to.
+fn admission(result: PlanResult, scratch: &PlanScratch) -> Admission {
+    match result {
+        PlanResult::Admit(plan) => match plan.highest {
+            Some(h) if !h.is_zero() => Admission::Preempting {
+                highest: h,
+                victims: scratch.victims.len(),
+                freed: plan.freed,
+            },
+            _ => Admission::Fits {
+                victims: scratch.victims.len(),
+            },
+        },
+        PlanResult::Full { blocking, .. } => Admission::Full { blocking },
+    }
+}
+
 impl StorageUnit {
     /// Creates an empty unit with the paper's preemptive policy —
     /// shorthand for [`builder`](StorageUnit::builder) with defaults.
@@ -266,7 +266,6 @@ impl StorageUnit {
         StorageUnitBuilder {
             capacity,
             policy: EvictionPolicy::Preemptive,
-            naive: false,
             obs: None,
         }
     }
@@ -292,9 +291,6 @@ impl StorageUnit {
     /// indexed fast path. Time travels forward only: calls with a `now`
     /// earlier than the latest one seen are no-ops.
     pub fn advance(&mut self, now: SimTime) {
-        if self.naive {
-            return;
-        }
         if self.index.len() != self.objects.len() {
             self.index
                 .rebuild(&mut self.objects, now, self.policy == EvictionPolicy::Fifo);
@@ -309,11 +305,11 @@ impl StorageUnit {
     }
 
     /// True when the index answers queries at `now` exactly: it covers all
-    /// objects, time has not moved past unprocessed breakpoints, and the
-    /// unit is not in naive-oracle mode.
+    /// objects and time has not moved past unprocessed breakpoints. When it
+    /// fails, planning falls back to [`plan_naive`](StorageUnit::plan_naive)
+    /// and density to a full scan.
     fn index_fresh(&self, now: SimTime) -> bool {
-        !self.naive
-            && self.index.len() == self.objects.len()
+        self.index.len() == self.objects.len()
             && now >= self.index.clock()
             && self.index.events_processed_through(now)
     }
@@ -447,16 +443,12 @@ impl StorageUnit {
         self.used += spec.size();
         self.stats.stores_accepted += 1;
         self.stats.bytes_accepted += spec.size().as_bytes();
-        if self.naive {
-            self.objects.insert(StoredObject::from_spec(spec, now));
-        } else {
-            let (group, curve) = self.index.intern(spec.curve());
-            let slot = self
-                .objects
-                .insert(StoredObject::sharing(spec, curve, now))
-                .slot();
-            self.index.insert(slot, self.objects.at(slot), group);
-        }
+        let (group, curve) = self.index.intern(spec.curve());
+        let slot = self
+            .objects
+            .insert(StoredObject::sharing(spec, curve, now))
+            .slot();
+        self.index.insert(slot, self.objects.at(slot), group);
 
         Ok(StoreOutcome {
             id,
@@ -477,19 +469,8 @@ impl StorageUnit {
             return Admission::TooLarge;
         }
         let mut scratch = PlanScratch::default();
-        match self.plan(size, incoming, now, &mut scratch) {
-            PlanResult::Admit(plan) => match plan.highest {
-                Some(h) if !h.is_zero() => Admission::Preempting {
-                    highest: h,
-                    victims: scratch.victims.len(),
-                    freed: plan.freed,
-                },
-                _ => Admission::Fits {
-                    victims: scratch.victims.len(),
-                },
-            },
-            PlanResult::Full { blocking, .. } => Admission::Full { blocking },
-        }
+        let result = self.plan(size, incoming, now, &mut scratch);
+        admission(result, &scratch)
     }
 
     /// Explicitly removes an object (e.g. user deletion), returning its
@@ -594,7 +575,7 @@ impl StorageUnit {
     /// resident holds that shape any more.
     fn annotate(&mut self, slot: u32, curve: ImportanceCurve, now: SimTime) {
         let object = self.objects.at_mut(slot);
-        if self.naive || !self.index.take_out(slot, object) {
+        if !self.index.take_out(slot, object) {
             object.rejuvenate(Arc::new(curve), now);
             return;
         }
@@ -609,9 +590,7 @@ impl StorageUnit {
             .objects
             .remove_entry(id)
             .expect("evict called with resident id");
-        if !self.naive {
-            self.index.remove(slot, &object);
-        }
+        self.index.remove(slot, &object);
         self.used -= object.size();
         match reason {
             EvictionReason::Preempted => self.stats.evictions_preempted += 1,
@@ -674,7 +653,7 @@ impl StorageUnit {
         } else {
             #[cfg(test)]
             {
-                scratch.naive_fallbacks += usize::from(!self.naive);
+                scratch.naive_fallbacks += 1;
             }
             self.plan_naive(size, incoming, now, scratch)
         }
@@ -1073,38 +1052,27 @@ mod tests {
     /// A plan over one family of 500 shapes evaluates the family's head,
     /// one head per victim and one per activated group — not one head per
     /// shape, as a merge over every group would — and takes exactly the
-    /// naive oracle's victims.
+    /// victims of `plan_naive`'s full scan of the same unit.
     #[test]
     fn a_plan_evaluates_heads_per_family_not_per_shape() {
         const OBJECTS: u64 = 500;
         let now = SimTime::from_days(12);
-        let fill = |naive| {
-            let mut unit = StorageUnit::builder(mib(OBJECTS))
-                .naive_oracle(naive)
-                .build();
-            for i in 0..OBJECTS {
-                // Distinct plateaus, scrambled against arrival order.
-                let plateau = days(1) + SimDuration::from_hours((i * 263) % OBJECTS);
-                let curve = ImportanceCurve::two_step(imp(0.6), plateau, days(30));
-                let spec = ObjectSpec::new(ObjectId::new(i), mib(1), curve);
-                unit.store(spec, SimTime::from_minutes(7 * i)).unwrap();
-            }
-            unit.advance(now);
-            unit
-        };
-        let plan = |unit: &StorageUnit| {
-            let mut scratch = PlanScratch::default();
-            let admitted = matches!(
-                unit.plan(mib(7), imp(0.7), now, &mut scratch),
-                PlanResult::Admit(_)
-            );
-            assert!(admitted);
-            scratch
-        };
-        let (indexed, naive) = (fill(false), fill(true));
-        assert_eq!(indexed.index.family_groups().len(), 1);
-        let scratch = plan(&indexed);
-        assert_eq!(scratch.victims, plan(&naive).victims);
+        let mut unit = StorageUnit::new(mib(OBJECTS));
+        for i in 0..OBJECTS {
+            // Distinct plateaus, scrambled against arrival order.
+            let plateau = days(1) + SimDuration::from_hours((i * 263) % OBJECTS);
+            let curve = ImportanceCurve::two_step(imp(0.6), plateau, days(30));
+            let spec = ObjectSpec::new(ObjectId::new(i), mib(1), curve);
+            unit.store(spec, SimTime::from_minutes(7 * i)).unwrap();
+        }
+        unit.advance(now);
+        let (mut scratch, mut naive) = (PlanScratch::default(), PlanScratch::default());
+        let admitted = |result| matches!(result, PlanResult::Admit(_));
+        assert!(admitted(unit.plan(mib(7), imp(0.7), now, &mut scratch)));
+        assert!(admitted(unit.plan_naive(mib(7), imp(0.7), now, &mut naive)));
+        assert_eq!(unit.index.family_groups().len(), 1);
+        assert_eq!(scratch.naive_fallbacks, 0);
+        assert_eq!(scratch.victims, naive.victims);
         let (victims, activations) = (scratch.victims.len(), scratch.activations);
         assert_eq!(victims, 7);
         assert!(activations > 0, "the merge never activated a group");
@@ -1172,14 +1140,13 @@ mod tests {
     /// admission probe at an advanced instant plans over the index, never
     /// falling back to `plan_naive`: a seeded churn of the benchmark's curve
     /// palette with removes, sweeps, reannotations and week-long clock
-    /// jumps, probed after every step, agrees with the naive oracle
-    /// throughout.
+    /// jumps, probed after every step, answers as `plan_naive`'s full scan
+    /// of the same unit throughout.
     #[test]
     fn an_advanced_unit_never_plans_naively() {
         use rand::Rng;
 
         let mut unit = StorageUnit::new(mib(192));
-        let mut oracle = StorageUnit::builder(mib(192)).naive_oracle(true).build();
         let mut rng = sim_core::rng::seeded(37);
         let mut scratch = PlanScratch::default();
         let (mut now, mut planned) = (SimTime::ZERO, 0);
@@ -1199,16 +1166,13 @@ mod tests {
                 _ => ImportanceCurve::Ephemeral,
             };
             let old = ObjectId::new(step.saturating_sub(rng.gen_range(1..=40)));
-            for unit in [&mut unit, &mut oracle] {
-                match step % 25 {
-                    0 => drop(unit.sweep_expired(now)),
-                    1 => drop(unit.remove(old, now)),
-                    2 => drop(unit.reannotate(old, curve.clone(), now)),
-                    _ => {
-                        let spec =
-                            ObjectSpec::new(ObjectId::new(step), mib(1 + step % 4), curve.clone());
-                        drop(unit.store(spec, now));
-                    }
+            match step % 25 {
+                0 => drop(unit.sweep_expired(now)),
+                1 => drop(unit.remove(old, now)),
+                2 => drop(unit.reannotate(old, curve, now)),
+                _ => {
+                    let spec = ObjectSpec::new(ObjectId::new(step), mib(1 + step % 4), curve);
+                    drop(unit.store(spec, now));
                 }
             }
             unit.advance(now);
@@ -1219,9 +1183,11 @@ mod tests {
             );
             planned += usize::from(unit.free() < size);
             unit.plan(size, incoming, now, &mut scratch);
+            let mut naive = PlanScratch::default();
+            let scanned = unit.plan_naive(size, incoming, now, &mut naive);
             assert_eq!(
                 unit.peek_admission(size, incoming, now),
-                oracle.peek_admission(size, incoming, now),
+                admission(scanned, &naive),
                 "step {step}"
             );
         }
@@ -1232,13 +1198,14 @@ mod tests {
     /// A zero-wane step curve expires on its plateau's last minute while
     /// it still carries the plateau's importance. Reached there by time
     /// passing, not by a store on that minute, it is swept on that minute
-    /// by the indexed unit as by the naive scan, and an admission probe
-    /// that meets a blocker first still finds it behind.
+    /// by the indexed unit as by the full scan, and an admission probe
+    /// that meets a blocker first still finds it behind, as `plan_naive`
+    /// does.
     #[test]
     fn a_step_curve_reached_on_its_expiry_minute_is_expired() {
         let expiry_minute = SimTime::from_days(10);
-        let fill = |naive| {
-            let mut unit = StorageUnit::builder(mib(30)).naive_oracle(naive).build();
+        let fill = || {
+            let mut unit = StorageUnit::new(mib(30));
             let step = ImportanceCurve::two_step(imp(0.5), days(10), SimDuration::ZERO);
             let spec = ObjectSpec::new(ObjectId::new(1), mib(10), step);
             unit.store(spec, SimTime::ZERO).unwrap();
@@ -1250,25 +1217,122 @@ mod tests {
             unit.advance(expiry_minute);
             unit
         };
-        for naive in [false, true] {
-            let unit = fill(naive);
-            let probe = unit.peek_admission(mib(20), imp(0.35), expiry_minute);
-            assert_eq!(
-                probe,
+        let unit = fill();
+        let expected = Admission::Preempting {
+            highest: imp(0.5),
+            victims: 2,
+            freed: mib(20),
+        };
+        let probe = unit.peek_admission(mib(20), imp(0.35), expiry_minute);
+        assert_eq!(probe, expected);
+        let mut naive = PlanScratch::default();
+        let scanned = unit.plan_naive(mib(20), imp(0.35), expiry_minute, &mut naive);
+        assert_eq!(admission(scanned, &naive), expected, "plan_naive");
+        let expired: Vec<u64> = unit
+            .iter()
+            .filter(|object| object.is_expired(expiry_minute))
+            .map(|object| object.id().raw())
+            .collect();
+        assert_eq!(expired, vec![1], "full scan");
+        let swept: Vec<u64> = fill()
+            .sweep_expired(expiry_minute)
+            .iter()
+            .map(|record| record.id.raw())
+            .collect();
+        assert_eq!(swept, vec![1]);
+    }
+
+    /// Read-only queries at an instant whose breakpoints the index has not
+    /// processed take the scans: `peek_admission` plans with `plan_naive`
+    /// and `importance_density` sums every resident, and both answer as a
+    /// clone advanced to that instant answers over its index.
+    #[test]
+    fn an_unadvanced_unit_answers_by_scan_as_an_advanced_one() {
+        let mut unit = StorageUnit::new(mib(100));
+        let waning = ImportanceCurve::two_step(imp(0.8), days(5), days(10));
+        unit.store(fixed_spec(1, mib(30), 0.3, 10), SimTime::ZERO)
+            .unwrap();
+        unit.store(
+            ObjectSpec::new(ObjectId::new(2), mib(30), waning),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        unit.store(fixed_spec(3, mib(40), 0.6, 30), SimTime::ZERO)
+            .unwrap();
+        // Equal importance and remaining lifetime go by arrival, not id:
+        // id 5 arrived on day 0 and id 4 on day 1, both expire on day 31,
+        // and only taking id 5 after the expired id 6 frees 20 MiB.
+        let mut ties = StorageUnit::new(mib(40));
+        ties.store(fixed_spec(5, mib(10), 0.4, 31), SimTime::ZERO)
+            .unwrap();
+        ties.store(fixed_spec(6, mib(10), 0.9, 5), SimTime::ZERO)
+            .unwrap();
+        ties.store(fixed_spec(4, mib(20), 0.4, 30), SimTime::from_days(1))
+            .unwrap();
+        // Ids 1 and 6 have expired and id 2 has waned since day 5: all are
+        // breakpoints due at `now` that no mutation has processed.
+        let now = SimTime::from_days(12);
+        let advanced = |unit: &StorageUnit| {
+            let mut advanced = unit.clone();
+            advanced.advance(now);
+            assert!(advanced.index_fresh(now));
+            advanced
+        };
+        let waned = unit.get(ObjectId::new(2)).unwrap().current_importance(now);
+        assert!((waned.value() - 0.24).abs() <= 1e-12, "{waned}");
+
+        let probes = [
+            (&unit, mib(20), imp(0.5), Admission::Fits { victims: 1 }),
+            (
+                &unit,
+                mib(50),
+                imp(0.5),
                 Admission::Preempting {
-                    highest: imp(0.5),
+                    highest: waned,
                     victims: 2,
-                    freed: mib(20)
+                    freed: mib(60),
                 },
-                "naive {naive}"
-            );
-            let swept: Vec<u64> = fill(naive)
-                .sweep_expired(expiry_minute)
-                .iter()
-                .map(|record| record.id.raw())
-                .collect();
-            assert_eq!(swept, vec![1], "naive {naive}");
+            ),
+            (
+                &unit,
+                mib(90),
+                imp(0.5),
+                Admission::Full {
+                    blocking: Some(imp(0.6)),
+                },
+            ),
+            (
+                &unit,
+                mib(20),
+                Importance::ZERO,
+                Admission::Fits { victims: 1 },
+            ),
+            (
+                &ties,
+                mib(20),
+                imp(0.5),
+                Admission::Preempting {
+                    highest: imp(0.4),
+                    victims: 2,
+                    freed: mib(20),
+                },
+            ),
+        ];
+        for (unit, size, incoming, expected) in probes {
+            assert!(!unit.index_fresh(now));
+            let mut scratch = PlanScratch::default();
+            unit.plan(size, incoming, now, &mut scratch);
+            assert!(scratch.naive_fallbacks >= 1, "{size} at {incoming}");
+            let probe = unit.peek_admission(size, incoming, now);
+            let indexed = advanced(unit).peek_admission(size, incoming, now);
+            assert_eq!(probe, indexed, "{size} at {incoming}");
+            assert_eq!(probe, expected, "{size} at {incoming}");
         }
+
+        assert!(unit.weighted_importance_fast(now).is_none());
+        let scanned = unit.importance_density(now);
+        assert!((scanned - advanced(&unit).importance_density(now)).abs() <= 1e-9);
+        assert!((scanned - 0.312).abs() <= 1e-9, "density {scanned}");
     }
 
     #[test]

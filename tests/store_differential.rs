@@ -7,13 +7,16 @@
 //! `Full`, `TooLarge`, `DuplicateId`, `EmptyObject` — comes up. Three
 //! legs run it:
 //!
-//! * **Lockstep.** The indexed `StorageUnit`, the naive scan oracle and a
-//!   `DurableUnit` on 1 KiB segments with auto-compaction, closed and
-//!   reopened at a generated cut and again at the end. Every answer, the
-//!   stats, the durable clocks and the serialized engine state must agree.
-//!   It runs once per policy, and once more, preemptive, with curves from
-//!   a quantised palette (`palette_curve`) so that many shapes share one
-//!   curve family.
+//! * **Lockstep.** The indexed `StorageUnit`, `bench_harness`'s
+//!   `ModelUnit` (the rule as a list scan, sharing none of the engine's
+//!   accounting) and a `DurableUnit` on 1 KiB segments with
+//!   auto-compaction, closed and reopened at a generated cut and again at
+//!   the end. Every answer, the stats, the occupancy and the durable clocks
+//!   must agree; the durable unit's serialized engine state must equal the
+//!   indexed unit's, and the model's final residents must equal the
+//!   indexed unit's field by field. It runs once per policy, and once
+//!   more, preemptive, with curves from a quantised palette
+//!   (`palette_curve`) so that many shapes share one curve family.
 //! * **Served.** The protocol steps, removes, annotations and sweeps
 //!   included, through one blocking client, to a
 //!   1-shard and an N-shard memory `Tempimpd` and an N-shard durable one
@@ -25,7 +28,7 @@
 //!   hold.
 //!
 //! Comparisons are exact, with three exceptions: densities of the indexed
-//! unit and the naive oracle agree within 1e-9 (they sum differently); a
+//! unit and the model agree within 1e-9 (they sum differently); a
 //! density read after a durable store has been reopened agrees within
 //! 1e-12 (the rebuilt index sums in another order); a served `Health`
 //! answer is compared on its engine fields only. `DIFF_CASES` sets every
@@ -35,6 +38,7 @@ use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use bench_harness::model::{ModelUnit, Resident};
 use proptest::test_runner::{case_count, run_cases_n};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -284,14 +288,19 @@ fn check(step: usize, who: &str, got: &Answer, want: &Answer, tolerance: f64) {
     );
 }
 
-/// Applies `op` to a bare unit. The flag says whether a `DurableUnit`
-/// journals it, and so whether a reopened log remembers its clock: every
-/// put and sweep does, a remove that removed something and an accepted
-/// annotation.
-fn apply(unit: &mut StorageUnit, now: SimTime, op: &Op) -> (Answer, bool) {
+/// Applies `op` to a bare store; `advance` is what the store does for
+/// [`Op::Advance`]. The flag says whether a `DurableUnit` journals it, and
+/// so whether a reopened log remembers its clock: every put and sweep
+/// does, a remove that removed something and an accepted annotation.
+fn apply<S: StoreApi>(
+    store: &mut S,
+    now: SimTime,
+    op: &Op,
+    advance: fn(&mut S, SimTime),
+) -> (Answer, bool) {
     match op {
         Op::Call(request) => {
-            let response = unit.call(now, request.clone());
+            let response = store.call(now, request.clone());
             let journals = matches!(
                 response,
                 Response::Put(_)
@@ -302,10 +311,24 @@ fn apply(unit: &mut StorageUnit, now: SimTime, op: &Op) -> (Answer, bool) {
             (answer(response), journals)
         }
         Op::Advance => {
-            unit.advance(now);
+            advance(store, now);
             (shown(()), false)
         }
     }
+}
+
+/// The indexed unit's residents as the model lists them, in id order.
+fn residents(unit: &StorageUnit) -> Vec<Resident> {
+    unit.iter()
+        .map(|object| Resident {
+            id: object.id(),
+            size: object.size(),
+            class: object.class(),
+            arrival: object.arrival(),
+            annotated_at: object.annotated_at(),
+            curve: object.curve().clone(),
+        })
+        .collect()
 }
 
 fn apply_durable(durable: &mut DurableUnit, now: SimTime, op: &Op) -> Answer {
@@ -352,13 +375,8 @@ fn lockstep(name: &str, policy: EvictionPolicy, curve: fn(&mut StdRng) -> Import
 
 fn run_lockstep(case: &Case, reach: &mut Reach) {
     let dir = scratch("lockstep");
-    let unit = |naive| {
-        StorageUnit::builder(CAPACITY)
-            .policy(case.policy)
-            .naive_oracle(naive)
-            .build()
-    };
-    let (mut indexed, mut naive) = (unit(false), unit(true));
+    let mut indexed = StorageUnit::builder(CAPACITY).policy(case.policy).build();
+    let mut model = ModelUnit::new(CAPACITY, case.policy);
     let open = || DurableUnit::open(&dir, CAPACITY, case.policy, segments()).expect("open the log");
     let mut durable = open();
     // The durable clocks the model expects, live and reopened alike: the
@@ -381,15 +399,16 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         reopened
     };
     let state = |unit: &StorageUnit| (*unit.stats(), unit.used(), unit.len());
+    let model_state = |model: &ModelUnit| (*model.stats(), model.used(), model.len());
     let mut tolerance = 0.0;
     for (step, (now, op)) in case.script.iter().enumerate() {
         if step == case.cut {
             durable = reopen(durable, &indexed, (journaled, swept));
             tolerance = REOPENED_TOLERANCE;
         }
-        let (expected, journals) = apply(&mut indexed, *now, op);
-        let oracle = apply(&mut naive, *now, op).0;
-        check(step, "naive oracle", &oracle, &expected, ORACLE_TOLERANCE);
+        let (expected, journals) = apply(&mut indexed, *now, op, StorageUnit::advance);
+        let modelled = apply(&mut model, *now, op, |_, _| {}).0;
+        check(step, "model", &modelled, &expected, ORACLE_TOLERANCE);
         let answered = apply_durable(&mut durable, *now, op);
         check(step, "durable unit", &answered, &expected, tolerance);
         if journals {
@@ -401,7 +420,7 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         for (kind, seen) in REJECTIONS.iter().zip(&mut reach.rejections) {
             *seen |= expected.0.contains(kind);
         }
-        assert_eq!(state(&naive), state(&indexed), "oracle at step {step}");
+        assert_eq!(model_state(&model), state(&indexed), "model at step {step}");
         assert_eq!(
             state(durable.unit()),
             state(&indexed),
@@ -411,7 +430,12 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         assert_eq!(clocks, (journaled, swept), "durable clocks at step {step}");
     }
     drop(reopen(durable, &indexed, (journaled, swept)));
-    assert_eq!(fingerprint(&naive), fingerprint(&indexed), "final oracle");
+    assert_eq!(
+        (model.capacity(), model.policy()),
+        (indexed.capacity(), indexed.policy()),
+        "final model"
+    );
+    assert_eq!(model.residents(), residents(&indexed), "final model");
     reach.sealed += u64::from(sealed);
     reach.compacted += u64::from(compacted);
     std::fs::remove_dir_all(&dir).expect("remove the log");
