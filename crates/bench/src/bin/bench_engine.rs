@@ -148,7 +148,6 @@ impl Measured for StorageUnit {
     }
 
     fn sample(&mut self, now: SimTime) -> f64 {
-        self.advance(now);
         self.importance_density(now)
     }
 }

@@ -9,6 +9,10 @@
 //! last), then arrival, then id. Under [`EvictionPolicy::Fifo`] every
 //! resident is a candidate, oldest first.
 //!
+//! Time moves forward only. The model's clock is the latest instant any
+//! call or [`advance`](ModelUnit::advance) has brought it to, and a call
+//! acts at `max(now, clock)`: one behind the clock acts at the clock.
+//!
 //! The model keeps its residents in a `Vec` in id order and answers every
 //! verb by scanning it: importance is the curve read at the annotation's
 //! age, victims are the candidates sorted into that order, occupancy and
@@ -105,6 +109,8 @@ pub struct ModelUnit {
     /// In ascending id order.
     residents: Vec<Resident>,
     stats: UnitStats,
+    /// The instant calls act at, or after.
+    clock: SimTime,
 }
 
 impl ModelUnit {
@@ -115,7 +121,13 @@ impl ModelUnit {
             policy,
             residents: Vec::new(),
             stats: UnitStats::default(),
+            clock: SimTime::ZERO,
         }
+    }
+
+    /// Moves the clock to `now` if `now` is ahead of it.
+    pub fn advance(&mut self, now: SimTime) {
+        self.clock = self.clock.max(now);
     }
 
     /// The unit's capacity.
@@ -345,6 +357,8 @@ impl ModelUnit {
 
 impl StoreApi for ModelUnit {
     fn call(&mut self, now: SimTime, request: Request) -> Response {
+        self.advance(now);
+        let now = self.clock;
         match request {
             Request::Put {
                 id,
@@ -609,6 +623,25 @@ mod tests {
             absent,
             Err(Error::Rejuvenate(RejuvenateError::NotFound(_)))
         ));
+    }
+
+    /// After a call on day 10, calls dated day 5 act on day 10: the
+    /// resident that expired on day 7 is swept and a put "on day 5"
+    /// arrives on day 10.
+    #[test]
+    fn a_call_behind_the_clock_acts_at_the_clock() {
+        let mut model = ModelUnit::new(mib(100), EvictionPolicy::Preemptive);
+        put(&mut model, 1, 50, fixed(0.8, 7), day(0)).unwrap();
+        model.store_stats(day(10)).unwrap();
+        put(&mut model, 2, 10, fixed(0.5, 30), day(5)).unwrap();
+        assert_eq!(model.residents()[1].arrival, day(10));
+        let records = model.sweep(day(5)).unwrap();
+        assert_eq!((records.len(), records[0].id), (1, ObjectId::new(1)));
+        assert_eq!(records[0].evicted_at, day(10));
+        let info = model.get_info(ObjectId::new(2), day(0)).unwrap().unwrap();
+        assert_eq!(info.importance, imp(0.5));
+        let density = model.density_info(day(5)).unwrap().density;
+        assert!((density - 0.05).abs() <= 1e-12, "{density}");
     }
 
     #[test]

@@ -513,9 +513,6 @@ impl Besteffs {
             for &node in &self.sample {
                 probed += 1;
                 let unit = &mut self.units[node.index()];
-                // Bring the probed unit's incremental indexes up to `now`
-                // so the admission preview runs on the indexed fast path.
-                unit.advance(now);
                 let admission = unit.peek_admission(spec.size(), incoming, now);
                 let Some(score) = admission.placement_score() else {
                     continue; // full for this object
@@ -557,11 +554,10 @@ impl Besteffs {
 
     /// Brings every live node's incremental engine indexes up to `now`.
     ///
-    /// Sampling loops that read [`importance_density`] between placements
-    /// should call this first so density reads stay `O(live nodes)`
-    /// instead of re-scanning every stored object.
-    ///
-    /// [`importance_density`]: Besteffs::importance_density
+    /// Every unit verb advances its unit itself, so this is never needed
+    /// for an answer; it moves the breakpoint work of all live nodes to
+    /// one place, where a sampling loop can time it apart from its
+    /// density reads.
     pub fn advance(&mut self, now: SimTime) {
         let _span = self.obs.span("span.cluster.advance");
         for (i, unit) in self.units.iter_mut().enumerate() {
@@ -597,13 +593,17 @@ impl Besteffs {
     /// The cluster-wide average storage importance density at `now`:
     /// importance-weighted bytes over total live capacity, summed in node
     /// order.
-    pub fn importance_density(&self, now: SimTime) -> f64 {
+    pub fn importance_density(&mut self, now: SimTime) -> f64 {
         let capacity = self.capacity().as_bytes() as f64;
         if capacity == 0.0 {
             return 0.0;
         }
+        let overlay = &self.overlay;
         let weighted: f64 = self
-            .live_units()
+            .units
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| overlay.is_live(NodeId::new(*i)))
             .map(|(_, u)| u.importance_density(now) * u.capacity().as_bytes() as f64)
             .sum();
         weighted / capacity
@@ -618,13 +618,13 @@ impl Besteffs {
     /// so traces stay integer-only.
     ///
     /// [`importance_density`]: Besteffs::importance_density
-    pub fn observe_density(&self, now: SimTime) -> f64 {
+    pub fn observe_density(&mut self, now: SimTime) -> f64 {
         let density = self.importance_density(now);
         if !self.obs.is_enabled() {
             return density;
         }
         let ppm = |fraction: f64| (fraction * 1e6).round() as u64;
-        for (i, unit) in self.units.iter().enumerate() {
+        for (i, unit) in self.units.iter_mut().enumerate() {
             let live = self.overlay.is_live(NodeId::new(i));
             let (node_density, node_used) = if live {
                 (
@@ -877,8 +877,10 @@ mod tests {
             }
             let weighted: f64 = live
                 .iter()
-                .map(|&n| by_node.node(n))
-                .map(|u| u.importance_density(now) * u.capacity().as_bytes() as f64)
+                .map(|&n| {
+                    let unit = by_node.node_mut(n);
+                    unit.importance_density(now) * unit.capacity().as_bytes() as f64
+                })
                 .sum();
             let expected_density = weighted / by_node.capacity().as_bytes() as f64;
 

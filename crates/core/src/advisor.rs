@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn threshold_agrees_with_the_engine() {
-        let unit = unit_with(&[(60, 0.3), (40, 0.8)]);
+        let mut unit = unit_with(&[(60, 0.3), (40, 0.8)]);
         let advisor = Advisor::from_snapshot(unit.density_snapshot(SimTime::ZERO));
         for size_mib in [10u64, 50, 70, 99] {
             let threshold = advisor.admission_threshold_for(mib(size_mib));

@@ -75,33 +75,27 @@ impl StorageUnit {
     /// non-preemptible data (full for all incoming objects); lower values
     /// mean progressively less important objects could still be displaced.
     ///
+    /// Like every verb, it acts at `max(now, clock)`, advancing the unit
+    /// first; it is then `O(1)`, read from the index's accumulators.
+    ///
     /// # Examples
     ///
     /// ```
     /// use sim_core::{ByteSize, SimTime};
     /// use temporal_importance::StorageUnit;
     ///
-    /// let unit = StorageUnit::new(ByteSize::from_gib(80));
+    /// let mut unit = StorageUnit::new(ByteSize::from_gib(80));
     /// assert_eq!(unit.importance_density(SimTime::ZERO), 0.0);
     /// ```
-    pub fn importance_density(&self, now: SimTime) -> f64 {
+    pub fn importance_density(&mut self, now: SimTime) -> f64 {
+        let weighted = self.weighted_importance(now);
+        self.obs().counter("engine.density_reads", 1);
         if self.capacity().is_zero() {
             return 0.0;
         }
-        // O(1) when the incremental accumulators are current for `now`
-        // (see [`advance`](StorageUnit::advance)); clamped because the
-        // extrapolated sum can undershoot zero by a rounding error where
-        // the exact sum is non-negative.
-        if let Some(weighted) = self.weighted_importance_fast(now) {
-            self.obs().counter("engine.density_fast_path", 1);
-            return (weighted / self.capacity().as_bytes() as f64).clamp(0.0, 1.0);
-        }
-        self.obs().counter("engine.density_full_scan", 1);
-        let weighted: f64 = self
-            .iter()
-            .map(|o| o.size().as_bytes() as f64 * o.current_importance(now).value())
-            .sum();
-        weighted / self.capacity().as_bytes() as f64
+        // Clamped because the extrapolated sum can undershoot zero by a
+        // rounding error where the exact sum is non-negative.
+        (weighted / self.capacity().as_bytes() as f64).clamp(0.0, 1.0)
     }
 
     /// Stored bytes grouped by current importance, ascending.
@@ -124,8 +118,9 @@ impl StorageUnit {
         merged
     }
 
-    /// Takes a full [`DensitySnapshot`] at `now`.
-    pub fn density_snapshot(&self, now: SimTime) -> DensitySnapshot {
+    /// Takes a full [`DensitySnapshot`] at `max(now, clock)`.
+    pub fn density_snapshot(&mut self, now: SimTime) -> DensitySnapshot {
+        let now = self.act_at(now);
         DensitySnapshot {
             at: now,
             density: self.importance_density(now),
@@ -163,7 +158,7 @@ mod tests {
 
     #[test]
     fn empty_unit_has_zero_density() {
-        let unit = StorageUnit::new(ByteSize::from_gib(1));
+        let mut unit = StorageUnit::new(ByteSize::from_gib(1));
         assert_eq!(unit.importance_density(SimTime::ZERO), 0.0);
         let snap = unit.density_snapshot(SimTime::ZERO);
         assert!(snap.byte_cdf().is_empty());
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_unit_reports_zero_density() {
-        let unit = StorageUnit::new(ByteSize::ZERO);
+        let mut unit = StorageUnit::new(ByteSize::ZERO);
         assert_eq!(unit.importance_density(SimTime::ZERO), 0.0);
     }
 }

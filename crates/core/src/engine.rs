@@ -786,8 +786,8 @@ impl EngineIndex {
 
     /// Collects into `out` the id of every expired object (importance zero
     /// *or* positive at the expiry-minute boundary), in ascending id order
-    /// — the order a full-scan sweep evicts in. Callers pass a
-    /// reusable buffer so idle sweeps allocate nothing.
+    /// — the order a sweep evicts in. Callers pass a reusable buffer so
+    /// idle sweeps allocate nothing.
     pub(crate) fn expired_ids(&self, now: SimTime, out: &mut Vec<ObjectId>) {
         out.clear();
         out.extend(self.expired.iter().map(|((_, id), _)| id));

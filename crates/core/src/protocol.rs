@@ -412,9 +412,12 @@ pub enum Response {
 pub trait StoreApi {
     /// Dispatches one request at simulated instant `now`.
     ///
-    /// Serving layers may coalesce `now` forward (never backward) to a
-    /// batch drain time; callers must treat `now` as a lower bound on the
-    /// effective time of the operation.
+    /// Every store keeps a clock: the latest instant any call has brought
+    /// it to. A call acts at `max(now, clock)`, so a call behind the clock
+    /// acts at the clock and time never moves backward. Serving layers
+    /// may also coalesce `now` forward to a batch drain time; callers must
+    /// treat `now` as a lower bound on the effective time of the
+    /// operation.
     fn call(&mut self, now: SimTime, request: Request) -> Response;
 
     /// Stores `bytes` under `id` with the given annotation.
@@ -722,7 +725,7 @@ impl StoreApi for StorageUnit {
                 Response::Put(self.store(spec, now).map_err(Error::from))
             }
             Request::Get { id } => {
-                self.advance(now);
+                let now = self.act_at(now);
                 let info = self.get(id).map(|object| ObjectInfo {
                     id: object.id(),
                     size: object.size(),
@@ -738,25 +741,24 @@ impl StoreApi for StorageUnit {
                 incoming,
             } => {
                 // A single unit is its own shard; the routing key is moot.
-                self.advance(now);
                 Response::Advise(Ok(self.peek_admission(bytes, incoming, now)))
             }
-            Request::Density => {
+            Request::Density => Response::Density(Ok(DensityInfo {
+                density: self.importance_density(now),
+                capacity: self.capacity(),
+                used: self.used(),
+            })),
+            Request::Stats => {
                 self.advance(now);
-                Response::Density(Ok(DensityInfo {
-                    density: self.importance_density(now),
-                    capacity: self.capacity(),
+                Response::Stats(Ok(StoreStats {
+                    unit: *self.stats(),
                     used: self.used(),
+                    capacity: self.capacity(),
+                    objects: self.len() as u64,
                 }))
             }
-            Request::Stats => Response::Stats(Ok(StoreStats {
-                unit: *self.stats(),
-                used: self.used(),
-                capacity: self.capacity(),
-                objects: self.len() as u64,
-            })),
             Request::Health => {
-                self.advance(now);
+                let now = self.act_at(now);
                 // A bare unit is its own single shard; the serving-layer
                 // fields report their inert zeroes. Serving layers call
                 // through to this arm (so clock/occupancy side effects

@@ -191,10 +191,6 @@ struct PlanScratch {
     evaluated: usize,
     #[cfg(test)]
     activations: usize,
-    /// Plans an indexed unit sent to [`plan_naive`](StorageUnit::plan_naive)
-    /// because its index was not fresh at the plan's instant.
-    #[cfg(test)]
-    naive_fallbacks: usize,
 }
 
 /// A preemption plan computed by [`StorageUnit::plan`]; the victim ids live
@@ -282,14 +278,12 @@ impl StorageUnit {
     /// Processes every curve breakpoint at or before `now`, bringing the
     /// incremental indexes up to date.
     ///
-    /// Mutating operations do this automatically; read-only queries
-    /// ([`peek_admission`](StorageUnit::peek_admission),
-    /// [`importance_density`](StorageUnit::importance_density)) cannot, so
-    /// they fall back to a full scan whenever breakpoints are pending.
-    /// Long-running simulations that sample densities or probe admissions
-    /// between mutations should call `advance` first to stay on the
-    /// indexed fast path. Time travels forward only: calls with a `now`
-    /// earlier than the latest one seen are no-ops.
+    /// Every verb does this first and then acts at the unit's clock,
+    /// `max(now, clock)`: time travels forward only, so a call with a
+    /// `now` earlier than the latest one seen acts at that latest instant.
+    /// Calling `advance` directly is never needed for correctness; it
+    /// only moves the clock (and the breakpoint work) ahead of the next
+    /// verb.
     pub fn advance(&mut self, now: SimTime) {
         if self.index.len() != self.objects.len() {
             self.index
@@ -304,10 +298,16 @@ impl StorageUnit {
         }
     }
 
+    /// Advances to `now` and returns the instant a verb acts at: `now`, or
+    /// the clock when `now` is behind it.
+    pub(crate) fn act_at(&mut self, now: SimTime) -> SimTime {
+        self.advance(now);
+        self.index.clock()
+    }
+
     /// True when the index answers queries at `now` exactly: it covers all
-    /// objects and time has not moved past unprocessed breakpoints. When it
-    /// fails, planning falls back to [`plan_naive`](StorageUnit::plan_naive)
-    /// and density to a full scan.
+    /// objects and time has not moved past unprocessed breakpoints. Holds
+    /// at every instant [`act_at`](StorageUnit::act_at) returns.
     fn index_fresh(&self, now: SimTime) -> bool {
         self.index.len() == self.objects.len()
             && now >= self.index.clock()
@@ -377,6 +377,7 @@ impl StorageUnit {
     ///   still leaves too little room. Under [`EvictionPolicy::Fifo`] this
     ///   is never returned for objects that fit in the unit at all.
     pub fn store(&mut self, spec: ObjectSpec, now: SimTime) -> Result<StoreOutcome, StoreError> {
+        let now = self.act_at(now);
         self.stats.stores_attempted += 1;
         self.obs.counter("engine.stores", 1);
         if spec.size().is_zero() {
@@ -392,7 +393,6 @@ impl StorageUnit {
         if self.objects.contains(spec.id()) {
             return Err(StoreError::DuplicateId(spec.id()));
         }
-        self.advance(now);
 
         let incoming = spec.curve().initial_importance();
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -458,28 +458,37 @@ impl StorageUnit {
     }
 
     /// Previews the admission decision for an object of the given size and
-    /// incoming importance, without mutating the unit.
+    /// incoming importance, changing no resident: like every verb it only
+    /// advances the clock to `now` first.
     ///
     /// This is the probe the §5.3 distributed placement algorithm sends to
     /// candidate units: it reports the *highest importance object that will
     /// be preempted* as the placement score.
-    pub fn peek_admission(&self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
+    pub fn peek_admission(
+        &mut self,
+        size: ByteSize,
+        incoming: Importance,
+        now: SimTime,
+    ) -> Admission {
+        let now = self.act_at(now);
         self.obs.counter("engine.peeks", 1);
         if size.is_zero() || size > self.capacity {
             return Admission::TooLarge;
         }
-        let mut scratch = PlanScratch::default();
+        let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.plan(size, incoming, now, &mut scratch);
-        admission(result, &scratch)
+        let answer = admission(result, &scratch);
+        self.scratch = scratch;
+        answer
     }
 
     /// Explicitly removes an object (e.g. user deletion), returning its
     /// eviction record.
     pub fn remove(&mut self, id: ObjectId, now: SimTime) -> Option<EvictionRecord> {
+        let now = self.act_at(now);
         if !self.objects.contains(id) {
             return None;
         }
-        self.advance(now);
         self.stats.removals += 1;
         Some(self.evict(id, now, EvictionReason::Removed))
     }
@@ -492,19 +501,10 @@ impl StorageUnit {
     /// the delete-optimized grouping of Douglis et al. that §2 discusses.
     pub fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
         let _span = self.obs.span("span.engine.sweep");
-        self.advance(now);
+        let now = self.act_at(now);
         let mut scratch = std::mem::take(&mut self.scratch);
-        if self.index_fresh(now) {
-            self.index.expired_ids(now, &mut scratch.sweep_ids);
-        } else {
-            scratch.sweep_ids.clear();
-            scratch.sweep_ids.extend(
-                self.objects
-                    .iter()
-                    .filter(|o| o.is_expired(now))
-                    .map(|o| o.id()),
-            );
-        }
+        debug_assert!(self.index_fresh(now));
+        self.index.expired_ids(now, &mut scratch.sweep_ids);
         self.obs
             .record("engine.sweep_reclaimed", scratch.sweep_ids.len() as u64);
         let records = scratch
@@ -531,7 +531,7 @@ impl StorageUnit {
         curve: ImportanceCurve,
         now: SimTime,
     ) -> Result<(), RejuvenateError> {
-        self.advance(now);
+        let now = self.act_at(now);
         let slot = self
             .objects
             .lookup(id)
@@ -559,7 +559,7 @@ impl StorageUnit {
         curve: ImportanceCurve,
         now: SimTime,
     ) -> Result<(), RejuvenateError> {
-        self.advance(now);
+        let now = self.act_at(now);
         let slot = self
             .objects
             .lookup(id)
@@ -629,8 +629,9 @@ impl StorageUnit {
     }
 
     /// Computes the set of victims needed to fit `size` bytes for an
-    /// object entering with importance `incoming`. Victim ids accumulate
-    /// into `scratch.victims` (cleared first).
+    /// object entering with importance `incoming`, over an index that is
+    /// fresh at `now`. Victim ids accumulate into `scratch.victims`
+    /// (cleared first).
     fn plan(
         &self,
         size: ByteSize,
@@ -645,17 +646,10 @@ impl StorageUnit {
                 highest: None,
             });
         }
-        if self.index_fresh(now) {
-            match self.policy {
-                EvictionPolicy::Preemptive => self.plan_indexed(size, incoming, now, scratch),
-                EvictionPolicy::Fifo => self.plan_indexed_fifo(size, incoming, now, scratch),
-            }
-        } else {
-            #[cfg(test)]
-            {
-                scratch.naive_fallbacks += 1;
-            }
-            self.plan_naive(size, incoming, now, scratch)
+        debug_assert!(self.index_fresh(now));
+        match self.policy {
+            EvictionPolicy::Preemptive => self.plan_indexed(size, incoming, now, scratch),
+            EvictionPolicy::Fifo => self.plan_indexed_fifo(size, now, scratch),
         }
     }
 
@@ -745,10 +739,11 @@ impl StorageUnit {
     }
 
     /// FIFO planning over the always-maintained `(arrival, id)` index.
+    /// Every resident is a candidate, so any `size` up to the capacity
+    /// fits.
     fn plan_indexed_fifo(
         &self,
         size: ByteSize,
-        incoming: Importance,
         now: SimTime,
         scratch: &mut PlanScratch,
     ) -> PlanResult {
@@ -768,118 +763,8 @@ impl StorageUnit {
                 None => imp,
             });
         }
-        if free + freed >= size {
-            PlanResult::Admit(Plan { freed, highest })
-        } else {
-            // Unreachable through the public API (anything at most the
-            // capacity always fits under FIFO), but kept equivalent to the
-            // scan engine for completeness.
-            let blocking = self
-                .objects
-                .iter()
-                .filter(|o| !(o.current_importance(now) < incoming || o.is_expired(now)))
-                .map(|o| o.current_importance(now))
-                .min();
-            PlanResult::Full {
-                blocking,
-                reclaimable: freed,
-            }
-        }
-    }
-
-    /// The full-scan reference implementation of planning.
-    fn plan_naive(
-        &self,
-        size: ByteSize,
-        incoming: Importance,
-        now: SimTime,
-        scratch: &mut PlanScratch,
-    ) -> PlanResult {
-        // Candidate victims in eviction order.
-        let mut candidates: Vec<(&StoredObject, Importance)> = self
-            .objects
-            .iter()
-            .filter_map(|o| {
-                let imp = o.current_importance(now);
-                let preemptible = match self.policy {
-                    // Strict rule (§3): strictly lower importance only.
-                    // Expired objects carry importance zero, so they are
-                    // preemptible by anything positive; a zero-importance
-                    // incoming object may still replace *expired* data
-                    // ("objects of importance zero may be freely replaced
-                    // by any other object").
-                    EvictionPolicy::Preemptive => imp < incoming || o.is_expired(now),
-                    // Palimpsest: everything is fair game.
-                    EvictionPolicy::Fifo => true,
-                };
-                preemptible.then_some((o, imp))
-            })
-            .collect();
-
-        match self.policy {
-            EvictionPolicy::Preemptive => {
-                // §5.3: "increasing current temporal importance value
-                // followed by the amount of the remaining lifetimes";
-                // arrival then id break remaining ties deterministically.
-                candidates.sort_by(|(a, ia), (b, ib)| {
-                    ia.cmp(ib)
-                        .then_with(|| {
-                            let ra = a.remaining_lifetime(now).map(|d| d.as_minutes());
-                            let rb = b.remaining_lifetime(now).map(|d| d.as_minutes());
-                            // None (never expires) sorts last.
-                            match (ra, rb) {
-                                (Some(x), Some(y)) => x.cmp(&y),
-                                (Some(_), None) => std::cmp::Ordering::Less,
-                                (None, Some(_)) => std::cmp::Ordering::Greater,
-                                (None, None) => std::cmp::Ordering::Equal,
-                            }
-                        })
-                        .then_with(|| a.arrival().cmp(&b.arrival()))
-                        .then_with(|| a.id().cmp(&b.id()))
-                });
-            }
-            EvictionPolicy::Fifo => {
-                candidates.sort_by(|(a, _), (b, _)| {
-                    a.arrival()
-                        .cmp(&b.arrival())
-                        .then_with(|| a.id().cmp(&b.id()))
-                });
-            }
-        }
-
-        let mut freed = ByteSize::ZERO;
-        let mut highest: Option<Importance> = None;
-        for (object, imp) in &candidates {
-            if self.free() + freed >= size {
-                break;
-            }
-            scratch.victims.push(object.id());
-            freed += object.size();
-            highest = Some(match highest {
-                Some(h) => h.max(*imp),
-                None => *imp,
-            });
-        }
-
-        if self.free() + freed >= size {
-            PlanResult::Admit(Plan { freed, highest })
-        } else {
-            // Not enough even after preempting everything eligible: the
-            // unit is full for this importance level. Report the lowest
-            // importance among the objects that block admission, and the
-            // total candidate bytes as the reclaimable estimate.
-            let blocking = self
-                .objects
-                .iter()
-                .filter(|o| !(o.current_importance(now) < incoming || o.is_expired(now)))
-                .map(|o| o.current_importance(now))
-                .min();
-            let reclaimable = candidates.iter().map(|(o, _)| o.size()).sum();
-            PlanResult::Full {
-                blocking,
-                reclaimable,
-            }
-        }
+        debug_assert!(free + freed >= size, "FIFO frees up to the capacity");
+        PlanResult::Admit(Plan { freed, highest })
     }
 
     /// The unit's instrumentation handle, shared with the sibling modules
@@ -888,14 +773,12 @@ impl StorageUnit {
         &self.obs
     }
 
-    /// Fast-path weighted importance sum when the index is current for
-    /// `now`; `None` sends the caller to the full scan.
-    pub(crate) fn weighted_importance_fast(&self, now: SimTime) -> Option<f64> {
-        if self.index_fresh(now) {
-            Some(self.index.weighted_importance(now))
-        } else {
-            None
-        }
+    /// The weighted importance sum `Σ size·L(now)` of the residents, read
+    /// from the index's accumulators at the instant `now` acts at.
+    pub(crate) fn weighted_importance(&mut self, now: SimTime) -> f64 {
+        let now = self.act_at(now);
+        debug_assert!(self.index_fresh(now));
+        self.index.weighted_importance(now)
     }
 }
 
@@ -1051,8 +934,11 @@ mod tests {
 
     /// A plan over one family of 500 shapes evaluates the family's head,
     /// one head per victim and one per activated group — not one head per
-    /// shape, as a merge over every group would — and takes exactly the
-    /// victims of `plan_naive`'s full scan of the same unit.
+    /// shape, as a merge over every group would — and takes the seven
+    /// residents whose plateaus ended first, earliest first: residents
+    /// wane at one rate, so the earliest plateau end is the lowest
+    /// importance. `tests/planner_oracle.rs` plans the same unit against
+    /// the list-scan model.
     #[test]
     fn a_plan_evaluates_heads_per_family_not_per_shape() {
         const OBJECTS: u64 = 500;
@@ -1066,13 +952,13 @@ mod tests {
             unit.store(spec, SimTime::from_minutes(7 * i)).unwrap();
         }
         unit.advance(now);
-        let (mut scratch, mut naive) = (PlanScratch::default(), PlanScratch::default());
+        let mut scratch = PlanScratch::default();
         let admitted = |result| matches!(result, PlanResult::Admit(_));
         assert!(admitted(unit.plan(mib(7), imp(0.7), now, &mut scratch)));
-        assert!(admitted(unit.plan_naive(mib(7), imp(0.7), now, &mut naive)));
         assert_eq!(unit.index.family_groups().len(), 1);
-        assert_eq!(scratch.naive_fallbacks, 0);
-        assert_eq!(scratch.victims, naive.victims);
+        // Plateau ends 24.0, 44.0, 44.8, 45.5, 46.3, 47.1 and 47.9 hours.
+        let earliest_ends = [0, 154, 135, 116, 97, 78, 59].map(ObjectId::new);
+        assert_eq!(scratch.victims, earliest_ends);
         let (victims, activations) = (scratch.victims.len(), scratch.activations);
         assert_eq!(victims, 7);
         assert!(activations > 0, "the merge never activated a group");
@@ -1136,19 +1022,18 @@ mod tests {
         );
     }
 
-    /// `index_fresh(now)` holds after every `advance(now)`, and an
-    /// admission probe at an advanced instant plans over the index, never
-    /// falling back to `plan_naive`: a seeded churn of the benchmark's curve
-    /// palette with removes, sweeps, reannotations and week-long clock
-    /// jumps, probed after every step, answers as `plan_naive`'s full scan
-    /// of the same unit throughout.
+    /// The index is fresh at the clock after every verb: a seeded churn
+    /// of the benchmark's curve palette with removes, sweeps,
+    /// reannotations, probes and week-long clock jumps, and no `advance`
+    /// of its own, leaves `index_fresh(now)` true after each step, and
+    /// most probes plan. `tests/planner_oracle.rs` runs the same churn
+    /// against the list-scan model.
     #[test]
-    fn an_advanced_unit_never_plans_naively() {
+    fn every_verb_leaves_the_index_fresh() {
         use rand::Rng;
 
         let mut unit = StorageUnit::new(mib(192));
         let mut rng = sim_core::rng::seeded(37);
-        let mut scratch = PlanScratch::default();
         let (mut now, mut planned) = (SimTime::ZERO, 0);
         for step in 0..3_000u64 {
             now += match rng.gen_range(0..60u32) {
@@ -1175,32 +1060,25 @@ mod tests {
                     drop(unit.store(spec, now));
                 }
             }
-            unit.advance(now);
             assert!(unit.index_fresh(now), "step {step}");
             let (size, incoming) = (
                 mib(rng.gen_range(1..=8)),
                 imp(0.1 * f64::from(rng.gen_range(1..=10u32))),
             );
             planned += usize::from(unit.free() < size);
-            unit.plan(size, incoming, now, &mut scratch);
-            let mut naive = PlanScratch::default();
-            let scanned = unit.plan_naive(size, incoming, now, &mut naive);
-            assert_eq!(
-                unit.peek_admission(size, incoming, now),
-                admission(scanned, &naive),
-                "step {step}"
-            );
+            unit.peek_admission(size, incoming, now);
+            assert!(unit.index_fresh(now), "step {step}");
         }
-        assert_eq!(scratch.naive_fallbacks, 0);
         assert!(planned > 1_000, "only {planned} probes planned");
     }
 
     /// A zero-wane step curve expires on its plateau's last minute while
     /// it still carries the plateau's importance. Reached there by time
-    /// passing, not by a store on that minute, it is swept on that minute
-    /// by the indexed unit as by the full scan, and an admission probe
-    /// that meets a blocker first still finds it behind, as `plan_naive`
-    /// does.
+    /// passing, not by a store on that minute, it is swept on that minute,
+    /// and an admission probe that meets a blocker first still finds it
+    /// behind: ids 2 (0.3) and 1 (0.5, expired) make room for 0.35, past
+    /// the 0.4 blocker. `tests/planner_oracle.rs` asks the list-scan model
+    /// the same.
     #[test]
     fn a_step_curve_reached_on_its_expiry_minute_is_expired() {
         let expiry_minute = SimTime::from_days(10);
@@ -1217,7 +1095,7 @@ mod tests {
             unit.advance(expiry_minute);
             unit
         };
-        let unit = fill();
+        let mut unit = fill();
         let expected = Admission::Preempting {
             highest: imp(0.5),
             victims: 2,
@@ -1225,9 +1103,6 @@ mod tests {
         };
         let probe = unit.peek_admission(mib(20), imp(0.35), expiry_minute);
         assert_eq!(probe, expected);
-        let mut naive = PlanScratch::default();
-        let scanned = unit.plan_naive(mib(20), imp(0.35), expiry_minute, &mut naive);
-        assert_eq!(admission(scanned, &naive), expected, "plan_naive");
         let expired: Vec<u64> = unit
             .iter()
             .filter(|object| object.is_expired(expiry_minute))
@@ -1242,12 +1117,12 @@ mod tests {
         assert_eq!(swept, vec![1]);
     }
 
-    /// Read-only queries at an instant whose breakpoints the index has not
-    /// processed take the scans: `peek_admission` plans with `plan_naive`
-    /// and `importance_density` sums every resident, and both answer as a
-    /// clone advanced to that instant answers over its index.
+    /// A read at an instant whose breakpoints no verb has processed
+    /// advances the unit first, and answers as a clone advanced to that
+    /// instant beforehand does: `peek_admission` over the index, ties
+    /// included, and `importance_density` from the accumulators.
     #[test]
-    fn an_unadvanced_unit_answers_by_scan_as_an_advanced_one() {
+    fn a_read_at_a_pending_instant_answers_as_an_advanced_clone() {
         let mut unit = StorageUnit::new(mib(100));
         let waning = ImportanceCurve::two_step(imp(0.8), days(5), days(10));
         unit.store(fixed_spec(1, mib(30), 0.3, 10), SimTime::ZERO)
@@ -1270,8 +1145,13 @@ mod tests {
         ties.store(fixed_spec(4, mib(20), 0.4, 30), SimTime::from_days(1))
             .unwrap();
         // Ids 1 and 6 have expired and id 2 has waned since day 5: all are
-        // breakpoints due at `now` that no mutation has processed.
+        // breakpoints due at `now` that no verb has processed.
         let now = SimTime::from_days(12);
+        let pending = |unit: &StorageUnit| {
+            let pending = unit.clone();
+            assert!(!pending.index_fresh(now));
+            pending
+        };
         let advanced = |unit: &StorageUnit| {
             let mut advanced = unit.clone();
             advanced.advance(now);
@@ -1319,20 +1199,51 @@ mod tests {
             ),
         ];
         for (unit, size, incoming, expected) in probes {
-            assert!(!unit.index_fresh(now));
-            let mut scratch = PlanScratch::default();
-            unit.plan(size, incoming, now, &mut scratch);
-            assert!(scratch.naive_fallbacks >= 1, "{size} at {incoming}");
-            let probe = unit.peek_admission(size, incoming, now);
+            let mut read = pending(unit);
+            let probe = read.peek_admission(size, incoming, now);
+            assert!(read.index_fresh(now), "{size} at {incoming}");
             let indexed = advanced(unit).peek_admission(size, incoming, now);
             assert_eq!(probe, indexed, "{size} at {incoming}");
             assert_eq!(probe, expected, "{size} at {incoming}");
         }
 
-        assert!(unit.weighted_importance_fast(now).is_none());
-        let scanned = unit.importance_density(now);
-        assert!((scanned - advanced(&unit).importance_density(now)).abs() <= 1e-9);
-        assert!((scanned - 0.312).abs() <= 1e-9, "density {scanned}");
+        let density = pending(&unit).importance_density(now);
+        assert!((density - advanced(&unit).importance_density(now)).abs() <= 1e-9);
+        assert!((density - 0.312).abs() <= 1e-9, "density {density}");
+    }
+
+    /// A verb behind the clock acts at the clock: after a store on day
+    /// 10, a probe, a density read, a store, a sweep and a removal all
+    /// dated day 5 answer as on day 10, and the object stored "on day 5"
+    /// arrives on day 10.
+    #[test]
+    fn a_verb_behind_the_clock_acts_at_the_clock() {
+        let (day5, day10) = (SimTime::from_days(5), SimTime::from_days(10));
+        let mut unit = StorageUnit::new(mib(100));
+        unit.store(fixed_spec(1, mib(50), 0.8, 7), SimTime::ZERO)
+            .unwrap();
+        unit.store(fixed_spec(2, mib(30), 0.2, 30), day10).unwrap();
+        // Id 1 expired on day 7, so on day 10 it makes room even for 0.1;
+        // on day 5 it would block at 0.8.
+        assert_eq!(
+            unit.peek_admission(mib(60), imp(0.1), day5),
+            Admission::Fits { victims: 1 }
+        );
+        // 30 MiB at 0.2 of 100 MiB; on day 5 id 1 would add 0.4.
+        let density = unit.importance_density(day5);
+        assert!((density - 0.06).abs() <= 1e-12, "{density}");
+        let outcome = unit.store(fixed_spec(3, mib(20), 0.5, 30), day5).unwrap();
+        assert!(outcome.evicted.is_empty());
+        assert_eq!(unit.get(ObjectId::new(3)).unwrap().arrival(), day10);
+        let swept = unit.sweep_expired(day5);
+        assert_eq!(swept.len(), 1);
+        assert_eq!(
+            (swept[0].id, swept[0].evicted_at),
+            (ObjectId::new(1), day10)
+        );
+        let removed = unit.remove(ObjectId::new(3), day5).unwrap();
+        assert_eq!(removed.evicted_at, day10);
+        assert!(unit.index_fresh(day10));
     }
 
     #[test]
@@ -1586,7 +1497,7 @@ mod tests {
             Admission::Full { .. }
         ));
         // An empty unit admits into free space.
-        let empty = StorageUnit::new(mib(100));
+        let mut empty = StorageUnit::new(mib(100));
         assert!(matches!(
             empty.peek_admission(mib(1), imp(0.1), SimTime::ZERO),
             Admission::Fits { victims: 0 }

@@ -137,7 +137,6 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
 
     for arrival in arrivals {
         while next_sample <= arrival.at {
-            unit.advance(next_sample);
             density.push(next_sample, unit.importance_density(next_sample));
             next_sample += config.sample_every;
         }

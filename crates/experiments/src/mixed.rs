@@ -173,7 +173,6 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
     for day in 0..config.days {
         let midnight = SimTime::from_days(day);
         // Sample state at each midnight.
-        unit.advance(midnight);
         density.push(midnight, unit.importance_density(midnight));
         for (i, profile) in config.profiles.iter().enumerate() {
             let bytes: ByteSize = unit

@@ -199,7 +199,6 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                 }
             }
             Event::Sample => {
-                unit.advance(now);
                 result.density.push(now, unit.importance_density(now));
                 result.pending_summaries.push(now, unacked.len() as f64);
                 if now + SimDuration::DAY <= horizon {

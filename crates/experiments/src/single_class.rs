@@ -187,7 +187,6 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
         }
         // Sample state up to the arrival instant.
         while next_sample <= arrival.at {
-            unit.advance(next_sample);
             let d = unit.importance_density(next_sample);
             let used = unit.used().ratio(unit.capacity());
             density.push(next_sample, d);

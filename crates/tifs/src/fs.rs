@@ -4,7 +4,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use sim_core::{ByteSize, SimTime};
 use temporal_importance::{
-    EvictionRecord, Importance, ImportanceCurve, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit,
+    DensitySnapshot, EvictionRecord, Importance, ImportanceCurve, ObjectId, ObjectIdGen,
+    ObjectSpec, StorageUnit,
 };
 
 use crate::error::FsError;
@@ -97,8 +98,14 @@ impl TiFs {
 
     /// The storage importance density at `now` — the feedback signal for
     /// choosing annotations (§5.1.2).
-    pub fn density(&self, now: SimTime) -> f64 {
+    pub fn density(&mut self, now: SimTime) -> f64 {
         self.unit.importance_density(now)
+    }
+
+    /// The storage unit's [`DensitySnapshot`] at `now`, what an
+    /// [`Advisor`](temporal_importance::Advisor) reads.
+    pub fn density_snapshot(&mut self, now: SimTime) -> DensitySnapshot {
+        self.unit.density_snapshot(now)
     }
 
     /// Creates a directory, requiring the parent to exist.

@@ -194,7 +194,7 @@ impl Session {
             }
             ("advise", [size]) => {
                 let size = parse_size(size)?;
-                let advisor = Advisor::from_snapshot(self.fs.unit().density_snapshot(self.now));
+                let advisor = Advisor::from_snapshot(self.fs.density_snapshot(self.now));
                 let threshold = advisor.admission_threshold_for(size);
                 println!("a {size} file needs importance > {threshold}");
                 let probe = ImportanceCurve::two_step(

@@ -514,7 +514,7 @@ fn a_crash_mid_compaction_recovers_to_the_clean_state() {
     let expected_stats = *unit.unit().stats();
     let expected_used = unit.unit().used();
     let expected_residents = unit.unit().len();
-    let expected_density = unit.unit().importance_density(now);
+    let expected_density = unit.density_info(now).expect("density").density;
     let expected_clock = unit.clock();
     let expected_sweep = unit.last_sweep();
     drop(unit.close().expect("clean close"));
@@ -537,12 +537,13 @@ fn a_crash_mid_compaction_recovers_to_the_clean_state() {
     // Recovery: the torn commit is truncated away, the victim file (never
     // exonerated by a commit record) replays normally, and the duplicate
     // survivor records are absorbed by latest-record-wins.
-    let recovered = tiny_open(&crashed);
+    let mut recovered = tiny_open(&crashed);
     assert_eq!(fingerprint(&recovered), expected, "engine state identical");
     assert_eq!(*recovered.unit().stats(), expected_stats);
     assert_eq!(recovered.unit().used(), expected_used);
     assert_eq!(recovered.unit().len(), expected_residents);
-    assert_eq!(recovered.unit().importance_density(now), expected_density);
+    let density = recovered.density_info(now).expect("density").density;
+    assert_eq!(density, expected_density);
     assert_eq!(recovered.clock(), expected_clock);
     assert_eq!(recovered.last_sweep(), expected_sweep);
     drop(recovered);

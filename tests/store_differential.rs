@@ -16,7 +16,10 @@
 //!   indexed unit's, and the model's final residents must equal the
 //!   indexed unit's field by field. It runs once per policy, and once
 //!   more, preemptive, with curves from a quantised palette
-//!   (`palette_curve`) so that many shapes share one curve family.
+//!   (`palette_curve`) so that many shapes share one curve family. A
+//!   fourth run, `lockstep_behind_the_clock`, moves about one step in
+//!   eight earlier (`backdated`), so calls land behind the clock and every
+//!   store must act at `max(now, clock)`, as `StoreApi::call` states.
 //! * **Served.** The protocol steps, removes, annotations and sweeps
 //!   included, through one blocking client, to a
 //!   1-shard and an N-shard memory `Tempimpd` and an N-shard durable one
@@ -86,7 +89,7 @@ struct Case {
     shards: u32,
     /// The step before which durable stores are closed and reopened.
     cut: usize,
-    /// Steps at non-decreasing times.
+    /// Steps at non-decreasing times, unless `backdated`.
     script: Vec<(SimTime, Op)>,
 }
 
@@ -204,6 +207,18 @@ fn generate(rng: &mut StdRng, base: u64, curve: fn(&mut StdRng) -> ImportanceCur
         cut: rng.gen_range(0..=len),
         script,
     }
+}
+
+/// `case` with about one step in eight moved up to six days earlier (not
+/// before zero), behind the instants of the steps before it.
+fn backdated(rng: &mut StdRng, mut case: Case) -> Case {
+    for (at, _) in &mut case.script {
+        if rng.gen_range(0..8) == 0 {
+            let back = span(rng, 6).as_minutes();
+            *at = SimTime::from_minutes(at.as_minutes().saturating_sub(back));
+        }
+    }
+    case
 }
 
 /// The protocol steps of `case`.
@@ -347,16 +362,16 @@ struct Reach {
     sealed: u64,
     compacted: u64,
     rejections: [bool; 4],
+    preemptive: bool,
 }
 
-fn lockstep(name: &str, policy: EvictionPolicy, curve: fn(&mut StdRng) -> ImportanceCurve) {
+/// Runs the lockstep leg over the cases `draw` makes.
+fn lockstep(name: &str, draw: impl Fn(&mut StdRng) -> Case) {
     let mut reach = Reach::default();
     let cases = cases();
     run_cases_n(name, cases, |rng| {
-        let case = Case {
-            policy,
-            ..generate(rng, 0, curve)
-        };
+        let case = draw(rng);
+        reach.preemptive |= case.policy == EvictionPolicy::Preemptive;
         run_lockstep(&case, &mut reach);
         Ok(())
     });
@@ -366,7 +381,7 @@ fn lockstep(name: &str, policy: EvictionPolicy, curve: fn(&mut StdRng) -> Import
     );
     assert!(2 * reach.sealed > cases && 2 * reach.compacted > cases);
     // FIFO makes room by age alone, so it never answers `Full`.
-    let skip = usize::from(policy == EvictionPolicy::Fifo);
+    let skip = usize::from(!reach.preemptive);
     assert!(
         reach.rejections.iter().skip(skip).all(|&seen| seen),
         "{name} missed a rejection kind: {reach:?}"
@@ -380,22 +395,29 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     let open = || DurableUnit::open(&dir, CAPACITY, case.policy, segments()).expect("open the log");
     let mut durable = open();
     // The durable clocks the model expects, live and reopened alike: the
-    // last journaled mutation and the last sweep, all the log remembers.
+    // latest journaled mutation and the latest sweep, all the log
+    // remembers. `reached` is the clock every call has brought the stores
+    // to.
     let (mut journaled, mut swept) = (SimTime::ZERO, SimTime::ZERO);
+    let mut reached = SimTime::ZERO;
     let (mut sealed, mut compacted) = (false, false);
-    let mut reopen = |durable: DurableUnit, expected: &StorageUnit, clocks| {
+    // Reads and advances are not journaled, so a reopened log forgets the
+    // clock they reached; the reopened unit is brought back to it, as a
+    // restarted server that kept its own clock would.
+    let mut reopen = |durable: DurableUnit, expected: &StorageUnit, clocks, reached| {
         let disk = durable.disk_info();
         sealed |= disk.segments > 1 || disk.compactions > 0;
         compacted |= disk.compactions > 0;
         let closed = durable.close().expect("close the log");
         assert_eq!(fingerprint(&closed), fingerprint(expected), "closed unit");
-        let reopened = open();
+        let mut reopened = open();
         assert_eq!(
             fingerprint(reopened.unit()),
             fingerprint(expected),
             "reopened"
         );
         assert_eq!((reopened.clock(), reopened.last_sweep()), clocks, "clocks");
+        reopened.advance(reached);
         reopened
     };
     let state = |unit: &StorageUnit| (*unit.stats(), unit.used(), unit.len());
@@ -403,20 +425,21 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     let mut tolerance = 0.0;
     for (step, (now, op)) in case.script.iter().enumerate() {
         if step == case.cut {
-            durable = reopen(durable, &indexed, (journaled, swept));
+            durable = reopen(durable, &indexed, (journaled, swept), reached);
             tolerance = REOPENED_TOLERANCE;
         }
         let (expected, journals) = apply(&mut indexed, *now, op, StorageUnit::advance);
-        let modelled = apply(&mut model, *now, op, |_, _| {}).0;
+        let modelled = apply(&mut model, *now, op, ModelUnit::advance).0;
         check(step, "model", &modelled, &expected, ORACLE_TOLERANCE);
         let answered = apply_durable(&mut durable, *now, op);
         check(step, "durable unit", &answered, &expected, tolerance);
         if journals {
-            journaled = *now;
+            journaled = journaled.max(*now);
         }
         if matches!(op, Op::Call(Request::Sweep)) {
-            swept = *now;
+            swept = swept.max(*now);
         }
+        reached = reached.max(*now);
         for (kind, seen) in REJECTIONS.iter().zip(&mut reach.rejections) {
             *seen |= expected.0.contains(kind);
         }
@@ -429,7 +452,7 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         let clocks = (durable.clock(), durable.last_sweep());
         assert_eq!(clocks, (journaled, swept), "durable clocks at step {step}");
     }
-    drop(reopen(durable, &indexed, (journaled, swept)));
+    drop(reopen(durable, &indexed, (journaled, swept), reached));
     assert_eq!(
         (model.capacity(), model.policy()),
         (indexed.capacity(), indexed.policy()),
@@ -441,14 +464,28 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     std::fs::remove_dir_all(&dir).expect("remove the log");
 }
 
+/// `generate`'s case under `policy`.
+fn under(
+    policy: EvictionPolicy,
+    curve: fn(&mut StdRng) -> ImportanceCurve,
+) -> impl Fn(&mut StdRng) -> Case {
+    move |rng| Case {
+        policy,
+        ..generate(rng, 0, curve)
+    }
+}
+
 #[test]
 fn lockstep_preemptive() {
-    lockstep("lockstep_preemptive", EvictionPolicy::Preemptive, curve);
+    lockstep(
+        "lockstep_preemptive",
+        under(EvictionPolicy::Preemptive, curve),
+    );
 }
 
 #[test]
 fn lockstep_fifo() {
-    lockstep("lockstep_fifo", EvictionPolicy::Fifo, curve);
+    lockstep("lockstep_fifo", under(EvictionPolicy::Fifo, curve));
 }
 
 /// The preemptive lockstep leg over `palette_curve`'s annotations.
@@ -456,9 +493,17 @@ fn lockstep_fifo() {
 fn lockstep_palette() {
     lockstep(
         "lockstep_palette",
-        EvictionPolicy::Preemptive,
-        palette_curve,
+        under(EvictionPolicy::Preemptive, palette_curve),
     );
+}
+
+/// The lockstep leg with calls behind the clock, under both policies.
+#[test]
+fn lockstep_behind_the_clock() {
+    lockstep("lockstep_behind_the_clock", |rng| {
+        let case = generate(rng, 0, curve);
+        backdated(rng, case)
+    });
 }
 
 /// A shard's recorded log must replay to `unit`, and `unit` must hold only
