@@ -160,8 +160,8 @@ fn append_case() -> BenchCase {
         let mut unit = StorageUnit::new(capacity);
         let start = Instant::now();
         for id in 0..RESIDENTS {
-            unit.store(resident_spec(id), SimTime::ZERO)
-                .expect("append fits");
+            let stored = unit.call(SimTime::ZERO, resident_spec(id).into());
+            assert!(matches!(stored, Response::Put(Ok(_))), "append fits");
         }
         memory_ns = memory_ns.min(start.elapsed().as_nanos() as f64 / RESIDENTS as f64);
     }
@@ -229,16 +229,17 @@ fn churn_case() -> BenchCase {
     for _ in 0..REPETITIONS {
         let mut unit = StorageUnit::new(capacity);
         for id in 0..RESIDENTS {
-            unit.store(resident_spec(id), SimTime::ZERO)
-                .expect("prefill fits");
+            let stored = unit.call(SimTime::ZERO, resident_spec(id).into());
+            assert!(matches!(stored, Response::Put(Ok(_))), "prefill fits");
         }
         let start = Instant::now();
         for op in 0..CHURN_OPS {
-            unit.store(
-                incoming_spec(RESIDENTS + op, 10),
-                SimTime::from_minutes(op + 1),
-            )
-            .expect("churn store preempts one victim");
+            let spec = incoming_spec(RESIDENTS + op, 10);
+            let stored = unit.call(SimTime::from_minutes(op + 1), spec.into());
+            assert!(
+                matches!(stored, Response::Put(Ok(_))),
+                "churn store preempts one victim"
+            );
         }
         memory_ns = memory_ns.min(start.elapsed().as_nanos() as f64 / CHURN_OPS as f64);
     }

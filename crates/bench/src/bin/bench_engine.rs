@@ -29,8 +29,8 @@ use bench_harness::model::ModelUnit;
 use bench_harness::{incoming_spec, mixed_model, mixed_unit};
 use obs::{MetricsRegistry, Obs};
 use sim_core::{ByteSize, SimTime};
-use temporal_importance::protocol::StoreApi;
-use temporal_importance::{Admission, Importance, ObjectId, ObjectSpec, StorageUnit};
+use temporal_importance::protocol::{Response, StoreApi};
+use temporal_importance::{Importance, ObjectId, StorageUnit};
 
 const RESIDENT_COUNTS: [u64; 2] = [10_000, 100_000];
 const OUTPUT: &str = "BENCH_engine.json";
@@ -126,47 +126,6 @@ fn main() {
     out.push_str("  ]\n}\n");
     std::fs::write(&output, out).expect("write bench report");
     println!("wrote {output}");
-}
-
-/// The three measured operations, on the indexed unit through its own
-/// methods and on the model through [`StoreApi`].
-trait Measured {
-    fn churn_store(&mut self, spec: ObjectSpec, now: SimTime);
-    fn probe(&mut self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission;
-    /// Brings the clock to `now` and reads the density there.
-    fn sample(&mut self, now: SimTime) -> f64;
-}
-
-impl Measured for StorageUnit {
-    fn churn_store(&mut self, spec: ObjectSpec, now: SimTime) {
-        self.store(spec, now)
-            .expect("churn store preempts one victim");
-    }
-
-    fn probe(&mut self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
-        self.peek_admission(size, incoming, now)
-    }
-
-    fn sample(&mut self, now: SimTime) -> f64 {
-        self.importance_density(now)
-    }
-}
-
-impl Measured for ModelUnit {
-    fn churn_store(&mut self, spec: ObjectSpec, now: SimTime) {
-        let curve = spec.curve().clone();
-        self.put(spec.id(), spec.size(), curve, now)
-            .expect("churn store preempts one victim");
-    }
-
-    fn probe(&mut self, size: ByteSize, incoming: Importance, now: SimTime) -> Admission {
-        self.advise(ObjectId::new(0), size, incoming, now)
-            .expect("a model answers")
-    }
-
-    fn sample(&mut self, now: SimTime) -> f64 {
-        self.density_info(now).expect("a model answers").density
-    }
 }
 
 fn run_case(
@@ -275,11 +234,15 @@ fn calibrated_ops(first_op_ns: f64, available: u64) -> u64 {
 /// Sustained churn: each store of a same-sized full-importance object
 /// preempts exactly one resident, so the population is stable and every
 /// operation runs a full admission plan plus one eviction.
-fn store_churn_ns<U: Measured>(mut unit: U, residents: u64) -> f64 {
+fn store_churn_ns<U: StoreApi>(mut unit: U, residents: u64) -> f64 {
     let mut next_id = residents;
     let mut minute = 0u64;
     let do_store = |unit: &mut U, id: u64, minute: u64| {
-        unit.churn_store(incoming_spec(id, 10), SimTime::from_minutes(minute));
+        let stored = unit.call(SimTime::from_minutes(minute), incoming_spec(id, 10).into());
+        assert!(
+            matches!(stored, Response::Put(Ok(_))),
+            "churn store preempts one victim"
+        );
     };
 
     let start = Instant::now();
@@ -311,13 +274,15 @@ fn store_churn_observed_ns(mut unit: StorageUnit, residents: u64) -> f64 {
 }
 
 /// The §5.3 placement probe: plan an admission without mutating the unit.
-fn peek_admission_ns<U: Measured>(mut unit: U, _residents: u64) -> f64 {
+fn peek_admission_ns<U: StoreApi>(mut unit: U, _residents: u64) -> f64 {
     let probe = |unit: &mut U| {
-        unit.probe(
+        unit.advise(
+            ObjectId::new(0),
             ByteSize::from_mib(30),
             Importance::new_clamped(0.9),
             SimTime::ZERO,
         )
+        .expect("a probe answers")
     };
 
     let start = Instant::now();
@@ -333,9 +298,12 @@ fn peek_admission_ns<U: Measured>(mut unit: U, _residents: u64) -> f64 {
 }
 
 /// The dashboard loop: advance the clock a minute and resample density.
-fn density_sampling_ns<U: Measured>(mut unit: U, _residents: u64) -> f64 {
+fn density_sampling_ns<U: StoreApi>(mut unit: U, _residents: u64) -> f64 {
     let mut minute = 0u64;
-    let sample = |unit: &mut U, minute: u64| unit.sample(SimTime::from_minutes(minute));
+    let sample = |unit: &mut U, minute: u64| {
+        let info = unit.density_info(SimTime::from_minutes(minute));
+        info.expect("a density read answers").density
+    };
 
     let start = Instant::now();
     minute += 1;

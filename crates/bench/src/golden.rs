@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use rand::Rng;
 use sim_core::{rng, ByteSize, Obs, SimDuration, SimTime};
+use temporal_importance::protocol::StoreApi;
 use temporal_importance::{Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit};
 
 /// Workload seed. Changing it re-rolls every golden artifact.
@@ -57,7 +58,7 @@ pub fn trace_run() -> String {
     let mut rand = rng::seeded(SEED);
     let mut unit = StorageUnit::new(ByteSize::from_mib(2_000));
     for id in 0..RESIDENTS {
-        let _ = unit.store(mixed_spec(&mut rand, id), SimTime::ZERO);
+        let _ = unit.call(SimTime::ZERO, mixed_spec(&mut rand, id).into());
     }
 
     let sink = Arc::new(obs::TraceSink::new());
@@ -65,7 +66,7 @@ pub fn trace_run() -> String {
     for k in 0..CHURN_STORES {
         let now = SimTime::from_days(30 + k / 8);
         unit.advance(now);
-        let _ = unit.store(mixed_spec(&mut rand, RESIDENTS + k), now);
+        let _ = unit.call(now, mixed_spec(&mut rand, RESIDENTS + k).into());
     }
     sink.to_jsonl()
 }

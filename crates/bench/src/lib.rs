@@ -19,7 +19,7 @@ pub mod golden;
 pub mod model;
 
 use sim_core::{ByteSize, SimDuration, SimTime};
-use temporal_importance::protocol::StoreApi;
+use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
     EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
 };
@@ -32,7 +32,8 @@ use model::ModelUnit;
 pub fn mixed_unit(capacity: ByteSize, count: u64, mib: u64) -> StorageUnit {
     let mut unit = StorageUnit::new(capacity);
     for spec in mixed_specs(count, mib) {
-        unit.store(spec, SimTime::ZERO).expect("fixture fits");
+        let stored = unit.call(SimTime::ZERO, spec.into());
+        assert!(matches!(stored, Response::Put(Ok(_))), "fixture fits");
     }
     unit
 }

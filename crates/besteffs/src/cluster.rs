@@ -6,6 +6,7 @@ use std::fmt;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, Obs, SimTime};
+use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
     EvictionRecord, Importance, ObjectId, ObjectSpec, StorageUnit, StoreOutcome,
 };
@@ -315,7 +316,7 @@ impl Besteffs {
     }
 
     /// Mutably borrow a node's storage unit, e.g. to pre-fill one node
-    /// directly instead of through [`place`](Besteffs::place).
+    /// through [`StoreApi`] instead of through [`place`](Besteffs::place).
     ///
     /// # Panics
     ///
@@ -513,7 +514,9 @@ impl Besteffs {
             for &node in &self.sample {
                 probed += 1;
                 let unit = &mut self.units[node.index()];
-                let admission = unit.peek_admission(spec.size(), incoming, now);
+                let admission = unit
+                    .advise(spec.id(), spec.size(), incoming, now)
+                    .expect("a unit answers a probe");
                 let Some(score) = admission.placement_score() else {
                     continue; // full for this object
                 };
@@ -534,9 +537,10 @@ impl Besteffs {
             self.obs.counter("cluster.rejections", 1);
             return Err(PlacementError::ClusterFull { probed, incoming });
         };
-        let outcome = self.units[node.index()]
-            .store(spec, now)
-            .expect("peeked unit must admit");
+        let outcome = match self.units[node.index()].call(now, spec.into()) {
+            Response::Put(Ok(outcome)) => outcome,
+            other => panic!("peeked unit must admit: {other:?}"),
+        };
         self.stats.placed += 1;
         self.obs.counter("cluster.placements", 1);
         self.obs.record("cluster.probes", probed as u64);
@@ -574,7 +578,7 @@ impl Besteffs {
         let mut out = Vec::new();
         for (i, unit) in self.units.iter_mut().enumerate() {
             if self.overlay.is_live(NodeId::new(i)) {
-                out.extend(unit.sweep_expired(now));
+                out.extend(unit.sweep(now).expect("a unit answers a sweep"));
             }
         }
         out
@@ -604,7 +608,7 @@ impl Besteffs {
             .iter_mut()
             .enumerate()
             .filter(|(i, _)| overlay.is_live(NodeId::new(*i)))
-            .map(|(_, u)| u.importance_density(now) * u.capacity().as_bytes() as f64)
+            .map(|(_, u)| unit_density(u, now) * u.capacity().as_bytes() as f64)
             .sum();
         weighted / capacity
     }
@@ -627,10 +631,7 @@ impl Besteffs {
         for (i, unit) in self.units.iter_mut().enumerate() {
             let live = self.overlay.is_live(NodeId::new(i));
             let (node_density, node_used) = if live {
-                (
-                    unit.importance_density(now),
-                    unit.used().ratio(unit.capacity()),
-                )
+                (unit_density(unit, now), unit.used().ratio(unit.capacity()))
             } else {
                 (0.0, 0.0)
             };
@@ -672,6 +673,13 @@ impl Besteffs {
             }
         }
     }
+}
+
+/// One unit's storage importance density at `now`.
+fn unit_density(unit: &mut StorageUnit, now: SimTime) -> f64 {
+    unit.density_info(now)
+        .expect("a unit answers a density read")
+        .density
 }
 
 #[cfg(test)]
@@ -745,10 +753,9 @@ mod tests {
         for i in 0..cluster.len() {
             for _ in 0..2 {
                 id += 1;
-                cluster
-                    .node_mut(NodeId::new(i))
-                    .store(spec(id, 50, 0.3, 3650), SimTime::ZERO)
-                    .unwrap();
+                let unit = cluster.node_mut(NodeId::new(i));
+                let stored = unit.call(SimTime::ZERO, spec(id, 50, 0.3, 3650).into());
+                assert!(matches!(stored, Response::Put(Ok(_))), "{stored:?}");
             }
         }
         assert_eq!(cluster.used(), cluster.capacity());
@@ -873,13 +880,13 @@ mod tests {
             let mut expected = Vec::new();
             for &n in &live {
                 by_node.node_mut(n).advance(now);
-                expected.extend(by_node.node_mut(n).sweep_expired(now));
+                expected.extend(by_node.node_mut(n).sweep(now).unwrap());
             }
             let weighted: f64 = live
                 .iter()
                 .map(|&n| {
                     let unit = by_node.node_mut(n);
-                    unit.importance_density(now) * unit.capacity().as_bytes() as f64
+                    unit_density(unit, now) * unit.capacity().as_bytes() as f64
                 })
                 .sum();
             let expected_density = weighted / by_node.capacity().as_bytes() as f64;
@@ -915,10 +922,9 @@ mod churn_tests {
         let mut id = 0u64;
         for i in 0..10 {
             id += 1;
-            cluster
-                .node_mut(NodeId::new(i))
-                .store(spec(id, 50), SimTime::ZERO)
-                .unwrap();
+            let unit = cluster.node_mut(NodeId::new(i));
+            let stored = unit.call(SimTime::ZERO, spec(id, 50).into());
+            assert!(matches!(stored, Response::Put(Ok(_))), "{stored:?}");
         }
         assert!(cluster
             .place(spec(9_000, 50), SimTime::ZERO, &mut rand)

@@ -53,22 +53,15 @@ impl Forecast {
 ///
 /// ```
 /// use sim_core::{ByteSize, SimDuration, SimTime};
-/// use temporal_importance::{
-///     Advisor, Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
-/// };
+/// use temporal_importance::protocol::StoreApi;
+/// use temporal_importance::{Advisor, Importance, ImportanceCurve, ObjectId, StorageUnit};
 ///
 /// let mut unit = StorageUnit::new(ByteSize::from_mib(100));
-/// unit.store(
-///     ObjectSpec::new(
-///         ObjectId::new(0),
-///         ByteSize::from_mib(100),
-///         ImportanceCurve::Fixed {
-///             importance: Importance::new(0.6)?,
-///             expiry: SimDuration::from_days(365),
-///         },
-///     ),
-///     SimTime::ZERO,
-/// )?;
+/// let curve = ImportanceCurve::Fixed {
+///     importance: Importance::new(0.6)?,
+///     expiry: SimDuration::from_days(365),
+/// };
+/// unit.put(ObjectId::new(0), ByteSize::from_mib(100), curve, SimTime::ZERO)?;
 ///
 /// let advisor = Advisor::from_snapshot(unit.density_snapshot(SimTime::ZERO));
 /// // The disk is full of 0.6-importance data: a 10 MiB object must beat 0.6.
@@ -105,7 +98,7 @@ impl Advisor {
     /// 0.25 cannot be stored."
     ///
     /// For a full-importance object it is the engine's own plan, read
-    /// from [`StorageUnit::peek_admission`](crate::StorageUnit::peek_admission):
+    /// from [`Request::Advise`](crate::protocol::Request::Advise):
     /// zero where the plan `Fits`, the plan's `highest` where it is
     /// `Preempting`, and [`Importance::FULL`] where the unit is `Full` or
     /// the object is larger than the unit (`tests/fairness_properties.rs`

@@ -76,18 +76,9 @@ impl StorageUnit {
     /// mean progressively less important objects could still be displaced.
     ///
     /// Like every verb, it acts at `max(now, clock)`, advancing the unit
-    /// first; it is then `O(1)`, read from the index's accumulators.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use sim_core::{ByteSize, SimTime};
-    /// use temporal_importance::StorageUnit;
-    ///
-    /// let mut unit = StorageUnit::new(ByteSize::from_gib(80));
-    /// assert_eq!(unit.importance_density(SimTime::ZERO), 0.0);
-    /// ```
-    pub fn importance_density(&mut self, now: SimTime) -> f64 {
+    /// first; it is then `O(1)`, read from the index's accumulators. It
+    /// answers [`Request::Density`](crate::protocol::Request::Density).
+    pub(crate) fn importance_density(&mut self, now: SimTime) -> f64 {
         let weighted = self.weighted_importance(now);
         self.obs().counter("engine.density_reads", 1);
         if self.capacity().is_zero() {
@@ -98,35 +89,43 @@ impl StorageUnit {
         (weighted / self.capacity().as_bytes() as f64).clamp(0.0, 1.0)
     }
 
-    /// Stored bytes grouped by current importance, ascending.
+    /// Takes a full [`DensitySnapshot`] at `max(now, clock)`: the density
+    /// and the stored bytes grouped by current importance, ascending, with
+    /// the bytes of objects sharing an importance value merged and expired
+    /// objects in the zero bucket.
     ///
-    /// Bytes of objects sharing an importance value are merged. Expired
-    /// objects appear in the zero bucket.
-    pub fn byte_importance_histogram(&self, now: SimTime) -> Vec<(Importance, ByteSize)> {
+    /// # Examples
+    ///
+    /// ```
+    /// use sim_core::{ByteSize, SimTime};
+    /// use temporal_importance::StorageUnit;
+    ///
+    /// let mut unit = StorageUnit::new(ByteSize::from_gib(80));
+    /// let snapshot = unit.density_snapshot(SimTime::ZERO);
+    /// assert_eq!(snapshot.density, 0.0);
+    /// assert!(snapshot.histogram.is_empty());
+    /// ```
+    pub fn density_snapshot(&mut self, now: SimTime) -> DensitySnapshot {
+        let now = self.act_at(now);
+        let density = self.importance_density(now);
         let mut pairs: Vec<(Importance, ByteSize)> = self
             .iter()
             .map(|o| (o.current_importance(now), o.size()))
             .collect();
         pairs.sort_by_key(|&(imp, _)| imp);
-        let mut merged: Vec<(Importance, ByteSize)> = Vec::new();
+        let mut histogram: Vec<(Importance, ByteSize)> = Vec::new();
         for (imp, bytes) in pairs {
-            match merged.last_mut() {
+            match histogram.last_mut() {
                 Some((last, acc)) if *last == imp => *acc += bytes,
-                _ => merged.push((imp, bytes)),
+                _ => histogram.push((imp, bytes)),
             }
         }
-        merged
-    }
-
-    /// Takes a full [`DensitySnapshot`] at `max(now, clock)`.
-    pub fn density_snapshot(&mut self, now: SimTime) -> DensitySnapshot {
-        let now = self.act_at(now);
         DensitySnapshot {
             at: now,
-            density: self.importance_density(now),
+            density,
             used: self.used(),
             capacity: self.capacity(),
-            histogram: self.byte_importance_histogram(now),
+            histogram,
         }
     }
 }
@@ -203,7 +202,7 @@ mod tests {
         store_fixed(&mut unit, 1, 10, 1.0, 365);
         store_fixed(&mut unit, 2, 20, 0.5, 365);
         store_fixed(&mut unit, 3, 30, 1.0, 365);
-        let hist = unit.byte_importance_histogram(SimTime::ZERO);
+        let hist = unit.density_snapshot(SimTime::ZERO).histogram;
         assert_eq!(
             hist,
             vec![

@@ -9,33 +9,33 @@ use crate::{FairStoreError, Importance, ObjectId};
 
 /// The consolidated error hierarchy for the whole workspace.
 ///
-/// Each operation still returns its precise error type (`StoreError`,
-/// `RejuvenateError`, …) so callers who match on variants lose nothing;
-/// this umbrella exists for callers who thread heterogeneous failures
-/// through one `Result` — experiment drivers, the filesystem layer, and
-/// downstream users of the `tempimp` facade. Sibling crates fold their own
-/// error types in through [`Error::External`] (besteffs placement,
-/// workload traces, tifs), so `?` converts end to end.
+/// Every [`StoreApi`](crate::protocol::StoreApi) verb answers with it.
+/// The engine's refusals keep their precise types inside it
+/// ([`Error::Store`] holds a [`StoreError`], [`Error::Rejuvenate`] a
+/// [`RejuvenateError`]), so callers who match on variants lose nothing.
+/// Sibling crates fold their own error types in through
+/// [`Error::External`] (besteffs placement, workload traces, tifs), so
+/// `?` converts end to end.
 ///
 /// # Examples
 ///
 /// ```
 /// use sim_core::{ByteSize, SimTime};
-/// use temporal_importance::{Error, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit};
+/// use temporal_importance::protocol::StoreApi;
+/// use temporal_importance::{Error, ImportanceCurve, ObjectId, StorageUnit, StoreError};
 ///
 /// fn fill(unit: &mut StorageUnit) -> Result<(), Error> {
-///     let spec = ObjectSpec::new(
-///         ObjectId::new(1),
-///         ByteSize::from_mib(10),
-///         ImportanceCurve::Persistent,
-///     );
-///     unit.store(spec, SimTime::ZERO)?; // StoreError -> Error
+///     let curve = ImportanceCurve::Persistent;
+///     unit.put(ObjectId::new(1), ByteSize::from_mib(10), curve, SimTime::ZERO)?;
 ///     Ok(())
 /// }
 ///
 /// let mut unit = StorageUnit::new(ByteSize::from_mib(100));
 /// assert!(fill(&mut unit).is_ok());
-/// assert!(matches!(fill(&mut unit), Err(Error::Store(_))));
+/// assert!(matches!(
+///     fill(&mut unit),
+///     Err(Error::Store(StoreError::DuplicateId(_)))
+/// ));
 /// ```
 #[derive(Debug)]
 #[non_exhaustive]

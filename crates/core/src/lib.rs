@@ -21,19 +21,22 @@
 //!   preemptive reclamation engine, the Palimpsest-style FIFO baseline
 //!   ([`EvictionPolicy::Fifo`]), admission previews for distributed
 //!   placement, expired-object sweeps, and rejuvenation.
-//! * [`StorageUnit::importance_density`] — the paper's **storage
-//!   importance density** metric: every stored byte scaled by its current
-//!   importance, normalized by capacity. It quantifies *which importance
-//!   levels the storage is full for* and is the feedback signal content
-//!   creators use to pick annotations.
+//! * [`protocol::StoreApi`] — the one way to change a store: every verb
+//!   (put, advise, remove, annotate, sweep, density, …) is a
+//!   [`protocol::Request`] answered by `call`, the same for a bare unit,
+//!   a journaled one and a sharded service.
+//! * [`Request::Density`](protocol::Request::Density) — the paper's
+//!   **storage importance density** metric: every stored byte scaled by
+//!   its current importance, normalized by capacity. It quantifies *which
+//!   importance levels the storage is full for* and is the feedback
+//!   signal content creators use to pick annotations.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use sim_core::{ByteSize, SimDuration, SimTime};
-//! use temporal_importance::{
-//!     Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
-//! };
+//! use temporal_importance::protocol::StoreApi;
+//! use temporal_importance::{Importance, ImportanceCurve, ObjectId, StorageUnit};
 //!
 //! let mut unit = StorageUnit::new(ByteSize::from_gib(1));
 //!
@@ -44,16 +47,14 @@
 //!     SimDuration::from_days(15),
 //! );
 //!
-//! let spec = ObjectSpec::new(ObjectId::new(0), ByteSize::from_mib(700), curve);
-//! let outcome = unit.store(spec, SimTime::ZERO)?;
+//! let outcome = unit.put(ObjectId::new(0), ByteSize::from_mib(700), curve, SimTime::ZERO)?;
 //! assert!(outcome.evicted.is_empty());
 //!
 //! // Twenty days in, the object has waned to 1/3 importance and the
 //! // density metric reflects it.
-//! let later = SimTime::from_days(20);
-//! let density = unit.importance_density(later);
+//! let density = unit.density_info(SimTime::from_days(20))?.density;
 //! assert!(density > 0.0 && density < 1.0);
-//! # Ok::<(), temporal_importance::StoreError>(())
+//! # Ok::<(), temporal_importance::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]

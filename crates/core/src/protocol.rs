@@ -140,10 +140,10 @@ impl Request {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AnnotateMode {
     /// Rejuvenate: the new curve must not start below the object's
-    /// current importance ([`StorageUnit::rejuvenate`]).
+    /// current importance — the user's raise of §3.
     Raise,
     /// Reannotate: the new curve replaces the old one wherever it starts,
-    /// so importance may also fall ([`StorageUnit::reannotate`]).
+    /// so importance may also fall — the §6 trigger.
     Replace,
 }
 
@@ -780,11 +780,7 @@ impl StoreApi for StorageUnit {
             }
             Request::Remove { id } => Response::Remove(Ok(self.remove(id, now))),
             Request::Annotate { id, curve, mode } => {
-                let result = match mode {
-                    AnnotateMode::Raise => self.rejuvenate(id, curve, now),
-                    AnnotateMode::Replace => self.reannotate(id, curve, now),
-                };
-                Response::Annotate(result.map_err(Error::from))
+                Response::Annotate(self.annotate(id, curve, mode, now).map_err(Error::from))
             }
             Request::Sweep => Response::Sweep(Ok(self.sweep_expired(now))),
         }
@@ -851,22 +847,21 @@ mod tests {
             importance: Importance::new(0.5).unwrap(),
             expiry: SimDuration::from_days(30),
         };
-        let err = unit
-            .annotate(id, half.clone(), AnnotateMode::Raise, day)
-            .unwrap_err();
+        // Named through the trait: inside this crate the unit's own
+        // `annotate` would shadow the verb.
+        let err =
+            StoreApi::annotate(&mut unit, id, half.clone(), AnnotateMode::Raise, day).unwrap_err();
         assert!(matches!(err, Error::Rejuvenate(_)), "{err:?}");
-        unit.annotate(id, half, AnnotateMode::Replace, day).unwrap();
+        StoreApi::annotate(&mut unit, id, half, AnnotateMode::Replace, day).unwrap();
         let info = unit.get_info(id, day).unwrap().expect("stored");
         assert_eq!(info.importance.value(), 0.5);
-        unit.annotate(id, curve(60), AnnotateMode::Raise, day)
-            .unwrap();
+        StoreApi::annotate(&mut unit, id, curve(60), AnnotateMode::Raise, day).unwrap();
 
         let removed = unit.remove_object(id, day).unwrap().expect("stored");
         assert_eq!(removed.size, ByteSize::from_mib(60));
         assert!(unit.remove_object(id, day).unwrap().is_none());
-        let err = unit
-            .annotate(id, curve(1), AnnotateMode::Replace, day)
-            .unwrap_err();
+        let err =
+            StoreApi::annotate(&mut unit, id, curve(1), AnnotateMode::Replace, day).unwrap_err();
         assert!(matches!(err, Error::Rejuvenate(_)), "{err:?}");
         assert_eq!(unit.store_stats(day).unwrap().unit.removals, 1);
 

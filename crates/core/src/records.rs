@@ -16,9 +16,9 @@ pub enum EvictionReason {
     Preempted,
     /// Reclaimed by an explicit expired-object sweep.
     Expired,
-    /// Removed by an explicit [`StorageUnit::remove`] call.
+    /// Removed by an explicit [`Request::Remove`].
     ///
-    /// [`StorageUnit::remove`]: crate::StorageUnit::remove
+    /// [`Request::Remove`]: crate::protocol::Request::Remove
     Removed,
 }
 

@@ -10,6 +10,7 @@ use crate::arena::ObjectArena;
 use crate::engine::EvictionKey;
 use crate::engine::{EngineIndex, Head};
 use crate::error::{RejuvenateError, RestoreError, StoreError};
+use crate::protocol::AnnotateMode;
 use crate::records::{Admission, EvictionReason, EvictionRecord, StoreOutcome, UnitStats};
 use crate::{EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, StoredObject};
 
@@ -20,16 +21,22 @@ use crate::{EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, S
 /// lower *current* importance. The unit appears **full** to an object when
 /// even preempting every strictly-less-important object would not make
 /// room — so fullness is relative to importance, which is what the
-/// [storage importance density](StorageUnit::importance_density) metric
-/// quantifies.
+/// storage importance density metric
+/// ([`Request::Density`](crate::protocol::Request::Density)) quantifies.
+///
+/// A unit is changed only through
+/// [`StoreApi`](crate::protocol::StoreApi): storing, advising, removing,
+/// annotating, sweeping and reading the density are
+/// [`Request`](crate::protocol::Request)s answered by `call`. Its
+/// inherent methods move the clock ([`advance`](StorageUnit::advance))
+/// and read state.
 ///
 /// # Examples
 ///
 /// ```
 /// use sim_core::{ByteSize, SimDuration, SimTime};
-/// use temporal_importance::{
-///     Importance, ImportanceCurve, ObjectId, ObjectSpec, StorageUnit,
-/// };
+/// use temporal_importance::protocol::StoreApi;
+/// use temporal_importance::{Importance, ImportanceCurve, ObjectId, StorageUnit};
 ///
 /// let mut unit = StorageUnit::new(ByteSize::from_mib(100));
 /// let curve = ImportanceCurve::two_step(
@@ -37,11 +44,10 @@ use crate::{EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, S
 ///     SimDuration::from_days(15),
 ///     SimDuration::from_days(15),
 /// );
-/// let spec = ObjectSpec::new(ObjectId::new(0), ByteSize::from_mib(60), curve);
-/// let outcome = unit.store(spec, SimTime::ZERO)?;
+/// let outcome = unit.put(ObjectId::new(0), ByteSize::from_mib(60), curve, SimTime::ZERO)?;
 /// assert!(outcome.evicted.is_empty());
 /// assert_eq!(unit.used(), ByteSize::from_mib(60));
-/// # Ok::<(), temporal_importance::StoreError>(())
+/// # Ok::<(), temporal_importance::Error>(())
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StorageUnit {
@@ -376,7 +382,11 @@ impl StorageUnit {
     ///   importance level*: preempting every strictly-less-important object
     ///   still leaves too little room. Under [`EvictionPolicy::Fifo`] this
     ///   is never returned for objects that fit in the unit at all.
-    pub fn store(&mut self, spec: ObjectSpec, now: SimTime) -> Result<StoreOutcome, StoreError> {
+    pub(crate) fn store(
+        &mut self,
+        spec: ObjectSpec,
+        now: SimTime,
+    ) -> Result<StoreOutcome, StoreError> {
         let now = self.act_at(now);
         self.stats.stores_attempted += 1;
         self.obs.counter("engine.stores", 1);
@@ -464,7 +474,7 @@ impl StorageUnit {
     /// This is the probe the §5.3 distributed placement algorithm sends to
     /// candidate units: it reports the *highest importance object that will
     /// be preempted* as the placement score.
-    pub fn peek_admission(
+    pub(crate) fn peek_admission(
         &mut self,
         size: ByteSize,
         incoming: Importance,
@@ -484,7 +494,7 @@ impl StorageUnit {
 
     /// Explicitly removes an object (e.g. user deletion), returning its
     /// eviction record.
-    pub fn remove(&mut self, id: ObjectId, now: SimTime) -> Option<EvictionRecord> {
+    pub(crate) fn remove(&mut self, id: ObjectId, now: SimTime) -> Option<EvictionRecord> {
         let now = self.act_at(now);
         if !self.objects.contains(id) {
             return None;
@@ -499,7 +509,7 @@ impl StorageUnit {
     /// any incoming object — but an explicit sweep keeps
     /// [`used`](StorageUnit::used) meaningful for dashboards and mirrors
     /// the delete-optimized grouping of Douglis et al. that §2 discusses.
-    pub fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
+    pub(crate) fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
         let _span = self.obs.span("span.engine.sweep");
         let now = self.act_at(now);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -516,19 +526,23 @@ impl StorageUnit {
         records
     }
 
-    /// Replaces a stored object's annotation with a fresh curve — the
-    /// "active intervention by the user" §3 requires for raising
-    /// importance. The new curve's age restarts at `now`.
+    /// Gives a stored object a new annotation whose age restarts at `now`.
+    /// Under [`AnnotateMode::Raise`] this is the "active intervention by
+    /// the user" §3 requires for raising importance, so the new curve may
+    /// not start below the object's current importance; under
+    /// [`AnnotateMode::Replace`] it may, as in the §6 "trigger" scenario
+    /// (a backup completed, so the local copy's importance can drop).
     ///
     /// # Errors
     ///
     /// * [`RejuvenateError::NotFound`] — no such object.
-    /// * [`RejuvenateError::WouldLowerImportance`] — the replacement curve
-    ///   starts below the object's current importance.
-    pub fn rejuvenate(
+    /// * [`RejuvenateError::WouldLowerImportance`] — under `Raise`, the
+    ///   new curve starts below the object's current importance.
+    pub(crate) fn annotate(
         &mut self,
         id: ObjectId,
         curve: ImportanceCurve,
+        mode: AnnotateMode,
         now: SimTime,
     ) -> Result<(), RejuvenateError> {
         let now = self.act_at(now);
@@ -537,52 +551,26 @@ impl StorageUnit {
             .lookup(id)
             .ok_or(RejuvenateError::NotFound(id))?
             .slot();
-        let current = self.objects.at(slot).current_importance(now);
-        let proposed = curve.initial_importance();
-        if proposed < current {
-            return Err(RejuvenateError::WouldLowerImportance { current, proposed });
+        if mode == AnnotateMode::Raise {
+            let current = self.objects.at(slot).current_importance(now);
+            let proposed = curve.initial_importance();
+            if proposed < current {
+                return Err(RejuvenateError::WouldLowerImportance { current, proposed });
+            }
         }
-        self.annotate(slot, curve, now);
-        Ok(())
-    }
-
-    /// Lowers a stored object's annotation without the raise-only check —
-    /// the §6 "trigger" scenario (e.g. a backup completed, so the local
-    /// copy's importance can drop). The new curve's age restarts at `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RejuvenateError::NotFound`] if no such object is stored.
-    pub fn reannotate(
-        &mut self,
-        id: ObjectId,
-        curve: ImportanceCurve,
-        now: SimTime,
-    ) -> Result<(), RejuvenateError> {
-        let now = self.act_at(now);
-        let slot = self
-            .objects
-            .lookup(id)
-            .ok_or(RejuvenateError::NotFound(id))?
-            .slot();
-        self.annotate(slot, curve, now);
-        Ok(())
-    }
-
-    /// Gives the resident in `slot` the annotation `curve`, applied at
-    /// `now`: the index takes the object out, the object changes, the
-    /// index puts it back and lets go of the old shape's group if no
-    /// resident holds that shape any more.
-    fn annotate(&mut self, slot: u32, curve: ImportanceCurve, now: SimTime) {
+        // The index takes the object out, the object changes, and the
+        // index puts it back and lets go of the old shape's group if no
+        // resident holds that shape any more.
         let object = self.objects.at_mut(slot);
         if !self.index.take_out(slot, object) {
             object.rejuvenate(Arc::new(curve), now);
-            return;
+            return Ok(());
         }
         let (group, shared) = self.index.intern(&curve);
         let old = object.rejuvenate(shared, now);
         self.index.register(slot, object, group);
         self.index.release(&old);
+        Ok(())
     }
 
     fn evict(&mut self, id: ObjectId, now: SimTime, reason: EvictionReason) -> EvictionRecord {
@@ -872,11 +860,21 @@ mod tests {
         store(&mut unit, 10, two_step(12), 3);
         store(&mut unit, 16, exp(1).unwrap(), 5);
         let rejuvenated = SimTime::from_days(10);
-        unit.rejuvenate(ObjectId::new(4), two_step(15), rejuvenated)
-            .unwrap();
-        unit.rejuvenate(ObjectId::new(10), two_step(2), rejuvenated)
-            .unwrap();
-        unit.rejuvenate(ObjectId::new(17), flat(), rejuvenated)
+        unit.annotate(
+            ObjectId::new(4),
+            two_step(15),
+            AnnotateMode::Raise,
+            rejuvenated,
+        )
+        .unwrap();
+        unit.annotate(
+            ObjectId::new(10),
+            two_step(2),
+            AnnotateMode::Raise,
+            rejuvenated,
+        )
+        .unwrap();
+        unit.annotate(ObjectId::new(17), flat(), AnnotateMode::Raise, rejuvenated)
             .unwrap(); // annotated after 18, arrived before it
 
         let minute = SimDuration::MINUTE;
@@ -1054,7 +1052,7 @@ mod tests {
             match step % 25 {
                 0 => drop(unit.sweep_expired(now)),
                 1 => drop(unit.remove(old, now)),
-                2 => drop(unit.reannotate(old, curve, now)),
+                2 => drop(unit.annotate(old, curve, AnnotateMode::Replace, now)),
                 _ => {
                     let spec = ObjectSpec::new(ObjectId::new(step), mib(1 + step % 4), curve);
                     drop(unit.store(spec, now));
@@ -1556,14 +1554,20 @@ mod tests {
 
         // Lowering is refused...
         let err = unit
-            .rejuvenate(ObjectId::new(1), ImportanceCurve::Ephemeral, mid_wane)
+            .annotate(
+                ObjectId::new(1),
+                ImportanceCurve::Ephemeral,
+                AnnotateMode::Raise,
+                mid_wane,
+            )
             .unwrap_err();
         assert!(matches!(err, RejuvenateError::WouldLowerImportance { .. }));
 
         // ...raising succeeds and restarts the curve.
-        unit.rejuvenate(
+        unit.annotate(
             ObjectId::new(1),
             ImportanceCurve::fixed_lifetime(days(30)),
+            AnnotateMode::Raise,
             mid_wane,
         )
         .unwrap();
@@ -1574,7 +1578,12 @@ mod tests {
 
         // Unknown id.
         assert!(matches!(
-            unit.rejuvenate(ObjectId::new(9), ImportanceCurve::Persistent, mid_wane),
+            unit.annotate(
+                ObjectId::new(9),
+                ImportanceCurve::Persistent,
+                AnnotateMode::Raise,
+                mid_wane
+            ),
             Err(RejuvenateError::NotFound(_))
         ));
     }
@@ -1584,8 +1593,13 @@ mod tests {
         let mut unit = StorageUnit::new(mib(100));
         unit.store(fixed_spec(1, mib(10), 1.0, 365), SimTime::ZERO)
             .unwrap();
-        unit.reannotate(ObjectId::new(1), ImportanceCurve::Ephemeral, SimTime::ZERO)
-            .unwrap();
+        unit.annotate(
+            ObjectId::new(1),
+            ImportanceCurve::Ephemeral,
+            AnnotateMode::Replace,
+            SimTime::ZERO,
+        )
+        .unwrap();
         assert_eq!(
             unit.get(ObjectId::new(1))
                 .unwrap()
@@ -1620,12 +1634,17 @@ mod tests {
         assert!(shares(&unit, 0, 5));
         let later = SimTime::from_days(1);
         for id in [0, 1] {
-            unit.rejuvenate(ObjectId::new(id), step(0.9, 20), later)
+            unit.annotate(ObjectId::new(id), step(0.9, 20), AnnotateMode::Raise, later)
                 .unwrap();
         }
         for id in [2, 3] {
-            unit.reannotate(ObjectId::new(id), step(0.1, 3), later)
-                .unwrap();
+            unit.annotate(
+                ObjectId::new(id),
+                step(0.1, 3),
+                AnnotateMode::Replace,
+                later,
+            )
+            .unwrap();
         }
         let pairs = [(0, 1), (2, 3), (4, 5)];
         assert!(pairs.iter().all(|&(a, b)| shares(&unit, a, b)));
@@ -1684,7 +1703,7 @@ mod tests {
         unit.remove(ObjectId::new(0), t0).unwrap();
         unit.remove(ObjectId::new(2), t0).unwrap();
         assert_eq!(unit.index.group_count(), (6, 8));
-        unit.reannotate(ObjectId::new(11), lifetime(12), t0)
+        unit.annotate(ObjectId::new(11), lifetime(12), AnnotateMode::Replace, t0)
             .unwrap();
         assert_eq!(unit.index.group_count(), (5, 8));
         let swept = unit.sweep_expired(SimTime::from_days(13) + SimDuration::MINUTE);

@@ -143,6 +143,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A reopened unit resumes at the journaled clock: a put dated behind
+    /// it arrives at that clock, as it would have on the unit that wrote
+    /// the log.
+    #[test]
+    fn a_reopened_unit_resumes_at_the_journaled_clock() {
+        let dir = scratch("resume");
+        let capacity = ByteSize::from_kib(64);
+        let day = SimTime::from_days(3);
+        let open = || DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, tiny_config());
+        let mut durable = open().expect("open fresh");
+        durable.call(day, spec(1, 2, 10_000).into());
+        durable.close().expect("clean close");
+
+        let mut reopened = open().expect("reopen");
+        assert_eq!(reopened.clock(), day);
+        let stored = reopened.call(SimTime::ZERO, spec(2, 2, 10_000).into());
+        assert!(matches!(stored, Response::Put(Ok(_))), "{stored:?}");
+        let info = reopened
+            .get_info(ObjectId::new(2), SimTime::ZERO)
+            .expect("a read answers")
+            .expect("stored");
+        assert_eq!(info.arrival, day);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
     /// One step of a workload that leaves stale full-state copies
     /// behind kills (re-stored ids, rejuvenations, removals, sweeps) —
     /// the shape that makes compaction write tombstones — and compacts

@@ -377,6 +377,7 @@ mod tests {
 
     use proptest::prelude::*;
     use sim_core::SimDuration;
+    use temporal_importance::protocol::{AnnotateMode, Response, StoreApi};
     use temporal_importance::{Importance, ObjectClass, ObjectSpec, PiecewiseCurve, StorageUnit};
 
     use super::*;
@@ -419,10 +420,18 @@ mod tests {
             return StoredObject::from_spec(spec, SimTime::from_minutes(arrival));
         }
         let mut unit = StorageUnit::new(ByteSize::from_bytes(u64::MAX));
-        unit.store(spec, SimTime::from_minutes(arrival))
-            .expect("an empty unit of maximal capacity admits it");
-        unit.reannotate(id, curve, SimTime::from_minutes(annotated_at))
-            .expect("the object is resident");
+        let stored = unit.call(SimTime::from_minutes(arrival), spec.into());
+        assert!(
+            matches!(stored, Response::Put(Ok(_))),
+            "an empty unit of maximal capacity admits it"
+        );
+        unit.annotate(
+            id,
+            curve,
+            AnnotateMode::Replace,
+            SimTime::from_minutes(annotated_at),
+        )
+        .expect("the object is resident");
         let object = unit.get(id).expect("the object is resident").clone();
         assert_eq!(object.arrival(), SimTime::from_minutes(arrival));
         assert_eq!(object.annotated_at(), SimTime::from_minutes(annotated_at));

@@ -24,9 +24,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sim_core::{ByteSize, Obs, SimTime};
-use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi, VerbKind};
+use temporal_importance::protocol::{Request, Response, StoreApi, VerbKind};
 use temporal_importance::{
-    Error, EvictionPolicy, ObjectSpec, StorageUnit, StoreError, StoreOutcome, UnitStats,
+    Error, EvictionPolicy, ObjectId, StorageUnit, StoreError, StoredObject, UnitStats,
 };
 
 use crate::record::{LogRecord, RejectKind, Victim};
@@ -112,7 +112,8 @@ pub struct DurableUnit {
 
 impl DurableUnit {
     /// Opens (or creates) a durable unit rooted at `dir`, replaying any
-    /// existing segments into a fresh engine.
+    /// existing segments into a fresh engine that resumes at the
+    /// journaled [`clock`](DurableUnit::clock).
     ///
     /// # Errors
     ///
@@ -137,10 +138,13 @@ impl DurableUnit {
         obs: Obs,
     ) -> Result<DurableUnit, DurableError> {
         let (log, recovered) = SegmentLog::open(dir.as_ref(), config.segment_bytes, obs.clone())?;
-        let unit = StorageUnit::builder(capacity)
+        let mut unit = StorageUnit::builder(capacity)
             .policy(policy)
             .observer(obs)
             .restore(recovered.stats, recovered.objects)?;
+        // The engine resumes at the journaled clock, so a call dated behind
+        // it acts where the closed unit would have acted.
+        unit.advance(log.clocks().0);
         Ok(DurableUnit {
             unit,
             log,
@@ -148,40 +152,6 @@ impl DurableUnit {
             recovered_torn_bytes: recovered.torn_bytes,
             poisoned: None,
         })
-    }
-
-    /// Stores an object: engine admission first, then the journal. The
-    /// appended record carries the admitted object's full state and the
-    /// victims it preempted; rejections are journaled too, because they
-    /// count in [`UnitStats`].
-    fn store(&mut self, spec: ObjectSpec, now: SimTime) -> Result<StoreOutcome, Error> {
-        match self.unit.store(spec, now) {
-            Ok(outcome) => {
-                let object = self
-                    .unit
-                    .get(outcome.id)
-                    .expect("accepted object is resident")
-                    .clone();
-                let evicted = outcome.evicted.iter().map(Victim::from).collect();
-                self.journal(&LogRecord::Store {
-                    at: now,
-                    object,
-                    evicted,
-                })?;
-                Ok(outcome)
-            }
-            Err(e) => {
-                let kind = match &e {
-                    StoreError::Full { .. } => RejectKind::Full,
-                    StoreError::TooLarge { .. } => RejectKind::TooLarge,
-                    StoreError::DuplicateId(_) => RejectKind::Duplicate,
-                    StoreError::EmptyObject(_) => RejectKind::Empty,
-                    _ => RejectKind::Other,
-                };
-                self.journal(&LogRecord::Reject { at: now, kind })?;
-                Err(Error::from(e))
-            }
-        }
     }
 
     /// The one way a mutation reaches the log: append the record, hand it
@@ -277,6 +247,11 @@ impl DurableUnit {
         Ok(self.unit)
     }
 
+    /// A copy of the resident `id`, as a record carries it.
+    fn resident(&self, id: ObjectId) -> StoredObject {
+        self.unit.get(id).expect("the object is resident").clone()
+    }
+
     /// The wrapped in-memory engine (read-only; mutations go through
     /// [`call`](StoreApi::call), which journals them).
     pub fn unit(&self) -> &StorageUnit {
@@ -323,71 +298,72 @@ impl DurableUnit {
 }
 
 impl StoreApi for DurableUnit {
-    /// Dispatches exactly like the wrapped [`StorageUnit`]. Every mutating
-    /// verb runs against the engine and then journals its outcome: a
-    /// `Put` as the admitted object with its victims (or the refusal), a
-    /// `Remove` that removed something as a `Remove` record, an accepted
-    /// `Annotate` as the object's complete post-annotation state, and a
-    /// `Sweep` as its harvest — even an empty one, so the sweep clock
-    /// survives a crash. Read verbs delegate straight to the engine. The
-    /// match names every verb, so a new one has to choose its side here.
+    /// Hands the request to the wrapped [`StorageUnit`] and journals what
+    /// its answer changed: an admitted `Put` as the object with its
+    /// victims, a refused one as its refusal (refusals count in
+    /// [`UnitStats`]), a `Remove` that removed something as a `Remove`
+    /// record, an accepted `Annotate` as the object's complete
+    /// post-annotation state, and a `Sweep` as its harvest — even an empty
+    /// one, so the sweep clock survives a crash. Reads and failed
+    /// mutations journal nothing. The match names every answer, so a new
+    /// verb has to choose its side here.
     ///
-    /// A poisoned unit answers every verb with [`DurableError::Poisoned`]
-    /// and leaves the engine alone.
+    /// A journal write that fails poisons the unit and answers
+    /// [`DurableError::Poisoned`] in the verb's shape; a poisoned unit
+    /// answers every verb so and leaves the engine alone.
     fn call(&mut self, now: SimTime, request: Request) -> Response {
+        let verb = VerbKind::of(&request);
         if let Some(refusal) = self.refusal() {
-            return VerbKind::of(&request).failed(refusal.into());
+            return verb.failed(refusal.into());
         }
-        match request {
-            Request::Put {
-                id,
-                bytes,
-                curve,
-                class,
-            } => {
-                let spec = ObjectSpec::new(id, bytes, curve).with_class(class);
-                Response::Put(self.store(spec, now))
-            }
-            Request::Remove { id } => {
-                let removed = self.unit.remove(id, now);
-                let journaled = match &removed {
-                    Some(record) => self.journal(&LogRecord::Remove {
-                        at: now,
-                        id,
-                        size: record.size,
-                    }),
-                    None => Ok(()),
-                };
-                Response::Remove(journaled.map(|()| removed).map_err(Error::from))
-            }
-            Request::Annotate { id, curve, mode } => {
-                let annotated = match mode {
-                    AnnotateMode::Raise => self.unit.rejuvenate(id, curve, now),
-                    AnnotateMode::Replace => self.unit.reannotate(id, curve, now),
-                };
-                let result = annotated.map_err(Error::from).and_then(|()| {
-                    let object = self.unit.get(id).expect("annotated object is resident");
-                    let record = LogRecord::Annotate {
-                        at: now,
-                        object: object.clone(),
-                    };
-                    self.journal(&record).map_err(Error::from)
-                });
-                Response::Annotate(result)
-            }
-            Request::Sweep => {
-                let swept = self.unit.sweep_expired(now);
-                let record = LogRecord::Sweep {
-                    at: now,
-                    expired: swept.iter().map(Victim::from).collect(),
-                };
-                Response::Sweep(self.journal(&record).map(|()| swept).map_err(Error::from))
-            }
-            read @ (Request::Get { .. }
-            | Request::Advise { .. }
-            | Request::Density
-            | Request::Stats
-            | Request::Health) => self.unit.call(now, read),
+        let key = request.key();
+        let response = self.unit.call(now, request);
+        let record = match &response {
+            Response::Put(Ok(outcome)) => Some(LogRecord::Store {
+                at: now,
+                object: self.resident(outcome.id),
+                evicted: outcome.evicted.iter().map(Victim::from).collect(),
+            }),
+            Response::Put(Err(error)) => Some(LogRecord::Reject {
+                at: now,
+                kind: reject_kind(error),
+            }),
+            Response::Remove(Ok(Some(removed))) => Some(LogRecord::Remove {
+                at: now,
+                id: removed.id,
+                size: removed.size,
+            }),
+            Response::Annotate(Ok(())) => Some(LogRecord::Annotate {
+                at: now,
+                object: self.resident(key.expect("an annotation names its object")),
+            }),
+            Response::Sweep(Ok(swept)) => Some(LogRecord::Sweep {
+                at: now,
+                expired: swept.iter().map(Victim::from).collect(),
+            }),
+            Response::Remove(_)
+            | Response::Annotate(_)
+            | Response::Sweep(_)
+            | Response::Get(_)
+            | Response::Advise(_)
+            | Response::Density(_)
+            | Response::Stats(_)
+            | Response::Health(_) => None,
+        };
+        match record.map(|record| self.journal(&record)) {
+            Some(Err(error)) => verb.failed(error.into()),
+            _ => response,
         }
+    }
+}
+
+/// The [`RejectKind`] a refused `Put` is journaled as.
+fn reject_kind(error: &Error) -> RejectKind {
+    match error {
+        Error::Store(StoreError::Full { .. }) => RejectKind::Full,
+        Error::Store(StoreError::TooLarge { .. }) => RejectKind::TooLarge,
+        Error::Store(StoreError::DuplicateId(_)) => RejectKind::Duplicate,
+        Error::Store(StoreError::EmptyObject(_)) => RejectKind::Empty,
+        _ => RejectKind::Other,
     }
 }

@@ -10,9 +10,10 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sim_core::{rng, ByteSize, SimDuration, SimTime};
+use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
-    EvictionReason, Importance, ImportanceCurve, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit,
-    StoreError,
+    Error, EvictionReason, Importance, ImportanceCurve, ObjectId, ObjectIdGen, ObjectSpec,
+    StorageUnit, StoreError,
 };
 
 use besteffs::{Besteffs, PlacementConfig};
@@ -119,14 +120,14 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                     (COMPETITOR, competitor_curve.clone())
                 };
                 let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve).with_class(class);
-                match unit.store(spec, arrival.at) {
-                    Ok(outcome) => evictions.extend(outcome.evicted),
-                    Err(StoreError::Full { .. }) => {
+                match unit.call(arrival.at, spec.into()) {
+                    Response::Put(Ok(outcome)) => evictions.extend(outcome.evicted),
+                    Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
                         if shaped {
                             shaped_rejected += 1;
                         }
                     }
-                    Err(e) => panic!("unexpected store error: {e}"),
+                    other => panic!("unexpected answer to a store: {other:?}"),
                 }
             }
             let preempted: Vec<f64> = evictions
@@ -199,10 +200,9 @@ pub fn placement_ablation(
                             expiry: SimDuration::from_days(3650),
                         },
                     );
-                    cluster
-                        .node_mut(besteffs::NodeId::new(i))
-                        .store(spec, SimTime::ZERO)
-                        .expect("pre-fill fits");
+                    let node = cluster.node_mut(besteffs::NodeId::new(i));
+                    let stored = node.call(SimTime::ZERO, spec.into());
+                    assert!(matches!(stored, Response::Put(Ok(_))), "pre-fill fits");
                 }
             }
 

@@ -2,9 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
+use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
-    EvictionPolicy, EvictionReason, EvictionRecord, ImportanceCurve, ObjectClass, ObjectIdGen,
-    StorageUnit, StoreError, UnitStats,
+    Error, EvictionPolicy, EvictionReason, EvictionRecord, ImportanceCurve, ObjectClass,
+    ObjectIdGen, StorageUnit, StoreError, UnitStats,
 };
 use workload::lecture::{generate, LectureConfig};
 use workload::{CLASS_STUDENT, CLASS_UNIVERSITY};
@@ -137,7 +138,10 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
 
     for arrival in arrivals {
         while next_sample <= arrival.at {
-            density.push(next_sample, unit.importance_density(next_sample));
+            let info = unit
+                .density_info(next_sample)
+                .expect("a unit answers a density read");
+            density.push(next_sample, info.density);
             next_sample += config.sample_every;
         }
         arrivals_log.push((arrival.at, arrival.size));
@@ -151,10 +155,12 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
         };
         let spec = temporal_importance::ObjectSpec::new(ids.next_id(), arrival.size, curve)
             .with_class(arrival.class);
-        match unit.store(spec, at) {
-            Ok(outcome) => evictions.extend(outcome.evicted),
-            Err(StoreError::Full { .. }) => rejections.push(arrival.class),
-            Err(e) => panic!("unexpected store error in workload: {e}"),
+        match unit.call(at, spec.into()) {
+            Response::Put(Ok(outcome)) => evictions.extend(outcome.evicted),
+            Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
+                rejections.push(arrival.class)
+            }
+            other => panic!("unexpected answer to a store in workload: {other:?}"),
         }
     }
 

@@ -17,9 +17,10 @@
 
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
+use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
-    EvictionReason, Importance, ImportanceCurve, ObjectClass, ObjectIdGen, ObjectSpec, StorageUnit,
-    StoreError,
+    Error, EvictionReason, Importance, ImportanceCurve, ObjectClass, ObjectIdGen, ObjectSpec,
+    StorageUnit, StoreError,
 };
 
 use analysis::TimeSeries;
@@ -173,7 +174,10 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
     for day in 0..config.days {
         let midnight = SimTime::from_days(day);
         // Sample state at each midnight.
-        density.push(midnight, unit.importance_density(midnight));
+        let info = unit
+            .density_info(midnight)
+            .expect("a unit answers a density read");
+        density.push(midnight, info.density);
         for (i, profile) in config.profiles.iter().enumerate() {
             let bytes: ByteSize = unit
                 .iter()
@@ -199,13 +203,13 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
             let size = ByteSize::from_mib(rand.gen_range(profile.size_mib.0..=profile.size_mib.1));
             let spec = ObjectSpec::new(ids.next_id(), size, profile.curve.clone())
                 .with_class(profile.class);
-            match unit.store(spec, at) {
-                Ok(outcome) => {
+            match unit.call(at, spec.into()) {
+                Response::Put(Ok(outcome)) => {
                     accepted[i] += 1;
                     evictions.extend(outcome.evicted);
                 }
-                Err(StoreError::Full { .. }) => rejected[i] += 1,
-                Err(e) => panic!("unexpected store error: {e}"),
+                Response::Put(Err(Error::Store(StoreError::Full { .. }))) => rejected[i] += 1,
+                other => panic!("unexpected answer to a store: {other:?}"),
             }
         }
     }

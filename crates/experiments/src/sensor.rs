@@ -12,8 +12,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sim_core::{rng, ByteSize, SimDuration, SimTime, Simulation};
+use temporal_importance::protocol::{AnnotateMode, Response, StoreApi};
 use temporal_importance::{
-    EvictionReason, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit, StoreError,
+    Error, EvictionReason, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit, StoreError,
 };
 use workload::sensor::{SensorConfig, CLASS_PROCESSED, CLASS_RAW};
 
@@ -114,8 +115,8 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                 )
                 .with_class(CLASS_RAW);
                 let raw = spec.id();
-                match unit.store(spec, now) {
-                    Ok(outcome) => {
+                match unit.call(now, spec.into()) {
+                    Response::Put(Ok(outcome)) => {
                         result.captures += 1;
                         unprocessed.insert(raw);
                         // Anything preempted that was still in-flight is
@@ -131,10 +132,10 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                         let delay = uniform_delay(&mut rand, config.sensor.process_delay);
                         sim.schedule(now + delay, Event::Processed { raw });
                     }
-                    Err(StoreError::Full { .. }) => {
+                    Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
                         result.raw_lost_unprocessed += 1;
                     }
-                    Err(e) => panic!("unexpected store error: {e}"),
+                    other => panic!("unexpected answer to a store: {other:?}"),
                 }
                 sim.schedule(now + config.sensor.capture_every, Event::Capture { sensor });
             }
@@ -152,8 +153,8 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                 )
                 .with_class(CLASS_PROCESSED);
                 let summary = spec.id();
-                match unit.store(spec, now) {
-                    Ok(outcome) => {
+                match unit.call(now, spec.into()) {
+                    Response::Put(Ok(outcome)) => {
                         result.summaries += 1;
                         unacked.insert(summary);
                         for victim in &outcome.evicted {
@@ -168,19 +169,20 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                         // raw object if it had expired; demote only if it
                         // is still resident.
                         if unit.contains(raw) {
-                            unit.reannotate(raw, config.sensor.raw_retired_curve(), now)
+                            let retired = config.sensor.raw_retired_curve();
+                            unit.annotate(raw, retired, AnnotateMode::Replace, now)
                                 .expect("raw object verified resident");
                         }
                         let delay = uniform_delay(&mut rand, config.sensor.ack_delay);
                         sim.schedule(now + delay, Event::AckAttempt { summary });
                     }
-                    Err(StoreError::Full { .. }) => {
+                    Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
                         // Summary could not be stored: keep the raw data
                         // hot and retry processing later.
                         unprocessed.insert(raw);
                         sim.schedule(now + config.sensor.ack_retry, Event::Processed { raw });
                     }
-                    Err(e) => panic!("unexpected store error: {e}"),
+                    other => panic!("unexpected answer to a store: {other:?}"),
                 }
             }
             Event::AckAttempt { summary } => {
@@ -194,12 +196,16 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                 } else {
                     unacked.remove(&summary);
                     result.acked += 1;
-                    unit.reannotate(summary, config.sensor.summary_acked_curve(), now)
+                    let acked = config.sensor.summary_acked_curve();
+                    unit.annotate(summary, acked, AnnotateMode::Replace, now)
                         .expect("summary verified resident");
                 }
             }
             Event::Sample => {
-                result.density.push(now, unit.importance_density(now));
+                let info = unit
+                    .density_info(now)
+                    .expect("a unit answers a density read");
+                result.density.push(now, info.density);
                 result.pending_summaries.push(now, unacked.len() as f64);
                 if now + SimDuration::DAY <= horizon {
                     sim.schedule(now + SimDuration::DAY, Event::Sample);
@@ -207,7 +213,7 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
             }
         }
         // Account for expiry-sweep losses too (keeps `used` meaningful).
-        for record in unit.sweep_expired(now) {
+        for record in unit.sweep(now).expect("a unit answers a sweep") {
             debug_assert_eq!(record.reason, EvictionReason::Expired);
             if unprocessed.remove(&record.id) {
                 result.raw_lost_unprocessed += 1;

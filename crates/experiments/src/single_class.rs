@@ -10,9 +10,10 @@
 
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
+use temporal_importance::protocol::StoreApi;
 use temporal_importance::{
-    EvictionPolicy, EvictionReason, EvictionRecord, Importance, ImportanceCurve, ObjectIdGen,
-    ObjectSpec, StorageUnit, StoreError, UnitStats,
+    Error, EvictionPolicy, EvictionReason, EvictionRecord, Importance, ImportanceCurve,
+    ObjectIdGen, StorageUnit, StoreError, UnitStats,
 };
 use workload::ramp::RampedArrivals;
 
@@ -161,16 +162,29 @@ impl SingleClassResult {
     }
 }
 
-/// Runs the §5.1 experiment.
+/// Runs the §5.1 experiment on an in-memory unit.
 pub fn run(config: SingleClassConfig) -> SingleClassResult {
+    let mut unit = StorageUnit::builder(config.capacity)
+        .policy(config.policy.eviction_policy())
+        .build();
+    run_on(&mut unit, config, Some(StorageUnit::density_snapshot))
+}
+
+/// Runs the §5.1 experiment on `store`, an empty store of
+/// `config.capacity` under `config.policy`'s eviction policy.
+///
+/// `take_snapshot` takes Figure 7's snapshot when
+/// `config.snapshot_density` asks for one; without it none is taken.
+pub fn run_on<S: StoreApi>(
+    store: &mut S,
+    config: SingleClassConfig,
+    take_snapshot: Option<fn(&mut S, SimTime) -> DensitySnapshot>,
+) -> SingleClassResult {
     let obs = sim_core::Obs::global();
     obs.counter("experiment.single_class.runs", 1);
     let mut span = obs.span("span.experiment.single_class");
     let gib = config.capacity.as_bytes() >> 30;
     let horizon = SimTime::from_days(config.days);
-    let mut unit = StorageUnit::builder(config.capacity)
-        .policy(config.policy.eviction_policy())
-        .build();
     let mut ids = ObjectIdGen::new();
     let curve = config.policy.curve();
 
@@ -187,8 +201,10 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
         }
         // Sample state up to the arrival instant.
         while next_sample <= arrival.at {
-            let d = unit.importance_density(next_sample);
-            let used = unit.used().ratio(unit.capacity());
+            let info = store
+                .density_info(next_sample)
+                .expect("the store answers a density read");
+            let (d, used) = (info.density, info.used.ratio(info.capacity));
             density.push(next_sample, d);
             span.sim_to(next_sample);
             obs.event(
@@ -204,15 +220,14 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
             next_sample += config.sample_every;
         }
 
-        let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve.clone());
-        match unit.store(spec, arrival.at) {
+        match store.put(ids.next_id(), arrival.size, curve.clone(), arrival.at) {
             Ok(outcome) => {
                 if !outcome.evicted.is_empty() {
                     saw_eviction = true;
                 }
                 evictions.extend(outcome.evicted);
             }
-            Err(StoreError::Full { .. }) => {
+            Err(Error::Store(StoreError::Full { .. })) => {
                 saw_eviction = true; // pressure has begun
                 rejections.push(arrival.at);
             }
@@ -221,11 +236,13 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
 
         // Figure 7's snapshot: first time the density lands in the band
         // after storage pressure begins.
-        if let Some(target) = config.snapshot_density {
+        if let (Some(target), Some(take)) = (config.snapshot_density, take_snapshot) {
             if snapshot.is_none() && saw_eviction {
-                let d = unit.importance_density(arrival.at);
-                if (d - target).abs() < 0.01 {
-                    snapshot = Some(unit.density_snapshot(arrival.at));
+                let d = store
+                    .density_info(arrival.at)
+                    .expect("the store answers a density read");
+                if (d.density - target).abs() < 0.01 {
+                    snapshot = Some(take(store, arrival.at));
                 }
             }
         }
@@ -236,7 +253,11 @@ pub fn run(config: SingleClassConfig) -> SingleClassResult {
         evictions,
         rejections,
         density,
-        stats: *unit.stats(),
+        // Read at the clock the last call left, which moves nothing.
+        stats: store
+            .store_stats(SimTime::ZERO)
+            .expect("the store answers a stats read")
+            .unit,
         snapshot,
     }
 }

@@ -77,18 +77,6 @@ impl Error for FsError {
     }
 }
 
-impl From<StoreError> for FsError {
-    fn from(e: StoreError) -> Self {
-        FsError::Storage(e)
-    }
-}
-
-impl From<RejuvenateError> for FsError {
-    fn from(e: RejuvenateError) -> Self {
-        FsError::Annotation(e)
-    }
-}
-
 impl From<FsError> for temporal_importance::Error {
     fn from(e: FsError) -> Self {
         temporal_importance::Error::external(e)

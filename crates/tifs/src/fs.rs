@@ -3,9 +3,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use sim_core::{ByteSize, SimTime};
+use temporal_importance::protocol::{AnnotateMode, StoreApi};
 use temporal_importance::{
-    DensitySnapshot, EvictionRecord, Importance, ImportanceCurve, ObjectId, ObjectIdGen,
-    ObjectSpec, StorageUnit,
+    DensitySnapshot, Error, EvictionRecord, Importance, ImportanceCurve, ObjectId, ObjectIdGen,
+    StorageUnit,
 };
 
 use crate::error::FsError;
@@ -80,12 +81,6 @@ impl TiFs {
         }
     }
 
-    /// The underlying storage unit (read-only: all mutation flows through
-    /// the file system so the namespace stays consistent).
-    pub fn unit(&self) -> &StorageUnit {
-        &self.unit
-    }
-
     /// Bytes used by file contents.
     pub fn used(&self) -> ByteSize {
         self.unit.used()
@@ -99,7 +94,10 @@ impl TiFs {
     /// The storage importance density at `now` — the feedback signal for
     /// choosing annotations (§5.1.2).
     pub fn density(&mut self, now: SimTime) -> f64 {
-        self.unit.importance_density(now)
+        self.unit
+            .density_info(now)
+            .expect("a unit answers a density read")
+            .density
     }
 
     /// The storage unit's [`DensitySnapshot`] at `now`, what an
@@ -181,8 +179,8 @@ impl TiFs {
         }
 
         let id = self.ids.next_id();
-        let spec = ObjectSpec::new(id, ByteSize::from_bytes(data.len() as u64), curve);
-        let outcome = self.unit.store(spec, now)?;
+        let size = ByteSize::from_bytes(data.len() as u64);
+        let outcome = self.unit.put(id, size, curve, now).map_err(refused)?;
         for victim in &outcome.evicted {
             self.prune_object(victim);
         }
@@ -268,7 +266,7 @@ impl TiFs {
     /// [`FsError::NotFound`] / [`FsError::IsADirectory`].
     pub fn remove(&mut self, path: &str, now: SimTime) -> Result<(), FsError> {
         let id = self.resolve_live_file(path)?;
-        self.unit.remove(id, now);
+        self.unit.remove_object(id, now).map_err(refused)?;
         self.prune_by_id(id);
         Ok(())
     }
@@ -317,7 +315,9 @@ impl TiFs {
         now: SimTime,
     ) -> Result<(), FsError> {
         let id = self.resolve_live_file(path)?;
-        self.unit.rejuvenate(id, curve, now)?;
+        self.unit
+            .annotate(id, curve, AnnotateMode::Raise, now)
+            .map_err(refused)?;
         Ok(())
     }
 
@@ -334,14 +334,16 @@ impl TiFs {
         now: SimTime,
     ) -> Result<(), FsError> {
         let id = self.resolve_live_file(path)?;
-        self.unit.reannotate(id, curve, now)?;
+        self.unit
+            .annotate(id, curve, AnnotateMode::Replace, now)
+            .map_err(refused)?;
         Ok(())
     }
 
     /// Reclaims all expired files right now and prunes them from the
     /// namespace. Returns how many files were reclaimed.
     pub fn reclaim_expired(&mut self, now: SimTime) -> usize {
-        let swept = self.unit.sweep_expired(now);
+        let swept = self.unit.sweep(now).expect("a unit answers a sweep");
         for record in &swept {
             self.prune_object(record);
         }
@@ -391,6 +393,16 @@ impl TiFs {
                 dir.remove(name);
             }
         }
+    }
+}
+
+/// The file-system error for a refusal of the storage unit, which fails a
+/// verb only with the engine's own errors.
+fn refused(error: Error) -> FsError {
+    match error {
+        Error::Store(e) => FsError::Storage(e),
+        Error::Rejuvenate(e) => FsError::Annotation(e),
+        other => unreachable!("a storage unit refused with {other}"),
     }
 }
 

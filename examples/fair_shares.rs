@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example fair_shares`
 
+use temporal_reclaim::core::protocol::StoreApi;
 use temporal_reclaim::core::{
     Advisor, FairStore, FairStoreError, Forecast, Importance, ImportanceCurve, ObjectIdGen,
     ObjectSpec, PrincipalId, StorageUnit,
@@ -61,15 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a newcomer request to actually survive?
     let mut busy = StorageUnit::new(ByteSize::from_gib(2));
     for i in 0..32 {
-        busy.store(
-            ObjectSpec::new(
-                ids.next_id(),
-                ByteSize::from_mib(64),
-                ImportanceCurve::Fixed {
-                    importance: Importance::new_clamped(0.5),
-                    expiry: SimDuration::from_days(30),
-                },
-            ),
+        let curve = ImportanceCurve::Fixed {
+            importance: Importance::new_clamped(0.5),
+            expiry: SimDuration::from_days(30),
+        };
+        busy.put(
+            ids.next_id(),
+            ByteSize::from_mib(64),
+            curve,
             SimTime::from_minutes(i),
         )?;
     }

@@ -14,55 +14,56 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // return home and successfully create a backup copy" (§3). The upload
     // application annotates with high importance and a conservative expiry.
     let on_the_road = ImportanceCurve::fixed_lifetime(SimDuration::from_days(30));
-    unit.store(
-        ObjectSpec::new(video, ByteSize::from_gib(2), on_the_road),
-        SimTime::ZERO,
-    )?;
+    unit.put(video, ByteSize::from_gib(2), on_the_road, SimTime::ZERO)?;
     println!(
         "day 0: road video stored at importance {}",
         unit.get(video).unwrap().current_importance(SimTime::ZERO)
     );
 
-    // Day 20: the trip ran long — the user extends the annotation. The
-    // raise-only `rejuvenate` API restarts the curve.
+    // Day 20: the trip ran long — the user extends the annotation. A
+    // raise-only annotation (`AnnotateMode::Raise`) restarts the curve.
     let day20 = SimTime::from_days(20);
-    unit.rejuvenate(
-        video,
-        ImportanceCurve::fixed_lifetime(SimDuration::from_days(30)),
-        day20,
-    )?;
+    let extended = ImportanceCurve::fixed_lifetime(SimDuration::from_days(30));
+    unit.annotate(video, extended, AnnotateMode::Raise, day20)?;
     println!(
         "day 20: rejuvenated; now expires {} days later than originally",
         20
     );
 
-    // Lowering via rejuvenate is refused — decay must come from the curve
+    // Lowering via a raise is refused — decay must come from the curve
     // or an explicit trigger.
     let err = unit
-        .rejuvenate(video, ImportanceCurve::Ephemeral, day20)
+        .annotate(
+            video,
+            ImportanceCurve::Ephemeral,
+            AnnotateMode::Raise,
+            day20,
+        )
         .unwrap_err();
     println!("day 20: lowering via rejuvenate refused: {err}");
 
     // Day 25: the backup application reports success and fires the §6
-    // trigger: reannotate demotes the local copy to cache-like importance.
+    // trigger: a replacing annotation demotes the local copy to cache-like
+    // importance.
     let day25 = SimTime::from_days(25);
-    unit.reannotate(video, ImportanceCurve::Ephemeral, day25)?;
+    unit.annotate(
+        video,
+        ImportanceCurve::Ephemeral,
+        AnnotateMode::Replace,
+        day25,
+    )?;
     println!(
         "day 25: backup complete — demoted to importance {}",
         unit.get(video).unwrap().current_importance(day25)
     );
 
     // Now any incoming object reclaims that space automatically.
-    let fresh = ObjectSpec::new(
-        ObjectId::new(2),
-        ByteSize::from_gib(3),
-        ImportanceCurve::two_step(
-            Importance::FULL,
-            SimDuration::from_days(15),
-            SimDuration::from_days(15),
-        ),
+    let fresh = ImportanceCurve::two_step(
+        Importance::FULL,
+        SimDuration::from_days(15),
+        SimDuration::from_days(15),
     );
-    let outcome = unit.store(fresh, day25)?;
+    let outcome = unit.put(ObjectId::new(2), ByteSize::from_gib(3), fresh, day25)?;
     println!(
         "day 25: new capture stored; reclaimed {} old object(s) including the backed-up video: {}",
         outcome.evicted.len(),

@@ -31,8 +31,7 @@
 //!     SimDuration::from_days(15),
 //!     SimDuration::from_days(15),
 //! );
-//! let spec = ObjectSpec::new(ObjectId::new(0), ByteSize::from_mib(700), curve);
-//! unit.store(spec, SimTime::ZERO)?;
+//! unit.put(ObjectId::new(0), ByteSize::from_mib(700), curve, SimTime::ZERO)?;
 //! # Ok::<(), Error>(())
 //! ```
 //!
@@ -71,8 +70,8 @@ pub mod tempimp {
     pub use tempimp_durable::{DurableConfig, DurableUnit};
     pub use tempimpd::{ServeClient, Tempimpd};
     pub use temporal_importance::protocol::{
-        DensityInfo, HealthSnapshot, ObjectInfo, Request, Response, ShardHealth, ShardRouter,
-        StoreApi, StoreStats, VerbKind, VerbLatency,
+        AnnotateMode, DensityInfo, HealthSnapshot, ObjectInfo, Request, Response, ShardHealth,
+        ShardRouter, StoreApi, StoreStats, VerbKind, VerbLatency,
     };
     pub use temporal_importance::{
         Admission, Error, EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectIdGen,

@@ -2,9 +2,10 @@
 //! engine, driven through the public API of the umbrella crate.
 
 use proptest::prelude::*;
+use temporal_reclaim::core::protocol::StoreApi;
 use temporal_reclaim::core::{
-    EvictionPolicy, EvictionReason, Importance, ImportanceCurve, ObjectId, ObjectSpec,
-    PiecewiseCurve, StorageUnit, StoreError,
+    Error, EvictionPolicy, EvictionReason, Importance, ImportanceCurve, ObjectId, PiecewiseCurve,
+    StorageUnit, StoreError,
 };
 use temporal_reclaim::{ByteSize, SimDuration, SimTime};
 
@@ -135,30 +136,29 @@ proptest! {
             let i = i as u64;
             let now = SimTime::from_days(at_day);
             let returned = match action {
-                0 => unit.sweep_expired(now),
-                1 => unit.remove(ObjectId::new(at_day % (i + 1)), now).into_iter().collect(),
+                0 => unit.sweep(now).unwrap(),
+                1 => {
+                    let id = ObjectId::new(at_day % (i + 1));
+                    unit.remove_object(id, now).unwrap().into_iter().collect()
+                }
                 _ => {
                     let id = ObjectId::new(if action == 2 { i / 2 } else { i });
-                    let spec = ObjectSpec::new(
-                        id,
-                        ByteSize::from_mib(mib),
-                        ImportanceCurve::Fixed {
-                            importance: Importance::new_clamped(importance),
-                            expiry: SimDuration::from_days(expiry),
-                        },
-                    );
-                    match unit.store(spec, now) {
+                    let curve = ImportanceCurve::Fixed {
+                        importance: Importance::new_clamped(importance),
+                        expiry: SimDuration::from_days(expiry),
+                    };
+                    match unit.put(id, ByteSize::from_mib(mib), curve, now) {
                         Ok(outcome) => {
                             accepted += 1;
                             outcome.evicted
                         }
-                        Err(StoreError::Full { .. }) => {
+                        Err(Error::Store(StoreError::Full { .. })) => {
                             full += 1;
                             Vec::new()
                         }
                         Err(e) => {
                             prop_assert!(
-                                matches!(e, StoreError::DuplicateId(_)),
+                                matches!(e, Error::Store(StoreError::DuplicateId(_))),
                                 "unexpected error {e}"
                             );
                             duplicates += 1;
@@ -189,7 +189,7 @@ proptest! {
             prop_assert_eq!(unit.used() + unit.free(), capacity);
             let resident: ByteSize = unit.iter().map(|o| o.size()).sum();
             prop_assert_eq!(resident, unit.used());
-            let d = unit.importance_density(now);
+            let d = unit.density_info(now).unwrap().density;
             prop_assert!((0.0..=1.0).contains(&d));
         }
     }
@@ -205,15 +205,11 @@ proptest! {
         let now = SimTime::from_days(1);
         for (i, (mib, importance)) in ops.into_iter().enumerate() {
             let incoming = Importance::new_clamped(importance);
-            let spec = ObjectSpec::new(
-                ObjectId::new(i as u64),
-                ByteSize::from_mib(mib),
-                ImportanceCurve::Fixed {
-                    importance: incoming,
-                    expiry: SimDuration::from_days(10_000),
-                },
-            );
-            match unit.store(spec, now) {
+            let curve = ImportanceCurve::Fixed {
+                importance: incoming,
+                expiry: SimDuration::from_days(10_000),
+            };
+            match unit.put(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve, now) {
                 Ok(outcome) => {
                     for victim in &outcome.evicted {
                         prop_assert!(
@@ -224,7 +220,7 @@ proptest! {
                         );
                     }
                 }
-                Err(StoreError::Full { .. }) => {}
+                Err(Error::Store(StoreError::Full { .. })) => {}
                 Err(e) => prop_assert!(false, "unexpected error {e}"),
             }
         }
@@ -242,13 +238,9 @@ proptest! {
         let mut day = 0u64;
         for (i, mib) in ops.into_iter().enumerate() {
             day += 1;
-            let spec = ObjectSpec::new(
-                ObjectId::new(i as u64),
-                ByteSize::from_mib(mib),
-                ImportanceCurve::fixed_lifetime(SimDuration::from_days(30)),
-            );
+            let curve = ImportanceCurve::fixed_lifetime(SimDuration::from_days(30));
             let outcome = unit
-                .store(spec, SimTime::from_days(day))
+                .put(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve, SimTime::from_days(day))
                 .expect("fifo admits everything that fits");
             // Victims are the oldest residents: their arrivals must all
             // precede every remaining resident's arrival.
@@ -262,7 +254,7 @@ proptest! {
         prop_assert_eq!(unit.stats().rejections_full, 0);
     }
 
-    /// peek_admission never lies: if it admits, the subsequent store
+    /// An advise never lies: if it admits, the subsequent store
     /// succeeds with the same highest-preempted importance; if it reports
     /// Full, the store fails.
     #[test]
@@ -274,29 +266,20 @@ proptest! {
         let mut unit = StorageUnit::new(ByteSize::from_mib(500));
         let now = SimTime::from_days(1);
         for (i, (mib, importance)) in fill.into_iter().enumerate() {
-            let _ = unit.store(
-                ObjectSpec::new(
-                    ObjectId::new(i as u64),
-                    ByteSize::from_mib(mib),
-                    ImportanceCurve::Fixed {
-                        importance: Importance::new_clamped(importance),
-                        expiry: SimDuration::from_days(10_000),
-                    },
-                ),
-                now,
-            );
-        }
-        let incoming = Importance::new_clamped(probe_importance);
-        let peek = unit.peek_admission(ByteSize::from_mib(probe_mib), incoming, now);
-        let spec = ObjectSpec::new(
-            ObjectId::new(999_999),
-            ByteSize::from_mib(probe_mib),
-            ImportanceCurve::Fixed {
-                importance: incoming,
+            let curve = ImportanceCurve::Fixed {
+                importance: Importance::new_clamped(importance),
                 expiry: SimDuration::from_days(10_000),
-            },
-        );
-        let stored = unit.store(spec, now);
+            };
+            let _ = unit.put(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve, now);
+        }
+        let (id, size) = (ObjectId::new(999_999), ByteSize::from_mib(probe_mib));
+        let incoming = Importance::new_clamped(probe_importance);
+        let peek = unit.advise(id, size, incoming, now).unwrap();
+        let curve = ImportanceCurve::Fixed {
+            importance: incoming,
+            expiry: SimDuration::from_days(10_000),
+        };
+        let stored = unit.put(id, size, curve, now);
         match (peek.placement_score(), stored) {
             (Some(score), Ok(outcome)) => {
                 prop_assert_eq!(outcome.placement_score(), score);

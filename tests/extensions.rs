@@ -1,6 +1,7 @@
 //! Integration tests for the extension subsystems: trace record/replay
 //! and the calendar's annotation invariants.
 use proptest::prelude::*;
+use temporal_reclaim::core::protocol::StoreApi;
 use temporal_reclaim::core::{ObjectIdGen, ObjectSpec, StorageUnit};
 use temporal_reclaim::workload::calendar::{AcademicCalendar, Creator};
 use temporal_reclaim::workload::lecture::{generate, LectureConfig};
@@ -23,7 +24,7 @@ fn trace_replay_is_bit_identical() {
         for arrival in stream {
             let spec = ObjectSpec::new(ids.next_id(), arrival.size, arrival.curve.clone())
                 .with_class(arrival.class);
-            let _ = unit.store(spec, arrival.at);
+            let _ = unit.call(arrival.at, spec.into());
         }
         (
             unit.stats().stores_accepted,

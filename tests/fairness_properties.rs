@@ -1,6 +1,7 @@
 //! Property tests for the fairness layer and the annotation advisor.
 
 use proptest::prelude::*;
+use temporal_reclaim::core::protocol::StoreApi;
 use temporal_reclaim::core::{
     Admission, Advisor, FairStore, FairStoreError, Importance, ImportanceCurve, ObjectId,
     ObjectSpec, PrincipalId, StorageUnit,
@@ -97,35 +98,34 @@ proptest! {
     ) {
         let mut unit = StorageUnit::new(ByteSize::from_mib(200));
         for (i, (mib, importance)) in fill.into_iter().enumerate() {
-            let _ = unit.store(
-                ObjectSpec::new(
-                    ObjectId::new(i as u64),
-                    ByteSize::from_mib(mib),
-                    ImportanceCurve::Fixed {
-                        importance: Importance::new_clamped(importance),
-                        expiry: SimDuration::from_days(3650),
-                    },
-                ),
-                SimTime::ZERO,
-            );
+            let curve = ImportanceCurve::Fixed {
+                importance: Importance::new_clamped(importance),
+                expiry: SimDuration::from_days(3650),
+            };
+            let _ = unit.put(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve, SimTime::ZERO);
         }
         let advisor = Advisor::from_snapshot(unit.density_snapshot(SimTime::ZERO));
         let size = ByteSize::from_mib(probe_mib);
         let threshold = advisor.admission_threshold_for(size);
+        let mut admits = |incoming| {
+            unit.advise(ObjectId::new(0), size, incoming, SimTime::ZERO)
+                .expect("a probe answers")
+                .is_admitted()
+        };
 
         if threshold < Importance::FULL {
             let above = Importance::new_clamped(threshold.value() + 0.005);
             // Strictly above the least-displaceable importance: admitted.
             if above > threshold {
                 prop_assert!(
-                    unit.peek_admission(size, above, SimTime::ZERO).is_admitted(),
+                    admits(above),
                     "threshold {threshold} but {above} rejected for {probe_mib} MiB"
                 );
             }
         }
         if !threshold.is_zero() {
             prop_assert!(
-                !unit.peek_admission(size, threshold, SimTime::ZERO).is_admitted(),
+                !admits(threshold),
                 "threshold {threshold} itself admitted for {probe_mib} MiB"
             );
         }
@@ -163,14 +163,14 @@ proptest! {
                 3 => ImportanceCurve::Persistent,
                 _ => ImportanceCurve::Ephemeral,
             };
-            let spec = ObjectSpec::new(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve);
-            let _ = unit.store(spec, now);
+            let _ = unit.put(ObjectId::new(i as u64), ByteSize::from_mib(mib), curve, now);
         }
         let now = now + SimDuration::from_days(later);
         let size = ByteSize::from_mib(probe_mib);
         let advisor = Advisor::from_snapshot(unit.density_snapshot(now));
         let threshold = advisor.admission_threshold_for(size);
-        match unit.peek_admission(size, Importance::FULL, now) {
+        let probe = unit.advise(ObjectId::new(0), size, Importance::FULL, now);
+        match probe.expect("a probe answers") {
             Admission::Fits { .. } => prop_assert_eq!(threshold, Importance::ZERO),
             Admission::Preempting { highest, .. } => prop_assert_eq!(threshold, highest),
             // Only full-importance bytes can block a full-importance

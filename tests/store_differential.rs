@@ -29,6 +29,10 @@
 //! * **Concurrent.** Pipelined clients with disjoint ids draw from the same
 //!   generator; every shard replays, and `bench_stack`'s conservation laws
 //!   hold.
+//! * **Experiment.** The §5.1 single-class run at 80 GiB, once on a
+//!   `StorageUnit` and once on a `DurableUnit`, under the two preemptive
+//!   policies: evictions, refusals, density series (bit for bit) and
+//!   counters must agree.
 //!
 //! Comparisons are exact, with three exceptions: densities of the indexed
 //! unit and the model agree within 1e-9 (they sum differently); a
@@ -42,6 +46,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bench_harness::model::{ModelUnit, Resident};
+use experiments::single_class::{self, PolicyChoice, SingleClassConfig, SingleClassResult};
 use proptest::test_runner::{case_count, run_cases_n};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -667,4 +672,42 @@ fn concurrent() {
         assert_eq!(total.stores_accepted, puts(true));
         Ok(())
     });
+}
+
+/// §5.1 through the journal: the single-class experiment run on a
+/// `DurableUnit` evicts, refuses, samples the density and counts exactly
+/// as the in-memory run the figures draw. `NoImportance` is the
+/// refusal-heavy regime, where every refusal is a journaled record too.
+#[test]
+fn single_class_runs_alike_through_the_journal() {
+    let series = |result: &SingleClassResult| -> Vec<(SimTime, u64)> {
+        let points = result.density.points();
+        points.iter().map(|&(at, d)| (at, d.to_bits())).collect()
+    };
+    for policy in [PolicyChoice::TemporalImportance, PolicyChoice::NoImportance] {
+        let config = SingleClassConfig::paper(experiments::DEFAULT_SEED, 80, policy);
+        let memory = single_class::run(config);
+        let dir = scratch("single-class");
+        let mut durable = DurableUnit::open(
+            &dir,
+            config.capacity,
+            policy.eviction_policy(),
+            DurableConfig::default(),
+        )
+        .expect("open the log");
+        let journaled = single_class::run_on(&mut durable, config, None);
+        assert!(
+            !memory.evictions.is_empty() && !memory.rejections.is_empty(),
+            "{policy}: the run must preempt and refuse"
+        );
+        assert_eq!(journaled.evictions, memory.evictions, "{policy}: evictions");
+        assert_eq!(
+            journaled.rejections, memory.rejections,
+            "{policy}: refusals"
+        );
+        assert_eq!(series(&journaled), series(&memory), "{policy}: density");
+        assert_eq!(journaled.stats, memory.stats, "{policy}: stats");
+        drop(durable);
+        std::fs::remove_dir_all(&dir).expect("remove the log");
+    }
 }
