@@ -359,16 +359,6 @@ impl Besteffs {
         id
     }
 
-    /// Attaches an observability handle after construction, forwarding it
-    /// to every existing storage unit. Units created later (rejoin
-    /// replacements, [`add_node`](Besteffs::add_node)) inherit it too.
-    pub fn set_observer(&mut self, obs: Obs) {
-        for unit in &mut self.units {
-            unit.set_observer(obs.clone());
-        }
-        self.obs = obs;
-    }
-
     /// Fails a node at `now`: its objects are lost (Besteffs does not
     /// replicate) and a [`FailureEpoch`] is recorded. Returns the number
     /// of objects lost. Failing a dead node is a no-op.

@@ -16,13 +16,15 @@
 //! churn and doubles with no more live ids; this table grows only when
 //! its live ids need the room.
 //!
-//! Serialization round-trips through exactly the same content tree as the
+//! It serializes to exactly the same content tree as the
 //! `BTreeMap<ObjectId, StoredObject>` it replaced — an id-keyed object map
-//! in ascending id order — so persisted units remain byte-identical.
+//! in ascending id order — so a unit's serialized fingerprint is
+//! unchanged. It does not deserialize: a unit is rebuilt only through
+//! `StorageUnitBuilder::restore`.
 
 use std::fmt;
 
-use serde::{Content, Deserialize, Error, Serialize};
+use serde::{Content, Serialize};
 
 use crate::{ObjectId, StoredObject};
 
@@ -405,34 +407,6 @@ impl Serialize for ObjectArena {
     }
 }
 
-impl Deserialize for ObjectArena {
-    fn deserialize(content: &Content) -> Result<Self, Error> {
-        let entries = match content {
-            Content::Map(entries) => entries,
-            other => {
-                return Err(Error::custom(format!(
-                    "invalid type: expected object, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        let mut arena = ObjectArena::new();
-        for (key, value) in entries {
-            key.parse::<u64>()
-                .map_err(|_| Error::custom(format!("invalid object id key `{key}`")))?;
-            let object = StoredObject::deserialize(value)?;
-            if arena.contains(object.id()) {
-                return Err(Error::custom(format!(
-                    "duplicate object id {}",
-                    object.id()
-                )));
-            }
-            arena.insert(object);
-        }
-        Ok(arena)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,10 +470,6 @@ mod tests {
         map.insert(ObjectId::new(7), object(7));
         map.insert(ObjectId::new(2), object(2));
         assert_eq!(arena.to_content(), map.to_content());
-
-        let back = ObjectArena::deserialize(&arena.to_content()).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.get(ObjectId::new(7)).unwrap().id(), ObjectId::new(7));
     }
 
     /// Cases for the id-table model: `DIFF_CASES` when set (the nightly
@@ -611,17 +581,5 @@ mod tests {
         for (slot, &id) in live.iter().enumerate() {
             assert_eq!(table.get(id), Some(slot as u32));
         }
-    }
-
-    #[test]
-    fn deserialize_rejects_bad_keys_and_duplicates() {
-        let bad_key = Content::Map(vec![("x".into(), object(1).to_content())]);
-        assert!(ObjectArena::deserialize(&bad_key).is_err());
-        let dup = Content::Map(vec![
-            ("1".into(), object(1).to_content()),
-            ("1".into(), object(1).to_content()),
-        ]);
-        assert!(ObjectArena::deserialize(&dup).is_err());
-        assert!(ObjectArena::deserialize(&Content::Null).is_err());
     }
 }

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimTime};
 
+use crate::protocol::StoreApi;
 use crate::{Importance, StorageUnit};
 
 /// A point-in-time summary of a unit's importance state.
@@ -107,7 +108,10 @@ impl StorageUnit {
     /// ```
     pub fn density_snapshot(&mut self, now: SimTime) -> DensitySnapshot {
         let now = self.act_at(now);
-        let density = self.importance_density(now);
+        let density = self
+            .density_info(now)
+            .expect("a unit answers a density read")
+            .density;
         let mut pairs: Vec<(Importance, ByteSize)> = self
             .iter()
             .map(|o| (o.current_importance(now), o.size()))

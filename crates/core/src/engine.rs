@@ -44,8 +44,8 @@
 //! Each shape group holds an [`Arc`] of its curve that every resident of
 //! the shape shares: [`EngineIndex::intern`] answers a store with the
 //! group and that allocation from one hash lookup, and a rebuild gives each
-//! object its group's allocation, so a deserialized or restored unit
-//! shares its curves again. The group also keeps the curve inline, where
+//! object its group's allocation, so a restored unit shares its curves
+//! again. The group also keeps the curve inline, where
 //! a plan reads it for every head it evaluates. Every stored shape has a
 //! group while some resident holds it, whether or not its residents live
 //! in the group: the last holder's eviction or new annotation frees the
@@ -665,7 +665,7 @@ impl DensityAccum {
 }
 
 /// The incremental index over a unit's objects. Rebuilt from scratch after
-/// deserialization (every field is `#[serde(skip)]` on the unit).
+/// a restore (the unit's serialized form leaves it out).
 ///
 /// Ordered structures are [`SortedList`]s whose payloads are arena slots;
 /// per-object classification state lives in slot-indexed [`TotalMap`]
@@ -718,8 +718,10 @@ pub(crate) struct EngineIndex {
     density: DensityAccum,
 }
 
-impl Default for EngineIndex {
-    fn default() -> Self {
+impl EngineIndex {
+    /// An empty index maintaining exactly the structures `policy` reads —
+    /// preemptive units skip FIFO-list upkeep.
+    pub(crate) fn for_policy(policy: EvictionPolicy) -> Self {
         EngineIndex {
             clock: SimTime::ZERO,
             len: 0,
@@ -729,7 +731,7 @@ impl Default for EngineIndex {
             finalizes: SortedList::new(),
             expired: SortedList::new(),
             fifo: SortedList::new(),
-            track_fifo: true,
+            track_fifo: policy == EvictionPolicy::Fifo,
             settled: SortedList::new(),
             groups: Vec::new(),
             free_groups: Vec::new(),
@@ -737,17 +739,6 @@ impl Default for EngineIndex {
             families: Vec::new(),
             family_ids: FxHashMap::default(),
             density: DensityAccum::default(),
-        }
-    }
-}
-
-impl EngineIndex {
-    /// An empty index maintaining exactly the structures `policy` reads —
-    /// preemptive units skip FIFO-list upkeep.
-    pub(crate) fn for_policy(policy: EvictionPolicy) -> Self {
-        EngineIndex {
-            track_fifo: policy == EvictionPolicy::Fifo,
-            ..EngineIndex::default()
         }
     }
 
@@ -801,17 +792,21 @@ impl EngineIndex {
         out.sort_unstable();
     }
 
-    /// Rebuilds the whole index at `now` (post-deserialization path).
+    /// Rebuilds the whole index at `now` (the path after a restore).
     /// Objects are inserted in ascending id order — the same order the
     /// id-keyed map this arena replaced iterated in — so accumulator
     /// arithmetic matches a freshly grown index. Each object comes to
-    /// hold its shape group's curve, so a unit that was deserialized or
-    /// restored shares its curves again.
-    pub(crate) fn rebuild(&mut self, objects: &mut ObjectArena, now: SimTime, track_fifo: bool) {
+    /// hold its shape group's curve, so a restored unit shares its curves
+    /// again.
+    pub(crate) fn rebuild(
+        &mut self,
+        objects: &mut ObjectArena,
+        now: SimTime,
+        policy: EvictionPolicy,
+    ) {
         *self = EngineIndex {
             clock: self.clock.max(now),
-            track_fifo,
-            ..EngineIndex::default()
+            ..EngineIndex::for_policy(policy)
         };
         self.density.at = self.clock;
         for slot in objects.slots_by_id() {
@@ -1511,7 +1506,7 @@ mod tests {
         let minute = SimDuration::MINUTE;
         let obs = Obs::none();
         let mut objects = ObjectArena::new();
-        let mut index = EngineIndex::default();
+        let mut index = EngineIndex::for_policy(EvictionPolicy::Fifo);
         let mut slots = Vec::new();
         for (id, size, level, persist, wane) in
             [(1, 1_000_003, 0.5, 3, 10), (2, 3_000_017, 0.7, 1, 7)]

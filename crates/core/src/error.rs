@@ -5,7 +5,7 @@ use std::fmt;
 
 use sim_core::ByteSize;
 
-use crate::{FairStoreError, Importance, ObjectId};
+use crate::{Importance, ObjectId};
 
 /// The consolidated error hierarchy for the whole workspace.
 ///
@@ -48,8 +48,6 @@ pub enum Error {
     Store(StoreError),
     /// A failed rejuvenation request.
     Rejuvenate(RejuvenateError),
-    /// A fair-share admission failure.
-    FairStore(FairStoreError),
     /// An error from a crate layered on top of this one (placement,
     /// workload parsing, filesystem), carried without this crate having to
     /// know its type.
@@ -80,7 +78,6 @@ impl fmt::Display for Error {
             Error::Curve(e) => e.fmt(f),
             Error::Store(e) => e.fmt(f),
             Error::Rejuvenate(e) => e.fmt(f),
-            Error::FairStore(e) => e.fmt(f),
             Error::External(e) => e.fmt(f),
             Error::QueueFull { shard } => {
                 write!(f, "shard {shard} ingest queue is full")
@@ -97,7 +94,6 @@ impl StdError for Error {
             Error::Curve(e) => Some(e),
             Error::Store(e) => Some(e),
             Error::Rejuvenate(e) => Some(e),
-            Error::FairStore(e) => Some(e),
             Error::External(e) => Some(e.as_ref()),
             Error::QueueFull { .. } | Error::Disconnected => None,
         }
@@ -125,12 +121,6 @@ impl From<StoreError> for Error {
 impl From<RejuvenateError> for Error {
     fn from(e: RejuvenateError) -> Self {
         Error::Rejuvenate(e)
-    }
-}
-
-impl From<FairStoreError> for Error {
-    fn from(e: FairStoreError) -> Self {
-        Error::FairStore(e)
     }
 }
 

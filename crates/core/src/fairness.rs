@@ -20,6 +20,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimTime};
 
+use crate::protocol::{Response, StoreApi};
 use crate::{EvictionRecord, ObjectId, ObjectSpec, StorageUnit, StoreError, StoreOutcome};
 
 /// A storage principal (user / application) identifier.
@@ -90,12 +91,6 @@ impl Error for FairStoreError {
     }
 }
 
-impl From<StoreError> for FairStoreError {
-    fn from(e: StoreError) -> Self {
-        FairStoreError::Store(e)
-    }
-}
-
 /// Per-principal accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrincipalUsage {
@@ -108,7 +103,8 @@ pub struct PrincipalUsage {
     pub quota_refusals: u64,
 }
 
-/// A fairness-enforcing wrapper around a [`StorageUnit`].
+/// A fairness-enforcing wrapper around a [`StorageUnit`], which it
+/// changes only through [`StoreApi`].
 ///
 /// Every principal gets the same budget of importance-weighted bytes
 /// (`budget = capacity / expected principals`, by default). The charge of
@@ -144,7 +140,7 @@ pub struct PrincipalUsage {
 /// assert!(store.store(alice, spec, SimTime::ZERO).is_err());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FairStore {
     unit: StorageUnit,
     budget: u64,
@@ -217,7 +213,11 @@ impl FairStore {
         }
 
         let id = spec.id();
-        let outcome = self.unit.store(spec, now)?;
+        let outcome = match self.unit.call(now, spec.into()) {
+            Response::Put(Ok(outcome)) => outcome,
+            Response::Put(Err(crate::Error::Store(e))) => return Err(FairStoreError::Store(e)),
+            other => panic!("unexpected answer to a put: {other:?}"),
+        };
         self.usage.entry(principal).or_default().charged += charge;
         self.usage.entry(principal).or_default().accepted += 1;
         self.owners.insert(id, (principal, charge));
@@ -229,14 +229,17 @@ impl FairStore {
 
     /// Removes an object, refunding its owner's budget.
     pub fn remove(&mut self, id: ObjectId, now: SimTime) -> Option<EvictionRecord> {
-        let record = self.unit.remove(id, now)?;
+        let record = self
+            .unit
+            .remove_object(id, now)
+            .expect("a unit answers a remove")?;
         self.refund(id);
         Some(record)
     }
 
     /// Sweeps expired objects and refunds their owners.
     pub fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
-        let records = self.unit.sweep_expired(now);
+        let records = self.unit.sweep(now).expect("a unit answers a sweep");
         for record in &records {
             self.refund(record.id);
         }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sim_core::{ByteSize, Obs, SimTime};
 
 use crate::arena::ObjectArena;
@@ -49,7 +49,7 @@ use crate::{EvictionPolicy, Importance, ImportanceCurve, ObjectId, ObjectSpec, S
 /// assert_eq!(unit.used(), ByteSize::from_mib(60));
 /// # Ok::<(), temporal_importance::Error>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StorageUnit {
     capacity: ByteSize,
     used: ByteSize,
@@ -57,7 +57,7 @@ pub struct StorageUnit {
     objects: ObjectArena,
     stats: UnitStats,
     /// Incremental candidate/density indexes; derived state, rebuilt on
-    /// demand after deserialization.
+    /// demand after a restore.
     #[serde(skip)]
     index: EngineIndex,
     /// Reusable planning/sweep buffers so steady-state churn allocates
@@ -71,7 +71,6 @@ pub struct StorageUnit {
     last_queue_depth: Option<u64>,
     /// Instrumentation handle. Never touches functional state: outcomes
     /// are byte-identical with or without an observer attached.
-    /// Deserialized units come back silent (re-attach explicitly).
     #[serde(skip)]
     obs: Obs,
 }
@@ -144,8 +143,9 @@ impl StorageUnitBuilder {
     /// The restored unit is indistinguishable from one that arrived at the
     /// same `(stats, objects)` through live operations: occupancy is
     /// recomputed from the objects, and the incremental indexes rebuild
-    /// lazily on the next [`advance`](StorageUnit::advance) (exactly as
-    /// after deserialization). Its lifetime history is `stats` alone.
+    /// lazily on the next [`advance`](StorageUnit::advance). Its lifetime
+    /// history is `stats` alone. This is the only way to rebuild a unit;
+    /// a serialized unit is a fingerprint, not a snapshot to load.
     ///
     /// # Errors
     ///
@@ -292,8 +292,7 @@ impl StorageUnit {
     /// verb.
     pub fn advance(&mut self, now: SimTime) {
         if self.index.len() != self.objects.len() {
-            self.index
-                .rebuild(&mut self.objects, now, self.policy == EvictionPolicy::Fifo);
+            self.index.rebuild(&mut self.objects, now, self.policy);
         } else {
             self.index.advance(&self.objects, now, &self.obs);
         }
@@ -773,6 +772,7 @@ impl StorageUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Deserialize;
     use sim_core::SimDuration;
 
     fn mib(n: u64) -> ByteSize {
@@ -1610,8 +1610,7 @@ mod tests {
 
     /// Residents of one shape share one curve allocation: after a store,
     /// a rejuvenation and a reannotation, and once the index rebuilds
-    /// after a serde round trip or a restore, whose residents arrive
-    /// holding a curve each.
+    /// after a restore, whose residents arrive holding a curve each.
     #[test]
     fn residents_of_one_shape_share_one_curve() {
         let shares = |unit: &StorageUnit, a: u64, b: u64| {
@@ -1651,15 +1650,6 @@ mod tests {
         assert!(!shares(&unit, 1, 2) && !shares(&unit, 3, 4));
 
         let json = serde_json::to_string(&unit).unwrap();
-        let mut back: StorageUnit = serde_json::from_str(&json).unwrap();
-        assert!(
-            !shares(&back, 0, 1),
-            "a deserialized resident holds its own curve"
-        );
-        back.advance(later);
-        assert!(pairs.iter().all(|&(a, b)| shares(&back, a, b)));
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-
         let mut restored = StorageUnit::builder(mib(100))
             .restore(*unit.stats(), unshared(&unit))
             .unwrap();
@@ -1670,6 +1660,34 @@ mod tests {
         restored.advance(later);
         assert!(pairs.iter().all(|&(a, b)| shares(&restored, a, b)));
         assert_eq!(serde_json::to_string(&restored).unwrap(), json);
+    }
+
+    /// `restore`, the one way to rebuild a unit, refuses state no live
+    /// unit could reach: two residents under one id, or residents that
+    /// outgrow the capacity.
+    #[test]
+    fn restore_refuses_duplicates_and_overflow() {
+        let resident = |id, size| {
+            let spec = ObjectSpec::new(ObjectId::new(id), mib(size), ImportanceCurve::Persistent);
+            StoredObject::from_spec(spec, SimTime::ZERO)
+        };
+        let restore = |objects: Vec<StoredObject>| {
+            StorageUnit::builder(mib(10))
+                .restore(UnitStats::default(), objects)
+                .map(|unit| unit.used())
+        };
+        assert_eq!(restore(vec![resident(1, 4), resident(2, 6)]), Ok(mib(10)));
+        assert_eq!(
+            restore(vec![resident(1, 4), resident(1, 4)]),
+            Err(RestoreError::DuplicateId(ObjectId::new(1)))
+        );
+        assert_eq!(
+            restore(vec![resident(1, 4), resident(2, 7)]),
+            Err(RestoreError::OverCapacity {
+                used: mib(11),
+                capacity: mib(10),
+            })
+        );
     }
 
     /// A shape's group lives as long as some resident holds the shape:

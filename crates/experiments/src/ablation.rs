@@ -10,10 +10,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sim_core::{rng, ByteSize, SimDuration, SimTime};
-use temporal_importance::protocol::{Response, StoreApi};
 use temporal_importance::{
-    Error, EvictionReason, Importance, ImportanceCurve, ObjectId, ObjectIdGen, ObjectSpec,
-    StorageUnit, StoreError,
+    EvictionReason, Importance, ImportanceCurve, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit,
 };
 
 use besteffs::{Besteffs, PlacementConfig};
@@ -120,14 +118,9 @@ pub fn decay_ablation(seed: u64, capacity: ByteSize, days: u64) -> Vec<DecayAbla
                     (COMPETITOR, competitor_curve.clone())
                 };
                 let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve).with_class(class);
-                match unit.call(arrival.at, spec.into()) {
-                    Response::Put(Ok(outcome)) => evictions.extend(outcome.evicted),
-                    Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
-                        if shaped {
-                            shaped_rejected += 1;
-                        }
-                    }
-                    other => panic!("unexpected answer to a store: {other:?}"),
+                match crate::offer(&mut unit, spec, arrival.at) {
+                    Some(outcome) => evictions.extend(outcome.evicted),
+                    None => shaped_rejected += u64::from(shaped),
                 }
             }
             let preempted: Vec<f64> = evictions
@@ -201,8 +194,7 @@ pub fn placement_ablation(
                         },
                     );
                     let node = cluster.node_mut(besteffs::NodeId::new(i));
-                    let stored = node.call(SimTime::ZERO, spec.into());
-                    assert!(matches!(stored, Response::Put(Ok(_))), "pre-fill fits");
+                    crate::offer(node, spec, SimTime::ZERO).expect("pre-fill fits");
                 }
             }
 

@@ -2,10 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
-use temporal_importance::protocol::{Response, StoreApi};
+use temporal_importance::protocol::StoreApi;
 use temporal_importance::{
-    Error, EvictionPolicy, EvictionReason, EvictionRecord, ImportanceCurve, ObjectClass,
-    ObjectIdGen, StorageUnit, StoreError, UnitStats,
+    EvictionPolicy, EvictionReason, EvictionRecord, ImportanceCurve, ObjectClass, ObjectIdGen,
+    ObjectSpec, StorageUnit, UnitStats,
 };
 use workload::lecture::{generate, LectureConfig};
 use workload::{CLASS_STUDENT, CLASS_UNIVERSITY};
@@ -112,8 +112,21 @@ impl LectureRunResult {
     }
 }
 
-/// Runs the §5.2 experiment.
+/// Runs the §5.2 experiment on an in-memory unit.
 pub fn run(config: LectureRunConfig) -> LectureRunResult {
+    let policy = if config.palimpsest {
+        EvictionPolicy::Fifo
+    } else {
+        EvictionPolicy::Preemptive
+    };
+    let mut unit = StorageUnit::builder(config.capacity).policy(policy).build();
+    run_on(&mut unit, config)
+}
+
+/// Runs the §5.2 experiment on `store`, an empty store of
+/// `config.capacity` under FIFO when `config.palimpsest` is set and the
+/// preemptive policy otherwise.
+pub fn run_on<S: StoreApi>(store: &mut S, config: LectureRunConfig) -> LectureRunResult {
     sim_core::Obs::global().counter("experiment.lecture.runs", 1);
     let _span = sim_core::Obs::global().span("span.experiment.lecture");
     let workload_cfg = LectureConfig {
@@ -121,13 +134,6 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
         ..LectureConfig::default()
     };
     let arrivals = generate(&workload_cfg, config.years);
-
-    let policy = if config.palimpsest {
-        EvictionPolicy::Fifo
-    } else {
-        EvictionPolicy::Preemptive
-    };
-    let mut unit = StorageUnit::builder(config.capacity).policy(policy).build();
     let mut ids = ObjectIdGen::new();
 
     let mut density = TimeSeries::new();
@@ -138,14 +144,13 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
 
     for arrival in arrivals {
         while next_sample <= arrival.at {
-            let info = unit
+            let info = store
                 .density_info(next_sample)
-                .expect("a unit answers a density read");
+                .expect("the store answers a density read");
             density.push(next_sample, info.density);
             next_sample += config.sample_every;
         }
         arrivals_log.push((arrival.at, arrival.size));
-        let at = arrival.at;
         // Under Palimpsest every object is ephemeral (importance-blind
         // FIFO); under the paper's policy the calendar curve applies.
         let curve = if config.palimpsest {
@@ -153,14 +158,10 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
         } else {
             arrival.curve.clone()
         };
-        let spec = temporal_importance::ObjectSpec::new(ids.next_id(), arrival.size, curve)
-            .with_class(arrival.class);
-        match unit.call(at, spec.into()) {
-            Response::Put(Ok(outcome)) => evictions.extend(outcome.evicted),
-            Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
-                rejections.push(arrival.class)
-            }
-            other => panic!("unexpected answer to a store in workload: {other:?}"),
+        let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve).with_class(arrival.class);
+        match crate::offer(store, spec, arrival.at) {
+            Some(outcome) => evictions.extend(outcome.evicted),
+            None => rejections.push(arrival.class),
         }
     }
 
@@ -170,7 +171,11 @@ pub fn run(config: LectureRunConfig) -> LectureRunResult {
         rejections,
         density,
         arrivals: arrivals_log,
-        stats: *unit.stats(),
+        // Read at the clock the last call left, which moves nothing.
+        stats: store
+            .store_stats(SimTime::ZERO)
+            .expect("the store answers a stats read")
+            .unit,
     }
 }
 

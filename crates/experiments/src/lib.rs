@@ -38,5 +38,28 @@ pub mod university;
 
 pub use single_class::PolicyChoice;
 
+use sim_core::SimTime;
+use temporal_importance::protocol::{Response, StoreApi};
+use temporal_importance::{Error, ObjectSpec, StoreError, StoreOutcome};
+
+/// Offers `spec` to `store` at `now`, class and all: the outcome when the
+/// store admits it, `None` when it is full for the object's importance.
+///
+/// # Panics
+///
+/// On any other answer: a driver's workload never sends an empty,
+/// oversized or duplicate object, so one is a bug in the driver.
+pub(crate) fn offer<S: StoreApi>(
+    store: &mut S,
+    spec: ObjectSpec,
+    now: SimTime,
+) -> Option<StoreOutcome> {
+    match store.call(now, spec.into()) {
+        Response::Put(Ok(outcome)) => Some(outcome),
+        Response::Put(Err(Error::Store(StoreError::Full { .. }))) => None,
+        other => panic!("unexpected answer to a store in a workload: {other:?}"),
+    }
+}
+
 /// The default seed used by the `repro` binary and the integration tests.
 pub const DEFAULT_SEED: u64 = 20070625; // ICDCS 2007 opened June 25.

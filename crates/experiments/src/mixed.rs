@@ -15,12 +15,13 @@
 //! the slack left by the important classes, and does the storage
 //! importance density still predict each class's fate?
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
-use temporal_importance::protocol::{Response, StoreApi};
+use temporal_importance::protocol::StoreApi;
 use temporal_importance::{
-    Error, EvictionReason, Importance, ImportanceCurve, ObjectClass, ObjectIdGen, ObjectSpec,
-    StorageUnit, StoreError,
+    EvictionReason, Importance, ImportanceCurve, ObjectClass, ObjectIdGen, ObjectSpec, StorageUnit,
 };
 
 use analysis::TimeSeries;
@@ -155,12 +156,21 @@ impl MixedRunResult {
     }
 }
 
-/// Runs the mixed-application experiment.
+/// Runs the mixed-application experiment on an in-memory unit.
 pub fn run(config: MixedRunConfig) -> MixedRunResult {
+    let mut unit = StorageUnit::new(config.capacity);
+    run_on(&mut unit, config)
+}
+
+/// Runs the mixed-application experiment on `store`, an empty store of
+/// `config.capacity` under the preemptive policy.
+///
+/// The run never sweeps or removes, so objects leave only as the victims
+/// a store returns: the driver counts each class's resident bytes itself.
+pub fn run_on<S: StoreApi>(store: &mut S, config: MixedRunConfig) -> MixedRunResult {
     sim_core::Obs::global().counter("experiment.mixed.runs", 1);
     let _span = sim_core::Obs::global().span("span.experiment.mixed");
     let mut rand = sim_core::rng::stream(config.seed, "mixed-apps");
-    let mut unit = StorageUnit::new(config.capacity);
     let mut ids = ObjectIdGen::new();
 
     let mut density = TimeSeries::new();
@@ -170,20 +180,21 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
     let mut accepted = vec![0u64; config.profiles.len()];
     let mut rejected = vec![0u64; config.profiles.len()];
     let mut evictions = Vec::new();
+    // Resident bytes per class: each admitted put adds, each victim
+    // subtracts.
+    let mut resident: BTreeMap<ObjectClass, ByteSize> = BTreeMap::new();
+    let resident_of =
+        |resident: &BTreeMap<_, _>, class| resident.get(&class).copied().unwrap_or_default();
 
     for day in 0..config.days {
         let midnight = SimTime::from_days(day);
         // Sample state at each midnight.
-        let info = unit
+        let info = store
             .density_info(midnight)
-            .expect("a unit answers a density read");
+            .expect("the store answers a density read");
         density.push(midnight, info.density);
         for (i, profile) in config.profiles.iter().enumerate() {
-            let bytes: ByteSize = unit
-                .iter()
-                .filter(|o| o.class() == profile.class)
-                .map(|o| o.size())
-                .sum();
+            let bytes = resident_of(&resident, profile.class);
             residency[i].push(midnight, bytes.ratio(config.capacity));
         }
 
@@ -203,13 +214,16 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
             let size = ByteSize::from_mib(rand.gen_range(profile.size_mib.0..=profile.size_mib.1));
             let spec = ObjectSpec::new(ids.next_id(), size, profile.curve.clone())
                 .with_class(profile.class);
-            match unit.call(at, spec.into()) {
-                Response::Put(Ok(outcome)) => {
+            match crate::offer(store, spec, at) {
+                Some(outcome) => {
                     accepted[i] += 1;
+                    *resident.entry(profile.class).or_default() += size;
+                    for victim in &outcome.evicted {
+                        *resident.entry(victim.class).or_default() -= victim.size;
+                    }
                     evictions.extend(outcome.evicted);
                 }
-                Response::Put(Err(Error::Store(StoreError::Full { .. }))) => rejected[i] += 1,
-                other => panic!("unexpected answer to a store: {other:?}"),
+                None => rejected[i] += 1,
             }
         }
     }
@@ -235,11 +249,7 @@ pub fn run(config: MixedRunConfig) -> MixedRunResult {
                 evicted: evicted.len() as u64,
                 mean_lifetime_days,
                 mean_eviction_importance,
-                final_resident: unit
-                    .iter()
-                    .filter(|o| o.class() == profile.class)
-                    .map(|o| o.size())
-                    .sum(),
+                final_resident: resident_of(&resident, profile.class),
             }
         })
         .collect();
@@ -264,12 +274,16 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 mod tests {
     use super::*;
 
-    fn quick() -> MixedRunResult {
-        run(MixedRunConfig {
+    fn quick_config() -> MixedRunConfig {
+        MixedRunConfig {
             seed: 9,
             days: 300,
             ..MixedRunConfig::default()
-        })
+        }
+    }
+
+    fn quick() -> MixedRunResult {
+        run(quick_config())
     }
 
     #[test]
@@ -341,6 +355,18 @@ mod tests {
                 archive.mean_eviction_importance
             );
         }
+    }
+
+    /// The driver's own per-class byte count accounts for every resident
+    /// byte: at the end of the run its classes sum to what the unit holds.
+    #[test]
+    fn residency_sums_to_the_units_occupancy() {
+        let mut unit = StorageUnit::new(quick_config().capacity);
+        let result = run_on(&mut unit, quick_config());
+        let resident: ByteSize = result.apps.iter().map(|app| app.final_resident).sum();
+        let stats = unit.store_stats(SimTime::ZERO).unwrap();
+        assert_eq!(resident, stats.used);
+        assert!(result.apps.iter().all(|app| !app.final_resident.is_zero()));
     }
 
     #[test]

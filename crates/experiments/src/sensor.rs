@@ -12,10 +12,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sim_core::{rng, ByteSize, SimDuration, SimTime, Simulation};
-use temporal_importance::protocol::{AnnotateMode, Response, StoreApi};
-use temporal_importance::{
-    Error, EvictionReason, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit, StoreError,
-};
+use temporal_importance::protocol::{AnnotateMode, StoreApi};
+use temporal_importance::{EvictionReason, ObjectId, ObjectIdGen, ObjectSpec, StorageUnit};
 use workload::sensor::{SensorConfig, CLASS_PROCESSED, CLASS_RAW};
 
 use analysis::TimeSeries;
@@ -73,12 +71,18 @@ enum Event {
     Sample,
 }
 
-/// Runs the sensor-node simulation.
+/// Runs the sensor-node simulation on an in-memory unit.
 pub fn run(config: SensorRunConfig) -> SensorRunResult {
+    let mut unit = StorageUnit::new(config.capacity);
+    run_on(&mut unit, config)
+}
+
+/// Runs the sensor-node simulation on `store`, an empty store of
+/// `config.capacity` under the preemptive policy.
+pub fn run_on<S: StoreApi>(store: &mut S, config: SensorRunConfig) -> SensorRunResult {
     sim_core::Obs::global().counter("experiment.sensor.runs", 1);
     let _span = sim_core::Obs::global().span("span.experiment.sensor");
     let mut rand: StdRng = rng::stream(config.sensor.seed, "sensor-run");
-    let mut unit = StorageUnit::new(config.capacity);
     let mut ids = ObjectIdGen::new();
     let mut result = SensorRunResult::default();
     let horizon = SimTime::ZERO + config.horizon;
@@ -115,8 +119,8 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                 )
                 .with_class(CLASS_RAW);
                 let raw = spec.id();
-                match unit.call(now, spec.into()) {
-                    Response::Put(Ok(outcome)) => {
+                match crate::offer(store, spec, now) {
+                    Some(outcome) => {
                         result.captures += 1;
                         unprocessed.insert(raw);
                         // Anything preempted that was still in-flight is
@@ -132,16 +136,13 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                         let delay = uniform_delay(&mut rand, config.sensor.process_delay);
                         sim.schedule(now + delay, Event::Processed { raw });
                     }
-                    Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
-                        result.raw_lost_unprocessed += 1;
-                    }
-                    other => panic!("unexpected answer to a store: {other:?}"),
+                    None => result.raw_lost_unprocessed += 1,
                 }
                 sim.schedule(now + config.sensor.capture_every, Event::Capture { sensor });
             }
             Event::Processed { raw } => {
                 // The raw object may already have been lost.
-                if !unprocessed.remove(&raw) || !unit.contains(raw) {
+                if !unprocessed.remove(&raw) || !resident(store, raw, now) {
                     return;
                 }
                 // Store the summary at high importance, then demote the
@@ -153,8 +154,8 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                 )
                 .with_class(CLASS_PROCESSED);
                 let summary = spec.id();
-                match unit.call(now, spec.into()) {
-                    Response::Put(Ok(outcome)) => {
+                match crate::offer(store, spec, now) {
+                    Some(outcome) => {
                         result.summaries += 1;
                         unacked.insert(summary);
                         for victim in &outcome.evicted {
@@ -168,25 +169,25 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                         // The summary store can itself have reclaimed the
                         // raw object if it had expired; demote only if it
                         // is still resident.
-                        if unit.contains(raw) {
+                        if resident(store, raw, now) {
                             let retired = config.sensor.raw_retired_curve();
-                            unit.annotate(raw, retired, AnnotateMode::Replace, now)
+                            store
+                                .annotate(raw, retired, AnnotateMode::Replace, now)
                                 .expect("raw object verified resident");
                         }
                         let delay = uniform_delay(&mut rand, config.sensor.ack_delay);
                         sim.schedule(now + delay, Event::AckAttempt { summary });
                     }
-                    Response::Put(Err(Error::Store(StoreError::Full { .. }))) => {
+                    None => {
                         // Summary could not be stored: keep the raw data
                         // hot and retry processing later.
                         unprocessed.insert(raw);
                         sim.schedule(now + config.sensor.ack_retry, Event::Processed { raw });
                     }
-                    other => panic!("unexpected answer to a store: {other:?}"),
                 }
             }
             Event::AckAttempt { summary } => {
-                if !unacked.contains(&summary) || !unit.contains(summary) {
+                if !unacked.contains(&summary) || !resident(store, summary, now) {
                     unacked.remove(&summary);
                     return;
                 }
@@ -197,14 +198,15 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
                     unacked.remove(&summary);
                     result.acked += 1;
                     let acked = config.sensor.summary_acked_curve();
-                    unit.annotate(summary, acked, AnnotateMode::Replace, now)
+                    store
+                        .annotate(summary, acked, AnnotateMode::Replace, now)
                         .expect("summary verified resident");
                 }
             }
             Event::Sample => {
-                let info = unit
+                let info = store
                     .density_info(now)
-                    .expect("a unit answers a density read");
+                    .expect("the store answers a density read");
                 result.density.push(now, info.density);
                 result.pending_summaries.push(now, unacked.len() as f64);
                 if now + SimDuration::DAY <= horizon {
@@ -213,7 +215,7 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
             }
         }
         // Account for expiry-sweep losses too (keeps `used` meaningful).
-        for record in unit.sweep(now).expect("a unit answers a sweep") {
+        for record in store.sweep(now).expect("the store answers a sweep") {
             debug_assert_eq!(record.reason, EvictionReason::Expired);
             if unprocessed.remove(&record.id) {
                 result.raw_lost_unprocessed += 1;
@@ -225,6 +227,14 @@ pub fn run(config: SensorRunConfig) -> SensorRunResult {
     });
 
     result
+}
+
+/// True when `store` holds `id` at `now`.
+fn resident<S: StoreApi>(store: &mut S, id: ObjectId, now: SimTime) -> bool {
+    store
+        .get_info(id, now)
+        .expect("the store answers a get")
+        .is_some()
 }
 
 fn uniform_delay<R: Rng>(rand: &mut R, range: (SimDuration, SimDuration)) -> SimDuration {

@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, SimDuration, SimTime};
 use temporal_importance::protocol::StoreApi;
 use temporal_importance::{
-    Error, EvictionPolicy, EvictionReason, EvictionRecord, Importance, ImportanceCurve,
-    ObjectIdGen, StorageUnit, StoreError, UnitStats,
+    EvictionPolicy, EvictionReason, EvictionRecord, Importance, ImportanceCurve, ObjectIdGen,
+    ObjectSpec, StorageUnit, UnitStats,
 };
 use workload::ramp::RampedArrivals;
 
@@ -220,18 +220,18 @@ pub fn run_on<S: StoreApi>(
             next_sample += config.sample_every;
         }
 
-        match store.put(ids.next_id(), arrival.size, curve.clone(), arrival.at) {
-            Ok(outcome) => {
+        let spec = ObjectSpec::new(ids.next_id(), arrival.size, curve.clone());
+        match crate::offer(store, spec, arrival.at) {
+            Some(outcome) => {
                 if !outcome.evicted.is_empty() {
                     saw_eviction = true;
                 }
                 evictions.extend(outcome.evicted);
             }
-            Err(Error::Store(StoreError::Full { .. })) => {
+            None => {
                 saw_eviction = true; // pressure has begun
                 rejections.push(arrival.at);
             }
-            Err(e) => panic!("unexpected store error in workload: {e}"),
         }
 
         // Figure 7's snapshot: first time the density lands in the band

@@ -29,10 +29,14 @@
 //! * **Concurrent.** Pipelined clients with disjoint ids draw from the same
 //!   generator; every shard replays, and `bench_stack`'s conservation laws
 //!   hold.
-//! * **Experiment.** The §5.1 single-class run at 80 GiB, once on a
-//!   `StorageUnit` and once on a `DurableUnit`, under the two preemptive
-//!   policies: evictions, refusals, density series (bit for bit) and
-//!   counters must agree.
+//! * **Experiment.** The paper's drivers, each written against
+//!   `StoreApi`, run on a `StorageUnit` and again on another store. Through
+//!   a `DurableUnit`: §5.1 under the two preemptive policies, §5.2 and the
+//!   §6 sensor node, whose evictions, refusals, counters and series must
+//!   agree bit for bit; the §5.2 and §6 logs are then closed and reopened
+//!   to the live unit's state. Against `ModelUnit`: §5.1 under all three
+//!   policies and the three-application mix, exact but for the density
+//!   (within 1e-9).
 //!
 //! Comparisons are exact, with three exceptions: densities of the indexed
 //! unit and the model agree within 1e-9 (they sum differently); a
@@ -42,11 +46,15 @@
 //! leg's case count (default: proptest's 256).
 
 use std::fmt::Debug;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use analysis::TimeSeries;
 use bench_harness::model::{ModelUnit, Resident};
-use experiments::single_class::{self, PolicyChoice, SingleClassConfig, SingleClassResult};
+use experiments::lecture::{self, LectureRunConfig};
+use experiments::mixed::{self, MixedRunConfig};
+use experiments::sensor::{self, SensorRunConfig, SensorRunResult};
+use experiments::single_class::{self, PolicyChoice, SingleClassConfig};
 use proptest::test_runner::{case_count, run_cases_n};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -680,10 +688,6 @@ fn concurrent() {
 /// refusal-heavy regime, where every refusal is a journaled record too.
 #[test]
 fn single_class_runs_alike_through_the_journal() {
-    let series = |result: &SingleClassResult| -> Vec<(SimTime, u64)> {
-        let points = result.density.points();
-        points.iter().map(|&(at, d)| (at, d.to_bits())).collect()
-    };
     for policy in [PolicyChoice::TemporalImportance, PolicyChoice::NoImportance] {
         let config = SingleClassConfig::paper(experiments::DEFAULT_SEED, 80, policy);
         let memory = single_class::run(config);
@@ -705,9 +709,152 @@ fn single_class_runs_alike_through_the_journal() {
             journaled.rejections, memory.rejections,
             "{policy}: refusals"
         );
-        assert_eq!(series(&journaled), series(&memory), "{policy}: density");
+        assert_eq!(
+            bits(&journaled.density),
+            bits(&memory.density),
+            "{policy}: density"
+        );
         assert_eq!(journaled.stats, memory.stats, "{policy}: stats");
         drop(durable);
         std::fs::remove_dir_all(&dir).expect("remove the log");
     }
+}
+
+/// A series as comparable bits: equal only if every sample is.
+fn bits(series: &TimeSeries) -> Vec<(SimTime, u64)> {
+    let points = series.points();
+    points.iter().map(|&(at, v)| (at, v.to_bits())).collect()
+}
+
+/// Two series sampled at the same instants whose values agree within
+/// the lockstep tolerance.
+fn assert_close(got: &TimeSeries, want: &TimeSeries, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: samples");
+    for (&(at, g), &(when, w)) in got.points().iter().zip(want.points()) {
+        assert_eq!(at, when, "{what}: sample instants");
+        assert!(
+            (g - w).abs() <= ORACLE_TOLERANCE,
+            "{what}: {g} against {w} at {at}"
+        );
+    }
+}
+
+/// A journaled store on the default segments, under `policy`.
+fn journal(dir: &Path, capacity: ByteSize, policy: EvictionPolicy) -> DurableUnit {
+    DurableUnit::open(dir, capacity, policy, DurableConfig::default()).expect("open the log")
+}
+
+/// Closes `durable`'s log and reopens it: the reopened unit must hold the
+/// live unit's state and answer its stats. Removes the log.
+fn reopens_alike(durable: DurableUnit, dir: &Path, capacity: ByteSize, policy: EvictionPolicy) {
+    let mut live = durable.close().expect("close the log");
+    let mut reopened = journal(dir, capacity, policy);
+    assert_eq!(fingerprint(reopened.unit()), fingerprint(&live), "reopened");
+    let stats = |store: &mut dyn StoreApi| store.store_stats(SimTime::ZERO).expect("stats");
+    assert_eq!(stats(&mut reopened), stats(&mut live), "reopened stats");
+    drop(reopened);
+    std::fs::remove_dir_all(dir).expect("remove the log");
+}
+
+/// §5.2 through the journal: the lecture run at 80 GiB over a
+/// `DurableUnit` evicts, refuses, samples and counts as the in-memory
+/// run, and its log reopens to the unit it left.
+#[test]
+fn lecture_runs_alike_through_the_journal() {
+    let config = LectureRunConfig::paper(experiments::DEFAULT_SEED, 80);
+    let memory = lecture::run(config.clone());
+    let dir = scratch("lecture");
+    let policy = EvictionPolicy::Preemptive;
+    let mut durable = journal(&dir, config.capacity, policy);
+    let journaled = lecture::run_on(&mut durable, config.clone());
+    assert!(
+        !memory.evictions.is_empty() && !memory.rejections.is_empty(),
+        "the run must preempt and refuse"
+    );
+    assert_eq!(journaled.evictions, memory.evictions, "evictions");
+    assert_eq!(journaled.rejections, memory.rejections, "refusals");
+    assert_eq!(bits(&journaled.density), bits(&memory.density), "density");
+    assert_eq!(journaled.stats, memory.stats, "stats");
+    reopens_alike(durable, &dir, config.capacity, policy);
+}
+
+/// §6 through the journal: the sensor node demotes with
+/// `Annotate { Replace }` and sweeps after every event, so its log holds
+/// every record kind a driver writes. Every counter and both series
+/// match the in-memory run, and the log replays to the unit it left.
+#[test]
+fn sensor_runs_alike_through_the_journal() {
+    let config = SensorRunConfig::default();
+    let memory = sensor::run(config.clone());
+    let dir = scratch("sensor");
+    let policy = EvictionPolicy::Preemptive;
+    let mut durable = journal(&dir, config.capacity, policy);
+    let journaled = sensor::run_on(&mut durable, config.clone());
+    let counters = |r: &SensorRunResult| {
+        (
+            r.captures,
+            r.raw_lost_unprocessed,
+            r.summaries,
+            r.acked,
+            r.summaries_lost_unacked,
+        )
+    };
+    assert!(
+        memory.acked > 0,
+        "the run must demote acknowledged summaries"
+    );
+    assert_eq!(counters(&journaled), counters(&memory), "counters");
+    assert_eq!(bits(&journaled.density), bits(&memory.density), "density");
+    assert_eq!(
+        bits(&journaled.pending_summaries),
+        bits(&memory.pending_summaries),
+        "pending summaries"
+    );
+    reopens_alike(durable, &dir, config.capacity, policy);
+}
+
+/// §5.1 against the oracle: the single-class run at 80 GiB over
+/// `ModelUnit`, under every policy, evicts, refuses and counts as the
+/// indexed unit, and its density series agrees within the lockstep
+/// tolerance.
+#[test]
+fn single_class_runs_alike_on_the_model() {
+    for policy in PolicyChoice::ALL {
+        let config = SingleClassConfig::paper(experiments::DEFAULT_SEED, 80, policy);
+        let indexed = single_class::run(config);
+        let mut model = ModelUnit::new(config.capacity, policy.eviction_policy());
+        let modelled = single_class::run_on(&mut model, config, None);
+        assert!(
+            !indexed.evictions.is_empty(),
+            "{policy}: the run must evict"
+        );
+        assert_eq!(modelled.evictions, indexed.evictions, "{policy}: evictions");
+        assert_eq!(
+            modelled.rejections, indexed.rejections,
+            "{policy}: refusals"
+        );
+        assert_eq!(modelled.stats, indexed.stats, "{policy}: stats");
+        assert_close(&modelled.density, &indexed.density, &format!("{policy}"));
+    }
+}
+
+/// The three-application mix against the oracle: per-application
+/// outcomes and the driver's per-class residency match the indexed run,
+/// and the density agrees within the lockstep tolerance.
+#[test]
+fn mixed_runs_alike_on_the_model() {
+    let config = MixedRunConfig::default();
+    let indexed = mixed::run(config.clone());
+    let mut model = ModelUnit::new(config.capacity, EvictionPolicy::Preemptive);
+    let modelled = mixed::run_on(&mut model, config);
+    assert!(
+        indexed
+            .apps
+            .iter()
+            .any(|app| app.evicted > 0 && app.rejected > 0),
+        "the run must preempt and refuse"
+    );
+    assert_eq!(modelled.apps, indexed.apps, "outcomes");
+    assert_eq!(modelled.residency, indexed.residency, "residency");
+    assert_close(&modelled.density, &indexed.density, "density");
 }
