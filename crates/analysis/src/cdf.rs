@@ -87,16 +87,6 @@ impl WeightedCdf {
     pub fn min_value(&self) -> f64 {
         self.steps.first().expect("non-empty").0
     }
-
-    /// The fraction of weight at exactly the largest value.
-    pub fn fraction_at_max(&self) -> f64 {
-        let n = self.steps.len();
-        if n == 1 {
-            1.0
-        } else {
-            self.steps[n - 1].1 - self.steps[n - 2].1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +116,6 @@ mod tests {
         assert_eq!(cdf.fraction_at_most(0.4), 0.0);
         assert_eq!(cdf.fraction_at_most(0.6), 1.0);
         assert_eq!(cdf.min_value(), 0.5);
-        assert_eq!(cdf.fraction_at_max(), 1.0);
     }
 
     #[test]
@@ -138,7 +127,7 @@ mod tests {
         assert_eq!(cdf.quantile(0.44), 1.0);
         assert_eq!(cdf.quantile(1.0), 1.0);
         // Figure 7's headline: 57% of bytes at importance one.
-        assert!((cdf.fraction_at_max() - 0.57).abs() < 1e-12);
+        assert!((1.0 - cdf.fraction_at_most(0.5) - 0.57).abs() < 1e-12);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use experiments::figures::{self, FigureReport};
+use bench_harness::repro::{dump_csv, run_experiment, ALL_EXPERIMENTS, EXTRA_EXPERIMENTS};
 use experiments::DEFAULT_SEED;
 use obs::{Observer, Report, TraceSink};
 
@@ -47,36 +47,6 @@ struct Options {
     prom_file: Option<String>,
     experiments: Vec<String>,
 }
-
-/// Experiments run by default, in paper order. The list (and therefore
-/// the default stdout) is frozen against the committed `repro_output.txt`;
-/// beyond-paper experiments in [`EXTRA_EXPERIMENTS`] run only when named.
-const ALL_EXPERIMENTS: [&str; 20] = [
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table1",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "sec53",
-    "ablate-decay",
-    "ablate-placement",
-    "sec6-sensor",
-    "fairness",
-    "advisor",
-    "mixed-apps",
-    "predictability",
-];
-
-/// Opt-in (beyond-paper) experiments: `repro availability` runs the churn
-/// study without perturbing the frozen default output.
-const EXTRA_EXPERIMENTS: [&str; 1] = ["availability"];
 
 fn main() -> ExitCode {
     let options = match parse_args() {
@@ -110,7 +80,7 @@ fn main() -> ExitCode {
 
     for id in &ids {
         let phase_start = metrics.as_ref().map(|m| m.snapshot());
-        let report = match run_experiment(id, &options) {
+        let report = match run_experiment(id, options.seed, options.quick) {
             Some(report) => report,
             None => {
                 eprintln!(
@@ -201,53 +171,4 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(options)
-}
-
-fn run_experiment(id: &str, options: &Options) -> Option<FigureReport> {
-    let seed = options.seed;
-    // Paper-scale horizons vs CI-friendly quick ones.
-    let (days, years, uni_years, scale) = if options.quick {
-        (365, 3, 1, 50)
-    } else {
-        (730, 5, 2, 10)
-    };
-    Some(match id {
-        "fig2" => figures::fig2(seed),
-        "fig3" => figures::fig3(seed, days),
-        "fig4" => figures::fig4(seed, days),
-        "fig5" => figures::fig5(seed, days),
-        "fig6" => figures::fig6(seed, days),
-        "fig7" => figures::fig7(seed, days),
-        "table1" => figures::table1(),
-        "fig8" => figures::fig8(seed),
-        "fig9" => figures::fig9(seed, years),
-        "fig10" => figures::fig10(seed, years),
-        "fig11" => figures::fig11(seed, years),
-        "fig12" => figures::fig12(seed, years),
-        "sec53" => figures::sec53(seed, uni_years, scale),
-        "availability" => figures::availability(seed, uni_years, scale),
-        "ablate-decay" => figures::ablate_decay(seed, days),
-        "ablate-placement" => figures::ablate_placement(seed),
-        "sec6-sensor" => figures::sec6_sensor(seed),
-        "fairness" => figures::fairness(seed),
-        "advisor" => figures::advisor(seed, days),
-        "mixed-apps" => figures::mixed_apps(seed, days.min(365)),
-        "predictability" => figures::predictability(seed, days),
-        _ => return None,
-    })
-}
-
-fn dump_csv(dir: &str, report: &FigureReport) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    for (index, (name, table)) in report.tables.iter().enumerate() {
-        let path = format!("{dir}/{}_{index}_{}.csv", report.id, slug(name));
-        std::fs::write(path, table.to_csv())?;
-    }
-    Ok(())
-}
-
-fn slug(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_alphanumeric() { c } else { '_' })
-        .collect()
 }

@@ -3,7 +3,8 @@
 //! `bench_engine` and the lockstep differential compare the engine with,
 //! the one seeded request [`stream`],
 //! the `BENCH_*.json` schema and regression [`gate`], the [`golden`]
-//! trace workload and the [`servetop`] renderer.
+//! trace workload, the [`servetop`] renderer, and what `repro` runs
+//! ([`repro`]).
 //!
 //! A performance claim is made with `bench_stack` against the root
 //! `BENCHMARK.json`. `bench_engine`, `bench_serve` and `bench_durable`
@@ -80,6 +81,7 @@ pub fn incoming_spec(id: u64, mib: u64) -> ObjectSpec {
 }
 
 pub mod gate;
+pub mod repro;
 pub mod servetop;
 
 /// `bench_stack`'s seeded request stream and reply tally, re-exported from
@@ -97,7 +99,7 @@ mod tests {
     fn mixed_unit_fixture_is_full_enough_to_force_eviction() {
         let unit = mixed_unit(ByteSize::from_mib(1000), 100, 10);
         assert_eq!(unit.len(), 100);
-        assert_eq!(unit.free(), ByteSize::ZERO);
+        assert_eq!(unit.used(), unit.capacity());
     }
 
     #[test]

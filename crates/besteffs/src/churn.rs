@@ -278,7 +278,7 @@ pub struct ChurnTick {
 /// # Examples
 ///
 /// ```
-/// use besteffs::churn::{AvailabilitySchedule, ChurnSchedule};
+/// use besteffs::churn::{AvailabilitySchedule, ChurnDriver, ChurnSchedule};
 /// use besteffs::{Besteffs, Directory};
 /// use sim_core::{rng, ByteSize, SimDuration, SimTime};
 ///
@@ -289,9 +289,8 @@ pub struct ChurnTick {
 ///     &AvailabilitySchedule::daily_churn(0.2, SimDuration::from_hours(8)),
 ///     9,
 /// );
-/// let (mut cluster, mut driver) = Besteffs::builder(20, ByteSize::from_gib(1))
-///     .churn(schedule)
-///     .build_with_churn(&mut rand);
+/// let mut cluster = Besteffs::builder(20, ByteSize::from_gib(1)).build(&mut rand);
+/// let mut driver = ChurnDriver::new(schedule);
 /// let mut directory = Directory::new();
 /// let tick = driver.advance(SimTime::from_days(30), &mut cluster, &mut directory);
 /// assert_eq!(tick.failures, cluster.stats().failed_nodes);
@@ -318,11 +317,6 @@ impl ChurnDriver {
     /// Transitions not yet applied.
     pub fn pending(&self) -> usize {
         self.sim.pending()
-    }
-
-    /// The churn clock (last applied instant).
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
     }
 
     /// Applies every transition scheduled up to and including `now`:
@@ -511,9 +505,8 @@ mod tests {
             .iter()
             .filter(|e| e.kind == ChurnEventKind::Fail)
             .count() as u64;
-        let (mut cluster, mut driver) = Besteffs::builder(30, ByteSize::from_mib(100))
-            .churn(schedule)
-            .build_with_churn(&mut rand);
+        let mut cluster = Besteffs::builder(30, ByteSize::from_mib(100)).build(&mut rand);
+        let mut driver = ChurnDriver::new(schedule);
         assert!(driver.pending() > 0);
 
         // Apply in weekly slices; accounting must add up across slices.

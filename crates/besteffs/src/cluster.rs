@@ -7,11 +7,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sim_core::{ByteSize, Obs, SimTime};
 use temporal_importance::protocol::{Response, StoreApi};
-use temporal_importance::{
-    EvictionRecord, Importance, ObjectId, ObjectSpec, StorageUnit, StoreOutcome,
-};
+use temporal_importance::{Importance, ObjectId, ObjectSpec, StorageUnit, StoreOutcome};
 
-use crate::churn::{ChurnDriver, ChurnSchedule};
 use crate::directory::Directory;
 use crate::overlay::{NodeId, Overlay};
 
@@ -126,9 +123,10 @@ pub struct FailureEpoch {
 
 /// Configures and builds a [`Besteffs`] cluster.
 ///
-/// Obtained from [`Besteffs::builder`]; every knob is optional. The RNG is
-/// consumed only at [`build`](ClusterBuilder::build) time, to wire the
-/// overlay, so seeded simulations are bit-for-bit reproducible.
+/// Obtained from [`Besteffs::builder`]; its one setting, the placement
+/// parameters, is optional. The RNG is consumed only at
+/// [`build`](ClusterBuilder::build) time, to wire the overlay, so seeded
+/// simulations are bit-for-bit reproducible.
 ///
 /// # Examples
 ///
@@ -153,8 +151,6 @@ pub struct ClusterBuilder {
     nodes: usize,
     capacity: ByteSize,
     config: PlacementConfig,
-    churn: Option<ChurnSchedule>,
-    obs: Option<Obs>,
 }
 
 impl ClusterBuilder {
@@ -162,26 +158,6 @@ impl ClusterBuilder {
     /// [`PlacementConfig::default`]).
     pub fn placement(mut self, config: PlacementConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Attaches an observability handle; the cluster forwards it to every
-    /// storage unit it creates (including rejoin replacements and
-    /// [`add_node`] newcomers). Defaults to the process-global observer.
-    ///
-    /// [`add_node`]: Besteffs::add_node
-    pub fn observer(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Attaches a churn schedule for [`build_with_churn`]; [`build`]
-    /// ignores it.
-    ///
-    /// [`build_with_churn`]: ClusterBuilder::build_with_churn
-    /// [`build`]: ClusterBuilder::build
-    pub fn churn(mut self, schedule: ChurnSchedule) -> Self {
-        self.churn = Some(schedule);
         self
     }
 
@@ -196,10 +172,8 @@ impl ClusterBuilder {
             nodes,
             capacity,
             config,
-            churn: _,
-            obs,
         } = self;
-        let obs = obs.unwrap_or_else(Obs::global);
+        let obs = Obs::global();
         let degree = 6.min(nodes - 1).max(2);
         let overlay = Overlay::random(nodes, degree, rng);
         let units: Vec<StorageUnit> = (0..nodes)
@@ -215,15 +189,6 @@ impl ClusterBuilder {
             failure_epochs: Vec::new(),
             obs,
         }
-    }
-
-    /// Builds the cluster and a [`ChurnDriver`] loaded with the schedule
-    /// from [`churn`](ClusterBuilder::churn) (empty if none was set), so a
-    /// fault-injected experiment needs one expression instead of three.
-    pub fn build_with_churn<R: Rng>(mut self, rng: &mut R) -> (Besteffs, ChurnDriver) {
-        let schedule = self.churn.take().unwrap_or_default();
-        let cluster = self.build(rng);
-        (cluster, ChurnDriver::new(schedule))
     }
 }
 
@@ -249,7 +214,7 @@ impl ClusterBuilder {
 ///     ),
 /// );
 /// let placed = cluster.place(spec, SimTime::ZERO, &mut rand)?;
-/// assert!(cluster.node(placed.node).contains(ObjectId::new(0)));
+/// assert_eq!(cluster.locate(ObjectId::new(0)), Some(placed.node));
 /// # Ok::<(), besteffs::PlacementError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -270,14 +235,12 @@ pub struct Besteffs {
 
 impl Besteffs {
     /// Starts building a cluster of `nodes` units of equal `capacity`.
-    /// See [`ClusterBuilder`] for the knobs.
+    /// See [`ClusterBuilder`] for its one setting.
     pub fn builder(nodes: usize, capacity: ByteSize) -> ClusterBuilder {
         ClusterBuilder {
             nodes,
             capacity,
             config: PlacementConfig::default(),
-            churn: None,
-            obs: None,
         }
     }
 
@@ -306,15 +269,6 @@ impl Besteffs {
         &self.config
     }
 
-    /// Borrow a node's storage unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node(&self, node: NodeId) -> &StorageUnit {
-        &self.units[node.index()]
-    }
-
     /// Mutably borrow a node's storage unit, e.g. to pre-fill one node
     /// through [`StoreApi`] instead of through [`place`](Besteffs::place).
     ///
@@ -326,7 +280,7 @@ impl Besteffs {
     }
 
     /// Iterates over `(id, unit)` for all live nodes.
-    pub fn live_units(&self) -> impl Iterator<Item = (NodeId, &StorageUnit)> {
+    fn live_units(&self) -> impl Iterator<Item = (NodeId, &StorageUnit)> {
         self.units
             .iter()
             .enumerate()
@@ -561,19 +515,6 @@ impl Besteffs {
         }
     }
 
-    /// Sweeps expired objects on all live nodes and returns their
-    /// eviction records in node order.
-    pub fn sweep_expired(&mut self, now: SimTime) -> Vec<EvictionRecord> {
-        let _span = self.obs.span("span.cluster.sweep");
-        let mut out = Vec::new();
-        for (i, unit) in self.units.iter_mut().enumerate() {
-            if self.overlay.is_live(NodeId::new(i)) {
-                out.extend(unit.sweep(now).expect("a unit answers a sweep"));
-            }
-        }
-        out
-    }
-
     /// Total bytes stored across live nodes.
     pub fn used(&self) -> ByteSize {
         self.live_units().map(|(_, u)| u.used()).sum()
@@ -651,7 +592,7 @@ impl Besteffs {
     /// lookup; the simulation keeps it simple with a scan).
     pub fn locate(&self, id: ObjectId) -> Option<NodeId> {
         self.live_units()
-            .find(|(_, u)| u.contains(id))
+            .find(|(_, u)| u.get(id).is_some())
             .map(|(n, _)| n)
     }
 
@@ -821,19 +762,6 @@ mod tests {
         assert!((d - 0.5).abs() < 0.01, "density {d}");
     }
 
-    #[test]
-    fn sweep_expired_reclaims_cluster_wide() {
-        let (mut cluster, mut rand) = small_cluster(8);
-        for i in 0..5 {
-            cluster
-                .place(spec(i, 10, 1.0, 10), SimTime::ZERO, &mut rand)
-                .unwrap();
-        }
-        let swept = cluster.sweep_expired(SimTime::from_days(30));
-        assert_eq!(swept.len(), 5);
-        assert_eq!(cluster.used(), ByteSize::ZERO);
-    }
-
     /// The §5.3 deployment is thousands of nodes: at that scale the
     /// cluster-level passes must equal applying each step node by node.
     #[test]
@@ -857,20 +785,16 @@ mod tests {
         }
         let (mut whole, mut by_node) = (filled(), filled());
 
-        let mut swept = 0;
         for day in [20, 45, 70] {
             let now = SimTime::from_days(day);
             whole.advance(now);
-            let records = whole.sweep_expired(now);
             let density = whole.importance_density(now);
             assert!(density > 0.0, "day {day}: nothing left to weigh");
 
             let live: Vec<NodeId> = by_node.live_units().map(|(n, _)| n).collect();
             assert_eq!(live.len(), 298);
-            let mut expected = Vec::new();
             for &n in &live {
                 by_node.node_mut(n).advance(now);
-                expected.extend(by_node.node_mut(n).sweep(now).unwrap());
             }
             let weighted: f64 = live
                 .iter()
@@ -881,12 +805,9 @@ mod tests {
                 .sum();
             let expected_density = weighted / by_node.capacity().as_bytes() as f64;
 
-            assert_eq!(records, expected, "day {day}: records in node order");
             assert_eq!(density.to_bits(), expected_density.to_bits(), "day {day}");
             assert_eq!(whole.used(), by_node.used());
-            swept += records.len();
         }
-        assert!(swept > 500, "only {swept} objects expired");
     }
 }
 
@@ -999,7 +920,7 @@ mod churn_tests {
         assert_eq!(cluster.stats().rejoined_nodes, 1);
         assert!(cluster.is_alive(placed.node));
         assert_eq!(
-            cluster.node(placed.node).len(),
+            cluster.node_mut(placed.node).len(),
             0,
             "rejoins come back empty"
         );
@@ -1082,7 +1003,7 @@ mod churn_tests {
                 target = Some(placed.node);
             }
             let node = target.unwrap();
-            expected_lost += cluster.node(node).len() as u64;
+            expected_lost += cluster.node_mut(node).len() as u64;
             let lost =
                 cluster.fail_node_purging(node, SimTime::from_days(cycle * 10 + 5), &mut dir);
             // Failing the node again while it is down must be a no-op.

@@ -80,11 +80,6 @@ impl Advisor {
         Advisor { snapshot }
     }
 
-    /// The snapshot this advice is based on.
-    pub fn snapshot(&self) -> &DensitySnapshot {
-        &self.snapshot
-    }
-
     /// The admission threshold an object of `size` faces right now: the
     /// importance its annotation must *exceed* to be stored. Zero means
     /// free space (or freely-replaceable bytes) suffices.
@@ -124,18 +119,6 @@ impl Advisor {
         }
         // Larger than the whole unit: nothing can admit it.
         Importance::FULL
-    }
-
-    /// The marginal admission threshold (for an infinitesimally small
-    /// object): zero with any free space, else the least important stored
-    /// byte.
-    pub fn admission_threshold(&self) -> Importance {
-        if self.snapshot.used < self.snapshot.capacity {
-            return Importance::ZERO;
-        }
-        self.snapshot
-            .min_stored_importance()
-            .unwrap_or(Importance::ZERO)
     }
 
     /// Forecasts how an annotation on an object of `size` will fare if
@@ -254,7 +237,6 @@ mod tests {
     #[test]
     fn empty_storage_admits_everything() {
         let advisor = advisor_for(&[]);
-        assert_eq!(advisor.admission_threshold(), Importance::ZERO);
         assert_eq!(advisor.admission_threshold_for(mib(100)), Importance::ZERO);
         assert!(advisor
             .forecast(&ImportanceCurve::Ephemeral, mib(1))

@@ -177,13 +177,6 @@ pub struct ImportanceError {
     pub(crate) value: f64,
 }
 
-impl ImportanceError {
-    /// The value that failed validation.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-}
-
 impl fmt::Display for ImportanceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

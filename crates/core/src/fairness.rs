@@ -35,11 +35,6 @@ impl PrincipalId {
     pub const fn new(raw: u32) -> Self {
         PrincipalId(raw)
     }
-
-    /// The raw id.
-    pub const fn raw(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for PrincipalId {
@@ -158,11 +153,6 @@ impl FairStore {
             usage: BTreeMap::new(),
             owners: BTreeMap::new(),
         }
-    }
-
-    /// The per-principal budget in weighted bytes.
-    pub fn budget(&self) -> ByteSize {
-        ByteSize::from_bytes(self.budget)
     }
 
     /// The wrapped unit (read-only; mutation must flow through the

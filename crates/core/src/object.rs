@@ -59,12 +59,6 @@ impl ObjectIdGen {
         ObjectIdGen::default()
     }
 
-    /// Creates a generator starting at the given raw id, e.g. to partition
-    /// id spaces between independent generators.
-    pub fn starting_at(raw: u64) -> Self {
-        ObjectIdGen { next: raw }
-    }
-
     /// Allocates the next id.
     pub fn next_id(&mut self) -> ObjectId {
         let id = ObjectId(self.next);
@@ -369,8 +363,6 @@ mod tests {
         let mut g = ObjectIdGen::new();
         let ids: Vec<u64> = (0..5).map(|_| g.next_id().raw()).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        let mut g = ObjectIdGen::starting_at(100);
-        assert_eq!(g.next_id(), ObjectId::new(100));
     }
 
     #[test]

@@ -159,18 +159,6 @@ impl UnitStats {
     pub fn rejections(&self) -> u64 {
         self.rejections_full + self.rejections_too_large
     }
-
-    /// Fraction of attempted stores that were accepted, or 1.0 when no
-    /// store was ever attempted. Its denominator counts every attempt,
-    /// empty objects and duplicate ids included, not just accepted plus
-    /// [`rejections`](UnitStats::rejections).
-    pub fn acceptance_ratio(&self) -> f64 {
-        if self.stores_attempted == 0 {
-            1.0
-        } else {
-            self.stores_accepted as f64 / self.stores_attempted as f64
-        }
-    }
 }
 
 /// Field-wise sum: shard aggregation and journal recovery both add
@@ -238,15 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_ratios() {
-        let mut s = UnitStats::default();
-        assert_eq!(s.acceptance_ratio(), 1.0);
-        s.stores_attempted = 10;
-        s.stores_accepted = 7;
-        s.rejections_full = 2;
-        s.rejections_too_large = 1;
+    fn rejections_count_both_kinds() {
+        let s = UnitStats {
+            rejections_full: 2,
+            rejections_too_large: 1,
+            ..UnitStats::default()
+        };
         assert_eq!(s.rejections(), 3);
-        assert!((s.acceptance_ratio() - 0.7).abs() < 1e-12);
     }
 
     #[test]

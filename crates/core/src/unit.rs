@@ -330,7 +330,7 @@ impl StorageUnit {
     }
 
     /// Bytes currently unallocated.
-    pub fn free(&self) -> ByteSize {
+    fn free(&self) -> ByteSize {
         self.capacity - self.used
     }
 
@@ -357,11 +357,6 @@ impl StorageUnit {
     /// Looks up a stored object.
     pub fn get(&self, id: ObjectId) -> Option<&StoredObject> {
         self.objects.get(id)
-    }
-
-    /// True if an object with this id is stored.
-    pub fn contains(&self, id: ObjectId) -> bool {
-        self.objects.contains(id)
     }
 
     /// Iterates over stored objects in id order.
@@ -1255,7 +1250,7 @@ mod tests {
         assert_eq!(unit.used(), mib(40));
         assert_eq!(unit.free(), mib(60));
         assert_eq!(unit.len(), 1);
-        assert!(unit.contains(ObjectId::new(1)));
+        assert!(unit.get(ObjectId::new(1)).is_some());
     }
 
     #[test]
@@ -1304,8 +1299,8 @@ mod tests {
         assert_eq!(out.evicted.len(), 1);
         assert_eq!(out.evicted[0].id, ObjectId::new(1));
         assert_eq!(out.highest_preempted, Some(imp(0.5)));
-        assert!(unit.contains(ObjectId::new(2)));
-        assert!(unit.contains(ObjectId::new(4)));
+        assert!(unit.get(ObjectId::new(2)).is_some());
+        assert!(unit.get(ObjectId::new(4)).is_some());
     }
 
     #[test]
@@ -1353,7 +1348,7 @@ mod tests {
         let evicted: Vec<u64> = out.evicted.iter().map(|r| r.id.raw()).collect();
         assert_eq!(evicted, vec![1, 3]);
         assert_eq!(out.highest_preempted, Some(imp(0.4)));
-        assert!(unit.contains(ObjectId::new(2)));
+        assert!(unit.get(ObjectId::new(2)).is_some());
     }
 
     #[test]
@@ -1369,7 +1364,7 @@ mod tests {
             .unwrap();
         // Object 2 expires sooner, so it goes first.
         assert_eq!(out.evicted[0].id, ObjectId::new(2));
-        assert!(unit.contains(ObjectId::new(1)));
+        assert!(unit.get(ObjectId::new(1)).is_some());
     }
 
     #[test]

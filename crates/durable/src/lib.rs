@@ -168,6 +168,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// A call dated behind the clock acts at the clock, and its record
+    /// says so: reopened, the unit resumes where the live one had got to,
+    /// not at the caller's earlier date.
+    #[test]
+    fn a_call_behind_the_clock_is_journaled_where_it_acted() {
+        let dir = scratch("behind");
+        let capacity = ByteSize::from_kib(64);
+        let days = SimTime::from_days;
+        let month = 30 * 24 * 60;
+        let open = || DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, tiny_config());
+        let mut durable = open().expect("open fresh");
+        durable.call(days(0), spec(1, 2, month).into());
+        // A read moves the engine's clock and journals nothing.
+        durable
+            .get_info(ObjectId::new(1), days(10))
+            .expect("a read answers")
+            .expect("stored");
+        let stored = durable.call(days(3), spec(2, 2, month).into());
+        assert!(matches!(stored, Response::Put(Ok(_))), "{stored:?}");
+        assert_eq!(durable.clock(), days(10));
+        durable.sweep(days(4)).expect("sweep journals");
+        assert_eq!(durable.last_sweep(), days(10));
+        durable.close().expect("clean close");
+
+        let mut reopened = open().expect("reopen");
+        assert_eq!(reopened.clock(), days(10));
+        assert_eq!(reopened.last_sweep(), days(10));
+        reopened.call(days(5), spec(3, 2, month).into());
+        for id in [2, 3] {
+            let info = reopened
+                .get_info(ObjectId::new(id), days(5))
+                .expect("a read answers")
+                .expect("stored");
+            assert_eq!(info.arrival, days(10), "object {id}");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
     /// One step of a workload that leaves stale full-state copies
     /// behind kills (re-stored ids, rejuvenations, removals, sweeps) —
     /// the shape that makes compaction write tombstones — and compacts
@@ -416,7 +454,7 @@ mod tests {
             put(100 + step, SimTime::from_minutes(step))
                 .expect_err("every resident is at full importance");
         }
-        assert_eq!(durable.stats().rejections_full, 3000);
+        assert_eq!(durable.unit().stats().rejections_full, 3000);
         let disk = durable.disk_info();
         assert!(
             disk.compactions > 0 && disk.segments <= 9,
@@ -469,7 +507,7 @@ mod tests {
         // A day on, every object has expired: a sweep that reached the
         // engine would change it.
         let (now, id) = (SimTime::from_days(1), ObjectId::new(1));
-        let (engine, stats) = (fingerprint(durable.unit()), *durable.stats());
+        let (engine, stats) = (fingerprint(durable.unit()), *durable.unit().stats());
         let curve = ImportanceCurve::fixed_lifetime(SimDuration::DAY);
         let refused = [
             durable.call(now, spec(0, 1, 45).into()),
@@ -498,7 +536,7 @@ mod tests {
             };
             assert_eq!(cause(&error), Some(ErrorKind::NotFound), "{error}");
         }
-        assert_eq!(*durable.stats(), stats);
+        assert_eq!(*durable.unit().stats(), stats);
         assert!(
             fingerprint(durable.unit()) == engine,
             "a refused call reached the engine"

@@ -25,9 +25,7 @@ use std::sync::Arc;
 
 use sim_core::{ByteSize, Obs, SimTime};
 use temporal_importance::protocol::{Request, Response, StoreApi, VerbKind};
-use temporal_importance::{
-    Error, EvictionPolicy, ObjectId, StorageUnit, StoreError, StoredObject, UnitStats,
-};
+use temporal_importance::{Error, EvictionPolicy, ObjectId, StorageUnit, StoreError, StoredObject};
 
 use crate::record::{LogRecord, RejectKind, Victim};
 use crate::segment::{CompactionReport, DiskInfo, SegmentLog};
@@ -108,6 +106,10 @@ pub struct DurableUnit {
     recovered_torn_bytes: u64,
     /// The first journal failure: once set, every call is refused.
     poisoned: Option<Arc<DurableError>>,
+    /// The latest instant handed to the engine. Every call and every
+    /// advance passes through here, so this is the engine's clock: the
+    /// instant a call acts at, and so the one its record carries.
+    acted: SimTime,
 }
 
 impl DurableUnit {
@@ -144,13 +146,15 @@ impl DurableUnit {
             .restore(recovered.stats, recovered.objects)?;
         // The engine resumes at the journaled clock, so a call dated behind
         // it acts where the closed unit would have acted.
-        unit.advance(log.clocks().0);
+        let acted = log.clocks().0;
+        unit.advance(acted);
         Ok(DurableUnit {
             unit,
             log,
             config,
             recovered_torn_bytes: recovered.torn_bytes,
             poisoned: None,
+            acted,
         })
     }
 
@@ -258,11 +262,6 @@ impl DurableUnit {
         &self.unit
     }
 
-    /// The engine's lifetime statistics.
-    pub fn stats(&self) -> &UnitStats {
-        self.unit.stats()
-    }
-
     /// Current disk occupancy of the segment log.
     pub fn disk_info(&self) -> DiskInfo {
         self.log.disk_info()
@@ -293,6 +292,7 @@ impl DurableUnit {
     /// Advances the engine clock in memory. Not journaled, so
     /// [`clock`](DurableUnit::clock) does not move (see the module docs).
     pub fn advance(&mut self, now: SimTime) {
+        self.acted = self.acted.max(now);
         self.unit.advance(now);
     }
 }
@@ -301,12 +301,16 @@ impl StoreApi for DurableUnit {
     /// Hands the request to the wrapped [`StorageUnit`] and journals what
     /// its answer changed: an admitted `Put` as the object with its
     /// victims, a refused one as its refusal (refusals count in
-    /// [`UnitStats`]), a `Remove` that removed something as a `Remove`
-    /// record, an accepted `Annotate` as the object's complete
-    /// post-annotation state, and a `Sweep` as its harvest — even an empty
-    /// one, so the sweep clock survives a crash. Reads and failed
-    /// mutations journal nothing. The match names every answer, so a new
-    /// verb has to choose its side here.
+    /// [`UnitStats`](temporal_importance::UnitStats)), a `Remove` that
+    /// removed something as a `Remove` record, an accepted `Annotate` as
+    /// the object's complete post-annotation state, and a `Sweep` as its
+    /// harvest — even an empty one, so the sweep clock survives a crash.
+    /// Reads and failed mutations journal nothing. The match names every
+    /// answer, so a new verb has to choose its side here.
+    ///
+    /// A record carries the instant the engine acted at, `max(now,
+    /// clock)`, not the caller's `now`: a call dated behind the clock is
+    /// journaled where it happened.
     ///
     /// A journal write that fails poisons the unit and answers
     /// [`DurableError::Poisoned`] in the verb's shape; a poisoned unit
@@ -317,28 +321,30 @@ impl StoreApi for DurableUnit {
             return verb.failed(refusal.into());
         }
         let key = request.key();
+        self.acted = self.acted.max(now);
+        let at = self.acted;
         let response = self.unit.call(now, request);
         let record = match &response {
             Response::Put(Ok(outcome)) => Some(LogRecord::Store {
-                at: now,
+                at,
                 object: self.resident(outcome.id),
                 evicted: outcome.evicted.iter().map(Victim::from).collect(),
             }),
             Response::Put(Err(error)) => Some(LogRecord::Reject {
-                at: now,
+                at,
                 kind: reject_kind(error),
             }),
             Response::Remove(Ok(Some(removed))) => Some(LogRecord::Remove {
-                at: now,
+                at,
                 id: removed.id,
                 size: removed.size,
             }),
             Response::Annotate(Ok(())) => Some(LogRecord::Annotate {
-                at: now,
+                at,
                 object: self.resident(key.expect("an annotation names its object")),
             }),
             Response::Sweep(Ok(swept)) => Some(LogRecord::Sweep {
-                at: now,
+                at,
                 expired: swept.iter().map(Victim::from).collect(),
             }),
             Response::Remove(_)

@@ -33,19 +33,6 @@ pub struct SpanSummary {
     pub sim_minutes: u64,
 }
 
-impl SpanSummary {
-    /// Simulated minutes advanced per wall-clock millisecond — the
-    /// "simulation speed" of the phase. Zero when no wall time was
-    /// measured.
-    pub fn sim_minutes_per_wall_ms(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.sim_minutes as f64 / (self.wall_nanos as f64 / 1e6)
-        }
-    }
-}
-
 /// A point-in-time copy of a [`MetricsRegistry`], suitable for diffing
 /// against an earlier snapshot and rendering as a [`Report`].
 ///
@@ -414,18 +401,6 @@ mod tests {
         let text = Report::new("spans", delta).to_string();
         assert!(text.contains("span       phase.a"), "{text}");
         assert!(text.contains("sim_min 120"), "{text}");
-    }
-
-    #[test]
-    fn span_summary_speed_is_well_defined() {
-        let zero = SpanSummary::default();
-        assert_eq!(zero.sim_minutes_per_wall_ms(), 0.0);
-        let s = SpanSummary {
-            count: 1,
-            wall_nanos: 2_000_000, // 2 ms
-            sim_minutes: 10,
-        };
-        assert!((s.sim_minutes_per_wall_ms() - 5.0).abs() < 1e-12);
     }
 
     #[test]

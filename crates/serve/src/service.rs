@@ -437,11 +437,6 @@ impl Tempimpd {
         }
     }
 
-    /// The shard count.
-    pub fn shards(&self) -> u32 {
-        self.router.shards()
-    }
-
     /// A new connection to the service, with a reply mailbox of its
     /// own. Clients are cheap to clone and `Send`, so load generators
     /// hand one to each thread.

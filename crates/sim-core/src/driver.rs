@@ -39,19 +39,13 @@ pub struct Simulation<E> {
 
 impl<E> Simulation<E> {
     /// Creates a simulation starting at the epoch with no pending events.
-    /// Observes into the global observer (if one is installed); use
-    /// [`set_observer`](Simulation::set_observer) to redirect.
+    /// Observes into the global observer (if one is installed).
     pub fn new() -> Self {
         Simulation {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             obs: Obs::global(),
         }
-    }
-
-    /// Redirects this driver's instrumentation to `obs`.
-    pub fn set_observer(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// The current simulated instant.

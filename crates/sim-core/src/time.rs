@@ -81,11 +81,6 @@ impl SimTime {
         self.0 / MINUTES_PER_DAY
     }
 
-    /// Fractional days elapsed since the epoch.
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / MINUTES_PER_DAY as f64
-    }
-
     /// The day-of-year (0-based, `0..365`) this instant falls on, treating
     /// every simulated year as exactly 365 days. The paper's academic
     /// calendar (Table 1) is expressed in day-of-year terms.
@@ -96,15 +91,6 @@ impl SimTime {
     /// The 0-based simulated year this instant falls in (365-day years).
     pub const fn year(self) -> u64 {
         self.0 / MINUTES_PER_YEAR
-    }
-
-    /// The duration elapsed since `earlier`, or `None` if `earlier` is in
-    /// this instant's future.
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(m) => Some(SimDuration(m)),
-            None => None,
-        }
     }
 
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
@@ -126,9 +112,6 @@ impl SimDuration {
 
     /// One simulated day.
     pub const DAY: SimDuration = SimDuration(MINUTES_PER_DAY);
-
-    /// One simulated week.
-    pub const WEEK: SimDuration = SimDuration(7 * MINUTES_PER_DAY);
 
     /// One simulated (365-day) year.
     pub const YEAR: SimDuration = SimDuration(MINUTES_PER_YEAR);
@@ -307,7 +290,6 @@ mod tests {
     fn constructors_agree_on_units() {
         assert_eq!(SimTime::from_hours(2), SimTime::from_minutes(120));
         assert_eq!(SimTime::from_days(1), SimTime::from_hours(24));
-        assert_eq!(SimDuration::from_days(7), SimDuration::WEEK);
         assert_eq!(SimDuration::from_days(365), SimDuration::YEAR);
     }
 
@@ -325,7 +307,6 @@ mod tests {
         let late = SimTime::from_days(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::DAY);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -238,7 +238,7 @@ impl TiFs {
             let dir = resolve_dir_mut(&mut self.root, &segments, path)?;
             dir.values()
                 .filter_map(|node| match node {
-                    Node::File(id) if !self.unit.contains(*id) => Some(*id),
+                    Node::File(id) if self.unit.get(*id).is_none() => Some(*id),
                     _ => None,
                 })
                 .collect()
@@ -356,7 +356,7 @@ impl TiFs {
         match dir.get(&name) {
             Some(Node::File(id)) => {
                 let id = *id;
-                if self.unit.contains(id) {
+                if self.unit.get(id).is_some() {
                     Ok(id)
                 } else {
                     // The storage reclaimed it; make the namespace agree.

@@ -94,42 +94,26 @@ pub struct RampedArrivals {
     schedule: RateSchedule,
     rng: StdRng,
     next_hour: SimTime,
-    active_hours: (u64, u64),
 }
+
+/// The daily active window, in hours of the day: arrivals land only in
+/// `08:00..16:00`.
+const ACTIVE_HOURS: std::ops::Range<u64> = 8..16;
 
 impl RampedArrivals {
     /// Creates a generator over the given schedule with a derived seed and
-    /// the default 8-hour daily active window.
+    /// the 8-hour daily active window.
     pub fn new(schedule: RateSchedule, seed: u64) -> Self {
         RampedArrivals {
             schedule,
             rng: rng::stream(seed, "ramp-arrivals"),
             next_hour: SimTime::ZERO,
-            active_hours: (8, 16),
         }
     }
 
     /// Creates a generator with the paper's §5.1 schedule.
     pub fn paper(seed: u64) -> Self {
         RampedArrivals::new(RateSchedule::paper_single_class(), seed)
-    }
-
-    /// Sets the daily active window `[start, end)` in hours-of-day
-    /// (builder style). `(0, 24)` means arrivals around the clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `start < end <= 24`.
-    #[must_use]
-    pub fn with_active_hours(mut self, start: u64, end: u64) -> Self {
-        assert!(start < end && end <= 24, "invalid active window");
-        self.active_hours = (start, end);
-        self
-    }
-
-    /// The schedule driving this generator.
-    pub fn schedule(&self) -> &RateSchedule {
-        &self.schedule
     }
 
     /// Expected cumulative volume by `at` — the analytic counterpart of
@@ -139,7 +123,7 @@ impl RampedArrivals {
         let mut hour_start = SimTime::ZERO;
         while hour_start < at {
             let hour_of_day = hour_start.as_hours() % 24;
-            if hour_of_day >= self.active_hours.0 && hour_of_day < self.active_hours.1 {
+            if ACTIVE_HOURS.contains(&hour_of_day) {
                 total += self.schedule.cap_at(hour_start).as_bytes() / 2;
             }
             hour_start += SimDuration::HOUR;
@@ -156,7 +140,7 @@ impl Iterator for RampedArrivals {
             let hour = self.next_hour;
             self.next_hour += SimDuration::HOUR;
             let hour_of_day = hour.as_hours() % 24;
-            if hour_of_day < self.active_hours.0 || hour_of_day >= self.active_hours.1 {
+            if !ACTIVE_HOURS.contains(&hour_of_day) {
                 continue;
             }
             let cap = self.schedule.cap_at(hour).as_bytes();
@@ -204,19 +188,6 @@ mod tests {
             let cap = RateSchedule::paper_single_class().cap_at(arrival.at);
             assert!(arrival.size <= cap);
         }
-    }
-
-    #[test]
-    fn custom_window_covers_whole_day() {
-        let gen = RampedArrivals::paper(7).with_active_hours(0, 24);
-        let hours: Vec<u64> = gen.take(100).map(|a| a.at.as_hours() % 24).collect();
-        assert!(hours.iter().any(|&h| !(8..16).contains(&h)));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid active window")]
-    fn bad_window_panics() {
-        let _ = RampedArrivals::paper(1).with_active_hours(10, 8);
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl UniversityCapture {
         }
     }
 
-    /// The configuration driving this stream.
-    pub fn config(&self) -> &UniversityConfig {
-        &self.config
-    }
-
     fn active_courses(&self, term: Term) -> usize {
         match term {
             Term::Spring | Term::Fall => self.config.courses_per_semester,

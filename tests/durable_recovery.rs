@@ -400,7 +400,7 @@ fn every_crash_state_of_a_seeded_workload_recovers_the_live_unit() {
     }
 
     let counts = &reopener.counts;
-    let stats = *unit.stats();
+    let stats = *unit.unit().stats();
     eprintln!("crash model: {counts:?}\nworkload: {stats:?}");
     assert!(
         stats.rejections_full > 0

@@ -186,7 +186,9 @@ proptest! {
             prop_assert_eq!(stats.stores_accepted, accepted);
             prop_assert_eq!(stats.stores_attempted, accepted + stats.rejections() + duplicates);
 
-            prop_assert_eq!(unit.used() + unit.free(), capacity);
+            let totals = unit.store_stats(now).unwrap();
+            prop_assert!(totals.used <= totals.capacity);
+            prop_assert_eq!(totals.capacity, capacity);
             let resident: ByteSize = unit.iter().map(|o| o.size()).sum();
             prop_assert_eq!(resident, unit.used());
             let d = unit.density_info(now).unwrap().density;

@@ -138,7 +138,7 @@ fn every_verb_leaves_the_index_fresh() {
             mib(rng.gen_range(1..=8)),
             imp(0.1 * f64::from(rng.gen_range(1..=10u32))),
         );
-        planned += usize::from(both.unit.free() < size);
+        planned += usize::from(both.unit.capacity() - both.unit.used() < size);
         both.ask(now, advise(size, incoming));
     }
     assert!(planned > 1_000, "only {planned} probes planned");

@@ -408,9 +408,10 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
     let open = || DurableUnit::open(&dir, CAPACITY, case.policy, segments()).expect("open the log");
     let mut durable = open();
     // The durable clocks the model expects, live and reopened alike: the
-    // latest journaled mutation and the latest sweep, all the log
-    // remembers. `reached` is the clock every call has brought the stores
-    // to.
+    // instants the latest journaled mutation and the latest sweep acted
+    // at, all the log remembers. `reached` is the clock every call has
+    // brought the stores to, so a call acts at `reached` after its own
+    // `now` is folded in.
     let (mut journaled, mut swept) = (SimTime::ZERO, SimTime::ZERO);
     let mut reached = SimTime::ZERO;
     let (mut sealed, mut compacted) = (false, false);
@@ -446,13 +447,13 @@ fn run_lockstep(case: &Case, reach: &mut Reach) {
         check(step, "model", &modelled, &expected, ORACLE_TOLERANCE);
         let answered = apply_durable(&mut durable, *now, op);
         check(step, "durable unit", &answered, &expected, tolerance);
+        reached = reached.max(*now);
         if journals {
-            journaled = journaled.max(*now);
+            journaled = reached;
         }
         if matches!(op, Op::Call(Request::Sweep)) {
-            swept = swept.max(*now);
+            swept = reached;
         }
-        reached = reached.max(*now);
         for (kind, seen) in REJECTIONS.iter().zip(&mut reach.rejections) {
             *seen |= expected.0.contains(kind);
         }
