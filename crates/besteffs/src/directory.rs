@@ -187,12 +187,6 @@ impl Directory {
         self.versions(name).last().copied()
     }
 
-    /// A specific version's entry.
-    pub fn version(&self, name: &ObjectName, version: Version) -> Option<VersionEntry> {
-        let index = version.0.checked_sub(1)? as usize;
-        self.versions(name).get(index).copied()
-    }
-
     /// Number of versions recorded for `name` (zero if unknown).
     pub fn version_count(&self, name: &ObjectName) -> usize {
         self.versions(name).len()
@@ -311,12 +305,9 @@ mod tests {
             Version(2)
         );
         assert_eq!(dir.version_count(&name), 2);
-        assert_eq!(
-            dir.version(&name, Version::FIRST).unwrap().object,
-            ObjectId::new(1)
-        );
+        assert_eq!(dir.versions(&name)[0].object, ObjectId::new(1));
         assert_eq!(dir.latest(&name).unwrap().object, ObjectId::new(2));
-        assert_eq!(dir.version(&name, Version(3)), None);
+        assert_eq!(dir.versions(&name).get(2), None);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl fmt::Display for NodeId {
 ///
 /// let mut rand = rng::seeded(7);
 /// let mut overlay = Overlay::random(100, 6, &mut rand);
-/// assert_eq!(overlay.len(), 100);
+/// assert_eq!(overlay.live_count(), 100);
 /// overlay.set_live(NodeId::new(3), false);
 /// assert_eq!(overlay.live_count(), 99);
 /// let (end, hops) = overlay.random_walk_live_counted(NodeId::new(0), 10, &mut rand);
@@ -109,16 +109,6 @@ impl Overlay {
             live: vec![true; nodes],
             live_count: nodes,
         }
-    }
-
-    /// Number of nodes (live and failed).
-    pub fn len(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// True if the overlay has no nodes (never, for constructed overlays).
-    pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
     }
 
     /// The neighbors of `node`, live or not.
@@ -389,12 +379,12 @@ mod tests {
                     overlay.add_node(3, &mut rand);
                 }
                 1 | 2 => {
-                    let node = NodeId::new(rand.gen_range(0..overlay.len()));
+                    let node = NodeId::new(rand.gen_range(0..overlay.neighbors.len()));
                     overlay.set_live(node, !overlay.is_live(node));
                 }
                 _ => {}
             }
-            let start = NodeId::new(rand.gen_range(0..overlay.len()));
+            let start = NodeId::new(rand.gen_range(0..overlay.neighbors.len()));
             let mut reference = rand.clone();
             let (end, hops) = overlay.random_walk_live_counted(start, 6, &mut rand);
             assert_eq!(

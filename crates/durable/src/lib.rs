@@ -49,16 +49,22 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    use std::collections::{BTreeMap, BTreeSet};
     use std::io::ErrorKind;
 
+    use rand::rngs::StdRng;
+    use rand::Rng;
     use sim_core::{ByteSize, SimDuration, SimTime};
     use temporal_importance::protocol::{AnnotateMode, Request, Response, StoreApi};
     use temporal_importance::{
         Error, EvictionPolicy, Importance, ImportanceCurve, ObjectClass, ObjectId, ObjectSpec,
-        StorageUnit,
+        StorageUnit, StoredObject,
     };
 
-    use crate::{DurableConfig, DurableError, DurableUnit};
+    use crate::frame::Frames;
+    use crate::record::LogRecord;
+    use crate::segment::parse_record;
+    use crate::{CompactionReport, DurableConfig, DurableError, DurableUnit};
 
     /// A fresh scratch directory under the workspace `target/` (tests
     /// must not touch anything outside the repository).
@@ -260,6 +266,232 @@ mod tests {
                 (name, std::fs::read(path).expect("segment bytes"))
             })
             .collect()
+    }
+
+    /// One step of a seeded churn over 40 ids in the shape `churn_step`
+    /// makes — re-stores, sweeps, removes, raising and replacing
+    /// annotations — drawn from `rng`.
+    fn seeded_step(durable: &mut DurableUnit, rng: &mut StdRng, step: u64) {
+        let now = SimTime::from_minutes(step * 3);
+        let id = rng.gen_range(0..40u64);
+        match rng.gen_range(0..8) {
+            0..=3 => {
+                let spec = spec(id, rng.gen_range(1..8), rng.gen_range(30..200));
+                durable.call(now, spec.into());
+            }
+            4 => {
+                durable.sweep(now).expect("sweep journals");
+            }
+            5 => {
+                durable
+                    .remove_object(ObjectId::new(id), now)
+                    .expect("remove journals");
+            }
+            _ => {
+                let lifetime = SimDuration::from_minutes(rng.gen_range(60..400));
+                let curve = ImportanceCurve::fixed_lifetime(lifetime);
+                let mode = if rng.gen() {
+                    AnnotateMode::Raise
+                } else {
+                    AnnotateMode::Replace
+                };
+                let _ = durable.annotate(ObjectId::new(id), curve, mode, now);
+            }
+        }
+    }
+
+    /// FNV-1a 64 over the name, length and bytes of every segment file
+    /// of `dir`, oldest first.
+    fn segment_digest(dir: &std::path::Path) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (name, bytes) in segment_contents(dir) {
+            fold(name.to_str().expect("segment names are UTF-8").as_bytes());
+            fold(&(bytes.len() as u64).to_le_bytes());
+            fold(&bytes);
+        }
+        hash
+    }
+
+    /// Every record of `files` (a [`segment_contents`] snapshot), oldest
+    /// first, with its segment's sequence number.
+    fn records_of(files: &[(std::ffi::OsString, Vec<u8>)]) -> Vec<(u64, LogRecord)> {
+        let mut records = Vec::new();
+        for (name, bytes) in files {
+            let seq = name
+                .to_str()
+                .and_then(|name| {
+                    name.strip_prefix("seg-")?
+                        .strip_suffix(".log")?
+                        .parse()
+                        .ok()
+                })
+                .expect("a segment file name");
+            let mut frames = Frames::new(&bytes[..], bytes.len() as u64);
+            while let Some((payload, _)) = frames.next_frame().expect("a slice reads") {
+                let record = parse_record(payload, std::path::Path::new("oracle"));
+                records.push((seq, record.expect("a checksummed record parses")));
+            }
+            assert!(!frames.torn(), "{name:?} is torn");
+        }
+        records
+    }
+
+    /// Compacts once by hand and checks what the compaction appended
+    /// against an oracle recomputed from the segment files alone. Its
+    /// survivors must be the live ids whose newest full-state record was
+    /// in the victim. Its tombstones must be the victim's kills of ids
+    /// that are dead and that a full-state record in a surviving file
+    /// still names: a missing one lets replay resurrect an id, and an
+    /// extra one grows write amplification and chains tombstones from
+    /// segment to segment.
+    fn compact_against_the_oracle(
+        durable: &mut DurableUnit,
+        dir: &std::path::Path,
+    ) -> Option<CompactionReport> {
+        let before = records_of(&segment_contents(dir));
+        let report = durable.compact().expect("compaction")?;
+        let after = records_of(&segment_contents(dir));
+        let live = |id: ObjectId| durable.unit().get(id).is_some();
+
+        let mut newest = BTreeMap::new();
+        let mut killed = BTreeSet::new();
+        for (seq, record) in &before {
+            if let Some(object) = record.asserted() {
+                newest.insert(object.id(), *seq);
+            }
+            if *seq == report.victim {
+                let mut ids = Vec::new();
+                record.killed(&mut ids);
+                killed.extend(ids);
+            }
+        }
+        let survivors: Vec<ObjectId> = newest
+            .iter()
+            .filter(|&(&id, &seq)| seq == report.victim && live(id))
+            .map(|(&id, _)| id)
+            .collect();
+        let held: BTreeSet<ObjectId> = after
+            .iter()
+            .filter_map(|(_, record)| record.asserted().map(StoredObject::id))
+            .collect();
+        let tombstones: Vec<ObjectId> = killed
+            .into_iter()
+            .filter(|&id| !live(id) && held.contains(&id))
+            .collect();
+
+        let appended = survivors.len() + usize::from(!tombstones.is_empty()) + 1;
+        let (_, tail) = after.split_at(after.len() - appended);
+        let (commit, rest) = tail.split_last().expect("a commit record");
+        assert!(
+            matches!(commit.1, LogRecord::Compacted { seq, .. } if seq == report.victim),
+            "{commit:?}"
+        );
+        let (rewritten, dead) = rest.split_at(survivors.len());
+        let rewritten: Vec<ObjectId> = rewritten
+            .iter()
+            .map(|(_, record)| match record {
+                LogRecord::Survivor { object } => object.id(),
+                other => panic!("expected a survivor, found {other:?}"),
+            })
+            .collect();
+        let written = match dead {
+            [] => Vec::new(),
+            [(_, LogRecord::Dead { ids })] => ids.clone(),
+            other => panic!("expected one tombstone record, found {other:?}"),
+        };
+        assert_eq!(rewritten, survivors, "victim {}", report.victim);
+        assert_eq!(written, tombstones, "victim {}", report.victim);
+        assert_eq!(report.survivors, survivors.len());
+        assert_eq!(report.tombstones, tombstones.len());
+        Some(report)
+    }
+
+    /// Cases for the tombstone oracle: `DIFF_CASES` when set (the nightly
+    /// deep fuzz runs 4096), else 32.
+    fn oracle_cases() -> u64 {
+        std::env::var("DIFF_CASES")
+            .ok()
+            .and_then(|cases| cases.parse().ok())
+            .unwrap_or(32)
+    }
+
+    /// Seeded churns, compacted by hand at random steps and then until
+    /// nothing is due; every compaction must write exactly the survivors
+    /// and tombstones the files call for.
+    #[test]
+    fn compaction_writes_exactly_the_tombstones_the_files_call_for() {
+        let (mut compactions, mut tombstones) = (0, 0);
+        for case in 0..oracle_cases() {
+            let mut rng = sim_core::rng::stream(case, "tombstone-oracle");
+            let dir = scratch("tombstone-oracle");
+            let mut durable = DurableUnit::open(
+                &dir,
+                ByteSize::from_kib(64),
+                EvictionPolicy::Preemptive,
+                tiny_config(),
+            )
+            .expect("open fresh");
+            for step in 0..200 {
+                seeded_step(&mut durable, &mut rng, step);
+                if rng.gen_range(0..16) == 0 {
+                    if let Some(report) = compact_against_the_oracle(&mut durable, &dir) {
+                        compactions += 1;
+                        tombstones += report.tombstones;
+                    }
+                }
+            }
+            while let Some(report) = compact_against_the_oracle(&mut durable, &dir) {
+                compactions += 1;
+                tombstones += report.tombstones;
+            }
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
+        assert!(
+            compactions >= 8 * oracle_cases() && tombstones > 0,
+            "the churn should compact and tombstone: {compactions} compactions, \
+             {tombstones} tombstones"
+        );
+    }
+
+    /// The segment files three seeded churns write, pinned by digest:
+    /// hand compaction on 2 KiB segments, auto-compaction on 4 KiB and on
+    /// 16 KiB segments. What the log keeps in memory may change; a byte
+    /// it writes may not, unless the format changes on purpose and the
+    /// digests are re-recorded with it.
+    #[test]
+    fn seeded_churns_write_the_recorded_segment_bytes() {
+        let auto = |kib: u64| DurableConfig::default().segment_bytes(kib * 1024);
+        let runs: [(&str, DurableConfig, u64); 3] = [
+            ("digest-hand", tiny_config(), 0xc40a_1e31_6bce_2216),
+            ("digest-auto", auto(4), 0x1cce_f906_c26c_ca45),
+            ("digest-seeded", auto(16), 0x2d32_b46f_8d65_ef91),
+        ];
+        for (tag, config, expected) in runs {
+            let dir = scratch(tag);
+            let capacity = ByteSize::from_kib(64);
+            let mut durable = DurableUnit::open(&dir, capacity, EvictionPolicy::Preemptive, config)
+                .expect("open fresh");
+            if tag == "digest-seeded" {
+                let mut rng = sim_core::rng::stream(0, "segment-digest");
+                for step in 0..20_000 {
+                    seeded_step(&mut durable, &mut rng, step);
+                }
+            } else {
+                for step in 0..2000 {
+                    churn_step(&mut durable, step);
+                }
+            }
+            assert!(durable.disk_info().compactions > 90, "{tag}");
+            durable.close().expect("clean close");
+            let digest = segment_digest(&dir);
+            assert_eq!(digest, expected, "{tag}: {digest:#018x}");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     /// The per-segment ledger is built by the one `apply` path, so a

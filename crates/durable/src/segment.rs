@@ -13,23 +13,31 @@
 //!
 //! # In-memory bookkeeping
 //!
-//! * `index`: id → location of that id's newest full-state record. The
-//!   key set is exactly the live-resident set; replay is latest-wins.
-//! * `state_copies`: id → number of full-state records on disk. This is
-//!   what makes tombstoning exact: dropping a killing record needs a
-//!   tombstone **iff** the killed id is dead and some (possibly stale)
-//!   full-state record of it still survives in another segment —
-//!   otherwise replay's last word on the id would be a resurrection.
+//! * `index`: id → location of that id's newest full-state record, as
+//!   the segment's sequence number and the record's framed length (two
+//!   `u32`s, 16 bytes an entry). The key set is exactly the
+//!   live-resident set; replay is latest-wins.
 //! * per-segment metadata: file bytes and live bytes (their difference,
 //!   the dead bytes, is all that picks a compaction victim), the
 //!   statistics contribution of its records, and clock high-water
 //!   marks (folded forward by `Compacted` when the segment dies).
 //! * the per-segment **ledger**: the record count, the id of every
 //!   full-state record and every id a record kills (8 bytes each while
-//!   the segment lives). Compaction learns what its victim held from
-//!   the ledger instead of parsing the file again; it still reads and
-//!   CRC-scans the file end to end, and refuses to fold a victim whose
-//!   frames are torn or are not as many as were appended.
+//!   the segment lives, trimmed to fit when the segment seals).
+//!   Compaction learns what its victim held from the ledger instead of
+//!   parsing the file again; it still streams the file through the
+//!   frame walker and checks every CRC, and refuses to fold a victim
+//!   whose frames are torn or are not as many as were appended.
+//!
+//! Compaction needs nothing else. Its survivors are the ids of the
+//! victim's `asserted` ledger whose index entry points at the victim.
+//! Its tombstones follow one rule: dropping a killing record needs a
+//! tombstone **iff** the killed id is dead and some (possibly stale)
+//! full-state record of it survives in another segment — otherwise
+//! replay's last word on the id would be a resurrection. The other
+//! segments' `asserted` ledgers list every such record, so one pass
+//! over them, striking each id it meets from a set of the victim's dead
+//! kills, leaves exactly the kills that need none.
 //!
 //! All of it is maintained by one function, `SegmentLog::apply`, which
 //! live appends and recovery replay share — a rebuilt log therefore
@@ -50,11 +58,13 @@ use crate::DurableError;
 
 /// Location of a record: owning segment and framed length. Offsets are
 /// not needed — replay order within a segment is file order, and a
-/// record is rewritten (never patched) when its object changes.
+/// record is rewritten (never patched) when its object changes. Both
+/// fit a `u32`: `roll` refuses a sequence number past `u32::MAX`, and
+/// `append` a record whose frame would not fit its header.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
-    seq: u64,
-    len: u64,
+    seq: u32,
+    len: u32,
 }
 
 /// Per-segment bookkeeping.
@@ -63,7 +73,7 @@ struct SegmentMeta {
     /// Framed bytes written to the file.
     bytes: u64,
     /// Records (frames) written to the file. Compaction checks its
-    /// end-to-end frame scan of the file against this.
+    /// end-to-end frame walk of the file against this.
     records: u64,
     /// Ledger: the id of every full-state record in the file, one entry
     /// per record, in file order.
@@ -85,14 +95,21 @@ struct SegmentMeta {
 impl SegmentMeta {
     /// The `Compacted` record that folds this segment, numbered `seq`,
     /// into the log.
-    fn commit_record(&self, seq: u64) -> LogRecord {
+    fn commit_record(&self, seq: u32) -> LogRecord {
         LogRecord::Compacted {
-            seq,
+            seq: u64::from(seq),
             bytes: self.bytes,
             stats: self.stats,
             at: self.max_at,
             sweep: self.max_sweep,
         }
+    }
+
+    /// Trims the ledgers to fit: a sealed segment's ledgers never grow
+    /// again.
+    fn seal(&mut self) {
+        self.asserted.shrink_to_fit();
+        self.killed.shrink_to_fit();
     }
 }
 
@@ -176,11 +193,10 @@ pub(crate) struct SegmentLog {
     dir: PathBuf,
     segment_bytes: u64,
     obs: Obs,
-    active_seq: u64,
+    active_seq: u32,
     active: BufWriter<File>,
-    segments: BTreeMap<u64, SegmentMeta>,
+    segments: BTreeMap<u32, SegmentMeta>,
     index: FxHashMap<ObjectId, Loc>,
-    state_copies: FxHashMap<ObjectId, u32>,
     appended_bytes: u64,
     rewrite_bytes: u64,
     reclaimed_bytes: u64,
@@ -211,7 +227,7 @@ impl SegmentLog {
         fs::create_dir_all(dir).map_err(|e| DurableError::io(dir, e))?;
 
         // Enumerate segment files by sequence number.
-        let mut files: Vec<(u64, PathBuf)> = Vec::new();
+        let mut files: Vec<(u32, PathBuf)> = Vec::new();
         let entries = fs::read_dir(dir).map_err(|e| DurableError::io(dir, e))?;
         for entry in entries {
             let entry = entry.map_err(|e| DurableError::io(dir, e))?;
@@ -225,39 +241,45 @@ impl SegmentLog {
             else {
                 continue;
             };
+            let seq = u32::try_from(seq).map_err(|_| DurableError::Corrupt {
+                segment: path.clone(),
+                detail: format!("sequence number {seq} is past {}", u32::MAX),
+            })?;
             files.push((seq, path));
         }
         files.sort_unstable_by_key(|(seq, _)| *seq);
 
-        // Pass one: frame-scan every file, handle torn tails, parse
+        // Pass one: walk every file's frames, handle torn tails, parse
         // records, and collect the compacted (dropped) segment set.
-        type ParsedSegment = (u64, PathBuf, Vec<(LogRecord, u64)>, bool);
+        type ParsedSegment = (u32, PathBuf, Vec<(LogRecord, u32)>, bool);
         let last_seq = files.last().map(|(seq, _)| *seq);
         let mut parsed: Vec<ParsedSegment> = Vec::new();
         let mut dropped: Vec<u64> = Vec::new();
         let mut torn_bytes = 0u64;
         for (seq, path) in files {
-            let bytes = fs::read(&path).map_err(|e| DurableError::io(&path, e))?;
-            let scan = frame::scan(&bytes);
-            let total = bytes.len() as u64;
-            let torn = scan.torn(total);
-            let mut records = Vec::with_capacity(scan.payloads.len());
-            for (payload, len) in &scan.payloads {
+            let mut frames = walk(&path)?;
+            let mut records = Vec::new();
+            while let Some((payload, len)) = frames
+                .next_frame()
+                .map_err(|e| DurableError::io(&path, e))?
+            {
                 let record = parse_record(payload, &path)?;
                 if let LogRecord::Compacted { seq: victim, .. } = record {
                     dropped.push(victim);
                 }
-                records.push((record, *len));
+                records.push((record, len));
             }
+            let torn = frames.torn();
             if torn && Some(seq) == last_seq {
                 // Crash artifact: the writer died mid-append. The
                 // record was never acknowledged; truncate it away.
-                torn_bytes += total - scan.clean_len;
+                let clean_len = frames.clean_len();
+                torn_bytes += frames.len() - clean_len;
                 let file = OpenOptions::new()
                     .write(true)
                     .open(&path)
                     .map_err(|e| DurableError::io(&path, e))?;
-                file.set_len(scan.clean_len)
+                file.set_len(clean_len)
                     .map_err(|e| DurableError::io(&path, e))?;
                 file.sync_all().map_err(|e| DurableError::io(&path, e))?;
             }
@@ -269,7 +291,7 @@ impl SegmentLog {
         // after every file is parsed, because the exonerating commit
         // record lives in a *later* segment than the torn one.
         for (seq, path, _, torn) in &parsed {
-            if *torn && Some(*seq) != last_seq && !dropped.contains(seq) {
+            if *torn && Some(*seq) != last_seq && !dropped.contains(&u64::from(*seq)) {
                 return Err(DurableError::Corrupt {
                     segment: path.clone(),
                     detail: "sealed segment torn".to_owned(),
@@ -279,11 +301,11 @@ impl SegmentLog {
 
         // Delete folded segments' stale files.
         for (seq, path, _, _) in &parsed {
-            if dropped.contains(seq) {
+            if dropped.contains(&u64::from(*seq)) {
                 fs::remove_file(path).map_err(|e| DurableError::io(path, e))?;
             }
         }
-        parsed.retain(|(seq, _, _, _)| !dropped.contains(seq));
+        parsed.retain(|(seq, _, _, _)| !dropped.contains(&u64::from(*seq)));
 
         // The active segment is the highest survivor; `Compacted`
         // records always land in a segment newer than their victim, so
@@ -306,7 +328,6 @@ impl SegmentLog {
             active,
             segments: BTreeMap::new(),
             index: FxHashMap::default(),
-            state_copies: FxHashMap::default(),
             appended_bytes: 0,
             rewrite_bytes: 0,
             reclaimed_bytes: 0,
@@ -325,6 +346,11 @@ impl SegmentLog {
                     states.insert(object.id(), object.clone());
                 }
                 log.apply(&record, Loc { seq, len });
+            }
+        }
+        for (&seq, meta) in &mut log.segments {
+            if seq != active_seq {
+                meta.seal();
             }
         }
 
@@ -377,13 +403,20 @@ impl SegmentLog {
                 detail: format!("record failed to serialize: {e}"),
             });
         }
-        frame::seal(&mut self.buf);
-        let len = self.buf.len() as u64;
+        let Some(len) = frame::seal(&mut self.buf) else {
+            return Err(DurableError::Corrupt {
+                segment: self.active_path(),
+                detail: format!(
+                    "a record of {} bytes does not fit a frame",
+                    self.buf.len() - frame::HEADER
+                ),
+            });
+        };
         if let Err(e) = self.active.write_all(&self.buf) {
             return Err(DurableError::io(&self.active_path(), e));
         }
-        self.appended_bytes += len;
-        self.obs.counter("durable.appended_bytes", len);
+        self.appended_bytes += u64::from(len);
+        self.obs.counter("durable.appended_bytes", u64::from(len));
         self.apply(
             record,
             Loc {
@@ -419,8 +452,17 @@ impl SegmentLog {
 
     /// Seals the active segment and opens the next one.
     fn roll(&mut self) -> Result<(), DurableError> {
+        let next = self
+            .active_seq
+            .checked_add(1)
+            .ok_or_else(|| DurableError::Corrupt {
+                segment: self.active_path(),
+                detail: format!("no segment sequence number follows {}", u32::MAX),
+            })?;
         self.sync()?;
-        let next = self.active_seq + 1;
+        if let Some(sealed) = self.segments.get_mut(&self.active_seq) {
+            sealed.seal();
+        }
         let path = segment_path(&self.dir, next);
         let file = OpenOptions::new()
             .create_new(true)
@@ -445,7 +487,7 @@ impl SegmentLog {
                 .segments
                 .get_mut(&loc.seq)
                 .expect("apply targets a tracked segment");
-            meta.bytes += loc.len;
+            meta.bytes += u64::from(loc.len);
             meta.records += 1;
             if let Some(object) = record.asserted() {
                 meta.asserted.push(object.id());
@@ -494,13 +536,12 @@ impl SegmentLog {
     fn assert_state(&mut self, id: ObjectId, loc: Loc) {
         if let Some(old) = self.index.insert(id, loc) {
             if let Some(meta) = self.segments.get_mut(&old.seq) {
-                meta.live_bytes = meta.live_bytes.saturating_sub(old.len);
+                meta.live_bytes = meta.live_bytes.saturating_sub(u64::from(old.len));
             }
         }
         if let Some(meta) = self.segments.get_mut(&loc.seq) {
-            meta.live_bytes += loc.len;
+            meta.live_bytes += u64::from(loc.len);
         }
-        *self.state_copies.entry(id).or_insert(0) += 1;
     }
 
     /// `id` left the resident set: its newest full-state record becomes
@@ -508,7 +549,7 @@ impl SegmentLog {
     fn kill(&mut self, id: ObjectId) {
         if let Some(old) = self.index.remove(&id) {
             if let Some(meta) = self.segments.get_mut(&old.seq) {
-                meta.live_bytes = meta.live_bytes.saturating_sub(old.len);
+                meta.live_bytes = meta.live_bytes.saturating_sub(u64::from(old.len));
             }
         }
     }
@@ -522,10 +563,10 @@ impl SegmentLog {
     /// reached `trigger`, so a compaction rewrites at most `1 - trigger`
     /// of a segment's worth and write amplification stays within
     /// `1 / trigger` at any segment size.
-    pub fn victim(&self, trigger: f64) -> Option<u64> {
+    pub fn victim(&self, trigger: f64) -> Option<u32> {
         let mut total = 0u64;
         let mut dead_total = 0u64;
-        let mut most: Option<(u64, u64)> = None;
+        let mut most: Option<(u32, u64)> = None;
         for (&seq, meta) in &self.segments {
             if seq == self.active_seq {
                 continue;
@@ -548,7 +589,9 @@ impl SegmentLog {
         // forever; require strict progress instead, accepting a bounded
         // sliver of unreclaimable overhead per segment.
         let commit = serde_json::to_string(&self.segments[&seq].commit_record(seq))
-            .map_or(0, |payload| frame::framed_len(payload.len()));
+            .ok()
+            .and_then(|payload| frame::framed_len(payload.len()))
+            .map_or(0, u64::from);
         (dead > commit).then_some(seq)
     }
 
@@ -564,7 +607,7 @@ impl SegmentLog {
     /// file itself.
     pub fn compact(
         &mut self,
-        victim: u64,
+        victim: u32,
         mut fetch: impl FnMut(ObjectId) -> StoredObject,
     ) -> Result<CompactionReport, DurableError> {
         assert_ne!(victim, self.active_seq, "cannot compact the active segment");
@@ -577,23 +620,33 @@ impl SegmentLog {
         let path = segment_path(&self.dir, victim);
 
         // Which records the victim holds is the ledger's knowledge; the
-        // file is still read and checksummed end to end before anything
+        // file is still walked and checksummed end to end before anything
         // is dropped on its account. Sealed segments must frame cleanly,
         // into exactly the records that were appended.
-        let bytes = fs::read(&path).map_err(|e| DurableError::io(&path, e))?;
-        let scan = frame::scan(&bytes);
-        if scan.torn(bytes.len() as u64) {
-            return Err(DurableError::Corrupt {
-                segment: path,
-                detail: "sealed segment torn under compaction".to_owned(),
-            });
+        let mut frames = walk(&path)?;
+        let mut records = 0u64;
+        while frames
+            .next_frame()
+            .map_err(|e| DurableError::io(&path, e))?
+            .is_some()
+        {
+            records += 1;
         }
-        if scan.payloads.len() as u64 != meta.records {
+        if frames.torn() {
             return Err(DurableError::Corrupt {
                 segment: path,
                 detail: format!(
-                    "sealed segment holds {} records under compaction, {} were appended",
-                    scan.payloads.len(),
+                    "sealed segment torn under compaction: {} of {} bytes frame cleanly",
+                    frames.clean_len(),
+                    frames.len()
+                ),
+            });
+        }
+        if records != meta.records {
+            return Err(DurableError::Corrupt {
+                segment: path,
+                detail: format!(
+                    "sealed segment holds {records} records under compaction, {} were appended",
                     meta.records
                 ),
             });
@@ -601,34 +654,38 @@ impl SegmentLog {
 
         // Live ids whose newest record lives in the victim — these get
         // rewritten. Sorted for deterministic log contents.
-        let mut survivors: Vec<ObjectId> = self
-            .index
+        let mut survivors: Vec<ObjectId> = meta
+            .asserted
             .iter()
-            .filter(|(_, loc)| loc.seq == victim)
-            .map(|(&id, _)| id)
+            .copied()
+            .filter(|id| self.index.get(id).is_some_and(|loc| loc.seq == victim))
             .collect();
         survivors.sort_unstable();
-
-        // Dropping the victim's full-state records first lets the
-        // tombstone test below see post-drop copy counts.
-        for id in &meta.asserted {
-            if let Some(copies) = self.state_copies.get_mut(id) {
-                if *copies <= 1 {
-                    self.state_copies.remove(id);
-                } else {
-                    *copies -= 1;
-                }
-            }
-        }
+        survivors.dedup();
 
         // A kill dropped with the victim needs a tombstone iff the id
         // is dead now and a stale full-state record of it survives in
         // another segment — otherwise replay's last word on the id
-        // would be that stale record, resurrecting it.
-        let mut killed = meta.killed.clone();
+        // would be that stale record, resurrecting it. The other
+        // segments' ledgers list every full-state record left.
+        let mut killed: Vec<ObjectId> = meta
+            .killed
+            .iter()
+            .copied()
+            .filter(|id| !self.index.contains_key(id))
+            .collect();
         killed.sort_unstable();
         killed.dedup();
-        killed.retain(|id| !self.index.contains_key(id) && self.state_copies.contains_key(id));
+        let mut unheld: FxHashMap<ObjectId, ()> = killed.iter().map(|&id| (id, ())).collect();
+        for (_, other) in self.segments.iter().filter(|(&seq, _)| seq != victim) {
+            if unheld.is_empty() {
+                break;
+            }
+            for id in &other.asserted {
+                unheld.remove(id);
+            }
+        }
+        killed.retain(|id| !unheld.contains_key(id));
 
         // Rewrite survivors, then tombstones, then commit.
         let mut survivor_bytes = 0u64;
@@ -659,7 +716,7 @@ impl SegmentLog {
             .gauge("durable.segments", self.segments.len() as u64);
 
         Ok(CompactionReport {
-            victim,
+            victim: u64::from(victim),
             reclaimed_bytes,
             survivors: survivors.len(),
             survivor_bytes,
@@ -702,8 +759,18 @@ impl SegmentLog {
 }
 
 /// `dir/seg-{seq:08}.log`.
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
+fn segment_path(dir: &Path, seq: u32) -> PathBuf {
     dir.join(format!("seg-{seq:08}.log"))
+}
+
+/// A frame walker over the whole file at `path`.
+fn walk(path: &Path) -> Result<frame::Frames<File>, DurableError> {
+    let file = File::open(path).map_err(|e| DurableError::io(path, e))?;
+    let len = file
+        .metadata()
+        .map_err(|e| DurableError::io(path, e))?
+        .len();
+    Ok(frame::Frames::new(file, len))
 }
 
 /// Decodes one checksummed payload; a parse failure at this point means
@@ -782,5 +849,103 @@ mod tests {
         log.compact(1, |id| object(id.raw())).expect("compaction");
         assert_eq!(log.victim(0.0), Some(0));
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// The last sequence number a `Loc` can hold opens, and rolling past
+    /// it is refused; a file numbered past it is refused at open. No
+    /// segment is written to get there: the log starts at the name.
+    #[test]
+    fn a_sequence_number_past_u32_is_refused() {
+        let dir = crate::tests::scratch("seq-limit");
+        fs::create_dir_all(&dir).expect("dir");
+        File::create(segment_path(&dir, u32::MAX)).expect("last numbered segment");
+        let (mut log, _) = SegmentLog::open(&dir, u64::MAX, Obs::none()).expect("opens");
+        assert_eq!(log.active_seq, u32::MAX);
+        let error = log.roll().expect_err("no sequence number follows");
+        assert!(
+            matches!(&error, DurableError::Corrupt { detail, .. } if detail.contains("no segment sequence number follows")),
+            "{error:?}"
+        );
+        assert_eq!(log.active_seq, u32::MAX);
+        drop(log);
+
+        File::create(dir.join(format!("seg-{}.log", u64::from(u32::MAX) + 1))).expect("past it");
+        let error = SegmentLog::open(&dir, u64::MAX, Obs::none()).expect_err("refused");
+        assert!(
+            matches!(&error, DurableError::Corrupt { detail, .. } if detail.contains("is past")),
+            "{error:?}"
+        );
+        fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Open and compaction walk a segment with the one frame walker, so
+    /// at every cut of a frame they agree where its clean prefix ends:
+    /// open truncates a last segment to it, and compaction refuses a
+    /// sealed victim cut there, naming the same length — as torn
+    /// inside a frame, as short of a record on a frame boundary — and
+    /// folds it only whole.
+    #[test]
+    fn open_and_compaction_agree_on_the_clean_length_at_every_cut() {
+        let dir = crate::tests::scratch("cuts");
+        let (mut log, _) = SegmentLog::open(&dir, u64::MAX, Obs::none()).expect("open fresh");
+        let object = |id: u64| {
+            StoredObject::from_spec(
+                ObjectSpec::new(
+                    ObjectId::new(id),
+                    ByteSize::from_kib(1),
+                    ImportanceCurve::fixed_lifetime(SimDuration::from_days(1)),
+                ),
+                SimTime::ZERO,
+            )
+        };
+        let mut ends = vec![0u64];
+        for id in 0..3 {
+            log.append(&LogRecord::Store {
+                at: SimTime::ZERO,
+                object: object(id),
+                evicted: Vec::new(),
+            })
+            .expect("append");
+            ends.push(log.segments[&0].bytes);
+        }
+        log.roll().expect("seal");
+        let victim = segment_path(&dir, 0);
+        let whole = fs::read(&victim).expect("victim bytes");
+        assert_eq!(whole.len() as u64, ends[3]);
+
+        let lone = crate::tests::scratch("cuts-open");
+        for cut in ends[2]..=ends[3] {
+            let clean = *ends
+                .iter()
+                .rev()
+                .find(|&&end| end <= cut)
+                .expect("0 <= cut");
+            let bytes = &whole[..cut as usize];
+
+            fs::create_dir_all(&lone).expect("dir");
+            fs::write(segment_path(&lone, 0), bytes).expect("lone segment");
+            let (_, recovered) = SegmentLog::open(&lone, u64::MAX, Obs::none()).expect("opens");
+            assert_eq!(recovered.torn_bytes, cut - clean, "cut {cut}");
+            let kept = fs::metadata(segment_path(&lone, 0)).expect("kept").len();
+            assert_eq!(kept, clean, "cut {cut}");
+            fs::remove_dir_all(&lone).expect("cleanup");
+
+            fs::write(&victim, bytes).expect("cut the victim");
+            let folded = log.compact(0, |id| object(id.raw()));
+            if cut == ends[3] {
+                assert_eq!(folded.expect("a whole victim folds").survivors, 3);
+                continue;
+            }
+            let Err(DurableError::Corrupt { detail, .. }) = folded else {
+                panic!("cut {cut}: a cut victim folded: {folded:?}");
+            };
+            if cut == clean {
+                assert!(detail.contains("holds 2 records"), "cut {cut}: {detail}");
+            } else {
+                let expected = format!("{clean} of {cut} bytes frame cleanly");
+                assert!(detail.contains(&expected), "cut {cut}: {detail}");
+            }
+        }
+        fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

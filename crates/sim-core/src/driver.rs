@@ -21,10 +21,10 @@ use crate::{EventQueue, SimTime};
 /// sim.schedule(SimTime::from_minutes(1), Event::Tick);
 ///
 /// let mut ticks = 0;
-/// sim.run(|sim, _at, Event::Tick| {
+/// sim.run(|sim, at, Event::Tick| {
 ///     ticks += 1;
 ///     if ticks < 3 {
-///         sim.schedule_after(SimDuration::MINUTE, Event::Tick);
+///         sim.schedule(at + SimDuration::MINUTE, Event::Tick);
 ///     }
 /// });
 /// assert_eq!(ticks, 3);
@@ -69,14 +69,6 @@ impl<E> Simulation<E> {
             "cannot schedule event at {at} before current time {now}",
             now = self.now
         );
-        self.queue.push(at, event);
-        self.obs
-            .gauge("sim.pending_events", self.queue.len() as u64);
-    }
-
-    /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: crate::SimDuration, event: E) {
-        let at = self.now + delay;
         self.queue.push(at, event);
         self.obs
             .gauge("sim.pending_events", self.queue.len() as u64);
@@ -151,10 +143,10 @@ mod tests {
         let mut sim = Simulation::new();
         sim.schedule(SimTime::ZERO, 0u32);
         let mut count = 0;
-        sim.run(|sim, _, n| {
+        sim.run(|sim, at, n| {
             count += 1;
             if n < 4 {
-                sim.schedule_after(SimDuration::HOUR, n + 1);
+                sim.schedule(at + SimDuration::HOUR, n + 1);
             }
         });
         assert_eq!(count, 5);

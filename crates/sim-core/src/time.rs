@@ -88,11 +88,6 @@ impl SimTime {
         (self.0 % MINUTES_PER_YEAR) / MINUTES_PER_DAY
     }
 
-    /// The 0-based simulated year this instant falls in (365-day years).
-    pub const fn year(self) -> u64 {
-        self.0 / MINUTES_PER_YEAR
-    }
-
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
     pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -319,7 +314,7 @@ mod tests {
     fn day_of_year_wraps_at_365_days() {
         let t = SimTime::from_days(365 + 40);
         assert_eq!(t.day_of_year(), 40);
-        assert_eq!(t.year(), 1);
+        assert_eq!(t.as_minutes() / MINUTES_PER_YEAR, 1);
         assert_eq!(SimTime::from_days(364).day_of_year(), 364);
         assert_eq!(SimTime::from_days(365).day_of_year(), 0);
     }
